@@ -341,6 +341,17 @@ func (f *Net) BindInbox(owner int32, ch chan transport.Envelope) bool {
 	return false
 }
 
+// BindInboxBatch implements transport.BatchInboxMux the same way: faults
+// are injected on Send and the receive side is pass-through, so a wrapped
+// cluster drains the inner transport's bulk ingress exactly as an
+// unwrapped one does.
+func (f *Net) BindInboxBatch(owner int32, ch chan *[]transport.Envelope) bool {
+	if mux, ok := f.inner.(transport.BatchInboxMux); ok {
+		return mux.BindInboxBatch(owner, ch)
+	}
+	return false
+}
+
 // Close implements transport.Transport: it stops injecting, waits for
 // in-flight delayed deliveries, and closes the inner transport.
 func (f *Net) Close() {
@@ -351,4 +362,7 @@ func (f *Net) Close() {
 	f.inner.Close()
 }
 
-var _ transport.Transport = (*Net)(nil)
+var (
+	_ transport.Transport     = (*Net)(nil)
+	_ transport.BatchInboxMux = (*Net)(nil)
+)

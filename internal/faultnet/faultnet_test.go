@@ -338,3 +338,41 @@ func TestComposesOverTCP(t *testing.T) {
 		t.Fatalf("TCP+faultnet delivered %d/100, want partial delivery", delivered)
 	}
 }
+
+// bareTransport implements transport.Transport and nothing else.
+type bareTransport struct{ transport.Transport }
+
+// TestReportsInnerBatchCapability: the receive side is pass-through, so
+// the wrapper takes bulk-ingress bindings exactly when its inner
+// transport does — chaos arms run the ingress path production runs.
+func TestReportsInnerBatchCapability(t *testing.T) {
+	tcp, err := transport.NewTCP(2, 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, inner := range map[string]transport.Transport{
+		"switchboard": transport.NewSwitchboard(2, 64),
+		"tcp":         tcp,
+	} {
+		f := Wrap(inner, 2, Config{}, 13)
+		ch := make(chan *[]transport.Envelope, 4)
+		if !f.BindInboxBatch(1, ch) {
+			t.Fatalf("%s: wrapper refused BindInboxBatch its inner transport accepts", name)
+		}
+		_ = f.Send(1, &wire.Message{Kind: wire.KindPublish, From: 0, To: 1, Seq: 7})
+		select {
+		case nb := <-ch:
+			if len(*nb) != 1 || (*nb)[0].Msg.Seq != 7 || (*nb)[0].To != 1 {
+				t.Fatalf("%s: batch = %+v, want one envelope seq 7 to 1", name, *nb)
+			}
+		case <-time.After(2 * time.Second):
+			t.Fatalf("%s: nothing arrived on the bound batch channel", name)
+		}
+		f.Close()
+	}
+	f := Wrap(bareTransport{transport.NewSwitchboard(2, 64)}, 2, Config{}, 13)
+	defer f.Close()
+	if f.BindInboxBatch(1, make(chan *[]transport.Envelope, 1)) {
+		t.Fatal("wrapper advertised a batch capability its inner transport lacks")
+	}
+}

@@ -14,9 +14,17 @@ import (
 // KindInboxDepositAck per deposit, one KindTopicPubAck per hand-off.
 // Instead of sending each immediately, a node buffers ack entries per
 // next hop and flushes each bucket as one KindAckBatch frame when the
-// shard wheel's tkAckFlush entry fires (~AckFlushEvery after the first
-// buffered ack) or when a bucket reaches AckBatchMax. The repair engine
+// shard wheel's tkAckFlush entry fires (~ackFlushEvery after the first
+// buffered ack) or when a bucket reaches ackBatchMax. The repair engine
 // settles every member seq of a batch in one lock pass.
+
+const (
+	// ackFlushEvery is the longest an ack may sit buffered before its
+	// batch is flushed — about one timer-wheel tick.
+	ackFlushEvery = time.Millisecond
+	// ackBatchMax flushes a next-hop bucket early at this many entries.
+	ackBatchMax = 64
+)
 
 // hbSuppressMax bounds consecutive piggyback-suppressed heartbeats per
 // link: every 4th round pings even a busy link, because pongs carry the
@@ -60,7 +68,7 @@ func (n *Node) queueAck(e wire.AckEntry, direct bool) {
 	arm := false
 	n.mu.Lock()
 	bucket := append(n.ackBuf[hop], e)
-	if len(bucket) >= n.cfg.AckBatchMax {
+	if len(bucket) >= ackBatchMax {
 		flush = bucket
 		delete(n.ackBuf, hop)
 	} else {
@@ -76,7 +84,7 @@ func (n *Node) queueAck(e wire.AckEntry, direct bool) {
 	}
 	if arm {
 		if n.sh != nil {
-			n.sh.scheduleAckFlush(n, time.Now().Add(n.cfg.AckFlushEvery))
+			n.sh.scheduleAckFlush(n, time.Now().Add(ackFlushEvery))
 		} else {
 			// No shard runtime (unit-test node): flush inline.
 			n.flushAcks()

@@ -270,7 +270,11 @@ func (n *Node) recordJoinLocked(now time.Time, q overlay.PeerID, pos ring.ID) {
 	n.joinAdmits[q] = joinGrant{t: now, pos: pos}
 }
 
-// arcGrantLocked is the hardened arc-occupancy cap: at most ArcJoinCap
+// arcJoinCap is the most friend-arc placements one inviter grants per
+// JoinRateWindow when hardened.
+const arcJoinCap = 4
+
+// arcGrantLocked is the hardened arc-occupancy cap: at most arcJoinCap
 // Algorithm-1 social placements inside this inviter's free arc (one LSH
 // region) per JoinRateWindow. Overflow friends are diverted to their
 // uniform independent-join position (sybil_diverted) — the same spread
@@ -281,7 +285,7 @@ func (n *Node) arcGrantLocked(now time.Time) bool {
 		return true
 	}
 	n.arcGrants = pruneWindow(n.arcGrants, now.Add(-n.cfg.JoinRateWindow))
-	if len(n.arcGrants) >= n.cfg.ArcJoinCap {
+	if len(n.arcGrants) >= arcJoinCap {
 		n.cfg.Obs.Inc(obs.CSybilDiverted)
 		return false
 	}

@@ -80,7 +80,7 @@ func waitRingConsistent(c *Cluster, p overlay.PeerID, timeout time.Duration) (ti
 
 // TestEclipseHardenedRecovers runs an eclipse window against a hardened
 // victim and requires the ring to restabilize after the attackers stand
-// down: the recovery contract BENCH_PR9 pins at soak scale.
+// down: the recovery contract the eclipse soak arm holds at soak scale.
 func TestEclipseHardenedRecovers(t *testing.T) {
 	const n = 60
 	opts, met := attackOpts(true)

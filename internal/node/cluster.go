@@ -26,7 +26,9 @@ type Options struct {
 	// Overlay provides the converged positions (and, when it is a SELECT
 	// overlay, long links and bandwidths) that seed the bootstrap members.
 	Overlay overlay.Overlay
-	// Transport carries the wire protocol (switchboard or TCP).
+	// Transport carries the wire protocol: switchboard, TCP, or faultnet
+	// over either. It must implement transport.BatchInboxMux, the
+	// runtime's only ingress.
 	Transport transport.Transport
 	// Seed derives every per-node RNG and LSH hasher; two clusters started
 	// from the same Options make the same protocol decisions.
@@ -42,10 +44,9 @@ type Options struct {
 	// of milliseconds of added deadline lag and message sojourn, enough
 	// to starve retry backoffs and trip spurious repair traffic.
 	Shards int
-	// ShardMailbox is each shard's shared inbox depth (default 8192).
-	// The shared mailbox replaces per-node transport inboxes when the
-	// transport supports multiplexing (transport.InboxMux). Keep it
-	// moderate: an overloaded shard sheds load by dropping at the
+	// ShardMailbox is each shard's mailbox depth in envelope batches
+	// (default 8192); every node pinned to the shard receives through it.
+	// Keep it moderate: an overloaded shard sheds load by dropping at the
 	// mailbox (counted), and a deeper queue only trades those drops for
 	// seconds of sojourn latency on every queued message.
 	ShardMailbox int
@@ -64,9 +65,6 @@ type Options struct {
 	// K is the long-link budget and incoming cap (default: the overlay's
 	// own K when it exposes one, else ~log2(N)).
 	K int
-	// MoveEps is the minimum ring distance an Algorithm-2 move must cover
-	// to be worth announcing (default 0.002).
-	MoveEps float64
 
 	// RetryBase is the delivery-repair engine's base backoff: the first
 	// re-send to unacked subscribers fires about one RetryBase after the
@@ -78,16 +76,6 @@ type Options struct {
 	// RetryBudget is how many retry rounds a publication gets before it is
 	// dead-lettered (default 12).
 	RetryBudget int
-	// SuccListLen is r, the successor/predecessor list depth backing ring
-	// repair (default 4).
-	SuccListLen int
-	// DedupWindow bounds each node's delivery-dedup record; a duplicate
-	// copy arriving after its record aged out re-delivers (at-least-once,
-	// default 8192).
-	DedupWindow int
-	// PubHistory bounds the publisher-side ack records kept after a
-	// publication resolves or dead-letters (default 1024).
-	PubHistory int
 	// Detector holds the accrual failure-detection thresholds shared with
 	// the simulator (zero value = selectcore.DefaultFailureDetector).
 	Detector selectcore.FailureDetector
@@ -99,12 +87,6 @@ type Options struct {
 	// as the marshal-once heartbeat path), so faultnet-wrapped chaos
 	// schedules and their canonical traces stay byte-identical.
 	AckBatch AckBatchMode
-	// AckFlushEvery is the longest an ack may sit buffered before its
-	// batch is flushed (default 1ms — about one timer-wheel tick).
-	AckFlushEvery time.Duration
-	// AckBatchMax flushes a next-hop bucket early when it reaches this
-	// many entries (default 64).
-	AckBatchMax int
 	// NoHeartbeatPiggyback disables liveness piggybacking: normally any
 	// inbound frame counts as heartbeat evidence for its sender, and the
 	// heartbeat sweep skips pinging links that carried traffic within the
@@ -154,20 +136,14 @@ type Options struct {
 	// the damper costs honest joiners nothing while capping a sybil
 	// cycle at one placement per window per identity.
 	JoinRateWindow time.Duration
-	// ArcJoinCap is the most friend-arc placements (Algorithm-1 social
-	// placement inside this inviter's free arc — one LSH region) granted
-	// per JoinRateWindow when hardened (default 4); excess friends are
-	// diverted to their uniform independent-join position, spreading the
-	// load the way non-friends already do.
-	ArcJoinCap int
 
 	// TopicLease is how long a topic registration lives at its rendezvous
-	// without a refresh (DESIGN.md §13); subscribers refresh at half the
-	// lease on the maintain tick (default 500ms).
+	// without a refresh (DESIGN.md §13). Subscribers refresh at half the
+	// lease on the maintain tick, so the lease must span several ticks or
+	// one late tick unregisters a live subscriber: the default is ten
+	// maintain periods (at least 500ms), and Start rejects a lease shorter
+	// than four.
 	TopicLease time.Duration
-	// TopicFanout bounds the branching factor of the per-topic
-	// dissemination tree (default 4).
-	TopicFanout int
 
 	// Obs receives runtime counters, histograms and trace events from
 	// every node (nil = no instrumentation).
@@ -179,12 +155,15 @@ type Options struct {
 	// remaining peers outside the ring until Cluster.Join admits them
 	// live via JoinRequest.
 	Bootstrap []overlay.PeerID
-
-	// Bandwidths models per-peer upload capacity for the Algorithm-6
-	// picker and incoming-link eviction (default: the overlay's modeled
-	// bandwidths when exposed, else a deterministic synthetic draw).
-	Bandwidths []float64
 }
+
+// A topic subscriber refreshes its registration at half-lease, on the
+// maintain tick: the default lease spans defaultLeaseTicks periods, and
+// one below minLeaseTicks cannot survive a single late tick.
+const (
+	defaultLeaseTicks = 10
+	minLeaseTicks     = 4
+)
 
 func (o *Options) fill() {
 	if o.Shards <= 0 {
@@ -196,32 +175,14 @@ func (o *Options) fill() {
 	if o.TTL == 0 {
 		o.TTL = 32
 	}
-	if o.MoveEps == 0 {
-		o.MoveEps = 0.002
-	}
 	if o.RetryMax == 0 && o.RetryBase > 0 {
 		o.RetryMax = 10 * o.RetryBase
 	}
 	if o.RetryBudget == 0 {
 		o.RetryBudget = 12
 	}
-	if o.SuccListLen == 0 {
-		o.SuccListLen = 4
-	}
-	if o.DedupWindow == 0 {
-		o.DedupWindow = 8192
-	}
-	if o.PubHistory == 0 {
-		o.PubHistory = 1024
-	}
 	if o.InboxReplicas <= 0 {
 		o.InboxReplicas = 2
-	}
-	if o.AckFlushEvery <= 0 {
-		o.AckFlushEvery = time.Millisecond
-	}
-	if o.AckBatchMax <= 0 {
-		o.AckBatchMax = 64
 	}
 	if o.InboxLease <= 0 {
 		o.InboxLease = 150 * time.Millisecond
@@ -236,14 +197,8 @@ func (o *Options) fill() {
 	if o.JoinRateWindow <= 0 {
 		o.JoinRateWindow = time.Second
 	}
-	if o.ArcJoinCap <= 0 {
-		o.ArcJoinCap = 4
-	}
 	if o.TopicLease <= 0 {
-		o.TopicLease = 500 * time.Millisecond
-	}
-	if o.TopicFanout <= 0 {
-		o.TopicFanout = 4
+		o.TopicLease = max(500*time.Millisecond, defaultLeaseTicks*o.MaintainEvery)
 	}
 	if o.K == 0 {
 		if kp, ok := o.Overlay.(interface{ K() int }); ok {
@@ -267,7 +222,7 @@ type Cluster struct {
 	// cluster-created temp directory removed at Shutdown.
 	ibxDir   string
 	ibxOwned bool
-	// stop ends every shard loop and fallback forwarder; wg tracks them.
+	// stop ends every shard loop; wg tracks them.
 	stop     chan struct{}
 	stopOnce sync.Once
 	wg       sync.WaitGroup
@@ -280,6 +235,14 @@ type Cluster struct {
 func Start(opts Options) (*Cluster, error) {
 	if opts.Graph == nil || opts.Overlay == nil || opts.Transport == nil {
 		return nil, fmt.Errorf("node: Options requires Graph, Overlay and Transport")
+	}
+	bmux, ok := opts.Transport.(transport.BatchInboxMux)
+	if !ok {
+		return nil, fmt.Errorf("node: transport %T does not implement transport.BatchInboxMux, the runtime's only ingress", opts.Transport)
+	}
+	if opts.TopicLease > 0 && opts.TopicLease < minLeaseTicks*opts.MaintainEvery {
+		return nil, fmt.Errorf("node: TopicLease %v is under %d maintain periods (MaintainEvery %v): subscribers refresh at half-lease on the maintain tick, so one late tick would unregister them",
+			opts.TopicLease, minLeaseTicks, opts.MaintainEvery)
 	}
 	opts.fill()
 	n := opts.Overlay.N()
@@ -296,19 +259,18 @@ func Start(opts Options) (*Cluster, error) {
 			dir.member[p] = true
 		}
 	}
-	bw := opts.Bandwidths
-	if bw == nil {
-		if bp, ok := opts.Overlay.(interface{ Bandwidth(overlay.PeerID) float64 }); ok {
-			bw = make([]float64, n)
-			for p := 0; p < n; p++ {
-				bw[p] = bp.Bandwidth(overlay.PeerID(p))
-			}
-		} else {
-			rng := rand.New(rand.NewSource(opts.Seed ^ 0x6277))
-			bw = make([]float64, n)
-			for p := range bw {
-				bw[p] = 1 + 9*rng.Float64()
-			}
+	// Per-peer upload capacity for the Algorithm-6 picker and incoming-link
+	// eviction: the overlay's modeled bandwidths when it exposes them, else
+	// a deterministic synthetic draw.
+	bw := make([]float64, n)
+	if bp, ok := opts.Overlay.(interface{ Bandwidth(overlay.PeerID) float64 }); ok {
+		for p := range bw {
+			bw[p] = bp.Bandwidth(overlay.PeerID(p))
+		}
+	} else {
+		rng := rand.New(rand.NewSource(opts.Seed ^ 0x6277))
+		for p := range bw {
+			bw[p] = 1 + 9*rng.Float64()
 		}
 	}
 
@@ -372,13 +334,24 @@ func Start(opts Options) (*Cluster, error) {
 		close(nd.joinedCh)
 	}
 	// The sharded runtime (shard.go): pin every node to a shard, bind its
-	// transport inbox into the shard's shared mailbox (falling back to a
-	// forwarder goroutine when the transport cannot multiplex), arm its
-	// periodic wheel entries, then start the S loops.
+	// transport inbox into the shard's mailbox, arm its periodic wheel
+	// entries, then start the S loops.
 	c.stop = make(chan struct{})
 	c.shards = make([]*shard, opts.Shards)
 	for i := range c.shards {
 		c.shards[i] = newShard(i, c, &opts)
+	}
+	start := time.Now()
+	for p, nd := range c.Nodes {
+		sh := c.shards[shardOf(int32(p), len(c.shards))]
+		nd.sh = sh
+		// Bulk ingress (DESIGN.md §15): the transport's read loop hands
+		// whole envelope slices into the shard, which drains each in one
+		// pass.
+		if !bmux.BindInboxBatch(int32(p), sh.mailbox) {
+			return nil, fmt.Errorf("node: transport %T refused BindInboxBatch for peer %d", opts.Transport, p)
+		}
+		sh.scheduleNode(nd, start)
 	}
 	if opts.Inbox {
 		dirPath := opts.InboxDir
@@ -405,54 +378,11 @@ func Start(opts Options) (*Cluster, error) {
 			sh.ibx = st
 		}
 	}
-	mux, hasMux := opts.Transport.(transport.InboxMux)
-	bmux, hasBMux := opts.Transport.(transport.BatchInboxMux)
-	start := time.Now()
-	for p, nd := range c.Nodes {
-		sh := c.shards[shardOf(int32(p), len(c.shards))]
-		nd.sh = sh
-		// Bulk ingress first (DESIGN.md §15): the transport's read loop
-		// hands whole envelope slices into the shard, which drains each
-		// under one queue-lock acquisition. Then the single-envelope mux,
-		// then the per-node forwarder goroutine of last resort.
-		switch {
-		case hasBMux && bmux.BindInboxBatch(int32(p), sh.binbox):
-		case hasMux && mux.BindInbox(int32(p), sh.inbox):
-		default:
-			c.wg.Add(1)
-			go c.forwardInbox(opts.Transport.Inbox(int32(p)), int32(p), sh.inbox)
-		}
-		sh.scheduleNode(nd, start)
-	}
 	for _, sh := range c.shards {
 		c.wg.Add(1)
 		go sh.run()
 	}
 	return c, nil
-}
-
-// forwardInbox is the compatibility path for transports without
-// multiplexed inbox registration: one goroutine per node copying its
-// private inbox into the shard mailbox, stamping the owner. O(n)
-// goroutines again — but only on transports that already are O(n).
-func (c *Cluster) forwardInbox(in <-chan transport.Envelope, pid int32, out chan<- transport.Envelope) {
-	defer c.wg.Done()
-	for {
-		select {
-		case <-c.stop:
-			return
-		case env, ok := <-in:
-			if !ok {
-				return
-			}
-			env.To = pid
-			select {
-			case out <- env:
-			case <-c.stop:
-				return
-			}
-		}
-	}
 }
 
 // Join admits peer p into the running ring: the node sends a JoinRequest
@@ -579,7 +509,7 @@ func (c *Cluster) HeadForged(p, q overlay.PeerID) bool {
 func (c *Cluster) Shards() int { return len(c.shards) }
 
 // Shutdown terminates the runtime with a bounded drain: it waits for
-// every shard loop (and fallback forwarder) to exit until ctx expires,
+// every shard loop to exit until ctx expires,
 // then closes the transport either way. Idempotent; returns ctx's error
 // when the drain was cut short.
 func (c *Cluster) Shutdown(ctx context.Context) error {

@@ -25,7 +25,7 @@ import (
 //   - subscriber role: on every completed (re)join the node claims its
 //     replicas one at a time in seeded-deterministic lease order; a
 //     replica that makes no progress within the lease hands off to the
-//     next. Replayed duplicates are absorbed by the DedupWindow, so the
+//     next. Replayed duplicates are absorbed by the dedup window, so the
 //     sequential lease plus dedup yields at-least-once with no double
 //     app delivery.
 
@@ -531,7 +531,7 @@ func (n *Node) handleInboxLease(m *wire.Message) {
 }
 
 // handleInboxReplay delivers a replayed publication on the subscriber:
-// first-time copies go through the normal delivery path (DedupWindow,
+// first-time copies go through the normal delivery path (dedup window,
 // OnDeliver, hop histogram), duplicates are absorbed — and every copy is
 // acked so whichever replica sent it can clear its journal record.
 func (n *Node) handleInboxReplay(m *wire.Message) {

@@ -97,7 +97,7 @@ func (n *Node) handleJoinRequest(m *wire.Message) {
 					gap = ring.Clockwise(myPos, sp)
 				}
 			}
-			pos = selectcore.PlaceJoin(myPos, gap, 1/float64(n.dir.memberCount()+1), n.rng.Float64())
+			pos = selectcore.PlaceJoin(myPos, gap, 1/float64(n.dir.memberCount()+1), n.rng.Float64(), uint64(q))
 		} else {
 			pos = selectcore.PlaceIndependent(uint64(q))
 		}
@@ -240,10 +240,14 @@ func (n *Node) pruneGoneLocked() {
 	n.rview.prune(n.dir.isMember)
 }
 
+// moveEps is the minimum ring distance an Algorithm-2 move must cover to
+// be worth announcing.
+const moveEps = 0.002
+
 // reassignLocked is Algorithm 2 live: move the identifier to the ring
 // midpoint of the two strongest friends — strengths learned from
 // exchange replies, never read from the graph — when the move covers
-// more than MoveEps, and announce the new identifier to links and member
+// more than moveEps, and announce the new identifier to links and member
 // friends.
 func (n *Node) reassignLocked(out []outMsg) []outMsg {
 	friends := n.g.Neighbors(n.id)
@@ -264,7 +268,7 @@ func (n *Node) reassignLocked(out []outMsg) []outMsg {
 		return out
 	}
 	target := selectcore.ReassignTarget(n.dir.position(best), n.dir.position(second))
-	if ring.Distance(n.dir.position(n.id), target) <= n.cfg.MoveEps {
+	if ring.Distance(n.dir.position(n.id), target) <= moveEps {
 		return out
 	}
 	n.dir.setPosition(n.id, target)

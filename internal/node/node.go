@@ -116,7 +116,7 @@ type Node struct {
 	rview ringView
 	// seen dedups directed copies passing through; received records local
 	// deliveries with their hop count, bounded FIFO by recvOrder
-	// (DedupWindow).
+	// (dedupWindow).
 	seen      map[msgID]bool
 	received  map[msgID]uint8
 	recvOrder []msgID
@@ -139,7 +139,7 @@ type Node struct {
 	// pendingPings: seq -> target of pings not yet answered.
 	pendingPings map[uint32]overlay.PeerID
 	// acked records publication acks seen by this node (publisher role),
-	// bounded FIFO by ackOrder (PubHistory).
+	// bounded FIFO by ackOrder (pubHistory).
 	acked    map[msgID]map[int32]bool
 	ackOrder []msgID
 	// pubs is the delivery-repair engine's per-publication state
@@ -230,7 +230,7 @@ func newNode(id overlay.PeerID, dir *directory, bw []float64, cfg Options, seed 
 		inviterPref:  -1,
 		shortSucc:    -1,
 		shortPred:    -1,
-		rview:        ringView{r: cfg.SuccListLen, hardened: cfg.Hardened},
+		rview:        ringView{hardened: cfg.Hardened},
 		pendingOut:   make(map[overlay.PeerID]bool),
 		strength:     make([]float64, len(friends)),
 		bitmaps:      make(map[overlay.PeerID][]uint64),

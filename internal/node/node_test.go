@@ -30,16 +30,24 @@ func publishPri(n *Node, payload []byte, pri uint8) uint32 {
 	return seq
 }
 
-// buildCluster constructs a SELECT overlay over a small graph and starts a
-// live in-memory cluster on it. The caller fills only the tuning fields of
-// opts; graph, overlay, transport and seed are provided here.
-func buildCluster(t *testing.T, n int, seed int64, opts Options) (*socialgraph.Graph, *Cluster) {
+// buildOverlay generates a small social graph and converges a SELECT
+// overlay over it.
+func buildOverlay(t *testing.T, n int, seed int64) (*socialgraph.Graph, overlay.Overlay) {
 	t.Helper()
 	g := datasets.Facebook.Generate(n, seed)
 	ov, err := pubsub.Build(pubsub.Select, g, pubsub.BuildOptions{}, rand.New(rand.NewSource(seed)))
 	if err != nil {
 		t.Fatal(err)
 	}
+	return g, ov
+}
+
+// buildCluster starts a live in-memory cluster on buildOverlay's graph.
+// The caller fills only the tuning fields of opts; graph, overlay,
+// transport and seed are provided here.
+func buildCluster(t *testing.T, n int, seed int64, opts Options) (*socialgraph.Graph, *Cluster) {
+	t.Helper()
+	g, ov := buildOverlay(t, n, seed)
 	opts.Graph = g
 	opts.Overlay = ov
 	opts.Transport = transport.NewSwitchboard(n, 1024)

@@ -348,8 +348,16 @@ func (n *Node) PendingRepairs() int {
 	return len(n.pubs)
 }
 
+const (
+	// dedupWindow bounds each node's delivery-dedup record.
+	dedupWindow = 8192
+	// pubHistory bounds the publisher-side ack records kept after a
+	// publication resolves or dead-letters.
+	pubHistory = 1024
+)
+
 // rememberDeliveryLocked records a first-time delivery in the dedup
-// window, evicting the oldest entry past DedupWindow. Returns false on a
+// window, evicting the oldest entry past dedupWindow. Returns false on a
 // duplicate. The window bound is the at-least-once contract: a copy
 // arriving after its record aged out would deliver again.
 func (n *Node) rememberDeliveryLocked(id msgID, hops uint8) bool {
@@ -358,11 +366,7 @@ func (n *Node) rememberDeliveryLocked(id msgID, hops uint8) bool {
 	}
 	n.received[id] = hops
 	n.recvOrder = append(n.recvOrder, id)
-	w := n.cfg.DedupWindow
-	if w <= 0 {
-		w = 8192
-	}
-	for len(n.recvOrder) > w {
+	for len(n.recvOrder) > dedupWindow {
 		delete(n.received, n.recvOrder[0])
 		n.recvOrder = n.recvOrder[1:]
 	}
@@ -370,18 +374,14 @@ func (n *Node) rememberDeliveryLocked(id msgID, hops uint8) bool {
 }
 
 // ackedSetLocked returns (creating if needed) the ack set of publication
-// id, evicting the oldest completed record past PubHistory.
+// id, evicting the oldest completed record past pubHistory.
 func (n *Node) ackedSetLocked(id msgID) map[int32]bool {
 	set := n.acked[id]
 	if set == nil {
 		set = make(map[int32]bool)
 		n.acked[id] = set
 		n.ackOrder = append(n.ackOrder, id)
-		h := n.cfg.PubHistory
-		if h <= 0 {
-			h = 1024
-		}
-		for len(n.ackOrder) > h {
+		for len(n.ackOrder) > pubHistory {
 			delete(n.acked, n.ackOrder[0])
 			n.ackOrder = n.ackOrder[1:]
 		}

@@ -18,6 +18,10 @@ type ringEntry struct {
 	firsthand bool
 }
 
+// succListLen is r, the successor/predecessor list depth backing ring
+// repair.
+const succListLen = 4
+
 // ringView is a node's r-deep decentralized view of its ring
 // neighborhood: the nearest known members clockwise (succ) and
 // counter-clockwise (pred), learned from join replies, heartbeat-pong
@@ -35,7 +39,6 @@ type ringEntry struct {
 // window before first-person evidence arrives. All methods are called
 // under the owning node's mutex.
 type ringView struct {
-	r        int
 	hardened bool
 	succ     []ringEntry // sorted by clockwise distance from the owner
 	pred     []ringEntry // sorted by counter-clockwise distance from the owner
@@ -76,8 +79,8 @@ func (v *ringView) learn(own ring.ID, self, peer overlay.PeerID, pos ring.ID, fi
 	}
 	v.remove(peer)
 	e := ringEntry{peer, pos, firsthand}
-	v.succ = insertByDist(v.succ, e, cwDist(own, pos), own, true, v.r)
-	v.pred = insertByDist(v.pred, e, cwDist(pos, own), own, false, v.r)
+	v.succ = insertByDist(v.succ, e, cwDist(own, pos), own, true, succListLen)
+	v.pred = insertByDist(v.pred, e, cwDist(pos, own), own, false, succListLen)
 	return 0
 }
 
@@ -166,8 +169,8 @@ func (v *ringView) rebase(own ring.ID) {
 	}
 	v.succ, v.pred = v.succ[:0], v.pred[:0]
 	for _, e := range entries {
-		v.succ = insertByDist(v.succ, e, cwDist(own, e.pos), own, true, v.r)
-		v.pred = insertByDist(v.pred, e, cwDist(e.pos, own), own, false, v.r)
+		v.succ = insertByDist(v.succ, e, cwDist(own, e.pos), own, true, succListLen)
+		v.pred = insertByDist(v.pred, e, cwDist(e.pos, own), own, false, succListLen)
 	}
 }
 

@@ -81,11 +81,10 @@ type shard struct {
 	idx   int
 	c     *Cluster
 	wheel *sched.Wheel
-	inbox chan transport.Envelope
-	// binbox is the bulk-ingress mailbox (DESIGN.md §15): transports
-	// implementing BatchInboxMux deliver pooled envelope slices here, so
+	// mailbox is the shard's only ingress (DESIGN.md §15): the transport
+	// delivers pooled envelope slices here (transport.BatchInboxMux), so
 	// a flood burst costs one channel op instead of one per frame.
-	binbox chan *[]transport.Envelope
+	mailbox chan *[]transport.Envelope
 	// kick wakes the loop to re-arm its sleep after another goroutine
 	// scheduled a possibly-earlier deadline (Publish, requestJoin).
 	kick chan struct{}
@@ -161,14 +160,13 @@ func (r *idring) pop() (int32, bool) {
 
 func newShard(idx int, c *Cluster, opts *Options) *shard {
 	return &shard{
-		idx:    idx,
-		c:      c,
-		wheel:  sched.NewWheel(time.Millisecond, 512, time.Now()),
-		inbox:  make(chan transport.Envelope, opts.ShardMailbox),
-		binbox: make(chan *[]transport.Envelope, opts.ShardMailbox),
-		kick:   make(chan struct{}, 1),
-		obs:    opts.Obs,
-		queues: make([]nodeq, len(c.Nodes)),
+		idx:     idx,
+		c:       c,
+		wheel:   sched.NewWheel(time.Millisecond, 512, time.Now()),
+		mailbox: make(chan *[]transport.Envelope, opts.ShardMailbox),
+		kick:    make(chan struct{}, 1),
+		obs:     opts.Obs,
+		queues:  make([]nodeq, len(c.Nodes)),
 	}
 }
 
@@ -178,15 +176,7 @@ func newShard(idx int, c *Cluster, opts *Options) *shard {
 func (s *shard) pull() {
 	for s.queued < ingestCap {
 		select {
-		case env, ok := <-s.inbox:
-			if !ok {
-				return
-			}
-			s.enqueue(env)
-		case nb, ok := <-s.binbox:
-			if !ok {
-				return
-			}
+		case nb := <-s.mailbox:
 			s.enqueueBatch(nb)
 		default:
 			return
@@ -194,7 +184,7 @@ func (s *shard) pull() {
 	}
 }
 
-// enqueueBatch drains one bulk-ingress slice into the per-node queues —
+// enqueueBatch drains one mailbox slice into the per-node queues —
 // a whole burst crosses into the fair-queueing structures in one pass —
 // and recycles the slice. ingestCap may overshoot by one batch; the next
 // pull iteration stops, which is the same backpressure point.
@@ -391,15 +381,7 @@ func (s *shard) run() {
 		select {
 		case <-s.c.stop:
 			return
-		case env, ok := <-s.inbox:
-			if !ok {
-				return
-			}
-			s.enqueue(env)
-		case nb, ok := <-s.binbox:
-			if !ok {
-				return
-			}
+		case nb := <-s.mailbox:
 			s.enqueueBatch(nb)
 		case <-s.kick:
 			rearm()

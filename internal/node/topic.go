@@ -57,6 +57,10 @@ var (
 // userTopicPrefix marks the implicit per-user feed topics.
 const userTopicPrefix = "~"
 
+// topicFanout bounds the branching factor of the per-topic dissemination
+// tree.
+const topicFanout = 4
+
 // UserTopic names peer p's implicit feed topic: every friend-feed
 // publication is a publication on this topic, so one delivery path (and
 // one handler signature) serves friend feeds and named topics alike.
@@ -651,9 +655,8 @@ func (n *Node) acceptTopicPub(origin msgID, topic string, payload []byte, size u
 		}
 	}
 	if primary {
-		fanout := n.cfg.TopicFanout
 		tp := &topicPubState{topic: topic, payload: payload, size: size, pri: pri}
-		for _, branch := range selectcore.TreeBranches(subs, fanout) {
+		for _, branch := range selectcore.TreeBranches(subs, topicFanout) {
 			child := branch[0]
 			subtree := peersToInt32s(branch[1:])
 			msg := n.topicPubMsgLocked(origin.Seq, tp, child, int32(n.id), subtree)
@@ -704,7 +707,7 @@ func (n *Node) deliverTopicCopy(m *wire.Message) {
 		}
 		if len(m.RoutingTable) > 0 {
 			tp := &topicPubState{topic: topic, payload: clonePayload(m.Payload), size: m.PayloadSize, pri: m.Priority}
-			for _, branch := range selectcore.TreeBranches(int32sToPeers(m.RoutingTable), n.cfg.TopicFanout) {
+			for _, branch := range selectcore.TreeBranches(int32sToPeers(m.RoutingTable), topicFanout) {
 				child := branch[0]
 				msg := n.topicPubMsgLocked(m.Seq, tp, child, m.Target, peersToInt32s(branch[1:]))
 				msg.Publisher = m.Publisher

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -12,6 +13,7 @@ import (
 	"selectps/internal/obs"
 	"selectps/internal/overlay"
 	"selectps/internal/selectcore"
+	"selectps/internal/transport"
 )
 
 // subCtx is the registration deadline used by the topic tests.
@@ -373,5 +375,45 @@ func TestUserTopicAPIEquivalence(t *testing.T) {
 	}
 	if got.Topic != UserTopic(pub) || got.Publisher != pub || !bytes.Equal(got.Payload, []byte("feed post")) {
 		t.Fatalf("friend-feed delivery context = %+v", *got)
+	}
+}
+
+// TestTopicLeaseDefaultFollowsMaintainPeriod: subscribers refresh at
+// half-lease on the maintain tick, so the default lease spans ten
+// maintain periods (never under 500ms) and Start refuses an explicit
+// lease a single late tick would expire.
+func TestTopicLeaseDefaultFollowsMaintainPeriod(t *testing.T) {
+	const ms = time.Millisecond
+	for _, tc := range []struct {
+		maintain, lease, want time.Duration
+	}{
+		{maintain: 0, want: 500 * ms},
+		{maintain: 20 * ms, want: 500 * ms},
+		{maintain: 200 * ms, want: 2000 * ms},
+		{maintain: 200 * ms, lease: 2000 * ms, want: 2000 * ms}, // bench/spec.go
+		{maintain: 200 * ms, lease: 800 * ms, want: 800 * ms},   // exactly four periods
+		{maintain: 25 * ms, lease: 7000 * ms, want: 7000 * ms},  // soak: DeliverTimeout+5s
+	} {
+		_, c := buildCluster(t, 20, 5, Options{MaintainEvery: tc.maintain, TopicLease: tc.lease})
+		got := c.Nodes[0].cfg.TopicLease
+		shutdown(t, c)
+		if got != tc.want {
+			t.Errorf("MaintainEvery=%v TopicLease=%v: effective lease %v, want %v", tc.maintain, tc.lease, got, tc.want)
+		}
+	}
+
+	g, ov := buildOverlay(t, 20, 5)
+	tr := transport.NewSwitchboard(20, 64)
+	defer tr.Close()
+	c, err := Start(Options{
+		Graph: g, Overlay: ov, Transport: tr,
+		MaintainEvery: 200 * ms, TopicLease: 500 * ms,
+	})
+	if err == nil {
+		shutdown(t, c)
+		t.Fatal("Start accepted TopicLease=500ms with MaintainEvery=200ms")
+	}
+	if !strings.Contains(err.Error(), "TopicLease") {
+		t.Fatalf("error does not name the rejected option: %v", err)
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"selectps/internal/overlay"
+	"selectps/internal/overlay/check"
 )
 
 func build(n int) *Overlay {
@@ -180,5 +181,15 @@ func TestLinksMirrorTables(t *testing.T) {
 				t.Errorf("peer %d links to itself", p)
 			}
 		}
+	}
+}
+
+// TestStructuralInvariants holds the built overlay to the executable
+// invariants of internal/overlay/check: distinct in-range positions,
+// well-formed links, one connected component, routes that terminate.
+func TestStructuralInvariants(t *testing.T) {
+	o := build(300)
+	if r := check.All(o, 100, rand.New(rand.NewSource(9))); !r.Ok() {
+		t.Fatalf("invariants violated:\n%s", r)
 	}
 }

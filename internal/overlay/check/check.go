@@ -10,6 +10,7 @@ import (
 	"math/rand"
 
 	"selectps/internal/overlay"
+	"selectps/internal/ring"
 )
 
 // Report collects invariant violations; empty means all checks passed.
@@ -36,16 +37,23 @@ func (r *Report) String() string {
 	return out
 }
 
-// Structure validates per-peer state: positions in [0,1), no self links,
-// no duplicate links, link targets in range.
+// Structure validates per-peer state: positions in [0,1) and pairwise
+// distinct (greedy routing makes no progress between peers sharing a
+// position), no self links, no duplicate links, link targets in range.
 func Structure(o overlay.Overlay) *Report {
 	r := &Report{}
 	n := o.N()
+	at := make(map[ring.ID]overlay.PeerID, n)
 	for p := 0; p < n; p++ {
 		pid := overlay.PeerID(p)
-		if !o.Position(pid).Valid() {
-			r.addf("peer %d: position %v outside [0,1)", p, o.Position(pid))
+		pos := o.Position(pid)
+		if !pos.Valid() {
+			r.addf("peer %d: position %v outside [0,1)", p, pos)
 		}
+		if q, dup := at[pos]; dup {
+			r.addf("peer %d: shares position %v with peer %d", p, pos, q)
+		}
+		at[pos] = pid
 		seen := make(map[overlay.PeerID]bool)
 		for _, q := range o.Links(pid) {
 			switch {

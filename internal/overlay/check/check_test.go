@@ -84,6 +84,11 @@ func TestStructureCatchesViolations(t *testing.T) {
 	if Structure(f3).Ok() {
 		t.Fatal("out-of-range link not caught")
 	}
+	f4 := newFake(3)
+	f4.SetPosition(2, f4.Position(0)) // two peers on one identifier
+	if Structure(f4).Ok() {
+		t.Fatal("shared position not caught")
+	}
 }
 
 func TestReachabilityCatchesPartition(t *testing.T) {

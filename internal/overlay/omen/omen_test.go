@@ -6,6 +6,7 @@ import (
 
 	"selectps/internal/datasets"
 	"selectps/internal/overlay"
+	"selectps/internal/overlay/check"
 )
 
 func build(t *testing.T, n int, seed int64) *Overlay {
@@ -193,5 +194,15 @@ func TestTinyGraph(t *testing.T) {
 	o := New(g, Config{MaxDegree: 4}, rand.New(rand.NewSource(13)))
 	if o.N() != 1 || o.Iterations() != 0 {
 		t.Errorf("singleton overlay: n=%d it=%d", o.N(), o.Iterations())
+	}
+}
+
+// TestStructuralInvariants holds the built overlay to the executable
+// invariants of internal/overlay/check: distinct in-range positions,
+// well-formed links, one connected component, routes that terminate.
+func TestStructuralInvariants(t *testing.T) {
+	o := build(t, 300, 1)
+	if r := check.All(o, 100, rand.New(rand.NewSource(9))); !r.Ok() {
+		t.Fatalf("invariants violated:\n%s", r)
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"selectps/internal/overlay"
+	"selectps/internal/overlay/check"
 )
 
 func build(n, k int, seed int64) *Overlay {
@@ -146,5 +147,15 @@ func TestUnicastDissemination(t *testing.T) {
 	// Social-oblivious overlay: almost surely some relay nodes appear.
 	if tree.RelayNodes(isSub) == 0 {
 		t.Error("expected relay nodes on Symphony dissemination")
+	}
+}
+
+// TestStructuralInvariants holds the built overlay to the executable
+// invariants of internal/overlay/check: distinct in-range positions,
+// well-formed links, one connected component, routes that terminate.
+func TestStructuralInvariants(t *testing.T) {
+	o := build(256, 8, 1)
+	if r := check.All(o, 100, rand.New(rand.NewSource(9))); !r.Ok() {
+		t.Fatalf("invariants violated:\n%s", r)
 	}
 }

@@ -6,6 +6,7 @@ import (
 
 	"selectps/internal/datasets"
 	"selectps/internal/overlay"
+	"selectps/internal/overlay/check"
 )
 
 func build(t *testing.T, n int, seed int64) *Overlay {
@@ -169,5 +170,15 @@ func TestHighDegreeBias(t *testing.T) {
 	}
 	if topSum/topN <= botSum/botN {
 		t.Errorf("high-degree peers not hotspots: top=%.1f bot=%.1f", topSum/topN, botSum/botN)
+	}
+}
+
+// TestStructuralInvariants holds the built overlay to the executable
+// invariants of internal/overlay/check: distinct in-range positions,
+// well-formed links, one connected component, routes that terminate.
+func TestStructuralInvariants(t *testing.T) {
+	o := build(t, 300, 1)
+	if r := check.All(o, 100, rand.New(rand.NewSource(9))); !r.Ok() {
+		t.Fatalf("invariants violated:\n%s", r)
 	}
 }

@@ -104,12 +104,26 @@ func ReassignTarget(a, b ring.ID) ring.ID { return ring.Midpoint(a, b) }
 // callers pass fallbackGap (e.g. 1/(members+1)) for the degenerate
 // single-member ring where the arc is zero. u ∈ [0,1) is the caller's
 // deterministic jitter draw.
-func PlaceJoin(inviter ring.ID, gap, fallbackGap, u float64) ring.ID {
+//
+// Every invitation cuts the inviter's free arc roughly in half, so a hub
+// inviting a few dozen friends in a row would squeeze them one float64
+// ulp apart — and then onto the same position, where greedy routing makes
+// no progress between them. Below minJoinArc the arc counts as full and
+// user is placed like an independent subscriber instead.
+func PlaceJoin(inviter ring.ID, gap, fallbackGap, u float64, user uint64) ring.ID {
 	if gap <= 0 {
 		gap = fallbackGap
 	}
+	if gap < minJoinArc {
+		return PlaceIndependent(user)
+	}
 	return ring.Perturb(inviter, gap*(0.3+0.4*u))
 }
+
+// minJoinArc is the narrowest free arc PlaceJoin still subdivides: ~40
+// halvings of the full ring, four decimal orders above float64
+// resolution at 1.0.
+const minJoinArc = 1e-12
 
 // PlaceIndependent is the Algorithm-1 placement of a peer subscribing
 // independently (no registered friend to invite it): a uniform hash of

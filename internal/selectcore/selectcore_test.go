@@ -70,12 +70,12 @@ func TestTop2(t *testing.T) {
 func TestPlacement(t *testing.T) {
 	inv := ring.ID(0.25)
 	// The invitee lands inside the inviter's clockwise arc.
-	pos := PlaceJoin(inv, 0.1, 0.5, 0.5)
+	pos := PlaceJoin(inv, 0.1, 0.5, 0.5, 7)
 	if d := ring.Clockwise(inv, pos); d <= 0 || d >= 0.1 {
 		t.Fatalf("PlaceJoin landed outside the free arc: clockwise=%v", d)
 	}
 	// Zero arc falls back to the caller's gap.
-	pos = PlaceJoin(inv, 0, 0.2, 0)
+	pos = PlaceJoin(inv, 0, 0.2, 0, 7)
 	if d := ring.Clockwise(inv, pos); math.Abs(d-0.06) > 1e-12 {
 		t.Fatalf("PlaceJoin fallback arc wrong: clockwise=%v want 0.06", d)
 	}

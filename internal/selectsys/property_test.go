@@ -7,8 +7,25 @@ import (
 
 	"selectps/internal/datasets"
 	"selectps/internal/overlay"
+	"selectps/internal/overlay/check"
 	"selectps/internal/socialgraph"
 )
+
+// checkSeeds runs prop over maxCount random seeds and names the seed of
+// any failure, so a red run replays as a one-line table entry.
+func checkSeeds(t *testing.T, maxCount int, prop func(seed int64) bool) {
+	t.Helper()
+	f := func(seed int64) bool {
+		if !prop(seed) {
+			t.Logf("property failed for seed %d", seed)
+			return false
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: maxCount}); err != nil {
+		t.Error(err)
+	}
+}
 
 // randomGraph builds a small random graph from a seed (not the dataset
 // generators, to exercise SELECT on arbitrary topologies: stars, sparse
@@ -53,10 +70,14 @@ func randomGraph(seed int64) *socialgraph.Graph {
 //   - routing succeeds between all sampled online pairs,
 //   - dissemination delivers every subscriber with no churn.
 func TestPropertyInvariantsOnRandomGraphs(t *testing.T) {
-	f := func(seed int64) bool {
+	checkSeeds(t, 25, func(seed int64) bool {
 		g := randomGraph(seed)
 		o := New(g, Config{}, rand.New(rand.NewSource(seed)))
 		n := o.N()
+		if r := check.All(o, 20, rand.New(rand.NewSource(seed+3))); !r.Ok() {
+			t.Logf("seed %d: %s", seed, r)
+			return false
+		}
 		incoming := make([]int, n)
 		for p := overlay.PeerID(0); int(p) < n; p++ {
 			if !o.Position(p).Valid() {
@@ -109,45 +130,68 @@ func TestPropertyInvariantsOnRandomGraphs(t *testing.T) {
 			}
 		}
 		return true
-	}
-	cfg := &quick.Config{MaxCount: 25}
-	if err := quick.Check(f, cfg); err != nil {
-		t.Error(err)
-	}
+	})
 }
 
-// TestPropertyAblationsStayCorrect: every ablation variant must still be
-// a correct pub/sub system (delivery completeness), just less efficient.
-func TestPropertyAblationsStayCorrect(t *testing.T) {
-	variants := []Config{
-		{DisableReassignment: true},
-		{RandomLinks: true},
-		{PickerIgnoresBandwidth: true},
-		{CentroidAllFriends: true},
-		{NaiveRecovery: true},
-		{DisableLookahead: true},
+// ablations are the Config variants that must stay correct pub/sub
+// systems (delivery completeness), just less efficient.
+var ablations = []Config{
+	{DisableReassignment: true},
+	{RandomLinks: true},
+	{PickerIgnoresBandwidth: true},
+	{CentroidAllFriends: true},
+	{NaiveRecovery: true},
+	{DisableLookahead: true},
+}
+
+// ablationDelivers builds variant v over randomGraph(seed), holds it to
+// the structural invariants and disseminates from three publishers.
+func ablationDelivers(t *testing.T, seed int64, v Config) bool {
+	g := randomGraph(seed)
+	o := New(g, v, rand.New(rand.NewSource(seed)))
+	if r := check.Structure(o); !r.Ok() {
+		t.Logf("seed %d variant %+v: %s", seed, v, r)
+		return false
 	}
-	f := func(seed int64) bool {
-		g := randomGraph(seed)
-		v := variants[int(uint64(seed)%uint64(len(variants)))]
-		o := New(g, v, rand.New(rand.NewSource(seed)))
-		rng := rand.New(rand.NewSource(seed + 2))
-		for i := 0; i < 3; i++ {
-			b := overlay.PeerID(rng.Intn(o.N()))
-			if g.Degree(b) == 0 {
-				continue
-			}
-			_, failed := o.DisseminationTree(b, g.Neighbors(b))
-			if len(failed) > 0 {
-				t.Logf("seed %d variant %+v: %d failed", seed, v, len(failed))
-				return false
-			}
+	rng := rand.New(rand.NewSource(seed + 2))
+	for i := 0; i < 3; i++ {
+		b := overlay.PeerID(rng.Intn(o.N()))
+		if g.Degree(b) == 0 {
+			continue
 		}
-		return true
+		_, failed := o.DisseminationTree(b, g.Neighbors(b))
+		if len(failed) > 0 {
+			t.Logf("seed %d variant %+v: %d failed", seed, v, len(failed))
+			return false
+		}
 	}
-	cfg := &quick.Config{MaxCount: 18}
-	if err := quick.Check(f, cfg); err != nil {
-		t.Error(err)
+	return true
+}
+
+func TestPropertyAblationsStayCorrect(t *testing.T) {
+	checkSeeds(t, 18, func(seed int64) bool {
+		return ablationDelivers(t, seed, ablations[int(uint64(seed)%uint64(len(ablations)))])
+	})
+}
+
+// TestPinnedPlacementCollapseSeeds pins six star-shaped graphs whose hub
+// invites enough friends in a row to exhaust its free arc: halved without
+// a floor the arc reaches float64 resolution, invitees share a position
+// and greedy routing stalls between them (selectcore.PlaceJoin). The
+// DisableReassignment variant keeps the projected positions, so nothing
+// would move the peers apart again.
+func TestPinnedPlacementCollapseSeeds(t *testing.T) {
+	for _, seed := range []int64{
+		3648509197194620202,
+		-671849562971929132,
+		-2158719641566446226,
+		-5244710769681045490,
+		-3553751680375218742,
+		3804385324521042090,
+	} {
+		if !ablationDelivers(t, seed, Config{DisableReassignment: true}) {
+			t.Errorf("seed %d: DisableReassignment variant lost deliveries", seed)
+		}
 	}
 }
 

@@ -217,7 +217,7 @@ func (o *Overlay) project(sched growth.Schedule) {
 			inv := o.Position(e.Inviter)
 			succ := occupied[ring.Successor(occupied, inv)]
 			pos = selectcore.PlaceJoin(inv, ring.Clockwise(inv, succ),
-				1.0/float64(len(occupied)+1), o.rng.Float64())
+				1.0/float64(len(occupied)+1), o.rng.Float64(), uint64(e.User))
 		} else {
 			pos = selectcore.PlaceIndependent(uint64(e.User))
 		}

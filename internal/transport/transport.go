@@ -98,11 +98,11 @@ type InboxMux interface {
 // delivered batch and must return it with PutEnvelopeBatch once drained.
 //
 // BindInboxBatch follows the BindInbox contract (call before traffic,
-// false means fall back to BindInbox/Inbox, the channel is binder-owned
-// and never closed by the transport). Fault middleware (faultnet) does
-// not implement it, so wrapped transports fall back to the per-envelope
-// path — chaos schedules and canonical Trace() output stay byte-identical,
-// the same opt-out FrameSender uses.
+// false means this transport cannot deliver in bulk, the channel is
+// binder-owned and never closed by the transport). Every transport in the
+// repo implements it — fault middleware (faultnet) forwards to its inner
+// transport, since faults are injected on Send — and the node runtime
+// takes no other ingress path.
 type BatchInboxMux interface {
 	BindInboxBatch(owner int32, ch chan *[]Envelope) bool
 }
