@@ -330,21 +330,12 @@ func (f *Net) sendAfter(to int32, m *wire.Message, delay time.Duration) {
 // Inbox implements transport.Transport (pass-through).
 func (f *Net) Inbox(owner int32) <-chan transport.Envelope { return f.inner.Inbox(owner) }
 
-// BindInbox implements transport.InboxMux by forwarding to the inner
-// transport, reporting its capability — wrapping a non-multiplexable
-// transport must not advertise multiplexing, or bound peers would
-// silently never receive.
-func (f *Net) BindInbox(owner int32, ch chan transport.Envelope) bool {
-	if mux, ok := f.inner.(transport.InboxMux); ok {
-		return mux.BindInbox(owner, ch)
-	}
-	return false
-}
-
-// BindInboxBatch implements transport.BatchInboxMux the same way: faults
-// are injected on Send and the receive side is pass-through, so a wrapped
-// cluster drains the inner transport's bulk ingress exactly as an
-// unwrapped one does.
+// BindInboxBatch implements transport.BatchInboxMux by forwarding to the
+// inner transport and reporting its capability — wrapping a transport
+// that cannot bind must not advertise binding, or bound peers would
+// silently never receive. Faults are injected on Send and the receive
+// side is pass-through, so a wrapped cluster drains the inner transport's
+// bulk ingress exactly as an unwrapped one does.
 func (f *Net) BindInboxBatch(owner int32, ch chan *[]transport.Envelope) bool {
 	if mux, ok := f.inner.(transport.BatchInboxMux); ok {
 		return mux.BindInboxBatch(owner, ch)

@@ -505,7 +505,8 @@ func (c *Cluster) HeadForged(p, q overlay.PeerID) bool {
 }
 
 // Shards reports how many event-loop goroutines the cluster runs —
-// the S in the runtime's O(S + conns) goroutine budget.
+// the S in the runtime's O(S) goroutine budget (the TCP transport adds a
+// writer and a reader per shard mailbox, not per peer pair).
 func (c *Cluster) Shards() int { return len(c.shards) }
 
 // Shutdown terminates the runtime with a bounded drain: it waits for

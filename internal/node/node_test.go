@@ -315,6 +315,11 @@ func TestClusterOverTCP(t *testing.T) {
 	if !ok {
 		t.Fatalf("TCP cluster delivered %d/%d", delivered, len(subs))
 	}
+	// Connections scale with shard mailboxes, not peers: an accept loop,
+	// and a writer and a reader per shard.
+	if got, want := tr.ConnGoroutines(), 1+2*c.Shards(); got > want {
+		t.Fatalf("ConnGoroutines = %d after full delivery, want <= %d for %d shards", got, want, c.Shards())
+	}
 }
 
 func TestLatencyAwareSwitchboard(t *testing.T) {

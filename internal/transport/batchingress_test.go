@@ -114,6 +114,9 @@ func TestTCPBulkIngressConservation(t *testing.T) {
 	if got+drops() != total {
 		t.Fatalf("conservation broke: %d arrived + %d dropped != %d sent", got, drops(), total)
 	}
+	// The read loop counts a batch once it is delivered, which the drain
+	// above can observe first: wait for the counter, then pin equality.
+	waitCounter(t, tr.Obs, obs.CIngressBatch, batches)
 	if cnt := tr.Obs.Get(obs.CIngressBatch); cnt != batches {
 		t.Fatalf("ingress_batch = %d, received %d batches", cnt, batches)
 	}
@@ -140,12 +143,11 @@ func TestTCPBulkMalformedMidBatchDeliversPrefix(t *testing.T) {
 		t.Fatal(err)
 	}
 	drainBatches(t, ch, 1)
-	conn := senderConn(t, tr, 0, 1)
 	// One write: a valid frame followed by a valid-length garbage body,
 	// so the bulk loop meets the corruption mid-accumulation.
-	raw := wire.Marshal(&wire.Message{Kind: wire.KindPing, From: 0, To: 1, Seq: 2})
-	raw = append(raw, 3, 0, 0, 0, 0xFF, 0xFF, 0xFF)
-	if _, err := conn.Write(raw); err != nil {
+	raw := socketFrame(1, wire.Marshal(&wire.Message{Kind: wire.KindPing, From: 0, To: 1, Seq: 2}))
+	raw = append(raw, socketFrame(1, []byte{3, 0, 0, 0, 0xFF, 0xFF, 0xFF})...)
+	if _, err := senderConn(tr, 1).Write(raw); err != nil {
 		t.Fatal(err)
 	}
 	if got := drainBatches(t, ch, 1); got[0].Seq != 2 {

@@ -2,7 +2,9 @@ package transport
 
 import (
 	"encoding/binary"
+	"math"
 	"net"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -12,87 +14,77 @@ import (
 	"selectps/internal/wire"
 )
 
-// senderConn returns the cached dial-side connection for (from → to),
-// waiting briefly for the writer goroutine to register it.
-func senderConn(t *testing.T, tr *TCP, from, to int32) net.Conn {
+// senderConn returns the dial-side connection of the lane that carries
+// frames to peer `to`, or nil when the lane has none right now.
+func senderConn(tr *TCP, to int32) net.Conn {
+	l := tr.lane(to)
+	tr.mu.Lock()
+	defer tr.mu.Unlock()
+	return l.conn
+}
+
+// socketFrame is what a lane's writer puts on the socket for one wire
+// frame: the next-hop prefix, then the frame with its length prefix.
+func socketFrame(hop int32, frame []byte) []byte {
+	return append(binary.LittleEndian.AppendUint32(nil, uint32(hop)), frame...)
+}
+
+// corruptStreamEvicts writes raw straight onto the established sender
+// connection to peer 1 and asserts the corrupt-stream contract: the reader
+// counts it under want and fails the sender-side conn, so the next Send
+// redials a clean stream and delivers.
+func corruptStreamEvicts(t *testing.T, raw []byte, want obs.Counter) {
 	t.Helper()
-	key := connKey{from, to}
-	deadline := time.Now().Add(2 * time.Second)
-	for time.Now().Before(deadline) {
-		tr.mu.Lock()
-		c := tr.conns[key]
-		tr.mu.Unlock()
-		if c != nil {
-			return c
-		}
-		time.Sleep(time.Millisecond)
+	tr, err := NewTCP(2, 16)
+	if err != nil {
+		t.Fatal(err)
 	}
-	t.Fatal("no cached connection registered")
-	return nil
+	defer tr.Close()
+	tr.Obs = obs.New()
+	if err := tr.Send(1, &wire.Message{Kind: wire.KindPing, From: 0, Seq: 1}); err != nil {
+		t.Fatal(err)
+	}
+	recvOne(t, tr.Inbox(1)) // delivered, so the lane's conn is registered
+	if _, err := senderConn(tr, 1).Write(raw); err != nil {
+		t.Fatal(err)
+	}
+	waitCounter(t, tr.Obs, want, 1)
+	if err := tr.Send(1, &wire.Message{Kind: wire.KindPing, From: 0, Seq: 2}); err != nil {
+		t.Fatal(err)
+	}
+	if got := recvOne(t, tr.Inbox(1)); got.Seq != 2 {
+		t.Fatalf("got %+v", got)
+	}
+	waitCounter(t, tr.Obs, obs.CTCPRedial, 1)
+	if got := tr.Obs.Get(obs.CTCPDial); got != 1 {
+		t.Fatalf("fresh dials = %d, want 1", got)
+	}
 }
 
-// TestTCPOversizeFrameEvictsSender pins the malformed-frame satellite: a
-// corrupt length prefix must be counted and must fail the cached
-// sender-side conn, so the next Send redials instead of writing into a
-// stream nobody decodes anymore.
+// TestTCPOversizeFrameEvictsSender: an impossible length claim is refused
+// before anything is allocated for it, counted, and kills the stream.
 func TestTCPOversizeFrameEvictsSender(t *testing.T) {
-	tr, err := NewTCP(2, 16)
-	if err != nil {
-		t.Fatal(err)
+	for name, size := range map[string]uint32{"huge": 1 << 30, "zero": 0} {
+		t.Run(name, func(t *testing.T) {
+			corruptStreamEvicts(t, socketFrame(1, binary.LittleEndian.AppendUint32(nil, size)), obs.CTCPOversizeFrame)
+		})
 	}
-	defer tr.Close()
-	tr.Obs = obs.New()
-	if err := tr.Send(1, &wire.Message{Kind: wire.KindPing, From: 0, Seq: 1}); err != nil {
-		t.Fatal(err)
-	}
-	recvOne(t, tr.Inbox(1))
-	// Corrupt the stream: an impossible length prefix straight onto the
-	// established connection.
-	conn := senderConn(t, tr, 0, 1)
-	var bad [4]byte
-	binary.LittleEndian.PutUint32(bad[:], 1<<30)
-	if _, err := conn.Write(bad[:]); err != nil {
-		t.Fatal(err)
-	}
-	waitCounter(t, tr.Obs, obs.CTCPOversizeFrame, 1)
-	// The poisoned conn is evicted: the next send must still deliver,
-	// through a redial.
-	if err := tr.Send(1, &wire.Message{Kind: wire.KindPing, From: 0, Seq: 2}); err != nil {
-		t.Fatal(err)
-	}
-	if got := recvOne(t, tr.Inbox(1)); got.Seq != 2 {
-		t.Fatalf("got %+v", got)
-	}
-	waitCounter(t, tr.Obs, obs.CTCPRedial, 1)
 }
 
-// TestTCPMalformedBodyEvictsSender: a frame whose body fails to decode is
-// counted as malformed and evicts the sender conn the same way.
+// TestTCPMalformedBodyEvictsSender: a frame whose body fails to decode, or
+// whose next-hop prefix names no peer of this transport, is counted as
+// malformed and kills the stream the same way.
 func TestTCPMalformedBodyEvictsSender(t *testing.T) {
-	tr, err := NewTCP(2, 16)
-	if err != nil {
-		t.Fatal(err)
+	ping := wire.Marshal(&wire.Message{Kind: wire.KindPing, From: 0, To: 1, Seq: 9})
+	for name, raw := range map[string][]byte{
+		// Valid hop and length prefix, garbage body: truncated fixed header.
+		"body":             socketFrame(1, []byte{3, 0, 0, 0, 0xFF, 0xFF, 0xFF}),
+		"hop negative":     socketFrame(-1, ping),
+		"hop unknown":      socketFrame(2, ping), // first id past the peer table
+		"hop out of range": socketFrame(math.MaxInt32, ping),
+	} {
+		t.Run(name, func(t *testing.T) { corruptStreamEvicts(t, raw, obs.CTCPMalformedFrame) })
 	}
-	defer tr.Close()
-	tr.Obs = obs.New()
-	if err := tr.Send(1, &wire.Message{Kind: wire.KindPing, From: 0, Seq: 1}); err != nil {
-		t.Fatal(err)
-	}
-	recvOne(t, tr.Inbox(1))
-	conn := senderConn(t, tr, 0, 1)
-	// Valid length prefix, garbage body: truncated fixed header.
-	frame := []byte{3, 0, 0, 0, 0xFF, 0xFF, 0xFF}
-	if _, err := conn.Write(frame); err != nil {
-		t.Fatal(err)
-	}
-	waitCounter(t, tr.Obs, obs.CTCPMalformedFrame, 1)
-	if err := tr.Send(1, &wire.Message{Kind: wire.KindPing, From: 0, Seq: 2}); err != nil {
-		t.Fatal(err)
-	}
-	if got := recvOne(t, tr.Inbox(1)); got.Seq != 2 {
-		t.Fatalf("got %+v", got)
-	}
-	waitCounter(t, tr.Obs, obs.CTCPRedial, 1)
 }
 
 func waitCounter(t *testing.T, m *obs.Metrics, c obs.Counter, want int64) {
@@ -108,9 +100,9 @@ func waitCounter(t *testing.T, m *obs.Metrics, c obs.Counter, want int64) {
 }
 
 // TestTCPConcurrentSendNoInterleavedFrames hammers one peer from many
-// goroutines while the cached connection is repeatedly killed out from
+// goroutines while the lane's connection is repeatedly killed out from
 // under the writer (evict/redial churn) and the transport finally closes.
-// The writer queue must keep frames intact: every frame that reaches the
+// The lane queue must keep frames intact: every frame that reaches the
 // receiver decodes, and its payload matches what its Seq promised — no
 // interleaved bytes, ever. Run under -race.
 func TestTCPConcurrentSendNoInterleavedFrames(t *testing.T) {
@@ -152,13 +144,9 @@ func TestTCPConcurrentSendNoInterleavedFrames(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		key := connKey{0, 1}
 		for i := 0; i < 5; i++ {
 			time.Sleep(2 * time.Millisecond)
-			tr.mu.Lock()
-			c := tr.conns[key]
-			tr.mu.Unlock()
-			if c != nil {
+			if c := senderConn(tr, 1); c != nil {
 				c.Close()
 			}
 		}
@@ -361,4 +349,79 @@ func BenchmarkTCPSendThroughput(b *testing.B) {
 		time.Sleep(time.Millisecond)
 	}
 	b.Fatal("frames unaccounted for after 60s")
+}
+
+// BenchmarkTCPFanIn is the many-pairs shape the 2-peer benchmark cannot
+// see: 60 peers bound to 2 shard channels, every ordered pair exchanging
+// pre-marshaled frames. One op is one frame; frames/flush says how well
+// the lanes coalesce. A send window keeps the lane queues from shedding,
+// so the figure is sustained fan-in, not drop throughput.
+func BenchmarkTCPFanIn(b *testing.B) {
+	const peers, shards, window = 60, 2, 2048
+	tr, err := NewTCP(peers, 1<<14)
+	if err != nil {
+		b.Fatal(err)
+	}
+	tr.Obs = obs.New()
+	var received atomic.Int64
+	var drained sync.WaitGroup
+	stop := make(chan struct{})
+	for s := 0; s < shards; s++ {
+		ch := make(chan *[]Envelope, 1<<14)
+		for p := s; p < peers; p += shards {
+			if !tr.BindInboxBatch(int32(p), ch) {
+				b.Fatal("BindInboxBatch refused")
+			}
+		}
+		drained.Add(1)
+		go func() {
+			defer drained.Done()
+			for {
+				select {
+				case nb := <-ch:
+					received.Add(int64(len(*nb)))
+					PutEnvelopeBatch(nb)
+				case <-stop:
+					return
+				}
+			}
+		}()
+	}
+	defer func() {
+		tr.Close()
+		close(stop)
+		drained.Wait()
+	}()
+	settled := func() int64 {
+		return received.Load() +
+			tr.Obs.Get(obs.CTCPQueueDrop) + tr.Obs.Get(obs.CTCPWriteDrop) + tr.Obs.Get(obs.CDropFullMailbox)
+	}
+	frame := wire.Marshal(&wire.Message{Kind: wire.KindPublish, Publisher: 0, TTL: 4, Payload: make([]byte, 64), PayloadSize: 64})
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		from := int32(i % peers)
+		to := int32((i/peers + i + 1) % peers) // walks every offset 1..59 from each sender
+		if to == from {
+			to = (to + 1) % peers
+		}
+		if i%64 == 0 {
+			for int64(i)-settled() > window {
+				runtime.Gosched()
+			}
+		}
+		wire.PatchTo(frame, to)
+		if err := tr.SendFrame(from, to, frame); err != nil {
+			b.Fatal(err)
+		}
+	}
+	deadline := time.Now().Add(60 * time.Second)
+	for settled() < int64(b.N) {
+		if time.Now().After(deadline) {
+			b.Fatal("frames unaccounted for after 60s")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	b.StopTimer()
+	b.ReportMetric(float64(received.Load())/float64(max(1, tr.Obs.Get(obs.CTCPFlush))), "frames/flush")
 }

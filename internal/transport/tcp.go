@@ -18,9 +18,10 @@ import (
 // connection before it is evicted and retried.
 const defaultWriteTimeout = 5 * time.Second
 
-// defaultSendQueue is the per-peer outbound queue depth when QueueLen is
-// unset. A full queue drops the newest frame (counted, never silent) —
-// the same best-effort congestion contract as a full receive mailbox.
+// defaultSendQueue is the floor of a lane's outbound queue depth when
+// QueueLen is unset. A full queue drops the newest frame (counted, never
+// silent) — the same best-effort congestion contract as a full receive
+// mailbox.
 const defaultSendQueue = 512
 
 // sendBatchMax caps how many queued frames one writer flush coalesces
@@ -31,230 +32,268 @@ const sendBatchMax = 64
 // larger (or zero) marks the stream corrupt.
 const maxFrameSize = 1 << 24
 
-// bufIOSize sizes the per-connection bufio reader and writer.
+// bufIOSize sizes each lane's bufio reader and writer.
 const bufIOSize = 64 << 10
 
-// TCP is a loopback TCP transport: every peer listens on its own port and
-// frames wire messages with the 4-byte length prefix wire.Marshal emits.
+// laneHeader is what precedes every frame body on a socket: the next-hop
+// peer the frame is for, then the length prefix of the wire frame itself
+// ([hop int32][len uint32][body]). Msg.To names the frame's final
+// destination, so on a socket shared by many peers the hop has to travel
+// with the frame.
+const laneHeader = 4 + 4
+
+// TCP is a loopback TCP transport multiplexed by receiving mailbox
+// (DESIGN.md §10.2): one listener per transport, and one lane — bounded
+// queue, writer goroutine, socket, reader goroutine — per mailbox that
+// inbound frames land in. Peers bound to the same channel with
+// BindInboxBatch (a shard of the node runtime) share a lane; a peer read
+// through Inbox is a lane of its own. A started cluster therefore holds
+// one socket per shard, however many peers and (origin, next-hop) pairs
+// its traffic crosses.
 //
-// The data plane is asynchronous (DESIGN.md §10): Send marshals into a
-// pooled buffer and enqueues it on a bounded per-(sender,receiver) queue;
-// a dedicated writer goroutine per queue dials lazily, coalesces whatever
-// is queued into one bufio flush, and keeps the evict-and-redial-once
-// contract — a failed write evicts the cached connection, redials once,
-// and retries the batch before dropping it (counted, never silent).
-// Writes carry a deadline so a wedged peer cannot block its writer
-// forever. The reader mirrors it: one bufio.Reader and a reused frame
-// buffer per inbound connection instead of two raw syscalls and a fresh
-// body slice per frame.
+// Send marshals into a pooled buffer behind the next-hop prefix and
+// enqueues it on the destination's lane; the lane's writer dials lazily,
+// coalesces whatever is queued into one bufio flush, and keeps the
+// evict-and-redial-once contract — a failed write evicts the connection,
+// redials once, and retries the batch before dropping it (counted, never
+// silent). Writes carry a deadline so a wedged socket cannot block its
+// writer forever. The reader validates the prefix like any outside
+// input, resolves the mailbox from the bind-time peer table, and hands a
+// bound mailbox whatever frames are already buffered as one batch.
 type TCP struct {
-	mu        sync.Mutex
-	addrs     map[int32]string
-	writers   map[connKey]*peerWriter
-	conns     map[connKey]net.Conn // each writer's current conn (registry for eviction)
-	evicted   map[connKey]bool     // keys whose cached conn died (next dial is a redial)
-	boxes     map[int32]chan Envelope
-	shared    map[int32]chan Envelope    // BindInbox overrides; binder-owned, never closed here
-	sharedB   map[int32]chan *[]Envelope // BindInboxBatch overrides; takes precedence over shared
-	muxed     atomic.Bool                // any BindInbox seen: disables the inline write path
-	listeners []net.Listener
-	closed    bool
-	stop      chan struct{}
-	wg        sync.WaitGroup
+	mu     sync.Mutex             // guards addrs, lanes and every lane's conn; never taken per frame
+	addrs  []string               // peer → listen address: the seam a multi-process deployment fills in
+	lanes  []*lane                // every lane created before Close, for binds, eviction and Close
+	peers  []atomic.Pointer[lane] // peer → its lane; nil until bound, sent to or read from
+	buffer int                    // private mailbox depth
+	ln     net.Listener
+	closed atomic.Bool  // written under mu
+	live   atomic.Int32 // accept loop + lane writers + stream readers
+	stop   chan struct{}
+	wg     sync.WaitGroup
 
 	// WriteTimeout bounds each batch write (default 5s; negative disables).
 	WriteTimeout time.Duration
-	// QueueLen is the per-peer outbound queue depth (default 512). Set
-	// before traffic starts.
+	// QueueLen is the per-lane outbound queue depth (default: the mailbox
+	// depth passed to NewTCP, at least 512). Set before any peer is bound,
+	// sent to or read from.
 	QueueLen int
 	// Obs, when set before traffic starts, receives send/drop/redial
 	// counters and the queue-depth/flush-batch histograms.
 	Obs *obs.Metrics
 }
 
-type connKey struct{ from, to int32 }
-
-// sparseWriteWindow is the inline fast-path threshold: when the queue is
-// empty and nothing was written to this peer within the window, the
-// sender writes synchronously instead of waking the writer goroutine. A
-// scheduler hop per frame is noise under sustained load (the queue is
-// non-empty and the drain loop coalesces), but on a busy single-core
-// machine it adds tail latency to sparse control traffic — exactly what
-// the heartbeat failure detector reads as missed pings.
-//
-// The inline path is disabled once any inbox is bound to a shared shard
-// channel (BindInbox): under the sharded runtime a Send comes from an
-// event-loop goroutine serving many nodes, and one synchronous dial or a
-// write against a wedged socket would stall all of them — the writer
-// goroutine hop is the cheaper price there.
-const sparseWriteWindow = int64(time.Millisecond)
-
-// peerWriter owns the outbound side of one (sender, receiver) pair: a
-// bounded frame queue, the goroutine that drains it, and the shared
-// socket state both write paths serialize on.
-type peerWriter struct {
+// lane is one receiving mailbox and everything that feeds it.
+type lane struct {
 	t     *TCP
-	key   connKey
 	addr  string
+	batch chan *[]Envelope // the bound shard channel (binder-owned), or nil
+	box   chan Envelope    // the private Inbox channel of an unbound peer, or nil
 	queue chan *[]byte
 
-	// wmu serializes socket writes between the drain loop and the inline
-	// sparse-traffic fast path; conn/bw are guarded by it.
-	wmu  sync.Mutex
-	conn net.Conn
-	bw   *bufio.Writer
-	// lastWrite is the UnixNano of the last completed write, read without
-	// wmu to decide whether traffic is sparse enough for the inline path.
-	lastWrite atomic.Int64
+	// conn is written by the lane's writer goroutine only, under t.mu, so
+	// the writer reads it bare and everyone else under t.mu.
+	conn   net.Conn
+	bw     *bufio.Writer // writer goroutine only
+	dialed bool          // writer goroutine only: the next successful dial is a redial
 }
 
-// NewTCP starts one loopback listener per peer 0..n-1 and returns the
-// transport. Close releases all sockets.
+// NewTCP opens the transport's loopback listener for peers 0..n-1, whose
+// private mailboxes are buffer deep. Close releases all sockets.
 func NewTCP(n, buffer int) (*TCP, error) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		return nil, fmt.Errorf("transport: listen: %w", err)
+	}
 	t := &TCP{
-		addrs:   make(map[int32]string, n),
-		writers: make(map[connKey]*peerWriter),
-		conns:   make(map[connKey]net.Conn),
-		evicted: make(map[connKey]bool),
-		boxes:   make(map[int32]chan Envelope, n),
-		shared:  make(map[int32]chan Envelope),
-		sharedB: make(map[int32]chan *[]Envelope),
-		stop:    make(chan struct{}),
+		addrs:  make([]string, n),
+		peers:  make([]atomic.Pointer[lane], n),
+		buffer: buffer,
+		ln:     ln,
+		stop:   make(chan struct{}),
 	}
-	for i := 0; i < n; i++ {
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			t.Close()
-			return nil, fmt.Errorf("transport: listen: %w", err)
-		}
-		t.listeners = append(t.listeners, ln)
-		t.addrs[int32(i)] = ln.Addr().String()
-		t.boxes[int32(i)] = make(chan Envelope, buffer)
-		t.wg.Add(1)
-		go t.acceptLoop(ln, int32(i))
+	for i := range t.addrs {
+		t.addrs[i] = ln.Addr().String()
 	}
+	t.spawn(t.acceptLoop)
 	return t, nil
 }
 
-func (t *TCP) acceptLoop(ln net.Listener, owner int32) {
-	defer t.wg.Done()
+// spawn runs f on a goroutine Close waits for and ConnGoroutines counts.
+func (t *TCP) spawn(f func()) {
+	t.wg.Add(1)
+	t.live.Add(1)
+	go func() {
+		defer t.wg.Done()
+		defer t.live.Add(-1)
+		f()
+	}()
+}
+
+func (t *TCP) acceptLoop() {
 	for {
-		conn, err := ln.Accept()
+		conn, err := t.ln.Accept()
 		if err != nil {
 			return // listener closed
 		}
-		t.wg.Add(1)
-		go t.readLoop(conn, owner)
+		t.spawn(func() { t.readLoop(conn) })
 	}
 }
 
-func (t *TCP) readLoop(conn net.Conn, owner int32) {
-	defer t.wg.Done()
+// newLane creates the lane behind owner — feeding batch, or with batch nil
+// a private Inbox channel of its own — and starts its writer. Caller
+// holds t.mu. Created after Close the lane is inert — no writer, and
+// Send refuses before reaching it — so that a reader racing Close still
+// has an open box to deliver into.
+func (t *TCP) newLane(owner int32, batch chan *[]Envelope) *lane {
+	qlen := t.QueueLen
+	if qlen <= 0 {
+		// The lane absorbs every (origin, next-hop) pair that crosses it,
+		// so it is as deep as the mailbox it feeds: shallower would drop a
+		// burst the mailbox could hold, deeper only moves the drop.
+		qlen = max(defaultSendQueue, t.buffer)
+	}
+	l := &lane{t: t, addr: t.addrs[owner], batch: batch, queue: make(chan *[]byte, qlen)}
+	if batch == nil {
+		l.box = make(chan Envelope, t.buffer)
+	}
+	t.peers[owner].Store(l)
+	if !t.closed.Load() {
+		t.lanes = append(t.lanes, l)
+		t.spawn(l.writeLoop)
+	}
+	return l
+}
+
+// lane returns the lane that carries frames to owner, creating the private
+// one on first use.
+func (t *TCP) lane(owner int32) *lane {
+	if l := t.peers[owner].Load(); l != nil {
+		return l
+	}
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if l := t.peers[owner].Load(); l != nil {
+		return l
+	}
+	return t.newLane(owner, nil)
+}
+
+func (t *TCP) known(peer int32) bool { return peer >= 0 && int(peer) < len(t.peers) }
+
+// readLoop decodes one inbound stream. Every frame names its next hop, so
+// the loop needs no notion of which lane dialled it: the hop's mailbox is
+// looked up per frame, and consecutive buffered frames for one bound
+// mailbox cross it as one batch.
+func (t *TCP) readLoop(conn net.Conn) {
 	defer conn.Close()
 	br := bufio.NewReaderSize(conn, bufIOSize)
-	var lenBuf [4]byte
 	var body []byte // reused across frames; decoded Messages never alias it
-	for {
-		if _, err := io.ReadFull(br, lenBuf[:]); err != nil {
-			return
-		}
-		size := binary.LittleEndian.Uint32(lenBuf[:])
-		if size == 0 || size > maxFrameSize {
-			// A corrupt length prefix means framing is lost for good on
-			// this stream. Kill it loudly: count it, and fail the cached
-			// sender-side connection so the next Send redials instead of
-			// writing into a pipe nobody decodes anymore.
-			t.Obs.Inc(obs.CTCPOversizeFrame)
-			t.evictByRemote(conn.RemoteAddr())
-			return
-		}
-		if cap(body) < int(size) {
+	// corrupt kills the stream loudly: framing is lost for good, so fail
+	// the sender-side connection, making the next Send redial instead of
+	// writing into a pipe nobody decodes anymore, and count it.
+	corrupt := func(c obs.Counter) {
+		t.evictByRemote(conn.RemoteAddr())
+		t.Obs.Inc(c)
+	}
+	decode := func(size int) (*wire.Message, error) {
+		if cap(body) < size {
 			body = make([]byte, size)
 		}
 		body = body[:size]
 		if _, err := io.ReadFull(br, body); err != nil {
-			return
+			return nil, err
 		}
 		m := &wire.Message{} // the receiver owns the Message; never reused
 		if err := wire.UnmarshalInto(m, body); err != nil {
-			t.Obs.Inc(obs.CTCPMalformedFrame)
-			t.evictByRemote(conn.RemoteAddr())
+			corrupt(obs.CTCPMalformedFrame)
+			return nil, err
+		}
+		return m, nil
+	}
+	for {
+		hdr, err := br.Peek(laneHeader)
+		if err != nil {
 			return
 		}
-		// Boxes are closed only after wg.Wait in Close, and this loop is
-		// wg-registered, so the channel send below can never hit a closed
-		// channel; the closed flag is checked for accounting only.
-		t.mu.Lock()
-		bbox, bok := t.sharedB[owner]
-		box, ok := t.shared[owner]
-		if !ok {
-			box, ok = t.boxes[owner]
+		hop, size := parseLaneHeader(hdr)
+		if !t.known(hop) {
+			corrupt(obs.CTCPMalformedFrame)
+			return
 		}
-		closed := t.closed
-		t.mu.Unlock()
-		if (!ok && !bok) || closed {
+		if size == 0 || size > maxFrameSize {
+			corrupt(obs.CTCPOversizeFrame)
+			return
+		}
+		br.Discard(laneHeader)
+		m, err := decode(int(size))
+		if err != nil {
+			return
+		}
+		// Private boxes are closed only after wg.Wait in Close, and this
+		// loop is wg-registered, so the channel sends below can never hit
+		// a closed channel; the closed flag is checked for accounting only.
+		if t.closed.Load() {
 			t.Obs.Inc(obs.CDropClosed)
 			return
 		}
-		if bok {
-			// Bulk ingress (DESIGN.md §15): after the blocking first frame,
-			// greedily decode whatever frames are already fully buffered —
-			// a flood burst crosses the shard mailbox as one slice instead
-			// of one channel op and wakeup per frame. Zero added latency:
-			// the loop only consumes bytes the kernel already delivered.
-			nb := GetEnvelopeBatch()
-			now := time.Now()
-			*nb = append(*nb, Envelope{Msg: m, To: owner, At: now})
-			corrupt := false
-			for len(*nb) < ingressBatchMax && br.Buffered() >= 4 {
-				hdr, _ := br.Peek(4)
-				nsize := binary.LittleEndian.Uint32(hdr)
-				if nsize == 0 || nsize > maxFrameSize {
-					break // next blocking iteration reports the corruption
-				}
-				if br.Buffered() < 4+int(nsize) {
-					break // frame not fully arrived; don't block mid-batch
-				}
-				br.Discard(4)
-				if cap(body) < int(nsize) {
-					body = make([]byte, nsize)
-				}
-				body = body[:nsize]
-				io.ReadFull(br, body) // fully buffered: cannot fail or block
-				nm := &wire.Message{}
-				if err := wire.UnmarshalInto(nm, body); err != nil {
-					t.Obs.Inc(obs.CTCPMalformedFrame)
-					t.evictByRemote(conn.RemoteAddr())
-					corrupt = true // deliver what decoded cleanly, then die
-					break
-				}
-				*nb = append(*nb, Envelope{Msg: nm, To: owner, At: now})
-			}
+		l := t.lane(hop)
+		now := time.Now()
+		if l.batch == nil {
 			select {
-			case bbox <- nb:
-				t.Obs.Inc(obs.CIngressBatch)
-			default: // congested: every envelope in the batch counted
-				t.Obs.Addn(obs.CDropFullMailbox, int64(len(*nb)))
-				PutEnvelopeBatch(nb)
-			}
-			if corrupt {
-				return
+			case l.box <- Envelope{Msg: m, To: hop, At: now}:
+			default: // congested: drop, counted
+				t.Obs.Inc(obs.CDropFullMailbox)
 			}
 			continue
 		}
+		// Bulk ingress (DESIGN.md §15): after the blocking first frame,
+		// greedily decode whatever frames for the same mailbox are already
+		// fully buffered — a burst crosses the shard mailbox as one slice
+		// instead of one channel op and wakeup per frame. Zero added
+		// latency: the loop only consumes bytes the kernel already
+		// delivered. Anything it cannot take (bad header, another mailbox,
+		// a partial frame) is left for the next blocking iteration.
+		nb := GetEnvelopeBatch()
+		*nb = append(*nb, Envelope{Msg: m, To: hop, At: now})
+		dead := false
+		for len(*nb) < ingressBatchMax && br.Buffered() >= laneHeader {
+			hdr, _ := br.Peek(laneHeader)
+			nhop, nsize := parseLaneHeader(hdr)
+			if !t.known(nhop) || t.peers[nhop].Load() != l || nsize == 0 || nsize > maxFrameSize ||
+				br.Buffered() < laneHeader+int(nsize) {
+				break
+			}
+			br.Discard(laneHeader)
+			nm, err := decode(int(nsize)) // fully buffered: only the decode can fail
+			if err != nil {
+				dead = true // deliver what decoded cleanly, then die
+				break
+			}
+			*nb = append(*nb, Envelope{Msg: nm, To: nhop, At: now})
+		}
 		select {
-		case box <- Envelope{Msg: m, To: owner, At: time.Now()}:
-		default: // congested: drop, counted
-			t.Obs.Inc(obs.CDropFullMailbox)
+		case l.batch <- nb:
+			t.Obs.Inc(obs.CIngressBatch)
+		default: // congested: every envelope in the batch counted
+			t.Obs.Addn(obs.CDropFullMailbox, int64(len(*nb)))
+			PutEnvelopeBatch(nb)
+		}
+		if dead {
+			return
 		}
 	}
 }
 
-// evictByRemote fails the cached sender-side connection whose local
-// address matches remote — the dialing end of a stream a reader just found
-// corrupt. Loopback pairs live in one process, so the reader can reach the
-// writer's cache directly; closing the socket makes the writer's next
-// write fail, evict, and redial.
+func parseLaneHeader(hdr []byte) (hop int32, size uint32) {
+	return int32(binary.LittleEndian.Uint32(hdr)), binary.LittleEndian.Uint32(hdr[4:])
+}
+
+// evictByRemote fails the sender-side connection whose local address
+// matches remote — the dialing end of a stream a reader just found
+// corrupt. Both ends of a loopback stream live in one process, so the
+// reader can reach the lane directly; closing the socket makes the
+// writer's next write fail, evict, and redial.
 func (t *TCP) evictByRemote(remote net.Addr) {
 	if remote == nil {
 		return
@@ -262,11 +301,9 @@ func (t *TCP) evictByRemote(remote net.Addr) {
 	want := remote.String()
 	var victim net.Conn
 	t.mu.Lock()
-	for key, c := range t.conns {
-		if la := c.LocalAddr(); la != nil && la.String() == want {
-			delete(t.conns, key)
-			t.evicted[key] = true
-			victim = c
+	for _, l := range t.lanes {
+		if l.conn != nil && l.conn.LocalAddr().String() == want {
+			victim = l.conn
 			break
 		}
 	}
@@ -276,121 +313,58 @@ func (t *TCP) evictByRemote(remote net.Addr) {
 	}
 }
 
-// dial opens a connection for key, counting it as a redial when the
-// previous cached connection for this pair was evicted after a failure.
-// Only the key's writer goroutine dials, so there is no dial race to
-// resolve anymore; the registry entry is what evictByRemote and tests
-// observe.
-func (t *TCP) dial(key connKey, addr string) (net.Conn, error) {
-	conn, err := net.Dial("tcp", addr)
-	if err != nil {
-		return nil, fmt.Errorf("transport: dial %d: %w", key.to, err)
-	}
-	t.mu.Lock()
-	if t.closed {
-		t.mu.Unlock()
-		conn.Close()
-		return nil, fmt.Errorf("transport: tcp closed")
-	}
-	if t.evicted[key] {
-		delete(t.evicted, key)
-		t.Obs.Inc(obs.CTCPRedial)
-	} else {
-		t.Obs.Inc(obs.CTCPDial)
-	}
-	t.conns[key] = conn
-	t.mu.Unlock()
-	return conn, nil
+// setConn publishes the writer's connection (nil: none) to evictByRemote.
+func (l *lane) setConn(c net.Conn) {
+	l.t.mu.Lock()
+	l.conn = c
+	l.t.mu.Unlock()
 }
 
-// evict removes a dead connection from the cache so the writer redials
-// instead of reusing the poisoned socket.
-func (t *TCP) evict(key connKey, conn net.Conn) {
-	t.mu.Lock()
-	if t.conns[key] == conn {
-		delete(t.conns, key)
-		t.evicted[key] = true
-	}
-	t.mu.Unlock()
-	conn.Close()
-	t.Obs.Inc(obs.CTCPWriteError)
+// hangUp closes the writer's connection, so the next write dials.
+func (l *lane) hangUp() {
+	l.conn.Close()
+	l.setConn(nil)
 }
 
-// dropConn unregisters and closes a writer's connection on loop exit.
-func (t *TCP) dropConn(key connKey, conn net.Conn) {
-	t.mu.Lock()
-	if t.conns[key] == conn {
-		delete(t.conns, key)
-	}
-	t.mu.Unlock()
-	conn.Close()
-}
-
-// writer returns (creating if needed) the peer writer for key.
-func (t *TCP) writer(key connKey, to int32) (*peerWriter, error) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if t.closed {
-		return nil, fmt.Errorf("transport: tcp closed")
-	}
-	addr, ok := t.addrs[to]
-	if !ok {
-		return nil, fmt.Errorf("transport: unknown peer %d", to)
-	}
-	w := t.writers[key]
-	if w == nil {
-		qlen := t.QueueLen
-		if qlen <= 0 {
-			qlen = defaultSendQueue
-		}
-		w = &peerWriter{t: t, key: key, addr: addr, queue: make(chan *[]byte, qlen)}
-		t.writers[key] = w
-		t.wg.Add(1)
-		go w.loop()
-	}
-	return w, nil
-}
-
-// enqueue hands a pooled frame to the writer, dropping (counted) when the
-// bounded queue is full. Sparse traffic takes the inline path: with the
-// queue empty and no recent write, the frame goes straight to the socket
-// under wmu, skipping the writer-goroutine wakeup. The inline frame can
-// overtake a batch the drain loop has popped but not yet locked for — a
-// reorder the protocol already tolerates (faultnet injects far worse).
-func (t *TCP) enqueue(w *peerWriter, buf *[]byte) {
-	if !t.muxed.Load() && len(w.queue) == 0 && time.Now().UnixNano()-w.lastWrite.Load() > sparseWriteWindow && w.wmu.TryLock() {
-		if len(w.queue) == 0 {
-			frames := [1]*[]byte{buf}
-			w.writeLocked(frames[:])
-			w.wmu.Unlock()
-			wire.PutFrame(buf)
-			return
-		}
-		w.wmu.Unlock()
-	}
+// enqueue hands a pooled frame to the lane's writer, dropping (counted)
+// when the bounded queue is full.
+func (l *lane) enqueue(buf *[]byte) {
 	select {
-	case w.queue <- buf:
-		t.Obs.ObserveSendQueue(float64(len(w.queue)))
+	case l.queue <- buf:
+		l.t.Obs.ObserveSendQueue(float64(len(l.queue)))
 	default:
 		wire.PutFrame(buf)
-		t.Obs.Inc(obs.CTCPQueueDrop)
+		l.t.Obs.Inc(obs.CTCPQueueDrop)
 	}
+}
+
+// admit is the shared front of Send and SendFrame: the lane for `to` and
+// a pooled buffer already holding the next-hop prefix.
+func (t *TCP) admit(to int32) (*lane, *[]byte, error) {
+	if t.closed.Load() {
+		return nil, nil, fmt.Errorf("transport: tcp closed")
+	}
+	if !t.known(to) {
+		return nil, nil, fmt.Errorf("transport: unknown peer %d", to)
+	}
+	t.Obs.Inc(obs.CTransportSend)
+	buf := wire.GetFrame()
+	*buf = binary.LittleEndian.AppendUint32((*buf)[:0], uint32(to))
+	return t.lane(to), buf, nil
 }
 
 // Send implements Transport. It marshals into a pooled buffer and
-// enqueues on the per-peer writer; a non-nil error still means the
+// enqueues on the destination's lane; a non-nil error still means the
 // message was definitely not sent (unknown peer, transport closed), and a
 // nil return means the network accepted it — delivery stays best-effort,
 // with every drop (full queue, failed batch after redial) counted.
 func (t *TCP) Send(to int32, m *wire.Message) error {
-	w, err := t.writer(connKey{m.From, to}, to)
+	l, buf, err := t.admit(to)
 	if err != nil {
 		return err
 	}
-	t.Obs.Inc(obs.CTransportSend)
-	buf := wire.GetFrame()
-	*buf = wire.MarshalAppend((*buf)[:0], m)
-	t.enqueue(w, buf)
+	*buf = wire.MarshalAppend(*buf, m)
+	l.enqueue(buf)
 	return nil
 }
 
@@ -398,31 +372,25 @@ func (t *TCP) Send(to int32, m *wire.Message) error {
 // length prefix) is copied into a pooled buffer and queued as-is — the
 // fan-out fast path marshals once and patches destinations per recipient.
 func (t *TCP) SendFrame(from, to int32, frame []byte) error {
-	w, err := t.writer(connKey{from, to}, to)
+	l, buf, err := t.admit(to)
 	if err != nil {
 		return err
 	}
-	t.Obs.Inc(obs.CTransportSend)
-	buf := wire.GetFrame()
-	*buf = append((*buf)[:0], frame...)
-	t.enqueue(w, buf)
+	*buf = append(*buf, frame...)
+	l.enqueue(buf)
 	return nil
 }
 
-// loop drains the queue: one blocking receive, then a greedy non-blocking
-// drain up to sendBatchMax, one batch write, one flush. The queue going
-// idle is what bounds latency — the flush happens as soon as nothing more
-// is queued, not on a timer.
-func (w *peerWriter) loop() {
-	t := w.t
-	defer t.wg.Done()
+// writeLoop drains the queue: one blocking receive, then a greedy
+// non-blocking drain up to sendBatchMax, one batch write, one flush. The
+// queue going idle is what bounds latency — the flush happens as soon as
+// nothing more is queued, not on a timer.
+func (l *lane) writeLoop() {
+	t := l.t
 	defer func() {
-		w.wmu.Lock()
-		if w.conn != nil {
-			t.dropConn(w.key, w.conn)
-			w.conn, w.bw = nil, nil
+		if l.conn != nil {
+			l.hangUp()
 		}
-		w.wmu.Unlock()
 	}()
 	batch := make([]*[]byte, 0, sendBatchMax)
 	for {
@@ -433,28 +401,26 @@ func (w *peerWriter) loop() {
 			// race — a counted drop, like any in-flight message at Close.
 			for {
 				select {
-				case b := <-w.queue:
+				case b := <-l.queue:
 					t.Obs.Inc(obs.CDropClosed)
 					wire.PutFrame(b)
 				default:
 					return
 				}
 			}
-		case first = <-w.queue:
+		case first = <-l.queue:
 		}
 		batch = append(batch[:0], first)
 	coalesce:
 		for len(batch) < sendBatchMax {
 			select {
-			case b := <-w.queue:
+			case b := <-l.queue:
 				batch = append(batch, b)
 			default:
 				break coalesce
 			}
 		}
-		w.wmu.Lock()
-		w.writeLocked(batch)
-		w.wmu.Unlock()
+		l.write(batch)
 		for i, b := range batch {
 			wire.PutFrame(b)
 			batch[i] = nil
@@ -462,28 +428,32 @@ func (w *peerWriter) loop() {
 	}
 }
 
-// writeLocked writes the batch through one bufio flush, dialing lazily.
-// Caller holds w.wmu. Evict-and-redial-once: a failed write evicts the
-// connection and retries the whole batch on a freshly dialed one before
-// dropping it. Retrying the batch can duplicate frames the first attempt
-// already flushed — the same at-least-once exposure the synchronous
-// retry had, absorbed by the receiver-side dedup.
-func (w *peerWriter) writeLocked(batch []*[]byte) {
-	t := w.t
+// write sends the batch through one bufio flush, dialing lazily.
+// Evict-and-redial-once: a failed write evicts the connection and retries
+// the whole batch on a freshly dialed one before dropping it. Retrying the
+// batch can duplicate frames the first attempt already flushed — an
+// at-least-once exposure absorbed by the receiver-side dedup.
+func (l *lane) write(batch []*[]byte) {
+	t := l.t
 	for attempt := 0; attempt < 2; attempt++ {
-		if w.conn == nil {
-			c, err := t.dial(w.key, w.addr)
+		if l.conn == nil {
+			c, err := net.Dial("tcp", l.addr)
 			if err != nil {
 				break
 			}
-			w.conn = c
-			w.bw = bufio.NewWriterSize(c, bufIOSize)
+			if l.dialed {
+				t.Obs.Inc(obs.CTCPRedial)
+			} else {
+				t.Obs.Inc(obs.CTCPDial)
+			}
+			l.dialed = true
+			l.setConn(c)
+			l.bw = bufio.NewWriterSize(c, bufIOSize)
 		}
 		if wt := t.writeTimeout(); wt > 0 {
-			_ = w.conn.SetWriteDeadline(time.Now().Add(wt))
+			_ = l.conn.SetWriteDeadline(time.Now().Add(wt))
 		}
-		if err := writeFrames(w.bw, batch); err == nil {
-			w.lastWrite.Store(time.Now().UnixNano())
+		if err := writeFrames(l.bw, batch); err == nil {
 			t.Obs.Inc(obs.CTCPFlush)
 			if len(batch) > 1 {
 				t.Obs.Inc(obs.CTCPCoalescedFlush)
@@ -491,8 +461,10 @@ func (w *peerWriter) writeLocked(batch []*[]byte) {
 			t.Obs.ObserveFlushBatch(float64(len(batch)))
 			return
 		}
-		t.evict(w.key, w.conn)
-		w.conn, w.bw = nil, nil
+		// Evict the dead connection so the retry redials instead of reusing
+		// the poisoned socket.
+		l.hangUp()
+		t.Obs.Inc(obs.CTCPWriteError)
 	}
 	t.Obs.Addn(obs.CTCPWriteDrop, int64(len(batch)))
 }
@@ -517,80 +489,65 @@ func (t *TCP) writeTimeout() time.Duration {
 	}
 }
 
-// ConnGoroutines reports the transport's live connection-goroutine
-// count for runtime-scale budget gates: one accept loop per listener
-// plus, per cached outbound connection, its writer goroutine and (both
-// ends of every loopback stream live in this process) the matching
-// reader.
-func (t *TCP) ConnGoroutines() int {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return len(t.listeners) + 2*len(t.writers)
-}
+// ConnGoroutines reports the goroutines the transport is running right
+// now, for runtime-scale budget gates: the accept loop, one writer per
+// lane, and one reader per open stream (both ends of every loopback
+// stream live in this process) — 1 + 2·lanes once every lane has dialled.
+func (t *TCP) ConnGoroutines() int { return int(t.live.Load()) }
 
-// Inbox implements Transport.
+// Inbox implements Transport. It is nil for an unknown peer and for one
+// bound with BindInboxBatch, whose frames arrive on the bound channel.
 func (t *TCP) Inbox(owner int32) <-chan Envelope {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.boxes[owner]
-}
-
-// BindInbox implements InboxMux: inbound frames for owner route into ch
-// instead of the private mailbox. See the interface contract for
-// ownership and close semantics.
-func (t *TCP) BindInbox(owner int32, ch chan Envelope) bool {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if _, ok := t.boxes[owner]; !ok {
-		return false
+	if !t.known(owner) {
+		return nil
 	}
-	t.shared[owner] = ch
-	t.muxed.Store(true)
-	return true
+	return t.lane(owner).box
 }
 
 // BindInboxBatch implements BatchInboxMux: inbound frames for owner are
 // delivered as pooled *[]Envelope slices into ch, the read loop
-// coalescing whatever is already buffered on the stream. See the
-// interface contract for ownership and close semantics.
+// coalescing whatever is already buffered on the stream, and owner joins
+// the lane of every other peer bound to ch. See the interface contract
+// for ownership and close semantics.
 func (t *TCP) BindInboxBatch(owner int32, ch chan *[]Envelope) bool {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if _, ok := t.boxes[owner]; !ok {
+	if !t.known(owner) {
 		return false
 	}
-	t.sharedB[owner] = ch
-	t.muxed.Store(true)
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	for _, l := range t.lanes {
+		if l.batch == ch {
+			t.peers[owner].Store(l)
+			return true
+		}
+	}
+	t.newLane(owner, ch)
 	return true
 }
 
-// Close implements Transport. Frames still queued on a per-peer writer
-// are dropped and counted; writers flush nothing past the stop signal.
+// Close implements Transport. Frames still queued on a lane are dropped
+// and counted; writers flush nothing past the stop signal.
 func (t *TCP) Close() {
 	t.mu.Lock()
-	if t.closed {
-		t.mu.Unlock()
+	already := t.closed.Swap(true)
+	t.mu.Unlock()
+	if already {
 		return
 	}
-	t.closed = true
-	listeners := t.listeners
-	t.mu.Unlock()
 	close(t.stop)
-	for _, ln := range listeners {
-		ln.Close()
-	}
+	t.ln.Close()
 	// Writer loops observe stop, drain their queues and close their
 	// connections; readers then hit EOF. Both are wg-registered.
 	t.wg.Wait()
 	t.mu.Lock()
-	for _, b := range t.boxes {
-		close(b)
+	for _, l := range t.lanes {
+		if l.box != nil {
+			close(l.box)
+		}
 	}
 	t.mu.Unlock()
 }
 
 var _ FrameSender = (*TCP)(nil)
-var _ InboxMux = (*TCP)(nil)
-var _ InboxMux = (*Switchboard)(nil)
 var _ BatchInboxMux = (*TCP)(nil)
 var _ BatchInboxMux = (*Switchboard)(nil)

@@ -3,7 +3,9 @@
 // (DESIGN.md §2): an in-process switchboard with optional emulated latency
 // (the default for experiments — deterministic and fast), and real TCP
 // sockets on the loopback interface (demonstrating that the node runtime
-// speaks an actual network protocol).
+// speaks an actual network protocol): one listener for the process and
+// one connection per receiving mailbox, every frame prefixed with the
+// next hop it is for (DESIGN.md §10.2).
 //
 // Both implementations publish their drop/redial accounting through an
 // optional obs.Metrics sink, and both compose under faultnet.Wrap for
@@ -74,35 +76,30 @@ type FrameSender interface {
 	SendFrame(from, to int32, frame []byte) error
 }
 
-// InboxMux is the multiplexable form of inbox registration (DESIGN.md
-// §11): a receiver that owns many peers — a shard of the event-loop
-// runtime — binds them all to ONE shared channel and drains it from a
-// single select, instead of holding one goroutine per Inbox channel.
-// Envelopes carry To so the receiver can dispatch to the owning peer.
-//
-// BindInbox must be called before traffic for `owner` starts and returns
-// false when this transport cannot multiplex (the caller falls back to
-// draining Inbox(owner) itself). A bound shared channel is never closed
-// by the transport — it is owned by the binder, which must keep draining
-// it (or accept counted full-mailbox drops) until the transport closes.
-// Middleware that wraps another transport (faultnet) forwards the call
-// and reports the inner transport's capability.
+// InboxMux has no implementation left; it stays declared because the
+// frozen bench/trace.go names the type in a runtime assertion.
 type InboxMux interface {
 	BindInbox(owner int32, ch chan Envelope) bool
 }
 
-// BatchInboxMux is the bulk form of InboxMux (DESIGN.md §15): the
-// transport delivers *[]Envelope slices — pooled via GetEnvelopeBatch /
+// BatchInboxMux is the multiplexable form of inbox registration (DESIGN.md
+// §11, §15): a receiver that owns many peers — a shard of the event-loop
+// runtime — binds them all to ONE shared channel and drains it from a
+// single select, instead of holding one goroutine per Inbox channel.
+// The transport delivers *[]Envelope slices — pooled via GetEnvelopeBatch /
 // PutEnvelopeBatch — so a burst of inbound frames costs one channel send
-// and one receiver wakeup instead of one per frame. The receiver owns a
+// and one receiver wakeup instead of one per frame. Envelopes carry To so
+// the receiver can dispatch to the owning peer; the receiver owns a
 // delivered batch and must return it with PutEnvelopeBatch once drained.
 //
-// BindInboxBatch follows the BindInbox contract (call before traffic,
-// false means this transport cannot deliver in bulk, the channel is
-// binder-owned and never closed by the transport). Every transport in the
-// repo implements it — fault middleware (faultnet) forwards to its inner
-// transport, since faults are injected on Send — and the node runtime
-// takes no other ingress path.
+// BindInboxBatch must be called before traffic for `owner` starts and
+// returns false when this transport cannot deliver in bulk. A bound
+// channel is never closed by the transport — it is owned by the binder,
+// which must keep draining it (or accept counted full-mailbox drops) until
+// the transport closes. Every transport in the repo implements it — fault
+// middleware (faultnet) forwards to its inner transport and reports that
+// transport's capability, since faults are injected on Send — and the
+// node runtime takes no other ingress path.
 type BatchInboxMux interface {
 	BindInboxBatch(owner int32, ch chan *[]Envelope) bool
 }
@@ -140,14 +137,13 @@ func PutEnvelopeBatch(b *[]Envelope) {
 // different peers share nothing, so fan-out to distinct receivers no
 // longer serializes on a transport-global mutex. The per-peer channel is
 // allocated lazily on the first Inbox call — a peer bound to a shared
-// shard channel (BindInbox) never allocates one, which is what keeps a
-// 4000-peer switchboard from holding 4000 buffered channels nobody
+// shard channel (BindInboxBatch) never allocates one, which is what keeps
+// a 4000-peer switchboard from holding 4000 buffered channels nobody
 // reads.
 type swBox struct {
 	mu          sync.Mutex
 	ch          chan Envelope    // lazily allocated by Inbox
-	shared      chan Envelope    // set by BindInbox; takes precedence over ch
-	sharedBatch chan *[]Envelope // set by BindInboxBatch; takes precedence over both
+	sharedBatch chan *[]Envelope // set by BindInboxBatch; takes precedence over ch
 	closed      bool
 }
 
@@ -219,15 +215,11 @@ func (s *Switchboard) deliver(box *swBox, owner int32, m *wire.Message) {
 		}
 		return
 	}
-	ch := box.shared
-	if ch == nil {
-		if box.ch == nil {
-			box.ch = make(chan Envelope, s.buffer)
-		}
-		ch = box.ch
+	if box.ch == nil {
+		box.ch = make(chan Envelope, s.buffer)
 	}
 	select {
-	case ch <- Envelope{Msg: m, To: owner, At: time.Now()}:
+	case box.ch <- Envelope{Msg: m, To: owner, At: time.Now()}:
 	default:
 		// Mailbox full: drop, like a congested link.
 		s.Obs.Inc(obs.CDropFullMailbox)
@@ -287,20 +279,6 @@ func (s *Switchboard) Inbox(owner int32) <-chan Envelope {
 		box.ch = make(chan Envelope, s.buffer)
 	}
 	return box.ch
-}
-
-// BindInbox implements InboxMux: peer owner's traffic is routed into ch
-// instead of its private channel. See the interface contract for
-// ownership and close semantics.
-func (s *Switchboard) BindInbox(owner int32, ch chan Envelope) bool {
-	if owner < 0 || int(owner) >= len(s.boxes) {
-		return false
-	}
-	box := s.boxes[owner]
-	box.mu.Lock()
-	box.shared = ch
-	box.mu.Unlock()
-	return true
 }
 
 // BindInboxBatch implements BatchInboxMux: peer owner's traffic is

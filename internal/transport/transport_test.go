@@ -208,10 +208,7 @@ func TestTCPEvictsAndRedialsAfterWriteFailure(t *testing.T) {
 	recvOne(t, tr.Inbox(1))
 	// Kill the cached connection out from under the sender: the next send
 	// must fail its first write, evict, redial, and still deliver.
-	key := connKey{0, 1}
-	tr.mu.Lock()
-	dead := tr.conns[key]
-	tr.mu.Unlock()
+	dead := senderConn(tr, 1)
 	if dead == nil {
 		t.Fatal("no cached connection after first send")
 	}
