@@ -53,13 +53,12 @@ const (
 func (n *Node) queueAck(e wire.AckEntry, direct bool) {
 	hop := overlay.PeerID(e.Dest)
 	if !direct {
-		var ok bool
-		hop, ok = n.nextHop(overlay.PeerID(e.Dest))
-		if !ok {
-			// Same dead-end accounting as forward(): the publisher's ack
+		var r route
+		hop, r = n.nextHop(overlay.PeerID(e.Dest))
+		if r != routeOK {
+			// Same accounting as forward(): the publisher's ack
 			// bookkeeping notices the loss and repairs.
-			n.cfg.Obs.Inc(obs.CPublishDeadEnd)
-			n.cfg.Obs.TraceEvent("dead_end", int32(n.id), e.Seq)
+			n.countUnroutable(r, wire.KindAck, e.Seq)
 			return
 		}
 	}

@@ -1,0 +1,289 @@
+package node
+
+import (
+	"testing"
+	"time"
+
+	"selectps/internal/obs"
+	"selectps/internal/overlay"
+	"selectps/internal/selectcore"
+	"selectps/internal/wire"
+)
+
+// cadenceOpts runs the three periodic timers at one base interval, long
+// enough that a pong is home well inside it even under the race
+// detector.
+func cadenceOpts(base time.Duration, met *obs.Metrics) Options {
+	return Options{HeartbeatEvery: base, GossipEvery: base, MaintainEvery: base, Obs: met}
+}
+
+func (n *Node) maintainTicks() uint32 {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	return n.mtick
+}
+
+func hbLevel(n *Node) int {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	return n.hb.Level()
+}
+
+// awaitCalm waits until every member's heartbeat cadence sits at the cap
+// and every ring head is the true neighbour — the converged, quiet state
+// the cadence tests start from.
+func awaitCalm(t *testing.T, c *Cluster, timeout time.Duration) {
+	t.Helper()
+	deadline := time.Now().Add(timeout)
+	for {
+		levels := make([]int, selectcore.CadenceMaxLevel+1)
+		wrong := 0
+		for p, n := range c.Nodes {
+			if !c.dir.isMember(overlay.PeerID(p)) {
+				continue
+			}
+			levels[hbLevel(n)]++
+			if !c.RingConsistent(overlay.PeerID(p)) {
+				wrong++
+			}
+		}
+		below := 0
+		for _, k := range levels[:selectcore.CadenceMaxLevel] {
+			below += k
+		}
+		if below == 0 && wrong == 0 {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("cluster did not go calm within %v: heartbeat levels %v, %d inconsistent ring heads", timeout, levels, wrong)
+		}
+		time.Sleep(20 * time.Millisecond)
+	}
+}
+
+// holders returns the nodes that link to q.
+func holders(c *Cluster, q overlay.PeerID) []*Node {
+	var out []*Node
+	for _, n := range c.Nodes {
+		if n.id != q && containsPeer(n.linksSnapshot(), q) {
+			out = append(out, n)
+		}
+	}
+	return out
+}
+
+// TestCadenceDetectionBound pins what backing off may cost: with every
+// node at the cap, a peer that goes silent is declared dead by every node
+// linking to it within (2^CadenceMaxLevel + DeadAfter) base intervals —
+// up to 2^CadenceMaxLevel until the next probe, then one interval per
+// miss, because the first miss is folded one base interval after its
+// probe and returns the node to the base cadence.
+func TestCadenceDetectionBound(t *testing.T) {
+	const base = 100 * time.Millisecond
+	met := obs.New()
+	// No maintenance: the bootstrap ring is converged and stays put, so the
+	// cluster is calm after the seven sweeps the rule needs.
+	_, c := buildCluster(t, 40, 7, Options{HeartbeatEvery: base, GossipEvery: base, Obs: met})
+	defer shutdown(t, c)
+	awaitCalm(t, c, 30*time.Second)
+
+	victim := overlay.PeerID(3)
+	watch := holders(c, victim)
+	if len(watch) == 0 {
+		t.Fatal("nobody links to the victim")
+	}
+	det := selectcore.DefaultFailureDetector()
+	bound := time.Duration((1<<selectcore.CadenceMaxLevel)+det.DeadAfter) * base
+	// Two intervals of slack for timer-wheel ticks and a test host busy
+	// with other packages; folding misses a backed-off interval after the
+	// probe instead would take 8 + 4·8 of them.
+	deadline := bound + 2*base
+
+	c.Nodes[victim].Pause()
+	start := time.Now()
+	sawBase := make(map[overlay.PeerID]bool)
+	for len(watch) > 0 {
+		if since := time.Since(start); since > deadline {
+			t.Fatalf("%d link holders still hold the silent peer %v after it went quiet (bound %v)", len(watch), since, bound)
+		}
+		keep := watch[:0]
+		for _, n := range watch {
+			n.mu.Lock()
+			missing, level := n.miss[victim] > 0, n.hb.Level()
+			n.mu.Unlock()
+			if missing {
+				// A miss on the books and a backed-off timer never coexist.
+				if level != 0 {
+					t.Fatalf("node %d folded a miss for %d yet sits at heartbeat level %d", n.id, victim, level)
+				}
+				sawBase[n.id] = true
+			}
+			if containsPeer(n.linksSnapshot(), victim) {
+				keep = append(keep, n)
+			}
+		}
+		watch = keep
+		time.Sleep(2 * time.Millisecond)
+	}
+	t.Logf("every holder evicted the silent peer within %v (bound %v)", time.Since(start), bound)
+	if len(sawBase) == 0 {
+		t.Fatal("no holder was observed at the base cadence between its first miss and the eviction")
+	}
+	if met.Get(obs.CCadenceResetMiss) == 0 || met.Get(obs.CLinkDeadEvict) == 0 {
+		t.Fatalf("cadence_reset_miss = %d, link_dead_evict = %d: the detector path did not run",
+			met.Get(obs.CCadenceResetMiss), met.Get(obs.CLinkDeadEvict))
+	}
+}
+
+// TestCadenceEventsReturnNeighboursToBase: a crash, a graceful leave and
+// an identifier announcement each put the nodes they concern back at the
+// base cadence within one base interval.
+func TestCadenceEventsReturnNeighboursToBase(t *testing.T) {
+	const base = 50 * time.Millisecond
+	// One interval of slack on top of the one the contract allows, for
+	// timer-wheel ticks and a test host busy with other packages; a timer
+	// left backed off would take up to eight.
+	const within = 2 * base
+	_, c := buildCluster(t, 40, 7, cadenceOpts(base, nil))
+	defer shutdown(t, c)
+	awaitCalm(t, c, 60*time.Second)
+
+	// capped keeps the nodes still at the cap: an earlier step's repair
+	// traffic may already have woken some.
+	capped := func(ns []*Node) []*Node {
+		var out []*Node
+		for _, n := range ns {
+			if hbLevel(n) == selectcore.CadenceMaxLevel {
+				out = append(out, n)
+			}
+		}
+		if len(out) == 0 {
+			t.Fatal("no node left at the cap to observe")
+		}
+		return out
+	}
+	atBaseWithin := func(what string, ns []*Node) {
+		t.Helper()
+		deadline := time.Now().Add(within)
+		for _, n := range ns {
+			for hbLevel(n) != 0 {
+				if time.Now().After(deadline) {
+					t.Fatalf("%s: node %d still at heartbeat level %d after %v", what, n.id, hbLevel(n), within)
+				}
+				time.Sleep(time.Millisecond)
+			}
+		}
+	}
+
+	// A node at the cap that swept a moment ago: left alone, its next
+	// sweep is most of a backed-off interval away.
+	var target *Node
+	var before time.Time
+	for _, n := range c.Nodes {
+		n.mu.Lock()
+		if n.joined && n.hb.Level() == selectcore.CadenceMaxLevel && time.Since(n.hbSwept) < 3*base {
+			target, before = n, n.hbSwept
+		}
+		n.mu.Unlock()
+	}
+	if target == nil {
+		t.Fatal("no node at the cap that has just swept")
+	}
+	mover := (target.id + 1) % overlay.PeerID(len(c.Nodes))
+	target.handle(&wire.Message{
+		Kind: wire.KindIDAnnounce, From: int32(mover), To: int32(target.id), Pos: posBits(c, mover),
+	})
+	atBaseWithin("id-announce", []*Node{target})
+	// And its timer was pulled in: the next sweep is at most one base
+	// interval away, not the rest of a backed-off one.
+	time.Sleep(within)
+	target.mu.Lock()
+	after := target.hbSwept
+	target.mu.Unlock()
+	if !after.After(before) {
+		t.Fatalf("no heartbeat sweep within %v of the announcement: the timer was not pulled in", within)
+	}
+
+	crashed := overlay.PeerID(5)
+	watch := capped(holders(c, crashed))
+	c.Crash(crashed)
+	// The maintain tick that prunes the departed peer is the event.
+	atBaseWithin("crash", watch)
+
+	leaver := overlay.PeerID(9)
+	watch = capped(holders(c, leaver))
+	c.Nodes[leaver].Leave()
+	atBaseWithin("leave", watch)
+}
+
+// TestQuietClusterStaysQuietAndRight is the closure test (DESIGN.md
+// §9.3): once a fault-free cluster has converged, it stays converged —
+// and silent. Over fifty base heartbeat rounds no ring head changes,
+// every head is the true ring neighbour, heartbeat plus gossip traffic is
+// under a quarter of what the fixed cadence sent over the same span, and
+// link proposals run at no more than one per node per fifty rounds.
+func TestQuietClusterStaysQuietAndRight(t *testing.T) {
+	const (
+		n      = 120
+		base   = 50 * time.Millisecond
+		rounds = 50
+	)
+	met := obs.New()
+	g, c := buildCluster(t, n, 1, cadenceOpts(base, met))
+	defer shutdown(t, c)
+	// Converged includes the refusal memory (DESIGN.md §8.2): a target that
+	// keeps refusing is asked at maintain ticks 1, 3, ... 127 and sits at
+	// the 128-period ceiling from then on.
+	for c.Nodes[0].maintainTicks() < 2<<refusalMaxShift+8 {
+		time.Sleep(base)
+	}
+	awaitCalm(t, c, 90*time.Second)
+
+	control := func() int64 {
+		return met.Get(obs.CHeartbeatSent) + met.Get(obs.CPongReceived) +
+			met.Get(obs.CGossipSent) + met.Get(obs.CGossipReply)
+	}
+	heads0, props0, control0 := met.Get(obs.CRingHeadChange), met.Get(obs.CLinkProposal), control()
+	time.Sleep(rounds * base)
+	heads, frames := met.Get(obs.CRingHeadChange)-heads0, control()-control0
+
+	if heads != 0 {
+		t.Errorf("ring_head_change = %d over %d quiet rounds, want 0", heads, rounds)
+	}
+	for p := range c.Nodes {
+		if !c.RingConsistent(overlay.PeerID(p)) {
+			succ, pred := c.Nodes[p].RingNeighbors()
+			t.Errorf("node %d: ring heads (%d, %d) are not its true neighbours", p, succ, pred)
+		}
+	}
+	// The fixed cadence pinged every link and exchanged with one friend
+	// every round, each answered, less the pings it suppressed on gossip
+	// traffic alone: about a tenth (1157 sent of 1270 per round in this
+	// very cluster). A quarter of nine tenths of the product, then.
+	var fixed int64
+	for p, nd := range c.Nodes {
+		fixed += 2 * int64(len(nd.linksSnapshot()))
+		if g.Degree(overlay.PeerID(p)) > 0 {
+			fixed += 2
+		}
+	}
+	fixed *= rounds
+	if limit := fixed * 9 / 40; frames > limit {
+		t.Errorf("heartbeat+gossip frames = %d over %d rounds, want at most %d (fixed cadence: %d; %d misses woke nodes up)",
+			frames, rounds, limit, fixed, met.Get(obs.CCadenceResetMiss))
+	}
+	t.Logf("%d rounds: %d control frames (fixed cadence %d, %.1f%%), %d head changes",
+		rounds, frames, fixed, 100*float64(frames)/float64(fixed), heads)
+
+	// What is left of the proposal loop is one ask per persistently
+	// refusing (proposer, target) pair per 128 maintain ticks, and the
+	// pairs were all first refused around the same tick: a fifty-round
+	// window sees anything between none and all of them. The rate is taken
+	// over a hundred rounds, most of a back-off period.
+	time.Sleep(rounds * base)
+	if props := met.Get(obs.CLinkProposal) - props0; props > 2*n {
+		t.Errorf("link_proposal = %d over %d rounds, want at most one per node per %d (%d)", props, 2*rounds, rounds, 2*n)
+	} else {
+		t.Logf("%d rounds: %d proposals (fixed cadence: %d)", 2*rounds, props, 2*rounds*n)
+	}
+}

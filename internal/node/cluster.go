@@ -51,9 +51,13 @@ type Options struct {
 	// seconds of sojourn latency on every queued message.
 	ShardMailbox int
 
-	// HeartbeatEvery is the ping interval (0 disables heartbeats).
+	// HeartbeatEvery is the base interval of the heartbeat sweep, the
+	// shortest it ever runs at: a node whose neighbourhood stays quiet
+	// backs off to up to 8× this and returns to it on any change
+	// (DESIGN.md §15.2). 0 disables heartbeats.
 	HeartbeatEvery time.Duration
-	// GossipEvery is the Algorithm-3 exchange interval (0 disables).
+	// GossipEvery is the base interval of the Algorithm-3 exchange,
+	// backed off the same way while exchanges bring no news (0 disables).
 	GossipEvery time.Duration
 	// MaintainEvery is the live maintenance interval — join retries,
 	// short-link refresh, Algorithm-2 identifier moves and Algorithm-5/6
@@ -87,13 +91,6 @@ type Options struct {
 	// as the marshal-once heartbeat path), so faultnet-wrapped chaos
 	// schedules and their canonical traces stay byte-identical.
 	AckBatch AckBatchMode
-	// NoHeartbeatPiggyback disables liveness piggybacking: normally any
-	// inbound frame counts as heartbeat evidence for its sender, and the
-	// heartbeat sweep skips pinging links that carried traffic within the
-	// last interval (idle links keep the full ping cadence, so detection
-	// latency is unchanged).
-	NoHeartbeatPiggyback bool
-
 	// Inbox enables the durable delivery tier (DESIGN.md §12): instead of
 	// dead-lettering a publication for a subscriber that left the ring or
 	// exhausted the direct-retry budget, the publisher deposits the copy on
@@ -122,8 +119,8 @@ type Options struct {
 	// Hardened enables the adversarial defenses of DESIGN.md §14: the
 	// per-identity join admission cache and arc-occupancy caps against
 	// sybil floods, directory position cross-checks (correction, not
-	// drop) with firsthand-protected successor/predecessor lists against
-	// eclipse attempts, and mutual-count sanity rejection against
+	// drop) on successor/predecessor list claims against eclipse
+	// attempts, and mutual-count sanity rejection against
 	// tie-strength liars. Off by default so the honest protocol (and the
 	// defenses-off ablation the resilience benchmarks measure against)
 	// is unchanged.
@@ -314,6 +311,7 @@ func Start(opts Options) (*Cluster, error) {
 			}
 		}
 	}
+	start := time.Now()
 	// Seed the bootstrap members' successor/predecessor lists from the
 	// directory — its only remaining ring role (bootstrap-only): from here
 	// on, ring views evolve through join replies, pong piggybacks and
@@ -327,7 +325,7 @@ func Start(opts Options) (*Cluster, error) {
 		for q := 0; q < n; q++ {
 			if q != p && dir.member[q] {
 				// Bootstrap entries are trusted admission records: firsthand.
-				nd.rview.learn(own, nd.id, overlay.PeerID(q), dir.pos[q], true)
+				nd.rview.learn(own, nd.id, overlay.PeerID(q), dir.pos[q], true, start)
 			}
 		}
 		nd.shortSucc, nd.shortPred = dir.ringNeighbors(overlay.PeerID(p))
@@ -341,7 +339,6 @@ func Start(opts Options) (*Cluster, error) {
 	for i := range c.shards {
 		c.shards[i] = newShard(i, c, &opts)
 	}
-	start := time.Now()
 	for p, nd := range c.Nodes {
 		sh := c.shards[shardOf(int32(p), len(c.shards))]
 		nd.sh = sh

@@ -103,16 +103,16 @@ func (n *Node) handleJoinRequest(m *wire.Message) {
 		}
 		n.recordJoinLocked(now, q, pos)
 	}
-	succs, succPos, preds, predPos := n.rview.wireFields(n.id, myPos)
-	links := n.linksLocked()
-	n.mu.Unlock()
-	n.cfg.Obs.Inc(obs.CJoinReply)
-	_ = n.tr.Send(m.From, &wire.Message{
+	reply := &wire.Message{
 		Kind: wire.KindJoinReply, From: int32(n.id), To: m.From, Seq: m.Seq,
 		Pos:          math.Float64bits(float64(pos)),
-		RoutingTable: peersToInt32s(links),
-		Succs:        succs, SuccPos: succPos, Preds: preds, PredPos: predPos,
-	})
+		RoutingTable: peersToInt32s(n.linksLocked()),
+	}
+	n.rview.piggyback(reply, n.id, myPos, now)
+	n.cadenceEventLocked(selectcore.CadenceMembership)
+	n.mu.Unlock()
+	n.cfg.Obs.Inc(obs.CJoinReply)
+	_ = n.tr.Send(m.From, reply)
 }
 
 // handleJoinReply completes the join: adopt the assigned position, enter
@@ -136,9 +136,8 @@ func (n *Node) handleJoinReply(m *wire.Message) {
 	n.joinNext = time.Time{}
 	n.joinAttempt = 0
 	n.lookahead[from] = contacts
-	n.learnRingLocked(pos, from, m.Succs, m.SuccPos)
-	n.learnRingLocked(pos, from, m.Preds, m.PredPos)
-	n.refreshHeadsLocked()
+	n.learnPiggybackLocked(pos, m)
+	n.cadenceEventLocked(selectcore.CadenceMembership)
 	close(n.joinedCh)
 	announce := make(map[overlay.PeerID]bool)
 	for _, f := range n.g.Neighbors(n.id) {
@@ -194,6 +193,7 @@ func (n *Node) maintainTick() {
 	}
 	var out []outMsg
 	n.mu.Lock()
+	n.mtick++
 	n.pruneGoneLocked()
 	n.refreshHeadsLocked()
 	out = n.reassignLocked(out)
@@ -214,13 +214,19 @@ func (n *Node) refreshHeadsLocked() {
 	if !n.joined {
 		return
 	}
-	n.shortSucc, n.shortPred = n.rview.heads(n.dir.isMember)
+	succ, pred := n.rview.heads(n.dir.isMember)
+	if succ != n.shortSucc || pred != n.shortPred {
+		n.shortSucc, n.shortPred = succ, pred
+		n.cfg.Obs.Inc(obs.CRingHeadChange)
+		n.cadenceEventLocked(selectcore.CadenceRing)
+	}
 }
 
 // pruneGoneLocked forgets links to peers that left the ring (crashed or
 // departed); their state is rebuilt through the join protocol if they
 // come back.
 func (n *Node) pruneGoneLocked() {
+	gone := false
 	keep := func(links []overlay.PeerID) []overlay.PeerID {
 		out := links[:0]
 		for _, q := range links {
@@ -228,6 +234,7 @@ func (n *Node) pruneGoneLocked() {
 				out = append(out, q)
 			}
 		}
+		gone = gone || len(out) != len(links)
 		return out
 	}
 	n.longOut = keep(n.longOut)
@@ -237,7 +244,17 @@ func (n *Node) pruneGoneLocked() {
 			delete(n.pendingOut, q)
 		}
 	}
-	n.rview.prune(n.dir.isMember)
+	for q := range n.refused {
+		if !n.dir.isMember(q) {
+			delete(n.refused, q)
+		}
+	}
+	if n.rview.prune(func(e ringEntry) bool { return n.dir.isMember(e.peer) }) {
+		gone = true
+	}
+	if gone {
+		n.cadenceEventLocked(selectcore.CadenceMembership)
+	}
 }
 
 // moveEps is the minimum ring distance an Algorithm-2 move must cover to
@@ -276,6 +293,7 @@ func (n *Node) reassignLocked(out []outMsg) []outMsg {
 	n.cfg.Obs.TraceEvent("reassign", int32(n.id), 0)
 	n.rview.rebase(target)
 	n.refreshHeadsLocked()
+	n.cadenceEventLocked(selectcore.CadenceRing)
 	announce := make(map[overlay.PeerID]bool)
 	for _, q := range n.linksLocked() {
 		announce[q] = true
@@ -313,22 +331,72 @@ func (n *Node) inLongInLocked(q overlay.PeerID) bool {
 	return false
 }
 
-func (n *Node) removeLongOutLocked(q overlay.PeerID) {
+// removeLongOutLocked and removeLongInLocked unlink q and report whether
+// there was a link to remove.
+func (n *Node) removeLongOutLocked(q overlay.PeerID) bool {
 	for i, x := range n.longOut {
 		if x == q {
 			n.longOut = append(n.longOut[:i], n.longOut[i+1:]...)
-			return
+			return true
 		}
 	}
+	return false
 }
 
-func (n *Node) removeLongInLocked(q overlay.PeerID) {
+func (n *Node) removeLongInLocked(q overlay.PeerID) bool {
 	for i, x := range n.longIn {
 		if x == q {
 			n.longIn = append(n.longIn[:i], n.longIn[i+1:]...)
-			return
+			return true
 		}
 	}
+	return false
+}
+
+// refusal is what a node remembers about a target whose incoming cap
+// turned its proposal down: no new proposal before maintain tick until,
+// and how often in a row it has been refused (the next wait doubles).
+type refusal struct {
+	until  uint32
+	streak uint8
+}
+
+// liftRefusalLocked ends u's current wait without forgetting its streak:
+// u's bitmap changed, which is worth one proposal now, but if that one
+// is refused too the target is as full as it was and the back-off
+// resumes where it stood instead of climbing from 2 again — while links
+// are still settling bitmaps change every few ticks, and a restart each
+// time would be seven futile proposals per change instead of one.
+func (n *Node) liftRefusalLocked(u overlay.PeerID) {
+	if r, ok := n.refused[u]; ok {
+		r.until = n.mtick
+		n.refused[u] = r
+	}
+}
+
+// Refused targets are left alone for 2 maintain periods, doubling per
+// consecutive refusal up to 2<<refusalMaxShift = 128.
+const refusalMaxShift = 6
+
+// refusedLocked reports whether u turned a proposal down recently enough
+// that asking again would only buy another LinkDrop.
+func (n *Node) refusedLocked(u overlay.PeerID) bool {
+	r, ok := n.refused[u]
+	return ok && n.mtick < r.until
+}
+
+// noteRefusalLocked backs u off after it refused a proposal. The memory
+// is cleared by an accept from u, by u leaving the ring, and with the
+// rest of the volatile state; u's bitmap changing lifts the wait
+// (liftRefusalLocked).
+func (n *Node) noteRefusalLocked(u overlay.PeerID) {
+	r := n.refused[u]
+	r.until = n.mtick + 2<<r.streak
+	if r.streak < refusalMaxShift {
+		r.streak++
+	}
+	n.refused[u] = r
+	n.cfg.Obs.Inc(obs.CLinkProposalRefused)
 }
 
 // bitmapHas reports whether bit i is set in bm.
@@ -353,7 +421,11 @@ func (n *Node) coveredLocked(i int) bool {
 // representative per bucket, drop covered same-bucket links, enforce the
 // K budget, and spend leftover budget on uncovered friends weakest-tie
 // first — structurally the simulator's createLinks, with LinkProposal/
-// LinkAccept/LinkDrop messages in place of direct establishment.
+// LinkAccept/LinkDrop messages in place of direct establishment. A
+// target that refused a proposal is skipped while its back-off lasts
+// (DESIGN.md §8.2): the bucket's best non-refused member is asked
+// instead, so a full target costs one proposal per back-off window, not
+// one per tick.
 func (n *Node) relinkLocked(out []outMsg) []outMsg {
 	friends := n.g.Neighbors(n.id)
 	if len(friends) == 0 {
@@ -401,7 +473,17 @@ func (n *Node) relinkLocked(out []outMsg) []outMsg {
 			if budget <= 0 {
 				continue
 			}
-			best, sc := selectcore.Pick(bucket, n.idx.Conn, bwOf, false, n.pickScratch)
+			askable := n.askScratch[:0]
+			for _, i := range bucket {
+				if !n.refusedLocked(friends[i]) {
+					askable = append(askable, i)
+				}
+			}
+			n.askScratch = askable
+			if len(askable) == 0 {
+				continue
+			}
+			best, sc := selectcore.Pick(askable, n.idx.Conn, bwOf, false, n.pickScratch)
 			n.pickScratch = sc
 			u := friends[best]
 			if u == n.id || n.pendingOut[u] {
@@ -448,6 +530,7 @@ func (n *Node) relinkLocked(out []outMsg) []outMsg {
 			}
 		}
 		n.removeLongOutLocked(victim)
+		n.cadenceEventLocked(selectcore.CadenceLink)
 		n.cfg.Obs.Inc(obs.CLinkDrop)
 		out = append(out, outMsg{int32(victim), &wire.Message{
 			Kind: wire.KindLinkDrop, From: int32(n.id), To: int32(victim), Seq: n.nextSeq(),
@@ -462,7 +545,7 @@ func (n *Node) relinkLocked(out []outMsg) []outMsg {
 			if _, ok := n.bitmaps[f]; !ok || !n.dir.isMember(f) {
 				continue
 			}
-			if !n.inLongOutLocked(f) && !n.pendingOut[f] && !n.coveredLocked(i) {
+			if !n.inLongOutLocked(f) && !n.pendingOut[f] && !n.refusedLocked(f) && !n.coveredLocked(i) {
 				uncovered = append(uncovered, int32(i))
 			}
 		}
@@ -505,6 +588,7 @@ func (n *Node) handleLinkProposal(m *wire.Message) {
 		}})
 	case len(n.longIn) < n.cfg.K:
 		n.longIn = append(n.longIn, from)
+		n.cadenceEventLocked(selectcore.CadenceLink)
 		n.cfg.Obs.Inc(obs.CLinkAccept)
 		replies = append(replies, outMsg{m.From, &wire.Message{
 			Kind: wire.KindLinkAccept, From: int32(n.id), To: m.From, Seq: m.Seq,
@@ -518,6 +602,7 @@ func (n *Node) handleLinkProposal(m *wire.Message) {
 		}
 		if worst >= 0 && n.bw[from] > n.bw[worst] {
 			n.removeLongInLocked(worst)
+			n.cadenceEventLocked(selectcore.CadenceLink)
 			n.cfg.Obs.Inc(obs.CLinkEvict)
 			n.cfg.Obs.Inc(obs.CLinkDrop)
 			replies = append(replies, outMsg{int32(worst), &wire.Message{
@@ -549,9 +634,11 @@ func (n *Node) handleLinkAccept(m *wire.Message) {
 	var over bool
 	n.mu.Lock()
 	delete(n.pendingOut, from)
+	delete(n.refused, from)
 	if !n.inLongOutLocked(from) {
 		if len(n.longOut) < n.cfg.K {
 			n.longOut = append(n.longOut, from)
+			n.cadenceEventLocked(selectcore.CadenceLink)
 			if len(n.linkRepairStart) > 0 {
 				since := n.linkRepairStart[0]
 				n.linkRepairStart = n.linkRepairStart[1:]
@@ -575,13 +662,20 @@ func (n *Node) handleLinkAccept(m *wire.Message) {
 
 // handleLinkDrop tears the link to the sender down in both directions —
 // long links are connections, so a drop by either endpoint closes both
-// roles at once (reject, eviction and shedding all arrive here).
+// roles at once (eviction and shedding arrive here). A drop that answers
+// a pending proposal with no link behind it is a refusal — the sender's
+// incoming cap is full — and is remembered rather than repeated.
 func (n *Node) handleLinkDrop(m *wire.Message) {
 	n.cfg.Obs.Inc(obs.CLinkDrop)
 	from := overlay.PeerID(m.From)
 	n.mu.Lock()
-	n.removeLongOutLocked(from)
-	n.removeLongInLocked(from)
+	out, in := n.removeLongOutLocked(from), n.removeLongInLocked(from)
+	switch {
+	case out || in:
+		n.cadenceEventLocked(selectcore.CadenceLink)
+	case n.pendingOut[from]:
+		n.noteRefusalLocked(from)
+	}
 	delete(n.pendingOut, from)
 	n.mu.Unlock()
 }
@@ -606,6 +700,7 @@ func (n *Node) handleLeave(m *wire.Message) {
 		n.refreshHeadsLocked()
 		n.cfg.Obs.Inc(obs.CRingSplice)
 	}
+	n.cadenceEventLocked(selectcore.CadenceMembership)
 	n.mu.Unlock()
 }
 
@@ -638,6 +733,7 @@ func (n *Node) resetVolatileLocked() {
 	n.longOut = nil
 	n.longIn = nil
 	n.pendingOut = make(map[overlay.PeerID]bool)
+	n.refused = make(map[overlay.PeerID]refusal)
 	for i := range n.strength {
 		n.strength[i] = -1
 	}
@@ -659,6 +755,11 @@ func (n *Node) resetVolatileLocked() {
 		n.lastHeard = make(map[overlay.PeerID]time.Time)
 		n.hbSkip = make(map[overlay.PeerID]int)
 	}
+	// A rejoiner starts at the base cadence with no calm history.
+	n.hbFold = false
+	n.hbSwept = time.Time{}
+	n.resetTimerLocked(&n.hb)
+	n.resetTimerLocked(&n.gs)
 	// The ring view and join machinery are volatile; a fresh joinedCh
 	// lets the next Join wait on this incarnation. The repair outbox
 	// (pubs) survives alongside received/acked — it is the same

@@ -28,7 +28,9 @@
 package node
 
 import (
+	"math"
 	"math/rand"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -104,6 +106,11 @@ type Node struct {
 	shortSucc, shortPred overlay.PeerID
 	longOut, longIn      []overlay.PeerID
 	pendingOut           map[overlay.PeerID]bool
+	// refused remembers targets whose incoming cap answered a proposal
+	// with LinkDrop, and mtick counts maintain ticks — the clock that
+	// memory backs off on (maintain.go, DESIGN.md §8.2).
+	refused map[overlay.PeerID]refusal
+	mtick   uint32
 	// Learned social state (Algorithm 3–4): strength[i] is the tie to
 	// C_p[i], -1 until an exchange reply carried its mutual count;
 	// bitmaps[f] is f's link bitmap over C_p from the latest reply.
@@ -188,6 +195,7 @@ type Node struct {
 	idx         selectcore.Indexer
 	coords      []int
 	pickScratch []int32
+	askScratch  []int32
 
 	// Frame-economy fast path (DESIGN.md §15, ackbatch.go): ackBatch is
 	// the resolved coalescing switch; ackBuf holds buffered ack entries
@@ -203,6 +211,18 @@ type Node struct {
 	hbPiggyback bool
 	lastHeard   map[overlay.PeerID]time.Time
 	hbSkip      map[overlay.PeerID]int
+	// Liveness cadence (cadence.go, DESIGN.md §15.2): the heartbeat and
+	// gossip timers each run at base<<level.
+	hb, gs cadenceTimer
+	// hbFold marks the next heartbeat fire as the fold point of a
+	// backed-off sweep — one base interval after its probes — and
+	// hbSweepAt is the deadline the sweep after that keeps if every pong
+	// came home; hbSwept is when the last sweep ran, the horizon of
+	// piggybacked liveness. gsRounds is the sampler pass the gossip
+	// cadence last closed.
+	hbFold             bool
+	hbSweepAt, hbSwept time.Time
+	gsRounds           int
 
 	// paused simulates an unresponsive peer (churn): incoming messages are
 	// consumed and dropped, nothing is sent.
@@ -230,8 +250,11 @@ func newNode(id overlay.PeerID, dir *directory, bw []float64, cfg Options, seed 
 		inviterPref:  -1,
 		shortSucc:    -1,
 		shortPred:    -1,
-		rview:        ringView{hardened: cfg.Hardened},
+		rview:        newRingView(cfg.HeartbeatEvery),
 		pendingOut:   make(map[overlay.PeerID]bool),
+		refused:      make(map[overlay.PeerID]refusal),
+		hb:           cadenceTimer{kind: tkHeartbeat, base: cfg.HeartbeatEvery},
+		gs:           cadenceTimer{kind: tkGossip, base: cfg.GossipEvery},
 		strength:     make([]float64, len(friends)),
 		bitmaps:      make(map[overlay.PeerID][]uint64),
 		fidx:         make(map[overlay.PeerID]int, len(friends)),
@@ -273,7 +296,7 @@ func newNode(id overlay.PeerID, dir *directory, bw []float64, cfg Options, seed 
 	if n.ackBatch {
 		n.ackBuf = make(map[overlay.PeerID][]wire.AckEntry)
 	}
-	n.hbPiggyback = cfg.HeartbeatEvery > 0 && !cfg.NoHeartbeatPiggyback
+	n.hbPiggyback = cfg.HeartbeatEvery > 0
 	if n.hbPiggyback {
 		n.lastHeard = make(map[overlay.PeerID]time.Time)
 		n.hbSkip = make(map[overlay.PeerID]int)
@@ -307,13 +330,15 @@ func (n *Node) handle(m *wire.Message) {
 		// ring views converging without extra messages.
 		reply := &wire.Message{Kind: wire.KindPong, From: int32(n.id), To: m.From, Seq: m.Seq}
 		n.mu.Lock()
+		if n.joined && len(m.Succs) > 0 {
+			n.learnPiggybackLocked(n.dir.position(n.id), m)
+		}
 		if ss, sp, ps, pp, forged := n.forgedRingClaimLocked(); forged && overlay.PeerID(m.From) == n.advTarget {
 			// An armed eclipse attacker answers its victim's heartbeats
 			// with the same forged flank claims its gossip tick pushes.
 			reply.Succs, reply.SuccPos, reply.Preds, reply.PredPos = ss, sp, ps, pp
 		} else if n.joined {
-			reply.Succs, reply.SuccPos, reply.Preds, reply.PredPos =
-				n.rview.wireFields(n.id, n.dir.position(n.id))
+			n.rview.piggyback(reply, n.id, n.dir.position(n.id), time.Now())
 		}
 		n.mu.Unlock()
 		_ = n.tr.Send(m.From, reply)
@@ -331,11 +356,7 @@ func (n *Node) handle(m *wire.Message) {
 			n.observe(overlay.PeerID(m.From), true)
 		}
 		if n.joined && len(m.Succs) > 0 {
-			own := n.dir.position(n.id)
-			from := overlay.PeerID(m.From)
-			n.learnRingLocked(own, from, m.Succs, m.SuccPos)
-			n.learnRingLocked(own, from, m.Preds, m.PredPos)
-			n.refreshHeadsLocked()
+			n.learnPiggybackLocked(n.dir.position(n.id), m)
 		}
 		n.mu.Unlock()
 	case wire.KindExchangeRT:
@@ -362,8 +383,9 @@ func (n *Node) handle(m *wire.Message) {
 			// liveness evidence that overrides any dead-quarantine.
 			delete(n.deadUntil, overlay.PeerID(m.From))
 			n.learnRingLocked(n.dir.position(n.id), overlay.PeerID(m.From),
-				[]int32{m.From}, []uint64{m.Pos})
+				[]int32{m.From}, []uint64{m.Pos}, nil)
 			n.refreshHeadsLocked()
+			n.cadenceEventLocked(selectcore.CadenceMembership)
 		}
 		n.mu.Unlock()
 	case wire.KindLinkProposal:
@@ -444,7 +466,9 @@ func (n *Node) handleExchange(m *wire.Message) {
 	mutual := n.liarMutual(countMutualSorted(mine, theirs), len(theirs))
 	n.mu.Lock()
 	links := n.linksLocked()
-	n.lookahead[overlay.PeerID(m.From)] = int32sToPeers(m.RoutingTable)
+	if n.setLookaheadLocked(overlay.PeerID(m.From), m.RoutingTable) {
+		n.cadenceEventLocked(selectcore.CadenceGossipNews)
+	}
 	n.mu.Unlock()
 	// Friendship bitmap over the SENDER's neighborhood: bit i set when
 	// their i-th friend is in our routing table.
@@ -477,16 +501,38 @@ func (n *Node) handleExchangeReply(m *wire.Message) {
 	n.cfg.Obs.Inc(obs.CGossipReply)
 	from := overlay.PeerID(m.From)
 	n.mu.Lock()
-	n.lookahead[from] = int32sToPeers(m.RoutingTable)
+	news := n.setLookaheadLocked(from, m.RoutingTable)
 	if i, ok := n.fidx[from]; ok {
 		if nm, sane := n.clampMutual(int(m.NMutual), from); sane {
-			n.strength[i] = selectcore.StrengthFromCounts(
-				n.g.Degree(n.id), n.g.Degree(from), nm)
+			s := selectcore.StrengthFromCounts(n.g.Degree(n.id), n.g.Degree(from), nm)
+			news = news || s != n.strength[i]
+			n.strength[i] = s
 		}
-		n.bitmaps[from] = m.Bitmap
+		if old, had := n.bitmaps[from]; !had || !slices.Equal(old, m.Bitmap) {
+			// The friend's links changed: whatever made it refuse a
+			// proposal may have changed with them, so it may be asked again
+			// now (maintain.go).
+			n.liftRefusalLocked(from)
+			n.bitmaps[from] = m.Bitmap
+			news = true
+		}
+	}
+	if news {
+		n.cadenceEventLocked(selectcore.CadenceGossipNews)
 	}
 	n.exchanges++
 	n.mu.Unlock()
+}
+
+// setLookaheadLocked caches q's routing table and reports whether that
+// changed anything — a quiet neighbourhood re-sends the table it sent
+// last time, which costs neither a copy nor a cadence reset.
+func (n *Node) setLookaheadLocked(q overlay.PeerID, rt []int32) bool {
+	if old, had := n.lookahead[q]; had && slices.Equal(old, rt) {
+		return false
+	}
+	n.lookahead[q] = int32sToPeers(rt)
+	return true
 }
 
 // sendExchange is the active thread of Algorithm 3: draw the next social
@@ -499,6 +545,12 @@ func (n *Node) sendExchange() {
 	}
 	n.mu.Lock()
 	fi, ok := n.sampler.Next()
+	if r := n.sampler.Rounds(); r != n.gsRounds {
+		// One full sampler pass — every friend exchanged with once —
+		// closes a gossip round.
+		n.gsRounds = r
+		n.gs.Cadence = n.gs.Round(selectcore.GossipCalmRounds)
+	}
 	links := n.linksLocked()
 	seq := n.nextSeq()
 	n.mu.Unlock()
@@ -515,22 +567,28 @@ func (n *Node) sendExchange() {
 	_ = n.tr.Send(int32(f), m)
 }
 
-// sendHeartbeats pings every link; unanswered pings from the previous
-// round count as offline observations (§III-F probes). After folding the
-// round's misses the accrual detector sweep runs: dead links are evicted
-// and repaired before the next pings go out (repair.go).
+// sendHeartbeats is one heartbeat sweep: ping every link; unanswered
+// pings from the previous sweep count as offline observations (§III-F
+// probes). After folding the misses the accrual detector sweep runs —
+// dead links are evicted and repaired before the next pings go out
+// (repair.go) — and the sweep closes one round of the liveness cadence
+// (cadence.go).
 func (n *Node) sendHeartbeats() {
 	now := time.Now()
-	cutoff := now.Add(-n.cfg.HeartbeatEvery)
 	var out []outMsg
 	n.mu.Lock()
-	// fresh reports whether q's traffic inside the last interval already
-	// proved it alive (piggybacked liveness, DESIGN.md §15). Always false
-	// with piggybacking off — idle links see the exact legacy protocol,
-	// so failure-detection latency is unchanged where it matters.
+	// fresh reports whether q's traffic since the last sweep already
+	// proved it alive (piggybacked liveness, DESIGN.md §15.2). The horizon
+	// is the sweep interval actually elapsed, so it follows the cadence.
+	cutoff := n.hbSwept
+	if cutoff.IsZero() {
+		cutoff = now.Add(-n.cfg.HeartbeatEvery)
+	}
+	n.hbSwept = now
 	fresh := func(q overlay.PeerID) bool {
 		return n.hbPiggyback && n.lastHeard[q].After(cutoff)
 	}
+	missed := false
 	for _, target := range n.pendingPings {
 		if fresh(target) {
 			// The pong never came but data frames did: the link is alive,
@@ -540,25 +598,32 @@ func (n *Node) sendHeartbeats() {
 		}
 		n.cfg.Obs.Inc(obs.CHeartbeatMiss)
 		n.observe(target, false)
+		missed = true
 	}
-	n.pendingPings = make(map[uint32]overlay.PeerID)
+	if missed {
+		n.cadenceEventLocked(selectcore.CadenceMiss)
+	}
+	clear(n.pendingPings)
+	// Ring claims nobody re-confirmed lapse here (ringlist.go).
+	if n.rview.prune(func(e ringEntry) bool { return !n.rview.lapsed(e.conf, now) }) {
+		n.refreshHeadsLocked()
+	}
 	out = n.detectorSweepLocked(now, out)
+	n.cfg.Obs.Inc(obs.CHeartbeatSweep)
+	if n.hb.Level() == 0 {
+		n.cfg.Obs.Inc(obs.CHeartbeatSweepBase)
+	}
+	n.hb.Cadence = n.hb.Round(selectcore.HeartbeatCalmRounds)
 	links := n.linksLocked()
-	// Hardened: also probe unverified ring candidates sitting ahead of the
-	// firsthand heads — their pong self-entry upgrades them so the head
-	// preference for verified peers cannot pin the ring on stale links.
-	// Probation peers are exempt from suppression (links[probe:]): only a
-	// pong's self-entry can upgrade them, so they always get a real ping.
+	// Also probe the ring candidates: hearsay entries sitting ahead of the
+	// firsthand heads. Their pong self-entry places them, so a nearer
+	// neighbor becomes the head one round trip after it was first heard
+	// of, and a stale claim is refuted by the peer it names. Candidates
+	// are exempt from suppression (links[probe:]): only a pong can verify
+	// them, so they always get a real ping.
 	probe := len(links)
 	for _, q := range n.rview.probation(n.dir.isMember) {
-		dup := false
-		for _, x := range links {
-			if x == q {
-				dup = true
-				break
-			}
-		}
-		if !dup {
+		if !slices.Contains(links, q) {
 			links = append(links, q)
 		}
 	}
@@ -568,11 +633,12 @@ func (n *Node) sendHeartbeats() {
 			// Heartbeat piggybacking: the link moved data this interval, so
 			// its ping would be redundant — fold the traffic as this round's
 			// online sample instead (exactly one detector sample per link
-			// per round, same as a pong). Every hbSuppressMax-th round still
+			// per sweep, same as a pong). Every hbSuppressMax-th sweep still
 			// pings: pongs carry successor lists, the ring's anti-entropy
 			// channel, which data frames do not.
 			n.hbSkip[q]++
 			n.observe(q, true)
+			n.rview.confirm(q, now)
 			n.cfg.Obs.Inc(obs.CHeartbeatSuppress)
 			continue
 		}
@@ -580,6 +646,16 @@ func (n *Node) sendHeartbeats() {
 		s := n.nextSeq()
 		seqs[s] = q
 		n.pendingPings[s] = q
+	}
+	// A ping names its sender's position the way a pong does — as the self
+	// entry of the successor side — so the probed peer learns the prober
+	// first-hand: a node that moved in between two neighbours is seen by
+	// them the moment it probes them, not only if a third party happens to
+	// vouch for it.
+	ping := wire.Message{Kind: wire.KindPing, From: int32(n.id)}
+	if n.joined {
+		ping.Succs = []int32{int32(n.id)}
+		ping.SuccPos = []uint64{math.Float64bits(float64(n.dir.position(n.id)))}
 	}
 	n.mu.Unlock()
 	for _, o := range out {
@@ -590,7 +666,7 @@ func (n *Node) sendHeartbeats() {
 		// Marshal-once fast path: every ping this sweep differs only in To
 		// and Seq — encode the frame once and patch both per target.
 		buf := wire.GetFrame()
-		*buf = wire.MarshalAppend((*buf)[:0], &wire.Message{Kind: wire.KindPing, From: int32(n.id)})
+		*buf = wire.MarshalAppend((*buf)[:0], &ping)
 		for s, q := range seqs {
 			wire.PatchTo(*buf, int32(q))
 			wire.PatchSeq(*buf, s)
@@ -600,7 +676,9 @@ func (n *Node) sendHeartbeats() {
 		return
 	}
 	for s, q := range seqs {
-		_ = n.tr.Send(int32(q), &wire.Message{Kind: wire.KindPing, From: int32(n.id), To: int32(q), Seq: s})
+		m := ping // the position slices are shared, read-only
+		m.To, m.Seq = int32(q), s
+		_ = n.tr.Send(int32(q), &m)
 	}
 }
 
@@ -699,17 +777,51 @@ func (n *Node) routeOrConsumeAck(m *wire.Message) {
 // direct link, the cached lookahead (a neighbor whose routing table holds
 // the target), or the link greedily closest to the target's identifier.
 func (n *Node) forward(m *wire.Message, target overlay.PeerID) {
-	next, ok := n.nextHop(target)
-	if !ok {
-		// Dead end; the publisher's ack accounting will notice.
-		n.cfg.Obs.Inc(obs.CPublishDeadEnd)
-		n.cfg.Obs.TraceEvent("dead_end", int32(n.id), m.Seq)
+	next, r := n.nextHop(target)
+	if r != routeOK {
+		// Unroutable; the publisher's ack accounting will notice.
+		n.countUnroutable(r, m.Kind, m.Seq)
 		return
 	}
 	_ = n.tr.Send(int32(next), m)
 }
 
-func (n *Node) nextHop(target overlay.PeerID) (overlay.PeerID, bool) {
+// route is nextHop's verdict on a target.
+type route uint8
+
+const (
+	routeOK route = iota
+	// routeDeadEnd: no live link leads anywhere.
+	routeDeadEnd
+	// routeOffline: the target is not a ring member. Nothing routes to it
+	// — a greedy walk toward a position nobody holds only ends when the
+	// TTL does — so the copy is not sent at all: the publisher's repair
+	// tick hands the subscriber to the durable tier, and an ack for a
+	// crashed publisher is moot (it re-sends after it rejoins).
+	routeOffline
+)
+
+// countUnroutable accounts for a publication copy or ack that nextHop
+// refused, under the counter of the reason: dead_end keeps meaning "no
+// live link".
+func (n *Node) countUnroutable(r route, kind wire.Kind, seq uint32) {
+	switch {
+	case r == routeDeadEnd:
+		n.cfg.Obs.Inc(obs.CPublishDeadEnd)
+		n.cfg.Obs.TraceEvent("dead_end", int32(n.id), seq)
+	case kind == wire.KindAck:
+		n.cfg.Obs.Inc(obs.CAckOfflineDrop)
+	default:
+		n.cfg.Obs.Inc(obs.CPublishOfflineSkip)
+		n.cfg.Obs.TraceEvent("offline_skip", int32(n.id), seq)
+	}
+}
+
+func (n *Node) nextHop(target overlay.PeerID) (overlay.PeerID, route) {
+	// The membership test the repair engine's deposit hand-off uses.
+	if !n.dir.isMember(target) {
+		return -1, routeOffline
+	}
 	links := n.linksSnapshot()
 	// Accrual liveness (§III-F, selectcore.FailureDetector): links the
 	// detector marks suspect or dead are avoided as intermediate hops — a
@@ -727,7 +839,7 @@ func (n *Node) nextHop(target overlay.PeerID) (overlay.PeerID, bool) {
 	}
 	for _, q := range links {
 		if q == target {
-			return q, true
+			return q, routeOK
 		}
 	}
 	// Lookahead: a live neighbor that lists the target in its routing
@@ -748,7 +860,7 @@ func (n *Node) nextHop(target overlay.PeerID) (overlay.PeerID, bool) {
 	n.mu.Unlock()
 	if via >= 0 {
 		if alive(via) {
-			return via, true
+			return via, routeOK
 		}
 		// §III-F recovery in action: the lookahead route exists but its
 		// relay looks dead — fall through to the greedy live links.
@@ -769,7 +881,7 @@ func (n *Node) nextHop(target overlay.PeerID) (overlay.PeerID, bool) {
 		}
 	}
 	if best >= 0 {
-		return best, true
+		return best, routeOK
 	}
 	// Local minimum with the closer links dead: take a random live link —
 	// a TTL-bounded random walk that escapes the dead region; retries then
@@ -779,9 +891,9 @@ func (n *Node) nextHop(target overlay.PeerID) (overlay.PeerID, bool) {
 		n.mu.Lock()
 		q := aliveLinks[n.rng.Intn(len(aliveLinks))]
 		n.mu.Unlock()
-		return q, true
+		return q, routeOK
 	}
-	return -1, false
+	return -1, routeDeadEnd
 }
 
 // Pause makes the node unresponsive (simulated churn departure).
@@ -870,7 +982,7 @@ func (n *Node) publish(payload []byte, size uint32, pri uint8) uint32 {
 	if n.fs != nil {
 		// Marshal-once fast path: the fan-out frame is invariant except
 		// for To — encode it once, patch the destination per subscriber,
-		// and route each copy to its own next hop. Dead-end accounting
+		// and route each copy to its own next hop. Unroutable accounting
 		// mirrors forward().
 		buf := wire.GetFrame()
 		*buf = wire.MarshalAppend((*buf)[:0], &wire.Message{
@@ -879,10 +991,9 @@ func (n *Node) publish(payload []byte, size uint32, pri uint8) uint32 {
 			Priority: pri, PayloadSize: size, Payload: payload,
 		})
 		for _, s := range subs {
-			next, ok := n.nextHop(s)
-			if !ok {
-				n.cfg.Obs.Inc(obs.CPublishDeadEnd)
-				n.cfg.Obs.TraceEvent("dead_end", int32(n.id), seq)
+			next, r := n.nextHop(s)
+			if r != routeOK {
+				n.countUnroutable(r, wire.KindPublish, seq)
 				continue
 			}
 			wire.PatchTo(*buf, int32(s))

@@ -2,6 +2,7 @@ package node
 
 import (
 	"math"
+	"slices"
 	"time"
 
 	"selectps/internal/obs"
@@ -270,6 +271,12 @@ func (n *Node) repairTick() {
 			continue
 		}
 		st.attempt++
+		if st.attempt == 2 {
+			// Two retries in a row unacked (≈3 RetryBase): the data path
+			// has evidence the control plane may lack — probe now rather
+			// than at the end of a backed-off interval.
+			n.cadenceEventLocked(selectcore.CadenceRetry)
+		}
 		st.nextAt = now.Add(bo.Delay(st.bseed, st.attempt))
 		n.cfg.Obs.Addn(obs.CRetrySent, int64(len(missing)))
 		n.cfg.Obs.TraceEvent("retry", int32(n.id), seq)
@@ -418,24 +425,24 @@ func (n *Node) quarantinedLocked(q overlay.PeerID, now time.Time) bool {
 // learnRingLocked folds piggybacked successor/predecessor wire fields
 // into the ring view, skipping self and quarantined peers — gossip from
 // third parties must not resurrect a neighbor this node declared dead.
-// from is the message sender: its own entry (wireFields prepends self)
-// counts as firsthand evidence, everything else is hearsay. Hardened,
-// every claim is cross-checked against the shared directory's admission
-// record and CORRECTED rather than believed: a claim about a non-member
-// is a ghost and is dropped, and a claimed position that contradicts the
-// one the directory granted is replaced by the granted one (both count
+// from is the message sender: its own entry (piggyback prepends self) is
+// firsthand evidence confirmed now, everything else is hearsay confirmed
+// ages[i] milliseconds (a missing age reads 0) plus one hop ago — the
+// single claim rule of DESIGN.md §9.3. Hardened, every claim is first
+// cross-checked against the shared directory's admission record and
+// CORRECTED rather than believed: a claim about a non-member is a ghost
+// and is dropped, and a claimed position that contradicts the one the
+// directory granted is replaced by the granted one (both count
 // pos_rejected). An eclipse cohort's ε-flank forgeries therefore
 // collapse to statements about real members at their real positions —
 // worthless — while honest-but-stale gossip (a peer moved or rejoined
 // and the claim predates it) still contributes its liveness information
 // at the corrected position instead of being thrown away (DESIGN.md
-// §14); residual attempts to move a firsthand entry by hearsay feed the
-// eclipse_displaced counter.
-func (n *Node) learnRingLocked(own ring.ID, from overlay.PeerID, peers []int32, poss []uint64) {
-	k := len(peers)
-	if len(poss) < k {
-		k = len(poss)
-	}
+// §14). That cross-check is a defence, not ring maintenance; stale
+// hearsay that tried to move a firsthand entry feeds the
+// eclipse_displaced counter either way.
+func (n *Node) learnRingLocked(own ring.ID, from overlay.PeerID, peers []int32, poss []uint64, ages []int32) {
+	k := min(len(peers), len(poss))
 	now := time.Now()
 	for i := 0; i < k; i++ {
 		q := overlay.PeerID(peers[i])
@@ -454,20 +461,39 @@ func (n *Node) learnRingLocked(own ring.ID, from overlay.PeerID, peers []int32, 
 				pos = dp
 			}
 		}
-		if blocked := n.rview.learn(own, n.id, q, pos, q == from); blocked > 0 {
-			n.cfg.Obs.Addn(obs.CEclipseDisplaced, int64(blocked))
+		conf := now
+		if q != from {
+			conf = now.Add(-n.rview.hop)
+			if i < len(ages) && ages[i] > 0 {
+				conf = conf.Add(-time.Duration(ages[i]) * time.Millisecond)
+			}
+		}
+		if n.rview.learn(own, n.id, q, pos, q == from, conf) {
+			n.cfg.Obs.Inc(obs.CEclipseDisplaced)
 		}
 	}
 }
 
-// detectorSweepLocked classifies every link's accrued heartbeat evidence
-// (selectcore.FailureDetector) and evicts the dead ones. Called from the
-// heartbeat tick after folding the round's misses; staged repair messages
-// are appended to out.
+// learnPiggybackLocked folds the ring claims a Ping, Pong or JoinReply
+// carries — both lists, with their ages — into the view and re-derives
+// the heads.
+func (n *Node) learnPiggybackLocked(own ring.ID, m *wire.Message) {
+	from := overlay.PeerID(m.From)
+	succAge, predAge := claimAges(m)
+	n.learnRingLocked(own, from, m.Succs, m.SuccPos, succAge)
+	n.learnRingLocked(own, from, m.Preds, m.PredPos, predAge)
+	n.refreshHeadsLocked()
+}
+
+// detectorSweepLocked classifies the accrued heartbeat evidence of every
+// probed peer — the links and the ring candidates on probation
+// (selectcore.FailureDetector) — and evicts the dead ones. Called from
+// the heartbeat sweep after folding the round's misses; staged repair
+// messages are appended to out.
 func (n *Node) detectorSweepLocked(now time.Time, out []outMsg) []outMsg {
 	det := n.cfg.Detector
 	var dead []overlay.PeerID
-	for _, q := range n.linksLocked() {
+	for _, q := range append(n.linksLocked(), n.rview.probation(n.dir.isMember)...) {
 		c := n.cma[q]
 		if c == nil {
 			continue
@@ -478,9 +504,12 @@ func (n *Node) detectorSweepLocked(now time.Time, out []outMsg) []outMsg {
 				n.suspectAt[q] = now
 				n.cfg.Obs.Inc(obs.CLinkSuspect)
 				n.cfg.Obs.TraceEvent("suspect", int32(n.id), uint32(q))
+				n.cadenceEventLocked(selectcore.CadenceDetector)
 			}
 		case selectcore.LinkDead:
-			dead = append(dead, q)
+			if !slices.Contains(dead, q) {
+				dead = append(dead, q)
+			}
 		}
 	}
 	for _, q := range dead {
@@ -512,6 +541,7 @@ func (n *Node) evictDeadLocked(q overlay.PeerID, now time.Time, out []outMsg) []
 	n.rview.remove(q)
 	n.cfg.Obs.Inc(obs.CLinkDeadEvict)
 	n.cfg.Obs.TraceEvent("dead_evict", int32(n.id), uint32(q))
+	n.cadenceEventLocked(selectcore.CadenceDetector)
 	if wasRing {
 		n.refreshHeadsLocked()
 		n.cfg.Obs.Inc(obs.CRingSplice)

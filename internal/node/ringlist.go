@@ -2,20 +2,28 @@ package node
 
 import (
 	"math"
+	"time"
 
 	"selectps/internal/overlay"
 	"selectps/internal/ring"
+	"selectps/internal/selectcore"
+	"selectps/internal/wire"
 )
 
-// ringEntry is one learned (peer, position) pair of the successor/
+// ringEntry is one learned (peer, position) claim of the successor/
 // predecessor lists. firsthand marks first-person evidence: the claim
-// came from the peer itself (its pong self-entry, its own identifier
-// announcement, a join-reply from it) or from the trusted bootstrap —
-// as opposed to hearsay piggybacked by a third party.
+// came from the peer itself (its pong self-entry, the position on its
+// ping, its own identifier announcement, a join-reply from it) or from
+// the trusted bootstrap — as opposed to hearsay piggybacked by a third
+// party. conf is when the peer itself last confirmed the position as far
+// as this node knows: the arrival time of first-hand evidence, or, for
+// hearsay, the arrival time less the age the sender reported and one hop
+// penalty.
 type ringEntry struct {
 	peer      overlay.PeerID
 	pos       ring.ID
 	firsthand bool
+	conf      time.Time
 }
 
 // succListLen is r, the successor/predecessor list depth backing ring
@@ -24,24 +32,39 @@ const succListLen = 4
 
 // ringView is a node's r-deep decentralized view of its ring
 // neighborhood: the nearest known members clockwise (succ) and
-// counter-clockwise (pred), learned from join replies, heartbeat-pong
+// counter-clockwise (pred), learned from join replies, heartbeat
 // piggybacks and identifier announcements — never from the directory
 // (DESIGN.md §9). When a ring neighbor dies the node splices to the next
 // live entry locally, which is what keeps greedy ring routing alive
 // under churn without any omniscient membership scan.
 //
-// With hardened set (DESIGN.md §14) positions arriving here have already
-// been verified against the directory's admission record (repair.go), so
-// the lists only defend the *liveness* half of a claim: hearsay never
-// moves or downgrades an existing firsthand entry, and the ring heads
-// prefer firsthand entries — the short links a node heartbeats are peers
-// that vouched for their own position, with hearsay only bridging the
-// window before first-person evidence arrives. All methods are called
-// under the owning node's mutex.
+// One rule governs what a claim may do (DESIGN.md §9.3), for honest and
+// hardened clusters alike: every claim carries its age since the peer's
+// own confirmation; of two claims about a peer the fresher wins, so an
+// echo — always older than the claim it echoes by at least the hop
+// penalty — never refreshes anything, and a claim nobody re-confirms
+// lapses after ttl. A ring head is a firsthand entry; hearsay that sits
+// nearer is a candidate the next heartbeat sweep probes (probation), and
+// the candidate's own pong places it. All methods are called under the
+// owning node's mutex.
 type ringView struct {
-	hardened bool
-	succ     []ringEntry // sorted by clockwise distance from the owner
-	pred     []ringEntry // sorted by counter-clockwise distance from the owner
+	succ []ringEntry // sorted by clockwise distance from the owner
+	pred []ringEntry // sorted by counter-clockwise distance from the owner
+	// hop is the age a claim gains per relay and ttl the age past which it
+	// is neither held nor advertised. Zero ttl (heartbeats off: nothing
+	// would ever re-confirm) means claims do not lapse.
+	hop, ttl time.Duration
+}
+
+// newRingView sizes the claim lifetime from the base heartbeat interval:
+// a claim crosses at most r relays, each of which may sit a full
+// backed-off sweep on it before passing it on, and waits one more sweep
+// at the holder.
+func newRingView(heartbeatEvery time.Duration) ringView {
+	return ringView{
+		hop: heartbeatEvery,
+		ttl: (succListLen + 1) * ((1 << selectcore.CadenceMaxLevel) + 1) * heartbeatEvery,
+	}
 }
 
 // cwDist is the clockwise arc with the directory's zero-arc convention: a
@@ -55,41 +78,41 @@ func cwDist(from, to ring.ID) float64 {
 	return d
 }
 
-// learn inserts or repositions peer in both direction lists, keeping each
-// sorted and truncated to r entries. self guards against learning the
-// owner itself. firsthand marks first-person evidence (see ringEntry).
-// The return value counts hearsay attempts to move or downgrade a
-// firsthand entry blocked by the hardened rule (feeds the
+// learn folds one claim — peer sits at pos, confirmed by the peer itself
+// at conf — into both direction lists, keeping each sorted and truncated
+// to r entries. self guards against learning the owner. First-hand
+// evidence always lands. Hearsay lands only when it is fresher than what
+// the view holds; it keeps an entry's verification when it agrees on the
+// position and turns the entry back into a candidate when it does not
+// (the peer moved after it vouched). blocked reports hearsay that tried
+// to move a firsthand entry and was refused as stale (feeds the
 // eclipse_displaced counter).
-func (v *ringView) learn(own ring.ID, self, peer overlay.PeerID, pos ring.ID, firsthand bool) (blocked int) {
+func (v *ringView) learn(own ring.ID, self, peer overlay.PeerID, pos ring.ID, firsthand bool, conf time.Time) (blocked bool) {
 	if peer < 0 || peer == self {
-		return 0
+		return false
 	}
-	if cur, ok := v.get(peer); ok && cur.firsthand {
-		if v.hardened && !firsthand {
-			// A third party may not move or downgrade an entry the peer
-			// itself vouched for.
-			if cur.pos != pos {
-				return 1
+	if cur, ok := v.get(peer); ok {
+		if !firsthand {
+			if !conf.After(cur.conf) {
+				return cur.firsthand && cur.pos != pos
 			}
-			return 0
+			firsthand = cur.firsthand && cur.pos == pos
 		}
-		// Re-learning a verified peer keeps its verification.
-		firsthand = true
+		if cur.pos == pos {
+			v.set(ringEntry{peer, pos, firsthand, conf})
+			return false
+		}
+		v.remove(peer)
 	}
-	v.remove(peer)
-	e := ringEntry{peer, pos, firsthand}
-	v.succ = insertByDist(v.succ, e, cwDist(own, pos), own, true, succListLen)
-	v.pred = insertByDist(v.pred, e, cwDist(pos, own), own, false, succListLen)
-	return 0
+	e := ringEntry{peer, pos, firsthand, conf}
+	v.succ = insertByDist(v.succ, e, cwDist(own, pos), own, true)
+	v.pred = insertByDist(v.pred, e, cwDist(pos, own), own, false)
+	return false
 }
 
 // insertByDist places e into list (sorted by its direction's distance
-// from own), dropping the farthest entry past cap.
-func insertByDist(list []ringEntry, e ringEntry, d float64, own ring.ID, clockwise bool, cap int) []ringEntry {
-	if cap <= 0 {
-		cap = 1
-	}
+// from own), dropping the farthest entry past r.
+func insertByDist(list []ringEntry, e ringEntry, d float64, own ring.ID, clockwise bool) []ringEntry {
 	at := len(list)
 	for i, x := range list {
 		var xd float64
@@ -103,11 +126,14 @@ func insertByDist(list []ringEntry, e ringEntry, d float64, own ring.ID, clockwi
 			break
 		}
 	}
+	if at >= succListLen {
+		return list
+	}
 	list = append(list, ringEntry{})
 	copy(list[at+1:], list[at:])
 	list[at] = e
-	if len(list) > cap {
-		list = list[:cap]
+	if len(list) > succListLen {
+		list = list[:succListLen]
 	}
 	return list
 }
@@ -127,6 +153,30 @@ func (v *ringView) get(peer overlay.PeerID) (ringEntry, bool) {
 	return ringEntry{}, false
 }
 
+// set overwrites peer's entry wherever it sits (same position, so no
+// re-sort).
+func (v *ringView) set(e ringEntry) {
+	for _, list := range [2][]ringEntry{v.succ, v.pred} {
+		for i := range list {
+			if list[i].peer == e.peer {
+				list[i] = e
+			}
+		}
+	}
+}
+
+// confirm re-stamps peer's firsthand entry, if it has one: the heartbeat
+// sweep calls it for a link whose ping it suppressed because the link's
+// own traffic proved it alive. A linked peer announces its moves to this
+// node, so silence about its position from a peer that is talking is
+// confirmation.
+func (v *ringView) confirm(peer overlay.PeerID, now time.Time) {
+	if e, ok := v.get(peer); ok && e.firsthand {
+		e.conf = now
+		v.set(e)
+	}
+}
+
 // remove deletes peer from both lists (no-op when absent).
 func (v *ringView) remove(peer overlay.PeerID) {
 	v.succ = removeEntry(v.succ, peer)
@@ -142,12 +192,14 @@ func removeEntry(list []ringEntry, peer overlay.PeerID) []ringEntry {
 	return list
 }
 
-// prune drops every entry keep rejects (members that left the ring).
-func (v *ringView) prune(keep func(overlay.PeerID) bool) {
+// prune drops every entry keep rejects and reports whether it dropped
+// any.
+func (v *ringView) prune(keep func(ringEntry) bool) bool {
+	before := len(v.succ) + len(v.pred)
 	filter := func(list []ringEntry) []ringEntry {
 		out := list[:0]
 		for _, e := range list {
-			if keep(e.peer) {
+			if keep(e) {
 				out = append(out, e)
 			}
 		}
@@ -155,11 +207,17 @@ func (v *ringView) prune(keep func(overlay.PeerID) bool) {
 	}
 	v.succ = filter(v.succ)
 	v.pred = filter(v.pred)
+	return len(v.succ)+len(v.pred) != before
+}
+
+// lapsed reports whether a claim confirmed at conf is past its lifetime.
+func (v *ringView) lapsed(conf, now time.Time) bool {
+	return v.ttl > 0 && now.Sub(conf) > v.ttl
 }
 
 // rebase re-sorts both lists around a new owner position (after an
-// Algorithm-2 identifier move); entry positions and verification flags
-// are unchanged.
+// Algorithm-2 identifier move); entry positions, verification flags and
+// ages are unchanged.
 func (v *ringView) rebase(own ring.ID) {
 	entries := append([]ringEntry(nil), v.succ...)
 	for _, e := range v.pred {
@@ -169,8 +227,8 @@ func (v *ringView) rebase(own ring.ID) {
 	}
 	v.succ, v.pred = v.succ[:0], v.pred[:0]
 	for _, e := range entries {
-		v.succ = insertByDist(v.succ, e, cwDist(own, e.pos), own, true, succListLen)
-		v.pred = insertByDist(v.pred, e, cwDist(e.pos, own), own, false, succListLen)
+		v.succ = insertByDist(v.succ, e, cwDist(own, e.pos), own, true)
+		v.pred = insertByDist(v.pred, e, cwDist(e.pos, own), own, false)
 	}
 }
 
@@ -183,42 +241,36 @@ func containsEntry(list []ringEntry, peer overlay.PeerID) bool {
 	return false
 }
 
-// heads returns the nearest entry in each direction that live accepts
-// (-1 when the list holds no acceptable entry) — the node's short-range
-// ring links. Hardened, a firsthand entry is preferred over any hearsay
-// one: the ring links a node heartbeats must be peers that claimed their
-// own position, with hearsay only bridging the bootstrap window before
-// first-person evidence arrives.
+// heads returns the node's short-range ring links: in each direction the
+// nearest firsthand entry live accepts — a peer that claimed its own
+// position — falling back to the nearest hearsay entry only while the
+// list holds no firsthand one (-1 when it holds nothing acceptable).
 func (v *ringView) heads(live func(overlay.PeerID) bool) (succ, pred overlay.PeerID) {
 	pick := func(list []ringEntry) overlay.PeerID {
-		if v.hardened {
-			for _, e := range list {
-				if e.firsthand && live(e.peer) {
-					return e.peer
-				}
-			}
-		}
+		fallback := overlay.PeerID(-1)
 		for _, e := range list {
-			if live(e.peer) {
+			if !live(e.peer) {
+				continue
+			}
+			if e.firsthand {
 				return e.peer
 			}
+			if fallback < 0 {
+				fallback = e.peer
+			}
 		}
-		return -1
+		return fallback
 	}
 	return pick(v.succ), pick(v.pred)
 }
 
-// probation returns hearsay entries sitting ahead of the firsthand head
-// in each direction — peers that would be the short-range links if their
-// claims were verified. Hardened nodes ping them alongside the links:
-// the pong's self-entry is first-person evidence and upgrades the entry,
-// so a nearer honest neighbor only stays hearsay for one heartbeat RTT.
-// Without this, firsthand-preference would pin heads() on farther
-// verified peers forever. Nil when the view is not hardened.
+// probation returns the hearsay entries sitting ahead of the firsthand
+// head in each direction — peers that would be the short-range links if
+// their claims were verified. The heartbeat sweep pings them alongside
+// the links: the pong's self-entry is first-person evidence and places
+// the peer, so a nearer neighbor stays a candidate for one heartbeat RTT
+// and a stale claim is refuted by the peer it names.
 func (v *ringView) probation(live func(overlay.PeerID) bool) []overlay.PeerID {
-	if !v.hardened {
-		return nil
-	}
 	var out []overlay.PeerID
 	scan := func(list []ringEntry) {
 		for _, e := range list {
@@ -236,8 +288,8 @@ func (v *ringView) probation(live func(overlay.PeerID) bool) []overlay.PeerID {
 	return out
 }
 
-// succPos returns the position of the first succ entry matching peer
-// (used for the Algorithm-1 free-arc computation), ok=false when absent.
+// posOf returns the position the view holds for peer, ok=false when
+// absent.
 func (v *ringView) posOf(peer overlay.PeerID) (ring.ID, bool) {
 	if e, ok := v.get(peer); ok {
 		return e.pos, true
@@ -245,19 +297,35 @@ func (v *ringView) posOf(peer overlay.PeerID) (ring.ID, bool) {
 	return 0, false
 }
 
-// wireFields renders both lists (self prepended to the successor side so
-// receivers learn the sender's own position too) for Pong/JoinReply
-// piggybacking.
-func (v *ringView) wireFields(self overlay.PeerID, own ring.ID) (succs []int32, succPos []uint64, preds []int32, predPos []uint64) {
-	succs = append(succs, int32(self))
-	succPos = append(succPos, math.Float64bits(float64(own)))
-	for _, e := range v.succ {
-		succs = append(succs, int32(e.peer))
-		succPos = append(succPos, math.Float64bits(float64(e.pos)))
+// piggyback renders both lists onto a Pong or JoinReply (self prepended
+// to the successor side, so receivers learn the sender's own position
+// first-hand), with each claim's age in milliseconds in the frame's
+// Neighborhood slot — successors, then predecessors (wire.Message).
+// Lapsed claims are not passed on.
+func (v *ringView) piggyback(m *wire.Message, self overlay.PeerID, own ring.ID, now time.Time) {
+	ns, np := 1+len(v.succ), len(v.pred)
+	m.Succs = append(make([]int32, 0, ns), int32(self))
+	m.SuccPos = append(make([]uint64, 0, ns), math.Float64bits(float64(own)))
+	m.Neighborhood = append(make([]int32, 0, ns+np), 0)
+	m.Preds, m.PredPos = make([]int32, 0, np), make([]uint64, 0, np)
+	render := func(list []ringEntry, peers *[]int32, poss *[]uint64) {
+		for _, e := range list {
+			if v.lapsed(e.conf, now) {
+				continue
+			}
+			age := max(now.Sub(e.conf)/time.Millisecond, 0)
+			*peers = append(*peers, int32(e.peer))
+			*poss = append(*poss, math.Float64bits(float64(e.pos)))
+			m.Neighborhood = append(m.Neighborhood, int32(min(age, math.MaxInt32)))
+		}
 	}
-	for _, e := range v.pred {
-		preds = append(preds, int32(e.peer))
-		predPos = append(predPos, math.Float64bits(float64(e.pos)))
-	}
-	return succs, succPos, preds, predPos
+	render(v.succ, &m.Succs, &m.SuccPos)
+	render(v.pred, &m.Preds, &m.PredPos)
+}
+
+// claimAges splits a piggybacked frame's age slot into its successor and
+// predecessor halves; a short slot leaves the tail ageless (read as 0).
+func claimAges(m *wire.Message) (succAge, predAge []int32) {
+	k := min(len(m.Succs), len(m.Neighborhood))
+	return m.Neighborhood[:k], m.Neighborhood[k:]
 }

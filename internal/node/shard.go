@@ -8,6 +8,7 @@ import (
 	"selectps/internal/inbox"
 	"selectps/internal/obs"
 	"selectps/internal/sched"
+	"selectps/internal/selectcore"
 	"selectps/internal/transport"
 )
 
@@ -231,16 +232,27 @@ func (s *shard) serve() {
 // (the thundering herd the per-node Tickers created at Start).
 func (s *shard) scheduleNode(n *Node, start time.Time) {
 	pid := int32(n.id)
-	arm := func(kind uint64, every time.Duration) {
+	arm := func(kind uint64, every time.Duration) time.Time {
 		if every <= 0 {
-			return
+			return time.Time{}
 		}
 		off := time.Duration(splitmix64(uint64(uint32(pid))<<3|kind) % uint64(every))
 		s.wheel.Schedule(timerID(pid, kind), start.Add(off))
+		return start.Add(off)
 	}
-	arm(tkHeartbeat, n.cfg.HeartbeatEvery)
-	arm(tkGossip, n.cfg.GossipEvery)
+	n.hb.anchor = arm(tkHeartbeat, n.cfg.HeartbeatEvery)
+	n.gs.anchor = arm(tkGossip, n.cfg.GossipEvery)
 	arm(tkMaintain, n.cfg.MaintainEvery)
+}
+
+// scheduleAt upserts wheel entry id to fire at `at` and kicks the loop so
+// its sleep shortens. Safe from any goroutine.
+func (s *shard) scheduleAt(id uint64, at time.Time) {
+	s.wheel.Schedule(id, at)
+	select {
+	case s.kick <- struct{}{}:
+	default:
+	}
 }
 
 // scheduleRepair upserts (or cancels) the node's repair deadline and
@@ -264,11 +276,7 @@ func (s *shard) scheduleRepair(n *Node) {
 // flush is pending (ackFlushArmed) — re-scheduling would push the
 // deadline back and starve the buffer under sustained traffic.
 func (s *shard) scheduleAckFlush(n *Node, at time.Time) {
-	s.wheel.Schedule(timerID(int32(n.id), tkAckFlush), at)
-	select {
-	case s.kick <- struct{}{}:
-	default:
-	}
+	s.scheduleAt(timerID(int32(n.id), tkAckFlush), at)
 }
 
 // scheduleInbox upserts (or cancels) the node's durable-tier deadline —
@@ -420,9 +428,6 @@ func (s *shard) fire(f sched.Fired, now time.Time) {
 	}
 	pid := int32(uint32(f.ID >> 3))
 	n := s.c.Nodes[pid]
-	periodic := func(every time.Duration) {
-		s.wheel.Schedule(f.ID, nextPeriodic(f.At, now, every))
-	}
 	// Congestion governor: a backlogged shard skips the BODY of periodic
 	// fires (cadence continues) so control traffic yields to draining the
 	// data queue. Timer fires preempt queue service in this loop — due()
@@ -438,26 +443,24 @@ func (s *shard) fire(f sched.Fired, now time.Time) {
 	// never silently.
 	// Repair fires are exempt: they are the reliability path, already
 	// bounded by the per-publication retry budget and backoff.
-	shed := s.queued >= shedBacklog
-	body := func(run func()) {
-		if shed {
+	run := func() bool {
+		if s.queued >= shedBacklog {
 			s.obs.Inc(obs.CTimerShed)
-			return
+			return false
 		}
-		if !n.paused.Load() {
-			run()
-		}
+		return !n.paused.Load()
 	}
 	switch kind {
 	case tkHeartbeat:
-		body(n.sendHeartbeats)
-		periodic(n.cfg.HeartbeatEvery)
+		// Heartbeat and gossip re-arm at base<<level (cadence.go).
+		s.wheel.Schedule(f.ID, n.heartbeatFire(f.At, now, run()))
 	case tkGossip:
-		body(n.sendExchange)
-		periodic(n.cfg.GossipEvery)
+		s.wheel.Schedule(f.ID, n.gossipFire(f.At, now, run()))
 	case tkMaintain:
-		body(n.maintainTick)
-		periodic(n.cfg.MaintainEvery)
+		if run() {
+			n.maintainTick()
+		}
+		s.wheel.Schedule(f.ID, nextPeriodic(f.At, now, n.cfg.MaintainEvery))
 	case tkRepair:
 		n.repairTick()
 		if at, ok := n.nextRepairAt(); ok {
@@ -496,12 +499,27 @@ func nextPeriodic(at, now time.Time, every time.Duration) time.Time {
 }
 
 // monitorTick publishes the runtime-scale gauges: wheel entries per
-// shard, and (from shard 0) the live goroutine count the budget gate
-// watches.
+// shard, how many of the shard's nodes sit at each heartbeat and gossip
+// back-off level (cadence.go), and (from shard 0) the live goroutine
+// count the budget gate watches.
 func (s *shard) monitorTick() {
-	s.obs.SetGauge("wheel_entries_shard_"+strconv.Itoa(s.idx), int64(s.wheel.Len()))
+	shard := "_shard_" + strconv.Itoa(s.idx)
+	s.obs.SetGauge("wheel_entries"+shard, int64(s.wheel.Len()))
 	if s.ibx != nil {
-		s.obs.SetGauge("inbox_depth_shard_"+strconv.Itoa(s.idx), int64(s.ibx.Depth()))
+		s.obs.SetGauge("inbox_depth"+shard, int64(s.ibx.Depth()))
+	}
+	var hb, gs [selectcore.CadenceMaxLevel + 1]int64
+	for _, n := range s.c.Nodes {
+		if n.sh == s {
+			n.mu.Lock()
+			hb[n.hb.Level()]++
+			gs[n.gs.Level()]++
+			n.mu.Unlock()
+		}
+	}
+	for l := range hb {
+		s.obs.SetGauge("cadence_level_"+strconv.Itoa(l)+shard, hb[l])
+		s.obs.SetGauge("cadence_gossip_level_"+strconv.Itoa(l)+shard, gs[l])
 	}
 	if s.idx == 0 {
 		s.obs.SetGauge("goroutines", int64(runtime.NumGoroutine()))

@@ -79,7 +79,7 @@ const (
 
 	// node: self-healing engine (DESIGN.md §9).
 	CLinkSuspect   // links promoted to suspect by the failure detector
-	CLinkDeadEvict // links declared dead and evicted (long links)
+	CLinkDeadEvict // peers declared dead and evicted (long links, ring neighbors, ring candidates)
 	CRingSplice    // ring neighbors spliced from the successor list
 	CDeadLetter    // publications dead-lettered after the retry budget
 	CJoinResend    // join requests re-sent by the retry scheduler
@@ -128,6 +128,23 @@ const (
 	CAckTTLDrop        // batched routed-ack entries expired in relay
 	CHeartbeatSuppress // heartbeat pings skipped: data traffic already proved liveness
 	CIngressBatch      // envelope batches delivered to shard mailboxes in bulk
+
+	// node: liveness cadence and the quiet control plane (DESIGN.md §8.2,
+	// §9.3, §15.2). The cadence_reset_* counters say what keeps a node at
+	// the base heartbeat/gossip interval, one per selectcore.CadenceEvent.
+	CCadenceResetMiss       // a heartbeat probe went unanswered
+	CCadenceResetDetector   // a link turned suspect or was evicted dead
+	CCadenceResetLink       // a long link was accepted, dropped or evicted
+	CCadenceResetRing       // a ring head changed or the node moved its own identifier
+	CCadenceResetMembership // IDAnnounce/JoinRequest/JoinReply/Leave handled, or a departed peer pruned
+	CCadenceResetGossipNews // an exchange changed a strength, bitmap or lookahead entry
+	CCadenceResetRetry      // a publication reached its second consecutive retry
+	CHeartbeatSweep         // heartbeat sweeps run
+	CHeartbeatSweepBase     // ...of which at the base interval (level 0)
+	CRingHeadChange         // short-range ring links re-derived to a different peer
+	CLinkProposalRefused    // proposals answered with LinkDrop (target's incoming cap full) and remembered
+	CPublishOfflineSkip     // publication copies not sent: the target is not a ring member
+	CAckOfflineDrop         // acks dropped: the publisher is not a ring member
 
 	numCounters
 )
@@ -220,6 +237,20 @@ var counterNames = [numCounters]string{
 	CAckTTLDrop:        "ack_ttl_drop",
 	CHeartbeatSuppress: "heartbeat_suppressed",
 	CIngressBatch:      "ingress_batch",
+
+	CCadenceResetMiss:       "cadence_reset_miss",
+	CCadenceResetDetector:   "cadence_reset_detector",
+	CCadenceResetLink:       "cadence_reset_link",
+	CCadenceResetRing:       "cadence_reset_ring",
+	CCadenceResetMembership: "cadence_reset_membership",
+	CCadenceResetGossipNews: "cadence_reset_gossip_news",
+	CCadenceResetRetry:      "cadence_reset_retry",
+	CHeartbeatSweep:         "heartbeat_sweep",
+	CHeartbeatSweepBase:     "heartbeat_sweep_base",
+	CRingHeadChange:         "ring_head_change",
+	CLinkProposalRefused:    "link_proposal_refused",
+	CPublishOfflineSkip:     "publish_offline_skip",
+	CAckOfflineDrop:         "ack_offline_drop",
 }
 
 // String returns the counter's export name.

@@ -337,6 +337,15 @@ func (r *Report) String() string {
 	if r.FramesPerDelivered > 0 {
 		fmt.Fprintf(&b, "frames/delivered-msg: %.2f\n", r.FramesPerDelivered)
 	}
+	if c := r.Obs.Counters; c["heartbeat_sweep"] > 0 {
+		// How quiet the control plane got, and what kept it awake
+		// (DESIGN.md §15.2): under loss or churn nearly every sweep should
+		// run at the base interval, in a calm cluster nearly none.
+		fmt.Fprintf(&b, "liveness cadence: %d/%d heartbeat sweeps at the base interval (%.1f%%); resets: miss=%d detector=%d link=%d ring=%d membership=%d gossip_news=%d retry=%d\n",
+			c["heartbeat_sweep_base"], c["heartbeat_sweep"], 100*float64(c["heartbeat_sweep_base"])/float64(c["heartbeat_sweep"]),
+			c["cadence_reset_miss"], c["cadence_reset_detector"], c["cadence_reset_link"], c["cadence_reset_ring"],
+			c["cadence_reset_membership"], c["cadence_reset_gossip_news"], c["cadence_reset_retry"])
+	}
 	if r.OfflineCount > 0 {
 		fmt.Fprintf(&b, "offline subscribers: %d crashed through workload; after rejoin replay %d/%d owed = %.2f%% (all subscribers %d/%d = %.2f%%, %d app-level duplicates)\n",
 			r.OfflineCount, r.OfflineDelivered, r.OfflineWanted, 100*r.OfflineRate,

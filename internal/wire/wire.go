@@ -20,9 +20,12 @@ type Kind uint8
 
 // Message kinds.
 const (
-	// KindPing probes a peer's liveness (§III-F heartbeats).
+	// KindPing probes a peer's liveness (§III-F heartbeats). It names the
+	// prober's own ring position as Succs[0]/SuccPos[0], so the probed
+	// peer learns it first-hand.
 	KindPing Kind = iota + 1
-	// KindPong answers a ping.
+	// KindPong answers a ping, piggybacking the responder's successor and
+	// predecessor lists (Succs, Preds) with the age of each claim.
 	KindPong
 	// KindExchangeRT carries a peer's social neighborhood C_p and routing
 	// table R_p to a random friend (Algorithm 3 line 3).
@@ -185,6 +188,9 @@ type Message struct {
 	Seq uint32
 
 	// ExchangeRT: the sender's social neighborhood and routing table.
+	// On Pong and JoinReply, which have no neighborhood to send, the
+	// Neighborhood slot carries the ages of the piggybacked ring claims
+	// instead (see Succs).
 	Neighborhood []int32
 	RoutingTable []int32
 
@@ -212,9 +218,17 @@ type Message struct {
 
 	// Succs/Preds carry the sender's r-deep successor/predecessor lists
 	// with parallel ring positions (math.Float64bits), piggybacked on
-	// Pong and JoinReply so every node learns enough ring redundancy to
-	// splice around a dead neighbor locally (DESIGN.md §9). SuccPos[i]
-	// is the position of Succs[i]; likewise for preds.
+	// Pong and JoinReply (Ping carries the sender's self entry only) so
+	// every node learns enough ring redundancy to splice around a dead
+	// neighbor locally (DESIGN.md §9). SuccPos[i]
+	// is the position of Succs[i]; likewise for preds. Each claim has an
+	// age: how long ago, in milliseconds, the named peer itself last
+	// confirmed that position as far as the sender knows. Receivers keep
+	// the fresher of two claims about a peer and let old ones lapse, so a
+	// stale position cannot echo between neighbours (DESIGN.md §9.3). The
+	// ages ride in Neighborhood — successors first, then predecessors; a
+	// missing age reads 0 — because the frame layout is fixed and these
+	// kinds leave that slot empty.
 	Succs   []int32
 	SuccPos []uint64
 	Preds   []int32
