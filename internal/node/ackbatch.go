@@ -1,7 +1,7 @@
 package node
 
 import (
-	"sort"
+	"slices"
 	"time"
 
 	"selectps/internal/obs"
@@ -9,14 +9,17 @@ import (
 	"selectps/internal/wire"
 )
 
-// Ack batching (DESIGN.md §15): under flood load most frames on the wire
-// are single-ack control messages — one KindAck per delivery, one
-// KindInboxDepositAck per deposit, one KindTopicPubAck per hand-off.
-// Instead of sending each immediately, a node buffers ack entries per
-// next hop and flushes each bucket as one KindAckBatch frame when the
-// shard wheel's tkAckFlush entry fires (~ackFlushEvery after the first
-// buffered ack) or when a bucket reaches ackBatchMax. The repair engine
-// settles every member seq of a batch in one lock pass.
+// Ack batching (DESIGN.md §15.1). A delivery ack, a deposit ack and a
+// topic hand-off ack are each one wire.AckEntry, and the only frame that
+// carries entries is KindAckBatch: a node buffers them per next hop and
+// flushes a bucket as one frame. The flush rule follows the dissemination
+// tree. A handler that forwarded none of its frame's destinations onward
+// has nothing to wait for, and the bucket its ack lands in leaves at
+// once, with whatever was waiting there. A node that did forward arms the
+// shard wheel's tkAckFlush entry (~ackFlushEvery), so the acks of the
+// peers beyond it — tree leaves answer at once — ride the same frame as
+// its own. A bucket that reaches ackBatchMax leaves early. The repair
+// engine settles every member seq of a batch in one lock pass.
 
 const (
 	// ackFlushEvery is the longest an ack may sit buffered before its
@@ -24,6 +27,10 @@ const (
 	ackFlushEvery = time.Millisecond
 	// ackBatchMax flushes a next-hop bucket early at this many entries.
 	ackBatchMax = 64
+	// ackInline is how many entries a switchboard-bound batch frame holds
+	// without a second allocation; a fault-free feed-tcp run carries 1.3
+	// per frame.
+	ackInline = 4
 )
 
 // hbSuppressMax bounds consecutive piggyback-suppressed heartbeats per
@@ -31,104 +38,153 @@ const (
 // successor/predecessor lists (ring anti-entropy) data frames do not.
 const hbSuppressMax = 4
 
-// AckBatchMode selects when the coalescing path is active.
+// AckBatchMode is the type of Options.AckBatch, a field that selects
+// nothing any more: acks are batched on every transport.
 type AckBatchMode int
 
-const (
-	// AckBatchAuto enables batching only when the transport exposes raw
-	// frame sending (transport.FrameSender — the TCP path). Wrapped
-	// transports (faultnet) keep the one-frame-per-ack protocol, so
-	// chaos schedules and canonical traces are byte-identical.
-	AckBatchAuto AckBatchMode = iota
-	// AckBatchOn forces batching regardless of transport.
-	AckBatchOn
-	// AckBatchOff forces the plain one-frame-per-ack protocol.
-	AckBatchOff
-)
+// AckBatchAuto is AckBatchMode's only value.
+const AckBatchAuto AckBatchMode = iota
 
-// queueAck buffers one ack entry toward its destination. direct entries
-// go straight to Dest (the deposit/topic-ack point-to-point contracts);
-// routed ones take the same greedy next hop the plain KindAck would.
-// Called outside n.mu.
-func (n *Node) queueAck(e wire.AckEntry, direct bool) {
-	hop := overlay.PeerID(e.Dest)
-	if !direct {
-		var r route
-		hop, r = n.nextHop(overlay.PeerID(e.Dest))
-		if r != routeOK {
-			// Same accounting as forward(): the publisher's ack
-			// bookkeeping notices the loss and repairs.
-			n.countUnroutable(r, wire.KindAck, e.Seq)
-			return
+// ackBucket is the buffered entries bound for one next hop. Buckets live
+// in Node.ackBuckets in order of first use since the last timed flush,
+// which is the order they are flushed in — deterministic without a sort
+// — and a flushed bucket keeps its storage for the next entry.
+type ackBucket struct {
+	hop  overlay.PeerID
+	acks []wire.AckEntry
+}
+
+// ackFrame is a KindAckBatch message for a transport that passes the
+// pointer on, with room for a typical batch in the same allocation.
+type ackFrame struct {
+	m      wire.Message
+	inline [ackInline]wire.AckEntry
+}
+
+// queueAck buffers one routed ack (KindAck) toward e.Dest by the greedy
+// next hop. leaf says the caller forwarded nothing onward: the entry's
+// bucket is flushed at once. Called outside n.mu.
+func (n *Node) queueAck(e wire.AckEntry, leaf bool) {
+	dest, hops := [1]overlay.PeerID{e.Dest}, [1]overlay.PeerID{}
+	n.routeBatch(dest[:], hops[:], -1)
+	if hops[0] < 0 {
+		// The publisher's ack bookkeeping notices the loss and repairs.
+		n.countUnroutable(verdictOf(hops[0]), wire.KindAck, e.Seq)
+		return
+	}
+	if leaf {
+		n.cfg.Obs.Inc(obs.CAckLeafFlush)
+	}
+	n.bufferAck(hops[0], e, leaf)
+}
+
+// directAck sends one point-to-point ack — the deposit and topic-ack
+// contracts — straight to e.Dest. Nothing answers through this node on
+// such a path, so the entry never waits. Called outside n.mu.
+func (n *Node) directAck(e wire.AckEntry) {
+	n.cfg.Obs.Inc(obs.CAckLeafFlush)
+	n.bufferAck(overlay.PeerID(e.Dest), e, true)
+}
+
+// ackBucketLocked returns hop's bucket, opening one at the end of the
+// list — in a slot the last timed flush vacated, if there is one, whose
+// storage it takes over — when hop has none.
+func (n *Node) ackBucketLocked(hop overlay.PeerID) *ackBucket {
+	for i := range n.ackBuckets {
+		if n.ackBuckets[i].hop == hop {
+			return &n.ackBuckets[i]
 		}
 	}
-	n.cfg.Obs.Inc(obs.CAckCoalesced)
-	var flush []wire.AckEntry
-	arm := false
-	n.mu.Lock()
-	bucket := append(n.ackBuf[hop], e)
-	if len(bucket) >= ackBatchMax {
-		flush = bucket
-		delete(n.ackBuf, hop)
+	i := len(n.ackBuckets)
+	if i < cap(n.ackBuckets) {
+		n.ackBuckets = n.ackBuckets[:i+1]
+		n.ackBuckets[i].hop, n.ackBuckets[i].acks = hop, n.ackBuckets[i].acks[:0]
 	} else {
-		n.ackBuf[hop] = bucket
-		if !n.ackFlushArmed {
-			n.ackFlushArmed = true
-			arm = true
-		}
+		n.ackBuckets = append(n.ackBuckets, ackBucket{hop: hop})
 	}
-	n.mu.Unlock()
-	if flush != nil {
-		n.sendAckBatch(hop, flush)
+	return &n.ackBuckets[i]
+}
+
+// bufferAck appends e to hop's bucket and flushes the bucket if it is
+// full or atOnce is set; otherwise the entry waits for the timed flush,
+// which the first waiting entry arms.
+func (n *Node) bufferAck(hop overlay.PeerID, e wire.AckEntry, atOnce bool) {
+	n.cfg.Obs.Inc(obs.CAckCoalesced)
+	n.mu.Lock()
+	b := n.ackBucketLocked(hop)
+	b.acks = append(b.acks, e)
+	// A node without a shard runtime (unit tests) has no wheel to wait on.
+	atOnce = atOnce || len(b.acks) >= ackBatchMax || n.sh == nil
+	arm := !atOnce && !n.ackFlushArmed
+	if arm {
+		n.ackFlushArmed = true
+	}
+	if atOnce {
+		n.sendBucketAndUnlock(b)
+	} else {
+		n.mu.Unlock()
 	}
 	if arm {
-		if n.sh != nil {
-			n.sh.scheduleAckFlush(n, time.Now().Add(ackFlushEvery))
-		} else {
-			// No shard runtime (unit-test node): flush inline.
-			n.flushAcks()
-		}
+		n.sh.scheduleAckFlush(n, time.Now().Add(ackFlushEvery))
 	}
 }
 
 // flushAcks drains every buffered bucket — the tkAckFlush wheel entry's
-// body. One-shot: the entry re-arms on the next queued ack.
+// body. One-shot: the entry re-arms on the next entry that waits.
 func (n *Node) flushAcks() {
 	n.mu.Lock()
 	n.ackFlushArmed = false
-	if len(n.ackBuf) == 0 {
-		n.mu.Unlock()
-		return
+	// The lock is released around every send, so the list is walked by
+	// index and vacated only if nothing was buffered meanwhile.
+	for i := 0; i < len(n.ackBuckets); i++ {
+		if b := &n.ackBuckets[i]; len(b.acks) > 0 {
+			n.sendBucketAndUnlock(b)
+			n.mu.Lock()
+		}
 	}
-	buf := n.ackBuf
-	n.ackBuf = make(map[overlay.PeerID][]wire.AckEntry)
+	if !slices.ContainsFunc(n.ackBuckets, func(b ackBucket) bool { return len(b.acks) > 0 }) {
+		n.ackBuckets = n.ackBuckets[:0]
+	}
 	n.mu.Unlock()
-	if n.paused.Load() {
-		// Churned out between buffering and flush: the acks die with the
-		// pause, exactly like any frame an unresponsive process never sent.
-		return
-	}
-	// Deterministic hop order so a forced-on switchboard run is
-	// schedule-independent where it can be.
-	hops := make([]overlay.PeerID, 0, len(buf))
-	for hop := range buf {
-		hops = append(hops, hop)
-	}
-	sort.Slice(hops, func(i, j int) bool { return hops[i] < hops[j] })
-	for _, hop := range hops {
-		n.sendAckBatch(hop, buf[hop])
-	}
 }
 
-// sendAckBatch emits one coalesced frame to hop. len(acks) > 0.
-func (n *Node) sendAckBatch(hop overlay.PeerID, acks []wire.AckEntry) {
-	if n.paused.Load() {
+// sendBucketAndUnlock empties b into one KindAckBatch frame, releases
+// n.mu — the transport is never entered under it — and sends the frame.
+// Over a frame-sending transport the frame is marshaled into a pooled
+// buffer under the lock and nothing is allocated; otherwise the receiver
+// gets a Message of its own. len(b.acks) > 0. The acks of a node that
+// churned out between buffering and flush die with the pause, like any
+// frame an unresponsive process never sent.
+func (n *Node) sendBucketAndUnlock(b *ackBucket) {
+	hop := int32(b.hop)
+	var buf *[]byte
+	var f *ackFrame
+	switch {
+	case n.paused.Load():
+	case n.fs != nil:
+		buf = wire.GetFrame()
+		*buf = wire.MarshalAppend((*buf)[:0], &wire.Message{
+			Kind: wire.KindAckBatch, From: int32(n.id), To: hop, Acks: b.acks,
+		})
+	default:
+		f = new(ackFrame)
+		f.m = wire.Message{
+			Kind: wire.KindAckBatch, From: int32(n.id), To: hop,
+			Acks: append(f.inline[:0], b.acks...),
+		}
+	}
+	b.acks = b.acks[:0]
+	n.mu.Unlock()
+	if buf == nil && f == nil {
 		return
 	}
 	n.cfg.Obs.Inc(obs.CAckBatchSent)
-	_ = n.tr.Send(int32(hop), &wire.Message{
-		Kind: wire.KindAckBatch, From: int32(n.id), To: int32(hop), Acks: acks,
-	})
+	if buf != nil {
+		_ = n.fs.SendFrame(int32(n.id), hop, *buf)
+		wire.PutFrame(buf)
+	} else {
+		_ = n.tr.Send(hop, &f.m)
+	}
 }
 
 // handleAckBatch consumes every entry destined for this node in one
@@ -137,11 +193,12 @@ func (n *Node) handleAckBatch(m *wire.Message) {
 	ibxOn := n.inboxOn()
 	now := time.Now()
 	var ackN, depN int64
-	kickR := false
+	kickR, relay := false, false
 	n.mu.Lock()
 	for _, e := range m.Acks {
 		if overlay.PeerID(e.Dest) != n.id {
-			continue // relayed below, outside the lock
+			relay = true // below, outside the lock
+			continue
 		}
 		switch e.Kind {
 		case wire.KindAck:
@@ -171,43 +228,53 @@ func (n *Node) handleAckBatch(m *wire.Message) {
 	if kickR {
 		n.kickRetry()
 	}
-	for _, e := range m.Acks {
-		if overlay.PeerID(e.Dest) != n.id {
-			n.relayAckEntry(e)
-		}
+	for acks := m.Acks; relay && len(acks) > 0; {
+		k := min(len(acks), ackBatchMax)
+		n.relayAcks(acks[:k], overlay.PeerID(m.From))
+		acks = acks[k:]
 	}
 }
 
-// relayAckEntry moves one not-for-us entry a hop closer. Routed entries
-// (KindAck) spend relay budget exactly like the plain frame would —
-// except the drop is counted, the plain path's one observability gap.
-// When this hop has batching off (mixed-mode defensive path), the entry
-// unpacks back to its single-frame form.
-func (n *Node) relayAckEntry(e wire.AckEntry) {
-	direct := e.Kind != wire.KindAck
-	if !direct {
-		if e.TTL == 0 {
+// relayAcks moves the not-for-us entries of acks — at most ackBatchMax —
+// a hop closer. Routed entries (KindAck) spend relay budget, and are
+// routed together: a batch's entries mostly share one destination. They
+// never go back to from, the peer that sent the batch (routeBatch). A
+// point-to-point entry that ended up here goes on to its Dest.
+func (n *Node) relayAcks(acks []wire.AckEntry, from overlay.PeerID) {
+	var destBuf, hopBuf [ackBatchMax]overlay.PeerID
+	dests := destBuf[:0]
+	for _, e := range acks {
+		if d := overlay.PeerID(e.Dest); d != n.id && e.Kind == wire.KindAck && e.TTL > 0 && !slices.Contains(dests, d) {
+			dests = append(dests, d)
+		}
+	}
+	hops := hopBuf[:len(dests)]
+	if len(dests) > 0 {
+		n.routeBatch(dests, hops, from)
+	}
+	for _, e := range acks {
+		d := overlay.PeerID(e.Dest)
+		switch {
+		case d == n.id:
+		case e.Kind != wire.KindAck:
+			if n.dir.valid(d) {
+				n.bufferAck(d, e, false)
+			}
+		case e.TTL == 0:
 			n.cfg.Obs.Inc(obs.CAckTTLDrop)
-			return
+		default:
+			hop := hops[slices.Index(dests, d)]
+			if hop < 0 {
+				n.countUnroutable(verdictOf(hop), wire.KindAck, e.Seq)
+				continue
+			}
+			e.TTL--
+			n.bufferAck(hop, e, false)
 		}
-		e.TTL--
-	}
-	if n.ackBatch {
-		n.queueAck(e, direct)
-		return
-	}
-	m := &wire.Message{
-		Kind: e.Kind, From: e.From, To: e.Dest, Seq: e.Seq,
-		Publisher: e.Pub, Target: e.Target, TTL: e.TTL,
-	}
-	if direct {
-		_ = n.tr.Send(e.Dest, m)
-	} else {
-		n.forward(m, overlay.PeerID(e.Dest))
 	}
 }
 
-// ---- consume cores shared by the plain handlers and the batch pass ----
+// ---- consume cores of the batch pass ----
 
 // consumeAckLocked folds one delivery ack (acker from, publication
 // pub/seq) into the publisher-side repair state. Callers hold n.mu and

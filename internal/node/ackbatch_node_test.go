@@ -9,14 +9,14 @@ import (
 	"selectps/internal/wire"
 )
 
-// TestAckBatchedDeliveryResolves is ack conservation end to end: with
-// coalescing forced on (switchboard would stay plain under Auto), every
-// subscriber ack must still reach the publisher's repair engine — each
-// publication resolves, none retries forever or dead-letters.
+// TestAckBatchedDeliveryResolves is ack conservation end to end: every
+// subscriber ack must reach the publisher's repair engine through the
+// batched path — each publication resolves, none retries forever or
+// dead-letters.
 func TestAckBatchedDeliveryResolves(t *testing.T) {
 	met := obs.New()
 	g, c := buildCluster(t, 150, 5, Options{
-		AckBatch: AckBatchOn, RetryBase: 20 * time.Millisecond, Obs: met,
+		RetryBase: 20 * time.Millisecond, Obs: met,
 	})
 	defer shutdown(t, c)
 	pub := topDegree(g)
@@ -48,12 +48,11 @@ func TestAckBatchedDeliveryResolves(t *testing.T) {
 	}
 }
 
-// TestShardCountEquivalentDeliverySetsBatched is the batched-mode twin
-// of TestShardCountEquivalentDeliverySets: coalescing must not make the
-// delivery set depend on how many event loops drain it.
+// TestShardCountEquivalentDeliverySetsBatched: coalescing must not make
+// the delivery set depend on how many event loops drain it.
 func TestShardCountEquivalentDeliverySetsBatched(t *testing.T) {
 	deliveries := func(shards int) map[overlay.PeerID]bool {
-		g, c := buildCluster(t, 150, 5, Options{Shards: shards, AckBatch: AckBatchOn})
+		g, c := buildCluster(t, 150, 5, Options{Shards: shards})
 		defer shutdown(t, c)
 		pub := topDegree(g)
 		subs := g.Neighbors(pub)
@@ -82,11 +81,11 @@ func TestShardCountEquivalentDeliverySetsBatched(t *testing.T) {
 }
 
 // TestAckBatchRelayAndTTLDrop drives handleAckBatch directly: an
-// expired routed entry is dropped (and counted — the plain path's one
-// silent spot), a live one relays hop by hop to its destination.
+// expired routed entry is dropped and counted, a live one relays hop by
+// hop to its destination.
 func TestAckBatchRelayAndTTLDrop(t *testing.T) {
 	met := obs.New()
-	_, c := buildCluster(t, 50, 7, Options{AckBatch: AckBatchOn, Obs: met})
+	_, c := buildCluster(t, 50, 7, Options{Obs: met})
 	defer shutdown(t, c)
 	relay := c.Nodes[1]
 	relay.handleAckBatch(&wire.Message{

@@ -140,6 +140,10 @@ func TestEclipseUnhardenedPoisons(t *testing.T) {
 func TestSybilHardenedRateLimits(t *testing.T) {
 	const n = 60
 	opts, met := attackOpts(true)
+	// The at-least-once configuration every soak arm runs: without the
+	// repair engine the one publication below is never re-sent, and a
+	// single copy lost in the post-attack churn fails the test.
+	opts.RetryBase = 20 * time.Millisecond
 	g, c := buildCluster(t, n, 5, opts)
 	defer shutdown(t, c)
 	victim := topDegree(g)

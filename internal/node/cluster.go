@@ -84,12 +84,10 @@ type Options struct {
 	// the simulator (zero value = selectcore.DefaultFailureDetector).
 	Detector selectcore.FailureDetector
 
-	// AckBatch selects the control-traffic coalescing mode (DESIGN.md
-	// §15): acks buffer per next hop and ride KindAckBatch frames instead
-	// of one frame each. AckBatchAuto (the zero value) enables batching
-	// only on raw framed transports (the same transport.FrameSender gate
-	// as the marshal-once heartbeat path), so faultnet-wrapped chaos
-	// schedules and their canonical traces stay byte-identical.
+	// AckBatch does nothing: acks buffer per next hop and ride
+	// KindAckBatch frames on every transport (DESIGN.md §15.1). The field
+	// and its one value, AckBatchAuto, are kept because the frozen
+	// bench/cluster.go sets them.
 	AckBatch AckBatchMode
 	// Inbox enables the durable delivery tier (DESIGN.md §12): instead of
 	// dead-lettering a publication for a subscriber that left the ring or

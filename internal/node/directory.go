@@ -36,6 +36,22 @@ func (d *directory) position(p overlay.PeerID) ring.ID {
 	return d.pos[p]
 }
 
+// appendPositions appends the positions of ps to dst under one lock —
+// the routing pass reads every link's position at once.
+func (d *directory) appendPositions(dst []ring.ID, ps []overlay.PeerID) []ring.ID {
+	d.mu.RLock()
+	defer d.mu.RUnlock()
+	for _, p := range ps {
+		dst = append(dst, d.pos[p])
+	}
+	return dst
+}
+
+// valid reports whether p is a peer id of this cluster; the table's size
+// never changes, so no lock is taken. Ids that arrive in frames are
+// outside input and index nothing before they pass here.
+func (d *directory) valid(p overlay.PeerID) bool { return p >= 0 && int(p) < len(d.pos) }
+
 func (d *directory) setPosition(p overlay.PeerID, id ring.ID) {
 	d.mu.Lock()
 	d.pos[p] = id

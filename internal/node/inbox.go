@@ -223,20 +223,6 @@ func settledLocked(acked map[int32]bool, st *pubState, s overlay.PeerID) bool {
 	return ds != nil && ds.acked
 }
 
-// handleInboxDepositAck consumes a replica's persistence confirmation:
-// the subscriber counts as durably handled and the publication may
-// resolve.
-func (n *Node) handleInboxDepositAck(m *wire.Message) {
-	if overlay.PeerID(m.To) != n.id || !n.inboxOn() {
-		return
-	}
-	n.cfg.Obs.Inc(obs.CInboxDepositAck)
-	n.mu.Lock()
-	n.consumeDepositAckLocked(m.Publisher, m.Seq, m.Target)
-	n.mu.Unlock()
-	n.kickRetry()
-}
-
 // ---- replica role: persist + replay ---------------------------------
 
 // handleInboxDeposit persists one deposited copy in the shard journal
@@ -263,17 +249,10 @@ func (n *Node) handleInboxDeposit(m *wire.Message) {
 	}
 	target := overlay.PeerID(m.Target)
 	var out []outMsg
-	if n.ackBatch {
-		n.queueAck(wire.AckEntry{
-			Kind: wire.KindInboxDepositAck, From: int32(n.id), Dest: m.From,
-			Pub: m.Publisher, Seq: m.Seq, Target: m.Target,
-		}, true)
-	} else {
-		out = append(out, outMsg{m.From, &wire.Message{
-			Kind: wire.KindInboxDepositAck, From: int32(n.id), To: m.From,
-			Seq: m.Seq, Publisher: m.Publisher, Target: m.Target,
-		}})
-	}
+	n.directAck(wire.AckEntry{
+		Kind: wire.KindInboxDepositAck, From: int32(n.id), Dest: m.From,
+		Pub: m.Publisher, Seq: m.Seq, Target: m.Target,
+	})
 	n.mu.Lock()
 	if n.dir.isMember(target) {
 		n.activateReplayLocked(target, 0)

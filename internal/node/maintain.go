@@ -747,9 +747,7 @@ func (n *Node) resetVolatileLocked() {
 	n.pendingPings = make(map[uint32]overlay.PeerID)
 	// Buffered-but-unflushed ack batches and piggybacked-liveness stamps
 	// die with the process, like any unsent frame.
-	if n.ackBatch {
-		n.ackBuf = make(map[overlay.PeerID][]wire.AckEntry)
-	}
+	n.ackBuckets = n.ackBuckets[:0]
 	n.ackFlushArmed = false
 	if n.hbPiggyback {
 		n.lastHeard = make(map[overlay.PeerID]time.Time)

@@ -11,9 +11,10 @@
 // overlay: each node owns its routing state and maintains it live with
 // the same decision rules the simulator converges with (selectcore):
 //
-//   - directed publication forwarding (§III-E): the publisher unicasts to
-//     every subscriber; intermediate nodes forward greedily using only
-//     their own links and their cached lookahead;
+//   - directed publication forwarding (§III-E): the publisher sends one
+//     frame per next hop, naming the subscribers that lie beyond it;
+//     intermediate nodes split the set again, routing greedily with only
+//     their own links and their cached lookahead (route.go);
 //   - the peer-sampling exchange (Algorithms 3–4): nodes periodically send
 //     their neighborhood and routing table to a random friend and receive
 //     the mutual-friend count — from which they learn social strength —
@@ -82,10 +83,11 @@ type Node struct {
 	g   *socialgraph.Graph
 	dir *directory
 	tr  transport.Transport
-	// fs is the transport's optional marshal-once fan-out path (TCP): the
-	// publish and heartbeat sweeps encode one frame and patch the To/Seq
-	// fields per destination. Nil on the switchboard and under faultnet,
-	// which keeps those paths byte-deterministic and fault-injectable.
+	// fs is the transport's optional raw-frame path (TCP): the publish
+	// fan-out, the ack flush and the heartbeat sweep marshal into a pooled
+	// buffer and hand over bytes instead of a Message. Nil on the
+	// switchboard and under faultnet, which pass the pointer on and stay
+	// byte-deterministic and fault-injectable.
 	fs     transport.FrameSender
 	cfg    Options
 	rng    *rand.Rand
@@ -197,13 +199,12 @@ type Node struct {
 	pickScratch []int32
 	askScratch  []int32
 
-	// Frame-economy fast path (DESIGN.md §15, ackbatch.go): ackBatch is
-	// the resolved coalescing switch; ackBuf holds buffered ack entries
-	// per next hop; ackFlushArmed guards the one-shot tkAckFlush wheel
-	// entry against re-arm (the wheel's Schedule is an upsert — re-arming
-	// would push the deadline back under sustained traffic).
-	ackBatch      bool
-	ackBuf        map[overlay.PeerID][]wire.AckEntry
+	// Ack batching (DESIGN.md §15.1, ackbatch.go): ackBuckets holds the
+	// buffered ack entries, one bucket per next hop in order of first use;
+	// ackFlushArmed guards the one-shot tkAckFlush wheel entry against
+	// re-arm (the wheel's Schedule is an upsert — re-arming would push the
+	// deadline back under sustained traffic).
+	ackBuckets    []ackBucket
 	ackFlushArmed bool
 	// Heartbeat piggybacking: lastHeard stamps the most recent inbound
 	// frame per peer (liveness evidence), hbSkip counts consecutive
@@ -283,19 +284,6 @@ func newNode(id overlay.PeerID, dir *directory, bw []float64, cfg Options, seed 
 	if fs, ok := cfg.Transport.(transport.FrameSender); ok {
 		n.fs = fs
 	}
-	switch cfg.AckBatch {
-	case AckBatchOn:
-		n.ackBatch = true
-	case AckBatchOff:
-	default:
-		// Auto: batch only on raw framed transports — the same gate as
-		// the marshal-once heartbeat path, so faultnet-wrapped chaos
-		// schedules keep the one-frame-per-ack protocol byte-identical.
-		n.ackBatch = n.fs != nil
-	}
-	if n.ackBatch {
-		n.ackBuf = make(map[overlay.PeerID][]wire.AckEntry)
-	}
 	n.hbPiggyback = cfg.HeartbeatEvery > 0
 	if n.hbPiggyback {
 		n.lastHeard = make(map[overlay.PeerID]time.Time)
@@ -365,8 +353,6 @@ func (n *Node) handle(m *wire.Message) {
 		n.handleExchangeReply(m)
 	case wire.KindPublish:
 		n.handlePublish(m)
-	case wire.KindAck:
-		n.routeOrConsumeAck(m)
 	case wire.KindAckBatch:
 		n.handleAckBatch(m)
 	case wire.KindJoinRequest:
@@ -398,8 +384,6 @@ func (n *Node) handle(m *wire.Message) {
 		n.handleLeave(m)
 	case wire.KindInboxDeposit:
 		n.handleInboxDeposit(m)
-	case wire.KindInboxDepositAck:
-		n.handleInboxDepositAck(m)
 	case wire.KindInboxClaim:
 		n.handleInboxClaim(m)
 	case wire.KindInboxLease:
@@ -416,8 +400,6 @@ func (n *Node) handle(m *wire.Message) {
 		n.handleTopicUnsub(m)
 	case wire.KindTopicPub:
 		n.handleTopicPub(m)
-	case wire.KindTopicPubAck:
-		n.handleTopicPubAck(m)
 	case wire.KindTopicHandoff:
 		n.handleTopicHandoff(m)
 	}
@@ -426,27 +408,7 @@ func (n *Node) handle(m *wire.Message) {
 // linksLocked returns R_p (short ∪ longOut ∪ longIn, deduplicated).
 // Callers hold n.mu; the returned slice is freshly allocated.
 func (n *Node) linksLocked() []overlay.PeerID {
-	out := make([]overlay.PeerID, 0, 2+len(n.longOut)+len(n.longIn))
-	add := func(q overlay.PeerID) {
-		if q < 0 || q == n.id {
-			return
-		}
-		for _, x := range out {
-			if x == q {
-				return
-			}
-		}
-		out = append(out, q)
-	}
-	add(n.shortSucc)
-	add(n.shortPred)
-	for _, q := range n.longOut {
-		add(q)
-	}
-	for _, q := range n.longIn {
-		add(q)
-	}
-	return out
+	return n.appendLinksLocked(make([]overlay.PeerID, 0, 2+len(n.longOut)+len(n.longIn)))
 }
 
 // linksSnapshot is linksLocked with locking.
@@ -701,15 +663,59 @@ func (n *Node) observe(q overlay.PeerID, online bool) {
 	}
 }
 
-// handlePublish processes a directed publication copy: deliver locally
-// when this node is the target, forward otherwise.
+// publishDests reads the destination set of an inbound KindPublish frame
+// — To, then RoutingTable — into dests, which must be empty and hold
+// wire.MaxPublishDests: the peers other than this node that the frame is
+// still for, in frame order, and whether this node is named. The set is
+// outside input. A frame that names more than the cap or a peer id this
+// cluster does not have is dropped whole (ok false); a peer named twice
+// counts once; both are counted. An armed eclipse attacker eats every
+// destination but itself.
+func (n *Node) publishDests(m *wire.Message, dests []overlay.PeerID) (_ []overlay.PeerID, named, ok bool) {
+	malformed := len(m.RoutingTable) >= wire.MaxPublishDests ||
+		!n.dir.valid(m.Publisher) || !n.dir.valid(m.To)
+	for _, p := range m.RoutingTable {
+		malformed = malformed || !n.dir.valid(p)
+	}
+	if malformed {
+		n.cfg.Obs.Inc(obs.CPublishDestMalformed)
+		return nil, false, false
+	}
+	twice := false
+	add := func(p overlay.PeerID) {
+		switch {
+		case p == n.id:
+			named = true
+		case slices.Contains(dests, p):
+			twice = true
+		case !n.adversaryBlackhole(p):
+			dests = append(dests, p)
+		}
+	}
+	add(m.To)
+	for _, p := range m.RoutingTable {
+		add(p)
+	}
+	if twice {
+		n.cfg.Obs.Inc(obs.CPublishDestMalformed)
+	}
+	return dests, named, true
+}
+
+// handlePublish processes a publication frame: deliver locally (and ack)
+// when this node is named, then forward what remains of the destination
+// set one hop on — whether or not the local copy was a duplicate, the
+// peers beyond this one are still owed theirs.
 func (n *Node) handlePublish(m *wire.Message) {
-	if n.adversaryBlackhole(overlay.PeerID(m.To)) {
+	var destBuf [wire.MaxPublishDests]overlay.PeerID
+	dests, named, ok := n.publishDests(m, destBuf[:0])
+	if !ok {
 		return
 	}
-	id := msgID{m.Publisher, m.Seq}
-	if overlay.PeerID(m.To) == n.id {
-		topic := UserTopic(overlay.PeerID(m.Publisher))
+	pub, seq := m.Publisher, m.Seq
+	if named {
+		id := msgID{pub, seq}
+		topic := UserTopic(overlay.PeerID(pub))
 		n.mu.Lock()
 		dup := !n.rememberDeliveryLocked(id, m.HopCount)
 		handler := n.deliverHandlerLocked(topic)
@@ -719,181 +725,39 @@ func (n *Node) handlePublish(m *wire.Message) {
 		} else {
 			n.cfg.Obs.Inc(obs.CPublishDelivered)
 			n.cfg.Obs.ObserveHops(float64(m.HopCount))
-			n.cfg.Obs.TraceEvent("deliver", int32(n.id), m.Seq)
+			n.cfg.Obs.TraceEvent("deliver", int32(n.id), seq)
 			if handler != nil {
 				handler(Delivery{
-					Publisher: overlay.PeerID(m.Publisher), Topic: topic,
-					Seq: m.Seq, Hops: m.HopCount, Priority: m.Priority,
+					Publisher: overlay.PeerID(pub), Topic: topic,
+					Seq: seq, Hops: m.HopCount, Priority: m.Priority,
 					Payload: m.Payload,
 				})
 			}
 		}
-		// Ack back to the publisher (directed).
-		if overlay.PeerID(m.Publisher) != n.id {
-			if n.ackBatch {
-				n.queueAck(wire.AckEntry{
-					Kind: wire.KindAck, From: int32(n.id), Dest: m.Publisher,
-					Pub: m.Publisher, Seq: m.Seq, TTL: n.cfg.TTL,
-				}, false)
-			} else {
-				ack := &wire.Message{
-					Kind: wire.KindAck, From: int32(n.id), To: m.Publisher,
-					Seq: m.Seq, Publisher: m.Publisher, TTL: n.cfg.TTL,
-				}
-				n.forward(ack, overlay.PeerID(m.Publisher))
-			}
-		}
-		return
 	}
-	if m.TTL == 0 {
-		n.cfg.Obs.Inc(obs.CPublishTTLDrop)
-		n.cfg.Obs.TraceEvent("ttl_drop", int32(n.id), m.Seq)
-		return
-	}
-	m.TTL--
-	m.HopCount++
-	n.cfg.Obs.Inc(obs.CPublishForwarded)
-	n.forward(m, overlay.PeerID(m.To))
-}
-
-// routeOrConsumeAck delivers an ack to this node (publisher) or forwards
-// it toward the publisher.
-func (n *Node) routeOrConsumeAck(m *wire.Message) {
-	if overlay.PeerID(m.To) == n.id {
-		n.mu.Lock()
-		n.consumeAckLocked(m.From, m.Publisher, m.Seq)
-		n.mu.Unlock()
-		n.cfg.Obs.Inc(obs.CAckReceived)
-		return
-	}
-	if m.TTL == 0 {
-		return
-	}
-	m.TTL--
-	n.forward(m, overlay.PeerID(m.To))
-}
-
-// forward sends m one hop toward target using only local knowledge: a
-// direct link, the cached lookahead (a neighbor whose routing table holds
-// the target), or the link greedily closest to the target's identifier.
-func (n *Node) forward(m *wire.Message, target overlay.PeerID) {
-	next, r := n.nextHop(target)
-	if r != routeOK {
-		// Unroutable; the publisher's ack accounting will notice.
-		n.countUnroutable(r, m.Kind, m.Seq)
-		return
-	}
-	_ = n.tr.Send(int32(next), m)
-}
-
-// route is nextHop's verdict on a target.
-type route uint8
-
-const (
-	routeOK route = iota
-	// routeDeadEnd: no live link leads anywhere.
-	routeDeadEnd
-	// routeOffline: the target is not a ring member. Nothing routes to it
-	// — a greedy walk toward a position nobody holds only ends when the
-	// TTL does — so the copy is not sent at all: the publisher's repair
-	// tick hands the subscriber to the durable tier, and an ack for a
-	// crashed publisher is moot (it re-sends after it rejoins).
-	routeOffline
-)
-
-// countUnroutable accounts for a publication copy or ack that nextHop
-// refused, under the counter of the reason: dead_end keeps meaning "no
-// live link".
-func (n *Node) countUnroutable(r route, kind wire.Kind, seq uint32) {
+	forwarded := len(dests) > 0 && m.TTL > 0
 	switch {
-	case r == routeDeadEnd:
-		n.cfg.Obs.Inc(obs.CPublishDeadEnd)
-		n.cfg.Obs.TraceEvent("dead_end", int32(n.id), seq)
-	case kind == wire.KindAck:
-		n.cfg.Obs.Inc(obs.CAckOfflineDrop)
-	default:
-		n.cfg.Obs.Inc(obs.CPublishOfflineSkip)
-		n.cfg.Obs.TraceEvent("offline_skip", int32(n.id), seq)
+	case forwarded:
+		// The counters count copies — destinations — not frames.
+		n.cfg.Obs.Addn(obs.CPublishForwarded, int64(len(dests)))
+		n.fanOut(wire.Message{
+			Kind: wire.KindPublish, From: m.From, Seq: seq, Publisher: pub,
+			TTL: m.TTL - 1, HopCount: m.HopCount + 1,
+			Priority: m.Priority, PayloadSize: m.PayloadSize, Payload: m.Payload,
+		}, dests, m)
+	case len(dests) > 0:
+		n.cfg.Obs.Addn(obs.CPublishTTLDrop, int64(len(dests)))
+		n.cfg.Obs.TraceEvent("ttl_drop", int32(n.id), seq)
 	}
-}
-
-func (n *Node) nextHop(target overlay.PeerID) (overlay.PeerID, route) {
-	// The membership test the repair engine's deposit hand-off uses.
-	if !n.dir.isMember(target) {
-		return -1, routeOffline
+	// Ack back to the publisher (directed). A node that forwarded keeps the
+	// flush window open for the acks of the peers beyond it; one that did
+	// not has nothing to wait for.
+	if named && overlay.PeerID(pub) != n.id {
+		n.queueAck(wire.AckEntry{
+			Kind: wire.KindAck, From: int32(n.id), Dest: pub,
+			Pub: pub, Seq: seq, TTL: n.cfg.TTL,
+		}, !forwarded)
 	}
-	links := n.linksSnapshot()
-	// Accrual liveness (§III-F, selectcore.FailureDetector): links the
-	// detector marks suspect or dead are avoided as intermediate hops — a
-	// responsive peer (no current miss streak) is always usable, whatever
-	// its history, and a direct link to the target itself is always tried
-	// (the message can only be for that peer).
-	alive := func(q overlay.PeerID) bool {
-		n.mu.Lock()
-		defer n.mu.Unlock()
-		c := n.cma[q]
-		if c == nil {
-			return true
-		}
-		return n.cfg.Detector.Classify(n.miss[q], c.Samples(), c.Value()) == selectcore.LinkAlive
-	}
-	for _, q := range links {
-		if q == target {
-			return q, routeOK
-		}
-	}
-	// Lookahead: a live neighbor that lists the target in its routing
-	// table.
-	n.mu.Lock()
-	var via overlay.PeerID = -1
-	for _, q := range links {
-		for _, r := range n.lookahead[q] {
-			if r == target {
-				via = q
-				break
-			}
-		}
-		if via >= 0 {
-			break
-		}
-	}
-	n.mu.Unlock()
-	if via >= 0 {
-		if alive(via) {
-			return via, routeOK
-		}
-		// §III-F recovery in action: the lookahead route exists but its
-		// relay looks dead — fall through to the greedy live links.
-		n.cfg.Obs.Inc(obs.CCMADeadSkip)
-	}
-	// Greedy on the ring, avoiding links the CMA marks dead.
-	best := overlay.PeerID(-1)
-	bestD := ring.Distance(n.dir.position(n.id), n.dir.position(target))
-	var aliveLinks []overlay.PeerID
-	for _, q := range links {
-		if !alive(q) {
-			n.cfg.Obs.Inc(obs.CCMADeadSkip)
-			continue
-		}
-		aliveLinks = append(aliveLinks, q)
-		if d := ring.Distance(n.dir.position(q), n.dir.position(target)); d < bestD {
-			best, bestD = q, d
-		}
-	}
-	if best >= 0 {
-		return best, routeOK
-	}
-	// Local minimum with the closer links dead: take a random live link —
-	// a TTL-bounded random walk that escapes the dead region; retries then
-	// explore different paths.
-	if len(aliveLinks) > 0 {
-		n.cfg.Obs.Inc(obs.CCMARandomWalk)
-		n.mu.Lock()
-		q := aliveLinks[n.rng.Intn(len(aliveLinks))]
-		n.mu.Unlock()
-		return q, routeOK
-	}
-	return -1, routeDeadEnd
 }
 
 // Pause makes the node unresponsive (simulated churn departure).
@@ -979,39 +843,19 @@ func (n *Node) publish(payload []byte, size uint32, pri uint8) uint32 {
 	n.mu.Unlock()
 	n.cfg.Obs.Addn(obs.CPublishSent, int64(len(subs)))
 	n.cfg.Obs.TraceEvent("publish", int32(n.id), seq)
-	if n.fs != nil {
-		// Marshal-once fast path: the fan-out frame is invariant except
-		// for To — encode it once, patch the destination per subscriber,
-		// and route each copy to its own next hop. Unroutable accounting
-		// mirrors forward().
-		buf := wire.GetFrame()
-		*buf = wire.MarshalAppend((*buf)[:0], &wire.Message{
-			Kind: wire.KindPublish, From: int32(n.id),
-			Seq: seq, Publisher: int32(n.id), TTL: n.cfg.TTL,
-			Priority: pri, PayloadSize: size, Payload: payload,
-		})
-		for _, s := range subs {
-			next, r := n.nextHop(s)
-			if r != routeOK {
-				n.countUnroutable(r, wire.KindPublish, seq)
-				continue
-			}
-			wire.PatchTo(*buf, int32(s))
-			_ = n.fs.SendFrame(int32(n.id), int32(next), *buf)
-		}
-		wire.PutFrame(buf)
-	} else {
-		for _, s := range subs {
-			m := &wire.Message{
-				Kind: wire.KindPublish, From: int32(n.id), To: int32(s),
-				Seq: seq, Publisher: int32(n.id), TTL: n.cfg.TTL,
-				Priority: pri, PayloadSize: size, Payload: payload,
-			}
-			n.forward(m, s)
-		}
-	}
+	n.fanOut(n.feedFrame(seq, payload, size, pri), subs, nil)
 	n.kickRetry()
 	return seq
+}
+
+// feedFrame is the KindPublish frame of this node's own publication seq
+// as it leaves the publisher, first send or retry, less its destinations.
+func (n *Node) feedFrame(seq uint32, payload []byte, size uint32, pri uint8) wire.Message {
+	return wire.Message{
+		Kind: wire.KindPublish, From: int32(n.id),
+		Seq: seq, Publisher: int32(n.id), TTL: n.cfg.TTL,
+		Priority: pri, PayloadSize: size, Payload: payload,
+	}
 }
 
 // Received reports whether this node got publication (publisher, seq) and

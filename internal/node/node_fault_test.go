@@ -99,7 +99,7 @@ func TestRetriesSurviveDroppedAcks(t *testing.T) {
 	inner := transport.NewSwitchboard(n, 4096)
 	fn := faultnet.Wrap(inner, n, faultnet.Config{
 		DropProb: 0.25,
-		Kinds:    []wire.Kind{wire.KindPublish, wire.KindAck},
+		Kinds:    []wire.Kind{wire.KindPublish, wire.KindAckBatch},
 	}, seed)
 	fn.Obs = met
 	c, err := Start(Options{

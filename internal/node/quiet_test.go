@@ -2,6 +2,7 @@ package node
 
 import (
 	"context"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -112,8 +113,8 @@ func TestLinkProposalRefusalBackoff(t *testing.T) {
 	}
 }
 
-// offlineTap counts the publication and ack frames whose destination is
-// the offline peer, whatever hop they were handed to.
+// offlineTap counts the publication frames that name the offline peer
+// and the ack entries bound for it, whatever hop they were handed to.
 type offlineTap struct {
 	*transport.Switchboard
 	mu      sync.Mutex
@@ -122,13 +123,16 @@ type offlineTap struct {
 }
 
 func (o *offlineTap) Send(to int32, m *wire.Message) error {
-	if m.Kind == wire.KindPublish || m.Kind == wire.KindAck {
-		o.mu.Lock()
-		if m.To == o.offline {
+	o.mu.Lock()
+	if m.Kind == wire.KindPublish && (m.To == o.offline || slices.Contains(m.RoutingTable, o.offline)) {
+		o.frames++
+	}
+	for _, e := range m.Acks {
+		if e.Dest == o.offline {
 			o.frames++
 		}
-		o.mu.Unlock()
 	}
+	o.mu.Unlock()
 	return o.Switchboard.Send(to, m)
 }
 
@@ -182,7 +186,8 @@ func TestOfflineSkipNeverRoutesToNonMember(t *testing.T) {
 	}
 	// An ack on its way to a crashed publisher likewise.
 	c.Nodes[relay].handle(&wire.Message{
-		Kind: wire.KindAck, From: int32(pub), To: int32(sub), Publisher: int32(sub), Seq: 1, TTL: 8,
+		Kind: wire.KindAckBatch, From: int32(pub), To: int32(relay),
+		Acks: []wire.AckEntry{{Kind: wire.KindAck, From: int32(pub), Dest: int32(sub), Pub: int32(sub), Seq: 1, TTL: 8}},
 	})
 	if got := met.Get(obs.CAckOfflineDrop); got != 1 {
 		t.Fatalf("ack_offline_drop = %d, want 1", got)

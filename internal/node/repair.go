@@ -192,7 +192,9 @@ func (n *Node) scheduleJoinResendLocked(now time.Time) {
 // whole direct-retry budget — is handed off to its inbox replica set
 // instead of dead-lettered; only a failed deposit (no replica acked
 // within the budget) still dead-letters. Messages are staged under the
-// lock and routed after it (forward takes the lock itself).
+// lock and sent after it; a friend-feed retry names only the subscribers
+// still missing and leaves through fanOut, grouped by next hop like the
+// first send.
 func (n *Node) repairTick() {
 	if n.paused.Load() {
 		return
@@ -204,7 +206,12 @@ func (n *Node) repairTick() {
 		budget = 12
 	}
 	inboxOn := n.inboxOn()
-	var out []outMsg
+	// feedRetry is one publication's retry, staged for fanOut.
+	type feedRetry struct {
+		frame   wire.Message
+		missing []overlay.PeerID
+	}
+	var retries []feedRetry
 	// direct holds deposit traffic: inbox messages are point-to-point
 	// (publisher → replica), never greedy-forwarded like publications.
 	var direct []outMsg
@@ -280,24 +287,20 @@ func (n *Node) repairTick() {
 		st.nextAt = now.Add(bo.Delay(st.bseed, st.attempt))
 		n.cfg.Obs.Addn(obs.CRetrySent, int64(len(missing)))
 		n.cfg.Obs.TraceEvent("retry", int32(n.id), seq)
+		if st.topic == "" {
+			retries = append(retries, feedRetry{n.feedFrame(seq, st.payload, st.size, st.pri), missing})
+			continue
+		}
 		for _, s := range missing {
-			if st.topic != "" {
-				// Topic repair copies are point-to-point leaf deliveries
-				// (no subtree) carrying the origin identity, with acks
-				// addressed back to this rendezvous replica.
-				direct = append(direct, outMsg{int32(s), &wire.Message{
-					Kind: wire.KindTopicPub, From: int32(n.id), To: int32(s),
-					Seq: st.origin.Seq, Publisher: st.origin.Publisher,
-					Target: int32(n.id), Priority: st.pri, TTL: n.cfg.TTL,
-					PayloadSize: st.size, Payload: st.payload,
-					Topic: []byte(st.topic),
-				}})
-				continue
-			}
-			out = append(out, outMsg{int32(s), &wire.Message{
-				Kind: wire.KindPublish, From: int32(n.id), To: int32(s),
-				Seq: seq, Publisher: int32(n.id), TTL: n.cfg.TTL,
-				Priority: st.pri, PayloadSize: st.size, Payload: st.payload,
+			// Topic repair copies are point-to-point leaf deliveries (no
+			// subtree) carrying the origin identity, with acks addressed
+			// back to this rendezvous replica.
+			direct = append(direct, outMsg{int32(s), &wire.Message{
+				Kind: wire.KindTopicPub, From: int32(n.id), To: int32(s),
+				Seq: st.origin.Seq, Publisher: st.origin.Publisher,
+				Target: int32(n.id), Priority: st.pri, TTL: n.cfg.TTL,
+				PayloadSize: st.size, Payload: st.payload,
+				Topic: []byte(st.topic),
 			}})
 		}
 	}
@@ -313,8 +316,8 @@ func (n *Node) repairTick() {
 	for _, a := range accepts {
 		n.acceptTopicPub(a.origin, a.topic, a.payload, a.size, a.pri)
 	}
-	for _, o := range out {
-		n.forward(o.m, overlay.PeerID(o.to))
+	for _, r := range retries {
+		n.fanOut(r.frame, r.missing, nil)
 	}
 	for _, o := range direct {
 		_ = n.tr.Send(o.to, o.m)

@@ -1,0 +1,304 @@
+package node
+
+import (
+	"math"
+	"slices"
+
+	"selectps/internal/obs"
+	"selectps/internal/overlay"
+	"selectps/internal/ring"
+	"selectps/internal/selectcore"
+	"selectps/internal/wire"
+)
+
+// This file is the forwarding step of the friend feed (DESIGN.md §10.3):
+// routeBatch resolves the next hop of every destination a frame names in
+// one pass over the node's routing state, and fanOut — the only sender of
+// KindPublish frames — turns the verdicts into one frame per next hop.
+
+// route is routeBatch's verdict on one destination.
+type route uint8
+
+const (
+	routeOK route = iota
+	// routeDeadEnd: no live link leads anywhere.
+	routeDeadEnd
+	// routeOffline: the destination is not a ring member. Nothing routes to
+	// it — a greedy walk toward a position nobody holds only ends when the
+	// TTL does — so the copy is not sent at all: the publisher's repair
+	// tick hands the subscriber to the durable tier, and an ack for a
+	// crashed publisher is moot (it re-sends after it rejoins).
+	routeOffline
+	// routeBounce: the only usable link is the peer that just handed this
+	// node the entry (acks only; see routeBatch's from).
+	routeBounce
+)
+
+// noHop renders a verdict other than routeOK as a next-hop value; a next
+// hop is a peer id, so every negative value is free for it.
+func noHop(r route) overlay.PeerID { return -overlay.PeerID(r) }
+
+// verdictOf is noHop's inverse.
+func verdictOf(hop overlay.PeerID) route {
+	if hop >= 0 {
+		return routeOK
+	}
+	return route(-hop)
+}
+
+// countUnroutable accounts for a publication copy or ack that routeBatch
+// refused, under the counter of the reason: dead_end keeps meaning "no
+// live link".
+func (n *Node) countUnroutable(r route, kind wire.Kind, seq uint32) {
+	switch {
+	case r == routeBounce:
+		n.cfg.Obs.Inc(obs.CAckBounceDrop)
+	case r == routeDeadEnd:
+		n.cfg.Obs.Inc(obs.CPublishDeadEnd)
+		n.cfg.Obs.TraceEvent("dead_end", int32(n.id), seq)
+	case kind == wire.KindAck:
+		n.cfg.Obs.Inc(obs.CAckOfflineDrop)
+	default:
+		n.cfg.Obs.Inc(obs.CPublishOfflineSkip)
+		n.cfg.Obs.TraceEvent("offline_skip", int32(n.id), seq)
+	}
+}
+
+// routeLinksMax is the link-set size one routing pass holds on its stack:
+// two ring links and K long links each way stay far below it, and a set
+// configured past it spills to the heap.
+const routeLinksMax = 32
+
+// appendUnique appends q to out unless it is no peer, self, or there
+// already.
+func appendUnique(out []overlay.PeerID, self, q overlay.PeerID) []overlay.PeerID {
+	if q < 0 || q == self || slices.Contains(out, q) {
+		return out
+	}
+	return append(out, q)
+}
+
+// appendLinksLocked appends R_p (short ∪ longOut ∪ longIn, deduplicated)
+// to out, which must be empty. Callers hold n.mu.
+func (n *Node) appendLinksLocked(out []overlay.PeerID) []overlay.PeerID {
+	out = appendUnique(out, n.id, n.shortSucc)
+	out = appendUnique(out, n.id, n.shortPred)
+	for _, q := range n.longOut {
+		out = appendUnique(out, n.id, q)
+	}
+	for _, q := range n.longIn {
+		out = appendUnique(out, n.id, q)
+	}
+	return out
+}
+
+// linkAliveLocked is the accrual verdict on link q as an intermediate
+// hop (§III-F, selectcore.FailureDetector): links the detector marks
+// suspect or dead are avoided — a responsive peer (no current miss
+// streak) is always usable, whatever its history.
+func (n *Node) linkAliveLocked(q overlay.PeerID) bool {
+	c := n.cma[q]
+	if c == nil {
+		return true
+	}
+	return n.cfg.Detector.Classify(n.miss[q], c.Samples(), c.Value()) == selectcore.LinkAlive
+}
+
+// routeBatch resolves dests[i] to its next hop in hops[i] (or to
+// noHop(verdict)) using only local knowledge, for every destination of
+// one frame — or every entry of one ack batch — in a single pass under
+// n.mu: the link set is read once, each link's lookahead list is looked
+// up once and searched in place, and the detector verdicts and ring
+// positions of the links are computed once, and only if some destination
+// gets as far as the greedy step. Nothing is allocated. Per destination
+// the decision is: a direct link (always tried — the message can only be
+// for that peer); the first link, in link order, whose cached routing
+// table holds the destination, if the detector calls it alive; the live
+// link greedily closest to the destination's identifier; at a local
+// minimum a random live link — a TTL-bounded random walk that escapes
+// the dead region, so that retries explore different paths.
+//
+// from ≥ 0 is the split horizon of the ack path: the peer that handed
+// this node the entries is not a candidate — it has no better route to
+// the destination than this node, or it would not have sent them here —
+// and a lookahead entry that says otherwise is stale and is dropped.
+// Where that peer was the only way out the verdict is routeBounce.
+func (n *Node) routeBatch(dests, hops []overlay.PeerID, from overlay.PeerID) {
+	var (
+		linkBuf  [routeLinksMax]overlay.PeerID
+		lookBuf  [routeLinksMax][]overlay.PeerID
+		aliveBuf [routeLinksMax]bool
+		posBuf   [routeLinksMax]ring.ID
+	)
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	links := n.appendLinksLocked(linkBuf[:0])
+	bounced := false
+	if i := slices.Index(links, from); from >= 0 && i >= 0 {
+		links = slices.Delete(links, i, i+1)
+		bounced = true
+	}
+	// Filled when the first destination needs them.
+	look, alive, pos := lookBuf[:0], aliveBuf[:0], posBuf[:0]
+	var own ring.ID
+	live, dead := 0, int64(0)
+
+	for i, t := range dests {
+		tpos, member := n.dir.memberPos(t)
+		if !member {
+			hops[i] = noHop(routeOffline)
+			continue
+		}
+		if slices.Contains(links, t) {
+			hops[i] = t
+			continue
+		}
+		if bounced {
+			n.dropLookaheadLocked(from, t)
+		}
+		if len(look) == 0 {
+			for _, q := range links {
+				look = append(look, n.lookahead[q])
+			}
+		}
+		via := overlay.PeerID(-1)
+		for j, rt := range look {
+			if slices.Contains(rt, t) {
+				via = links[j]
+				break
+			}
+		}
+		if via >= 0 {
+			if n.linkAliveLocked(via) {
+				hops[i] = via
+				continue
+			}
+			// §III-F recovery in action: the lookahead route exists but its
+			// relay looks dead — fall through to the greedy live links.
+			n.cfg.Obs.Inc(obs.CCMADeadSkip)
+		}
+		if len(alive) == 0 && len(links) > 0 {
+			own = n.dir.position(n.id)
+			pos = n.dir.appendPositions(pos, links)
+			for _, q := range links {
+				a := n.linkAliveLocked(q)
+				alive = append(alive, a)
+				if a {
+					live++
+				} else {
+					dead++
+				}
+			}
+		}
+		n.cfg.Obs.Addn(obs.CCMADeadSkip, dead)
+		best, bestD := overlay.PeerID(-1), ring.Distance(own, tpos)
+		for j, q := range links {
+			if !alive[j] {
+				continue
+			}
+			if d := ring.Distance(pos[j], tpos); d < bestD {
+				best, bestD = q, d
+			}
+		}
+		switch {
+		case best >= 0:
+			hops[i] = best
+		case live > 0:
+			n.cfg.Obs.Inc(obs.CCMARandomWalk)
+			k := n.rng.Intn(live)
+			for j, q := range links {
+				if alive[j] {
+					if k == 0 {
+						hops[i] = q
+						break
+					}
+					k--
+				}
+			}
+		case bounced:
+			hops[i] = noHop(routeBounce)
+		default:
+			hops[i] = noHop(routeDeadEnd)
+		}
+	}
+}
+
+// dropLookaheadLocked removes t from the cached routing table of q.
+func (n *Node) dropLookaheadLocked(q, t overlay.PeerID) {
+	rt := n.lookahead[q]
+	if i := slices.Index(rt, t); i >= 0 {
+		n.lookahead[q] = slices.Delete(rt, i, i+1)
+	}
+}
+
+// grouped marks a destination fanOut has already put in a frame.
+const grouped = overlay.PeerID(math.MinInt32)
+
+// fanOut sends the publication in tmpl one hop toward every peer in
+// dests: it is the one place a KindPublish frame is made — the
+// publisher's first send, a relay's forward and the repair engine's retry
+// all end here (DESIGN.md §10.3). Destinations are routed together, at
+// most wire.MaxPublishDests at a time, and grouped by next hop; each
+// group leaves as one frame naming its first member in To and the others
+// in RoutingTable, so a link carries a publication once however many
+// subscribers lie beyond it, and a frame with one destination is the
+// frame the per-subscriber fan-out used to send. Groups keep the order
+// of dests, which makes the group holding a relayed frame's To keep it
+// as To. A destination routeBatch refuses is counted and skipped — the
+// publisher's ack accounting will notice.
+//
+// Over a frame-sending transport (TCP) every group is marshaled into one
+// pooled buffer and handed over as bytes; nothing else is allocated.
+// Otherwise the transport passes the pointer on and the receiver edits
+// TTL and HopCount in place, so every group gets a Message of its own:
+// reuse, when not nil — the inbound frame a relay has finished with —
+// serves as the first.
+func (n *Node) fanOut(tmpl wire.Message, dests []overlay.PeerID, reuse *wire.Message) {
+	var (
+		hopBuf   [wire.MaxPublishDests]overlay.PeerID
+		groupBuf [wire.MaxPublishDests]int32
+		buf      *[]byte
+	)
+	if n.fs != nil {
+		buf = wire.GetFrame()
+		defer wire.PutFrame(buf)
+	}
+	for len(dests) > 0 {
+		chunk := dests[:min(len(dests), wire.MaxPublishDests)]
+		dests = dests[len(chunk):]
+		hops := hopBuf[:len(chunk)]
+		n.routeBatch(chunk, hops, -1)
+		for i, hop := range hops {
+			if hop < 0 {
+				if hop != grouped {
+					n.countUnroutable(verdictOf(hop), wire.KindPublish, tmpl.Seq)
+				}
+				continue
+			}
+			group := groupBuf[:0]
+			for j := i; j < len(hops); j++ {
+				if hops[j] == hop {
+					group = append(group, int32(chunk[j]))
+					hops[j] = grouped
+				}
+			}
+			n.cfg.Obs.Inc(obs.CPublishFrame)
+			if buf != nil {
+				frame := tmpl
+				frame.To, frame.RoutingTable = group[0], group[1:]
+				*buf = wire.MarshalAppend((*buf)[:0], &frame)
+				_ = n.fs.SendFrame(int32(n.id), int32(hop), *buf)
+				continue
+			}
+			m, rest := reuse, []int32(nil)
+			if m != nil {
+				reuse, rest = nil, m.RoutingTable[:0]
+			} else {
+				m = new(wire.Message)
+			}
+			*m = tmpl
+			m.To, m.RoutingTable = group[0], append(rest, group[1:]...)
+			_ = n.tr.Send(int32(hop), m)
+		}
+	}
+}

@@ -108,6 +108,8 @@ type shard struct {
 	queues []nodeq
 	active idring
 	queued int
+	// fired is the loop's reused list of due wheel entries.
+	fired []sched.Fired
 }
 
 // nodeq is one node's pending-message stack: newest first (adaptive
@@ -311,7 +313,8 @@ func (s *shard) run() {
 	var armed time.Time // deadline the timer is currently set for; zero = parked
 	rearm := func() {
 		now := time.Now()
-		for _, f := range s.wheel.Advance(now) {
+		s.fired = s.wheel.AdvanceAppend(s.fired[:0], now)
+		for _, f := range s.fired {
 			if lag := now.Sub(f.At); lag > 0 {
 				s.obs.ObserveLoopLagMS(float64(lag) / float64(time.Millisecond))
 			}
@@ -477,8 +480,8 @@ func (s *shard) fire(f sched.Fired, now time.Time) {
 	case tkAckFlush:
 		// Shed-exempt: acks ARE the reliability feedback — delaying a
 		// flush under backlog turns into spurious retries, the exact load
-		// spiral shedding exists to break. One-shot: queueAck re-arms on
-		// the next buffered ack.
+		// spiral shedding exists to break. One-shot: the next ack that
+		// waits re-arms it.
 		n.flushAcks()
 	}
 }

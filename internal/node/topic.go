@@ -578,17 +578,10 @@ func (n *Node) handleTopicPub(m *wire.Message) {
 		n.acceptTopicPub(origin, string(m.Topic), clonePayload(m.Payload), m.PayloadSize, m.Priority)
 		// Ack the hand-off whether fresh or duplicate — the publisher
 		// retries until every live rendezvous member confirmed.
-		if n.ackBatch {
-			n.queueAck(wire.AckEntry{
-				Kind: wire.KindTopicPubAck, From: int32(n.id), Dest: m.From,
-				Pub: m.Publisher, Seq: m.Seq,
-			}, true)
-		} else {
-			_ = n.tr.Send(m.From, &wire.Message{
-				Kind: wire.KindTopicPubAck, From: int32(n.id), To: m.From,
-				Seq: m.Seq, Publisher: m.Publisher, Topic: m.Topic,
-			})
-		}
+		n.directAck(wire.AckEntry{
+			Kind: wire.KindTopicPubAck, From: int32(n.id), Dest: m.From,
+			Pub: m.Publisher, Seq: m.Seq,
+		})
 		return
 	}
 	n.deliverTopicCopy(m)
@@ -727,18 +720,6 @@ func (n *Node) deliverTopicCopy(m *wire.Message) {
 		ackTo[overlay.PeerID(m.Target)] = true
 	}
 	delete(ackTo, n.id)
-	var ackBatchTo []overlay.PeerID
-	for rep := range ackTo {
-		if n.ackBatch {
-			// Point-to-point acks coalesce (queued outside the lock below).
-			ackBatchTo = append(ackBatchTo, rep)
-			continue
-		}
-		direct = append(direct, outMsg{int32(rep), &wire.Message{
-			Kind: wire.KindAck, From: int32(n.id), To: int32(rep),
-			Seq: m.Seq, Publisher: m.Publisher, TTL: n.cfg.TTL,
-		}})
-	}
 	n.mu.Unlock()
 	if !fresh {
 		n.cfg.Obs.Inc(obs.CPublishDuplicate)
@@ -749,11 +730,11 @@ func (n *Node) deliverTopicCopy(m *wire.Message) {
 	for _, o := range direct {
 		_ = n.tr.Send(o.to, o.m)
 	}
-	for _, rep := range ackBatchTo {
-		n.queueAck(wire.AckEntry{
+	for rep := range ackTo {
+		n.directAck(wire.AckEntry{
 			Kind: wire.KindAck, From: int32(n.id), Dest: int32(rep),
 			Pub: m.Publisher, Seq: m.Seq, TTL: n.cfg.TTL,
-		}, true)
+		})
 	}
 }
 
@@ -835,20 +816,6 @@ func (n *Node) topicRepairLocked(now time.Time, budget int, direct []outMsg, acc
 		}
 	}
 	return direct, accepts
-}
-
-// handleTopicPubAck marks one rendezvous member's acceptance on the
-// publisher.
-func (n *Node) handleTopicPubAck(m *wire.Message) {
-	if overlay.PeerID(m.To) != n.id || m.Publisher != int32(n.id) {
-		return
-	}
-	now := time.Now()
-	n.mu.Lock()
-	n.consumeTopicPubAckLocked(overlay.PeerID(m.From), m.Seq, now)
-	n.mu.Unlock()
-	n.cfg.Obs.Inc(obs.CAckReceived)
-	n.kickRetry()
 }
 
 // TopicSubscribers reports the topic's registry size at this node

@@ -1,0 +1,705 @@
+package node
+
+import (
+	"slices"
+	"sync"
+	"sync/atomic"
+	"testing"
+	"time"
+
+	"selectps/internal/faultnet"
+	"selectps/internal/obs"
+	"selectps/internal/overlay"
+	"selectps/internal/socialgraph"
+	"selectps/internal/transport"
+	"selectps/internal/wire"
+)
+
+// Tests of the friend-feed data path (DESIGN.md §10.3, §15.1): one
+// publish frame per overlay link, grouped retries, the destination list
+// as outside input, and the one ack path — leaf first, split horizon.
+
+// sent is one frame as a tap saw it handed to the transport.
+type sent struct {
+	hop int32 // the peer it was handed to
+	m   *wire.Message
+}
+
+// dests is the destination set a publish frame names.
+func (s sent) dests() []int32 { return append([]int32{s.m.To}, s.m.RoutingTable...) }
+
+// tap records a copy of every frame the cluster sends (receivers edit
+// TTL, HopCount, To and the list of the Message they are handed).
+type tap struct {
+	*transport.Switchboard
+	mu     sync.Mutex
+	frames []sent
+}
+
+func newTap(n int) *tap { return &tap{Switchboard: transport.NewSwitchboard(n, 4096)} }
+
+func (t *tap) Send(to int32, m *wire.Message) error {
+	t.mu.Lock()
+	t.frames = append(t.frames, sent{to, m.Clone()})
+	t.mu.Unlock()
+	return t.Switchboard.Send(to, m)
+}
+
+// take returns the frames of the given kind recorded since the last
+// take, and forgets every recorded frame.
+func (t *tap) take(kind wire.Kind) []sent {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	var out []sent
+	for _, f := range t.frames {
+		if f.m.Kind == kind {
+			out = append(out, f)
+		}
+	}
+	t.frames = nil
+	return out
+}
+
+// frozenCluster starts a bootstrapped cluster over a tap and stops its
+// shard loops: no timer fires and no mailbox is drained, so a test that
+// calls the handlers itself sees exactly the frames they send, in order,
+// and plays the wheel by calling flushAcks.
+func frozenCluster(t *testing.T, n int, seed int64, opts Options) (*socialgraph.Graph, *Cluster, *tap) {
+	t.Helper()
+	g, ov := buildOverlay(t, n, seed)
+	tp := newTap(n)
+	opts.Graph, opts.Overlay, opts.Transport, opts.Seed = g, ov, tp, seed
+	c, err := Start(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.stopOnce.Do(func() { close(c.stop) })
+	c.wg.Wait()
+	t.Cleanup(func() { shutdown(t, c) })
+	return g, c, tp
+}
+
+// strangers returns k peers that are neither n nor among its links, in
+// id order, leaving out the peers in not.
+func strangers(c *Cluster, n *Node, k int, not ...overlay.PeerID) []overlay.PeerID {
+	links := n.linksSnapshot()
+	var out []overlay.PeerID
+	for p := overlay.PeerID(0); int(p) < len(c.Nodes) && len(out) < k; p++ {
+		if p != n.id && !slices.Contains(links, p) && !slices.Contains(not, p) {
+			out = append(out, p)
+		}
+	}
+	return out
+}
+
+// TestTreeOneFramePerLink is the tree property on a converged fault-free
+// cluster: every subscriber delivers every publication exactly once; the
+// frames a node sends on name pairwise disjoint sets whose union is the
+// set it was handed, less itself; and no node sends two frames of one
+// publication to one peer — so the frames of a publication number at
+// most the distinct next hops, summed over the nodes that handled it.
+// (The per-subscriber fan-out sent one frame per copy and fails the last
+// two.)
+func TestTreeOneFramePerLink(t *testing.T) {
+	const n, seed = 150, 4
+	g, ov := buildOverlay(t, n, seed)
+	tp := newTap(n)
+	met := obs.New()
+	c, err := Start(Options{
+		Graph: g, Overlay: ov, Transport: tp, Seed: seed, Obs: met,
+		GossipEvery: 5 * time.Millisecond, // fills the lookahead lists routing reads
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer shutdown(t, c)
+	waitFor(t, 10*time.Second, "a few gossip rounds", func() bool { return c.Nodes[0].Exchanges() >= 10 })
+
+	var mu sync.Mutex
+	got := make(map[[3]int32]int) // (subscriber, publisher, seq) → deliveries
+	for p, nd := range c.Nodes {
+		p := int32(p)
+		nd.OnDeliver(func(d Delivery) {
+			mu.Lock()
+			got[[3]int32{p, d.Publisher, int32(d.Seq)}]++
+			mu.Unlock()
+		})
+	}
+	type pubID struct {
+		pub int32
+		seq uint32
+	}
+	subsOf := make(map[pubID][]overlay.PeerID)
+	pubs := []overlay.PeerID{topDegree(g), 3, 17, 42, 99}
+	for _, p := range pubs {
+		if g.Degree(p) == 0 {
+			continue
+		}
+		seq := publishSize(c.Nodes[p], 256)
+		subsOf[pubID{int32(p), seq}] = g.Neighbors(p)
+		if k, ok := await(c, p, seq, g.Neighbors(p), 10*time.Second); !ok {
+			t.Fatalf("publisher %d: %d/%d delivered", p, k, g.Degree(p))
+		}
+	}
+
+	mu.Lock()
+	for id, subs := range subsOf {
+		for _, s := range subs {
+			if k := got[[3]int32{int32(s), id.pub, int32(id.seq)}]; k != 1 {
+				t.Errorf("subscriber %d got publication %v %d times", s, id, k)
+			}
+		}
+	}
+	mu.Unlock()
+
+	frames := make(map[pubID][]sent)
+	for _, f := range tp.take(wire.KindPublish) {
+		id := pubID{f.m.Publisher, f.m.Seq}
+		frames[id] = append(frames[id], f)
+	}
+	ttl0 := uint8(32)
+	total, multi := 0, 0
+	for id, fs := range frames {
+		total += len(fs)
+		// checkSends holds the frames one node sent to the set it had to
+		// serve.
+		checkSends := func(who string, out []sent, want []int32) {
+			var union, hops []int32
+			for _, f := range out {
+				for _, d := range f.dests() {
+					if slices.Contains(union, d) {
+						t.Errorf("%v: %s names %d in two frames", id, who, d)
+					}
+					union = append(union, d)
+				}
+				if slices.Contains(hops, f.hop) {
+					t.Errorf("%v: %s sent two frames to %d", id, who, f.hop)
+				}
+				hops = append(hops, f.hop)
+				if len(f.m.RoutingTable) > 0 {
+					multi++
+				}
+			}
+			slices.Sort(union)
+			want = slices.Clone(want)
+			slices.Sort(want)
+			if !slices.Equal(union, want) {
+				t.Errorf("%v: %s was to serve %v, its frames name %v", id, who, want, union)
+			}
+		}
+		var root []sent
+		for _, f := range fs {
+			if f.m.TTL == ttl0 {
+				root = append(root, f)
+			}
+		}
+		checkSends("the publisher", root, subsOf[id])
+		// A frame handed to a relay with TTL t is answered by the frames
+		// with TTL t-1 whose To the relay was handed: destination sets
+		// never overlap, so the match is unique.
+		for _, in := range fs {
+			rest := slices.DeleteFunc(in.dests(), func(d int32) bool { return d == in.hop })
+			var out []sent
+			for _, f := range fs {
+				if f.m.TTL+1 == in.m.TTL && slices.Contains(rest, f.m.To) {
+					out = append(out, f)
+				}
+			}
+			checkSends("a relay", out, rest)
+		}
+	}
+	if multi == 0 {
+		t.Error("no frame named more than one subscriber: the run proves nothing about grouping")
+	}
+	copies := met.Get(obs.CPublishSent) + met.Get(obs.CPublishForwarded)
+	if pf := met.Get(obs.CPublishFrame); pf != int64(total) || pf >= copies {
+		t.Errorf("publish_frame = %d, the tap saw %d frames carrying %d copies", pf, total, copies)
+	}
+	t.Logf("%d publications: %d copies in %d frames (%.2f per frame)", len(frames), copies, total, float64(copies)/float64(total))
+}
+
+// TestTreeRelayForwardsPastDuplicate: a relay that is itself a subscriber
+// forwards the rest of the set also when its own copy is a duplicate —
+// the peers beyond it are still owed theirs.
+func TestTreeRelayForwardsPastDuplicate(t *testing.T) {
+	met := obs.New()
+	_, c, tp := frozenCluster(t, 60, 9, Options{Obs: met})
+	relay := c.Nodes[5]
+	pub := relay.linksSnapshot()[0]
+	beyond := strangers(c, relay, 3, pub)
+	frame := func() *wire.Message {
+		return &wire.Message{
+			Kind: wire.KindPublish, From: int32(pub), Publisher: int32(pub), Seq: 7, TTL: 8, HopCount: 1,
+			To: int32(beyond[0]), RoutingTable: []int32{int32(relay.id), int32(beyond[1]), int32(beyond[2])},
+		}
+	}
+	for round, wantDup := range []int64{0, 1} {
+		relay.handle(frame())
+		var named []int32
+		for _, f := range tp.take(wire.KindPublish) {
+			if f.m.TTL != 7 || f.m.HopCount != 2 || f.m.From != int32(pub) {
+				t.Errorf("round %d: forwarded with TTL %d hops %d from %d", round, f.m.TTL, f.m.HopCount, f.m.From)
+			}
+			named = append(named, f.dests()...)
+		}
+		slices.Sort(named)
+		if want := []int32{int32(beyond[0]), int32(beyond[1]), int32(beyond[2])}; !slices.Equal(named, want) {
+			t.Errorf("round %d: forwarded to %v, want %v", round, named, want)
+		}
+		if got := met.Get(obs.CPublishDuplicate); got != wantDup {
+			t.Errorf("round %d: publish_duplicate = %d, want %d", round, got, wantDup)
+		}
+	}
+	if got := met.Get(obs.CPublishDelivered); got != 1 {
+		t.Errorf("publish_delivered = %d, want 1", got)
+	}
+	if got := met.Get(obs.CPublishForwarded); got != 6 {
+		t.Errorf("publish_forwarded = %d, want 6: it counts copies", got)
+	}
+}
+
+// TestTreeRetryNamesOnlyTheMissing: a retry leaves through the same
+// fan-out as the first send — it names the subscribers that have not
+// acked, and no others, one frame per next hop.
+func TestTreeRetryNamesOnlyTheMissing(t *testing.T) {
+	met := obs.New()
+	g, c, tp := frozenCluster(t, 80, 6, Options{Obs: met, RetryBase: time.Hour})
+	pub := topDegree(g)
+	nd := c.Nodes[pub]
+	subs := g.Neighbors(pub)
+	seq := publishSize(nd, 128)
+	first := tp.take(wire.KindPublish)
+	if len(first) >= len(subs) {
+		t.Fatalf("first send: %d frames for %d subscribers", len(first), len(subs))
+	}
+	// Every second subscriber acks.
+	var missing []int32
+	batch := &wire.Message{Kind: wire.KindAckBatch, From: int32(subs[0]), To: int32(pub)}
+	for i, s := range subs {
+		if i%2 == 0 {
+			batch.Acks = append(batch.Acks, wire.AckEntry{Kind: wire.KindAck, From: int32(s), Dest: int32(pub), Pub: int32(pub), Seq: seq})
+		} else {
+			missing = append(missing, int32(s))
+		}
+	}
+	nd.handle(batch)
+	nd.mu.Lock()
+	nd.pubs[seq].nextAt = time.Now().Add(-time.Second)
+	nd.mu.Unlock()
+	nd.repairTick()
+
+	var named, hops []int32
+	for _, f := range tp.take(wire.KindPublish) {
+		if f.m.TTL != 32 || f.m.HopCount != 0 || f.m.Seq != seq {
+			t.Errorf("retry frame with TTL %d hops %d seq %d", f.m.TTL, f.m.HopCount, f.m.Seq)
+		}
+		named = append(named, f.dests()...)
+		if slices.Contains(hops, f.hop) {
+			t.Errorf("two retry frames to %d", f.hop)
+		}
+		hops = append(hops, f.hop)
+	}
+	slices.Sort(named)
+	slices.Sort(missing)
+	if !slices.Equal(named, missing) {
+		t.Errorf("the retry names %v, missing are %v", named, missing)
+	}
+	if got := met.Get(obs.CRetrySent); got != int64(len(missing)) {
+		t.Errorf("retry_sent = %d, want %d: it counts copies", got, len(missing))
+	}
+}
+
+// TestTreeMalformedDestinations: the destination list is outside input.
+// A list over the cap or with an id the cluster does not have drops the
+// frame; a peer named twice is served once; all of it is counted, none
+// of it panics, and no frame makes a relay send more frames than it
+// names peers.
+func TestTreeMalformedDestinations(t *testing.T) {
+	met := obs.New()
+	_, c, tp := frozenCluster(t, 60, 9, Options{Obs: met})
+	relay := c.Nodes[5]
+	self := int32(relay.id)
+	pub := int32(relay.linksSnapshot()[0])
+	far := strangers(c, relay, 2, overlay.PeerID(pub))
+	a, b := int32(far[0]), int32(far[1])
+	over := make([]int32, wire.MaxPublishDests)
+	for i := range over {
+		over[i] = a
+	}
+	cases := []struct {
+		name      string
+		pub, to   int32
+		list      []int32
+		malformed int64
+		delivered bool
+		forwarded []int32
+	}{
+		{"list id past the cluster", pub, a, []int32{b, 1 << 20}, 1, false, nil},
+		{"negative list id", pub, self, []int32{-1}, 1, false, nil},
+		{"To past the cluster", pub, 60, nil, 1, false, nil},
+		{"publisher past the cluster", 1 << 20, self, nil, 1, false, nil},
+		{"over the cap", pub, b, over, 1, false, nil},
+		{"named twice", pub, a, []int32{a, b, a, b, a}, 1, false, []int32{a, b}},
+		{"self only", pub, self, []int32{self, self}, 0, true, nil},
+		{"well formed", pub, a, []int32{self, b}, 0, true, []int32{a, b}},
+	}
+	for i, tc := range cases {
+		before, delivered := met.Get(obs.CPublishDestMalformed), met.Get(obs.CPublishDelivered)
+		relay.handle(&wire.Message{
+			Kind: wire.KindPublish, From: tc.pub, Publisher: tc.pub, Seq: uint32(100 + i), TTL: 8,
+			To: tc.to, RoutingTable: tc.list,
+		})
+		if got := met.Get(obs.CPublishDestMalformed) - before; got != tc.malformed {
+			t.Errorf("%s: publish_dest_malformed rose by %d, want %d", tc.name, got, tc.malformed)
+		}
+		if got := met.Get(obs.CPublishDelivered) - delivered; (got == 1) != tc.delivered {
+			t.Errorf("%s: publish_delivered rose by %d", tc.name, got)
+		}
+		var named []int32
+		for _, f := range tp.take(wire.KindPublish) {
+			named = append(named, f.dests()...)
+		}
+		slices.Sort(named)
+		want := slices.Clone(tc.forwarded)
+		slices.Sort(want)
+		if !slices.Equal(named, want) {
+			t.Errorf("%s: forwarded to %v, want %v", tc.name, named, want)
+		}
+	}
+}
+
+// TestTreeEclipseRelayEatsTheRest: an armed eclipse attacker consumes the
+// copy addressed to itself — a blackhole that stopped acking would out
+// itself — and eats every other destination of the frame.
+func TestTreeEclipseRelayEatsTheRest(t *testing.T) {
+	met := obs.New()
+	_, c, tp := frozenCluster(t, 60, 9, Options{Obs: met})
+	relay := c.Nodes[5]
+	pub := relay.linksSnapshot()[0]
+	far := strangers(c, relay, 2, pub)
+	relay.SetAdversary(AdvEclipse, far[0], []overlay.PeerID{relay.id})
+	relay.handle(&wire.Message{
+		Kind: wire.KindPublish, From: int32(pub), Publisher: int32(pub), Seq: 3, TTL: 8,
+		To: int32(far[0]), RoutingTable: []int32{int32(relay.id), int32(far[1])},
+	})
+	if got := met.Get(obs.CPublishDelivered); got != 1 {
+		t.Errorf("publish_delivered = %d: the attacker did not consume its own copy", got)
+	}
+	if fs := tp.take(wire.KindPublish); len(fs) != 0 {
+		t.Errorf("an armed eclipse relay forwarded %d frames", len(fs))
+	}
+	relay.flushAcks()
+	if acks := tp.take(wire.KindAckBatch); len(acks) != 0 {
+		// The ack left at once: the attacker forwarded nothing.
+		t.Errorf("%d ack frames waited for the wheel", len(acks))
+	}
+	if got := met.Get(obs.CAckLeafFlush); got != 1 {
+		t.Errorf("ack_leaf_flush = %d, want 1", got)
+	}
+}
+
+// TestTreeUnderLoss: with a fifth of all publish and ack frames lost,
+// over the switchboard and over TCP, grouped retries still reach every
+// subscriber, and the delivery set does not depend on how many event
+// loops drain the cluster.
+func TestTreeUnderLoss(t *testing.T) {
+	const n, seed, posts = 80, 31, 4
+	g, ov := buildOverlay(t, n, seed)
+	pub := topDegree(g)
+	subs := g.Neighbors(pub)
+	run := func(t *testing.T, tcp bool, shards int) map[[2]int32]bool {
+		var inner transport.Transport = transport.NewSwitchboard(n, 4096)
+		if tcp {
+			tr, err := transport.NewTCP(n, 4096)
+			if err != nil {
+				t.Fatal(err)
+			}
+			inner = tr
+		}
+		met := obs.New()
+		fn := faultnet.Wrap(inner, n, faultnet.Config{
+			DropProb: 0.2, Kinds: []wire.Kind{wire.KindPublish, wire.KindAckBatch},
+		}, seed)
+		fn.Obs = met
+		c, err := Start(Options{
+			Graph: g, Overlay: ov, Transport: fn, Seed: seed, Obs: met, Shards: shards,
+			RetryBase: 10 * time.Millisecond, RetryBudget: 100,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer shutdown(t, c)
+		got := make(map[[2]int32]bool)
+		for i := 0; i < posts; i++ {
+			seq := publishSize(c.Nodes[pub], 256)
+			if k, ok := await(c, pub, seq, subs, 20*time.Second); !ok {
+				t.Fatalf("tcp=%v shards=%d: publication %d reached %d/%d", tcp, shards, i, k, len(subs))
+			}
+			for _, s := range subs {
+				got[[2]int32{int32(s), int32(i)}] = true
+			}
+		}
+		if met.Get(obs.CFaultDrop) == 0 || met.Get(obs.CRetrySent) == 0 {
+			t.Errorf("tcp=%v shards=%d: %d frames dropped, %d copies retried: the run proves nothing",
+				tcp, shards, met.Get(obs.CFaultDrop), met.Get(obs.CRetrySent))
+		}
+		copies := met.Get(obs.CPublishSent) + met.Get(obs.CPublishForwarded) + met.Get(obs.CRetrySent)
+		if pf := met.Get(obs.CPublishFrame); pf >= copies {
+			t.Errorf("tcp=%v shards=%d: %d publish frames for %d copies", tcp, shards, pf, copies)
+		}
+		return got
+	}
+	for _, tcp := range []bool{false, true} {
+		one, eight := run(t, tcp, 1), run(t, tcp, 8)
+		if len(one) != posts*len(subs) || len(one) != len(eight) {
+			t.Errorf("tcp=%v: S=1 delivered %d, S=8 delivered %d, owed %d", tcp, len(one), len(eight), posts*len(subs))
+		}
+	}
+}
+
+// TestAckLeafFirst pins the flush rule of the ack path on a two-level
+// tree: the relay's own ack waits for the wheel, the acks of the peers
+// beyond it join it, and all leave in one frame; a leaf's ack leaves at
+// once; a node that was paused meanwhile drops what it had buffered.
+func TestAckLeafFirst(t *testing.T) {
+	met := obs.New()
+	_, c, tp := frozenCluster(t, 60, 9, Options{Obs: met})
+	relay := c.Nodes[5]
+	pub := relay.linksSnapshot()[0]
+	far := strangers(c, relay, 2, pub)
+	publish := func(seq uint32, list ...int32) {
+		relay.handle(&wire.Message{
+			Kind: wire.KindPublish, From: int32(pub), Publisher: int32(pub), Seq: seq, TTL: 8,
+			To: int32(relay.id), RoutingTable: list,
+		})
+	}
+	ackOf := func(p overlay.PeerID, seq uint32) *wire.Message {
+		return &wire.Message{Kind: wire.KindAckBatch, From: int32(p), To: int32(relay.id), Acks: []wire.AckEntry{
+			{Kind: wire.KindAck, From: int32(p), Dest: int32(pub), Pub: int32(pub), Seq: seq, TTL: 30},
+		}}
+	}
+
+	// Two levels: the relay forwards, so its ack waits.
+	publish(1, int32(far[0]), int32(far[1]))
+	relay.handle(ackOf(far[0], 1))
+	relay.handle(ackOf(far[1], 1))
+	if acks := tp.take(wire.KindAckBatch); len(acks) != 0 {
+		t.Fatalf("%d ack frames left before the wheel fired", len(acks))
+	}
+	relay.flushAcks()
+	acks := tp.take(wire.KindAckBatch)
+	if len(acks) != 1 || acks[0].hop != int32(pub) || len(acks[0].m.Acks) != 3 {
+		t.Fatalf("after the wheel fired: %d ack frames, want one to %d with three entries: %+v", len(acks), pub, acks)
+	}
+	for i, from := range []overlay.PeerID{relay.id, far[0], far[1]} {
+		if e := acks[0].m.Acks[i]; e.From != int32(from) || e.Dest != int32(pub) || e.Seq != 1 {
+			t.Errorf("entry %d of the batch: %+v, want the ack of %d", i, e, from)
+		}
+	}
+	if e := acks[0].m.Acks[1]; e.TTL != 29 {
+		t.Errorf("a relayed entry kept TTL %d, want 29", e.TTL)
+	}
+
+	// A leaf: nothing forwarded, nothing to wait for.
+	publish(2)
+	acks = tp.take(wire.KindAckBatch)
+	if len(acks) != 1 || len(acks[0].m.Acks) != 1 || acks[0].m.Acks[0].Seq != 2 {
+		t.Fatalf("a leaf's ack did not leave at once: %+v", acks)
+	}
+	if got := met.Get(obs.CAckLeafFlush); got != 1 {
+		t.Errorf("ack_leaf_flush = %d, want 1", got)
+	}
+
+	// Paused between buffering and flush: the acks die with the pause.
+	publish(3, int32(far[0]))
+	relay.Pause()
+	relay.flushAcks()
+	relay.Resume()
+	relay.flushAcks()
+	if acks := tp.take(wire.KindAckBatch); len(acks) != 0 {
+		t.Fatalf("a paused node sent %d ack frames", len(acks))
+	}
+	if sent, batches := met.Get(obs.CAckCoalesced), met.Get(obs.CAckBatchSent); sent != 5 || batches != 2 {
+		t.Errorf("ack_coalesced = %d, ack_batch_sent = %d, want 5 and 2", sent, batches)
+	}
+}
+
+// TestAckBounceSplitHorizon: two relays whose stale lookahead entries
+// point at each other used to hand an ack back and forth until its TTL
+// died. An ack is never routed to the peer it just came from, and the
+// entry that said otherwise is dropped: each of the two sees it once.
+func TestAckBounceSplitHorizon(t *testing.T) {
+	met := obs.New()
+	_, c, tp := frozenCluster(t, 60, 9, Options{Obs: met})
+	x := c.Nodes[5]
+	y := c.Nodes[x.linksSnapshot()[0]]
+	if !slices.Contains(y.linksSnapshot(), x.id) {
+		t.Fatalf("link %d→%d is one-way", x.id, y.id)
+	}
+	var pub overlay.PeerID = -1
+	for _, p := range strangers(c, x, len(c.Nodes)) {
+		if p != y.id && !slices.Contains(y.linksSnapshot(), p) {
+			pub = p
+			break
+		}
+	}
+	x.mu.Lock()
+	x.lookahead[y.id] = []overlay.PeerID{pub}
+	x.mu.Unlock()
+	y.mu.Lock()
+	y.lookahead[x.id] = []overlay.PeerID{pub}
+	y.mu.Unlock()
+
+	origin := strangers(c, x, 1, y.id, pub)[0]
+	inject := &wire.Message{Kind: wire.KindAckBatch, From: int32(origin), To: int32(x.id), Acks: []wire.AckEntry{
+		{Kind: wire.KindAck, From: int32(origin), Dest: int32(pub), Pub: int32(pub), Seq: 1, TTL: 32},
+	}}
+	// Play the network: hand every ack frame to its next hop until the
+	// entry is consumed or dropped.
+	visits := make(map[int32]int)
+	pending := []sent{{int32(x.id), inject}}
+	for relays := 0; len(pending) > 0; relays++ {
+		if relays > 32 {
+			t.Fatal("the ack is still travelling after 32 relays")
+		}
+		for _, f := range pending {
+			visits[f.hop]++
+			c.Nodes[f.hop].handle(f.m)
+			c.Nodes[f.hop].flushAcks()
+		}
+		pending = tp.take(wire.KindAckBatch)
+	}
+	if visits[int32(x.id)] != 1 || visits[int32(y.id)] != 1 {
+		t.Errorf("the ack visited %d %d times and %d %d times, want once each", x.id, visits[int32(x.id)], y.id, visits[int32(y.id)])
+	}
+	if got := y.Lookahead(x.id); len(got) != 0 {
+		t.Errorf("%d still believes %d has a link to %d: %v", y.id, x.id, pub, got)
+	}
+	consumed := int64(0)
+	if c.Nodes[pub].acked[msgID{int32(pub), 1}][int32(origin)] {
+		consumed = 1
+	}
+	if dropped := met.Get(obs.CAckBounceDrop) + met.Get(obs.CPublishDeadEnd); consumed+dropped != 1 || met.Get(obs.CAckTTLDrop) != 0 {
+		t.Errorf("consumed %d, bounce or dead-end drops %d, ttl drops %d", consumed, dropped, met.Get(obs.CAckTTLDrop))
+	}
+
+	// Where the peer it came from is the only way on, the entry is dropped
+	// and counted, not sent back.
+	lone := c.Nodes[origin]
+	lone.mu.Lock()
+	lone.shortSucc, lone.shortPred, lone.longOut, lone.longIn = x.id, -1, nil, nil
+	lone.mu.Unlock()
+	inject.From, inject.To = int32(x.id), int32(origin)
+	lone.handle(inject)
+	lone.flushAcks()
+	if acks := tp.take(wire.KindAckBatch); len(acks) != 0 || met.Get(obs.CAckBounceDrop) < 1 {
+		t.Errorf("an ack with no way on but back: %d frames sent, ack_bounce_drop = %d", len(acks), met.Get(obs.CAckBounceDrop))
+	}
+}
+
+// discard is a transport that drops every frame: what the allocation
+// pins below measure is the sender alone.
+type discard struct{ frames atomic.Int64 }
+
+func (d *discard) Send(int32, *wire.Message) error       { d.frames.Add(1); return nil }
+func (d *discard) Inbox(int32) <-chan transport.Envelope { return nil }
+func (d *discard) Close()                                {}
+func (d *discard) BindInboxBatch(int32, chan *[]transport.Envelope) bool {
+	return true
+}
+
+// discardFrames is discard with the raw-frame path of the TCP transport.
+type discardFrames struct{ discard }
+
+func (d *discardFrames) SendFrame(int32, int32, []byte) error { d.frames.Add(1); return nil }
+
+// TestFanOutAllocPins holds the data path to its allocation budget:
+// routing a frame's destinations allocates nothing; the publisher's
+// fan-out allocates nothing beyond the pooled buffer over a frame-sending
+// transport; an ack costs at most one allocation per frame where the
+// transport takes the pointer and none where it takes bytes.
+func TestFanOutAllocPins(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts mean nothing under -race: sync.Pool drops a quarter of what it is handed back")
+	}
+	const n, seed = 120, 2
+	g, ov := buildOverlay(t, n, seed)
+	start := func(tr transport.Transport) *Node {
+		c, err := Start(Options{Graph: g, Overlay: ov, Transport: tr, Seed: seed})
+		if err != nil {
+			t.Fatal(err)
+		}
+		c.stopOnce.Do(func() { close(c.stop) })
+		c.wg.Wait()
+		t.Cleanup(func() { shutdown(t, c) })
+		return c.Nodes[topDegree(g)]
+	}
+	pub := topDegree(g)
+	subs := g.Neighbors(pub)
+	if len(subs) < 24 {
+		t.Fatalf("top degree %d", len(subs))
+	}
+	payload := make([]byte, 256)
+
+	msgs, frames := &discard{}, &discardFrames{}
+	byPointer, byBytes := start(msgs), start(frames)
+
+	// Give routing something to search: every link lists a few peers, none
+	// of them a subscriber, so that every destination that is no direct
+	// link goes all the way to the greedy step.
+	var others []overlay.PeerID
+	for p := overlay.PeerID(0); p < n && len(others) < 8; p++ {
+		if p != pub && !slices.Contains(subs, p) {
+			others = append(others, p)
+		}
+	}
+	byBytes.mu.Lock()
+	for _, q := range byBytes.linksLocked() {
+		byBytes.lookahead[q] = others
+	}
+	byBytes.mu.Unlock()
+	hops := make([]overlay.PeerID, 24)
+	if a := testing.AllocsPerRun(200, func() { byBytes.routeBatch(subs[:24], hops, -1) }); a != 0 {
+		t.Errorf("routeBatch of 24 destinations: %.1f allocs, want 0", a)
+	}
+
+	tmpl := byBytes.feedFrame(1, payload, 256, 1)
+	byBytes.fanOut(tmpl, subs, nil) // warms the frame pool
+	sent := frames.frames.Load()
+	if a := testing.AllocsPerRun(200, func() { byBytes.fanOut(tmpl, subs, nil) }); a != 0 {
+		t.Errorf("fanOut over a frame-sending transport: %.1f allocs, want 0", a)
+	}
+	if per := (frames.frames.Load() - sent) / 201; per < 1 || per >= int64(len(subs)) {
+		t.Errorf("fanOut sent %d frames for %d subscribers", per, len(subs))
+	}
+
+	ack := wire.AckEntry{Kind: wire.KindAck, From: int32(pub), Dest: int32(subs[0]), Pub: int32(subs[0]), Seq: 1, TTL: 32}
+	for _, tc := range []struct {
+		name string
+		n    *Node
+		sink *atomic.Int64
+		max  float64
+	}{
+		{"by pointer", byPointer, &msgs.frames, 1},
+		{"by bytes", byBytes, &frames.frames, 0},
+	} {
+		leaf := func() { tc.n.queueAck(ack, true) }
+		timed := func() {
+			tc.n.queueAck(ack, false)
+			tc.n.queueAck(ack, false)
+			tc.n.flushAcks()
+		}
+		leaf()
+		timed()
+		before := tc.sink.Load()
+		if a := testing.AllocsPerRun(200, leaf); a > tc.max {
+			t.Errorf("%s: an ack flushed at once costs %.1f allocs, want at most %.0f", tc.name, a, tc.max)
+		}
+		if a := testing.AllocsPerRun(200, timed); a > tc.max {
+			t.Errorf("%s: two acks and a timed flush cost %.1f allocs, want at most %.0f", tc.name, a, tc.max)
+		}
+		if got := tc.sink.Load() - before; got != 2*201 {
+			t.Errorf("%s: %d ack frames for 201 leaf acks and 201 timed flushes", tc.name, got)
+		}
+	}
+}

@@ -146,6 +146,12 @@ const (
 	CPublishOfflineSkip     // publication copies not sent: the target is not a ring member
 	CAckOfflineDrop         // acks dropped: the publisher is not a ring member
 
+	// node: tree dissemination and the one ack path (DESIGN.md §10.3, §15.1).
+	CPublishFrame         // KindPublish frames emitted by the fan-out, publisher and relays (publish_sent, publish_forwarded and retry_sent count copies)
+	CPublishDestMalformed // KindPublish frames whose destination list was over the cap or out of range (dropped) or named a peer twice (served once)
+	CAckLeafFlush         // acks flushed at once: their handler forwarded nothing onward
+	CAckBounceDrop        // relayed acks dropped: the only way on was the peer they came from
+
 	numCounters
 )
 
@@ -251,6 +257,11 @@ var counterNames = [numCounters]string{
 	CLinkProposalRefused:    "link_proposal_refused",
 	CPublishOfflineSkip:     "publish_offline_skip",
 	CAckOfflineDrop:         "ack_offline_drop",
+
+	CPublishFrame:         "publish_frame",
+	CPublishDestMalformed: "publish_dest_malformed",
+	CAckLeafFlush:         "ack_leaf_flush",
+	CAckBounceDrop:        "ack_bounce_drop",
 }
 
 // String returns the counter's export name.

@@ -16,10 +16,16 @@
 // calls, fired entries come back in the same order — ordered by deadline
 // tick, ties broken by schedule insertion order. The wheel itself never
 // reads the clock; callers pass time in, so tests can drive it logically.
+//
+// Steady state allocates nothing: entries are recycled through a free
+// list (a fired, cancelled or rescheduled entry is the next one handed
+// out), the due list lives on the wheel, and AdvanceAppend fills a slice
+// its caller owns.
 package sched
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 	"sync"
 	"time"
 )
@@ -50,6 +56,8 @@ type Wheel struct {
 	entries map[uint64]*entry
 	cur     int64 // last fully processed tick index
 	seq     uint64
+	free    []*entry // recycled entries, handed out before allocating
+	due     []*entry // AdvanceAppend's working list, reused across calls
 }
 
 // NewWheel builds a wheel with the given slot granularity and slot
@@ -84,16 +92,23 @@ func (w *Wheel) Schedule(id uint64, at time.Time) {
 	ns := at.UnixNano()
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	if e := w.entries[id]; e != nil {
-		w.unlink(e)
+	e := w.entries[id]
+	if e != nil {
+		w.unlink(e) // a rescheduled entry moves in place
+	} else {
+		if k := len(w.free); k > 0 {
+			e, w.free = w.free[k-1], w.free[:k-1]
+		} else {
+			e = new(entry)
+		}
+		w.entries[id] = e
 	}
 	tk := ns / w.tick
 	if tk <= w.cur {
 		tk = w.cur + 1 // already due: fire on the next advance
 	}
 	w.seq++
-	e := &entry{id: id, at: ns, tk: tk, seq: w.seq}
-	w.entries[id] = e
+	*e = entry{id: id, at: ns, tk: tk, seq: w.seq}
 	s := int(tk % int64(len(w.slots)))
 	w.slots[s] = append(w.slots[s], e)
 }
@@ -105,6 +120,7 @@ func (w *Wheel) Cancel(id uint64) {
 	if e := w.entries[id]; e != nil {
 		w.unlink(e)
 		delete(w.entries, id)
+		w.free = append(w.free, e)
 	}
 }
 
@@ -120,25 +136,29 @@ func (w *Wheel) unlink(e *entry) {
 	}
 }
 
-// Advance pops every entry due at `now` (deadline tick ≤ now's tick), in
-// deterministic order: by fire tick, then by insertion order. The caller
-// re-schedules periodic entries itself.
-func (w *Wheel) Advance(now time.Time) []Fired {
+// Advance pops every entry due at `now` into a fresh slice; see
+// AdvanceAppend, which the shard loop calls with a slice it reuses.
+func (w *Wheel) Advance(now time.Time) []Fired { return w.AdvanceAppend(nil, now) }
+
+// AdvanceAppend pops every entry due at `now` (deadline tick ≤ now's
+// tick) and appends it to dst, in deterministic order: by fire tick, then
+// by insertion order. The caller re-schedules periodic entries itself.
+func (w *Wheel) AdvanceAppend(dst []Fired, now time.Time) []Fired {
 	target := now.UnixNano() / w.tick
 	w.mu.Lock()
+	defer w.mu.Unlock()
 	if target <= w.cur || len(w.entries) == 0 {
 		if target > w.cur {
 			w.cur = target
 		}
-		w.mu.Unlock()
-		return nil
+		return dst
 	}
 	W := int64(len(w.slots))
 	span := target - w.cur
 	if span > W {
 		span = W // a full rotation visits every slot once
 	}
-	var due []*entry
+	due := w.due[:0]
 	for i := int64(1); i <= span; i++ {
 		s := int((w.cur + i) % W)
 		list := w.slots[s]
@@ -154,25 +174,24 @@ func (w *Wheel) Advance(now time.Time) []Fired {
 				keep = append(keep, e)
 			}
 		}
-		// Zero the tail so removed entries do not pin memory.
-		for j := len(keep); j < len(list); j++ {
-			list[j] = nil
-		}
 		w.slots[s] = keep
 	}
 	w.cur = target
-	w.mu.Unlock()
-	sort.Slice(due, func(a, b int) bool {
-		if due[a].tk != due[b].tk {
-			return due[a].tk < due[b].tk
-		}
-		return due[a].seq < due[b].seq
-	})
-	out := make([]Fired, len(due))
-	for i, e := range due {
-		out[i] = Fired{ID: e.id, At: time.Unix(0, e.at)}
+	if len(due) > 1 {
+		slices.SortFunc(due, func(a, b *entry) int {
+			if a.tk != b.tk {
+				return cmp.Compare(a.tk, b.tk)
+			}
+			return cmp.Compare(a.seq, b.seq)
+		})
 	}
-	return out
+	dst = slices.Grow(dst, len(due))
+	for _, e := range due {
+		dst = append(dst, Fired{ID: e.id, At: time.Unix(0, e.at)})
+	}
+	w.free = append(w.free, due...)
+	w.due = due[:0]
+	return dst
 }
 
 // Next returns the earliest fire time of any scheduled entry, or false

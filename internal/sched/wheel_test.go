@@ -164,3 +164,34 @@ func TestFiredAtCarriesRequestedDeadline(t *testing.T) {
 		t.Fatalf("Fired.At = %v, want %v", fired[0].At, want)
 	}
 }
+
+// TestWheelZeroAlloc pins the steady state of the wheel: entries come
+// from the free list — after a fire, a cancel or a reschedule — and
+// AdvanceAppend fills the caller's slice, so a shard loop that arms,
+// moves, cancels and fires deadlines allocates nothing.
+func TestWheelZeroAlloc(t *testing.T) {
+	w := NewWheel(time.Millisecond, 64, base)
+	now := base
+	fired := make([]Fired, 0, 16)
+	round := func() {
+		for id := uint64(0); id < 8; id++ {
+			w.Schedule(id, now.Add(time.Duration(1+id%3)*time.Millisecond))
+		}
+		w.Schedule(3, now.Add(2*time.Millisecond)) // moved
+		w.Cancel(5)
+		w.Schedule(5, now.Add(time.Millisecond)) // and armed again
+		w.Cancel(6)
+		now = now.Add(5 * time.Millisecond)
+		fired = w.AdvanceAppend(fired[:0], now)
+		if len(fired) != 7 {
+			t.Fatalf("fired %d entries, want 7", len(fired))
+		}
+	}
+	round() // grows the slot lists, the free list and the due list
+	if allocs := testing.AllocsPerRun(200, round); allocs != 0 {
+		t.Errorf("a round of Schedule, Cancel and AdvanceAppend costs %.1f allocs, want 0", allocs)
+	}
+	if w.Len() != 0 {
+		t.Errorf("%d entries left scheduled", w.Len())
+	}
+}

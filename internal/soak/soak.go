@@ -337,6 +337,15 @@ func (r *Report) String() string {
 	if r.FramesPerDelivered > 0 {
 		fmt.Fprintf(&b, "frames/delivered-msg: %.2f\n", r.FramesPerDelivered)
 	}
+	if c := r.Obs.Counters; c["publish_frame"] > 0 {
+		// One frame per overlay link (DESIGN.md §10.3): how many copies —
+		// first sends, relayed and retried — a publish frame carried, and
+		// what the ack path did with the answers (§15.1).
+		copies := c["publish_sent"] + c["publish_forwarded"] + c["retry_sent"]
+		fmt.Fprintf(&b, "tree dissemination: %d copies in %d publish frames (%.2f per frame), %d malformed lists; acks: %d in %d frames, %d flushed at once, %d bounce drops, %d ttl drops\n",
+			copies, c["publish_frame"], float64(copies)/float64(c["publish_frame"]), c["publish_dest_malformed"],
+			c["ack_coalesced"], c["ack_batch_sent"], c["ack_leaf_flush"], c["ack_bounce_drop"], c["ack_ttl_drop"])
+	}
 	if c := r.Obs.Counters; c["heartbeat_sweep"] > 0 {
 		// How quiet the control plane got, and what kept it awake
 		// (DESIGN.md §15.2): under loss or churn nearly every sweep should

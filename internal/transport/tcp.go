@@ -369,8 +369,8 @@ func (t *TCP) Send(to int32, m *wire.Message) error {
 }
 
 // SendFrame implements FrameSender: frame (a full wire frame with its
-// length prefix) is copied into a pooled buffer and queued as-is — the
-// fan-out fast path marshals once and patches destinations per recipient.
+// length prefix) is copied into a pooled buffer and queued as-is, so the
+// caller keeps its own buffer for the next frame.
 func (t *TCP) SendFrame(from, to int32, frame []byte) error {
 	l, buf, err := t.admit(to)
 	if err != nil {

@@ -58,14 +58,16 @@ type Transport interface {
 	Close()
 }
 
-// FrameSender is the optional fan-out fast path (DESIGN.md §10):
+// FrameSender is the optional raw-frame path (DESIGN.md §10.3):
 // transports whose wire format IS the marshaled frame (TCP) accept a
-// pre-encoded frame directly, so a sender fanning one message out to many
-// destinations marshals once and patches the To field per recipient
-// (wire.PatchTo) instead of re-marshaling. The frame must be a full
-// self-delimited wire frame (length prefix included) whose From field is
-// `from`; the transport copies it before returning, so the caller may
-// patch and reuse the buffer immediately.
+// pre-encoded frame directly, so a sender marshals into a buffer it
+// reuses — the publish fan-out and the ack flush, one frame per next hop
+// — or marshals once and patches To and Seq per recipient (the heartbeat
+// sweep, wire.PatchTo) instead of building a Message per frame. The frame
+// must be a full self-delimited wire frame (length prefix included);
+// `from` is the peer sending it, which the frame's From field does not
+// name when a relay passes a publication on. The transport copies the
+// frame before returning, so the caller may reuse the buffer at once.
 //
 // The switchboard deliberately does not implement FrameSender — it hands
 // receivers the *wire.Message pointer itself, each recipient needs its

@@ -126,6 +126,20 @@ func fuzzSeeds() []*Message {
 			Pos:   0x7FF0000000000000, // +Inf identifier
 			Succs: []int32{-5, 1 << 30}, SuccPos: []uint64{0, ^uint64(0)},
 		},
+		// Publish frames by destination count (DESIGN.md §10.3): none, one,
+		// the most a frame may name, and one more — which decodes, and which
+		// the node layer counts and drops. (Appended, so that the earlier
+		// seeds keep their corpus numbers.)
+		fanOutFrame(0),
+		fanOutFrame(1),
+		fanOutFrame(MaxPublishDests),
+		fanOutFrame(MaxPublishDests + 1),
+		{
+			// A destination list of lies: out-of-range ids, the same peer
+			// twice, the frame's own To.
+			Kind: KindPublish, From: 66, To: 10, Seq: 12, Publisher: 9, TTL: 32,
+			RoutingTable: []int32{-5, 1 << 30, 11, 11, 10},
+		},
 	}
 }
 

@@ -33,7 +33,11 @@ const (
 	// KindExchangeReply returns the mutual-friend count and the friendship
 	// bitmap (Algorithm 4 line 6).
 	KindExchangeReply
-	// KindPublish carries a publication being disseminated.
+	// KindPublish carries a publication being disseminated to a set of
+	// subscribers: the first in To, the rest in RoutingTable (at most
+	// MaxPublishDests in all). A receiver that is named delivers locally;
+	// it forwards what remains one hop on, one frame per next hop
+	// (DESIGN.md §10.3). A frame with one destination has an empty list.
 	KindPublish
 	// KindAck confirms a publication reached a subscriber.
 	KindAck
@@ -190,7 +194,9 @@ type Message struct {
 	// ExchangeRT: the sender's social neighborhood and routing table.
 	// On Pong and JoinReply, which have no neighborhood to send, the
 	// Neighborhood slot carries the ages of the piggybacked ring claims
-	// instead (see Succs).
+	// instead (see Succs). On Publish and TopicPub, which have no routing
+	// table to send, the RoutingTable slot carries the destinations the
+	// frame names beyond To.
 	Neighborhood []int32
 	RoutingTable []int32
 
@@ -276,6 +282,14 @@ const ackEntrySize = 1 + 4 + 4 + 4 + 4 + 4 + 1
 
 const maxSliceLen = 1 << 20 // defensive decode bound
 
+// MaxPublishDests is the most subscribers one KindPublish frame may name
+// (To plus RoutingTable). Senders split a larger group over several
+// frames; a receiver drops a frame that names more, so one inbound frame
+// never makes a relay emit more than this many (DESIGN.md §14.1). The
+// decoder itself does not enforce it — the slot is shared with kinds
+// whose lists are longer.
+const MaxPublishDests = 64
+
 // Clone returns a deep copy of m. Receivers mutate TTL and HopCount in
 // place, so any component that fans one message out to several inboxes
 // (e.g. faultnet duplication) must hand each receiver its own copy.
@@ -317,8 +331,8 @@ func (m *Message) Clone() *Message {
 // Frame layout (after the 4-byte little-endian length prefix): kind (1),
 // from (4), to (4), seq (4), then the variable-length fields. The fixed
 // header offsets below are what PatchTo/PatchSeq rely on; they are part of
-// the codec, not an implementation detail — node's fan-out fast path
-// patches destinations into a marshaled frame through them.
+// the codec, not an implementation detail — node's heartbeat sweep
+// patches each target into one marshaled ping through them.
 const (
 	frameToOffset  = 4 + 1 + 4 // prefix + kind + from
 	frameSeqOffset = frameToOffset + 4
