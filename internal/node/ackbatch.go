@@ -18,8 +18,7 @@ import (
 // once, with whatever was waiting there. A node that did forward arms the
 // shard wheel's tkAckFlush entry (~ackFlushEvery), so the acks of the
 // peers beyond it — tree leaves answer at once — ride the same frame as
-// its own. A bucket that reaches ackBatchMax leaves early. The repair
-// engine settles every member seq of a batch in one lock pass.
+// its own. A bucket that reaches ackBatchMax leaves early.
 
 const (
 	// ackFlushEvery is the longest an ack may sit buffered before its
@@ -63,7 +62,7 @@ type ackFrame struct {
 
 // queueAck buffers one routed ack (KindAck) toward e.Dest by the greedy
 // next hop. leaf says the caller forwarded nothing onward: the entry's
-// bucket is flushed at once. Called outside n.mu.
+// bucket is flushed at once.
 func (n *Node) queueAck(e wire.AckEntry, leaf bool) {
 	dest, hops := [1]overlay.PeerID{e.Dest}, [1]overlay.PeerID{}
 	n.routeBatch(dest[:], hops[:], -1)
@@ -80,16 +79,16 @@ func (n *Node) queueAck(e wire.AckEntry, leaf bool) {
 
 // directAck sends one point-to-point ack — the deposit and topic-ack
 // contracts — straight to e.Dest. Nothing answers through this node on
-// such a path, so the entry never waits. Called outside n.mu.
+// such a path, so the entry never waits.
 func (n *Node) directAck(e wire.AckEntry) {
 	n.cfg.Obs.Inc(obs.CAckLeafFlush)
 	n.bufferAck(overlay.PeerID(e.Dest), e, true)
 }
 
-// ackBucketLocked returns hop's bucket, opening one at the end of the
+// ackBucket returns hop's bucket, opening one at the end of the
 // list — in a slot the last timed flush vacated, if there is one, whose
 // storage it takes over — when hop has none.
-func (n *Node) ackBucketLocked(hop overlay.PeerID) *ackBucket {
+func (n *Node) ackBucket(hop overlay.PeerID) *ackBucket {
 	for i := range n.ackBuckets {
 		if n.ackBuckets[i].hop == hop {
 			return &n.ackBuckets[i]
@@ -110,21 +109,14 @@ func (n *Node) ackBucketLocked(hop overlay.PeerID) *ackBucket {
 // which the first waiting entry arms.
 func (n *Node) bufferAck(hop overlay.PeerID, e wire.AckEntry, atOnce bool) {
 	n.cfg.Obs.Inc(obs.CAckCoalesced)
-	n.mu.Lock()
-	b := n.ackBucketLocked(hop)
+	b := n.ackBucket(hop)
 	b.acks = append(b.acks, e)
+	switch {
 	// A node without a shard runtime (unit tests) has no wheel to wait on.
-	atOnce = atOnce || len(b.acks) >= ackBatchMax || n.sh == nil
-	arm := !atOnce && !n.ackFlushArmed
-	if arm {
+	case atOnce || len(b.acks) >= ackBatchMax || n.sh == nil:
+		n.sendBucket(b)
+	case !n.ackFlushArmed:
 		n.ackFlushArmed = true
-	}
-	if atOnce {
-		n.sendBucketAndUnlock(b)
-	} else {
-		n.mu.Unlock()
-	}
-	if arm {
 		n.sh.scheduleAckFlush(n, time.Now().Add(ackFlushEvery))
 	}
 }
@@ -132,93 +124,76 @@ func (n *Node) bufferAck(hop overlay.PeerID, e wire.AckEntry, atOnce bool) {
 // flushAcks drains every buffered bucket — the tkAckFlush wheel entry's
 // body. One-shot: the entry re-arms on the next entry that waits.
 func (n *Node) flushAcks() {
-	n.mu.Lock()
 	n.ackFlushArmed = false
-	// The lock is released around every send, so the list is walked by
-	// index and vacated only if nothing was buffered meanwhile.
-	for i := 0; i < len(n.ackBuckets); i++ {
+	for i := range n.ackBuckets {
 		if b := &n.ackBuckets[i]; len(b.acks) > 0 {
-			n.sendBucketAndUnlock(b)
-			n.mu.Lock()
+			n.sendBucket(b)
 		}
 	}
-	if !slices.ContainsFunc(n.ackBuckets, func(b ackBucket) bool { return len(b.acks) > 0 }) {
-		n.ackBuckets = n.ackBuckets[:0]
-	}
-	n.mu.Unlock()
+	n.ackBuckets = n.ackBuckets[:0]
 }
 
-// sendBucketAndUnlock empties b into one KindAckBatch frame, releases
-// n.mu — the transport is never entered under it — and sends the frame.
-// Over a frame-sending transport the frame is marshaled into a pooled
-// buffer under the lock and nothing is allocated; otherwise the receiver
-// gets a Message of its own. len(b.acks) > 0. The acks of a node that
-// churned out between buffering and flush die with the pause, like any
-// frame an unresponsive process never sent.
-func (n *Node) sendBucketAndUnlock(b *ackBucket) {
+// sendBucket empties b into one KindAckBatch frame and sends it. Over a
+// frame-sending transport the frame is marshaled into a pooled buffer and
+// nothing is allocated; otherwise the receiver gets a Message of its own.
+// len(b.acks) > 0. The acks of a node that churned out between buffering
+// and flush die with the pause, like any frame an unresponsive process
+// never sent.
+func (n *Node) sendBucket(b *ackBucket) {
 	hop := int32(b.hop)
-	var buf *[]byte
-	var f *ackFrame
 	switch {
 	case n.paused.Load():
+		b.acks = b.acks[:0]
+		return
 	case n.fs != nil:
-		buf = wire.GetFrame()
+		buf := wire.GetFrame()
 		*buf = wire.MarshalAppend((*buf)[:0], &wire.Message{
 			Kind: wire.KindAckBatch, From: int32(n.id), To: hop, Acks: b.acks,
 		})
+		_ = n.fs.SendFrame(int32(n.id), hop, *buf)
+		wire.PutFrame(buf)
 	default:
-		f = new(ackFrame)
+		f := new(ackFrame)
 		f.m = wire.Message{
 			Kind: wire.KindAckBatch, From: int32(n.id), To: hop,
 			Acks: append(f.inline[:0], b.acks...),
 		}
-	}
-	b.acks = b.acks[:0]
-	n.mu.Unlock()
-	if buf == nil && f == nil {
-		return
-	}
-	n.cfg.Obs.Inc(obs.CAckBatchSent)
-	if buf != nil {
-		_ = n.fs.SendFrame(int32(n.id), hop, *buf)
-		wire.PutFrame(buf)
-	} else {
 		_ = n.tr.Send(hop, &f.m)
 	}
+	b.acks = b.acks[:0]
+	n.cfg.Obs.Inc(obs.CAckBatchSent)
 }
 
-// handleAckBatch consumes every entry destined for this node in one
-// repair-engine lock pass and relays the rest toward their destinations.
+// handleAckBatch consumes every entry destined for this node and relays
+// the rest toward their destinations.
 func (n *Node) handleAckBatch(m *wire.Message) {
 	ibxOn := n.inboxOn()
 	now := time.Now()
 	var ackN, depN int64
 	kickR, relay := false, false
-	n.mu.Lock()
 	for _, e := range m.Acks {
 		if overlay.PeerID(e.Dest) != n.id {
-			relay = true // below, outside the lock
+			relay = true // below
 			continue
 		}
 		switch e.Kind {
 		case wire.KindAck:
-			n.consumeAckLocked(e.From, e.Pub, e.Seq)
+			n.consumeAck(e.From, e.Pub, e.Seq)
 			ackN++
 		case wire.KindInboxDepositAck:
 			if ibxOn {
-				n.consumeDepositAckLocked(e.Pub, e.Seq, e.Target)
+				n.consumeDepositAck(e.Pub, e.Seq, e.Target)
 				depN++
 				kickR = true
 			}
 		case wire.KindTopicPubAck:
 			if e.Pub == int32(n.id) {
-				n.consumeTopicPubAckLocked(overlay.PeerID(e.From), e.Seq, now)
+				n.consumeTopicPubAck(overlay.PeerID(e.From), e.Seq, now)
 				ackN++
 				kickR = true
 			}
 		}
 	}
-	n.mu.Unlock()
 	if ackN > 0 {
 		n.cfg.Obs.Addn(obs.CAckReceived, ackN)
 	}
@@ -276,26 +251,25 @@ func (n *Node) relayAcks(acks []wire.AckEntry, from overlay.PeerID) {
 
 // ---- consume cores of the batch pass ----
 
-// consumeAckLocked folds one delivery ack (acker from, publication
-// pub/seq) into the publisher-side repair state. Callers hold n.mu and
-// count CAckReceived.
-func (n *Node) consumeAckLocked(from, pub int32, seq uint32) {
+// consumeAck folds one delivery ack (acker from, publication pub/seq)
+// into the publisher-side repair state. Callers count CAckReceived.
+func (n *Node) consumeAck(from, pub int32, seq uint32) {
 	id := msgID{pub, seq}
-	set := n.ackedSetLocked(id)
+	set := n.ackedSet(id)
 	set[from] = true
 	if pub == int32(n.id) {
-		n.resolveAckLocked(seq)
+		n.resolveAck(seq)
 	} else if rseq, ok := n.tpOrigin[id]; ok {
 		// Topic-rendezvous repair state: the ack is keyed by the origin
 		// publisher, the pubState by this node's local repair seq.
-		n.resolveAckLocked(rseq)
+		n.resolveAck(rseq)
 	}
 }
 
-// consumeDepositAckLocked folds one replica persistence confirmation
-// into the durable-tier repair state. Callers hold n.mu, gate on
-// inboxOn, count CInboxDepositAck and kickRetry after unlocking.
-func (n *Node) consumeDepositAckLocked(pub int32, seq uint32, target int32) {
+// consumeDepositAck folds one replica persistence confirmation into the
+// durable-tier repair state. Callers gate on inboxOn, count
+// CInboxDepositAck and kickRetry.
+func (n *Node) consumeDepositAck(pub int32, seq uint32, target int32) {
 	// The ack echoes the deposit's origin identity; for a topic hand-off
 	// the local repair state is keyed by this node's repair seq instead.
 	aseq, known := seq, pub == int32(n.id)
@@ -308,23 +282,23 @@ func (n *Node) consumeDepositAckLocked(pub int32, seq uint32, target int32) {
 	if st := n.pubs[aseq]; st != nil {
 		if ds := st.dep[overlay.PeerID(target)]; ds != nil && !ds.acked {
 			ds.acked = true
-			n.resolveAckLocked(aseq)
+			n.resolveAck(aseq)
 		}
 	}
 }
 
-// consumeTopicPubAckLocked marks rendezvous member from's acceptance of
+// consumeTopicPubAck marks rendezvous member from's acceptance of
 // hand-off seq and resolves eagerly when the whole current set acked.
-// Callers hold n.mu (publisher role already verified), count
-// CAckReceived and kickRetry after unlocking.
-func (n *Node) consumeTopicPubAckLocked(from overlay.PeerID, seq uint32, now time.Time) {
+// Callers have verified the publisher role, count CAckReceived and
+// kickRetry.
+func (n *Node) consumeTopicPubAck(from overlay.PeerID, seq uint32, now time.Time) {
 	tp := n.tpubs[seq]
 	if tp == nil {
 		return
 	}
 	tp.acked[from] = true
 	// Resolve eagerly so nextRepairAt can drop the entry.
-	set := n.topicRendezvousLocked(tp.topic, now)
+	set := n.topicRendezvous(tp.topic, now)
 	all := len(set) > 0
 	for _, rep := range set {
 		if !tp.acked[rep] {

@@ -88,23 +88,26 @@ func TestAckBatchRelayAndTTLDrop(t *testing.T) {
 	_, c := buildCluster(t, 50, 7, Options{Obs: met})
 	defer shutdown(t, c)
 	relay := c.Nodes[1]
-	relay.handleAckBatch(&wire.Message{
-		Kind: wire.KindAckBatch, From: 2, To: 1,
-		Acks: []wire.AckEntry{{Kind: wire.KindAck, From: 2, Dest: 0, Pub: 0, Seq: 9, TTL: 0}},
+	relay.do(func() {
+		relay.handleAckBatch(&wire.Message{
+			Kind: wire.KindAckBatch, From: 2, To: 1,
+			Acks: []wire.AckEntry{{Kind: wire.KindAck, From: 2, Dest: 0, Pub: 0, Seq: 9, TTL: 0}},
+		})
 	})
 	if got := met.Get(obs.CAckTTLDrop); got != 1 {
 		t.Fatalf("expired relay entry: ack_ttl_drop = %d, want 1", got)
 	}
-	relay.handleAckBatch(&wire.Message{
-		Kind: wire.KindAckBatch, From: 2, To: 1,
-		Acks: []wire.AckEntry{{Kind: wire.KindAck, From: 2, Dest: 0, Pub: 0, Seq: 9, TTL: 8}},
+	relay.do(func() {
+		relay.handleAckBatch(&wire.Message{
+			Kind: wire.KindAckBatch, From: 2, To: 1,
+			Acks: []wire.AckEntry{{Kind: wire.KindAck, From: 2, Dest: 0, Pub: 0, Seq: 9, TTL: 8}},
+		})
 	})
 	dst := c.Nodes[0]
 	deadline := time.Now().Add(5 * time.Second)
 	for {
-		dst.mu.Lock()
-		consumed := dst.acked[msgID{0, 9}][2]
-		dst.mu.Unlock()
+		var consumed bool
+		dst.do(func() { consumed = dst.acked[msgID{0, 9}][2] })
 		if consumed {
 			break
 		}
@@ -130,25 +133,23 @@ func TestHeartbeatPiggybackSuppressesBusyLink(t *testing.T) {
 	for _, other := range c.Nodes[1:] {
 		other.paused.Store(true)
 	}
-	links := nd.linksSnapshot()
+	links := nd.Links()
 	if len(links) == 0 {
 		t.Fatal("bootstrap node has no links")
 	}
 	q := links[0]
 	for round := 1; round <= hbSuppressMax+1; round++ {
-		nd.mu.Lock()
-		nd.lastHeard[q] = time.Now()
-		nd.mu.Unlock()
-		nd.sendHeartbeats()
-		nd.mu.Lock()
-		pinged := false
-		for _, tgt := range nd.pendingPings {
-			if tgt == q {
-				pinged = true
+		pinged, miss := false, 0
+		nd.do(func() {
+			nd.lastHeard[q] = time.Now()
+			nd.sendHeartbeats()
+			for _, tgt := range nd.pendingPings {
+				if tgt == q {
+					pinged = true
+				}
 			}
-		}
-		miss := nd.miss[q]
-		nd.mu.Unlock()
+			miss = nd.miss[q]
+		})
 		if round <= hbSuppressMax {
 			if pinged {
 				t.Fatalf("round %d: busy link %d pinged despite fresh traffic", round, q)
@@ -179,16 +180,18 @@ func TestHeartbeatIdleDetectionLatencyUnchanged(t *testing.T) {
 	for _, other := range c.Nodes[1:] {
 		other.paused.Store(true) // dead: consumes pings, never pongs
 	}
-	q := nd.linksSnapshot()[0]
-	for i := 0; i < rounds; i++ {
-		nd.sendHeartbeats()
-	}
+	q := nd.Links()[0]
+	miss := 0
+	nd.do(func() {
+		for i := 0; i < rounds; i++ {
+			nd.sendHeartbeats()
+		}
+		miss = nd.miss[q]
+	})
 	if got := met.Get(obs.CHeartbeatSuppress); got != 0 {
 		t.Fatalf("idle link suppressed %d times", got)
 	}
-	nd.mu.Lock()
-	defer nd.mu.Unlock()
-	if got := nd.miss[q]; got != rounds-1 {
+	if got := miss; got != rounds-1 {
 		t.Fatalf("miss streak = %d after %d sweeps, want %d", got, rounds, rounds-1)
 	}
 }

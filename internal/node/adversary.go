@@ -2,6 +2,7 @@ package node
 
 import (
 	"math"
+	"slices"
 	"time"
 
 	"selectps/internal/obs"
@@ -63,26 +64,19 @@ func (a AdversaryMode) String() string {
 // their whole cohort, and the node's rank within it fixes which flank
 // position it claims, deterministically.
 func (n *Node) SetAdversary(mode AdversaryMode, target overlay.PeerID, cohort []overlay.PeerID) {
-	n.mu.Lock()
-	n.advTarget = target
-	n.advCohort = append(n.advCohort[:0], cohort...)
-	n.advRank = 0
-	for i, p := range cohort {
-		if p == n.id {
-			n.advRank = i
-			break
-		}
-	}
-	// Stored last, under the lock, so a reader that observes the new mode
-	// and then takes n.mu sees the matching target/cohort.
-	n.advMode.Store(uint32(mode))
-	n.mu.Unlock()
+	n.do(func() {
+		n.advMode = mode
+		n.advTarget = target
+		n.advCohort = append(n.advCohort[:0], cohort...)
+		n.advRank = max(slices.Index(cohort, n.id), 0)
+	})
 }
 
 // Adversary returns the node's current byzantine mode (soak scoring uses
 // it to exclude attackers from the eligible set).
-func (n *Node) Adversary() AdversaryMode {
-	return AdversaryMode(n.advMode.Load())
+func (n *Node) Adversary() (mode AdversaryMode) {
+	n.do(func() { mode = n.advMode })
+	return mode
 }
 
 // flankPos is the forged ring position an eclipse attacker of the given
@@ -100,32 +94,27 @@ func flankPos(vpos ring.ID, rank int) ring.ID {
 // adversaryMaintain runs instead of the honest maintain tick while an
 // attack behavior owns it; it reports whether it did.
 func (n *Node) adversaryMaintain() bool {
-	if AdversaryMode(n.advMode.Load()) != AdvSybil {
-		return false
-	}
-	n.mu.Lock()
 	target := n.advTarget
-	n.mu.Unlock()
-	if target < 0 {
+	if n.advMode != AdvSybil || target < 0 {
 		return false
 	}
 	// One identity churn per tick: a member leaves, a non-member demands
 	// admission from the victim — never from its honest fallbacks.
 	if n.dir.isMember(n.id) {
-		n.Leave()
+		n.leave()
 	} else if n.dir.isMember(target) {
 		n.requestJoin(target)
 	}
 	return true
 }
 
-// forgedRingClaimLocked renders the eclipse cohort's ε-flank claims as
+// forgedRingClaim renders the eclipse cohort's ε-flank claims as
 // pong piggyback fields: the self entry claims this attacker's flank
 // position firsthand, and the lists vouch for the rest of the cohort at
 // theirs — hearsay an unhardened ring view swallows whole. ok is false
-// when the node is not an armed eclipse attacker. Caller holds n.mu.
-func (n *Node) forgedRingClaimLocked() (succs []int32, succPos []uint64, preds []int32, predPos []uint64, ok bool) {
-	if AdversaryMode(n.advMode.Load()) != AdvEclipse || n.advTarget < 0 {
+// when the node is not an armed eclipse attacker.
+func (n *Node) forgedRingClaim() (succs []int32, succPos []uint64, preds []int32, predPos []uint64, ok bool) {
+	if n.advMode != AdvEclipse || n.advTarget < 0 {
 		return nil, nil, nil, nil, false
 	}
 	vpos := n.dir.position(n.advTarget)
@@ -150,21 +139,12 @@ func (n *Node) forgedRingClaimLocked() (succs []int32, succPos []uint64, preds [
 // adversaryGossip runs instead of the honest exchange tick while an
 // attack behavior owns it; it reports whether it did.
 func (n *Node) adversaryGossip() bool {
-	if AdversaryMode(n.advMode.Load()) != AdvEclipse {
-		return false
-	}
-	n.mu.Lock()
 	target := n.advTarget
-	succs, succPos, preds, predPos, ok := n.forgedRingClaimLocked()
-	var pongSeq, propSeq uint32
-	if ok {
-		pongSeq = n.nextSeq()
-		propSeq = n.nextSeq()
-	}
-	n.mu.Unlock()
+	succs, succPos, preds, predPos, ok := n.forgedRingClaim()
 	if !ok {
 		return false
 	}
+	pongSeq, propSeq := n.nextSeq(), n.nextSeq()
 	// A forged unsolicited pong lands on the victim's late-pong path and
 	// folds the cohort's flank claims into its ring view.
 	_ = n.tr.Send(int32(target), &wire.Message{
@@ -186,10 +166,7 @@ func (n *Node) adversaryGossip() bool {
 // consumed normally (a blackhole that stops acking its own deliveries
 // would out itself to the failure detector immediately).
 func (n *Node) adversaryBlackhole(target overlay.PeerID) bool {
-	if AdversaryMode(n.advMode.Load()) != AdvEclipse {
-		return false
-	}
-	return target != n.id
+	return n.advMode == AdvEclipse && target != n.id
 }
 
 // liarMutual is the AdvLiar exchange answer: claim more mutual friends
@@ -197,7 +174,7 @@ func (n *Node) adversaryBlackhole(target overlay.PeerID) bool {
 // strength for this attacker toward the maximum so Algorithm-2 anchors
 // on it.
 func (n *Node) liarMutual(honest, theirLen int) int {
-	if AdversaryMode(n.advMode.Load()) != AdvLiar {
+	if n.advMode != AdvLiar {
 		return honest
 	}
 	return 2*theirLen + 16
@@ -233,7 +210,7 @@ type joinGrant struct {
 // at one fixed position.
 const joinServeCap = 3
 
-// cachedJoinLocked is the hardened admission damper: a per-identity
+// cachedJoin is the hardened admission damper: a per-identity
 // re-join cooldown served from the admission cache. An identity this
 // inviter already placed within the last JoinRateWindow gets the SAME
 // position back with no new placement work — one Algorithm-1 placement
@@ -242,7 +219,7 @@ const joinServeCap = 3
 // repeats the request is dropped outright (drop=true, sybil_rejected).
 // Keyed per identity, not a global rate, so a victim under flood still
 // admits every honest newcomer at full speed.
-func (n *Node) cachedJoinLocked(now time.Time, q overlay.PeerID) (pos ring.ID, cached, drop bool) {
+func (n *Node) cachedJoin(now time.Time, q overlay.PeerID) (pos ring.ID, cached, drop bool) {
 	if !n.cfg.Hardened {
 		return 0, false, false
 	}
@@ -259,8 +236,8 @@ func (n *Node) cachedJoinLocked(now time.Time, q overlay.PeerID) (pos ring.ID, c
 	return g.pos, true, false
 }
 
-// recordJoinLocked arms the cooldown cache after a fresh placement.
-func (n *Node) recordJoinLocked(now time.Time, q overlay.PeerID, pos ring.ID) {
+// recordJoin arms the cooldown cache after a fresh placement.
+func (n *Node) recordJoin(now time.Time, q overlay.PeerID, pos ring.ID) {
 	if !n.cfg.Hardened {
 		return
 	}
@@ -274,13 +251,13 @@ func (n *Node) recordJoinLocked(now time.Time, q overlay.PeerID, pos ring.ID) {
 // JoinRateWindow when hardened.
 const arcJoinCap = 4
 
-// arcGrantLocked is the hardened arc-occupancy cap: at most arcJoinCap
+// arcGrant is the hardened arc-occupancy cap: at most arcJoinCap
 // Algorithm-1 social placements inside this inviter's free arc (one LSH
 // region) per JoinRateWindow. Overflow friends are diverted to their
 // uniform independent-join position (sybil_diverted) — the same spread
 // non-friends always get — so no window of joins can concentrate one
 // bucket.
-func (n *Node) arcGrantLocked(now time.Time) bool {
+func (n *Node) arcGrant(now time.Time) bool {
 	if !n.cfg.Hardened {
 		return true
 	}

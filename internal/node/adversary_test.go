@@ -118,10 +118,7 @@ func TestEclipseUnhardenedPoisons(t *testing.T) {
 	poisoned := false
 	deadline := time.Now().Add(5 * time.Second)
 	for time.Now().Before(deadline) {
-		nd := c.Nodes[victim]
-		nd.mu.Lock()
-		s, p := nd.shortSucc, nd.shortPred
-		nd.mu.Unlock()
+		s, p := c.Nodes[victim].RingNeighbors()
 		if containsPeer(cohort, s) || containsPeer(cohort, p) {
 			poisoned = true
 			break
@@ -178,9 +175,7 @@ func TestSybilHardenedRateLimits(t *testing.T) {
 	if delivered, ok := await(c, pub, seq, subs, 5*time.Second); !ok {
 		for _, s := range subs {
 			nd := c.Nodes[s]
-			nd.mu.Lock()
-			got := nd.received[msgID{int32(pub), seq}] > 0
-			nd.mu.Unlock()
+			_, got := nd.Received(pub, seq)
 			t.Logf("sub %d member=%v joined=%v delivered=%v", s, c.dir.isMember(s), nd.Joined(), got)
 		}
 		t.Logf("dead_letters=%d pub member=%v victim=%d cohort=%v", met.Get(obs.CDeadLetter), c.dir.isMember(pub), victim, cohort)
@@ -218,12 +213,12 @@ func TestJoinCooldownPerIdentity(t *testing.T) {
 	n := &Node{cfg: Options{Hardened: true, JoinRateWindow: 100 * time.Millisecond, Obs: obs.New()}}
 	base := time.Now()
 	sybil, honest := overlay.PeerID(7), overlay.PeerID(9)
-	if _, cached, _ := n.cachedJoinLocked(base, sybil); cached {
+	if _, cached, _ := n.cachedJoin(base, sybil); cached {
 		t.Fatalf("first admission of an identity must be a fresh placement")
 	}
-	n.recordJoinLocked(base, sybil, 0.25)
+	n.recordJoin(base, sybil, 0.25)
 	for i := 0; i < joinServeCap; i++ {
-		pos, cached, drop := n.cachedJoinLocked(base.Add(10*time.Millisecond), sybil)
+		pos, cached, drop := n.cachedJoin(base.Add(10*time.Millisecond), sybil)
 		if !cached || drop {
 			t.Fatalf("repeat %d inside the cooldown must be served from the cache", i+1)
 		}
@@ -231,13 +226,13 @@ func TestJoinCooldownPerIdentity(t *testing.T) {
 			t.Fatalf("cached re-join position = %v, want the granted 0.25", pos)
 		}
 	}
-	if _, _, drop := n.cachedJoinLocked(base.Add(20*time.Millisecond), sybil); !drop {
+	if _, _, drop := n.cachedJoin(base.Add(20*time.Millisecond), sybil); !drop {
 		t.Fatalf("repeat past joinServeCap must be dropped")
 	}
-	if _, cached, _ := n.cachedJoinLocked(base.Add(30*time.Millisecond), honest); cached {
+	if _, cached, _ := n.cachedJoin(base.Add(30*time.Millisecond), honest); cached {
 		t.Fatalf("a different identity must get a fresh placement during the flood")
 	}
-	if _, cached, _ := n.cachedJoinLocked(base.Add(150*time.Millisecond), sybil); cached {
+	if _, cached, _ := n.cachedJoin(base.Add(150*time.Millisecond), sybil); cached {
 		t.Fatalf("re-join after the cooldown lapsed must be a fresh placement")
 	}
 	if got := n.cfg.Obs.Get(obs.CSybilRejected); got != 1 {

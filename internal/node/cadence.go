@@ -34,21 +34,21 @@ var cadenceResetCounter = [selectcore.NumCadenceEvents]obs.Counter{
 	selectcore.CadenceRetry:      obs.CCadenceResetRetry,
 }
 
-// cadenceEventLocked records that something in the node's neighbourhood
+// cadenceEvent records that something in the node's neighbourhood
 // changed: the timers the event concerns drop to their base interval,
 // and one that was backed off is pulled in to its next base-grid point.
-func (n *Node) cadenceEventLocked(ev selectcore.CadenceEvent) {
+func (n *Node) cadenceEvent(ev selectcore.CadenceEvent) {
 	n.cfg.Obs.Inc(cadenceResetCounter[ev])
 	if ev.ResetsHeartbeat() {
 		// Whatever the pulled-in fire finds, it is a sweep of its own, not
 		// the fold point of the backed-off one before it.
 		n.hbFold = false
-		n.resetTimerLocked(&n.hb)
+		n.resetTimer(&n.hb)
 	}
-	n.resetTimerLocked(&n.gs)
+	n.resetTimer(&n.gs)
 }
 
-func (n *Node) resetTimerLocked(t *cadenceTimer) {
+func (n *Node) resetTimer(t *cadenceTimer) {
 	backedOff := t.Level() > 0
 	t.Cadence = t.Event()
 	if backedOff && n.sh != nil && t.base > 0 {
@@ -68,18 +68,14 @@ func (n *Node) resetTimerLocked(t *cadenceTimer) {
 // fully calm node at most 2^CadenceMaxLevel intervals until it is probed
 // and DeadAfter more until it is declared dead.
 func (n *Node) heartbeatFire(at, now time.Time, run bool) time.Time {
-	n.mu.Lock()
 	fold := n.hbFold
 	n.hbFold = false
 	if fold && len(n.pendingPings) == 0 {
 		run = false
 	}
-	n.mu.Unlock()
 	if run {
 		n.sendHeartbeats()
 	}
-	n.mu.Lock()
-	defer n.mu.Unlock()
 	n.hb.anchor = at
 	if fold && !run && n.hbSweepAt.After(now) {
 		return n.hbSweepAt
@@ -97,8 +93,6 @@ func (n *Node) gossipFire(at, now time.Time, run bool) time.Time {
 	if run {
 		n.sendExchange()
 	}
-	n.mu.Lock()
-	defer n.mu.Unlock()
 	n.gs.anchor = at
 	return nextPeriodic(at, now, n.gs.Interval(n.gs.base))
 }

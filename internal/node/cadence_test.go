@@ -17,16 +17,14 @@ func cadenceOpts(base time.Duration, met *obs.Metrics) Options {
 	return Options{HeartbeatEvery: base, GossipEvery: base, MaintainEvery: base, Obs: met}
 }
 
-func (n *Node) maintainTicks() uint32 {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return n.mtick
+func (n *Node) maintainTicks() (k uint32) {
+	n.do(func() { k = n.mtick })
+	return k
 }
 
-func hbLevel(n *Node) int {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return n.hb.Level()
+func hbLevel(n *Node) (level int) {
+	n.do(func() { level = n.hb.Level() })
+	return level
 }
 
 // awaitCalm waits until every member's heartbeat cadence sits at the cap
@@ -65,7 +63,7 @@ func awaitCalm(t *testing.T, c *Cluster, timeout time.Duration) {
 func holders(c *Cluster, q overlay.PeerID) []*Node {
 	var out []*Node
 	for _, n := range c.Nodes {
-		if n.id != q && containsPeer(n.linksSnapshot(), q) {
+		if n.id != q && containsPeer(n.Links(), q) {
 			out = append(out, n)
 		}
 	}
@@ -108,9 +106,12 @@ func TestCadenceDetectionBound(t *testing.T) {
 		}
 		keep := watch[:0]
 		for _, n := range watch {
-			n.mu.Lock()
-			missing, level := n.miss[victim] > 0, n.hb.Level()
-			n.mu.Unlock()
+			var missing, linked bool
+			var level int
+			n.do(func() {
+				missing, level = n.miss[victim] > 0, n.hb.Level()
+				linked = containsPeer(n.links(), victim)
+			})
 			if missing {
 				// A miss on the books and a backed-off timer never coexist.
 				if level != 0 {
@@ -118,12 +119,12 @@ func TestCadenceDetectionBound(t *testing.T) {
 				}
 				sawBase[n.id] = true
 			}
-			if containsPeer(n.linksSnapshot(), victim) {
+			if linked {
 				keep = append(keep, n)
 			}
 		}
 		watch = keep
-		time.Sleep(2 * time.Millisecond)
+		time.Sleep(5 * time.Millisecond)
 	}
 	t.Logf("every holder evicted the silent peer within %v (bound %v)", time.Since(start), bound)
 	if len(sawBase) == 0 {
@@ -180,26 +181,27 @@ func TestCadenceEventsReturnNeighboursToBase(t *testing.T) {
 	var target *Node
 	var before time.Time
 	for _, n := range c.Nodes {
-		n.mu.Lock()
-		if n.joined && n.hb.Level() == selectcore.CadenceMaxLevel && time.Since(n.hbSwept) < 3*base {
-			target, before = n, n.hbSwept
-		}
-		n.mu.Unlock()
+		n.do(func() {
+			if n.joined && n.hb.Level() == selectcore.CadenceMaxLevel && time.Since(n.hbSwept) < 3*base {
+				target, before = n, n.hbSwept
+			}
+		})
 	}
 	if target == nil {
 		t.Fatal("no node at the cap that has just swept")
 	}
 	mover := (target.id + 1) % overlay.PeerID(len(c.Nodes))
-	target.handle(&wire.Message{
-		Kind: wire.KindIDAnnounce, From: int32(mover), To: int32(target.id), Pos: posBits(c, mover),
+	target.do(func() {
+		target.handle(&wire.Message{
+			Kind: wire.KindIDAnnounce, From: int32(mover), To: int32(target.id), Pos: posBits(c, mover),
+		})
 	})
 	atBaseWithin("id-announce", []*Node{target})
 	// And its timer was pulled in: the next sweep is at most one base
 	// interval away, not the rest of a backed-off one.
 	time.Sleep(within)
-	target.mu.Lock()
-	after := target.hbSwept
-	target.mu.Unlock()
+	var after time.Time
+	target.do(func() { after = target.hbSwept })
 	if !after.After(before) {
 		t.Fatalf("no heartbeat sweep within %v of the announcement: the timer was not pulled in", within)
 	}
@@ -262,7 +264,7 @@ func TestQuietClusterStaysQuietAndRight(t *testing.T) {
 	// very cluster). A quarter of nine tenths of the product, then.
 	var fixed int64
 	for p, nd := range c.Nodes {
-		fixed += 2 * int64(len(nd.linksSnapshot()))
+		fixed += 2 * int64(len(nd.Links()))
 		if g.Degree(overlay.PeerID(p)) > 0 {
 			fixed += 2
 		}

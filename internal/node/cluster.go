@@ -13,6 +13,7 @@ import (
 	"selectps/internal/inbox"
 	"selectps/internal/obs"
 	"selectps/internal/overlay"
+	"selectps/internal/ring"
 	"selectps/internal/selectcore"
 	"selectps/internal/socialgraph"
 	"selectps/internal/transport"
@@ -208,6 +209,15 @@ func (o *Options) fill() {
 }
 
 // Cluster runs one node per peer of an overlay on S sharded event loops.
+//
+// Threading contract. A node's handlers, timers and application callbacks
+// run on its shard's loop, one at a time. Publish never waits for the
+// loop: it takes the sequence number, queues the send and returns. Every
+// call that returns or changes node state — Subscribe, Unsubscribe, Crash,
+// Join, Rejoin, Leave, SetAdversary and all getters — runs on the loop and
+// returns when it has been applied, in the order one caller made its calls
+// (Publish included). A callback may therefore call Publish, and must not
+// call the waiting part of the API: it would wait for the loop it is on.
 type Cluster struct {
 	Nodes  []*Node
 	dir    *directory
@@ -388,13 +398,16 @@ func Start(opts Options) (*Cluster, error) {
 // scheduler on its seeded backoff.
 func (c *Cluster) Join(ctx context.Context, p, inviter overlay.PeerID) error {
 	n := c.Nodes[p]
-	n.mu.Lock()
-	joined, ch := n.joined, n.joinedCh
-	n.mu.Unlock()
-	if joined {
+	var ch chan struct{}
+	n.do(func() {
+		if !n.joined {
+			ch = n.joinedCh
+			n.requestJoin(inviter)
+		}
+	})
+	if ch == nil {
 		return nil
 	}
-	n.requestJoin(inviter)
 	select {
 	case <-ch:
 		return nil
@@ -411,17 +424,17 @@ func (c *Cluster) Join(ctx context.Context, p, inviter overlay.PeerID) error {
 // re-sending unacked publications once Rejoin brings the peer back.
 func (c *Cluster) Crash(p overlay.PeerID) {
 	n := c.Nodes[p]
-	n.paused.Store(true)
-	c.dir.setMember(p, false)
-	n.mu.Lock()
-	n.resetVolatileLocked()
-	n.mu.Unlock()
+	n.do(func() {
+		n.paused.Store(true)
+		c.dir.setMember(p, false)
+		n.resetVolatile()
+	})
 }
 
 // Rejoin restarts a crashed peer and walks it through the live join
 // protocol again.
 func (c *Cluster) Rejoin(ctx context.Context, p, inviter overlay.PeerID) error {
-	c.Nodes[p].paused.Store(false)
+	c.Nodes[p].Resume()
 	return c.Join(ctx, p, inviter)
 }
 
@@ -434,12 +447,20 @@ func (c *Cluster) AwaitDelivery(ctx context.Context, publisher overlay.PeerID, s
 	const pollEvery = 2 * time.Millisecond
 	timer := time.NewTimer(pollEvery)
 	defer timer.Stop()
+	id := msgID{int32(publisher), seq}
 	for {
+		// One command per shard and poll, not one per subscriber.
 		delivered := 0
-		for _, s := range subs {
-			if _, ok := c.Nodes[s].Received(publisher, seq); ok {
-				delivered++
-			}
+		for _, sh := range c.shards {
+			sh.submit(func() {
+				for _, s := range subs {
+					if n := c.Nodes[s]; n.sh == sh {
+						if _, ok := n.received[id]; ok {
+							delivered++
+						}
+					}
+				}
+			}, true)
 		}
 		if delivered == len(subs) {
 			return delivered, true
@@ -463,10 +484,7 @@ func (c *Cluster) RingConsistent(p overlay.PeerID) bool {
 		return false
 	}
 	wantSucc, wantPred := c.dir.ringNeighbors(p)
-	nd := c.Nodes[p]
-	nd.mu.Lock()
-	gotSucc, gotPred := nd.shortSucc, nd.shortPred
-	nd.mu.Unlock()
+	gotSucc, gotPred := c.Nodes[p].RingNeighbors()
 	return gotSucc == wantSucc && gotPred == wantPred
 }
 
@@ -475,10 +493,7 @@ func (c *Cluster) RingConsistent(p overlay.PeerID) bool {
 // samples it each driver tick to score how often an attack cohort holds
 // a victim's ring view (DESIGN.md §14).
 func (c *Cluster) RingHeads(p overlay.PeerID) (succ, pred overlay.PeerID) {
-	nd := c.Nodes[p]
-	nd.mu.Lock()
-	defer nd.mu.Unlock()
-	return nd.shortSucc, nd.shortPred
+	return c.Nodes[p].RingNeighbors()
 }
 
 // HeadForged reports whether p's ring view holds q at a position that
@@ -489,14 +504,24 @@ func (c *Cluster) RingHeads(p overlay.PeerID) (succ, pred overlay.PeerID) {
 // Measurement-only, like RingConsistent.
 func (c *Cluster) HeadForged(p, q overlay.PeerID) bool {
 	nd := c.Nodes[p]
-	nd.mu.Lock()
-	pos, ok := nd.rview.posOf(q)
-	nd.mu.Unlock()
+	var pos ring.ID
+	var ok bool
+	nd.do(func() { pos, ok = nd.rview.posOf(q) })
 	if !ok {
 		return false
 	}
 	dp, member := c.dir.memberPos(q)
 	return !member || pos != dp
+}
+
+// inCallback reports whether some loop is inside an application callback.
+func (c *Cluster) inCallback() bool {
+	for _, sh := range c.shards {
+		if sh.inCallback.Load() {
+			return true
+		}
+	}
+	return false
 }
 
 // Shards reports how many event-loop goroutines the cluster runs —

@@ -72,7 +72,7 @@ func (n *Node) inboxOn() bool {
 }
 
 // kickInbox re-arms the shard wheel's inbox entry after a deadline
-// changed. Called outside n.mu.
+// changed.
 func (n *Node) kickInbox() {
 	if n.sh != nil {
 		n.sh.scheduleInbox(n)
@@ -83,7 +83,6 @@ func (n *Node) kickInbox() {
 // false when the tier is idle for this node. A paused node dozes at
 // ≥50ms like the repair entry.
 func (n *Node) nextInboxAt() (time.Time, bool) {
-	n.mu.Lock()
 	var earliest time.Time
 	upd := func(t time.Time) {
 		if !t.IsZero() && (earliest.IsZero() || t.Before(earliest)) {
@@ -98,7 +97,6 @@ func (n *Node) nextInboxAt() (time.Time, bool) {
 			upd(rs.nextAt)
 		}
 	}
-	n.mu.Unlock()
 	if earliest.IsZero() {
 		return time.Time{}, false
 	}
@@ -117,14 +115,12 @@ func (n *Node) inboxTick() {
 		return
 	}
 	now := time.Now()
-	var out []outMsg
-	n.mu.Lock()
 	if cl := n.claim; cl != nil && !cl.deadline.After(now) {
 		// The lease holder made no progress within the lease: hand the
 		// claim to the next replica in the deterministic order.
 		n.cfg.Obs.Inc(obs.CInboxLeaseExpire)
 		n.cfg.Obs.TraceEvent("inbox_lease_expire", int32(n.id), uint32(cl.order[cl.idx]))
-		out = n.advanceClaimLocked(now, out)
+		n.advanceClaim(now)
 	}
 	for target, rs := range n.replay {
 		if !rs.hasOut || rs.nextAt.After(now) {
@@ -140,11 +136,7 @@ func (n *Node) inboxTick() {
 		rs.attempt++
 		rs.nextAt = now.Add(n.inboxRetryDelay(rs.attempt))
 		n.cfg.Obs.Inc(obs.CInboxReplay)
-		out = append(out, outMsg{int32(target), n.replayMsg(target, &rs.outstanding)})
-	}
-	n.mu.Unlock()
-	for _, o := range out {
-		_ = n.tr.Send(o.to, o.m)
+		_ = n.tr.Send(int32(target), n.replayMsg(target, &rs.outstanding))
 	}
 }
 
@@ -173,10 +165,9 @@ func (n *Node) InboxReplicas() []overlay.PeerID {
 
 // ---- publisher role: repair → deposit hand-off ----------------------
 
-// startDepositLocked hands subscriber s of publication seq to the
-// durable tier: the first deposit round goes out now, retries ride the
-// repair wheel. Returns the staged messages.
-func (n *Node) startDepositLocked(seq uint32, st *pubState, s overlay.PeerID, now time.Time, out []outMsg) []outMsg {
+// startDeposit hands subscriber s of publication seq to the durable tier:
+// the first deposit round goes out now, retries ride the repair wheel.
+func (n *Node) startDeposit(seq uint32, st *pubState, s overlay.PeerID, now time.Time) {
 	if st.dep == nil {
 		st.dep = make(map[overlay.PeerID]*depSub)
 	}
@@ -184,14 +175,14 @@ func (n *Node) startDepositLocked(seq uint32, st *pubState, s overlay.PeerID, no
 	st.dep[s] = ds
 	n.cfg.Obs.Inc(obs.CInboxDeposited)
 	n.cfg.Obs.TraceEvent("inbox_handoff", int32(n.id), uint32(s))
-	return n.sendDepositLocked(seq, st, s, ds, now, out)
+	n.sendDeposit(seq, st, s, ds, now)
 }
 
-// sendDepositLocked stages one deposit round for subscriber s: a copy to
-// every replica in s's current set (recomputed per round — membership
-// may have shifted since the last one). The publisher needs only one
-// ack; R copies are fault tolerance for the replicas themselves.
-func (n *Node) sendDepositLocked(seq uint32, st *pubState, s overlay.PeerID, ds *depSub, now time.Time, out []outMsg) []outMsg {
+// sendDeposit sends one deposit round for subscriber s: a copy to every
+// replica in s's current set (recomputed per round — membership may have
+// shifted since the last one). The publisher needs only one ack; R copies
+// are fault tolerance for the replicas themselves.
+func (n *Node) sendDeposit(seq uint32, st *pubState, s overlay.PeerID, ds *depSub, now time.Time) {
 	ds.nextAt = now.Add(n.backoff().Delay(st.bseed^uint64(uint32(s)), ds.attempt))
 	// Deposits carry the publication's origin identity: for a topic
 	// hand-off the depositing rendezvous is not the origin publisher, and
@@ -203,19 +194,18 @@ func (n *Node) sendDepositLocked(seq uint32, st *pubState, s overlay.PeerID, ds 
 		topic = []byte(st.topic)
 	}
 	for _, rep := range n.inboxReplicaSet(s, n.cfg.InboxReplicas) {
-		out = append(out, outMsg{int32(rep), &wire.Message{
+		_ = n.tr.Send(int32(rep), &wire.Message{
 			Kind: wire.KindInboxDeposit, From: int32(n.id), To: int32(rep),
 			Seq: pseq, Publisher: pub, Target: int32(s),
 			Priority: st.pri, PayloadSize: st.size, Payload: st.payload,
 			Topic: topic,
-		}})
+		})
 	}
-	return out
 }
 
-// settledLocked reports whether subscriber s of publication st needs no
+// settled reports whether subscriber s of publication st needs no
 // further work: directly acked, or durably deposited.
-func settledLocked(acked map[int32]bool, st *pubState, s overlay.PeerID) bool {
+func settled(acked map[int32]bool, st *pubState, s overlay.PeerID) bool {
 	if acked[int32(s)] {
 		return true
 	}
@@ -233,6 +223,18 @@ func (n *Node) handleInboxDeposit(m *wire.Message) {
 	if !n.inboxOn() {
 		return
 	}
+	target := overlay.PeerID(m.Target)
+	ack := wire.AckEntry{
+		Kind: wire.KindInboxDepositAck, From: int32(n.id), Dest: m.From,
+		Pub: m.Publisher, Seq: m.Seq, Target: m.Target,
+	}
+	if len(m.Topic) > 0 && n.unsubLate(string(m.Topic), target, time.Now()) {
+		// The target left the topic after this copy set out: it is owed
+		// nothing. The ack settles the depositor, whose rounds would
+		// otherwise outlast the memory of the unsubscribe.
+		n.directAck(ack)
+		return
+	}
 	fresh, err := n.sh.ibx.Deposit(inbox.Record{
 		Replica: int32(n.id), Target: m.Target, Publisher: m.Publisher,
 		Seq: m.Seq, Priority: m.Priority, PayloadSize: m.PayloadSize, Payload: m.Payload,
@@ -247,20 +249,10 @@ func (n *Node) handleInboxDeposit(m *wire.Message) {
 	if !fresh {
 		n.cfg.Obs.Inc(obs.CInboxDepositDup)
 	}
-	target := overlay.PeerID(m.Target)
-	var out []outMsg
-	n.directAck(wire.AckEntry{
-		Kind: wire.KindInboxDepositAck, From: int32(n.id), Dest: m.From,
-		Pub: m.Publisher, Seq: m.Seq, Target: m.Target,
-	})
-	n.mu.Lock()
+	n.directAck(ack)
 	if n.dir.isMember(target) {
-		n.activateReplayLocked(target, 0)
-		out = n.pumpReplayLocked(target, time.Now(), out)
-	}
-	n.mu.Unlock()
-	for _, o := range out {
-		_ = n.tr.Send(o.to, o.m)
+		n.activateReplay(target, 0)
+		n.pumpReplay(target, time.Now())
 	}
 	n.kickInbox()
 }
@@ -274,26 +266,20 @@ func (n *Node) handleInboxClaim(m *wire.Message) {
 	n.cfg.Obs.Inc(obs.CInboxClaim)
 	target := overlay.PeerID(m.From)
 	pending := n.sh.ibx.PendingFor(int32(n.id), int32(target))
-	var out []outMsg
-	out = append(out, outMsg{m.From, &wire.Message{
+	_ = n.tr.Send(m.From, &wire.Message{
 		Kind: wire.KindInboxLease, From: int32(n.id), To: m.From,
 		Seq: m.Seq, Target: m.From, NMutual: int32(pending),
-	}})
+	})
 	if pending > 0 {
 		n.cfg.Obs.Inc(obs.CInboxLeaseGrant)
-		n.mu.Lock()
-		n.activateReplayLocked(target, m.Seq)
-		out = n.pumpReplayLocked(target, time.Now(), out)
-		n.mu.Unlock()
-	}
-	for _, o := range out {
-		_ = n.tr.Send(o.to, o.m)
+		n.activateReplay(target, m.Seq)
+		n.pumpReplay(target, time.Now())
 	}
 	n.kickInbox()
 }
 
-// activateReplayLocked opens (or re-tags) the drain state for target.
-func (n *Node) activateReplayLocked(target overlay.PeerID, leaseSeq uint32) {
+// activateReplay opens (or re-tags) the drain state for target.
+func (n *Node) activateReplay(target overlay.PeerID, leaseSeq uint32) {
 	if n.replay == nil {
 		n.replay = make(map[overlay.PeerID]*replayState)
 	}
@@ -309,32 +295,34 @@ func (n *Node) activateReplayLocked(target overlay.PeerID, leaseSeq uint32) {
 	rs.attempt = 0
 }
 
-// pumpReplayLocked sends the next pending record for target if nothing
-// is outstanding. A drained queue under an active lease emits the final
-// "0 pending" lease notice that releases the subscriber to the next
-// replica.
-func (n *Node) pumpReplayLocked(target overlay.PeerID, now time.Time, out []outMsg) []outMsg {
+// pumpReplay sends the next pending record for target if nothing is
+// outstanding, and reports whether it sent anything. A drained queue under
+// an active lease emits the final "0 pending" lease notice that releases
+// the subscriber to the next replica.
+func (n *Node) pumpReplay(target overlay.PeerID, now time.Time) bool {
 	rs := n.replay[target]
 	if rs == nil || rs.hasOut {
-		return out
+		return false
 	}
 	rec, ok := n.sh.ibx.Next(int32(n.id), int32(target))
 	if !ok {
-		if rs.leaseSeq != 0 {
-			out = append(out, outMsg{int32(target), &wire.Message{
-				Kind: wire.KindInboxLease, From: int32(n.id), To: int32(target),
-				Seq: rs.leaseSeq, Target: int32(target), NMutual: 0,
-			}})
-		}
 		delete(n.replay, target)
-		return out
+		if rs.leaseSeq == 0 {
+			return false
+		}
+		_ = n.tr.Send(int32(target), &wire.Message{
+			Kind: wire.KindInboxLease, From: int32(n.id), To: int32(target),
+			Seq: rs.leaseSeq, Target: int32(target), NMutual: 0,
+		})
+		return true
 	}
 	rs.outstanding = rec
 	rs.hasOut = true
 	rs.attempt = 0
 	rs.nextAt = now.Add(n.cfg.InboxRetry)
 	n.cfg.Obs.Inc(obs.CInboxReplay)
-	return append(out, outMsg{int32(target), n.replayMsg(target, &rec)})
+	_ = n.tr.Send(int32(target), n.replayMsg(target, &rec))
+	return true
 }
 
 func (n *Node) replayMsg(target overlay.PeerID, rec *inbox.Record) *wire.Message {
@@ -360,16 +348,10 @@ func (n *Node) handleInboxReplayAck(m *wire.Message) {
 		n.cfg.Obs.Inc(obs.CInboxReplayed)
 	}
 	target := overlay.PeerID(m.Target)
-	var out []outMsg
-	n.mu.Lock()
 	if rs := n.replay[target]; rs != nil && rs.hasOut &&
 		rs.outstanding.Publisher == m.Publisher && rs.outstanding.Seq == m.Seq {
 		rs.hasOut = false
-		out = n.pumpReplayLocked(target, time.Now(), out)
-	}
-	n.mu.Unlock()
-	for _, o := range out {
-		_ = n.tr.Send(o.to, o.m)
+		n.pumpReplay(target, time.Now())
 	}
 	n.kickInbox()
 }
@@ -386,28 +368,25 @@ func (n *Node) inboxSweep() {
 		return
 	}
 	now := time.Now()
-	var out []outMsg
-	n.mu.Lock()
+	sent := false
 	for _, t := range n.sh.ibx.PendingTargets(int32(n.id)) {
 		target := overlay.PeerID(t)
 		if n.replay[target] != nil || !n.dir.isMember(target) {
 			continue
 		}
-		n.activateReplayLocked(target, 0)
-		out = n.pumpReplayLocked(target, now, out)
+		n.activateReplay(target, 0)
+		if n.pumpReplay(target, now) {
+			sent = true
+		}
 	}
-	n.mu.Unlock()
-	for _, o := range out {
-		_ = n.tr.Send(o.to, o.m)
-	}
-	if len(out) > 0 {
+	if sent {
 		n.kickInbox()
 	}
 }
 
 // ---- subscriber role: claim cycle -----------------------------------
 
-// startInboxClaimLocked opens a claim cycle after a completed (re)join.
+// startInboxClaim opens a claim cycle after a completed (re)join.
 // Candidates are the first 2R live successors of the node's CURRENT
 // position unioned with the first 2R of prevPos, its position in the
 // previous incarnation: the join protocol assigns a fresh identifier on
@@ -415,11 +394,11 @@ func (n *Node) inboxSweep() {
 // landed clockwise of the old one — that is where the directory said the
 // subscriber lived. 2R-wide (not R) because membership may also have
 // drifted between deposit time and claim time, pushing a holder out of
-// the first R. Returns the first claim message (nil when the tier is off
-// or the ring is empty).
-func (n *Node) startInboxClaimLocked(now time.Time, prevPos ring.ID) (int32, *wire.Message) {
+// the first R. It sends the first claim and reports whether it did (not
+// when the tier is off or the ring is empty).
+func (n *Node) startInboxClaim(now time.Time, prevPos ring.ID) bool {
 	if !n.inboxOn() {
-		return -1, nil
+		return false
 	}
 	members := n.dir.ringMembers()
 	cands := selectcore.InboxReplicas(n.id, n.dir.position(n.id), members, nil, 2*n.cfg.InboxReplicas)
@@ -436,7 +415,7 @@ func (n *Node) startInboxClaimLocked(now time.Time, prevPos ring.ID) (int32, *wi
 	}
 	if len(cands) == 0 {
 		n.claim = nil
-		return -1, nil
+		return false
 	}
 	n.claimEpoch++
 	cl := &claimState{
@@ -446,39 +425,40 @@ func (n *Node) startInboxClaimLocked(now time.Time, prevPos ring.ID) (int32, *wi
 		prevPos:  prevPos,
 	}
 	n.claim = cl
-	return int32(cl.order[0]), n.claimMsg(cl)
+	n.sendClaim(cl)
+	return true
 }
 
-func (n *Node) claimMsg(cl *claimState) *wire.Message {
-	return &wire.Message{
-		Kind: wire.KindInboxClaim, From: int32(n.id), To: int32(cl.order[cl.idx]),
+// sendClaim asks the replica whose turn it is to drain.
+func (n *Node) sendClaim(cl *claimState) {
+	to := int32(cl.order[cl.idx])
+	_ = n.tr.Send(to, &wire.Message{
+		Kind: wire.KindInboxClaim, From: int32(n.id), To: to,
 		Seq: cl.seq, Target: int32(n.id),
-	}
+	})
 }
 
-// advanceClaimLocked moves the lease to the next replica; after a full
-// pass it either closes the cycle (nothing replayed — every replica is
-// drained or empty) or starts another pass, because deposits that
-// arrived mid-drain may sit on replicas already visited.
-func (n *Node) advanceClaimLocked(now time.Time, out []outMsg) []outMsg {
+// advanceClaim moves the lease to the next replica; after a full pass it
+// either closes the cycle (nothing replayed — every replica is drained or
+// empty) or starts another pass, because deposits that arrived mid-drain
+// may sit on replicas already visited.
+func (n *Node) advanceClaim(now time.Time) {
 	cl := n.claim
 	if cl == nil {
-		return out
+		return
 	}
 	cl.idx++
 	if cl.idx >= len(cl.order) {
 		if cl.got == 0 {
 			n.claim = nil
 			n.cfg.Obs.TraceEvent("inbox_claim_done", int32(n.id), cl.seq)
-			return out
+			return
 		}
-		if to, m := n.startInboxClaimLocked(now, cl.prevPos); to >= 0 {
-			out = append(out, outMsg{to, m})
-		}
-		return out
+		n.startInboxClaim(now, cl.prevPos)
+		return
 	}
 	cl.deadline = now.Add(n.cfg.InboxLease)
-	return append(out, outMsg{int32(cl.order[cl.idx]), n.claimMsg(cl)})
+	n.sendClaim(cl)
 }
 
 // handleInboxLease consumes a replica's claim answer on the subscriber:
@@ -490,21 +470,14 @@ func (n *Node) handleInboxLease(m *wire.Message) {
 		return
 	}
 	now := time.Now()
-	var out []outMsg
-	n.mu.Lock()
 	cl := n.claim
 	if cl == nil || m.Seq != cl.seq || cl.idx >= len(cl.order) || overlay.PeerID(m.From) != cl.order[cl.idx] {
-		n.mu.Unlock()
 		return // stale cycle or a replica that no longer holds the lease
 	}
 	if m.NMutual > 0 {
 		cl.deadline = now.Add(n.cfg.InboxLease)
 	} else {
-		out = n.advanceClaimLocked(now, out)
-	}
-	n.mu.Unlock()
-	for _, o := range out {
-		_ = n.tr.Send(o.to, o.m)
+		n.advanceClaim(now)
 	}
 	n.kickInbox()
 }
@@ -522,19 +495,20 @@ func (n *Node) handleInboxReplay(m *wire.Message) {
 	if topic == "" {
 		topic = UserTopic(overlay.PeerID(m.Publisher))
 	}
-	now := time.Now()
-	n.mu.Lock()
-	dup := !n.rememberDeliveryLocked(id, m.HopCount)
-	handler := n.deliverHandlerLocked(topic)
 	if cl := n.claim; cl != nil && cl.idx < len(cl.order) && overlay.PeerID(m.From) == cl.order[cl.idx] {
 		// Progress from the lease holder keeps its lease alive.
-		cl.deadline = now.Add(n.cfg.InboxLease)
+		cl.deadline = time.Now().Add(n.cfg.InboxLease)
 		cl.got++
 	}
-	n.mu.Unlock()
-	if dup {
+	switch {
+	case len(m.Topic) > 0 && n.subTopics[topic] == nil:
+		// This node left the topic after the copy was journaled — a replay
+		// under way when the unsubscribe purged the replica. Nothing is
+		// delivered; the ack below still clears the record.
+		n.cfg.Obs.Inc(obs.CTopicUnsubLate)
+	case !n.rememberDelivery(id, m.HopCount):
 		n.cfg.Obs.Inc(obs.CPublishDuplicate)
-	} else {
+	default:
 		if len(m.Topic) > 0 {
 			n.cfg.Obs.Inc(obs.CTopicDelivered)
 		} else {
@@ -542,13 +516,11 @@ func (n *Node) handleInboxReplay(m *wire.Message) {
 		}
 		n.cfg.Obs.ObserveHops(float64(m.HopCount))
 		n.cfg.Obs.TraceEvent("deliver", int32(n.id), m.Seq)
-		if handler != nil {
-			handler(Delivery{
-				Publisher: overlay.PeerID(m.Publisher), Topic: topic,
-				Seq: m.Seq, Hops: m.HopCount, Priority: m.Priority,
-				Payload: m.Payload,
-			})
-		}
+		n.notify(n.subTopics[topic], Delivery{
+			Publisher: overlay.PeerID(m.Publisher), Topic: topic,
+			Seq: m.Seq, Hops: m.HopCount, Priority: m.Priority,
+			Payload: m.Payload,
+		})
 	}
 	_ = n.tr.Send(m.From, &wire.Message{
 		Kind: wire.KindInboxReplayAck, From: int32(n.id), To: m.From,

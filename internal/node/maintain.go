@@ -25,12 +25,10 @@ import (
 // -1 for automatic choice) and fires the first JoinRequest; resends ride
 // the repair scheduler (repair.go) until a JoinReply lands.
 func (n *Node) requestJoin(inviter overlay.PeerID) {
-	n.mu.Lock()
 	n.wantJoin = true
 	n.inviterPref = inviter
 	n.joinAttempt = 0
-	n.scheduleJoinResendLocked(time.Now())
-	n.mu.Unlock()
+	n.scheduleJoinResend(time.Now())
 	n.sendJoinRequest()
 	n.kickRetry()
 }
@@ -40,12 +38,8 @@ func (n *Node) requestJoin(inviter overlay.PeerID) {
 // Algorithm 1), else any member (an independent join) — and asks it for
 // admission.
 func (n *Node) sendJoinRequest() {
-	n.mu.Lock()
-	pref := n.inviterPref
-	seq := n.nextSeq()
-	n.mu.Unlock()
 	target := overlay.PeerID(-1)
-	if pref >= 0 && n.dir.isMember(pref) {
+	if pref := n.inviterPref; pref >= 0 && n.dir.isMember(pref) {
 		target = pref
 	} else {
 		for _, f := range n.g.Neighbors(n.id) {
@@ -62,7 +56,7 @@ func (n *Node) sendJoinRequest() {
 		return // nobody to join through yet; the ticker retries
 	}
 	_ = n.tr.Send(int32(target), &wire.Message{
-		Kind: wire.KindJoinRequest, From: int32(n.id), To: int32(target), Seq: seq,
+		Kind: wire.KindJoinRequest, From: int32(n.id), To: int32(target), Seq: n.nextSeq(),
 	})
 }
 
@@ -81,16 +75,14 @@ func (n *Node) handleJoinRequest(m *wire.Message) {
 	q := overlay.PeerID(m.From)
 	myPos := n.dir.position(n.id)
 	now := time.Now()
-	n.mu.Lock()
-	pos, cached, drop := n.cachedJoinLocked(now, q)
+	pos, cached, drop := n.cachedJoin(now, q)
 	if drop {
 		// Hardened re-join cooldown exhausted — this identity is cycling
 		// leave/join through this inviter (adversary.go).
-		n.mu.Unlock()
 		return
 	}
 	if !cached {
-		if n.g.HasEdge(n.id, q) && n.arcGrantLocked(now) {
+		if n.g.HasEdge(n.id, q) && n.arcGrant(now) {
 			gap := 0.0
 			if succ, _ := n.rview.heads(n.dir.isMember); succ >= 0 {
 				if sp, ok := n.rview.posOf(succ); ok {
@@ -101,16 +93,15 @@ func (n *Node) handleJoinRequest(m *wire.Message) {
 		} else {
 			pos = selectcore.PlaceIndependent(uint64(q))
 		}
-		n.recordJoinLocked(now, q, pos)
+		n.recordJoin(now, q, pos)
 	}
 	reply := &wire.Message{
 		Kind: wire.KindJoinReply, From: int32(n.id), To: m.From, Seq: m.Seq,
 		Pos:          math.Float64bits(float64(pos)),
-		RoutingTable: peersToInt32s(n.linksLocked()),
+		RoutingTable: peersToInt32s(n.links()),
 	}
 	n.rview.piggyback(reply, n.id, myPos, now)
-	n.cadenceEventLocked(selectcore.CadenceMembership)
-	n.mu.Unlock()
+	n.cadenceEvent(selectcore.CadenceMembership)
 	n.cfg.Obs.Inc(obs.CJoinReply)
 	_ = n.tr.Send(m.From, reply)
 }
@@ -130,14 +121,13 @@ func (n *Node) handleJoinReply(m *wire.Message) {
 	n.dir.setPosition(n.id, pos)
 	n.dir.setMember(n.id, true)
 	contacts := int32sToPeers(m.RoutingTable)
-	n.mu.Lock()
 	n.joined = true
 	n.wantJoin = false
 	n.joinNext = time.Time{}
 	n.joinAttempt = 0
 	n.lookahead[from] = contacts
-	n.learnPiggybackLocked(pos, m)
-	n.cadenceEventLocked(selectcore.CadenceMembership)
+	n.learnPiggyback(pos, m)
+	n.cadenceEvent(selectcore.CadenceMembership)
 	close(n.joinedCh)
 	announce := make(map[overlay.PeerID]bool)
 	for _, f := range n.g.Neighbors(n.id) {
@@ -152,14 +142,11 @@ func (n *Node) handleJoinReply(m *wire.Message) {
 	}
 	seqA := n.nextSeq()
 	seqX := n.nextSeq()
+	n.cfg.Obs.TraceEvent("join", int32(n.id), m.Seq)
 	// Durable tier: a node that just (re)entered the ring claims its inbox
 	// replicas — any deposits that accumulated while it was offline replay
 	// now (inbox.go).
-	claimTo, claimMsg := n.startInboxClaimLocked(time.Now(), prevPos)
-	n.mu.Unlock()
-	n.cfg.Obs.TraceEvent("join", int32(n.id), m.Seq)
-	if claimTo >= 0 {
-		_ = n.tr.Send(claimTo, claimMsg)
+	if n.startInboxClaim(time.Now(), prevPos) {
 		n.kickInbox()
 	}
 	posBits := math.Float64bits(float64(pos))
@@ -175,7 +162,7 @@ func (n *Node) handleJoinReply(m *wire.Message) {
 		_ = n.tr.Send(m.From, &wire.Message{
 			Kind: wire.KindExchangeRT, From: int32(n.id), To: m.From, Seq: seqX,
 			Neighborhood: peersToInt32s(n.g.Neighbors(n.id)),
-			RoutingTable: peersToInt32s(n.linksSnapshot()),
+			RoutingTable: peersToInt32s(n.links()),
 		})
 	}
 }
@@ -191,26 +178,20 @@ func (n *Node) maintainTick() {
 	if !n.dir.isMember(n.id) {
 		return
 	}
-	var out []outMsg
-	n.mu.Lock()
 	n.mtick++
-	n.pruneGoneLocked()
-	n.refreshHeadsLocked()
-	out = n.reassignLocked(out)
-	out = n.relinkLocked(out)
-	n.mu.Unlock()
-	for _, o := range out {
-		_ = n.tr.Send(o.to, o.m)
-	}
+	n.pruneGone()
+	n.refreshHeads()
+	n.reassign()
+	n.relink()
 	n.inboxSweep()
 	n.topicMaintain()
 }
 
-// refreshHeadsLocked re-derives the short-range ring links from the
+// refreshHeads re-derives the short-range ring links from the
 // successor/predecessor lists: the nearest entry in each direction that
 // is still a member. This is the local splice — when the old head died or
 // left, the next list entry takes over without consulting anyone.
-func (n *Node) refreshHeadsLocked() {
+func (n *Node) refreshHeads() {
 	if !n.joined {
 		return
 	}
@@ -218,14 +199,14 @@ func (n *Node) refreshHeadsLocked() {
 	if succ != n.shortSucc || pred != n.shortPred {
 		n.shortSucc, n.shortPred = succ, pred
 		n.cfg.Obs.Inc(obs.CRingHeadChange)
-		n.cadenceEventLocked(selectcore.CadenceRing)
+		n.cadenceEvent(selectcore.CadenceRing)
 	}
 }
 
-// pruneGoneLocked forgets links to peers that left the ring (crashed or
+// pruneGone forgets links to peers that left the ring (crashed or
 // departed); their state is rebuilt through the join protocol if they
 // come back.
-func (n *Node) pruneGoneLocked() {
+func (n *Node) pruneGone() {
 	gone := false
 	keep := func(links []overlay.PeerID) []overlay.PeerID {
 		out := links[:0]
@@ -253,7 +234,7 @@ func (n *Node) pruneGoneLocked() {
 		gone = true
 	}
 	if gone {
-		n.cadenceEventLocked(selectcore.CadenceMembership)
+		n.cadenceEvent(selectcore.CadenceMembership)
 	}
 }
 
@@ -261,15 +242,15 @@ func (n *Node) pruneGoneLocked() {
 // be worth announcing.
 const moveEps = 0.002
 
-// reassignLocked is Algorithm 2 live: move the identifier to the ring
+// reassign is Algorithm 2 live: move the identifier to the ring
 // midpoint of the two strongest friends — strengths learned from
 // exchange replies, never read from the graph — when the move covers
 // more than moveEps, and announce the new identifier to links and member
 // friends.
-func (n *Node) reassignLocked(out []outMsg) []outMsg {
+func (n *Node) reassign() {
 	friends := n.g.Neighbors(n.id)
 	if len(friends) < 2 {
-		return out
+		return
 	}
 	// Mask out friends whose strength is unknown or who are not in the
 	// ring: anchoring on them would place us next to nobody.
@@ -282,20 +263,20 @@ func (n *Node) reassignLocked(out []outMsg) []outMsg {
 	}
 	best, second := selectcore.Top2(friends, row)
 	if best < 0 || second < 0 {
-		return out
+		return
 	}
 	target := selectcore.ReassignTarget(n.dir.position(best), n.dir.position(second))
 	if ring.Distance(n.dir.position(n.id), target) <= moveEps {
-		return out
+		return
 	}
 	n.dir.setPosition(n.id, target)
 	n.cfg.Obs.Inc(obs.CIDReassign)
 	n.cfg.Obs.TraceEvent("reassign", int32(n.id), 0)
 	n.rview.rebase(target)
-	n.refreshHeadsLocked()
-	n.cadenceEventLocked(selectcore.CadenceRing)
+	n.refreshHeads()
+	n.cadenceEvent(selectcore.CadenceRing)
 	announce := make(map[overlay.PeerID]bool)
-	for _, q := range n.linksLocked() {
+	for _, q := range n.links() {
 		announce[q] = true
 	}
 	for _, f := range friends {
@@ -306,14 +287,13 @@ func (n *Node) reassignLocked(out []outMsg) []outMsg {
 	seq := n.nextSeq()
 	posBits := math.Float64bits(float64(target))
 	for q := range announce {
-		out = append(out, outMsg{int32(q), &wire.Message{
+		_ = n.tr.Send(int32(q), &wire.Message{
 			Kind: wire.KindIDAnnounce, From: int32(n.id), To: int32(q), Seq: seq, Pos: posBits,
-		}})
+		})
 	}
-	return out
 }
 
-func (n *Node) inLongOutLocked(q overlay.PeerID) bool {
+func (n *Node) inLongOut(q overlay.PeerID) bool {
 	for _, x := range n.longOut {
 		if x == q {
 			return true
@@ -322,7 +302,7 @@ func (n *Node) inLongOutLocked(q overlay.PeerID) bool {
 	return false
 }
 
-func (n *Node) inLongInLocked(q overlay.PeerID) bool {
+func (n *Node) inLongIn(q overlay.PeerID) bool {
 	for _, x := range n.longIn {
 		if x == q {
 			return true
@@ -331,9 +311,9 @@ func (n *Node) inLongInLocked(q overlay.PeerID) bool {
 	return false
 }
 
-// removeLongOutLocked and removeLongInLocked unlink q and report whether
-// there was a link to remove.
-func (n *Node) removeLongOutLocked(q overlay.PeerID) bool {
+// removeLongOut and removeLongIn unlink q and report whether there was a
+// link to remove.
+func (n *Node) removeLongOut(q overlay.PeerID) bool {
 	for i, x := range n.longOut {
 		if x == q {
 			n.longOut = append(n.longOut[:i], n.longOut[i+1:]...)
@@ -343,7 +323,7 @@ func (n *Node) removeLongOutLocked(q overlay.PeerID) bool {
 	return false
 }
 
-func (n *Node) removeLongInLocked(q overlay.PeerID) bool {
+func (n *Node) removeLongIn(q overlay.PeerID) bool {
 	for i, x := range n.longIn {
 		if x == q {
 			n.longIn = append(n.longIn[:i], n.longIn[i+1:]...)
@@ -361,13 +341,13 @@ type refusal struct {
 	streak uint8
 }
 
-// liftRefusalLocked ends u's current wait without forgetting its streak:
+// liftRefusal ends u's current wait without forgetting its streak:
 // u's bitmap changed, which is worth one proposal now, but if that one
 // is refused too the target is as full as it was and the back-off
 // resumes where it stood instead of climbing from 2 again — while links
 // are still settling bitmaps change every few ticks, and a restart each
 // time would be seven futile proposals per change instead of one.
-func (n *Node) liftRefusalLocked(u overlay.PeerID) {
+func (n *Node) liftRefusal(u overlay.PeerID) {
 	if r, ok := n.refused[u]; ok {
 		r.until = n.mtick
 		n.refused[u] = r
@@ -378,18 +358,18 @@ func (n *Node) liftRefusalLocked(u overlay.PeerID) {
 // consecutive refusal up to 2<<refusalMaxShift = 128.
 const refusalMaxShift = 6
 
-// refusedLocked reports whether u turned a proposal down recently enough
+// isRefused reports whether u turned a proposal down recently enough
 // that asking again would only buy another LinkDrop.
-func (n *Node) refusedLocked(u overlay.PeerID) bool {
+func (n *Node) isRefused(u overlay.PeerID) bool {
 	r, ok := n.refused[u]
 	return ok && n.mtick < r.until
 }
 
-// noteRefusalLocked backs u off after it refused a proposal. The memory
+// noteRefusal backs u off after it refused a proposal. The memory
 // is cleared by an accept from u, by u leaving the ring, and with the
 // rest of the volatile state; u's bitmap changing lifts the wait
-// (liftRefusalLocked).
-func (n *Node) noteRefusalLocked(u overlay.PeerID) {
+// (liftRefusal).
+func (n *Node) noteRefusal(u overlay.PeerID) {
 	r := n.refused[u]
 	r.until = n.mtick + 2<<r.streak
 	if r.streak < refusalMaxShift {
@@ -404,10 +384,10 @@ func bitmapHas(bm []uint64, i int) bool {
 	return i/64 < len(bm) && bm[i/64]&(1<<(i%64)) != 0
 }
 
-// coveredLocked reports whether friend index i is reachable in one
+// covered reports whether friend index i is reachable in one
 // forward through an existing long link (the link's learned bitmap has
 // the friend's bit).
-func (n *Node) coveredLocked(i int) bool {
+func (n *Node) covered(i int) bool {
 	for _, l := range n.longOut {
 		if bitmapHas(n.bitmaps[l], i) {
 			return true
@@ -416,7 +396,7 @@ func (n *Node) coveredLocked(i int) bool {
 	return false
 }
 
-// relinkLocked is Algorithms 5–6 live: index member friends' learned
+// relink is Algorithms 5–6 live: index member friends' learned
 // link bitmaps into the K LSH buckets, keep or propose one picker-chosen
 // representative per bucket, drop covered same-bucket links, enforce the
 // K budget, and spend leftover budget on uncovered friends weakest-tie
@@ -426,17 +406,17 @@ func (n *Node) coveredLocked(i int) bool {
 // (DESIGN.md §8.2): the bucket's best non-refused member is asked
 // instead, so a full target costs one proposal per back-off window, not
 // one per tick.
-func (n *Node) relinkLocked(out []outMsg) []outMsg {
+func (n *Node) relink() {
 	friends := n.g.Neighbors(n.id)
 	if len(friends) == 0 {
-		return out
+		return
 	}
 	n.idx.Begin(n.hasher, len(friends))
 	indexed := false
 	now := time.Now()
 	for i, f := range friends {
 		bm, ok := n.bitmaps[f]
-		if !ok || !n.dir.isMember(f) || n.quarantinedLocked(f, now) {
+		if !ok || !n.dir.isMember(f) || n.quarantined(f, now) {
 			continue
 		}
 		coords := append(n.coords[:0], i) // self bit
@@ -450,7 +430,11 @@ func (n *Node) relinkLocked(out []outMsg) []outMsg {
 		indexed = true
 	}
 	if !indexed {
-		return out
+		return
+	}
+	// send is one link-control frame to u.
+	send := func(kind wire.Kind, u overlay.PeerID) {
+		_ = n.tr.Send(int32(u), &wire.Message{Kind: kind, From: int32(n.id), To: int32(u), Seq: n.nextSeq()})
 	}
 	budget := n.cfg.K - len(n.longOut) - len(n.pendingOut)
 	bwOf := func(i int32) float64 { return n.bw[friends[i]] }
@@ -463,7 +447,7 @@ func (n *Node) relinkLocked(out []outMsg) []outMsg {
 		// §III-F "no chain of reassignments" rationale).
 		var linked []int32
 		for _, i := range bucket {
-			if n.inLongOutLocked(friends[i]) {
+			if n.inLongOut(friends[i]) {
 				linked = append(linked, i)
 			}
 		}
@@ -475,7 +459,7 @@ func (n *Node) relinkLocked(out []outMsg) []outMsg {
 			}
 			askable := n.askScratch[:0]
 			for _, i := range bucket {
-				if !n.refusedLocked(friends[i]) {
+				if !n.isRefused(friends[i]) {
 					askable = append(askable, i)
 				}
 			}
@@ -491,9 +475,7 @@ func (n *Node) relinkLocked(out []outMsg) []outMsg {
 			}
 			n.pendingOut[u] = true
 			budget--
-			out = append(out, outMsg{int32(u), &wire.Message{
-				Kind: wire.KindLinkProposal, From: int32(n.id), To: int32(u), Seq: n.nextSeq(),
-			}})
+			send(wire.KindLinkProposal, u)
 		case 1:
 			keep = friends[linked[0]]
 		default:
@@ -508,12 +490,10 @@ func (n *Node) relinkLocked(out []outMsg) []outMsg {
 		keepBM := n.bitmaps[keep]
 		for _, i := range bucket {
 			v := friends[i]
-			if v != keep && n.inLongOutLocked(v) && bitmapHas(keepBM, int(i)) {
-				n.removeLongOutLocked(v)
+			if v != keep && n.inLongOut(v) && bitmapHas(keepBM, int(i)) {
+				n.removeLongOut(v)
 				n.cfg.Obs.Inc(obs.CLinkDrop)
-				out = append(out, outMsg{int32(v), &wire.Message{
-					Kind: wire.KindLinkDrop, From: int32(n.id), To: int32(v), Seq: n.nextSeq(),
-				}})
+				send(wire.KindLinkDrop, v)
 			}
 		}
 	}
@@ -529,12 +509,10 @@ func (n *Node) relinkLocked(out []outMsg) []outMsg {
 				victim, vi = q, s
 			}
 		}
-		n.removeLongOutLocked(victim)
-		n.cadenceEventLocked(selectcore.CadenceLink)
+		n.removeLongOut(victim)
+		n.cadenceEvent(selectcore.CadenceLink)
 		n.cfg.Obs.Inc(obs.CLinkDrop)
-		out = append(out, outMsg{int32(victim), &wire.Message{
-			Kind: wire.KindLinkDrop, From: int32(n.id), To: int32(victim), Seq: n.nextSeq(),
-		}})
+		send(wire.KindLinkDrop, victim)
 	}
 	// Spend remaining budget on friends no current link reaches in one
 	// forward, weakest ties first (strong ties stay reachable through the
@@ -545,7 +523,7 @@ func (n *Node) relinkLocked(out []outMsg) []outMsg {
 			if _, ok := n.bitmaps[f]; !ok || !n.dir.isMember(f) {
 				continue
 			}
-			if !n.inLongOutLocked(f) && !n.pendingOut[f] && !n.refusedLocked(f) && !n.coveredLocked(i) {
+			if !n.inLongOut(f) && !n.pendingOut[f] && !n.isRefused(f) && !n.covered(i) {
 				uncovered = append(uncovered, int32(i))
 			}
 		}
@@ -563,12 +541,9 @@ func (n *Node) relinkLocked(out []outMsg) []outMsg {
 			u := friends[i]
 			n.pendingOut[u] = true
 			budget--
-			out = append(out, outMsg{int32(u), &wire.Message{
-				Kind: wire.KindLinkProposal, From: int32(n.id), To: int32(u), Seq: n.nextSeq(),
-			}})
+			send(wire.KindLinkProposal, u)
 		}
 	}
-	return out
 }
 
 // handleLinkProposal enforces the K-incoming cap of §III-D: accept while
@@ -577,22 +552,19 @@ func (n *Node) relinkLocked(out []outMsg) []outMsg {
 func (n *Node) handleLinkProposal(m *wire.Message) {
 	n.cfg.Obs.Inc(obs.CLinkProposal)
 	from := overlay.PeerID(m.From)
-	var replies []outMsg
-	n.mu.Lock()
+	answer := func(kind wire.Kind) {
+		_ = n.tr.Send(m.From, &wire.Message{Kind: kind, From: int32(n.id), To: m.From, Seq: m.Seq})
+	}
 	switch {
-	case n.inLongInLocked(from):
+	case n.inLongIn(from):
 		// Duplicate proposal (retry or crossed wires): re-accept.
 		n.cfg.Obs.Inc(obs.CLinkAccept)
-		replies = append(replies, outMsg{m.From, &wire.Message{
-			Kind: wire.KindLinkAccept, From: int32(n.id), To: m.From, Seq: m.Seq,
-		}})
+		answer(wire.KindLinkAccept)
 	case len(n.longIn) < n.cfg.K:
 		n.longIn = append(n.longIn, from)
-		n.cadenceEventLocked(selectcore.CadenceLink)
+		n.cadenceEvent(selectcore.CadenceLink)
 		n.cfg.Obs.Inc(obs.CLinkAccept)
-		replies = append(replies, outMsg{m.From, &wire.Message{
-			Kind: wire.KindLinkAccept, From: int32(n.id), To: m.From, Seq: m.Seq,
-		}})
+		answer(wire.KindLinkAccept)
 	default:
 		worst := overlay.PeerID(-1)
 		for _, q := range n.longIn {
@@ -601,28 +573,20 @@ func (n *Node) handleLinkProposal(m *wire.Message) {
 			}
 		}
 		if worst >= 0 && n.bw[from] > n.bw[worst] {
-			n.removeLongInLocked(worst)
-			n.cadenceEventLocked(selectcore.CadenceLink)
+			n.removeLongIn(worst)
+			n.cadenceEvent(selectcore.CadenceLink)
 			n.cfg.Obs.Inc(obs.CLinkEvict)
 			n.cfg.Obs.Inc(obs.CLinkDrop)
-			replies = append(replies, outMsg{int32(worst), &wire.Message{
+			_ = n.tr.Send(int32(worst), &wire.Message{
 				Kind: wire.KindLinkDrop, From: int32(n.id), To: int32(worst), Seq: n.nextSeq(),
-			}})
+			})
 			n.longIn = append(n.longIn, from)
 			n.cfg.Obs.Inc(obs.CLinkAccept)
-			replies = append(replies, outMsg{m.From, &wire.Message{
-				Kind: wire.KindLinkAccept, From: int32(n.id), To: m.From, Seq: m.Seq,
-			}})
+			answer(wire.KindLinkAccept)
 		} else {
 			n.cfg.Obs.Inc(obs.CLinkDrop)
-			replies = append(replies, outMsg{m.From, &wire.Message{
-				Kind: wire.KindLinkDrop, From: int32(n.id), To: m.From, Seq: m.Seq,
-			}})
+			answer(wire.KindLinkDrop)
 		}
-	}
-	n.mu.Unlock()
-	for _, r := range replies {
-		_ = n.tr.Send(r.to, r.m)
 	}
 }
 
@@ -631,32 +595,25 @@ func (n *Node) handleLinkProposal(m *wire.Message) {
 // repair and feeds the time-to-repair histogram (suspicion → new link).
 func (n *Node) handleLinkAccept(m *wire.Message) {
 	from := overlay.PeerID(m.From)
-	var over bool
-	n.mu.Lock()
 	delete(n.pendingOut, from)
 	delete(n.refused, from)
-	if !n.inLongOutLocked(from) {
-		if len(n.longOut) < n.cfg.K {
-			n.longOut = append(n.longOut, from)
-			n.cadenceEventLocked(selectcore.CadenceLink)
-			if len(n.linkRepairStart) > 0 {
-				since := n.linkRepairStart[0]
-				n.linkRepairStart = n.linkRepairStart[1:]
-				n.cfg.Obs.ObserveRepairLinkMS(float64(time.Since(since).Milliseconds()))
-			}
-		} else {
-			over = true // budget filled while the proposal was in flight
-		}
+	if n.inLongOut(from) {
+		return
 	}
-	n.mu.Unlock()
-	if over {
+	if len(n.longOut) >= n.cfg.K {
+		// The budget filled while the proposal was in flight.
 		n.cfg.Obs.Inc(obs.CLinkDrop)
-		n.mu.Lock()
-		seq := n.nextSeq()
-		n.mu.Unlock()
 		_ = n.tr.Send(m.From, &wire.Message{
-			Kind: wire.KindLinkDrop, From: int32(n.id), To: m.From, Seq: seq,
+			Kind: wire.KindLinkDrop, From: int32(n.id), To: m.From, Seq: n.nextSeq(),
 		})
+		return
+	}
+	n.longOut = append(n.longOut, from)
+	n.cadenceEvent(selectcore.CadenceLink)
+	if len(n.linkRepairStart) > 0 {
+		since := n.linkRepairStart[0]
+		n.linkRepairStart = n.linkRepairStart[1:]
+		n.cfg.Obs.ObserveRepairLinkMS(float64(time.Since(since).Milliseconds()))
 	}
 }
 
@@ -668,16 +625,14 @@ func (n *Node) handleLinkAccept(m *wire.Message) {
 func (n *Node) handleLinkDrop(m *wire.Message) {
 	n.cfg.Obs.Inc(obs.CLinkDrop)
 	from := overlay.PeerID(m.From)
-	n.mu.Lock()
-	out, in := n.removeLongOutLocked(from), n.removeLongInLocked(from)
+	out, in := n.removeLongOut(from), n.removeLongIn(from)
 	switch {
 	case out || in:
-		n.cadenceEventLocked(selectcore.CadenceLink)
+		n.cadenceEvent(selectcore.CadenceLink)
 	case n.pendingOut[from]:
-		n.noteRefusalLocked(from)
+		n.noteRefusal(from)
 	}
 	delete(n.pendingOut, from)
-	n.mu.Unlock()
 }
 
 // handleLeave unlinks a gracefully departing peer immediately, without
@@ -685,9 +640,8 @@ func (n *Node) handleLinkDrop(m *wire.Message) {
 func (n *Node) handleLeave(m *wire.Message) {
 	n.cfg.Obs.Inc(obs.CLeave)
 	from := overlay.PeerID(m.From)
-	n.mu.Lock()
-	n.removeLongOutLocked(from)
-	n.removeLongInLocked(from)
+	n.removeLongOut(from)
+	n.removeLongIn(from)
 	delete(n.pendingOut, from)
 	delete(n.lookahead, from)
 	delete(n.cma, from)
@@ -697,23 +651,22 @@ func (n *Node) handleLeave(m *wire.Message) {
 	n.rview.remove(from)
 	if wasRing {
 		// Graceful splice: the next successor-list entry takes over.
-		n.refreshHeadsLocked()
+		n.refreshHeads()
 		n.cfg.Obs.Inc(obs.CRingSplice)
 	}
-	n.cadenceEventLocked(selectcore.CadenceMembership)
-	n.mu.Unlock()
+	n.cadenceEvent(selectcore.CadenceMembership)
 }
 
 // Leave departs the ring gracefully: every link gets a Leave message so
 // it can unlink at once, then the node's routing state is cleared. The
 // node keeps running and can rejoin through the join protocol.
-func (n *Node) Leave() {
+func (n *Node) Leave() { n.do(n.leave) }
+
+func (n *Node) leave() {
 	n.dir.setMember(n.id, false)
-	n.mu.Lock()
-	links := n.linksLocked()
+	links := n.links()
 	seq := n.nextSeq()
-	n.resetVolatileLocked()
-	n.mu.Unlock()
+	n.resetVolatile()
 	for _, q := range links {
 		_ = n.tr.Send(int32(q), &wire.Message{
 			Kind: wire.KindLeave, From: int32(n.id), To: int32(q), Seq: seq,
@@ -721,11 +674,11 @@ func (n *Node) Leave() {
 	}
 }
 
-// resetVolatileLocked clears everything a process restart would lose:
+// resetVolatile clears everything a process restart would lose:
 // ring membership, links, learned strengths/bitmaps, lookahead and
 // availability history. The delivered feed (received, acked) survives as
 // persistent storage; seq keeps rising so publication ids never repeat.
-func (n *Node) resetVolatileLocked() {
+func (n *Node) resetVolatile() {
 	n.joined = false
 	n.wantJoin = false
 	n.inviterPref = -1
@@ -756,8 +709,8 @@ func (n *Node) resetVolatileLocked() {
 	// A rejoiner starts at the base cadence with no calm history.
 	n.hbFold = false
 	n.hbSwept = time.Time{}
-	n.resetTimerLocked(&n.hb)
-	n.resetTimerLocked(&n.gs)
+	n.resetTimer(&n.hb)
+	n.resetTimer(&n.gs)
 	// The ring view and join machinery are volatile; a fresh joinedCh
 	// lets the next Join wait on this incarnation. The repair outbox
 	// (pubs) survives alongside received/acked — it is the same
@@ -782,6 +735,7 @@ func (n *Node) resetVolatileLocked() {
 	// tpubs and tpOrigin survive alongside pubs — the publisher's and the
 	// rendezvous's repair outboxes resume after the rejoin.
 	n.topicReg = make(map[string]map[overlay.PeerID]time.Time)
+	n.unsubbed = nil
 	for _, ts := range n.subTopics {
 		ts.set = nil
 		ts.lastSub = time.Time{}

@@ -32,7 +32,6 @@ import (
 	"math"
 	"math/rand"
 	"slices"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -70,14 +69,12 @@ type Delivery struct {
 // DeliverFunc is the push handler for first-time publication deliveries.
 type DeliverFunc func(d Delivery)
 
-// outMsg is a message staged under n.mu and sent after unlock (the
-// transport must never be entered while holding the node lock).
-type outMsg struct {
-	to int32
-	m  *wire.Message
-}
-
-// Node is one live peer.
+// Node is one live peer. Its fields below the configuration block are
+// touched only on the goroutine of the shard it is pinned to — handlers,
+// timer bodies and the commands the exported API posts (shard.go) — with
+// three exceptions, all atomic: paused, which the ingress edge reads, and
+// seq and onDeliver, which Publish and OnDeliver serve without a trip
+// through the loop.
 type Node struct {
 	id  overlay.PeerID
 	g   *socialgraph.Graph
@@ -99,7 +96,6 @@ type Node struct {
 	sampler *selectcore.Sampler
 	bw      []float64 // shared, read-only
 
-	mu sync.Mutex
 	// Live routing state: ring membership, short-range ring neighbors and
 	// the two directed long-link sets (R_p = short ∪ longOut ∪ longIn).
 	joined               bool
@@ -167,10 +163,13 @@ type Node struct {
 	// maps an accepted publication's origin id to the local repair seq
 	// its pubState is keyed by (the ack/deposit correlation for repair
 	// state whose owner is not the origin publisher).
+	// unsubbed remembers recent unsubscribes on the peers that were told of
+	// them, bounded by unsubbedMax.
 	subTopics map[string]*topicSub
 	topicReg  map[string]map[overlay.PeerID]time.Time
 	tpubs     map[uint32]*topicPubState
 	tpOrigin  map[msgID]uint32
+	unsubbed  map[unsubKey]unsubscribed
 	// Hardened admission state (adversary.go): the last granted join per
 	// identity (the re-join cooldown cache, time + assigned position) and
 	// the sliding window of friend-arc placements this inviter made.
@@ -178,9 +177,7 @@ type Node struct {
 	arcGrants  []time.Time
 	// Adversary hooks (adversary.go): the soak driver mirrors faultnet's
 	// scheduled attack windows onto these; honest nodes keep AdvNone.
-	// advMode is atomic so the hot paths (every publish checks the
-	// blackhole hook) read it without touching n.mu.
-	advMode   atomic.Uint32
+	advMode   AdversaryMode
 	advTarget overlay.PeerID
 	advCohort []overlay.PeerID
 	advRank   int
@@ -191,8 +188,10 @@ type Node struct {
 	joinedCh    chan struct{}
 	// exchanges counts completed Algorithm-3 rounds (active side).
 	exchanges int
-	seq       uint32
-	onDeliver DeliverFunc
+	// seq numbers everything this node originates; Publish draws from it on
+	// the caller's goroutine. onDeliver is the node-level push handler.
+	seq       atomic.Uint32
+	onDeliver atomic.Pointer[DeliverFunc]
 	// Algorithm-5 scratch (maintain.go).
 	idx         selectcore.Indexer
 	coords      []int
@@ -292,10 +291,7 @@ func newNode(id overlay.PeerID, dir *directory, bw []float64, cfg Options, seed 
 	return n
 }
 
-func (n *Node) nextSeq() uint32 {
-	n.seq++
-	return n.seq
-}
+func (n *Node) nextSeq() uint32 { return n.seq.Add(1) }
 
 func (n *Node) handle(m *wire.Message) {
 	if n.hbPiggyback && m.From >= 0 && overlay.PeerID(m.From) != n.id &&
@@ -307,9 +303,7 @@ func (n *Node) handle(m *wire.Message) {
 		// excluded — the probe channel must not feed its own suppression,
 		// or an idle mesh would throttle the pong-borne ring anti-entropy
 		// it has no other way to run.
-		n.mu.Lock()
 		n.lastHeard[overlay.PeerID(m.From)] = time.Now()
-		n.mu.Unlock()
 	}
 	switch m.Kind {
 	case wire.KindPing:
@@ -317,22 +311,19 @@ func (n *Node) handle(m *wire.Message) {
 		// the anti-entropy channel that keeps every heartbeating pair's
 		// ring views converging without extra messages.
 		reply := &wire.Message{Kind: wire.KindPong, From: int32(n.id), To: m.From, Seq: m.Seq}
-		n.mu.Lock()
 		if n.joined && len(m.Succs) > 0 {
-			n.learnPiggybackLocked(n.dir.position(n.id), m)
+			n.learnPiggyback(n.dir.position(n.id), m)
 		}
-		if ss, sp, ps, pp, forged := n.forgedRingClaimLocked(); forged && overlay.PeerID(m.From) == n.advTarget {
+		if ss, sp, ps, pp, forged := n.forgedRingClaim(); forged && overlay.PeerID(m.From) == n.advTarget {
 			// An armed eclipse attacker answers its victim's heartbeats
 			// with the same forged flank claims its gossip tick pushes.
 			reply.Succs, reply.SuccPos, reply.Preds, reply.PredPos = ss, sp, ps, pp
 		} else if n.joined {
 			n.rview.piggyback(reply, n.id, n.dir.position(n.id), time.Now())
 		}
-		n.mu.Unlock()
 		_ = n.tr.Send(m.From, reply)
 	case wire.KindPong:
 		n.cfg.Obs.Inc(obs.CPongReceived)
-		n.mu.Lock()
 		if target, ok := n.pendingPings[m.Seq]; ok && target == overlay.PeerID(m.From) {
 			delete(n.pendingPings, m.Seq)
 			n.observe(target, true)
@@ -344,9 +335,8 @@ func (n *Node) handle(m *wire.Message) {
 			n.observe(overlay.PeerID(m.From), true)
 		}
 		if n.joined && len(m.Succs) > 0 {
-			n.learnPiggybackLocked(n.dir.position(n.id), m)
+			n.learnPiggyback(n.dir.position(n.id), m)
 		}
-		n.mu.Unlock()
 	case wire.KindExchangeRT:
 		n.handleExchange(m)
 	case wire.KindExchangeReply:
@@ -363,17 +353,15 @@ func (n *Node) handle(m *wire.Message) {
 		n.cfg.Obs.Inc(obs.CIDAnnounce)
 		// A joined or moved peer announced its identifier: fold it into
 		// the ring view so successor lists track Algorithm-2 moves.
-		n.mu.Lock()
 		if n.joined {
 			// The announcement comes from the peer itself — first-person
 			// liveness evidence that overrides any dead-quarantine.
 			delete(n.deadUntil, overlay.PeerID(m.From))
-			n.learnRingLocked(n.dir.position(n.id), overlay.PeerID(m.From),
+			n.learnRing(n.dir.position(n.id), overlay.PeerID(m.From),
 				[]int32{m.From}, []uint64{m.Pos}, nil)
-			n.refreshHeadsLocked()
-			n.cadenceEventLocked(selectcore.CadenceMembership)
+			n.refreshHeads()
+			n.cadenceEvent(selectcore.CadenceMembership)
 		}
-		n.mu.Unlock()
 	case wire.KindLinkProposal:
 		n.handleLinkProposal(m)
 	case wire.KindLinkAccept:
@@ -405,17 +393,10 @@ func (n *Node) handle(m *wire.Message) {
 	}
 }
 
-// linksLocked returns R_p (short ∪ longOut ∪ longIn, deduplicated).
-// Callers hold n.mu; the returned slice is freshly allocated.
-func (n *Node) linksLocked() []overlay.PeerID {
-	return n.appendLinksLocked(make([]overlay.PeerID, 0, 2+len(n.longOut)+len(n.longIn)))
-}
-
-// linksSnapshot is linksLocked with locking.
-func (n *Node) linksSnapshot() []overlay.PeerID {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return n.linksLocked()
+// links returns R_p (short ∪ longOut ∪ longIn, deduplicated) in a
+// freshly allocated slice.
+func (n *Node) links() []overlay.PeerID {
+	return n.appendLinks(make([]overlay.PeerID, 0, 2+len(n.longOut)+len(n.longIn)))
 }
 
 // handleExchange is the passive thread of Algorithm 4: compare the
@@ -426,12 +407,10 @@ func (n *Node) handleExchange(m *wire.Message) {
 	mine := n.g.Neighbors(n.id)
 	theirs := int32sToPeers(m.Neighborhood)
 	mutual := n.liarMutual(countMutualSorted(mine, theirs), len(theirs))
-	n.mu.Lock()
-	links := n.linksLocked()
-	if n.setLookaheadLocked(overlay.PeerID(m.From), m.RoutingTable) {
-		n.cadenceEventLocked(selectcore.CadenceGossipNews)
+	links := n.links()
+	if n.setLookahead(overlay.PeerID(m.From), m.RoutingTable) {
+		n.cadenceEvent(selectcore.CadenceGossipNews)
 	}
-	n.mu.Unlock()
 	// Friendship bitmap over the SENDER's neighborhood: bit i set when
 	// their i-th friend is in our routing table.
 	inRT := make(map[overlay.PeerID]bool, len(links))
@@ -462,8 +441,7 @@ func (n *Node) handleExchange(m *wire.Message) {
 func (n *Node) handleExchangeReply(m *wire.Message) {
 	n.cfg.Obs.Inc(obs.CGossipReply)
 	from := overlay.PeerID(m.From)
-	n.mu.Lock()
-	news := n.setLookaheadLocked(from, m.RoutingTable)
+	news := n.setLookahead(from, m.RoutingTable)
 	if i, ok := n.fidx[from]; ok {
 		if nm, sane := n.clampMutual(int(m.NMutual), from); sane {
 			s := selectcore.StrengthFromCounts(n.g.Degree(n.id), n.g.Degree(from), nm)
@@ -474,22 +452,21 @@ func (n *Node) handleExchangeReply(m *wire.Message) {
 			// The friend's links changed: whatever made it refuse a
 			// proposal may have changed with them, so it may be asked again
 			// now (maintain.go).
-			n.liftRefusalLocked(from)
+			n.liftRefusal(from)
 			n.bitmaps[from] = m.Bitmap
 			news = true
 		}
 	}
 	if news {
-		n.cadenceEventLocked(selectcore.CadenceGossipNews)
+		n.cadenceEvent(selectcore.CadenceGossipNews)
 	}
 	n.exchanges++
-	n.mu.Unlock()
 }
 
-// setLookaheadLocked caches q's routing table and reports whether that
+// setLookahead caches q's routing table and reports whether that
 // changed anything — a quiet neighbourhood re-sends the table it sent
 // last time, which costs neither a copy nor a cadence reset.
-func (n *Node) setLookaheadLocked(q overlay.PeerID, rt []int32) bool {
+func (n *Node) setLookahead(q overlay.PeerID, rt []int32) bool {
 	if old, had := n.lookahead[q]; had && slices.Equal(old, rt) {
 		return false
 	}
@@ -505,7 +482,6 @@ func (n *Node) sendExchange() {
 	if n.adversaryGossip() {
 		return
 	}
-	n.mu.Lock()
 	fi, ok := n.sampler.Next()
 	if r := n.sampler.Rounds(); r != n.gsRounds {
 		// One full sampler pass — every friend exchanged with once —
@@ -513,20 +489,16 @@ func (n *Node) sendExchange() {
 		n.gsRounds = r
 		n.gs.Cadence = n.gs.Round(selectcore.GossipCalmRounds)
 	}
-	links := n.linksLocked()
-	seq := n.nextSeq()
-	n.mu.Unlock()
 	if !ok {
 		return
 	}
 	f := overlay.PeerID(fi)
 	n.cfg.Obs.Inc(obs.CGossipSent)
-	m := &wire.Message{
-		Kind: wire.KindExchangeRT, From: int32(n.id), To: int32(f), Seq: seq,
+	_ = n.tr.Send(int32(f), &wire.Message{
+		Kind: wire.KindExchangeRT, From: int32(n.id), To: int32(f), Seq: n.nextSeq(),
 		Neighborhood: peersToInt32s(n.g.Neighbors(n.id)),
-		RoutingTable: peersToInt32s(links),
-	}
-	_ = n.tr.Send(int32(f), m)
+		RoutingTable: peersToInt32s(n.links()),
+	})
 }
 
 // sendHeartbeats is one heartbeat sweep: ping every link; unanswered
@@ -537,8 +509,6 @@ func (n *Node) sendExchange() {
 // (cadence.go).
 func (n *Node) sendHeartbeats() {
 	now := time.Now()
-	var out []outMsg
-	n.mu.Lock()
 	// fresh reports whether q's traffic since the last sweep already
 	// proved it alive (piggybacked liveness, DESIGN.md §15.2). The horizon
 	// is the sweep interval actually elapsed, so it follows the cadence.
@@ -563,20 +533,20 @@ func (n *Node) sendHeartbeats() {
 		missed = true
 	}
 	if missed {
-		n.cadenceEventLocked(selectcore.CadenceMiss)
+		n.cadenceEvent(selectcore.CadenceMiss)
 	}
 	clear(n.pendingPings)
 	// Ring claims nobody re-confirmed lapse here (ringlist.go).
 	if n.rview.prune(func(e ringEntry) bool { return !n.rview.lapsed(e.conf, now) }) {
-		n.refreshHeadsLocked()
+		n.refreshHeads()
 	}
-	out = n.detectorSweepLocked(now, out)
+	n.detectorSweep(now)
 	n.cfg.Obs.Inc(obs.CHeartbeatSweep)
 	if n.hb.Level() == 0 {
 		n.cfg.Obs.Inc(obs.CHeartbeatSweepBase)
 	}
 	n.hb.Cadence = n.hb.Round(selectcore.HeartbeatCalmRounds)
-	links := n.linksLocked()
+	links := n.links()
 	// Also probe the ring candidates: hearsay entries sitting ahead of the
 	// firsthand heads. Their pong self-entry places them, so a nearer
 	// neighbor becomes the head one round trip after it was first heard
@@ -619,10 +589,6 @@ func (n *Node) sendHeartbeats() {
 		ping.Succs = []int32{int32(n.id)}
 		ping.SuccPos = []uint64{math.Float64bits(float64(n.dir.position(n.id)))}
 	}
-	n.mu.Unlock()
-	for _, o := range out {
-		_ = n.tr.Send(o.to, o.m)
-	}
 	n.cfg.Obs.Addn(obs.CHeartbeatSent, int64(len(seqs)))
 	if n.fs != nil {
 		// Marshal-once fast path: every ping this sweep differs only in To
@@ -645,8 +611,7 @@ func (n *Node) sendHeartbeats() {
 }
 
 // observe folds one availability sample for link q into the CMA and the
-// consecutive-miss streak the failure detector classifies. Callers hold
-// n.mu.
+// consecutive-miss streak the failure detector classifies.
 func (n *Node) observe(q overlay.PeerID, online bool) {
 	c := n.cma[q]
 	if c == nil {
@@ -716,23 +681,17 @@ func (n *Node) handlePublish(m *wire.Message) {
 	if named {
 		id := msgID{pub, seq}
 		topic := UserTopic(overlay.PeerID(pub))
-		n.mu.Lock()
-		dup := !n.rememberDeliveryLocked(id, m.HopCount)
-		handler := n.deliverHandlerLocked(topic)
-		n.mu.Unlock()
-		if dup {
+		if !n.rememberDelivery(id, m.HopCount) {
 			n.cfg.Obs.Inc(obs.CPublishDuplicate)
 		} else {
 			n.cfg.Obs.Inc(obs.CPublishDelivered)
 			n.cfg.Obs.ObserveHops(float64(m.HopCount))
 			n.cfg.Obs.TraceEvent("deliver", int32(n.id), seq)
-			if handler != nil {
-				handler(Delivery{
-					Publisher: overlay.PeerID(pub), Topic: topic,
-					Seq: seq, Hops: m.HopCount, Priority: m.Priority,
-					Payload: m.Payload,
-				})
-			}
+			n.notify(n.subTopics[topic], Delivery{
+				Publisher: overlay.PeerID(pub), Topic: topic,
+				Seq: seq, Hops: m.HopCount, Priority: m.Priority,
+				Payload: m.Payload,
+			})
 		}
 	}
 	forwarded := len(dests) > 0 && m.TTL > 0
@@ -760,31 +719,49 @@ func (n *Node) handlePublish(m *wire.Message) {
 	}
 }
 
-// Pause makes the node unresponsive (simulated churn departure).
+// Pause makes the node unresponsive (simulated churn departure). Pause
+// and Resume flip the flag the ingress edge reads and take effect at
+// once, not in call order with the calls that go through the loop.
 func (n *Node) Pause() { n.paused.Store(true) }
 
 // Resume brings a paused node back online.
 func (n *Node) Resume() { n.paused.Store(false) }
 
 // OnDeliver registers the node-level push handler called once per
-// first-time publication delivery, outside the node lock. It receives
+// first-time publication delivery, on the node's shard loop. It receives
 // every delivery a per-subscription handler (Subscription.OnDeliver)
-// does not claim. Register before traffic starts; a nil handler
+// does not claim. The handler may call Publish; it must not call the
+// parts of the API that wait for the loop (every getter, Subscribe,
+// Crash, Join, ...), which would be waiting for itself. A nil handler
 // disables the callback.
 func (n *Node) OnDeliver(fn DeliverFunc) {
-	n.mu.Lock()
-	n.onDeliver = fn
-	n.mu.Unlock()
+	if fn == nil {
+		n.onDeliver.Store(nil)
+		return
+	}
+	n.onDeliver.Store(&fn)
 }
 
-// deliverHandlerLocked resolves the handler for a delivery on topic:
-// the subscription's own handler when one is registered, else the
-// node-level handler.
-func (n *Node) deliverHandlerLocked(topic string) DeliverFunc {
-	if ts := n.subTopics[topic]; ts != nil && ts.handler != nil {
-		return ts.handler
+// notify hands a first-time delivery to the application, on the loop:
+// to the handler of the topic's own subscription ts (nil: none) when it
+// has one, else to the node-level handler. The shard is marked for as
+// long as the handler runs (shard.inCallback).
+func (n *Node) notify(ts *topicSub, d Delivery) {
+	var fn DeliverFunc
+	if ts != nil && ts.handler != nil {
+		fn = ts.handler
+	} else if p := n.onDeliver.Load(); p != nil {
+		fn = *p
+	} else {
+		return
 	}
-	return n.onDeliver
+	if n.sh == nil {
+		fn(d)
+		return
+	}
+	n.sh.inCallback.Store(true)
+	fn(d)
+	n.sh.inCallback.Store(false)
 }
 
 // pubOpts is the resolved form of a Publish call's options.
@@ -827,25 +804,24 @@ func resolvePublishOpts(payload []byte, opts []PublishOption) pubOpts {
 // publishFeed resolves options and runs the friend-feed fan-out — the
 // node's implicit UserTopic. The public surface is
 // Topic(UserTopic(id)).Publish (topic.go); the PR-8 deprecated
-// Publish/PublishPriority/PublishSize shims are gone.
+// Publish/PublishPriority/PublishSize shims are gone. The call takes the
+// sequence number and returns; registration with the repair engine and
+// the first send run on the node's loop, in the order the calls were made.
 func (n *Node) publishFeed(payload []byte, opts ...PublishOption) uint32 {
 	o := resolvePublishOpts(payload, opts)
-	return n.publish(payload, o.size, o.pri)
+	seq := n.nextSeq()
+	n.post(func() { n.publish(seq, payload, o.size, o.pri) })
+	return seq
 }
 
-func (n *Node) publish(payload []byte, size uint32, pri uint8) uint32 {
+func (n *Node) publish(seq uint32, payload []byte, size uint32, pri uint8) {
 	subs := n.g.Neighbors(n.id)
-	n.mu.Lock()
-	seq := n.nextSeq()
-	id := msgID{int32(n.id), seq}
-	n.rememberDeliveryLocked(id, 0) // the publisher trivially has its own message
-	n.registerPublishLocked(seq, subs, payload, size, pri, time.Now())
-	n.mu.Unlock()
+	n.rememberDelivery(msgID{int32(n.id), seq}, 0) // the publisher trivially has its own message
+	n.registerPublish(seq, subs, payload, size, pri, time.Now())
 	n.cfg.Obs.Addn(obs.CPublishSent, int64(len(subs)))
 	n.cfg.Obs.TraceEvent("publish", int32(n.id), seq)
 	n.fanOut(n.feedFrame(seq, payload, size, pri), subs, nil)
 	n.kickRetry()
-	return seq
 }
 
 // feedFrame is the KindPublish frame of this node's own publication seq
@@ -861,76 +837,73 @@ func (n *Node) feedFrame(seq uint32, payload []byte, size uint32, pri uint8) wir
 // Received reports whether this node got publication (publisher, seq) and
 // at how many hops.
 func (n *Node) Received(publisher overlay.PeerID, seq uint32) (hops uint8, ok bool) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	h, ok := n.received[msgID{int32(publisher), seq}]
-	return h, ok
+	n.do(func() { hops, ok = n.received[msgID{int32(publisher), seq}] })
+	return hops, ok
 }
 
 // Acked returns how many subscribers have acknowledged publication seq.
-func (n *Node) Acked(seq uint32) int {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return len(n.acked[msgID{int32(n.id), seq}])
+func (n *Node) Acked(seq uint32) (k int) {
+	n.do(func() { k = len(n.acked[msgID{int32(n.id), seq}]) })
+	return k
 }
 
 // Exchanges returns the number of completed gossip exchanges (active side).
-func (n *Node) Exchanges() int {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return n.exchanges
+func (n *Node) Exchanges() (k int) {
+	n.do(func() { k = n.exchanges })
+	return k
 }
 
 // LinkAvailability returns the CMA estimate for link q (1 when never
 // probed).
 func (n *Node) LinkAvailability(q overlay.PeerID) float64 {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	if c := n.cma[q]; c != nil {
-		return c.Value()
-	}
-	return 1
+	v := 1.0
+	n.do(func() {
+		if c := n.cma[q]; c != nil {
+			v = c.Value()
+		}
+	})
+	return v
 }
 
 // Lookahead returns the cached routing table of neighbor q.
-func (n *Node) Lookahead(q overlay.PeerID) []overlay.PeerID {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return append([]overlay.PeerID(nil), n.lookahead[q]...)
+func (n *Node) Lookahead(q overlay.PeerID) (rt []overlay.PeerID) {
+	n.do(func() { rt = append(rt, n.lookahead[q]...) })
+	return rt
 }
 
 // ID returns the node's peer id.
 func (n *Node) ID() overlay.PeerID { return n.id }
 
 // Joined reports whether the node is currently a ring member.
-func (n *Node) Joined() bool {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return n.joined
+func (n *Node) Joined() (joined bool) {
+	n.do(func() { joined = n.joined })
+	return joined
 }
 
 // Links returns the node's current routing table R_p.
-func (n *Node) Links() []overlay.PeerID { return n.linksSnapshot() }
+func (n *Node) Links() (links []overlay.PeerID) {
+	n.do(func() { links = n.links() })
+	return links
+}
 
 // RingNeighbors returns the node's current short-range ring links (-1
 // when a direction has no live entry).
 func (n *Node) RingNeighbors() (succ, pred overlay.PeerID) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return n.shortSucc, n.shortPred
+	n.do(func() { succ, pred = n.shortSucc, n.shortPred })
+	return succ, pred
 }
 
 // RingList returns the node's successor and predecessor lists (nearest
 // first), the decentralized state ring repair splices from.
 func (n *Node) RingList() (succs, preds []overlay.PeerID) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	for _, e := range n.rview.succ {
-		succs = append(succs, e.peer)
-	}
-	for _, e := range n.rview.pred {
-		preds = append(preds, e.peer)
-	}
+	n.do(func() {
+		for _, e := range n.rview.succ {
+			succs = append(succs, e.peer)
+		}
+		for _, e := range n.rview.pred {
+			preds = append(preds, e.peer)
+		}
+	})
 	return succs, preds
 }
 
@@ -942,19 +915,18 @@ func (n *Node) Position() ring.ID { return n.dir.position(n.id) }
 // our long links (known through the learned bitmaps). It is the live
 // overlay-quality metric the soak's churn arm watches converge.
 func (n *Node) LinkCoverage() float64 {
-	friends := n.g.Neighbors(n.id)
-	n.mu.Lock()
-	defer n.mu.Unlock()
 	members, covered := 0, 0
-	for i, f := range friends {
-		if !n.dir.isMember(f) {
-			continue
+	n.do(func() {
+		for i, f := range n.g.Neighbors(n.id) {
+			if !n.dir.isMember(f) {
+				continue
+			}
+			members++
+			if n.inLongOut(f) || n.covered(i) {
+				covered++
+			}
 		}
-		members++
-		if n.inLongOutLocked(f) || n.coveredLocked(i) {
-			covered++
-		}
-	}
+	})
 	if members == 0 {
 		return 1
 	}

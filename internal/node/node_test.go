@@ -253,14 +253,13 @@ func TestHeartbeatsBuildCMA(t *testing.T) {
 	for _, n := range c.Nodes {
 		for _, q := range n.Links() {
 			// value 1 could mean "never probed"; count explicitly probed
-			// links via the cma map, reading under the node's mutex.
-			n.mu.Lock()
-			cma := n.cma[q]
+			// links via the cma map, reading on the node's loop.
 			samples, value := 0, 0.0
-			if cma != nil {
-				samples, value = cma.Samples(), cma.Value()
-			}
-			n.mu.Unlock()
+			n.do(func() {
+				if cma := n.cma[q]; cma != nil {
+					samples, value = cma.Samples(), cma.Value()
+				}
+			})
 			if samples == 0 {
 				continue
 			}

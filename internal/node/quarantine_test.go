@@ -49,34 +49,36 @@ func TestQuarantineConflictingEvidence(t *testing.T) {
 	a, q, r := pickMembers(c)
 
 	// Evict q: quarantine it and drop it from a's ring view.
-	a.mu.Lock()
-	a.deadUntil[q] = time.Now().Add(10 * time.Second)
-	a.rview.remove(q)
-	a.refreshHeadsLocked()
-	a.mu.Unlock()
+	a.do(func() {
+		a.deadUntil[q] = time.Now().Add(10 * time.Second)
+		a.rview.remove(q)
+		a.refreshHeads()
+	})
 
 	// Third-party hearsay from r claims q is alive at its real position.
-	a.handle(&wire.Message{
-		Kind: wire.KindPong, From: int32(r), To: int32(a.ID()),
-		Succs:   []int32{int32(r), int32(q)},
-		SuccPos: []uint64{posBits(c, r), posBits(c, q)},
+	var resurrected bool
+	a.do(func() {
+		a.handle(&wire.Message{
+			Kind: wire.KindPong, From: int32(r), To: int32(a.ID()),
+			Succs:   []int32{int32(r), int32(q)},
+			SuccPos: []uint64{posBits(c, r), posBits(c, q)},
+		})
+		_, resurrected = a.rview.get(q)
 	})
-	a.mu.Lock()
-	_, resurrected := a.rview.get(q)
-	a.mu.Unlock()
 	if resurrected {
 		t.Fatalf("third-party gossip resurrected quarantined peer %d", q)
 	}
 
 	// First-person evidence: q announces its own identifier.
-	a.handle(&wire.Message{
-		Kind: wire.KindIDAnnounce, From: int32(q), To: int32(a.ID()),
-		Pos: posBits(c, q),
+	var back, stillQuarantined bool
+	a.do(func() {
+		a.handle(&wire.Message{
+			Kind: wire.KindIDAnnounce, From: int32(q), To: int32(a.ID()),
+			Pos: posBits(c, q),
+		})
+		_, back = a.rview.get(q)
+		_, stillQuarantined = a.deadUntil[q]
 	})
-	a.mu.Lock()
-	_, back := a.rview.get(q)
-	_, stillQuarantined := a.deadUntil[q]
-	a.mu.Unlock()
 	if stillQuarantined {
 		t.Fatalf("first-person IDAnnounce did not clear the quarantine")
 	}
@@ -93,17 +95,15 @@ func TestQuarantinePongClearsEarly(t *testing.T) {
 	defer shutdown(t, c)
 	a, q, _ := pickMembers(c)
 
-	a.mu.Lock()
-	a.deadUntil[q] = time.Now().Add(10 * time.Second)
-	a.mu.Unlock()
-
-	a.handle(&wire.Message{
-		Kind: wire.KindPong, From: int32(q), To: int32(a.ID()),
-		Succs: []int32{int32(q)}, SuccPos: []uint64{posBits(c, q)},
+	var stillQuarantined bool
+	a.do(func() {
+		a.deadUntil[q] = time.Now().Add(10 * time.Second)
+		a.handle(&wire.Message{
+			Kind: wire.KindPong, From: int32(q), To: int32(a.ID()),
+			Succs: []int32{int32(q)}, SuccPos: []uint64{posBits(c, q)},
+		})
+		_, stillQuarantined = a.deadUntil[q]
 	})
-	a.mu.Lock()
-	_, stillQuarantined := a.deadUntil[q]
-	a.mu.Unlock()
 	if stillQuarantined {
 		t.Fatalf("pong from the quarantined peer itself did not clear the quarantine")
 	}
@@ -117,19 +117,17 @@ func TestQuarantineExpiresOnItsOwn(t *testing.T) {
 	defer shutdown(t, c)
 	a, q, r := pickMembers(c)
 
-	a.mu.Lock()
-	a.deadUntil[q] = time.Now().Add(-time.Millisecond) // already lapsed
-	a.rview.remove(q)
-	a.mu.Unlock()
-
-	a.handle(&wire.Message{
-		Kind: wire.KindPong, From: int32(r), To: int32(a.ID()),
-		Succs:   []int32{int32(r), int32(q)},
-		SuccPos: []uint64{posBits(c, r), posBits(c, q)},
+	var back bool
+	a.do(func() {
+		a.deadUntil[q] = time.Now().Add(-time.Millisecond) // already lapsed
+		a.rview.remove(q)
+		a.handle(&wire.Message{
+			Kind: wire.KindPong, From: int32(r), To: int32(a.ID()),
+			Succs:   []int32{int32(r), int32(q)},
+			SuccPos: []uint64{posBits(c, r), posBits(c, q)},
+		})
+		_, back = a.rview.get(q)
 	})
-	a.mu.Lock()
-	_, back := a.rview.get(q)
-	a.mu.Unlock()
 	if !back {
 		t.Fatalf("hearsay after quarantine expiry should re-learn peer %d", q)
 	}

@@ -32,30 +32,29 @@ func TestLinkProposalRefusalBackoff(t *testing.T) {
 	// target never evicts anyone for it; the target's incoming side is
 	// full of other peers.
 	a.bw[a.id] = 0
-	target.mu.Lock()
-	target.longIn = target.longIn[:0]
-	for p := 0; len(target.longIn) < target.cfg.K; p++ {
-		if q := overlay.PeerID(p); q != a.id && q != u {
-			target.longIn = append(target.longIn, q)
+	target.do(func() {
+		target.longIn = target.longIn[:0]
+		for p := 0; len(target.longIn) < target.cfg.K; p++ {
+			if q := overlay.PeerID(p); q != a.id && q != u {
+				target.longIn = append(target.longIn, q)
+			}
 		}
-	}
-	target.mu.Unlock()
+	})
 	// The proposer knows one candidate: u.
-	a.mu.Lock()
-	a.longOut = nil
-	a.pendingOut = make(map[overlay.PeerID]bool)
-	a.bitmaps = map[overlay.PeerID][]uint64{u: {0}}
-	a.mu.Unlock()
+	a.do(func() {
+		a.longOut = nil
+		a.pendingOut = make(map[overlay.PeerID]bool)
+		a.bitmaps = map[overlay.PeerID][]uint64{u: {0}}
+	})
 
 	// tick runs one maintain tick, waits for the answer to whatever it
 	// proposed, and reports whether it proposed.
 	tick := func() bool {
 		before := met.Get(obs.CLinkProposal)
-		a.maintainTick()
-		waitFor(t, 5*time.Second, "the proposal's answer", func() bool {
-			a.mu.Lock()
-			defer a.mu.Unlock()
-			return !a.pendingOut[u]
+		a.do(a.maintainTick)
+		waitFor(t, 5*time.Second, "the proposal's answer", func() (answered bool) {
+			a.do(func() { answered = !a.pendingOut[u] })
+			return answered
 		})
 		return met.Get(obs.CLinkProposal) > before
 	}
@@ -81,8 +80,10 @@ func TestLinkProposalRefusalBackoff(t *testing.T) {
 	// The target's links changed (its bitmap did): ask again right away.
 	// Still full, it refuses, and the back-off resumes at the ceiling
 	// instead of climbing from two periods again.
-	a.handle(&wire.Message{
-		Kind: wire.KindExchangeReply, From: int32(u), To: int32(a.id), Bitmap: []uint64{1},
+	a.do(func() {
+		a.handle(&wire.Message{
+			Kind: wire.KindExchangeReply, From: int32(u), To: int32(a.id), Bitmap: []uint64{1},
+		})
 	})
 	if !tick() {
 		t.Fatal("no proposal on the first tick after the target's bitmap changed")
@@ -95,19 +96,20 @@ func TestLinkProposalRefusalBackoff(t *testing.T) {
 
 	// Another change, and this time there is room: the proposal is
 	// accepted, and the accept wipes the memory.
-	target.mu.Lock()
-	target.longIn = target.longIn[:0]
-	target.mu.Unlock()
-	a.handle(&wire.Message{
-		Kind: wire.KindExchangeReply, From: int32(u), To: int32(a.id), Bitmap: []uint64{3},
+	target.do(func() { target.longIn = target.longIn[:0] })
+	a.do(func() {
+		a.handle(&wire.Message{
+			Kind: wire.KindExchangeReply, From: int32(u), To: int32(a.id), Bitmap: []uint64{3},
+		})
 	})
 	if !tick() {
 		t.Fatal("no proposal on the first tick after the target's bitmap changed again")
 	}
-	a.mu.Lock()
-	_, refused := a.refused[u]
-	linked := a.inLongOutLocked(u)
-	a.mu.Unlock()
+	var refused, linked bool
+	a.do(func() {
+		_, refused = a.refused[u]
+		linked = a.inLongOut(u)
+	})
 	if !linked || refused {
 		t.Fatalf("after the accept: linked=%v, refusal remembered=%v; want linked and forgotten", linked, refused)
 	}
@@ -173,21 +175,26 @@ func TestOfflineSkipNeverRoutesToNonMember(t *testing.T) {
 
 	// Published: the fan-out skips the offline subscriber.
 	seq := publishSize(c.Nodes[pub], 256)
+	c.Nodes[pub].do(func() {}) // the fan-out has run
 	if got := met.Get(obs.CPublishOfflineSkip); got < 1 {
 		t.Fatalf("publish_offline_skip = %d after publishing to a crashed subscriber", got)
 	}
 	// Relayed: a copy already under way is dropped where it stands.
 	skips := met.Get(obs.CPublishOfflineSkip)
-	c.Nodes[relay].handle(&wire.Message{
-		Kind: wire.KindPublish, From: int32(pub), To: int32(sub), Publisher: int32(pub), Seq: 9999, TTL: 8,
+	c.Nodes[relay].do(func() {
+		c.Nodes[relay].handle(&wire.Message{
+			Kind: wire.KindPublish, From: int32(pub), To: int32(sub), Publisher: int32(pub), Seq: 9999, TTL: 8,
+		})
 	})
 	if got := met.Get(obs.CPublishOfflineSkip); got != skips+1 {
 		t.Fatalf("publish_offline_skip = %d after relaying toward a crashed subscriber, want %d", got, skips+1)
 	}
 	// An ack on its way to a crashed publisher likewise.
-	c.Nodes[relay].handle(&wire.Message{
-		Kind: wire.KindAckBatch, From: int32(pub), To: int32(relay),
-		Acks: []wire.AckEntry{{Kind: wire.KindAck, From: int32(pub), Dest: int32(sub), Pub: int32(sub), Seq: 1, TTL: 8}},
+	c.Nodes[relay].do(func() {
+		c.Nodes[relay].handle(&wire.Message{
+			Kind: wire.KindAckBatch, From: int32(pub), To: int32(relay),
+			Acks: []wire.AckEntry{{Kind: wire.KindAck, From: int32(pub), Dest: int32(sub), Pub: int32(sub), Seq: 1, TTL: 8}},
+		})
 	})
 	if got := met.Get(obs.CAckOfflineDrop); got != 1 {
 		t.Fatalf("ack_offline_drop = %d, want 1", got)

@@ -89,7 +89,7 @@ func (n *Node) joinSeed() uint64 {
 }
 
 // kickRetry re-arms the shard wheel's repair entry after a deadline
-// changed (new publication, new join attempt). Called outside n.mu.
+// changed (new publication, new join attempt).
 func (n *Node) kickRetry() {
 	if n.sh != nil {
 		n.sh.scheduleRepair(n)
@@ -100,7 +100,6 @@ func (n *Node) kickRetry() {
 // false when nothing is in flight (the wheel entry is dropped). A paused
 // (churned-out) node dozes at ≥50 ms instead of spinning.
 func (n *Node) nextRepairAt() (time.Time, bool) {
-	n.mu.Lock()
 	var earliest time.Time
 	for _, st := range n.pubs {
 		if earliest.IsZero() || st.nextAt.Before(earliest) {
@@ -120,7 +119,6 @@ func (n *Node) nextRepairAt() (time.Time, bool) {
 	if n.wantJoin && !n.joinNext.IsZero() && (earliest.IsZero() || n.joinNext.Before(earliest)) {
 		earliest = n.joinNext
 	}
-	n.mu.Unlock()
 	if earliest.IsZero() {
 		return time.Time{}, false
 	}
@@ -132,9 +130,9 @@ func (n *Node) nextRepairAt() (time.Time, bool) {
 	return earliest, true
 }
 
-// registerPublishLocked opens the repair state machine for publication
+// registerPublish opens the repair state machine for publication
 // seq: the first retry fires one backoff-delay after the initial send.
-func (n *Node) registerPublishLocked(seq uint32, subs []overlay.PeerID, payload []byte, size uint32, pri uint8, now time.Time) {
+func (n *Node) registerPublish(seq uint32, subs []overlay.PeerID, payload []byte, size uint32, pri uint8, now time.Time) {
 	if !n.repairEnabled() {
 		return
 	}
@@ -158,17 +156,17 @@ func (n *Node) pubKey(seq uint32, st *pubState) msgID {
 	return msgID{int32(n.id), seq}
 }
 
-// resolveAckLocked closes publication seq's state machine once every
+// resolveAck closes publication seq's state machine once every
 // subscriber is settled — directly acked or durably deposited — the
 // moment its record becomes garbage-collectable.
-func (n *Node) resolveAckLocked(seq uint32) {
+func (n *Node) resolveAck(seq uint32) {
 	st := n.pubs[seq]
 	if st == nil {
 		return
 	}
 	acked := n.acked[n.pubKey(seq, st)]
 	for _, s := range st.subs {
-		if !settledLocked(acked, st, s) {
+		if !settled(acked, st, s) {
 			return
 		}
 	}
@@ -179,9 +177,9 @@ func (n *Node) resolveAckLocked(seq uint32) {
 	n.cfg.Obs.TraceEvent("pub_resolved", int32(n.id), seq)
 }
 
-// scheduleJoinResendLocked arms the next join-resend deadline from the
+// scheduleJoinResend arms the next join-resend deadline from the
 // current attempt count.
-func (n *Node) scheduleJoinResendLocked(now time.Time) {
+func (n *Node) scheduleJoinResend(now time.Time) {
 	n.joinNext = now.Add(n.joinBackoff().Delay(n.joinSeed(), n.joinAttempt))
 }
 
@@ -191,10 +189,9 @@ func (n *Node) scheduleJoinResendLocked(now time.Time) {
 // that is no longer a ring member — or that stayed unacked through the
 // whole direct-retry budget — is handed off to its inbox replica set
 // instead of dead-lettered; only a failed deposit (no replica acked
-// within the budget) still dead-letters. Messages are staged under the
-// lock and sent after it; a friend-feed retry names only the subscribers
-// still missing and leaves through fanOut, grouped by next hop like the
-// first send.
+// within the budget) still dead-letters. A friend-feed retry names only
+// the subscribers still missing and leaves through fanOut, grouped by
+// next hop like the first send.
 func (n *Node) repairTick() {
 	if n.paused.Load() {
 		return
@@ -206,17 +203,6 @@ func (n *Node) repairTick() {
 		budget = 12
 	}
 	inboxOn := n.inboxOn()
-	// feedRetry is one publication's retry, staged for fanOut.
-	type feedRetry struct {
-		frame   wire.Message
-		missing []overlay.PeerID
-	}
-	var retries []feedRetry
-	// direct holds deposit traffic: inbox messages are point-to-point
-	// (publisher → replica), never greedy-forwarded like publications.
-	var direct []outMsg
-	resendJoin := false
-	n.mu.Lock()
 	for seq, st := range n.pubs {
 		// Deposit rounds run on their own per-subscriber deadlines, even
 		// when the publication's direct-retry deadline is not due.
@@ -232,10 +218,10 @@ func (n *Node) repairTick() {
 				continue
 			}
 			ds.attempt++
-			direct = n.sendDepositLocked(seq, st, s, ds, now, direct)
+			n.sendDeposit(seq, st, s, ds, now)
 		}
 		if len(failed) > 0 {
-			n.deadLetterLocked(seq, st, failed)
+			n.deadLetter(seq, st, failed)
 			continue
 		}
 		if st.nextAt.After(now) {
@@ -245,7 +231,7 @@ func (n *Node) repairTick() {
 		var missing []overlay.PeerID
 		depositing := false
 		for _, s := range st.subs {
-			if settledLocked(acked, st, s) {
+			if settled(acked, st, s) {
 				continue
 			}
 			if st.dep[s] != nil {
@@ -255,7 +241,7 @@ func (n *Node) repairTick() {
 			if inboxOn && (st.attempt >= budget || !n.dir.isMember(s)) {
 				// Offline (membership dropped) or out of direct budget:
 				// hand this subscriber's copy to the durable tier.
-				direct = n.startDepositLocked(seq, st, s, now, direct)
+				n.startDeposit(seq, st, s, now)
 				depositing = true
 				continue
 			}
@@ -274,7 +260,7 @@ func (n *Node) repairTick() {
 		if st.attempt >= budget {
 			// Inbox off (or it would have claimed them above): budget
 			// exhausted with subscribers missing.
-			n.deadLetterLocked(seq, st, missing)
+			n.deadLetter(seq, st, missing)
 			continue
 		}
 		st.attempt++
@@ -282,54 +268,40 @@ func (n *Node) repairTick() {
 			// Two retries in a row unacked (≈3 RetryBase): the data path
 			// has evidence the control plane may lack — probe now rather
 			// than at the end of a backed-off interval.
-			n.cadenceEventLocked(selectcore.CadenceRetry)
+			n.cadenceEvent(selectcore.CadenceRetry)
 		}
 		st.nextAt = now.Add(bo.Delay(st.bseed, st.attempt))
 		n.cfg.Obs.Addn(obs.CRetrySent, int64(len(missing)))
 		n.cfg.Obs.TraceEvent("retry", int32(n.id), seq)
 		if st.topic == "" {
-			retries = append(retries, feedRetry{n.feedFrame(seq, st.payload, st.size, st.pri), missing})
+			n.fanOut(n.feedFrame(seq, st.payload, st.size, st.pri), missing, nil)
 			continue
 		}
 		for _, s := range missing {
 			// Topic repair copies are point-to-point leaf deliveries (no
 			// subtree) carrying the origin identity, with acks addressed
 			// back to this rendezvous replica.
-			direct = append(direct, outMsg{int32(s), &wire.Message{
+			_ = n.tr.Send(int32(s), &wire.Message{
 				Kind: wire.KindTopicPub, From: int32(n.id), To: int32(s),
 				Seq: st.origin.Seq, Publisher: st.origin.Publisher,
 				Target: int32(n.id), Priority: st.pri, TTL: n.cfg.TTL,
 				PayloadSize: st.size, Payload: st.payload,
 				Topic: []byte(st.topic),
-			}})
+			})
 		}
 	}
-	var accepts []selfAccept
-	direct, accepts = n.topicRepairLocked(now, budget, direct, accepts)
+	n.topicRepair(now, budget)
 	if n.wantJoin && !n.joinNext.IsZero() && !n.joinNext.After(now) {
-		resendJoin = true
 		n.joinAttempt++
-		n.scheduleJoinResendLocked(now)
+		n.scheduleJoinResend(now)
 		n.cfg.Obs.Inc(obs.CJoinResend)
-	}
-	n.mu.Unlock()
-	for _, a := range accepts {
-		n.acceptTopicPub(a.origin, a.topic, a.payload, a.size, a.pri)
-	}
-	for _, r := range retries {
-		n.fanOut(r.frame, r.missing, nil)
-	}
-	for _, o := range direct {
-		_ = n.tr.Send(o.to, o.m)
-	}
-	if resendJoin {
 		n.sendJoinRequest()
 	}
 }
 
-// deadLetterLocked retires publication seq unresolved: budget exhausted
+// deadLetter retires publication seq unresolved: budget exhausted
 // with subscribers missing. The record is bounded FIFO.
-func (n *Node) deadLetterLocked(seq uint32, st *pubState, missing []overlay.PeerID) {
+func (n *Node) deadLetter(seq uint32, st *pubState, missing []overlay.PeerID) {
 	delete(n.pubs, seq)
 	if st.topic != "" {
 		delete(n.tpOrigin, st.origin)
@@ -344,18 +316,16 @@ func (n *Node) deadLetterLocked(seq uint32, st *pubState, missing []overlay.Peer
 
 // DeadLetters returns the node's bounded record of publications that
 // exhausted their retry budget.
-func (n *Node) DeadLetters() []DeadLetter {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return append([]DeadLetter(nil), n.deadLetters...)
+func (n *Node) DeadLetters() (dl []DeadLetter) {
+	n.do(func() { dl = append(dl, n.deadLetters...) })
+	return dl
 }
 
 // PendingRepairs returns how many publications are still in the repair
 // engine (unresolved, not dead-lettered).
-func (n *Node) PendingRepairs() int {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return len(n.pubs)
+func (n *Node) PendingRepairs() (k int) {
+	n.do(func() { k = len(n.pubs) })
+	return k
 }
 
 const (
@@ -366,11 +336,11 @@ const (
 	pubHistory = 1024
 )
 
-// rememberDeliveryLocked records a first-time delivery in the dedup
+// rememberDelivery records a first-time delivery in the dedup
 // window, evicting the oldest entry past dedupWindow. Returns false on a
 // duplicate. The window bound is the at-least-once contract: a copy
 // arriving after its record aged out would deliver again.
-func (n *Node) rememberDeliveryLocked(id msgID, hops uint8) bool {
+func (n *Node) rememberDelivery(id msgID, hops uint8) bool {
 	if _, dup := n.received[id]; dup {
 		return false
 	}
@@ -383,9 +353,9 @@ func (n *Node) rememberDeliveryLocked(id msgID, hops uint8) bool {
 	return true
 }
 
-// ackedSetLocked returns (creating if needed) the ack set of publication
+// ackedSet returns (creating if needed) the ack set of publication
 // id, evicting the oldest completed record past pubHistory.
-func (n *Node) ackedSetLocked(id msgID) map[int32]bool {
+func (n *Node) ackedSet(id msgID) map[int32]bool {
 	set := n.acked[id]
 	if set == nil {
 		set = make(map[int32]bool)
@@ -411,9 +381,9 @@ func (n *Node) quarantineFor() time.Duration {
 	return d
 }
 
-// quarantinedLocked reports whether q is under dead-quarantine at `now`,
+// quarantined reports whether q is under dead-quarantine at `now`,
 // expiring stale entries as a side effect.
-func (n *Node) quarantinedLocked(q overlay.PeerID, now time.Time) bool {
+func (n *Node) quarantined(q overlay.PeerID, now time.Time) bool {
 	t, ok := n.deadUntil[q]
 	if !ok {
 		return false
@@ -425,7 +395,7 @@ func (n *Node) quarantinedLocked(q overlay.PeerID, now time.Time) bool {
 	return true
 }
 
-// learnRingLocked folds piggybacked successor/predecessor wire fields
+// learnRing folds piggybacked successor/predecessor wire fields
 // into the ring view, skipping self and quarantined peers — gossip from
 // third parties must not resurrect a neighbor this node declared dead.
 // from is the message sender: its own entry (piggyback prepends self) is
@@ -444,12 +414,12 @@ func (n *Node) quarantinedLocked(q overlay.PeerID, now time.Time) bool {
 // §14). That cross-check is a defence, not ring maintenance; stale
 // hearsay that tried to move a firsthand entry feeds the
 // eclipse_displaced counter either way.
-func (n *Node) learnRingLocked(own ring.ID, from overlay.PeerID, peers []int32, poss []uint64, ages []int32) {
+func (n *Node) learnRing(own ring.ID, from overlay.PeerID, peers []int32, poss []uint64, ages []int32) {
 	k := min(len(peers), len(poss))
 	now := time.Now()
 	for i := 0; i < k; i++ {
 		q := overlay.PeerID(peers[i])
-		if q == n.id || n.quarantinedLocked(q, now) {
+		if q == n.id || n.quarantined(q, now) {
 			continue
 		}
 		pos := ring.ID(math.Float64frombits(poss[i]))
@@ -477,26 +447,25 @@ func (n *Node) learnRingLocked(own ring.ID, from overlay.PeerID, peers []int32, 
 	}
 }
 
-// learnPiggybackLocked folds the ring claims a Ping, Pong or JoinReply
+// learnPiggyback folds the ring claims a Ping, Pong or JoinReply
 // carries — both lists, with their ages — into the view and re-derives
 // the heads.
-func (n *Node) learnPiggybackLocked(own ring.ID, m *wire.Message) {
+func (n *Node) learnPiggyback(own ring.ID, m *wire.Message) {
 	from := overlay.PeerID(m.From)
 	succAge, predAge := claimAges(m)
-	n.learnRingLocked(own, from, m.Succs, m.SuccPos, succAge)
-	n.learnRingLocked(own, from, m.Preds, m.PredPos, predAge)
-	n.refreshHeadsLocked()
+	n.learnRing(own, from, m.Succs, m.SuccPos, succAge)
+	n.learnRing(own, from, m.Preds, m.PredPos, predAge)
+	n.refreshHeads()
 }
 
-// detectorSweepLocked classifies the accrued heartbeat evidence of every
+// detectorSweep classifies the accrued heartbeat evidence of every
 // probed peer — the links and the ring candidates on probation
 // (selectcore.FailureDetector) — and evicts the dead ones. Called from
-// the heartbeat sweep after folding the round's misses; staged repair
-// messages are appended to out.
-func (n *Node) detectorSweepLocked(now time.Time, out []outMsg) []outMsg {
+// the heartbeat sweep after folding the round's misses.
+func (n *Node) detectorSweep(now time.Time) {
 	det := n.cfg.Detector
 	var dead []overlay.PeerID
-	for _, q := range append(n.linksLocked(), n.rview.probation(n.dir.isMember)...) {
+	for _, q := range append(n.links(), n.rview.probation(n.dir.isMember)...) {
 		c := n.cma[q]
 		if c == nil {
 			continue
@@ -507,7 +476,7 @@ func (n *Node) detectorSweepLocked(now time.Time, out []outMsg) []outMsg {
 				n.suspectAt[q] = now
 				n.cfg.Obs.Inc(obs.CLinkSuspect)
 				n.cfg.Obs.TraceEvent("suspect", int32(n.id), uint32(q))
-				n.cadenceEventLocked(selectcore.CadenceDetector)
+				n.cadenceEvent(selectcore.CadenceDetector)
 			}
 		case selectcore.LinkDead:
 			if !slices.Contains(dead, q) {
@@ -516,25 +485,24 @@ func (n *Node) detectorSweepLocked(now time.Time, out []outMsg) []outMsg {
 		}
 	}
 	for _, q := range dead {
-		out = n.evictDeadLocked(q, now, out)
+		n.evictDead(q, now)
 	}
-	return out
 }
 
-// evictDeadLocked removes a dead link from every routing role and repairs
+// evictDead removes a dead link from every routing role and repairs
 // immediately: a dead ring neighbor is spliced out of the successor list
 // locally, a dead long link's LSH bucket is re-filled by an Algorithm-5/6
 // pass right now rather than at the next maintenance tick. Time-to-repair
 // is measured from first suspicion.
-func (n *Node) evictDeadLocked(q overlay.PeerID, now time.Time, out []outMsg) []outMsg {
+func (n *Node) evictDead(q overlay.PeerID, now time.Time) {
 	since := now
 	if t, ok := n.suspectAt[q]; ok {
 		since = t
 	}
-	wasLong := n.inLongOutLocked(q) || n.inLongInLocked(q)
+	wasLong := n.inLongOut(q) || n.inLongIn(q)
 	wasRing := n.shortSucc == q || n.shortPred == q
-	n.removeLongOutLocked(q)
-	n.removeLongInLocked(q)
+	n.removeLongOut(q)
+	n.removeLongIn(q)
 	delete(n.pendingOut, q)
 	delete(n.lookahead, q)
 	delete(n.cma, q)
@@ -544,16 +512,15 @@ func (n *Node) evictDeadLocked(q overlay.PeerID, now time.Time, out []outMsg) []
 	n.rview.remove(q)
 	n.cfg.Obs.Inc(obs.CLinkDeadEvict)
 	n.cfg.Obs.TraceEvent("dead_evict", int32(n.id), uint32(q))
-	n.cadenceEventLocked(selectcore.CadenceDetector)
+	n.cadenceEvent(selectcore.CadenceDetector)
 	if wasRing {
-		n.refreshHeadsLocked()
+		n.refreshHeads()
 		n.cfg.Obs.Inc(obs.CRingSplice)
 		n.cfg.Obs.ObserveRepairRingMS(float64(now.Sub(since).Milliseconds()))
 		n.cfg.Obs.TraceEvent("ring_splice", int32(n.id), uint32(q))
 	}
 	if wasLong {
 		n.linkRepairStart = append(n.linkRepairStart, since)
-		out = n.relinkLocked(out)
+		n.relink()
 	}
-	return out
 }

@@ -78,9 +78,9 @@ func appendUnique(out []overlay.PeerID, self, q overlay.PeerID) []overlay.PeerID
 	return append(out, q)
 }
 
-// appendLinksLocked appends R_p (short ∪ longOut ∪ longIn, deduplicated)
-// to out, which must be empty. Callers hold n.mu.
-func (n *Node) appendLinksLocked(out []overlay.PeerID) []overlay.PeerID {
+// appendLinks appends R_p (short ∪ longOut ∪ longIn, deduplicated) to
+// out, which must be empty.
+func (n *Node) appendLinks(out []overlay.PeerID) []overlay.PeerID {
 	out = appendUnique(out, n.id, n.shortSucc)
 	out = appendUnique(out, n.id, n.shortPred)
 	for _, q := range n.longOut {
@@ -92,11 +92,11 @@ func (n *Node) appendLinksLocked(out []overlay.PeerID) []overlay.PeerID {
 	return out
 }
 
-// linkAliveLocked is the accrual verdict on link q as an intermediate
+// linkAlive is the accrual verdict on link q as an intermediate
 // hop (§III-F, selectcore.FailureDetector): links the detector marks
 // suspect or dead are avoided — a responsive peer (no current miss
 // streak) is always usable, whatever its history.
-func (n *Node) linkAliveLocked(q overlay.PeerID) bool {
+func (n *Node) linkAlive(q overlay.PeerID) bool {
 	c := n.cma[q]
 	if c == nil {
 		return true
@@ -106,8 +106,8 @@ func (n *Node) linkAliveLocked(q overlay.PeerID) bool {
 
 // routeBatch resolves dests[i] to its next hop in hops[i] (or to
 // noHop(verdict)) using only local knowledge, for every destination of
-// one frame — or every entry of one ack batch — in a single pass under
-// n.mu: the link set is read once, each link's lookahead list is looked
+// one frame — or every entry of one ack batch — in a single pass: the
+// link set is read once, each link's lookahead list is looked
 // up once and searched in place, and the detector verdicts and ring
 // positions of the links are computed once, and only if some destination
 // gets as far as the greedy step. Nothing is allocated. Per destination
@@ -130,9 +130,7 @@ func (n *Node) routeBatch(dests, hops []overlay.PeerID, from overlay.PeerID) {
 		aliveBuf [routeLinksMax]bool
 		posBuf   [routeLinksMax]ring.ID
 	)
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	links := n.appendLinksLocked(linkBuf[:0])
+	links := n.appendLinks(linkBuf[:0])
 	bounced := false
 	if i := slices.Index(links, from); from >= 0 && i >= 0 {
 		links = slices.Delete(links, i, i+1)
@@ -154,7 +152,7 @@ func (n *Node) routeBatch(dests, hops []overlay.PeerID, from overlay.PeerID) {
 			continue
 		}
 		if bounced {
-			n.dropLookaheadLocked(from, t)
+			n.dropLookahead(from, t)
 		}
 		if len(look) == 0 {
 			for _, q := range links {
@@ -169,7 +167,7 @@ func (n *Node) routeBatch(dests, hops []overlay.PeerID, from overlay.PeerID) {
 			}
 		}
 		if via >= 0 {
-			if n.linkAliveLocked(via) {
+			if n.linkAlive(via) {
 				hops[i] = via
 				continue
 			}
@@ -181,7 +179,7 @@ func (n *Node) routeBatch(dests, hops []overlay.PeerID, from overlay.PeerID) {
 			own = n.dir.position(n.id)
 			pos = n.dir.appendPositions(pos, links)
 			for _, q := range links {
-				a := n.linkAliveLocked(q)
+				a := n.linkAlive(q)
 				alive = append(alive, a)
 				if a {
 					live++
@@ -223,8 +221,8 @@ func (n *Node) routeBatch(dests, hops []overlay.PeerID, from overlay.PeerID) {
 	}
 }
 
-// dropLookaheadLocked removes t from the cached routing table of q.
-func (n *Node) dropLookaheadLocked(q, t overlay.PeerID) {
+// dropLookahead removes t from the cached routing table of q.
+func (n *Node) dropLookahead(q, t overlay.PeerID) {
 	rt := n.lookahead[q]
 	if i := slices.Index(rt, t); i >= 0 {
 		n.lookahead[q] = slices.Delete(rt, i, i+1)

@@ -3,6 +3,7 @@ package node
 import (
 	"runtime"
 	"strconv"
+	"sync/atomic"
 	"time"
 
 	"selectps/internal/inbox"
@@ -20,16 +21,16 @@ import (
 // deadline of every node pinned to it, and one shared mailbox all those
 // nodes' transport inboxes multiplex into, drained by a single select.
 //
-// Shard affinity is the concurrency invariant that replaces per-node
-// goroutine confinement: a node's messages are handled and its timers
-// fired only on its shard's goroutine, so protocol handlers stay
-// single-threaded per node exactly as before. (Node state is still
-// mutex-guarded — public API like Publish runs on caller goroutines —
-// so affinity is a scheduling property, not the only safety net.)
+// Shard affinity is the only concurrency rule of a node: its messages are
+// handled, its timers fired and its exported API served on its shard's
+// goroutine and nowhere else, so node state, the wheel and the per-node
+// queues need no lock. An API call reaches the loop as a command — a
+// closure handed over by post (enqueue and return) or do (enqueue and
+// wait) and run between envelopes (DESIGN.md §11).
 
 // Timer-wheel entry ids encode (peer, kind) in one uint64: pid<<3|kind.
 // tkMonitor is shard-owned (the "pid" is the shard index) and never
-// collides with node entries because nodes only use kinds 0–3 and 5.
+// collides with node entries because no node arms that kind.
 const (
 	tkHeartbeat = iota
 	tkGossip
@@ -46,9 +47,14 @@ func timerID(pid int32, kind uint64) uint64 { return uint64(uint32(pid))<<3 | ki
 const monitorEvery = time.Second
 
 // drainMax bounds how many envelopes one wakeup handles before the loop
-// re-enters its select — a flooded mailbox must not starve the stop and
-// kick channels.
+// checks its stop channel again.
 const drainMax = 256
+
+// cmdBacklog is the queued-command level past which post stops returning
+// at once: an outside caller that finds this many commands waiting waits
+// for its own to run, so callers that outrun the loop are slowed to its
+// pace instead of growing the queue without bound.
+const cmdBacklog = 1024
 
 // ingestCap bounds how many envelopes sit in the shard's internal
 // per-node queues. Past it the loop stops pulling from the mailbox, the
@@ -86,10 +92,27 @@ type shard struct {
 	// delivers pooled envelope slices here (transport.BatchInboxMux), so
 	// a flood burst costs one channel op instead of one per frame.
 	mailbox chan *[]transport.Envelope
-	// kick wakes the loop to re-arm its sleep after another goroutine
-	// scheduled a possibly-earlier deadline (Publish, requestJoin).
-	kick chan struct{}
-	obs  *obs.Metrics
+	// cmds is the command queue, a lock-free stack: callers push, the loop
+	// takes the whole stack at once and runs it oldest first, which keeps
+	// every caller's commands in the order it issued them. It never drops
+	// and pushing never blocks. cmdDepth counts what is queued; kick wakes
+	// a parked loop after a push.
+	cmds     atomic.Pointer[command]
+	cmdDepth atomic.Int64
+	kick     chan struct{}
+	// idle holds one token once the loop has exited: a command that arrives
+	// after that runs on its caller's goroutine, and the token makes such
+	// callers take turns.
+	idle chan struct{}
+	// inCallback is set while the loop runs an application callback. Code
+	// in there may call Publish, so a caller that sees the flag on any shard
+	// may be a loop goroutine and is never made to wait (submit).
+	inCallback atomic.Bool
+	// moved is set by every Schedule or Cancel a handler, timer body or
+	// command makes: the loop re-reads the wheel's earliest deadline before
+	// it serves the next envelope or parks.
+	moved bool
+	obs   *obs.Metrics
 	// ibx is this shard's durable-tier journal store (nil when the inbox
 	// tier is off): every replica pinned to this shard persists its
 	// deposits here, keyed by replica id (inbox.go, DESIGN.md §12).
@@ -168,6 +191,7 @@ func newShard(idx int, c *Cluster, opts *Options) *shard {
 		wheel:   sched.NewWheel(time.Millisecond, 512, time.Now()),
 		mailbox: make(chan *[]transport.Envelope, opts.ShardMailbox),
 		kick:    make(chan struct{}, 1),
+		idle:    make(chan struct{}, 1),
 		obs:     opts.Obs,
 		queues:  make([]nodeq, len(c.Nodes)),
 	}
@@ -247,64 +271,134 @@ func (s *shard) scheduleNode(n *Node, start time.Time) {
 	arm(tkMaintain, n.cfg.MaintainEvery)
 }
 
-// scheduleAt upserts wheel entry id to fire at `at` and kicks the loop so
-// its sleep shortens. Safe from any goroutine.
-func (s *shard) scheduleAt(id uint64, at time.Time) {
-	s.wheel.Schedule(id, at)
+// command is one API call waiting for the loop.
+type command struct {
+	fn   func()
+	done chan struct{} // closed once fn has run, when the caller waits
+	next *command
+}
+
+// cmdsClosed is what the queue holds once the loop has exited.
+var cmdsClosed command
+
+// submit hands fn to the loop. With wait set it returns once fn has run,
+// otherwise at once — unless the queue is past cmdBacklog and the caller
+// cannot be a loop goroutine, which then waits too. After the loop has
+// exited fn runs on the caller's goroutine.
+func (s *shard) submit(fn func(), wait bool) {
+	c := &command{fn: fn}
+	if wait || (s.cmdDepth.Load() >= cmdBacklog && !s.c.inCallback()) {
+		c.done = make(chan struct{})
+	}
+	for {
+		old := s.cmds.Load()
+		if old == &cmdsClosed {
+			<-s.idle
+			fn()
+			s.idle <- struct{}{}
+			return
+		}
+		c.next = old
+		if s.cmds.CompareAndSwap(old, c) {
+			break
+		}
+	}
+	s.cmdDepth.Add(1)
 	select {
 	case s.kick <- struct{}{}:
 	default:
 	}
+	if c.done != nil {
+		<-c.done
+	}
 }
 
-// scheduleRepair upserts (or cancels) the node's repair deadline and
-// kicks the loop so its sleep shortens. Safe from any goroutine.
-func (s *shard) scheduleRepair(n *Node) {
-	id := timerID(int32(n.id), tkRepair)
-	if at, ok := n.nextRepairAt(); ok {
+// runCommands runs everything queued, oldest first. Commands run whether
+// or not their node is paused: they are API calls, not network input.
+func (s *shard) runCommands() {
+	if s.cmds.Load() == nil {
+		return
+	}
+	var oldest *command
+	n := int64(0)
+	for c := s.cmds.Swap(nil); c != nil; n++ {
+		next := c.next
+		c.next, oldest = oldest, c
+		c = next
+	}
+	s.cmdDepth.Add(-n)
+	for c := oldest; c != nil; c = c.next {
+		c.fn()
+		if c.done != nil {
+			close(c.done)
+		}
+	}
+}
+
+// post runs fn on the node's loop and does not wait for it; do does. A
+// node without a shard (white-box unit tests) runs both inline.
+func (n *Node) post(fn func()) {
+	if n.sh == nil {
+		fn()
+		return
+	}
+	n.sh.submit(fn, false)
+}
+
+func (n *Node) do(fn func()) {
+	if n.sh == nil {
+		fn()
+		return
+	}
+	n.sh.submit(fn, true)
+}
+
+// scheduleAt upserts wheel entry id to fire at `at`.
+func (s *shard) scheduleAt(id uint64, at time.Time) {
+	s.wheel.Schedule(id, at)
+	s.moved = true
+}
+
+// scheduleOrCancel upserts wheel entry id when ok, and drops it otherwise.
+func (s *shard) scheduleOrCancel(id uint64, at time.Time, ok bool) {
+	if ok {
 		s.wheel.Schedule(id, at)
 	} else {
 		s.wheel.Cancel(id)
 	}
-	select {
-	case s.kick <- struct{}{}:
-	default:
-	}
+	s.moved = true
 }
 
-// scheduleAckFlush arms the node's one-shot ack-flush deadline and kicks
-// the loop so its sleep shortens. Safe from any goroutine. The wheel's
-// Schedule is an upsert, so callers guard against re-arming while a
-// flush is pending (ackFlushArmed) — re-scheduling would push the
+// scheduleRepair upserts (or cancels) the node's repair deadline.
+func (s *shard) scheduleRepair(n *Node) {
+	at, ok := n.nextRepairAt()
+	s.scheduleOrCancel(timerID(int32(n.id), tkRepair), at, ok)
+}
+
+// scheduleAckFlush arms the node's one-shot ack-flush deadline. The
+// wheel's Schedule is an upsert, so callers guard against re-arming while
+// a flush is pending (ackFlushArmed) — re-scheduling would push the
 // deadline back and starve the buffer under sustained traffic.
 func (s *shard) scheduleAckFlush(n *Node, at time.Time) {
 	s.scheduleAt(timerID(int32(n.id), tkAckFlush), at)
 }
 
 // scheduleInbox upserts (or cancels) the node's durable-tier deadline —
-// lease expiries and replay re-sends (inbox.go). Same contract as
-// scheduleRepair: safe from any goroutine.
+// lease expiries and replay re-sends (inbox.go).
 func (s *shard) scheduleInbox(n *Node) {
-	id := timerID(int32(n.id), tkInbox)
-	if at, ok := n.nextInboxAt(); ok {
-		s.wheel.Schedule(id, at)
-	} else {
-		s.wheel.Cancel(id)
-	}
-	select {
-	case s.kick <- struct{}{}:
-	default:
-	}
+	at, ok := n.nextInboxAt()
+	s.scheduleOrCancel(timerID(int32(n.id), tkInbox), at, ok)
 }
 
 // run is the shard loop. One reused timer sleeps until the wheel's
-// earliest deadline; kicks wake it early when another goroutine
-// scheduled a sooner one. The wheel is touched ONLY when a deadline is
-// actually due or a kick arrived — mailbox traffic costs a channel
-// receive, a time.Now comparison, and the handler, which is what keeps
-// a flooded shard from paying an O(slots) scan per message.
+// earliest deadline. The wheel is touched ONLY when a deadline is actually
+// due or something moved one — mailbox traffic costs a channel receive, a
+// time.Now comparison, and the handler, which is what keeps a flooded
+// shard from paying an O(slots) scan per message.
 func (s *shard) run() {
 	defer s.c.wg.Done()
+	defer s.exit()
+	s.moved = true // Start armed the nodes' entries
 	if s.obs != nil {
 		s.wheel.Schedule(timerID(int32(s.idx), tkMonitor), time.Now().Add(monitorEvery))
 	}
@@ -320,6 +414,7 @@ func (s *shard) run() {
 			}
 			s.fire(f, now)
 		}
+		s.moved = false
 		next, ok := s.wheel.Next()
 		if !ok {
 			next = time.Time{}
@@ -351,31 +446,29 @@ func (s *shard) run() {
 	// due deadlines: the main select picks among ready cases at random,
 	// so under flood the timer would wait O(bursts). Instead every
 	// handled envelope pays one time.Now comparison against the cached
-	// deadline and one channel-length peek at kick — both far cheaper
-	// than a select — bounding timer and re-arm service latency to ONE
-	// handler, not a whole burst (repair deadlines are latency-sensitive;
-	// a 256-message burst of slow handlers would blow them; kicks matter
-	// too because handlers themselves schedule new deadlines, e.g. an ack
-	// re-arms the publisher's retry).
+	// deadline and one look at the moved flag — both far cheaper than a
+	// select — bounding timer and re-arm service latency to ONE handler,
+	// not a whole burst (repair deadlines are latency-sensitive; a
+	// 256-message burst of slow handlers would blow them; moved deadlines
+	// matter too because handlers themselves schedule new ones, e.g. an
+	// ack re-arms the publisher's retry).
 	due := func() {
-		if len(s.kick) > 0 {
-			select {
-			case <-s.kick:
-			default:
-			}
-			rearm()
-			return
-		}
-		if !armed.IsZero() && !time.Now().Before(armed) {
+		if s.moved || (!armed.IsZero() && !time.Now().Before(armed)) {
 			rearm() // rearm stops and drains the expired timer itself
 		}
 	}
-	rearm()
 	for {
+		// Commands first, and again before every envelope below: a backlog
+		// of network input never delays an API call by more than one
+		// handler.
+		s.runCommands()
+		if s.moved {
+			rearm()
+		}
 		// Pending queued work: serve it round-robin without blocking,
-		// re-checking stop, fresh arrivals, and due deadlines between
-		// every handled message (drainMax per pass keeps the stop check
-		// frequent under sustained load).
+		// re-checking stop, fresh arrivals, commands and due deadlines
+		// between every handled message (drainMax per pass keeps the stop
+		// check frequent under sustained load).
 		if s.queued > 0 {
 			select {
 			case <-s.c.stop:
@@ -384,6 +477,7 @@ func (s *shard) run() {
 			}
 			for i := 0; i < drainMax && s.queued > 0; i++ {
 				s.pull()
+				s.runCommands()
 				due()
 				s.serve()
 			}
@@ -395,12 +489,22 @@ func (s *shard) run() {
 		case nb := <-s.mailbox:
 			s.enqueueBatch(nb)
 		case <-s.kick:
-			rearm()
 		case <-timer.C:
 			armed = time.Time{} // consumed: force the re-arm comparison
 			rearm()
 		}
 	}
+}
+
+// exit closes the command queue behind the last command and hands the
+// shard's nodes to whoever calls their API next. The queue is closed only
+// when it is seen empty, so a command that is queued is always run, and
+// run here, never beside the loop.
+func (s *shard) exit() {
+	for !s.cmds.CompareAndSwap(nil, &cmdsClosed) {
+		s.runCommands()
+	}
+	s.idle <- struct{}{}
 }
 
 // deliver dispatches one envelope to its owning node's handler.
@@ -501,23 +605,22 @@ func nextPeriodic(at, now time.Time, every time.Duration) time.Time {
 	return next
 }
 
-// monitorTick publishes the runtime-scale gauges: wheel entries per
-// shard, how many of the shard's nodes sit at each heartbeat and gossip
-// back-off level (cadence.go), and (from shard 0) the live goroutine
-// count the budget gate watches.
+// monitorTick publishes the runtime-scale gauges: wheel entries and
+// queued commands per shard, how many of the shard's nodes sit at each
+// heartbeat and gossip back-off level (cadence.go), and (from shard 0)
+// the live goroutine count the budget gate watches.
 func (s *shard) monitorTick() {
 	shard := "_shard_" + strconv.Itoa(s.idx)
 	s.obs.SetGauge("wheel_entries"+shard, int64(s.wheel.Len()))
+	s.obs.SetGauge("cmds_queued"+shard, s.cmdDepth.Load())
 	if s.ibx != nil {
 		s.obs.SetGauge("inbox_depth"+shard, int64(s.ibx.Depth()))
 	}
 	var hb, gs [selectcore.CadenceMaxLevel + 1]int64
 	for _, n := range s.c.Nodes {
 		if n.sh == s {
-			n.mu.Lock()
 			hb[n.hb.Level()]++
 			gs[n.gs.Level()]++
-			n.mu.Unlock()
 		}
 	}
 	for l := range hb {

@@ -3,6 +3,7 @@ package node
 import (
 	"context"
 	"errors"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
@@ -110,14 +111,15 @@ type Subscription struct {
 func (s *Subscription) Topic() string { return s.topic }
 
 // OnDeliver registers the per-subscription push handler, called once
-// per first-time delivery on this topic, outside the node lock. Topics
-// without a subscription handler fall back to the node-level handler.
+// per first-time delivery on this topic, on the node's shard loop (see
+// Node.OnDeliver for what it may call). Topics without a subscription
+// handler fall back to the node-level handler.
 func (s *Subscription) OnDeliver(fn DeliverFunc) {
-	s.n.mu.Lock()
-	if ts := s.n.subTopics[s.topic]; ts != nil {
-		ts.handler = fn
-	}
-	s.n.mu.Unlock()
+	s.n.do(func() {
+		if ts := s.n.subTopics[s.topic]; ts != nil {
+			ts.handler = fn
+		}
+	})
 }
 
 // topicSub is the subscriber-side state for one topic.
@@ -154,44 +156,40 @@ type topicPubState struct {
 // feed — and return immediately; non-friends get ErrNotFriend.
 func (t *TopicHandle) Subscribe(ctx context.Context) (*Subscription, error) {
 	n := t.n
-	if owner, ok := parseUserTopic(t.name); ok {
-		if owner != n.id && !n.g.HasEdge(n.id, owner) {
-			return nil, ErrNotFriend
-		}
-		n.mu.Lock()
-		ts := n.subTopics[t.name]
-		if ts == nil {
-			ts = &topicSub{sub: &Subscription{n: n, topic: t.name}, implicit: true, acked: true}
-			n.subTopics[t.name] = ts
-		}
-		sub := ts.sub
-		n.mu.Unlock()
-		return sub, nil
-	}
-	if !n.repairEnabled() {
+	owner, implicit := parseUserTopic(t.name)
+	switch {
+	case implicit && owner != n.id && !n.g.HasEdge(n.id, owner):
+		return nil, ErrNotFriend
+	case !implicit && !n.repairEnabled():
 		return nil, ErrTopicRepairOff
 	}
-	now := time.Now()
-	n.mu.Lock()
-	ts := n.subTopics[t.name]
-	if ts == nil {
-		ts = &topicSub{sub: &Subscription{n: n, topic: t.name}, ackCh: make(chan struct{})}
-		n.subTopics[t.name] = ts
-	}
-	sub, ackCh, acked := ts.sub, ts.ackCh, ts.acked
-	out := n.topicRegisterLocked(t.name, ts, now, nil)
-	n.mu.Unlock()
-	for _, o := range out {
-		_ = n.tr.Send(o.to, o.m)
-	}
-	if acked {
-		return sub, nil
-	}
+	var ts *topicSub
+	n.do(func() {
+		ts = n.subTopics[t.name]
+		if ts == nil {
+			ts = &topicSub{sub: &Subscription{n: n, topic: t.name}, implicit: implicit, ackCh: make(chan struct{})}
+			n.subTopics[t.name] = ts
+		}
+		if implicit {
+			ts.ack()
+		} else {
+			n.topicRegister(t.name, ts, time.Now())
+		}
+	})
+	// ackCh and sub never change once the subscription exists.
 	select {
-	case <-ackCh:
-		return sub, nil
+	case <-ts.ackCh:
+		return ts.sub, nil
 	case <-ctx.Done():
 		return nil, ctx.Err()
+	}
+}
+
+// ack marks the registration confirmed and releases Subscribe.
+func (ts *topicSub) ack() {
+	if !ts.acked {
+		ts.acked = true
+		close(ts.ackCh)
 	}
 }
 
@@ -202,40 +200,35 @@ func (t *TopicHandle) Subscribe(ctx context.Context) (*Subscription, error) {
 // entries it will never claim.
 func (s *Subscription) Unsubscribe(ctx context.Context) error {
 	_ = ctx
-	n := s.n
-	n.mu.Lock()
-	ts := n.subTopics[s.topic]
-	delete(n.subTopics, s.topic)
+	s.n.do(func() { s.n.unsubscribe(s.topic) })
+	return nil
+}
+
+func (n *Node) unsubscribe(topic string) {
+	ts := n.subTopics[topic]
+	delete(n.subTopics, topic)
 	if ts == nil || ts.implicit {
-		n.mu.Unlock()
-		return nil
+		return
 	}
 	seq := n.nextSeq()
 	now := time.Now()
 	targets := make(map[overlay.PeerID]bool)
-	for _, rep := range n.topicRendezvousLocked(s.topic, now) {
+	for _, rep := range n.topicRendezvous(topic, now) {
 		targets[rep] = true
 	}
 	for _, rep := range selectcore.InboxReplicas(n.id, n.dir.position(n.id), n.dir.ringMembers(), nil, n.cfg.InboxReplicas) {
 		targets[rep] = true
 	}
-	selfToo := targets[n.id]
-	delete(targets, n.id)
-	if selfToo {
-		n.dropTopicRegLocked(s.topic, n.id)
+	if targets[n.id] {
+		delete(targets, n.id)
+		n.dropTopicSub(topic, n.id, seq, now)
 	}
-	n.mu.Unlock()
-	if selfToo {
-		n.purgeTopicJournal(int32(n.id), []byte(s.topic))
-	}
-	topic := []byte(s.topic)
 	for rep := range targets {
 		_ = n.tr.Send(int32(rep), &wire.Message{
 			Kind: wire.KindTopicUnsub, From: int32(n.id), To: int32(rep),
-			Seq: seq, Topic: topic,
+			Seq: seq, Topic: []byte(topic),
 		})
 	}
-	return nil
 }
 
 // Publish sends one publication to the topic and returns its sequence
@@ -255,47 +248,46 @@ func (t *TopicHandle) Publish(payload []byte, opts ...PublishOption) (uint32, er
 		return 0, ErrTopicRepairOff
 	}
 	o := resolvePublishOpts(payload, opts)
-	now := time.Now()
-	var direct []outMsg
-	selfAccept := false
-	n.mu.Lock()
 	seq := n.nextSeq()
+	n.post(func() { n.publishTopic(seq, t.name, payload, o) })
+	return seq, nil
+}
+
+// publishTopic opens the hand-off record of topic publication seq and
+// sends the first round.
+func (n *Node) publishTopic(seq uint32, topic string, payload []byte, o pubOpts) {
+	now := time.Now()
 	id := msgID{int32(n.id), seq}
-	n.rememberDeliveryLocked(id, 0) // the publisher trivially has its own message
+	n.rememberDelivery(id, 0) // the publisher trivially has its own message
 	tp := &topicPubState{
-		topic: t.name, payload: payload, size: o.size, pri: o.pri,
+		topic: topic, payload: payload, size: o.size, pri: o.pri,
 		bseed: selectcore.RepairSeed(n.cfg.Seed, int32(n.id), seq),
 		acked: make(map[overlay.PeerID]bool),
 	}
 	tp.nextAt = now.Add(n.backoff().Delay(tp.bseed, 0))
 	n.tpubs[seq] = tp
-	set := n.topicRendezvousLocked(t.name, now)
-	for _, rep := range set {
+	n.cfg.Obs.Inc(obs.CPublishSent)
+	n.cfg.Obs.TraceEvent("topic_publish", int32(n.id), seq)
+	selfAccept := false
+	for _, rep := range n.topicRendezvous(topic, now) {
 		if rep == n.id {
 			tp.acked[n.id] = true
 			selfAccept = true
 			continue
 		}
-		direct = append(direct, outMsg{int32(rep), n.topicPubMsgLocked(seq, tp, rep, -1, nil)})
-	}
-	n.mu.Unlock()
-	n.cfg.Obs.Inc(obs.CPublishSent)
-	n.cfg.Obs.TraceEvent("topic_publish", int32(n.id), seq)
-	for _, o := range direct {
-		_ = n.tr.Send(o.to, o.m)
+		_ = n.tr.Send(int32(rep), n.topicPubMsg(seq, tp, rep, -1, nil))
 	}
 	if selfAccept {
-		n.acceptTopicPub(id, t.name, payload, o.size, o.pri)
+		n.acceptTopicPub(id, topic, payload, o.size, o.pri)
 	}
 	n.kickRetry()
-	return seq, nil
 }
 
-// topicPubMsgLocked builds one TopicPub copy. target -1 is the
+// topicPubMsg builds one TopicPub copy. target -1 is the
 // publisher→rendezvous hand-off; target >= 0 is a dissemination copy
 // whose acks flow back to rendezvous peer `target`, with subtree
 // carrying the receiver's share of the tree.
-func (n *Node) topicPubMsgLocked(seq uint32, tp *topicPubState, to overlay.PeerID, target int32, subtree []int32) *wire.Message {
+func (n *Node) topicPubMsg(seq uint32, tp *topicPubState, to overlay.PeerID, target int32, subtree []int32) *wire.Message {
 	return &wire.Message{
 		Kind: wire.KindTopicPub, From: int32(n.id), To: int32(to),
 		Seq: seq, Publisher: int32(n.id), Target: target,
@@ -306,41 +298,40 @@ func (n *Node) topicPubMsgLocked(seq uint32, tp *topicPubState, to overlay.PeerI
 
 // ---- placement -------------------------------------------------------
 
-// topicLiveLocked returns the liveness filter for rendezvous placement:
+// topicLive returns the liveness filter for rendezvous placement:
 // ring members not currently under this node's dead-quarantine — the
 // accrual detector's verdict is what re-homes a topic whose rendezvous
 // died without the directory noticing yet.
-func (n *Node) topicLiveLocked(now time.Time) func(overlay.PeerID) bool {
+func (n *Node) topicLive(now time.Time) func(overlay.PeerID) bool {
 	return func(q overlay.PeerID) bool {
 		t, dead := n.deadUntil[q]
 		return !dead || now.After(t)
 	}
 }
 
-// topicRendezvousLocked computes the topic's current rendezvous set
+// topicRendezvous computes the topic's current rendezvous set
 // from the converged ring positions (R = InboxReplicas deep — the PR-7
 // placement rule applied to the topic's hash position).
-func (n *Node) topicRendezvousLocked(topic string, now time.Time) []overlay.PeerID {
+func (n *Node) topicRendezvous(topic string, now time.Time) []overlay.PeerID {
 	return selectcore.Rendezvous(
-		selectcore.TopicPos(topic), n.dir.ringMembers(), n.topicLiveLocked(now), n.cfg.InboxReplicas)
+		selectcore.TopicPos(topic), n.dir.ringMembers(), n.topicLive(now), n.cfg.InboxReplicas)
 }
 
 // TopicRendezvous returns the topic's rendezvous set as this node
 // currently computes it (ops/tests surface; the selectcore equivalence
 // test pins it against the simulator-side rule).
-func (n *Node) TopicRendezvous(topic string) []overlay.PeerID {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return n.topicRendezvousLocked(topic, time.Now())
+func (n *Node) TopicRendezvous(topic string) (set []overlay.PeerID) {
+	n.do(func() { set = n.topicRendezvous(topic, time.Now()) })
+	return set
 }
 
 // ---- subscriber side -------------------------------------------------
 
-// topicRegisterLocked stages one registration round for a topic: a
-// TopicSub to every rendezvous member (self-registration is applied
-// locally). Stamps lastSub and caches the set for re-home detection.
-func (n *Node) topicRegisterLocked(topic string, ts *topicSub, now time.Time, out []outMsg) []outMsg {
-	set := n.topicRendezvousLocked(topic, now)
+// topicRegister runs one registration round for a topic: a TopicSub to
+// every rendezvous member (self-registration is applied locally). Stamps
+// lastSub and caches the set for re-home detection.
+func (n *Node) topicRegister(topic string, ts *topicSub, now time.Time) {
+	set := n.topicRendezvous(topic, now)
 	if ts.set != nil && !peersEqual(ts.set, set) {
 		n.cfg.Obs.Inc(obs.CTopicRehome)
 		n.cfg.Obs.TraceEvent("topic_rehome", int32(n.id), 0)
@@ -350,19 +341,16 @@ func (n *Node) topicRegisterLocked(topic string, ts *topicSub, now time.Time, ou
 	seq := n.nextSeq()
 	for _, rep := range set {
 		if rep == n.id {
-			n.registerTopicSubLocked(topic, n.id, now)
-			if !ts.acked {
-				ts.acked = true
-				close(ts.ackCh)
-			}
+			delete(n.unsubbed, unsubKey{topic, n.id})
+			n.registerTopicSub(topic, n.id, now)
+			ts.ack()
 			continue
 		}
-		out = append(out, outMsg{int32(rep), &wire.Message{
+		_ = n.tr.Send(int32(rep), &wire.Message{
 			Kind: wire.KindTopicSub, From: int32(n.id), To: int32(rep),
 			Seq: seq, Topic: []byte(topic),
-		}})
+		})
 	}
-	return out
 }
 
 // topicMaintain runs on the maintain tick: lease refreshes (immediate
@@ -373,8 +361,6 @@ func (n *Node) topicMaintain() {
 		return
 	}
 	now := time.Now()
-	var out []outMsg
-	n.mu.Lock()
 	// Subscriber role: refresh leases at lease/2, immediately when the
 	// set changed or the registration is still unconfirmed.
 	for topic, ts := range n.subTopics {
@@ -382,10 +368,10 @@ func (n *Node) topicMaintain() {
 			continue
 		}
 		refreshDue := !ts.acked || now.Sub(ts.lastSub) >= n.cfg.TopicLease/2
-		if !refreshDue && peersEqual(ts.set, n.topicRendezvousLocked(topic, now)) {
+		if !refreshDue && peersEqual(ts.set, n.topicRendezvous(topic, now)) {
 			continue
 		}
-		out = n.topicRegisterLocked(topic, ts, now, out)
+		n.topicRegister(topic, ts, now)
 	}
 	// Rendezvous role: expire silent registrations, hand off registries
 	// this node no longer owns.
@@ -400,7 +386,7 @@ func (n *Node) topicMaintain() {
 			delete(n.topicReg, topic)
 			continue
 		}
-		set := n.topicRendezvousLocked(topic, now)
+		set := n.topicRendezvous(topic, now)
 		if len(set) == 0 {
 			continue
 		}
@@ -423,25 +409,22 @@ func (n *Node) topicMaintain() {
 		}
 		seq := n.nextSeq()
 		for _, rep := range set {
-			out = append(out, outMsg{int32(rep), &wire.Message{
+			_ = n.tr.Send(int32(rep), &wire.Message{
 				Kind: wire.KindTopicHandoff, From: int32(n.id), To: int32(rep),
 				Seq: seq, Topic: []byte(topic), RoutingTable: subs,
-			}})
+			})
 		}
 		delete(n.topicReg, topic)
 		n.cfg.Obs.Inc(obs.CTopicHandoff)
 		n.cfg.Obs.TraceEvent("topic_handoff", int32(n.id), seq)
 	}
-	n.mu.Unlock()
-	for _, o := range out {
-		_ = n.tr.Send(o.to, o.m)
-	}
+	n.sweepUnsubbed(now)
 }
 
 // ---- rendezvous side -------------------------------------------------
 
-// registerTopicSubLocked records (or refreshes) one subscriber lease.
-func (n *Node) registerTopicSubLocked(topic string, sub overlay.PeerID, now time.Time) {
+// registerTopicSub records (or refreshes) one subscriber lease.
+func (n *Node) registerTopicSub(topic string, sub overlay.PeerID, now time.Time) {
 	reg := n.topicReg[topic]
 	if reg == nil {
 		reg = make(map[overlay.PeerID]time.Time)
@@ -450,19 +433,108 @@ func (n *Node) registerTopicSubLocked(topic string, sub overlay.PeerID, now time
 	reg[sub] = now.Add(n.cfg.TopicLease)
 }
 
-func (n *Node) dropTopicRegLocked(topic string, sub overlay.PeerID) {
+// unsubKey names one departed subscription, and unsubscribed is what its
+// rendezvous peers and inbox replicas remember of it (DESIGN.md §13): the
+// Seq of the TopicUnsub and how long the memory lasts. While it lasts,
+// whatever was sent for the pair before the subscriber left and arrives
+// after — a registration with an older Seq, a hand-off entry, a deposit —
+// is dropped (topic_unsub_late) instead of undoing the unsubscribe. Only
+// a TopicSub the subscriber itself sent later — its Seq is monotone —
+// lifts it.
+type unsubKey struct {
+	topic string
+	sub   overlay.PeerID
+}
+
+type unsubscribed struct {
+	seq   uint32
+	until time.Time
+}
+
+// unsubbedMax bounds Node.unsubbed, which otherwise holds one entry per
+// TopicUnsub received in the last unsubMemory: at the bound lapsed entries
+// are swept, and if none had lapsed the new one is not recorded — the
+// unsubscribe itself still takes effect.
+const unsubbedMax = 4096
+
+// unsubMemory is how long an unsubscribe is remembered: long enough for a
+// frame in flight when it arrived and for one more retry round of a
+// sender it did not reach (rounds are at most RetryMax apart).
+func (n *Node) unsubMemory() time.Duration { return 2 * n.cfg.RetryMax }
+
+// unsubLate reports whether (topic, sub) is remembered as unsubscribed,
+// and counts the frame that asked as late when it is.
+func (n *Node) unsubLate(topic string, sub overlay.PeerID, now time.Time) bool {
+	u, ok := n.unsubbed[unsubKey{topic, sub}]
+	if !ok || now.After(u.until) {
+		return false
+	}
+	n.cfg.Obs.Inc(obs.CTopicUnsubLate)
+	return true
+}
+
+func (n *Node) sweepUnsubbed(now time.Time) {
+	for k, u := range n.unsubbed {
+		if now.After(u.until) {
+			delete(n.unsubbed, k)
+		}
+	}
+}
+
+// dropTopicSub is the receiving end of an unsubscribe (Seq seq) — also on
+// the subscriber itself, where it holds one of the roles: forget the
+// registration, cancel the repair and the replay still owed to sub, purge
+// its journaled deposits, and remember all that for a while.
+func (n *Node) dropTopicSub(topic string, sub overlay.PeerID, seq uint32, now time.Time) {
+	if len(n.unsubbed) >= unsubbedMax {
+		n.sweepUnsubbed(now)
+	}
+	if len(n.unsubbed) < unsubbedMax {
+		if n.unsubbed == nil {
+			n.unsubbed = make(map[unsubKey]unsubscribed)
+		}
+		n.unsubbed[unsubKey{topic, sub}] = unsubscribed{seq: seq, until: now.Add(n.unsubMemory())}
+	}
 	if reg := n.topicReg[topic]; reg != nil {
 		delete(reg, sub)
 		if len(reg) == 0 {
 			delete(n.topicReg, topic)
 		}
 	}
+	// Cancel repair still owed to the departed subscriber: publications
+	// retrying toward it must neither keep re-sending nor deposit fresh
+	// journal entries after the purge below.
+	for rseq, st := range n.pubs {
+		if st.topic != topic {
+			continue
+		}
+		if i := slices.Index(st.subs, sub); i >= 0 {
+			st.subs = slices.Delete(st.subs, i, i+1)
+			delete(st.dep, sub)
+			n.resolveAck(rseq)
+		}
+	}
+	if !n.inboxOn() {
+		return
+	}
+	// An outstanding replay of the departed topic is cancelled; the pump
+	// moves on to whatever the purge leaves behind.
+	rs := n.replay[sub]
+	if rs != nil && rs.hasOut && string(rs.outstanding.Topic) == topic {
+		rs.hasOut = false
+	}
+	dropped, err := n.sh.ibx.PurgeTopic(int32(n.id), int32(sub), []byte(topic))
+	if err != nil {
+		n.cfg.Obs.TraceEvent("inbox_journal_err", int32(n.id), uint32(sub))
+	}
+	n.cfg.Obs.Addn(obs.CTopicPurged, int64(dropped))
+	n.pumpReplay(sub, now)
 }
 
-// registrySubsLocked snapshots the topic's live-lease subscribers,
+// registrySubs snapshots the topic's live-lease subscribers,
 // excluding the origin publisher and this node itself (the rendezvous
 // delivers to itself locally, not through the tree).
-func (n *Node) registrySubsLocked(topic string, now time.Time, excl int32) []overlay.PeerID {
+func (n *Node) registrySubs(topic string, now time.Time, excl int32) []overlay.PeerID {
 	reg := n.topicReg[topic]
 	if len(reg) == 0 {
 		return nil
@@ -479,9 +551,13 @@ func (n *Node) registrySubsLocked(topic string, now time.Time, excl int32) []ove
 
 func (n *Node) handleTopicSub(m *wire.Message) {
 	n.cfg.Obs.Inc(obs.CTopicSub)
-	n.mu.Lock()
-	n.registerTopicSubLocked(string(m.Topic), overlay.PeerID(m.From), time.Now())
-	n.mu.Unlock()
+	topic, sub, now := string(m.Topic), overlay.PeerID(m.From), time.Now()
+	if u, ok := n.unsubbed[unsubKey{topic, sub}]; ok && int32(m.Seq-u.seq) > 0 {
+		delete(n.unsubbed, unsubKey{topic, sub}) // subscribed again, later
+	} else if n.unsubLate(topic, sub, now) {
+		return
+	}
+	n.registerTopicSub(topic, sub, now)
 	_ = n.tr.Send(m.From, &wire.Message{
 		Kind: wire.KindTopicSubAck, From: int32(n.id), To: m.From,
 		Seq: m.Seq, Topic: m.Topic,
@@ -489,81 +565,27 @@ func (n *Node) handleTopicSub(m *wire.Message) {
 }
 
 func (n *Node) handleTopicSubAck(m *wire.Message) {
-	n.mu.Lock()
-	if ts := n.subTopics[string(m.Topic)]; ts != nil && !ts.implicit && !ts.acked {
-		ts.acked = true
-		close(ts.ackCh)
+	if ts := n.subTopics[string(m.Topic)]; ts != nil && !ts.implicit {
+		ts.ack()
 	}
-	n.mu.Unlock()
 }
 
 func (n *Node) handleTopicUnsub(m *wire.Message) {
 	n.cfg.Obs.Inc(obs.CTopicUnsub)
-	topic := string(m.Topic)
-	target := overlay.PeerID(m.From)
-	n.mu.Lock()
-	n.dropTopicRegLocked(topic, target)
-	// Cancel repair still owed to the departed subscriber: publications
-	// retrying toward it must neither keep re-sending nor deposit fresh
-	// journal entries after the purge below.
-	for seq, st := range n.pubs {
-		if st.topic != topic {
-			continue
-		}
-		for i, s := range st.subs {
-			if s == target {
-				st.subs = append(st.subs[:i], st.subs[i+1:]...)
-				delete(st.dep, target)
-				n.resolveAckLocked(seq)
-				break
-			}
-		}
-	}
-	// An outstanding replay of the departed topic is cancelled; the pump
-	// moves on to whatever the purge below leaves behind.
-	var out []outMsg
-	if rs := n.replay[target]; rs != nil && rs.hasOut && string(rs.outstanding.Topic) == topic {
-		rs.hasOut = false
-	}
-	n.mu.Unlock()
-	n.purgeTopicJournal(m.From, m.Topic)
-	n.mu.Lock()
-	if rs := n.replay[target]; rs != nil && !rs.hasOut {
-		out = n.pumpReplayLocked(target, time.Now(), out)
-	}
-	n.mu.Unlock()
-	for _, o := range out {
-		_ = n.tr.Send(o.to, o.m)
-	}
-}
-
-// purgeTopicJournal drops this replica's journaled deposits for
-// (target, topic) — the durable half of the unsubscribe drain.
-func (n *Node) purgeTopicJournal(target int32, topic []byte) {
-	if !n.inboxOn() {
-		return
-	}
-	dropped, err := n.sh.ibx.PurgeTopic(int32(n.id), target, topic)
-	if err != nil {
-		n.cfg.Obs.TraceEvent("inbox_journal_err", int32(n.id), uint32(target))
-		return
-	}
-	n.cfg.Obs.Addn(obs.CTopicPurged, int64(dropped))
+	n.dropTopicSub(string(m.Topic), overlay.PeerID(m.From), m.Seq, time.Now())
 }
 
 func (n *Node) handleTopicHandoff(m *wire.Message) {
 	now := time.Now()
-	n.mu.Lock()
 	topic := string(m.Topic)
 	for _, sub := range m.RoutingTable {
-		if overlay.PeerID(sub) == n.id {
+		if overlay.PeerID(sub) == n.id || n.unsubLate(topic, overlay.PeerID(sub), now) {
 			continue
 		}
 		// Adopt with a fresh lease; the subscriber's own refresh corrects
 		// the expiry within a lease period.
-		n.registerTopicSubLocked(topic, overlay.PeerID(sub), now)
+		n.registerTopicSub(topic, overlay.PeerID(sub), now)
 	}
-	n.mu.Unlock()
 }
 
 // handleTopicPub dispatches one TopicPub copy: Target < 0 is the
@@ -606,24 +628,19 @@ func (n *Node) acceptTopicPub(origin msgID, topic string, payload []byte, size u
 	if !n.repairEnabled() {
 		return
 	}
-	now := time.Now()
-	var direct []outMsg
-	var deliver DeliverFunc
-	var d Delivery
-	n.mu.Lock()
 	if _, dup := n.tpOrigin[origin]; dup {
-		n.mu.Unlock()
 		return
 	}
+	now := time.Now()
 	n.cfg.Obs.Inc(obs.CTopicPubRecv)
-	subs := n.registrySubsLocked(topic, now, origin.Publisher)
+	subs := n.registrySubs(topic, now, origin.Publisher)
 	rseq := n.nextSeq()
 	bseed := selectcore.RepairSeed(n.cfg.Seed, origin.Publisher, origin.Seq)
 	st := &pubState{
 		subs: subs, payload: payload, size: size, pri: pri,
 		bseed: bseed, origin: origin, topic: topic,
 	}
-	set := n.topicRendezvousLocked(topic, now)
+	set := n.topicRendezvous(topic, now)
 	primary := len(set) > 0 && set[0] == n.id
 	delayStep := 0
 	if !primary {
@@ -634,36 +651,22 @@ func (n *Node) acceptTopicPub(origin msgID, topic string, payload []byte, size u
 	n.tpOrigin[origin] = rseq
 	// Local delivery when the rendezvous itself subscribes (it is not in
 	// the tree).
-	if ts := n.subTopics[topic]; ts != nil && origin.Publisher != int32(n.id) {
-		if n.rememberDeliveryLocked(origin, 0) {
-			deliver = ts.handler
-			if deliver == nil {
-				deliver = n.onDeliver
-			}
-			d = Delivery{
-				Publisher: overlay.PeerID(origin.Publisher), Topic: topic,
-				Seq: origin.Seq, Priority: pri, Payload: payload,
-			}
-			n.cfg.Obs.Inc(obs.CTopicDelivered)
-		}
+	if ts := n.subTopics[topic]; ts != nil && origin.Publisher != int32(n.id) && n.rememberDelivery(origin, 0) {
+		n.cfg.Obs.Inc(obs.CTopicDelivered)
+		n.notify(ts, Delivery{
+			Publisher: overlay.PeerID(origin.Publisher), Topic: topic,
+			Seq: origin.Seq, Priority: pri, Payload: payload,
+		})
 	}
 	if primary {
 		tp := &topicPubState{topic: topic, payload: payload, size: size, pri: pri}
-		for _, branch := range selectcore.TreeBranches(subs, topicFanout) {
-			child := branch[0]
-			subtree := peersToInt32s(branch[1:])
-			msg := n.topicPubMsgLocked(origin.Seq, tp, child, int32(n.id), subtree)
+		branches := selectcore.TreeBranches(subs, topicFanout)
+		for _, branch := range branches {
+			msg := n.topicPubMsg(origin.Seq, tp, branch[0], int32(n.id), peersToInt32s(branch[1:]))
 			msg.Publisher = origin.Publisher
-			direct = append(direct, outMsg{int32(child), msg})
+			_ = n.tr.Send(int32(branch[0]), msg)
 		}
-		n.cfg.Obs.Addn(obs.CTopicFanout, int64(len(direct)))
-	}
-	n.mu.Unlock()
-	if deliver != nil {
-		deliver(d)
-	}
-	for _, o := range direct {
-		_ = n.tr.Send(o.to, o.m)
+		n.cfg.Obs.Addn(obs.CTopicFanout, int64(len(branches)))
 	}
 	n.cfg.Obs.TraceEvent("topic_accept", int32(n.id), origin.Seq)
 	n.kickRetry()
@@ -677,59 +680,41 @@ func (n *Node) acceptTopicPub(origin msgID, topic string, payload []byte, size u
 func (n *Node) deliverTopicCopy(m *wire.Message) {
 	id := msgID{m.Publisher, m.Seq}
 	topic := string(m.Topic)
-	now := time.Now()
-	var deliver DeliverFunc
-	var d Delivery
-	var direct []outMsg
-	n.mu.Lock()
-	fresh := n.rememberDeliveryLocked(id, m.HopCount)
-	if fresh {
+	if !n.rememberDelivery(id, m.HopCount) {
+		n.cfg.Obs.Inc(obs.CPublishDuplicate)
+	} else {
 		if ts := n.subTopics[topic]; ts != nil {
-			deliver = ts.handler
-			if deliver == nil {
-				deliver = n.onDeliver
-			}
-			d = Delivery{
-				Publisher: overlay.PeerID(m.Publisher), Topic: topic,
-				Seq: m.Seq, Hops: m.HopCount, Priority: m.Priority,
-				Payload: append([]byte(nil), m.Payload...),
-			}
 			n.cfg.Obs.Inc(obs.CTopicDelivered)
 			n.cfg.Obs.ObserveHops(float64(m.HopCount))
 			n.cfg.Obs.TraceEvent("topic_deliver", int32(n.id), m.Seq)
+			n.notify(ts, Delivery{
+				Publisher: overlay.PeerID(m.Publisher), Topic: topic,
+				Seq: m.Seq, Hops: m.HopCount, Priority: m.Priority,
+				Payload: append([]byte(nil), m.Payload...),
+			})
 		}
 		if len(m.RoutingTable) > 0 {
 			tp := &topicPubState{topic: topic, payload: clonePayload(m.Payload), size: m.PayloadSize, pri: m.Priority}
-			for _, branch := range selectcore.TreeBranches(int32sToPeers(m.RoutingTable), topicFanout) {
-				child := branch[0]
-				msg := n.topicPubMsgLocked(m.Seq, tp, child, m.Target, peersToInt32s(branch[1:]))
+			branches := selectcore.TreeBranches(int32sToPeers(m.RoutingTable), topicFanout)
+			for _, branch := range branches {
+				msg := n.topicPubMsg(m.Seq, tp, branch[0], m.Target, peersToInt32s(branch[1:]))
 				msg.Publisher = m.Publisher
 				msg.HopCount = m.HopCount + 1
-				direct = append(direct, outMsg{int32(child), msg})
+				_ = n.tr.Send(int32(branch[0]), msg)
 			}
-			n.cfg.Obs.Addn(obs.CTopicFanout, int64(len(direct)))
+			n.cfg.Obs.Addn(obs.CTopicFanout, int64(len(branches)))
 		}
 	}
 	// Ack every rendezvous member (the repair owners) plus whichever
 	// replica stamped this copy — views may diverge during re-homing.
 	ackTo := make(map[overlay.PeerID]bool)
-	for _, rep := range n.topicRendezvousLocked(topic, now) {
+	for _, rep := range n.topicRendezvous(topic, time.Now()) {
 		ackTo[rep] = true
 	}
 	if m.Target >= 0 {
 		ackTo[overlay.PeerID(m.Target)] = true
 	}
 	delete(ackTo, n.id)
-	n.mu.Unlock()
-	if !fresh {
-		n.cfg.Obs.Inc(obs.CPublishDuplicate)
-	}
-	if deliver != nil {
-		deliver(d)
-	}
-	for _, o := range direct {
-		_ = n.tr.Send(o.to, o.m)
-	}
 	for rep := range ackTo {
 		n.directAck(wire.AckEntry{
 			Kind: wire.KindAck, From: int32(n.id), Dest: int32(rep),
@@ -738,22 +723,13 @@ func (n *Node) deliverTopicCopy(m *wire.Message) {
 	}
 }
 
-// topicRepairLocked runs the publisher-side hand-off rounds inside
-// repairTick: re-send the TopicPub to every not-yet-acked member of the
-// topic's current rendezvous set, resolving when all live members
-// acked and dead-lettering past the budget. Self-accepts are returned
-// for the caller to run outside the lock.
-type selfAccept struct {
-	origin  msgID
-	topic   string
-	payload []byte
-	size    uint32
-	pri     uint8
-}
-
-func (n *Node) topicRepairLocked(now time.Time, budget int, direct []outMsg, accepts []selfAccept) ([]outMsg, []selfAccept) {
+// topicRepair runs the publisher-side hand-off rounds inside repairTick:
+// re-send the TopicPub to every not-yet-acked member of the topic's
+// current rendezvous set, resolving when all live members acked and
+// dead-lettering past the budget.
+func (n *Node) topicRepair(now time.Time, budget int) {
 	for seq, tp := range n.tpubs {
-		set := n.topicRendezvousLocked(tp.topic, now)
+		set := n.topicRendezvous(tp.topic, now)
 		allAcked := len(set) > 0
 		for _, rep := range set {
 			if !tp.acked[rep] {
@@ -805,33 +781,27 @@ func (n *Node) topicRepairLocked(now time.Time, budget int, direct []outMsg, acc
 			}
 			if rep == n.id {
 				tp.acked[n.id] = true
-				accepts = append(accepts, selfAccept{
-					origin: msgID{int32(n.id), seq}, topic: tp.topic,
-					payload: tp.payload, size: tp.size, pri: tp.pri,
-				})
+				n.acceptTopicPub(msgID{int32(n.id), seq}, tp.topic, tp.payload, tp.size, tp.pri)
 				continue
 			}
 			n.cfg.Obs.Inc(obs.CRetrySent)
-			direct = append(direct, outMsg{int32(rep), n.topicPubMsgLocked(seq, tp, rep, -1, nil)})
+			_ = n.tr.Send(int32(rep), n.topicPubMsg(seq, tp, rep, -1, nil))
 		}
 	}
-	return direct, accepts
 }
 
 // TopicSubscribers reports the topic's registry size at this node
 // (rendezvous role; ops/tests surface).
-func (n *Node) TopicSubscribers(topic string) int {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return len(n.topicReg[topic])
+func (n *Node) TopicSubscribers(topic string) (k int) {
+	n.do(func() { k = len(n.topicReg[topic]) })
+	return k
 }
 
 // PendingTopicPublishes reports how many topic hand-offs are still
 // unresolved on this node (publisher role).
-func (n *Node) PendingTopicPublishes() int {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return len(n.tpubs)
+func (n *Node) PendingTopicPublishes() (k int) {
+	n.do(func() { k = len(n.tpubs) })
+	return k
 }
 
 func peersEqual(a, b []overlay.PeerID) bool {

@@ -295,7 +295,14 @@ func TestTopicUnsubscribePurgesJournaledDeposits(t *testing.T) {
 	})
 
 	// Unsubscribe while the deposits are still parked: the rendezvous
-	// drops the registration and the replicas purge the journal.
+	// drops the registration and the replicas purge the journal. Told are
+	// the rendezvous set and the subscriber's own inbox replicas.
+	var told []overlay.PeerID
+	for _, rep := range append(c.Nodes[victim].TopicRendezvous(topic), c.Nodes[victim].InboxReplicas()...) {
+		if rep != victim && !containsPeer(told, rep) {
+			told = append(told, rep)
+		}
+	}
 	if err := sub.Unsubscribe(context.Background()); err != nil {
 		t.Fatalf("unsubscribe: %v", err)
 	}
@@ -304,6 +311,10 @@ func TestTopicUnsubscribePurgesJournaledDeposits(t *testing.T) {
 	})
 	waitFor(t, 10*time.Second, "journals to drain", func() bool {
 		return c.InboxDepth() == 0
+	})
+	// Unsubscribe returned once the TopicUnsub frames had left.
+	waitFor(t, 10*time.Second, "every peer told of the unsubscribe to hear it", func() bool {
+		return met.Get(obs.CTopicUnsub) >= int64(len(told))
 	})
 	for _, rv := range set {
 		if n := c.Nodes[rv].TopicSubscribers(topic); n != 0 {

@@ -63,7 +63,9 @@ func (t *tap) take(kind wire.Kind) []sent {
 // frozenCluster starts a bootstrapped cluster over a tap and stops its
 // shard loops: no timer fires and no mailbox is drained, so a test that
 // calls the handlers itself sees exactly the frames they send, in order,
-// and plays the wheel by calling flushAcks.
+// and plays the wheel by calling flushAcks. With the loops gone the test
+// goroutine is the nodes' only writer: it may touch their state directly,
+// and the exported API runs inline on it.
 func frozenCluster(t *testing.T, n int, seed int64, opts Options) (*socialgraph.Graph, *Cluster, *tap) {
 	t.Helper()
 	g, ov := buildOverlay(t, n, seed)
@@ -82,7 +84,7 @@ func frozenCluster(t *testing.T, n int, seed int64, opts Options) (*socialgraph.
 // strangers returns k peers that are neither n nor among its links, in
 // id order, leaving out the peers in not.
 func strangers(c *Cluster, n *Node, k int, not ...overlay.PeerID) []overlay.PeerID {
-	links := n.linksSnapshot()
+	links := n.links()
 	var out []overlay.PeerID
 	for p := overlay.PeerID(0); int(p) < len(c.Nodes) && len(out) < k; p++ {
 		if p != n.id && !slices.Contains(links, p) && !slices.Contains(not, p) {
@@ -225,7 +227,7 @@ func TestTreeRelayForwardsPastDuplicate(t *testing.T) {
 	met := obs.New()
 	_, c, tp := frozenCluster(t, 60, 9, Options{Obs: met})
 	relay := c.Nodes[5]
-	pub := relay.linksSnapshot()[0]
+	pub := relay.links()[0]
 	beyond := strangers(c, relay, 3, pub)
 	frame := func() *wire.Message {
 		return &wire.Message{
@@ -283,9 +285,7 @@ func TestTreeRetryNamesOnlyTheMissing(t *testing.T) {
 		}
 	}
 	nd.handle(batch)
-	nd.mu.Lock()
 	nd.pubs[seq].nextAt = time.Now().Add(-time.Second)
-	nd.mu.Unlock()
 	nd.repairTick()
 
 	var named, hops []int32
@@ -319,7 +319,7 @@ func TestTreeMalformedDestinations(t *testing.T) {
 	_, c, tp := frozenCluster(t, 60, 9, Options{Obs: met})
 	relay := c.Nodes[5]
 	self := int32(relay.id)
-	pub := int32(relay.linksSnapshot()[0])
+	pub := int32(relay.links()[0])
 	far := strangers(c, relay, 2, overlay.PeerID(pub))
 	a, b := int32(far[0]), int32(far[1])
 	over := make([]int32, wire.MaxPublishDests)
@@ -375,7 +375,7 @@ func TestTreeEclipseRelayEatsTheRest(t *testing.T) {
 	met := obs.New()
 	_, c, tp := frozenCluster(t, 60, 9, Options{Obs: met})
 	relay := c.Nodes[5]
-	pub := relay.linksSnapshot()[0]
+	pub := relay.links()[0]
 	far := strangers(c, relay, 2, pub)
 	relay.SetAdversary(AdvEclipse, far[0], []overlay.PeerID{relay.id})
 	relay.handle(&wire.Message{
@@ -465,7 +465,7 @@ func TestAckLeafFirst(t *testing.T) {
 	met := obs.New()
 	_, c, tp := frozenCluster(t, 60, 9, Options{Obs: met})
 	relay := c.Nodes[5]
-	pub := relay.linksSnapshot()[0]
+	pub := relay.links()[0]
 	far := strangers(c, relay, 2, pub)
 	publish := func(seq uint32, list ...int32) {
 		relay.handle(&wire.Message{
@@ -532,23 +532,19 @@ func TestAckBounceSplitHorizon(t *testing.T) {
 	met := obs.New()
 	_, c, tp := frozenCluster(t, 60, 9, Options{Obs: met})
 	x := c.Nodes[5]
-	y := c.Nodes[x.linksSnapshot()[0]]
-	if !slices.Contains(y.linksSnapshot(), x.id) {
+	y := c.Nodes[x.links()[0]]
+	if !slices.Contains(y.links(), x.id) {
 		t.Fatalf("link %d→%d is one-way", x.id, y.id)
 	}
 	var pub overlay.PeerID = -1
 	for _, p := range strangers(c, x, len(c.Nodes)) {
-		if p != y.id && !slices.Contains(y.linksSnapshot(), p) {
+		if p != y.id && !slices.Contains(y.links(), p) {
 			pub = p
 			break
 		}
 	}
-	x.mu.Lock()
 	x.lookahead[y.id] = []overlay.PeerID{pub}
-	x.mu.Unlock()
-	y.mu.Lock()
 	y.lookahead[x.id] = []overlay.PeerID{pub}
-	y.mu.Unlock()
 
 	origin := strangers(c, x, 1, y.id, pub)[0]
 	inject := &wire.Message{Kind: wire.KindAckBatch, From: int32(origin), To: int32(x.id), Acks: []wire.AckEntry{
@@ -586,9 +582,7 @@ func TestAckBounceSplitHorizon(t *testing.T) {
 	// Where the peer it came from is the only way on, the entry is dropped
 	// and counted, not sent back.
 	lone := c.Nodes[origin]
-	lone.mu.Lock()
 	lone.shortSucc, lone.shortPred, lone.longOut, lone.longIn = x.id, -1, nil, nil
-	lone.mu.Unlock()
 	inject.From, inject.To = int32(x.id), int32(origin)
 	lone.handle(inject)
 	lone.flushAcks()
@@ -653,11 +647,9 @@ func TestFanOutAllocPins(t *testing.T) {
 			others = append(others, p)
 		}
 	}
-	byBytes.mu.Lock()
-	for _, q := range byBytes.linksLocked() {
+	for _, q := range byBytes.links() {
 		byBytes.lookahead[q] = others
 	}
-	byBytes.mu.Unlock()
 	hops := make([]overlay.PeerID, 24)
 	if a := testing.AllocsPerRun(200, func() { byBytes.routeBatch(subs[:24], hops, -1) }); a != 0 {
 		t.Errorf("routeBatch of 24 destinations: %.1f allocs, want 0", a)

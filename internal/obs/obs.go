@@ -114,6 +114,7 @@ const (
 	CTopicHandoff     // registry hand-offs sent by peers that lost rendezvous ownership
 	CTopicLeaseExpire // registry entries expired (subscriber stopped refreshing)
 	CTopicPurged      // journal records purged by an unsubscribe drain
+	CTopicUnsubLate   // registrations, hand-off entries and deposits dropped because they arrived after the unsubscribe they predate
 
 	// node: adversarial defenses (DESIGN.md §14).
 	CSybilRejected    // join admissions dropped by the inviter's rate limit
@@ -231,6 +232,7 @@ var counterNames = [numCounters]string{
 	CTopicHandoff:     "topic_handoff",
 	CTopicLeaseExpire: "topic_lease_expire",
 	CTopicPurged:      "topic_purged",
+	CTopicUnsubLate:   "topic_unsub_late",
 
 	CSybilRejected:    "sybil_rejected",
 	CSybilDiverted:    "sybil_diverted",

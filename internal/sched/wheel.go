@@ -26,7 +26,6 @@ package sched
 import (
 	"cmp"
 	"slices"
-	"sync"
 	"time"
 )
 
@@ -46,11 +45,10 @@ type entry struct {
 	seq uint64 // insertion order, the deterministic tiebreak
 }
 
-// Wheel is a hashed timer wheel. Safe for concurrent use: protocol code
-// upserts deadlines from any goroutine while the owning shard loop
-// advances it.
+// Wheel is a hashed timer wheel. It is not safe for concurrent use: the
+// shard loop that advances it is also the only goroutine that schedules
+// and cancels its entries.
 type Wheel struct {
-	mu      sync.Mutex
 	tick    int64 // slot granularity, ns
 	slots   [][]*entry
 	entries map[uint64]*entry
@@ -79,19 +77,13 @@ func NewWheel(tick time.Duration, slots int, now time.Time) *Wheel {
 }
 
 // Len returns the number of scheduled entries (the per-shard gauge).
-func (w *Wheel) Len() int {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return len(w.entries)
-}
+func (w *Wheel) Len() int { return len(w.entries) }
 
 // Schedule upserts entry id to fire at `at`. An existing entry moves to
 // the new deadline; insertion order (the fire-order tiebreak) is
 // assigned at first insert and refreshed on every reschedule.
 func (w *Wheel) Schedule(id uint64, at time.Time) {
 	ns := at.UnixNano()
-	w.mu.Lock()
-	defer w.mu.Unlock()
 	e := w.entries[id]
 	if e != nil {
 		w.unlink(e) // a rescheduled entry moves in place
@@ -115,8 +107,6 @@ func (w *Wheel) Schedule(id uint64, at time.Time) {
 
 // Cancel removes entry id (no-op when absent).
 func (w *Wheel) Cancel(id uint64) {
-	w.mu.Lock()
-	defer w.mu.Unlock()
 	if e := w.entries[id]; e != nil {
 		w.unlink(e)
 		delete(w.entries, id)
@@ -124,7 +114,7 @@ func (w *Wheel) Cancel(id uint64) {
 	}
 }
 
-// unlink removes e from its slot list. Caller holds w.mu.
+// unlink removes e from its slot list.
 func (w *Wheel) unlink(e *entry) {
 	s := int(e.tk % int64(len(w.slots)))
 	list := w.slots[s]
@@ -145,8 +135,6 @@ func (w *Wheel) Advance(now time.Time) []Fired { return w.AdvanceAppend(nil, now
 // by insertion order. The caller re-schedules periodic entries itself.
 func (w *Wheel) AdvanceAppend(dst []Fired, now time.Time) []Fired {
 	target := now.UnixNano() / w.tick
-	w.mu.Lock()
-	defer w.mu.Unlock()
 	if target <= w.cur || len(w.entries) == 0 {
 		if target > w.cur {
 			w.cur = target
@@ -195,13 +183,11 @@ func (w *Wheel) AdvanceAppend(dst []Fired, now time.Time) []Fired {
 }
 
 // Next returns the earliest fire time of any scheduled entry, or false
-// when the wheel is empty. The owning loop sleeps until this deadline
-// (or a Schedule kick). The scan walks at most one rotation of slots and
+// when the wheel is empty. The owning loop sleeps until this deadline.
+// The scan walks at most one rotation of slots and
 // stops as soon as no later slot of the rotation can beat the best
 // candidate found.
 func (w *Wheel) Next() (time.Time, bool) {
-	w.mu.Lock()
-	defer w.mu.Unlock()
 	if len(w.entries) == 0 {
 		return time.Time{}, false
 	}
