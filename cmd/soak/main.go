@@ -191,6 +191,18 @@ func main() {
 		}
 		fmt.Printf("\n%s\n", raw)
 	}
+	if r.SharedPositions != 0 {
+		// Not a floor but an invariant: no placement rule hands a ring
+		// position out twice, whatever the faults.
+		fmt.Fprintf(os.Stderr, "soak: %d members shared a ring position\n", r.SharedPositions)
+		os.Exit(1)
+	}
+	if r.RingSettled && r.OffCycle != 0 {
+		// The arm ended behind its faults and its ring was given time: it
+		// must be one successor cycle through every member again.
+		fmt.Fprintf(os.Stderr, "soak: %d members off the successor cycle after the run settled (%s)\n", r.OffCycle, r.RingFault)
+		os.Exit(1)
+	}
 	if *assertAll {
 		// CI gate for the durable tier: at-least-once to EVERY subscriber
 		// (offline ones scored after rejoin replay), nothing dead-lettered,

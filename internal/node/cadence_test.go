@@ -27,9 +27,10 @@ func hbLevel(n *Node) (level int) {
 	return level
 }
 
-// awaitCalm waits until every member's heartbeat cadence sits at the cap
-// and every ring head is the true neighbour — the converged, quiet state
-// the cadence tests start from.
+// awaitCalm waits until every member's heartbeat cadence sits at the cap,
+// every ring head is the true neighbour and the ring as a whole is in its
+// legitimate state (Cluster.CheckRing) — the converged, quiet state the
+// cadence tests start from.
 func awaitCalm(t *testing.T, c *Cluster, timeout time.Duration) {
 	t.Helper()
 	deadline := time.Now().Add(timeout)
@@ -49,11 +50,12 @@ func awaitCalm(t *testing.T, c *Cluster, timeout time.Duration) {
 		for _, k := range levels[:selectcore.CadenceMaxLevel] {
 			below += k
 		}
-		if below == 0 && wrong == 0 {
+		ringErr := c.CheckRing()
+		if below == 0 && wrong == 0 && ringErr == nil {
 			return
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("cluster did not go calm within %v: heartbeat levels %v, %d inconsistent ring heads", timeout, levels, wrong)
+			t.Fatalf("cluster did not go calm within %v: heartbeat levels %v, %d inconsistent ring heads, CheckRing: %v", timeout, levels, wrong, ringErr)
 		}
 		time.Sleep(20 * time.Millisecond)
 	}
@@ -221,7 +223,8 @@ func TestCadenceEventsReturnNeighboursToBase(t *testing.T) {
 // TestQuietClusterStaysQuietAndRight is the closure test (DESIGN.md
 // §9.3): once a fault-free cluster has converged, it stays converged —
 // and silent. Over fifty base heartbeat rounds no ring head changes,
-// every head is the true ring neighbour, heartbeat plus gossip traffic is
+// every head is the true ring neighbour, positions are distinct and the
+// successor heads form one cycle, heartbeat plus gossip traffic is
 // under a quarter of what the fixed cadence sent over the same span, and
 // link proposals run at no more than one per node per fifty rounds.
 func TestQuietClusterStaysQuietAndRight(t *testing.T) {
@@ -257,6 +260,9 @@ func TestQuietClusterStaysQuietAndRight(t *testing.T) {
 			succ, pred := c.Nodes[p].RingNeighbors()
 			t.Errorf("node %d: ring heads (%d, %d) are not its true neighbours", p, succ, pred)
 		}
+	}
+	if err := c.CheckRing(); err != nil {
+		t.Errorf("after %d quiet rounds: %v", rounds, err)
 	}
 	// The fixed cadence pinged every link and exchanged with one friend
 	// every round, each answered, less the pings it suppressed on gossip

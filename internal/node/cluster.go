@@ -1,12 +1,14 @@
 package node
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"math/rand"
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"sync"
 	"time"
 
@@ -477,8 +479,10 @@ func (c *Cluster) AwaitDelivery(ctx context.Context, publisher overlay.PeerID, s
 // RingConsistent reports whether p is a ring member whose short-range
 // links agree with the directory's current nearest members — the
 // restabilization probe the adversarial soak polls after an attack
-// window closes (DESIGN.md §14). Measurement-only: live repair never
-// consults the directory's ring scan.
+// window closes (DESIGN.md §14). A member that shares its position with
+// another is never consistent: the directory names the twin as both its
+// neighbours, at distance zero, and no ring view does. Measurement-only:
+// live repair never consults the directory's ring scan.
 func (c *Cluster) RingConsistent(p overlay.PeerID) bool {
 	if !c.dir.isMember(p) {
 		return false
@@ -486,6 +490,109 @@ func (c *Cluster) RingConsistent(p overlay.PeerID) bool {
 	wantSucc, wantPred := c.dir.ringNeighbors(p)
 	gotSucc, gotPred := c.Nodes[p].RingNeighbors()
 	return gotSucc == wantSucc && gotPred == wantPred
+}
+
+// RingAudit is what AuditRing found wrong with the ring, in the order the
+// legitimate state is defined (DESIGN.md §9.3): identifiers are unique,
+// and the short-range links form one cycle through every member.
+type RingAudit struct {
+	Members int
+	// SharedPositions counts the members that sit on a ring position some
+	// other member holds too. It is zero at every instant, faults or not:
+	// no placement rule hands out a position twice.
+	SharedPositions int
+	// OffCycle counts the members that following successor heads from the
+	// lowest-id member does not reach before the walk closes or breaks. It
+	// is zero whenever the ring has had time to settle.
+	OffCycle int
+	// First describes the first violation met, "" when there is none.
+	First string
+}
+
+// AuditRing checks the ring invariant on the members' current positions
+// and short-range heads: member positions are pairwise distinct; every
+// member's successor is a member whose predecessor is that member, and
+// the other way round; and following successors from a member visits
+// every member once. Measurement-only, like RingConsistent: positions
+// come from the directory and heads from one command per shard, so on a
+// cluster that is still moving the snapshot may be torn — a finding there
+// means "not settled yet".
+func (c *Cluster) AuditRing() RingAudit {
+	members := c.dir.ringMembers()
+	a := RingAudit{Members: len(members)}
+	found := func(format string, args ...any) {
+		if a.First == "" {
+			a.First = fmt.Sprintf(format, args...)
+		}
+	}
+	byPos := slices.Clone(members)
+	slices.SortFunc(byPos, func(x, y selectcore.RingMember) int {
+		return cmp.Or(cmp.Compare(x.Pos, y.Pos), cmp.Compare(x.ID, y.ID))
+	})
+	for i, m := range byPos {
+		prev, next := i > 0 && byPos[i-1].Pos == m.Pos, i+1 < len(byPos) && byPos[i+1].Pos == m.Pos
+		if prev || next {
+			a.SharedPositions++
+		}
+		if prev {
+			found("peer %d shares position %.6f with peer %d", m.ID, float64(m.Pos), byPos[i-1].ID)
+		}
+	}
+	if len(members) < 2 {
+		return a
+	}
+
+	succ := make([]overlay.PeerID, len(c.Nodes))
+	pred := make([]overlay.PeerID, len(c.Nodes))
+	for _, sh := range c.shards {
+		sh.submit(func() {
+			for _, m := range members {
+				if n := c.Nodes[m.ID]; n.sh == sh {
+					succ[m.ID], pred[m.ID] = n.shortSucc, n.shortPred
+				}
+			}
+		}, true)
+	}
+	isMember := make([]bool, len(c.Nodes))
+	for _, m := range members {
+		isMember[m.ID] = true
+	}
+	// head is p's link in one direction if it leads to a member.
+	head := func(links []overlay.PeerID, p overlay.PeerID) (overlay.PeerID, bool) {
+		q := links[p]
+		return q, q >= 0 && isMember[q]
+	}
+	for _, m := range members {
+		if s, ok := head(succ, m.ID); !ok {
+			found("peer %d has successor %d, which is no member", m.ID, s)
+		} else if pred[s] != m.ID {
+			found("peer %d has successor %d, whose predecessor is %d", m.ID, s, pred[s])
+		}
+		if q, ok := head(pred, m.ID); !ok {
+			found("peer %d has predecessor %d, which is no member", m.ID, q)
+		} else if succ[q] != m.ID {
+			found("peer %d has predecessor %d, whose successor is %d", m.ID, q, succ[q])
+		}
+	}
+	visited := make([]bool, len(c.Nodes))
+	start, on := members[0].ID, 0
+	for p, ok := start, true; ok && !visited[p]; p, ok = head(succ, p) {
+		visited[p] = true
+		on++
+	}
+	if a.OffCycle = len(members) - on; a.OffCycle > 0 {
+		found("following successors from peer %d visits %d of %d members", start, on, len(members))
+	}
+	return a
+}
+
+// CheckRing is AuditRing as an assertion: nil when the ring is in its
+// legitimate state, else the first violation.
+func (c *Cluster) CheckRing() error {
+	if a := c.AuditRing(); a.First != "" {
+		return fmt.Errorf("node: ring of %d members: %s", a.Members, a.First)
+	}
+	return nil
 }
 
 // RingHeads snapshots p's current short-range ring heads (successor,

@@ -124,10 +124,12 @@ func (d *directory) firstMember(p overlay.PeerID) overlay.PeerID {
 }
 
 // ringNeighbors returns p's nearest member in the clockwise (succ) and
-// counter-clockwise (pred) direction — the short-range links. A zero arc
-// (position collision) counts as a full loop so colliding peers still
-// link somewhere. Bootstrap-only: the live runtime derives these from
-// successor lists (ringlist.go); only Cluster.Start may call this.
+// counter-clockwise (pred) direction — the short-range links. A member on
+// p's own position is nearest both ways, at distance zero: positions are
+// distinct in a legitimate ring (Cluster.AuditRing), and a scan that read
+// a shared one as a full loop away would call such a ring consistent.
+// Bootstrap and measurement only: the live runtime derives its heads from
+// successor lists (ringlist.go).
 func (d *directory) ringNeighbors(p overlay.PeerID) (succ, pred overlay.PeerID) {
 	d.mu.RLock()
 	defer d.mu.RUnlock()
@@ -138,18 +140,10 @@ func (d *directory) ringNeighbors(p overlay.PeerID) (succ, pred overlay.PeerID) 
 		if !m || overlay.PeerID(q) == p {
 			continue
 		}
-		cw := ring.Clockwise(my, d.pos[q])
-		if cw <= 0 {
-			cw += 1
-		}
-		if cw < ds {
+		if cw := ring.Clockwise(my, d.pos[q]); cw < ds {
 			ds, succ = cw, overlay.PeerID(q)
 		}
-		ccw := ring.Clockwise(d.pos[q], my)
-		if ccw <= 0 {
-			ccw += 1
-		}
-		if ccw < dp {
+		if ccw := ring.Clockwise(d.pos[q], my); ccw < dp {
 			dp, pred = ccw, overlay.PeerID(q)
 		}
 	}

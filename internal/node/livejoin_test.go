@@ -108,6 +108,9 @@ func TestLiveJoinDelivery(t *testing.T) {
 		t.Fatalf("join counters empty: req=%d reply=%d",
 			met.Get(obs.CJoinRequest), met.Get(obs.CJoinReply))
 	}
+	// The ring the joins and the identifier moves after them leave behind
+	// is a ring: every peer on a position of its own, one successor cycle.
+	awaitLegitRing(t, c, 20*time.Second)
 
 	// Publications from joiners and from bootstrap members alike reach
 	// every subscriber.
@@ -203,6 +206,7 @@ func TestLiveJoinHopConvergence(t *testing.T) {
 			last = avg
 			if avg <= bound {
 				t.Logf("converged: live-join avg hops %.3f vs baseline %.3f", avg, baseline)
+				awaitLegitRing(t, cB, 20*time.Second)
 				return
 			}
 		}

@@ -244,9 +244,11 @@ const moveEps = 0.002
 
 // reassign is Algorithm 2 live: move the identifier to the ring
 // midpoint of the two strongest friends — strengths learned from
-// exchange replies, never read from the graph — when the move covers
-// more than moveEps, and announce the new identifier to links and member
-// friends.
+// exchange replies, never read from the graph; a position of this
+// node's own next to the midpoint, so that peers with the same two
+// strongest friends do not end up on one (selectcore.ReassignTarget) —
+// when the move covers more than moveEps, and announce the new
+// identifier to links and member friends.
 func (n *Node) reassign() {
 	friends := n.g.Neighbors(n.id)
 	if len(friends) < 2 {
@@ -265,7 +267,7 @@ func (n *Node) reassign() {
 	if best < 0 || second < 0 {
 		return
 	}
-	target := selectcore.ReassignTarget(n.dir.position(best), n.dir.position(second))
+	target := selectcore.ReassignTarget(n.dir.position(best), n.dir.position(second), uint64(n.id))
 	if ring.Distance(n.dir.position(n.id), target) <= moveEps {
 		return
 	}

@@ -119,10 +119,8 @@ type Node struct {
 	// ring links come from (ringlist.go); the directory's ringNeighbors
 	// scan is bootstrap-only.
 	rview ringView
-	// seen dedups directed copies passing through; received records local
-	// deliveries with their hop count, bounded FIFO by recvOrder
-	// (dedupWindow).
-	seen      map[msgID]bool
+	// received records local deliveries with their hop count, bounded FIFO
+	// by recvOrder (dedupWindow).
 	received  map[msgID]uint8
 	recvOrder []msgID
 	// lookahead caches neighbors' routing tables learned via ExchangeRT.
@@ -258,7 +256,6 @@ func newNode(id overlay.PeerID, dir *directory, bw []float64, cfg Options, seed 
 		strength:     make([]float64, len(friends)),
 		bitmaps:      make(map[overlay.PeerID][]uint64),
 		fidx:         make(map[overlay.PeerID]int, len(friends)),
-		seen:         make(map[msgID]bool),
 		received:     make(map[msgID]uint8),
 		lookahead:    make(map[overlay.PeerID][]overlay.PeerID),
 		cma:          make(map[overlay.PeerID]*churn.CMA),
@@ -635,7 +632,8 @@ func (n *Node) observe(q overlay.PeerID, online bool) {
 // outside input. A frame that names more than the cap or a peer id this
 // cluster does not have is dropped whole (ok false); a peer named twice
 // counts once; both are counted. An armed eclipse attacker eats every
-// destination but itself.
+// destination but itself. (The frame's other outside input, the inbound
+// hop, is handlePublish's.)
 func (n *Node) publishDests(m *wire.Message, dests []overlay.PeerID) (_ []overlay.PeerID, named, ok bool) {
 	malformed := len(m.RoutingTable) >= wire.MaxPublishDests ||
 		!n.dir.valid(m.Publisher) || !n.dir.valid(m.To)
@@ -670,8 +668,19 @@ func (n *Node) publishDests(m *wire.Message, dests []overlay.PeerID) (_ []overla
 // handlePublish processes a publication frame: deliver locally (and ack)
 // when this node is named, then forward what remains of the destination
 // set one hop on — whether or not the local copy was a duplicate, the
-// peers beyond this one are still owed theirs.
+// peers beyond this one are still owed theirs — by any link but the one
+// the frame came in on. That hop is the sender's word (wire.HopFrom) and
+// outside input like the destination list: a frame that names a peer this
+// cluster does not have, or the receiver, is dropped whole and counted; a
+// frame that names none is routed without a split horizon; one that names
+// a peer that is no link of this node excludes nothing. What a lie can
+// cost is in DESIGN.md §14.1.
 func (n *Node) handlePublish(m *wire.Message) {
+	from := overlay.PeerID(m.HopFrom())
+	if from != -1 && (!n.dir.valid(from) || from == n.id) {
+		n.cfg.Obs.Inc(obs.CPublishHopMalformed)
+		return
+	}
 	var destBuf [wire.MaxPublishDests]overlay.PeerID
 	dests, named, ok := n.publishDests(m, destBuf[:0])
 	if !ok {
@@ -703,7 +712,7 @@ func (n *Node) handlePublish(m *wire.Message) {
 			Kind: wire.KindPublish, From: m.From, Seq: seq, Publisher: pub,
 			TTL: m.TTL - 1, HopCount: m.HopCount + 1,
 			Priority: m.Priority, PayloadSize: m.PayloadSize, Payload: m.Payload,
-		}, dests, m)
+		}, dests, from, m)
 	case len(dests) > 0:
 		n.cfg.Obs.Addn(obs.CPublishTTLDrop, int64(len(dests)))
 		n.cfg.Obs.TraceEvent("ttl_drop", int32(n.id), seq)
@@ -820,7 +829,7 @@ func (n *Node) publish(seq uint32, payload []byte, size uint32, pri uint8) {
 	n.registerPublish(seq, subs, payload, size, pri, time.Now())
 	n.cfg.Obs.Addn(obs.CPublishSent, int64(len(subs)))
 	n.cfg.Obs.TraceEvent("publish", int32(n.id), seq)
-	n.fanOut(n.feedFrame(seq, payload, size, pri), subs, nil)
+	n.fanOut(n.feedFrame(seq, payload, size, pri), subs, -1, nil)
 	n.kickRetry()
 }
 

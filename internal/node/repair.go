@@ -274,7 +274,7 @@ func (n *Node) repairTick() {
 		n.cfg.Obs.Addn(obs.CRetrySent, int64(len(missing)))
 		n.cfg.Obs.TraceEvent("retry", int32(n.id), seq)
 		if st.topic == "" {
-			n.fanOut(n.feedFrame(seq, st.payload, st.size, st.pri), missing, nil)
+			n.fanOut(n.feedFrame(seq, st.payload, st.size, st.pri), missing, -1, nil)
 			continue
 		}
 		for _, s := range missing {

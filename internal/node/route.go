@@ -30,7 +30,7 @@ const (
 	// crashed publisher is moot (it re-sends after it rejoins).
 	routeOffline
 	// routeBounce: the only usable link is the peer that just handed this
-	// node the entry (acks only; see routeBatch's from).
+	// node the frame (routeBatch's from).
 	routeBounce
 )
 
@@ -51,8 +51,10 @@ func verdictOf(hop overlay.PeerID) route {
 // live link".
 func (n *Node) countUnroutable(r route, kind wire.Kind, seq uint32) {
 	switch {
-	case r == routeBounce:
+	case r == routeBounce && kind == wire.KindAck:
 		n.cfg.Obs.Inc(obs.CAckBounceDrop)
+	case r == routeBounce:
+		n.cfg.Obs.Inc(obs.CPublishBounceDrop)
 	case r == routeDeadEnd:
 		n.cfg.Obs.Inc(obs.CPublishDeadEnd)
 		n.cfg.Obs.TraceEvent("dead_end", int32(n.id), seq)
@@ -116,13 +118,16 @@ func (n *Node) linkAlive(q overlay.PeerID) bool {
 // table holds the destination, if the detector calls it alive; the live
 // link greedily closest to the destination's identifier; at a local
 // minimum a random live link — a TTL-bounded random walk that escapes
-// the dead region, so that retries explore different paths.
+// the dead region, so that retries explore different paths. Which rule
+// served how many destinations is counted once per pass (route_*).
 //
-// from ≥ 0 is the split horizon of the ack path: the peer that handed
-// this node the entries is not a candidate — it has no better route to
-// the destination than this node, or it would not have sent them here —
-// and a lookahead entry that says otherwise is stale and is dropped.
-// Where that peer was the only way out the verdict is routeBounce.
+// from ≥ 0 is the split horizon, for publication frames and ack batches
+// alike: the peer that handed this node the frame is not a candidate — it
+// has no better route to the destination than this node, or it would not
+// have sent the frame here — and a lookahead entry that says otherwise is
+// stale and is dropped. Where that peer was the only way out the verdict
+// is routeBounce. from is -1 only where this node originates: its own
+// publication, a retry of it, its own ack.
 func (n *Node) routeBatch(dests, hops []overlay.PeerID, from overlay.PeerID) {
 	var (
 		linkBuf  [routeLinksMax]overlay.PeerID
@@ -140,6 +145,7 @@ func (n *Node) routeBatch(dests, hops []overlay.PeerID, from overlay.PeerID) {
 	look, alive, pos := lookBuf[:0], aliveBuf[:0], posBuf[:0]
 	var own ring.ID
 	live, dead := 0, int64(0)
+	var direct, viaLook, greedy, walk int64
 
 	for i, t := range dests {
 		tpos, member := n.dir.memberPos(t)
@@ -149,6 +155,7 @@ func (n *Node) routeBatch(dests, hops []overlay.PeerID, from overlay.PeerID) {
 		}
 		if slices.Contains(links, t) {
 			hops[i] = t
+			direct++
 			continue
 		}
 		if bounced {
@@ -169,6 +176,7 @@ func (n *Node) routeBatch(dests, hops []overlay.PeerID, from overlay.PeerID) {
 		if via >= 0 {
 			if n.linkAlive(via) {
 				hops[i] = via
+				viaLook++
 				continue
 			}
 			// §III-F recovery in action: the lookahead route exists but its
@@ -201,8 +209,9 @@ func (n *Node) routeBatch(dests, hops []overlay.PeerID, from overlay.PeerID) {
 		switch {
 		case best >= 0:
 			hops[i] = best
+			greedy++
 		case live > 0:
-			n.cfg.Obs.Inc(obs.CCMARandomWalk)
+			walk++
 			k := n.rng.Intn(live)
 			for j, q := range links {
 				if alive[j] {
@@ -219,6 +228,12 @@ func (n *Node) routeBatch(dests, hops []overlay.PeerID, from overlay.PeerID) {
 			hops[i] = noHop(routeDeadEnd)
 		}
 	}
+	// Addn of zero touches nothing, so a pass pays for the rules it used.
+	n.cfg.Obs.Addn(obs.CRouteDirect, direct)
+	n.cfg.Obs.Addn(obs.CRouteLookahead, viaLook)
+	n.cfg.Obs.Addn(obs.CRouteGreedy, greedy)
+	n.cfg.Obs.Addn(obs.CRouteWalk, walk)
+	n.cfg.Obs.Addn(obs.CCMARandomWalk, walk)
 }
 
 // dropLookahead removes t from the cached routing table of q.
@@ -245,13 +260,20 @@ const grouped = overlay.PeerID(math.MinInt32)
 // as To. A destination routeBatch refuses is counted and skipped — the
 // publisher's ack accounting will notice.
 //
+// from is the peer that handed this node the frame being forwarded (-1:
+// the publication, or the retry, is this node's own), and no group goes
+// back to it (routeBatch). Every frame that leaves is stamped with this
+// node as the hop it comes from, which is how the next relay knows: From
+// stays the publisher (DESIGN.md §10.3).
+//
 // Over a frame-sending transport (TCP) every group is marshaled into one
 // pooled buffer and handed over as bytes; nothing else is allocated.
 // Otherwise the transport passes the pointer on and the receiver edits
 // TTL and HopCount in place, so every group gets a Message of its own:
 // reuse, when not nil — the inbound frame a relay has finished with —
 // serves as the first.
-func (n *Node) fanOut(tmpl wire.Message, dests []overlay.PeerID, reuse *wire.Message) {
+func (n *Node) fanOut(tmpl wire.Message, dests []overlay.PeerID, from overlay.PeerID, reuse *wire.Message) {
+	tmpl.SetHopFrom(int32(n.id))
 	var (
 		hopBuf   [wire.MaxPublishDests]overlay.PeerID
 		groupBuf [wire.MaxPublishDests]int32
@@ -265,7 +287,7 @@ func (n *Node) fanOut(tmpl wire.Message, dests []overlay.PeerID, reuse *wire.Mes
 		chunk := dests[:min(len(dests), wire.MaxPublishDests)]
 		dests = dests[len(chunk):]
 		hops := hopBuf[:len(chunk)]
-		n.routeBatch(chunk, hops, -1)
+		n.routeBatch(chunk, hops, from)
 		for i, hop := range hops {
 			if hop < 0 {
 				if hop != grouped {

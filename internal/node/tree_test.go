@@ -1,6 +1,7 @@
 package node
 
 import (
+	"fmt"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -29,20 +30,105 @@ type sent struct {
 func (s sent) dests() []int32 { return append([]int32{s.m.To}, s.m.RoutingTable...) }
 
 // tap records a copy of every frame the cluster sends (receivers edit
-// TTL, HopCount, To and the list of the Message they are handed).
+// TTL, HopCount, To and the list of the Message they are handed), and
+// watches the publish frames among them for copies that go straight back.
 type tap struct {
 	*transport.Switchboard
 	mu     sync.Mutex
 	frames []sent
+	watch  bounceWatch
 }
 
 func newTap(n int) *tap { return &tap{Switchboard: transport.NewSwitchboard(n, 4096)} }
 
 func (t *tap) Send(to int32, m *wire.Message) error {
+	t.watch.see(to, m)
 	t.mu.Lock()
 	t.frames = append(t.frames, sent{to, m.Clone()})
 	t.mu.Unlock()
 	return t.Switchboard.Send(to, m)
+}
+
+// bounceWatch looks at every publish frame on its way into the transport
+// and finds the copies a relay hands back to the peer it got them from —
+// what the split horizon of the routing pass rules out. A frame names its
+// sender in the inbound-hop slot, so the watch knows who sent whom what:
+// in[k] lists the peers that have sent k.at a frame of publication
+// (k.pub, k.seq) naming k.dest with k.ttl hops left.
+type bounceWatch struct {
+	mu       sync.Mutex
+	in       map[bounceKey][]int32
+	publish  int
+	findings []string
+}
+
+type bounceKey struct {
+	pub      int32
+	seq      uint32
+	dest, at int32
+	ttl      uint8
+}
+
+func (w *bounceWatch) see(to int32, m *wire.Message) {
+	if m.Kind != wire.KindPublish {
+		return
+	}
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	if w.in == nil {
+		w.in = make(map[bounceKey][]int32)
+	}
+	w.publish++
+	sender := m.HopFrom()
+	if sender < 0 {
+		w.findings = append(w.findings, fmt.Sprintf("publication %d/%d: a frame to %d does not say who sent it", m.Publisher, m.Seq, to))
+		return
+	}
+	for _, d := range (sent{to, m}).dests() {
+		// The frame that brought the sender this copy had one hop more left.
+		// Sends are seen before they arrive, so the list holds at least the
+		// frame the sender is answering: if the peer this frame goes to is
+		// all it holds, the copy is going straight back.
+		got := w.in[bounceKey{m.Publisher, m.Seq, d, sender, m.TTL + 1}]
+		if len(got) > 0 && !slices.ContainsFunc(got, func(p int32) bool { return p != to }) {
+			w.findings = append(w.findings, fmt.Sprintf("publication %d/%d: %d sent the copy for %d back to %d, which had just sent it (TTL %d)",
+				m.Publisher, m.Seq, sender, d, to, m.TTL))
+		}
+		k := bounceKey{m.Publisher, m.Seq, d, to, m.TTL}
+		if !slices.Contains(w.in[k], sender) {
+			w.in[k] = append(w.in[k], sender)
+		}
+	}
+}
+
+// report fails the test on every copy the watch saw bounce, and if it saw
+// no publish frame at all.
+func (w *bounceWatch) report(t *testing.T, what string) {
+	t.Helper()
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	if w.publish == 0 {
+		t.Errorf("%s: the watch saw no publish frame", what)
+	}
+	for _, f := range w.findings {
+		t.Errorf("%s: %s", what, f)
+	}
+}
+
+// watched passes every frame of a cluster by a bounceWatch on its way
+// into the transport under test.
+type watched struct {
+	transport.Transport
+	watch bounceWatch
+}
+
+func (x *watched) Send(to int32, m *wire.Message) error {
+	x.watch.see(to, m)
+	return x.Transport.Send(to, m)
+}
+
+func (x *watched) BindInboxBatch(owner int32, ch chan *[]transport.Envelope) bool {
+	return x.Transport.(transport.BatchInboxMux).BindInboxBatch(owner, ch)
 }
 
 // take returns the frames of the given kind recorded since the last
@@ -101,7 +187,8 @@ func strangers(c *Cluster, n *Node, k int, not ...overlay.PeerID) []overlay.Peer
 // publication to one peer — so the frames of a publication number at
 // most the distinct next hops, summed over the nodes that handled it.
 // (The per-subscriber fan-out sent one frame per copy and fails the last
-// two.)
+// two.) And no relay hands a copy back to the peer it came from: every
+// frame says who sent it, and the frames that answer it go elsewhere.
 func TestTreeOneFramePerLink(t *testing.T) {
 	const n, seed = 150, 4
 	g, ov := buildOverlay(t, n, seed)
@@ -205,11 +292,15 @@ func TestTreeOneFramePerLink(t *testing.T) {
 			for _, f := range fs {
 				if f.m.TTL+1 == in.m.TTL && slices.Contains(rest, f.m.To) {
 					out = append(out, f)
+					if f.m.HopFrom() != in.hop {
+						t.Errorf("%v: relay %d stamped its frame to %d as coming from %d", id, in.hop, f.hop, f.m.HopFrom())
+					}
 				}
 			}
 			checkSends("a relay", out, rest)
 		}
 	}
+	tp.watch.report(t, "n=150 live")
 	if multi == 0 {
 		t.Error("no frame named more than one subscriber: the run proves nothing about grouping")
 	}
@@ -400,8 +491,9 @@ func TestTreeEclipseRelayEatsTheRest(t *testing.T) {
 
 // TestTreeUnderLoss: with a fifth of all publish and ack frames lost,
 // over the switchboard and over TCP, grouped retries still reach every
-// subscriber, and the delivery set does not depend on how many event
-// loops drain the cluster.
+// subscriber, the delivery set does not depend on how many event loops
+// drain the cluster, and no copy — first send, relay or retry — goes back
+// to the peer that had just sent it.
 func TestTreeUnderLoss(t *testing.T) {
 	const n, seed, posts = 80, 31, 4
 	g, ov := buildOverlay(t, n, seed)
@@ -421,14 +513,18 @@ func TestTreeUnderLoss(t *testing.T) {
 			DropProb: 0.2, Kinds: []wire.Kind{wire.KindPublish, wire.KindAckBatch},
 		}, seed)
 		fn.Obs = met
+		// The watch sits above the fault injector: it sees the frames that
+		// are about to be lost as well.
+		tr := &watched{Transport: fn}
 		c, err := Start(Options{
-			Graph: g, Overlay: ov, Transport: fn, Seed: seed, Obs: met, Shards: shards,
+			Graph: g, Overlay: ov, Transport: tr, Seed: seed, Obs: met, Shards: shards,
 			RetryBase: 10 * time.Millisecond, RetryBudget: 100,
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
 		defer shutdown(t, c)
+		defer tr.watch.report(t, fmt.Sprintf("tcp=%v shards=%d", tcp, shards))
 		got := make(map[[2]int32]bool)
 		for i := 0; i < posts; i++ {
 			seq := publishSize(c.Nodes[pub], 256)
@@ -591,6 +687,211 @@ func TestAckBounceSplitHorizon(t *testing.T) {
 	}
 }
 
+// TestPublishSplitHorizon is the same rule on the publish path, which
+// could not have it while a relay did not know its inbound hop: x's first
+// link y hands it a copy for a peer neither links to, and x's cached copy
+// of y's routing table — stale — says y links to that peer. x used to
+// send the copy straight back (18,257 of 44,972 publish sends in a traced
+// inbox-churn-tcp half-window). Now the frame leaves by another link or
+// not at all, never toward y, and the stale entry is gone; played on
+// through the cluster, no relay sends it back where it came from.
+func TestPublishSplitHorizon(t *testing.T) {
+	met := obs.New()
+	_, c, tp := frozenCluster(t, 60, 9, Options{Obs: met})
+	x := c.Nodes[5]
+	y := c.Nodes[x.links()[0]]
+	if !slices.Contains(y.links(), x.id) {
+		t.Fatalf("link %d→%d is one-way", x.id, y.id)
+	}
+	var dest overlay.PeerID = -1
+	for _, p := range strangers(c, x, len(c.Nodes)) {
+		if p != y.id && !slices.Contains(y.links(), p) {
+			dest = p
+			break
+		}
+	}
+	pub := strangers(c, x, 1, y.id, dest)[0]
+	x.lookahead[y.id] = []overlay.PeerID{dest, pub}
+	y.lookahead[x.id] = []overlay.PeerID{dest}
+
+	frame := func(seq uint32, to, hopFrom overlay.PeerID) *wire.Message {
+		m := &wire.Message{Kind: wire.KindPublish, From: int32(pub), Publisher: int32(pub), Seq: seq, TTL: 32, To: int32(to)}
+		m.SetHopFrom(int32(hopFrom))
+		return m
+	}
+	// Without the inbound hop the stale entry wins: that is the bounce.
+	unstamped := frame(1, dest, -1)
+	x.handle(unstamped)
+	if fs := tp.take(wire.KindPublish); len(fs) != 1 || fs[0].hop != int32(y.id) {
+		t.Fatalf("an unstamped frame for %d left %d by %+v, want the lookahead hit through %d: the set-up proves nothing", dest, x.id, fs, y.id)
+	}
+
+	// Play the network from y's send to x on: hand every publish frame to
+	// its next hop until the copy is delivered or dropped.
+	type hop struct{ from, at int32 }
+	var path []hop
+	pending := []sent{{int32(x.id), frame(2, dest, y.id)}}
+	for relays := 0; len(pending) > 0; relays++ {
+		if relays > 32 {
+			t.Fatal("the copy is still travelling after 32 relays")
+		}
+		var next []sent
+		for _, f := range pending {
+			inbound := f.m.HopFrom()
+			path = append(path, hop{inbound, f.hop})
+			c.Nodes[f.hop].handle(f.m)
+			for _, out := range tp.take(wire.KindPublish) {
+				if out.hop == inbound {
+					t.Errorf("%d got the copy from %d and sent it back there", f.hop, inbound)
+				}
+				if out.m.HopFrom() != f.hop || out.m.From != int32(pub) {
+					t.Errorf("%d forwarded a frame stamped hop %d, From %d; want its own id and the publisher %d", f.hop, out.m.HopFrom(), out.m.From, pub)
+				}
+				next = append(next, out)
+			}
+		}
+		pending = next
+	}
+	if got := x.lookahead[y.id]; slices.Contains(got, dest) || !slices.Contains(got, pub) {
+		t.Errorf("%d's copy of %d's routing table is %v: want the stale entry for %d gone and the one for %d kept", x.id, y.id, got, dest, pub)
+	}
+	delivered := int64(0)
+	if _, ok := c.Nodes[dest].received[msgID{int32(pub), 2}]; ok {
+		delivered = 1
+	}
+	dropped := met.Get(obs.CPublishBounceDrop) + met.Get(obs.CPublishDeadEnd) + met.Get(obs.CPublishTTLDrop)
+	if delivered+dropped != 1 || met.Get(obs.CPublishTTLDrop) != 0 {
+		t.Errorf("delivered %d, dropped %d (ttl %d) along %v: want the copy delivered or dropped once, not walked to TTL 0",
+			delivered, dropped, met.Get(obs.CPublishTTLDrop), path)
+	}
+	if met.Get(obs.CAckBounceDrop) != 0 {
+		t.Errorf("ack_bounce_drop = %d: a publication copy was booked as an ack", met.Get(obs.CAckBounceDrop))
+	}
+	tp.watch.report(t, "played by hand")
+
+	// Where the sender is the only way on, the copy is dropped and counted
+	// under the publish counter, not sent back.
+	lone := c.Nodes[pub]
+	lone.shortSucc, lone.shortPred, lone.longOut, lone.longIn = x.id, -1, nil, nil
+	bounces := met.Get(obs.CPublishBounceDrop)
+	lone.handle(frame(3, dest, x.id))
+	if fs := tp.take(wire.KindPublish); len(fs) != 0 || met.Get(obs.CPublishBounceDrop) != bounces+1 {
+		t.Errorf("a copy with no way on but back: %d frames sent, publish_bounce_drop rose by %d", len(fs), met.Get(obs.CPublishBounceDrop)-bounces)
+	}
+	// A retry is the publisher's own: no inbound hop, every link a candidate.
+	lone.fanOut(lone.feedFrame(4, nil, 0, 1), []overlay.PeerID{dest}, -1, nil)
+	if fs := tp.take(wire.KindPublish); len(fs) != 1 || fs[0].hop != int32(x.id) || fs[0].m.HopFrom() != int32(lone.id) {
+		t.Errorf("the publisher's own send: %+v, want one frame to %d stamped %d", fs, x.id, lone.id)
+	}
+}
+
+// TestInboundHopIsOutsideInput: the inbound hop is the sender's word. A
+// slot that names no peer of this cluster, or the receiver, drops the
+// frame and is counted; a peer that is no link of the receiver excludes
+// nothing; and a liar that names the receiver's best link costs that one
+// frame that one link — and the receiver its cached entry of that link
+// for the frame's destination until the link's next exchange — nothing
+// else: the next frame routes as before.
+func TestInboundHopIsOutsideInput(t *testing.T) {
+	met := obs.New()
+	_, c, tp := frozenCluster(t, 60, 9, Options{Obs: met})
+	relay := c.Nodes[5]
+	pub := relay.links()[0]
+	far := strangers(c, relay, 3, pub)
+	dest, stranger := far[0], far[2]
+
+	seq := uint32(100)
+	// route hands the relay one frame for to with the given raw slot value
+	// and returns where it went (-1: nowhere).
+	route := func(to overlay.PeerID, slot int32) int32 {
+		seq++
+		relay.handle(&wire.Message{
+			Kind: wire.KindPublish, From: int32(pub), Publisher: int32(pub), Seq: seq, TTL: 8,
+			To: int32(to), RoutingTable: []int32{int32(relay.id)}, Target: slot,
+		})
+		fs := tp.take(wire.KindPublish)
+		if len(fs) > 1 {
+			t.Fatalf("one destination left in %d frames", len(fs))
+		}
+		if len(fs) == 0 {
+			return -1
+		}
+		return fs[0].hop
+	}
+	stamp := func(p overlay.PeerID) int32 { return int32(p) + 1 }
+
+	honest := route(dest, 0)
+	if honest < 0 {
+		t.Fatalf("the relay has no route to %d", dest)
+	}
+	for _, tc := range []struct {
+		name string
+		slot int32
+	}{
+		{"past the cluster", stamp(60)},
+		{"far past the cluster", 1 << 20},
+		{"negative", -5},
+		{"the bias wrapped round", -1 << 31},
+		{"the receiver itself", stamp(relay.id)},
+	} {
+		malformed, delivered := met.Get(obs.CPublishHopMalformed), met.Get(obs.CPublishDelivered)
+		if hop := route(dest, tc.slot); hop != -1 {
+			t.Errorf("%s: the frame was forwarded to %d", tc.name, hop)
+		}
+		if got := met.Get(obs.CPublishHopMalformed) - malformed; got != 1 {
+			t.Errorf("%s: publish_hop_malformed rose by %d, want 1", tc.name, got)
+		}
+		if got := met.Get(obs.CPublishDelivered) - delivered; got != 0 {
+			t.Errorf("%s: a malformed frame was delivered locally", tc.name)
+		}
+	}
+	malformed := met.Get(obs.CPublishHopMalformed)
+
+	// A peer that is no link: nothing to exclude.
+	if hop := route(dest, stamp(stranger)); hop != honest {
+		t.Errorf("a hop that is no link: the frame went to %d, want %d as without it", hop, honest)
+	}
+
+	// The liar names the link the frame would have taken.
+	if hop := route(dest, stamp(overlay.PeerID(honest))); hop == honest {
+		t.Errorf("the frame went back to %d, the hop it claimed to come from", hop)
+	}
+	if hop := route(dest, 0); hop != honest {
+		t.Errorf("after the lie the next frame went to %d, want %d again", hop, honest)
+	}
+	// Likewise when the link is the destination itself.
+	direct := relay.links()[1]
+	if hop := route(direct, stamp(direct)); hop == int32(direct) {
+		t.Errorf("a frame for link %d that claims to come from it was sent there", direct)
+	}
+	if hop := route(direct, 0); hop != int32(direct) {
+		t.Errorf("after the lie a frame for link %d went to %d", direct, hop)
+	}
+
+	// What the lie can take with it is the cached routing-table entry of
+	// the link it names, for the destination it names; the link's next
+	// exchange brings it back.
+	via := overlay.PeerID(honest)
+	for _, q := range relay.links() {
+		delete(relay.lookahead, q)
+	}
+	relay.lookahead[via] = []overlay.PeerID{far[1], dest}
+	route(dest, stamp(via))
+	if got := relay.lookahead[via]; !slices.Equal(got, []overlay.PeerID{far[1]}) {
+		t.Errorf("after the lie the relay's copy of %d's table is %v, want only the entry for %d gone", via, got, dest)
+	}
+	relay.handle(&wire.Message{
+		Kind: wire.KindExchangeReply, From: int32(via), To: int32(relay.id),
+		RoutingTable: []int32{int32(far[1]), int32(dest)},
+	})
+	if hop := route(dest, 0); hop != int32(via) || !slices.Contains(relay.lookahead[via], dest) {
+		t.Errorf("after %d's next exchange a frame for %d went to %d (table %v), want the lookahead hit back", via, dest, hop, relay.lookahead[via])
+	}
+	if got := met.Get(obs.CPublishHopMalformed); got != malformed {
+		t.Errorf("publish_hop_malformed rose by %d on well-formed slots", got-malformed)
+	}
+}
+
 // discard is a transport that drops every frame: what the allocation
 // pins below measure is the sender alone.
 type discard struct{ frames atomic.Int64 }
@@ -656,9 +957,9 @@ func TestFanOutAllocPins(t *testing.T) {
 	}
 
 	tmpl := byBytes.feedFrame(1, payload, 256, 1)
-	byBytes.fanOut(tmpl, subs, nil) // warms the frame pool
+	byBytes.fanOut(tmpl, subs, -1, nil) // warms the frame pool
 	sent := frames.frames.Load()
-	if a := testing.AllocsPerRun(200, func() { byBytes.fanOut(tmpl, subs, nil) }); a != 0 {
+	if a := testing.AllocsPerRun(200, func() { byBytes.fanOut(tmpl, subs, -1, nil) }); a != 0 {
 		t.Errorf("fanOut over a frame-sending transport: %.1f allocs, want 0", a)
 	}
 	if per := (frames.frames.Load() - sent) / 201; per < 1 || per >= int64(len(subs)) {

@@ -153,6 +153,17 @@ const (
 	CAckLeafFlush         // acks flushed at once: their handler forwarded nothing onward
 	CAckBounceDrop        // relayed acks dropped: the only way on was the peer they came from
 
+	// node: which rule of the routing pass chose the next hop, one count
+	// per destination of a publish frame or ack batch (DESIGN.md §10.3);
+	// route_walk is cma_random_walk under the name of the rule. The two
+	// publish counters are the inbound hop's (split horizon, §14.1).
+	CRouteDirect         // the destination is a link
+	CRouteLookahead      // a live link's cached routing table holds the destination
+	CRouteGreedy         // the live link nearest the destination, nearer than this node
+	CRouteWalk           // local minimum: a random live link
+	CPublishBounceDrop   // publication copies dropped: the only way on was the peer they came from
+	CPublishHopMalformed // KindPublish frames dropped: the inbound-hop slot named no peer of this cluster, or the receiver
+
 	numCounters
 )
 
@@ -264,6 +275,13 @@ var counterNames = [numCounters]string{
 	CPublishDestMalformed: "publish_dest_malformed",
 	CAckLeafFlush:         "ack_leaf_flush",
 	CAckBounceDrop:        "ack_bounce_drop",
+
+	CRouteDirect:         "route_direct",
+	CRouteLookahead:      "route_lookahead",
+	CRouteGreedy:         "route_greedy",
+	CRouteWalk:           "route_walk",
+	CPublishBounceDrop:   "publish_bounce_drop",
+	CPublishHopMalformed: "publish_hop_malformed",
 }
 
 // String returns the counter's export name.
@@ -413,9 +431,11 @@ func (m *Metrics) Inc(c Counter) {
 	m.counters[c].Add(1)
 }
 
-// Addn adds n to counter c. Nil-safe.
+// Addn adds n to counter c. Nil-safe; adding zero does not touch the
+// counter's cache line, so a caller may report a tally that is usually
+// empty without a guard of its own.
 func (m *Metrics) Addn(c Counter, n int64) {
-	if m == nil {
+	if m == nil || n == 0 {
 		return
 	}
 	m.counters[c].Add(n)

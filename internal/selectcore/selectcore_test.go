@@ -85,9 +85,83 @@ func TestPlacement(t *testing.T) {
 	if PlaceIndependent(42) != ring.HashUint64(42) {
 		t.Fatal("PlaceIndependent must be the uniform identity hash")
 	}
-	mid := ReassignTarget(0.9, 0.1)
-	if mid != ring.Midpoint(0.9, 0.1) {
-		t.Fatalf("ReassignTarget = %v, want ring midpoint", mid)
+	if d := ring.Distance(ReassignTarget(0.9, 0.1, 7), ring.Midpoint(0.9, 0.1)); d > ReassignSpread/2 {
+		t.Fatalf("ReassignTarget is %v from the ring midpoint, want at most %v", d, ReassignSpread/2)
+	}
+}
+
+// TestReassignTargetSeparatesMovers: peers with the same two strongest
+// friends used to get the same identifier. Each mover has a target of its
+// own, all of them inside a band far narrower than any move threshold,
+// wherever on the ring the anchors are — across the wrap, near 1.0 where
+// float64 is coarsest, on top of each other.
+func TestReassignTargetSeparatesMovers(t *testing.T) {
+	const moveEps = 1e-4 // the smallest threshold in use (selectsys)
+	if ReassignSpread > moveEps/100 {
+		t.Fatalf("ReassignSpread %v is not orders of magnitude under the move threshold %v", ReassignSpread, moveEps)
+	}
+	movers := []uint64{0, 1, 2, 3, 58, 59, 73, 111, 399, 3999, 1<<31 - 1, 1 << 31, 1<<32 - 1}
+	for id := uint64(1000); id < 3000; id++ { // a dense range, as peer ids are
+		movers = append(movers, id)
+	}
+	for _, tc := range []struct {
+		name string
+		a, b ring.ID
+	}{
+		{"mid-ring", 0.20, 0.30},
+		{"across the wrap", 0.9999999, 0.0000001},
+		{"just under 1.0", 0.99999990, 0.99999994},
+		{"anchors that are twins themselves", 0.248664, 0.248664},
+	} {
+		mid := ring.Midpoint(tc.a, tc.b)
+		seen := make(map[ring.ID]uint64, len(movers))
+		for _, m := range movers {
+			pos := ReassignTarget(tc.a, tc.b, m)
+			if !pos.Valid() {
+				t.Fatalf("%s: mover %d got %v, off the ring", tc.name, m, pos)
+			}
+			if d := ring.Distance(pos, mid); d > ReassignSpread/2 {
+				t.Errorf("%s: mover %d is %v from the midpoint, want at most %v", tc.name, m, d, ReassignSpread/2)
+			}
+			if other, dup := seen[pos]; dup {
+				t.Errorf("%s: movers %d and %d share target %v", tc.name, other, m, pos)
+			}
+			seen[pos] = m
+			if again := ReassignTarget(tc.b, tc.a, m); ring.Distance(again, pos) > 1e-15 {
+				t.Errorf("%s: mover %d: target depends on the order of the anchors (%v, %v)", tc.name, m, pos, again)
+			}
+		}
+	}
+}
+
+// TestPlaceJoinKeepsInvitesDistinct is the same audit for Algorithm 1: an
+// inviter that admits friend after friend halves its free arc each time;
+// every invitee gets a position of its own, inside the arc while there is
+// one to subdivide and at its identity hash once there is not.
+func TestPlaceJoinKeepsInvitesDistinct(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	inv := ring.ID(0.731)
+	gap := 0.05
+	seen := map[ring.ID]uint64{inv: 0}
+	hashed := 0
+	for user := uint64(1); user <= 80; user++ {
+		pos := PlaceJoin(inv, gap, 0.01, rng.Float64(), user)
+		if other, dup := seen[pos]; dup {
+			t.Fatalf("invitee %d shares position %v with %d", user, pos, other)
+		}
+		seen[pos] = user
+		if pos == PlaceIndependent(user) {
+			hashed++
+			continue
+		}
+		d := ring.Clockwise(inv, pos)
+		if d <= 0 || d >= gap {
+			t.Fatalf("invitee %d landed %v clockwise of the inviter, outside its free arc %v", user, d, gap)
+		}
+		gap = d // the invitee is the inviter's successor now
+	}
+	if hashed == 0 || hashed == 80 {
+		t.Fatalf("%d of 80 invitees went to their hash position: the arc floor was not exercised", hashed)
 	}
 }
 

@@ -238,6 +238,21 @@ type Report struct {
 	// the fault schedule expired and every peer re-joined (PostChurnPosts
 	// > 0) — the converged-back overlay quality.
 	PostChurnMeanHops float64 `json:"post_churn_mean_hops,omitempty"`
+	// The ring invariant (node.Cluster.AuditRing), sampled after every
+	// publication and once more when the run is over. SharedPositions is
+	// the most members any sample found on a ring position another member
+	// held too: it is zero at every instant, faults or not. OffCycle is how
+	// many members the last sample's successor walk did not reach, and
+	// RingFault that sample's first violation. RingSettled says the arm
+	// ended behind its faults — live joins before the workload and no
+	// timed faults, or a post-churn phase — and its ring was given up to
+	// ringSettleMax to pass the audit: such an arm must read OffCycle 0; an
+	// arm that ends mid-churn, or a second after Start with identifiers
+	// still moving, only reports it.
+	SharedPositions int    `json:"shared_positions"`
+	OffCycle        int    `json:"off_cycle"`
+	RingFault       string `json:"ring_fault,omitempty"`
+	RingSettled     bool   `json:"ring_settled,omitempty"`
 
 	// Topic arm (Topics > 0): the workload published to Zipf-popular
 	// named topics, so DeliveryRate measures flash-crowd delivery to
@@ -346,6 +361,14 @@ func (r *Report) String() string {
 			copies, c["publish_frame"], float64(copies)/float64(c["publish_frame"]), c["publish_dest_malformed"],
 			c["ack_coalesced"], c["ack_batch_sent"], c["ack_leaf_flush"], c["ack_bounce_drop"], c["ack_ttl_drop"])
 	}
+	if c := r.Obs.Counters; c["route_direct"]+c["route_lookahead"]+c["route_greedy"]+c["route_walk"] > 0 {
+		// Which rule of the routing pass chose the next hops of publication
+		// copies and acks (DESIGN.md §10.3), and what the split horizon and
+		// the TTL had to stop.
+		fmt.Fprintf(&b, "routing: direct=%d lookahead=%d greedy=%d walk=%d; publish: %d bounce drops, %d ttl drops, %d dead ends, %d malformed hops\n",
+			c["route_direct"], c["route_lookahead"], c["route_greedy"], c["route_walk"],
+			c["publish_bounce_drop"], c["publish_ttl_drop"], c["publish_dead_end"], c["publish_hop_malformed"])
+	}
 	if c := r.Obs.Counters; c["heartbeat_sweep"] > 0 {
 		// How quiet the control plane got, and what kept it awake
 		// (DESIGN.md §15.2): under loss or churn nearly every sweep should
@@ -388,6 +411,14 @@ func (r *Report) String() string {
 			r.SybilRejected, r.SybilDiverted, r.EclipseDisplaced, r.PosRejected, r.StrengthClamped)
 	}
 	fmt.Fprintf(&b, "overlay quality: mean hops %.2f, link-bucket coverage %.2f\n", r.MeanHops, r.MeanLinkCoverage)
+	fmt.Fprintf(&b, "ring: shared_positions=%d off_cycle=%d", r.SharedPositions, r.OffCycle)
+	switch {
+	case r.RingFault != "":
+		fmt.Fprintf(&b, " (%s)", r.RingFault)
+	case r.RingSettled:
+		b.WriteString(" (settled: one successor cycle through every member)")
+	}
+	b.WriteByte('\n')
 	if r.PostChurnMeanHops > 0 {
 		fmt.Fprintf(&b, "post-churn convergence: mean hops %.2f on the clean network\n", r.PostChurnMeanHops)
 	}
@@ -809,6 +840,7 @@ func Run(cfg Config) (*Report, error) {
 		subs []overlay.PeerID
 	}
 	var posted []pubRecord
+	sharedMax := 0
 	for post := 0; post < cfg.Posts; post++ {
 		var pub overlay.PeerID
 		for attempt := 0; ; attempt++ {
@@ -863,6 +895,7 @@ func Run(cfg Config) (*Report, error) {
 		latencies = append(latencies, lat)
 		met.ObserveLatencyMS(lat)
 		scoreStep := fn.Step()
+		sharedMax = max(sharedMax, cluster.AuditRing().SharedPositions)
 		for _, s := range subs {
 			hops, got := cluster.Nodes[s].Received(pub, seq)
 			wanted++
@@ -952,7 +985,12 @@ func Run(cfg Config) (*Report, error) {
 	// the last stragglers' re-joins), then measure what hop counts the
 	// maintenance loop converged back to on a clean network.
 	postHopTotal, postHopCount := 0, 0
+	// settled marks an arm whose membership stopped changing before it
+	// ended: the joins came before the workload and nothing crashes, or the
+	// post-churn phase below ran behind the fault schedule.
+	settled := liveJoins > 0 && fn.Schedule() == nil
 	if cfg.PostChurnPosts > 0 && cfg.Fault.Tick > 0 && cfg.Fault.Steps > 0 {
+		settled = true
 		settle := time.Now().Add(30 * time.Second)
 		for time.Now().Before(settle) {
 			if fn.Step() >= cfg.Fault.Steps {
@@ -1017,6 +1055,16 @@ func Run(cfg Config) (*Report, error) {
 		coverage /= float64(covered)
 	}
 
+	// Restabilisation probe: a settled arm's ring must find its legitimate
+	// state again — identifiers still move for a few seconds after the last
+	// re-join — and gets ringSettleMax to do it; any other arm is sampled as
+	// it stands.
+	ringAudit := cluster.AuditRing()
+	if settled {
+		for deadline := time.Now().Add(ringSettleMax); ringAudit.First != "" && time.Now().Before(deadline); ringAudit = cluster.AuditRing() {
+			time.Sleep(20 * time.Millisecond)
+		}
+	}
 	snap := met.Snapshot()
 	r := &Report{
 		Config: ConfigSummary{
@@ -1033,6 +1081,10 @@ func Run(cfg Config) (*Report, error) {
 		LiveJoins: liveJoins, Rejoins: rejoins,
 		RejoinedWanted: rejoinedWanted, RejoinedDelivered: rejoinedDelivered,
 		MeanLinkCoverage: coverage,
+		SharedPositions:  max(sharedMax, ringAudit.SharedPositions),
+		OffCycle:         ringAudit.OffCycle,
+		RingFault:        ringAudit.First,
+		RingSettled:      settled,
 		Duplicates:       met.Get(obs.CPublishDuplicate),
 		LatencyMSP50:     metrics.Quantile(latencies, 0.5),
 		LatencyMSP90:     metrics.Quantile(latencies, 0.9),
@@ -1119,6 +1171,10 @@ func Run(cfg Config) (*Report, error) {
 	}
 	return r, nil
 }
+
+// ringSettleMax bounds the wait for a settled arm's ring to pass the audit
+// at the end of a run. A 60-peer churn arm needs about three seconds.
+const ringSettleMax = 15 * time.Second
 
 // rejoinTracker records which peers completed the live join protocol
 // again after a churn crash; shared between the churn driver's rejoin

@@ -45,6 +45,27 @@ func chaosConfig(seed int64) Config {
 	return cfg
 }
 
+// checkRing asserts the ring invariant on a report. No two members ever
+// share a ring position, whatever the faults; an arm that ended on a
+// convergence wait (settled) must also have every member on the one
+// successor cycle, an arm that ended mid-churn only reports how many were
+// not.
+func checkRing(t *testing.T, r *Report, settled bool) {
+	t.Helper()
+	if r.SharedPositions != 0 {
+		t.Errorf("%d members shared a ring position: %s", r.SharedPositions, r.RingFault)
+	}
+	if r.RingSettled != settled {
+		t.Errorf("the run reports ring_settled=%v, want %v", r.RingSettled, settled)
+	}
+	switch {
+	case settled && (r.OffCycle != 0 || r.RingFault != ""):
+		t.Errorf("the settled ring is not one successor cycle: %d members off it (%s)", r.OffCycle, r.RingFault)
+	case r.OffCycle != 0:
+		t.Logf("ring at the end of the run: %d members off the successor cycle (%s)", r.OffCycle, r.RingFault)
+	}
+}
+
 // TestSoakFaultTraceReproducible is the determinism acceptance test: two
 // soak runs with the same seed must record byte-identical injected-fault
 // traces; a different seed must not.
@@ -73,6 +94,9 @@ func TestSoakFaultTraceReproducible(t *testing.T) {
 	}
 	if c.FaultTrace == a.FaultTrace {
 		t.Fatal("different seeds produced identical fault traces")
+	}
+	for _, r := range []*Report{a, b, c} {
+		checkRing(t, r, false)
 	}
 }
 
@@ -105,6 +129,13 @@ func TestSoakRecoveryBeatsNoRecovery(t *testing.T) {
 	if off.Retries != 0 {
 		t.Errorf("ablated arm performed %d retries", off.Retries)
 	}
+	// With recovery on, identifiers are still moving when ten posts are out.
+	// Without it there is no maintenance either: the bootstrap ring stays put.
+	checkRing(t, on, false)
+	checkRing(t, off, false)
+	if off.OffCycle != 0 {
+		t.Errorf("the ablated arm's ring never moves, and is not one successor cycle: %s", off.RingFault)
+	}
 }
 
 // TestSoakSmokeChaos runs the full failure model — loss, duplication,
@@ -126,6 +157,7 @@ func TestSoakSmokeChaos(t *testing.T) {
 	if r.Obs.Counters["publish_delivered"] == 0 {
 		t.Error("obs snapshot recorded no deliveries")
 	}
+	checkRing(t, r, false)
 }
 
 // TestSoakLiveJoinBootstrap bootstraps only a quarter of the peers from
@@ -154,6 +186,9 @@ func TestSoakLiveJoinBootstrap(t *testing.T) {
 	if r.MeanLinkCoverage == 0 {
 		t.Error("link-bucket coverage never left zero: the live Algorithm-5 pass built no links")
 	}
+	// The joins came before the workload: the ring has had the whole run to
+	// settle around them.
+	checkRing(t, r, true)
 }
 
 // TestSoakChurnRejoinAvailability is the churn-arm acceptance test:
@@ -211,6 +246,11 @@ func TestSoakChurnRejoinAvailability(t *testing.T) {
 	if r.MeanLinkCoverage < r0.MeanLinkCoverage-0.25 {
 		t.Errorf("churn-arm link coverage %.2f far below baseline %.2f", r.MeanLinkCoverage, r0.MeanLinkCoverage)
 	}
+	// The churn arm ends on the post-churn phase — every peer re-joined, a
+	// settle, five more publications — and the restabilisation probe; the
+	// baseline ends a second after it started, identifiers still moving.
+	checkRing(t, r0, false)
+	checkRing(t, r, true)
 }
 
 // TestSoakOfflineInboxReplay is the durable-tier acceptance test: a
@@ -250,6 +290,7 @@ func TestSoakOfflineInboxReplay(t *testing.T) {
 	if r.DuplicateDeliveries != 0 {
 		t.Errorf("%d app-level duplicate deliveries; replay dedup is part of the contract", r.DuplicateDeliveries)
 	}
+	checkRing(t, r, false)
 }
 
 // TestSoakOverTCP exercises the same harness over real loopback sockets:
@@ -273,6 +314,7 @@ func TestSoakOverTCP(t *testing.T) {
 	if r.Obs.Counters["tcp_dial"] == 0 {
 		t.Error("TCP soak dialed no connections")
 	}
+	checkRing(t, r, false)
 }
 
 // TestSoakReportExports sanity-checks the text and JSON renderings.
@@ -286,7 +328,7 @@ func TestSoakReportExports(t *testing.T) {
 		t.Fatal(err)
 	}
 	txt := r.String()
-	for _, want := range []string{"availability", "duplicates absorbed", "recovery actions"} {
+	for _, want := range []string{"availability", "duplicates absorbed", "recovery actions", "routing: direct=", "ring: shared_positions=0 off_cycle="} {
 		if !strings.Contains(txt, want) {
 			t.Errorf("report text missing %q:\n%s", want, txt)
 		}
@@ -298,4 +340,5 @@ func TestSoakReportExports(t *testing.T) {
 	if len(r.Obs.Trace) == 0 {
 		t.Error("structured trace enabled but empty")
 	}
+	checkRing(t, r, false)
 }

@@ -114,3 +114,44 @@ func TestFanOutFrameZeroAlloc(t *testing.T) {
 		}
 	}
 }
+
+// TestFanOutFrameHopSlot: the inbound hop of a publish frame rides in a
+// slot the fixed layout already has, so stamping it changes no length; it
+// survives the codec and a clone, an unstamped frame reads "not stated",
+// and the bias leaves no slot value that reads as a peer by accident.
+func TestFanOutFrameHopSlot(t *testing.T) {
+	for _, dests := range []int{1, 24} {
+		plain := fanOutFrame(dests)
+		if plain.HopFrom() != -1 {
+			t.Fatalf("an unstamped frame names hop %d", plain.HopFrom())
+		}
+		for _, hop := range []int32{0, 7, 1<<31 - 2} {
+			src := fanOutFrame(dests)
+			src.SetHopFrom(hop)
+			frame := Marshal(src)
+			if len(frame) != len(Marshal(plain)) {
+				t.Fatalf("hop %d: the stamp changed the frame from %d to %d bytes", hop, len(Marshal(plain)), len(frame))
+			}
+			got, err := Unmarshal(frame[4:])
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got.HopFrom() != hop || got.From != src.From || got.To != src.To || !slices.Equal(got.RoutingTable, src.RoutingTable) {
+				t.Fatalf("hop %d: decoded hop %d from %d to %d list %v", hop, got.HopFrom(), got.From, got.To, got.RoutingTable)
+			}
+			if c := got.Clone(); c.HopFrom() != hop {
+				t.Fatalf("hop %d: the clone names hop %d", hop, c.HopFrom())
+			}
+			if !bytes.Equal(Marshal(got), frame) {
+				t.Fatalf("hop %d: non-canonical roundtrip", hop)
+			}
+		}
+	}
+	// Every slot value but 0 reads as one id or as something below -1.
+	for _, raw := range []int32{-1, -1 << 31} {
+		m := Message{Kind: KindPublish, Target: raw}
+		if hop := m.HopFrom(); hop == -1 {
+			t.Errorf("slot value %d reads as not stated", raw)
+		}
+	}
+}

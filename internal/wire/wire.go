@@ -38,6 +38,8 @@ const (
 	// MaxPublishDests in all). A receiver that is named delivers locally;
 	// it forwards what remains one hop on, one frame per next hop
 	// (DESIGN.md §10.3). A frame with one destination has an empty list.
+	// From stays the publisher hop after hop; the peer that sent this hop
+	// rides in the Target slot (HopFrom).
 	KindPublish
 	// KindAck confirms a publication reached a subscriber.
 	KindAck
@@ -244,6 +246,10 @@ type Message struct {
 	// (From/To are only the hop endpoints), Priority its replay class
 	// (0=HIGH, 1=MEDIUM, 2=LOW — internal/inbox). Both ride at the end
 	// of the frame so the PatchTo/PatchSeq header offsets are untouched.
+	// On Publish, which concerns no single subscriber, the Target slot
+	// carries the inbound hop instead — the id of the peer that sent this
+	// hop, plus one, so that the zero the kind used to leave there still
+	// reads "not stated" (HopFrom, SetHopFrom).
 	Target   int32
 	Priority uint8
 
@@ -289,6 +295,14 @@ const maxSliceLen = 1 << 20 // defensive decode bound
 // decoder itself does not enforce it — the slot is shared with kinds
 // whose lists are longer.
 const MaxPublishDests = 64
+
+// HopFrom returns the peer a KindPublish frame says sent this hop, or -1
+// when the frame does not say. The value is outside input: anything but
+// -1 and the id of a peer is malformed.
+func (m *Message) HopFrom() int32 { return m.Target - 1 }
+
+// SetHopFrom stamps a KindPublish frame with the peer sending this hop.
+func (m *Message) SetHopFrom(p int32) { m.Target = p + 1 }
 
 // Clone returns a deep copy of m. Receivers mutate TTL and HopCount in
 // place, so any component that fans one message out to several inboxes
