@@ -392,3 +392,95 @@ func benchReplayCycle(b *testing.B, syncEvery int) {
 
 func BenchmarkStoreReplayCycle(b *testing.B)       { benchReplayCycle(b, 0) }
 func BenchmarkStoreReplayCycleSynced(b *testing.B) { benchReplayCycle(b, 1) }
+
+// TestStoreNextNBatches pins the replay batch: drain order across the
+// classes, the record cap, the byte cap — which never holds back the
+// first record — and that a batch stays pending until acked.
+func TestStoreNextNBatches(t *testing.T) {
+	s := openT(t, filepath.Join(t.TempDir(), "shard.log"), 0)
+	body := string(make([]byte, 100))
+	for seq := uint32(1); seq <= 9; seq++ {
+		if _, err := s.Deposit(dep(2, 10, 9, seq, uint8(seq%3), body)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	seqs := func(recs []Record) (out []uint32) {
+		for _, r := range recs {
+			out = append(out, r.Seq)
+		}
+		return out
+	}
+	same := func(a, b []uint32) bool {
+		if len(a) != len(b) {
+			return false
+		}
+		for i := range a {
+			if a[i] != b[i] {
+				return false
+			}
+		}
+		return true
+	}
+	order := []uint32{3, 6, 9, 1, 4, 7, 2, 5, 8} // High, then Medium, then Low
+	for _, c := range []struct {
+		max, maxBytes int
+		want          []uint32
+	}{
+		{32, 1 << 20, order},
+		{4, 1 << 20, order[:4]},
+		{32, 350, order[:3]},
+		{32, 50, order[:1]}, // a record over the byte cap still travels, alone
+		{1, 0, order[:1]},
+	} {
+		if got := seqs(s.NextN(nil, 2, 10, c.max, c.maxBytes)); !same(got, c.want) {
+			t.Errorf("NextN(max %d, %d bytes) = %v, want %v", c.max, c.maxBytes, got, c.want)
+		}
+	}
+	if got := s.NextN(nil, 2, 11, 32, 1<<20); len(got) != 0 {
+		t.Errorf("NextN for a target with no deposits = %v", got)
+	}
+	// The result is appended to dst, whose storage is reused.
+	buf := make([]Record, 0, 16)
+	if got := s.NextN(buf, 2, 10, 2, 1<<20); len(got) != 2 || &got[0] != &buf[:1][0] {
+		t.Errorf("NextN did not append into the slice it was given")
+	}
+	if s.PendingFor(2, 10) != 9 {
+		t.Errorf("NextN consumed records: %d pending", s.PendingFor(2, 10))
+	}
+}
+
+// TestStoreAckManyOneWrite pins the batched ack: every pending id is
+// cleared, the others are counted out, the journal grows by one write's
+// worth of ack records, and the drop survives a restart.
+func TestStoreAckManyOneWrite(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "shard.log")
+	s := openT(t, path, 0)
+	for seq := uint32(1); seq <= 6; seq++ {
+		if _, err := s.Deposit(dep(2, 10, 9, seq, Medium, "x")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := s.Deposit(dep(2, 11, 9, 1, Medium, "x")); err != nil {
+		t.Fatal(err)
+	}
+	before, _ := os.Stat(path)
+	ids := []ID{{9, 1}, {9, 2}, {9, 2}, {9, 3}, {9, 40}, {8, 1}}
+	cleared, err := s.AckMany(2, 10, ids)
+	if err != nil || cleared != 3 {
+		t.Fatalf("AckMany = %d, %v; want the 3 ids that were pending", cleared, err)
+	}
+	after, _ := os.Stat(path)
+	if grew, want := after.Size()-before.Size(), int64(3*(recHeader+recBodyFix)); grew != want {
+		t.Errorf("the journal grew by %d bytes, want %d: one ack record per cleared id", grew, want)
+	}
+	if cleared, err = s.AckMany(2, 10, ids); err != nil || cleared != 0 {
+		t.Errorf("a second AckMany of the same ids = %d, %v", cleared, err)
+	}
+	if s.PendingFor(2, 10) != 3 || s.PendingFor(2, 11) != 1 {
+		t.Errorf("pending after AckMany: %d for the target, %d for another; want 3 and 1", s.PendingFor(2, 10), s.PendingFor(2, 11))
+	}
+	s.Close()
+	if r := openT(t, path, 0); r.PendingFor(2, 10) != 3 || r.PendingFor(2, 11) != 1 {
+		t.Errorf("pending after recovery: %d and %d, want 3 and 1", r.PendingFor(2, 10), r.PendingFor(2, 11))
+	}
+}

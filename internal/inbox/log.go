@@ -19,6 +19,7 @@ import (
 	"hash/crc32"
 	"io"
 	"os"
+	"slices"
 )
 
 // Priority classes, replayed in ascending order (the SNIPPETS.md
@@ -97,42 +98,63 @@ func OpenLog(path string, syncEvery int) (*Log, error) {
 	return &Log{f: f, path: path, syncEvery: syncEvery}, nil
 }
 
+// frameRecord appends one framed record to b.
+func frameRecord(b []byte, typ byte, r *Record) []byte {
+	body := recBodyFix + len(r.Payload) + len(r.Topic)
+	start := len(b)
+	b = slices.Grow(b, recHeader+body)[:start+recHeader+body]
+	f := b[start:]
+	binary.LittleEndian.PutUint32(f[0:], uint32(body))
+	off := recHeader
+	f[off] = typ
+	off++
+	binary.LittleEndian.PutUint32(f[off:], uint32(r.Replica))
+	off += 4
+	binary.LittleEndian.PutUint32(f[off:], uint32(r.Target))
+	off += 4
+	binary.LittleEndian.PutUint32(f[off:], uint32(r.Publisher))
+	off += 4
+	binary.LittleEndian.PutUint32(f[off:], r.Seq)
+	off += 4
+	f[off] = r.Priority
+	off++
+	binary.LittleEndian.PutUint32(f[off:], r.PayloadSize)
+	off += 4
+	binary.LittleEndian.PutUint32(f[off:], uint32(len(r.Payload)))
+	off += 4
+	binary.LittleEndian.PutUint32(f[off:], uint32(len(r.Topic)))
+	off += 4
+	off += copy(f[off:], r.Payload)
+	copy(f[off:], r.Topic)
+	binary.LittleEndian.PutUint32(f[4:], crc32.ChecksumIEEE(f[recHeader:]))
+	return b
+}
+
 // appendRecord frames and writes one record.
 func (l *Log) appendRecord(typ byte, r *Record) error {
-	body := recBodyFix + len(r.Payload) + len(r.Topic)
-	need := recHeader + body
-	if cap(l.scratch) < need {
-		l.scratch = make([]byte, 0, need+need/2)
+	l.scratch = frameRecord(l.scratch[:0], typ, r)
+	return l.flush(1)
+}
+
+// appendAcks frames one ack record per key and writes them all with a
+// single write(2): an ack batch costs the journal one system call, not
+// one per record.
+func (l *Log) appendAcks(keys []recKey) error {
+	l.scratch = l.scratch[:0]
+	for _, k := range keys {
+		l.scratch = frameRecord(l.scratch, recAck, &Record{Replica: k.replica, Target: k.target, Publisher: k.publisher, Seq: k.seq})
 	}
-	b := l.scratch[:need]
-	binary.LittleEndian.PutUint32(b[0:], uint32(body))
-	off := recHeader
-	b[off] = typ
-	off++
-	binary.LittleEndian.PutUint32(b[off:], uint32(r.Replica))
-	off += 4
-	binary.LittleEndian.PutUint32(b[off:], uint32(r.Target))
-	off += 4
-	binary.LittleEndian.PutUint32(b[off:], uint32(r.Publisher))
-	off += 4
-	binary.LittleEndian.PutUint32(b[off:], r.Seq)
-	off += 4
-	b[off] = r.Priority
-	off++
-	binary.LittleEndian.PutUint32(b[off:], r.PayloadSize)
-	off += 4
-	binary.LittleEndian.PutUint32(b[off:], uint32(len(r.Payload)))
-	off += 4
-	binary.LittleEndian.PutUint32(b[off:], uint32(len(r.Topic)))
-	off += 4
-	off += copy(b[off:], r.Payload)
-	copy(b[off:], r.Topic)
-	binary.LittleEndian.PutUint32(b[4:], crc32.ChecksumIEEE(b[recHeader:]))
-	if _, err := l.f.Write(b); err != nil {
+	return l.flush(len(keys))
+}
+
+// flush writes the records framed in scratch and applies the fsync
+// policy to them.
+func (l *Log) flush(records int) error {
+	if _, err := l.f.Write(l.scratch); err != nil {
 		return err
 	}
 	if l.syncEvery > 0 {
-		l.unsynced++
+		l.unsynced += records
 		if l.unsynced >= l.syncEvery {
 			l.unsynced = 0
 			return l.f.Sync()

@@ -3,6 +3,7 @@ package inbox
 import (
 	"bufio"
 	"os"
+	"slices"
 	"sync"
 
 	"selectps/internal/obs"
@@ -46,6 +47,7 @@ type Store struct {
 	pending map[recKey]*Record
 	queues  map[[2]int32]*queue // (replica, target) → replay schedule
 	acked   int                 // acks journaled since the last compaction
+	keys    []recKey            // scratch of one ack batch
 	corrupt int64               // corrupt frames skipped at recovery
 }
 
@@ -173,46 +175,97 @@ func (s *Store) Deposit(r Record) (fresh bool, err error) {
 	return true, nil
 }
 
+// ID names one publication, the (Publisher, Seq) pair the dedup window
+// keys by.
+type ID struct {
+	Publisher int32
+	Seq       uint32
+}
+
 // Ack journals the acknowledgment for one record and removes it from
 // the pending index. Unknown records return false without journaling
 // (the subscriber acked a copy some other replica held).
 func (s *Store) Ack(replica, target, publisher int32, seq uint32) (existed bool, err error) {
+	cleared, err := s.AckMany(replica, target, []ID{{publisher, seq}})
+	return cleared > 0, err
+}
+
+// AckMany is Ack for every record of ids the given replica holds for the
+// given target: the ack records are journaled with one write, and the
+// store compacts at most once. It returns how many of ids were pending;
+// the others (acked before, or held by some other replica only) cost
+// nothing. On a journal error nothing is dropped.
+func (s *Store) AckMany(replica, target int32, ids []ID) (cleared int, err error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	k := recKey{replica: replica, target: target, publisher: publisher, seq: seq}
-	if _, ok := s.pending[k]; !ok {
-		return false, nil
-	}
-	rec := Record{Replica: replica, Target: target, Publisher: publisher, Seq: seq}
-	if err := s.log.appendRecord(recAck, &rec); err != nil {
-		return true, err
-	}
-	s.dropLocked(k)
-	s.acked++
-	if s.acked >= compactEvery {
-		if err := s.compactLocked(); err != nil {
-			return true, err
+	keys := s.keys[:0]
+	for _, id := range ids {
+		k := recKey{replica: replica, target: target, publisher: id.Publisher, seq: id.Seq}
+		if _, ok := s.pending[k]; ok && !slices.Contains(keys, k) {
+			keys = append(keys, k)
 		}
 	}
-	return true, nil
+	s.keys = keys
+	return s.ackLocked(keys)
+}
+
+// ackLocked journals an ack for every key — all pending, no key twice —
+// with one write, drops the records and compacts when due. It returns
+// how many records it dropped: none when the journal write failed.
+func (s *Store) ackLocked(keys []recKey) (int, error) {
+	if len(keys) == 0 {
+		return 0, nil
+	}
+	if err := s.log.appendAcks(keys); err != nil {
+		return 0, err
+	}
+	for _, k := range keys {
+		s.dropLocked(k)
+	}
+	s.acked += len(keys)
+	if s.acked >= compactEvery {
+		return len(keys), s.compactLocked()
+	}
+	return len(keys), nil
 }
 
 // Next returns the record the given replica should replay next for the
 // given target: the head of the highest-priority non-empty class. The
 // record stays pending until Ack.
 func (s *Store) Next(replica, target int32) (Record, bool) {
+	var one [1]Record
+	if out := s.NextN(one[:0], replica, target, 1, 0); len(out) == 1 {
+		return out[0], true
+	}
+	return Record{}, false
+}
+
+// NextN appends to dst the records the given replica should replay next
+// for the given target — the queue in drain order, High before Medium
+// before Low, each class first in first out — and returns the extended
+// slice: at most max records, and at most maxBytes of payload and topic
+// between them, but always the first record however large it is. The
+// records stay pending until acked, so a second call before that returns
+// the same ones; their Payload and Topic are the store's own bytes and
+// must not be written to.
+func (s *Store) NextN(dst []Record, replica, target int32, max, maxBytes int) []Record {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	q := s.queues[[2]int32{replica, target}]
 	if q == nil {
-		return Record{}, false
+		return dst
 	}
+	first, bytes := len(dst), 0
 	for _, c := range q.classes {
-		if len(c) > 0 {
-			return *c[0], true
+		for _, r := range c {
+			bytes += len(r.Payload) + len(r.Topic)
+			if len(dst)-first >= max || (len(dst) > first && bytes > maxBytes) {
+				return dst
+			}
+			dst = append(dst, *r)
 		}
 	}
-	return Record{}, false
+	return dst
 }
 
 // PendingTargets lists the targets the given replica holds pending
@@ -258,28 +311,16 @@ func (s *Store) PurgeTopic(replica, target int32, topic []byte) (int, error) {
 	if q == nil {
 		return 0, nil
 	}
-	var doomed []*Record
+	keys := s.keys[:0]
 	for _, c := range q.classes {
 		for _, r := range c {
 			if string(r.Topic) == string(topic) {
-				doomed = append(doomed, r)
+				keys = append(keys, keyOf(r))
 			}
 		}
 	}
-	for _, r := range doomed {
-		ack := Record{Replica: r.Replica, Target: r.Target, Publisher: r.Publisher, Seq: r.Seq}
-		if err := s.log.appendRecord(recAck, &ack); err != nil {
-			return 0, err
-		}
-		s.dropLocked(keyOf(r))
-		s.acked++
-	}
-	if s.acked >= compactEvery {
-		if err := s.compactLocked(); err != nil {
-			return len(doomed), err
-		}
-	}
-	return len(doomed), nil
+	s.keys = keys
+	return s.ackLocked(keys)
 }
 
 // Depth is the total number of pending deposits in the store — the

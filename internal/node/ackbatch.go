@@ -4,14 +4,15 @@ import (
 	"slices"
 	"time"
 
+	"selectps/internal/inbox"
 	"selectps/internal/obs"
 	"selectps/internal/overlay"
 	"selectps/internal/wire"
 )
 
-// Ack batching (DESIGN.md §15.1). A delivery ack, a deposit ack and a
-// topic hand-off ack are each one wire.AckEntry, and the only frame that
-// carries entries is KindAckBatch: a node buffers them per next hop and
+// Ack batching (DESIGN.md §15.1). A delivery ack, a deposit ack, a replay
+// ack and a topic hand-off ack are each one wire.AckEntry, and the only
+// frame that carries entries is KindAckBatch: a node buffers them per next hop and
 // flushes a bucket as one frame. The flush rule follows the dissemination
 // tree. A handler that forwarded none of its frame's destinations onward
 // has nothing to wait for, and the bucket its ack lands in leaves at
@@ -104,6 +105,19 @@ func (n *Node) ackBucket(hop overlay.PeerID) *ackBucket {
 	return &n.ackBuckets[i]
 }
 
+// directAcks sends acks — the point-to-point answers to one frame from
+// hop that called for several, a deposit naming several subscribers or a
+// replay batch — as one frame, at once: nothing answers through this node
+// on such a path, so they wait for nothing, and they pass by the buckets.
+func (n *Node) directAcks(hop overlay.PeerID, acks []wire.AckEntry) {
+	if len(acks) == 0 {
+		return
+	}
+	n.cfg.Obs.Addn(obs.CAckCoalesced, int64(len(acks)))
+	n.cfg.Obs.Inc(obs.CAckLeafFlush)
+	n.sendAcks(hop, acks)
+}
+
 // bufferAck appends e to hop's bucket and flushes the bucket if it is
 // full or atOnce is set; otherwise the entry waits for the timed flush,
 // which the first waiting entry arms.
@@ -133,44 +147,70 @@ func (n *Node) flushAcks() {
 	n.ackBuckets = n.ackBuckets[:0]
 }
 
-// sendBucket empties b into one KindAckBatch frame and sends it. Over a
+// sendBucket empties b into one KindAckBatch frame and sends it.
+// len(b.acks) > 0.
+func (n *Node) sendBucket(b *ackBucket) {
+	n.sendAcks(b.hop, b.acks)
+	b.acks = b.acks[:0]
+}
+
+// sendAcks sends acks to hop as one KindAckBatch frame. Over a
 // frame-sending transport the frame is marshaled into a pooled buffer and
 // nothing is allocated; otherwise the receiver gets a Message of its own.
-// len(b.acks) > 0. The acks of a node that churned out between buffering
-// and flush die with the pause, like any frame an unresponsive process
-// never sent.
-func (n *Node) sendBucket(b *ackBucket) {
-	hop := int32(b.hop)
-	switch {
-	case n.paused.Load():
-		b.acks = b.acks[:0]
+// The acks of a node that churned out between buffering and flush die
+// with the pause, like any frame an unresponsive process never sent.
+func (n *Node) sendAcks(hop overlay.PeerID, acks []wire.AckEntry) {
+	if n.paused.Load() {
 		return
-	case n.fs != nil:
-		buf := wire.GetFrame()
-		*buf = wire.MarshalAppend((*buf)[:0], &wire.Message{
-			Kind: wire.KindAckBatch, From: int32(n.id), To: hop, Acks: b.acks,
-		})
-		_ = n.fs.SendFrame(int32(n.id), hop, *buf)
-		wire.PutFrame(buf)
-	default:
+	}
+	to := int32(hop)
+	if !n.sendFrame(to, &wire.Message{Kind: wire.KindAckBatch, From: int32(n.id), To: to, Acks: acks}) {
 		f := new(ackFrame)
 		f.m = wire.Message{
-			Kind: wire.KindAckBatch, From: int32(n.id), To: hop,
-			Acks: append(f.inline[:0], b.acks...),
+			Kind: wire.KindAckBatch, From: int32(n.id), To: to,
+			Acks: append(f.inline[:0], acks...),
 		}
-		_ = n.tr.Send(hop, &f.m)
+		_ = n.tr.Send(to, &f.m)
 	}
-	b.acks = b.acks[:0]
 	n.cfg.Obs.Inc(obs.CAckBatchSent)
 }
 
+// sendFrame sends m over a frame-sending transport (TCP), marshaled into
+// a pooled buffer: m and the slices it names stay the caller's and
+// nothing is allocated. Over any other transport it reports false and
+// sends nothing — that transport passes a pointer on, so the receiver
+// needs a Message of its own.
+func (n *Node) sendFrame(to int32, m *wire.Message) bool {
+	if n.fs == nil {
+		return false
+	}
+	buf := wire.GetFrame()
+	*buf = wire.MarshalAppend((*buf)[:0], m)
+	_ = n.fs.SendFrame(int32(n.id), to, *buf)
+	wire.PutFrame(buf)
+	return true
+}
+
 // handleAckBatch consumes every entry destined for this node and relays
-// the rest toward their destinations.
+// the rest toward their destinations. The replay acks among them — a
+// subscriber answers one replay frame with one ack frame — are cleared
+// from the journal with one write per subscriber, and the drain's next
+// batch leaves when they were the last it was waiting for.
 func (n *Node) handleAckBatch(m *wire.Message) {
 	ibxOn := n.inboxOn()
 	now := time.Now()
-	var ackN, depN int64
+	var ackN, depN, replayedN int64
 	kickR, relay := false, false
+	var (
+		haveBuf [ackBatchMax]inbox.ID
+		have    = haveBuf[:0]
+		haveOf  overlay.PeerID
+	)
+	settleReplay := func() {
+		replayedN += int64(n.clearReplayed(haveOf, have))
+		n.pumpReplay(haveOf, now)
+		have = have[:0]
+	}
 	for _, e := range m.Acks {
 		if overlay.PeerID(e.Dest) != n.id {
 			relay = true // below
@@ -186,6 +226,14 @@ func (n *Node) handleAckBatch(m *wire.Message) {
 				depN++
 				kickR = true
 			}
+		case wire.KindInboxReplayAck:
+			if ibxOn {
+				if len(have) == cap(have) || (len(have) > 0 && overlay.PeerID(e.Target) != haveOf) {
+					settleReplay()
+				}
+				haveOf = overlay.PeerID(e.Target)
+				have = append(have, inbox.ID{Publisher: e.Pub, Seq: e.Seq})
+			}
 		case wire.KindTopicPubAck:
 			if e.Pub == int32(n.id) {
 				n.consumeTopicPubAck(overlay.PeerID(e.From), e.Seq, now)
@@ -194,11 +242,18 @@ func (n *Node) handleAckBatch(m *wire.Message) {
 			}
 		}
 	}
+	if len(have) > 0 {
+		settleReplay()
+		n.kickInbox()
+	}
 	if ackN > 0 {
 		n.cfg.Obs.Addn(obs.CAckReceived, ackN)
 	}
 	if depN > 0 {
 		n.cfg.Obs.Addn(obs.CInboxDepositAck, depN)
+	}
+	if replayedN > 0 {
+		n.cfg.Obs.Addn(obs.CInboxReplayed, replayedN)
 	}
 	if kickR {
 		n.kickRetry()

@@ -434,8 +434,7 @@ func TestUnsubscribeOutlivesFramesInFlight(t *testing.T) {
 	dep := frame(wire.KindInboxDeposit, pub, 5)
 	dep.Publisher, dep.Target, dep.Payload = int32(pub), int32(sub), []byte("x")
 	rv.handle(dep)
-	acks := tp.take(wire.KindAckBatch)
-	if c.InboxDepth() != 0 || late() != 3 || len(acks) != 1 || acks[0].m.Acks[0].Kind != wire.KindInboxDepositAck {
+	if acks := tp.take(wire.KindAckBatch); c.InboxDepth() != 0 || late() != 3 || len(acks) != 1 || acks[0].m.Acks[0].Kind != wire.KindInboxDepositAck {
 		t.Fatalf("a late deposit: journal depth %d, topic_unsub_late = %d, acks %+v", c.InboxDepth(), late(), acks)
 	}
 	// The same deposit for a subscriber that stayed is journaled.
@@ -449,14 +448,14 @@ func TestUnsubscribeOutlivesFramesInFlight(t *testing.T) {
 	// subscriber knows it left, acks the copy away and delivers nothing.
 	heard := 0
 	rv.OnDeliver(func(Delivery) { heard++ })
-	replay := frame(wire.KindInboxReplay, other, 6)
-	replay.Publisher, replay.Target = int32(pub), int32(rv.id)
-	rv.handle(replay)
-	if acks := tp.take(wire.KindInboxReplayAck); heard != 0 || late() != 4 || len(acks) != 1 {
-		t.Fatalf("a replay of a topic the node left: %d deliveries, topic_unsub_late = %d, %d acks", heard, late(), len(acks))
+	replay := replayFrame(other, rv.id, wire.ReplayRecord{Publisher: int32(pub), Seq: 6, Topic: []byte(topic)})
+	rv.handle(replay.Clone())
+	acks := replayAcks(tp.take(wire.KindAckBatch))
+	if heard != 0 || late() != 4 || len(acks) != 1 || acks[0].Dest != int32(other) || acks[0].Seq != 6 {
+		t.Fatalf("a replay of a topic the node left: %d deliveries, topic_unsub_late = %d, acks %+v", heard, late(), acks)
 	}
 	rv.subTopics[topic] = &topicSub{}
-	rv.handle(replay)
+	rv.handle(replay.Clone())
 	if heard != 1 || late() != 4 {
 		t.Fatalf("a replay of a subscribed topic: %d deliveries, topic_unsub_late = %d", heard, late())
 	}

@@ -58,10 +58,12 @@ func (d *directory) setPosition(p overlay.PeerID, id ring.ID) {
 	d.mu.Unlock()
 }
 
+// isMember reports whether p is currently a member; an id this cluster
+// does not have is none.
 func (d *directory) isMember(p overlay.PeerID) bool {
 	d.mu.RLock()
 	defer d.mu.RUnlock()
-	return d.member[p]
+	return d.valid(p) && d.member[p]
 }
 
 func (d *directory) setMember(p overlay.PeerID, m bool) {

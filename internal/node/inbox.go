@@ -1,6 +1,7 @@
 package node
 
 import (
+	"slices"
 	"time"
 
 	"selectps/internal/inbox"
@@ -17,21 +18,39 @@ import (
 //
 //   - publisher role: when repair would dead-letter a publication for an
 //     offline subscriber, the copy is deposited on the subscriber's
-//     replica set instead (InboxDeposit, retried on the repair wheel
+//     replica set instead (InboxDeposit — one frame per replica, naming
+//     every subscriber whose copy it takes — retried on the repair wheel
 //     until one replica acks persistence);
 //   - replica role: deposits are journaled per shard and replayed to the
-//     subscriber highest-priority-first, either immediately (the target
-//     is reachable) or when the subscriber claims its inbox;
+//     subscriber highest-priority-first, a batch of records to a frame,
+//     either immediately (the target is reachable) or when the
+//     subscriber claims its inbox;
 //   - subscriber role: on every completed (re)join the node claims its
-//     replicas one at a time in seeded-deterministic lease order; a
-//     replica that makes no progress within the lease hands off to the
-//     next. Replayed duplicates are absorbed by the dedup window, so the
-//     sequential lease plus dedup yields at-least-once with no double
-//     app delivery.
+//     replicas one at a time in seeded-deterministic lease order, telling
+//     each what the ones before it already replayed; a replica that makes
+//     no progress within the lease hands off to the next. Replayed
+//     duplicates are absorbed by the dedup window, so the sequential
+//     lease plus dedup yields at-least-once with no double app delivery.
 
-// maxReplayAttempts bounds how often a replica re-sends one unacked
-// replay before parking the queue; a later claim re-activates it.
+// maxReplayAttempts bounds how often a replica re-sends an unacked replay
+// batch before parking the queue; a later claim re-activates it.
 const maxReplayAttempts = 8
+
+const (
+	// replayBatchMax is the most records one replay frame carries. It
+	// stays under ackBatchMax, so the acks of one replay frame fit one ack
+	// frame.
+	replayBatchMax = 32
+	// replayBatchBytes bounds the payload and topic bytes of one replay
+	// frame — but a frame always carries one record, so a publication
+	// larger than this (Fig. 7's 1.2 MB bodies) travels alone.
+	replayBatchBytes = 32 << 10
+	// claimDigestMax is the most publications a claim's have-digest names.
+	// A subscriber that was replayed more than this says nothing about the
+	// rest — they are replayed again and absorbed by the dedup window — and
+	// a replica drops a claim that names more.
+	claimDigestMax = 1024
+)
 
 // depSub is the publisher-side deposit state for one offline subscriber
 // of one publication: retried alongside direct repair until any replica
@@ -42,15 +61,22 @@ type depSub struct {
 	acked   bool
 }
 
-// replayState is the replica-side drain machinery for one subscriber:
-// at most one replay copy is outstanding at a time (the lease contract
-// is sequential), resent on the inbox wheel entry until acked.
+// depGroup is the subscribers one deposit round names to one replica.
+type depGroup struct {
+	rep     overlay.PeerID
+	targets []int32
+}
+
+// replayState is the replica-side drain machinery for one subscriber: at
+// most one replay batch is outstanding at a time (the lease contract is
+// sequential). out holds the records of it that are neither acked nor
+// cleared yet; they are re-sent on the inbox wheel entry, and the next
+// batch leaves when none is left.
 type replayState struct {
-	leaseSeq    uint32 // claim-cycle correlation; 0 = self-initiated replay
-	outstanding inbox.Record
-	hasOut      bool
-	attempt     int
-	nextAt      time.Time
+	leaseSeq uint32 // claim-cycle correlation; 0 = self-initiated replay
+	out      []inbox.Record
+	attempt  int
+	nextAt   time.Time
 }
 
 // claimState is the subscriber-side lease cycle: the seeded-deterministic
@@ -93,7 +119,7 @@ func (n *Node) nextInboxAt() (time.Time, bool) {
 		upd(n.claim.deadline)
 	}
 	for _, rs := range n.replay {
-		if rs.hasOut {
+		if len(rs.out) > 0 {
 			upd(rs.nextAt)
 		}
 	}
@@ -123,7 +149,7 @@ func (n *Node) inboxTick() {
 		n.advanceClaim(now)
 	}
 	for target, rs := range n.replay {
-		if !rs.hasOut || rs.nextAt.After(now) {
+		if len(rs.out) == 0 || rs.nextAt.After(now) {
 			continue
 		}
 		if rs.attempt >= maxReplayAttempts {
@@ -135,8 +161,7 @@ func (n *Node) inboxTick() {
 		}
 		rs.attempt++
 		rs.nextAt = now.Add(n.inboxRetryDelay(rs.attempt))
-		n.cfg.Obs.Inc(obs.CInboxReplay)
-		_ = n.tr.Send(int32(target), n.replayMsg(target, &rs.outstanding))
+		n.sendReplay(target, rs.out)
 	}
 }
 
@@ -165,42 +190,70 @@ func (n *Node) InboxReplicas() []overlay.PeerID {
 
 // ---- publisher role: repair → deposit hand-off ----------------------
 
-// startDeposit hands subscriber s of publication seq to the durable tier:
-// the first deposit round goes out now, retries ride the repair wheel.
-func (n *Node) startDeposit(seq uint32, st *pubState, s overlay.PeerID, now time.Time) {
+// startDeposit hands subscriber s of publication seq to the durable tier.
+// Its first deposit round leaves with the round repairTick sends for the
+// publication at the end of this pass; retries ride the repair wheel.
+func (n *Node) startDeposit(st *pubState, s overlay.PeerID) {
 	if st.dep == nil {
 		st.dep = make(map[overlay.PeerID]*depSub)
 	}
-	ds := &depSub{}
-	st.dep[s] = ds
+	st.dep[s] = &depSub{}
 	n.cfg.Obs.Inc(obs.CInboxDeposited)
 	n.cfg.Obs.TraceEvent("inbox_handoff", int32(n.id), uint32(s))
-	n.sendDeposit(seq, st, s, ds, now)
 }
 
-// sendDeposit sends one deposit round for subscriber s: a copy to every
-// replica in s's current set (recomputed per round — membership may have
-// shifted since the last one). The publisher needs only one ack; R copies
-// are fault tolerance for the replicas themselves.
-func (n *Node) sendDeposit(seq uint32, st *pubState, s overlay.PeerID, ds *depSub, now time.Time) {
-	ds.nextAt = now.Add(n.backoff().Delay(st.bseed^uint64(uint32(s)), ds.attempt))
+// depositRound sends one deposit round of publication seq for subs, the
+// handed-off subscribers whose round is due — a first round or a retry.
+// Every subscriber's copy goes to every replica of its current set
+// (recomputed per round — membership may have shifted since the last
+// one), and the subscribers that share a replica share a frame: one
+// KindInboxDeposit per (publication, replica), naming them in Target and
+// RoutingTable the way a KindPublish frame names destinations. The
+// publisher needs one ack per subscriber; R copies are fault tolerance
+// for the replicas themselves.
+func (n *Node) depositRound(seq uint32, st *pubState, subs []overlay.PeerID, now time.Time) {
 	// Deposits carry the publication's origin identity: for a topic
 	// hand-off the depositing rendezvous is not the origin publisher, and
 	// replay dedup must key by the origin id.
-	pub, pseq := int32(n.id), seq
-	var topic []byte
+	m := wire.Message{
+		Kind: wire.KindInboxDeposit, From: int32(n.id), Seq: seq, Publisher: int32(n.id),
+		Priority: st.pri, PayloadSize: st.size, Payload: st.payload,
+	}
 	if st.topic != "" {
-		pub, pseq = st.origin.Publisher, st.origin.Seq
-		topic = []byte(st.topic)
+		m.Publisher, m.Seq, m.Topic = st.origin.Publisher, st.origin.Seq, []byte(st.topic)
 	}
-	for _, rep := range n.inboxReplicaSet(s, n.cfg.InboxReplicas) {
-		_ = n.tr.Send(int32(rep), &wire.Message{
-			Kind: wire.KindInboxDeposit, From: int32(n.id), To: int32(rep),
-			Seq: pseq, Publisher: pub, Target: int32(s),
-			Priority: st.pri, PayloadSize: st.size, Payload: st.payload,
-			Topic: topic,
-		})
+	members := n.dir.ringMembers()
+	groups := n.depGroups[:0]
+	for _, s := range subs {
+		ds := st.dep[s]
+		ds.nextAt = now.Add(n.backoff().Delay(st.bseed^uint64(uint32(s)), ds.attempt))
+		for _, rep := range selectcore.InboxReplicas(s, n.dir.position(s), members, nil, n.cfg.InboxReplicas) {
+			i := slices.IndexFunc(groups, func(g depGroup) bool { return g.rep == rep })
+			if i < 0 {
+				// The next slot, with the storage an earlier round left in it.
+				if i = len(groups); i == cap(groups) {
+					groups = append(groups, depGroup{})
+				}
+				groups = groups[:i+1]
+				groups[i].rep, groups[i].targets = rep, groups[i].targets[:0]
+			}
+			groups[i].targets = append(groups[i].targets, int32(s))
+		}
 	}
+	for i := range groups {
+		for rest := groups[i].targets; len(rest) > 0; {
+			named := rest[:min(len(rest), wire.MaxPublishDests)]
+			rest = rest[len(named):]
+			m.To, m.Target, m.RoutingTable = int32(groups[i].rep), named[0], named[1:]
+			if !n.sendFrame(m.To, &m) {
+				// The transport hands the receiver the Message itself.
+				own := m
+				own.RoutingTable = slices.Clone(m.RoutingTable)
+				_ = n.tr.Send(m.To, &own)
+			}
+		}
+	}
+	n.depGroups = groups
 }
 
 // settled reports whether subscriber s of publication st needs no
@@ -215,56 +268,101 @@ func settled(acked map[int32]bool, st *pubState, s overlay.PeerID) bool {
 
 // ---- replica role: persist + replay ---------------------------------
 
-// handleInboxDeposit persists one deposited copy in the shard journal
-// and acks. A reachable target gets its replay started right away — the
-// durable tier doubles as a relay of last resort when the subscriber is
-// up but the publisher cannot reach it.
+// handleInboxDeposit persists the deposited publication in the shard
+// journal, one record per subscriber the frame names (Target, then
+// RoutingTable), and acks each — one ack frame for them all. A reachable
+// target gets its replay started right away — the durable tier doubles as
+// a relay of last resort when the subscriber is up but the publisher
+// cannot reach it. The list is outside input like a publish frame's: over
+// the cap, or naming a peer this cluster does not have, the frame is
+// dropped whole and counted.
 func (n *Node) handleInboxDeposit(m *wire.Message) {
 	if !n.inboxOn() {
 		return
 	}
-	target := overlay.PeerID(m.Target)
+	malformed := len(m.RoutingTable) >= wire.MaxPublishDests || !n.dir.valid(overlay.PeerID(m.Target))
+	for _, t := range m.RoutingTable {
+		malformed = malformed || !n.dir.valid(overlay.PeerID(t))
+	}
+	if malformed {
+		n.cfg.Obs.Inc(obs.CPublishDestMalformed)
+		return
+	}
+	now := time.Now()
+	var ackBuf [wire.MaxPublishDests]wire.AckEntry
+	acks := n.depositFor(m, overlay.PeerID(m.Target), now, ackBuf[:0])
+	for _, t := range m.RoutingTable {
+		acks = n.depositFor(m, overlay.PeerID(t), now, acks)
+	}
+	n.directAcks(overlay.PeerID(m.From), acks)
+	n.kickInbox()
+}
+
+// depositFor journals the copy of deposit frame m that is target's and
+// appends its ack to acks. A journal failure appends none: the publisher
+// keeps retrying (possibly onto healthier replicas).
+func (n *Node) depositFor(m *wire.Message, target overlay.PeerID, now time.Time, acks []wire.AckEntry) []wire.AckEntry {
 	ack := wire.AckEntry{
 		Kind: wire.KindInboxDepositAck, From: int32(n.id), Dest: m.From,
-		Pub: m.Publisher, Seq: m.Seq, Target: m.Target,
+		Pub: m.Publisher, Seq: m.Seq, Target: int32(target),
 	}
-	if len(m.Topic) > 0 && n.unsubLate(string(m.Topic), target, time.Now()) {
+	if len(m.Topic) > 0 && n.unsubLate(string(m.Topic), target, now) {
 		// The target left the topic after this copy set out: it is owed
 		// nothing. The ack settles the depositor, whose rounds would
 		// otherwise outlast the memory of the unsubscribe.
-		n.directAck(ack)
-		return
+		return append(acks, ack)
 	}
 	fresh, err := n.sh.ibx.Deposit(inbox.Record{
-		Replica: int32(n.id), Target: m.Target, Publisher: m.Publisher,
+		Replica: int32(n.id), Target: int32(target), Publisher: m.Publisher,
 		Seq: m.Seq, Priority: m.Priority, PayloadSize: m.PayloadSize, Payload: m.Payload,
 		Topic: m.Topic,
 	})
 	if err != nil {
-		// Journal failure: no ack, the publisher keeps retrying (possibly
-		// onto healthier replicas).
 		n.cfg.Obs.TraceEvent("inbox_journal_err", int32(n.id), m.Seq)
-		return
+		return acks
 	}
 	if !fresh {
 		n.cfg.Obs.Inc(obs.CInboxDepositDup)
 	}
-	n.directAck(ack)
 	if n.dir.isMember(target) {
 		n.activateReplay(target, 0)
-		n.pumpReplay(target, time.Now())
+		n.pumpReplay(target, now)
 	}
-	n.kickInbox()
+	return append(acks, ack)
 }
 
-// handleInboxClaim answers a subscriber's drain request: report how many
-// deposits this replica holds and start replaying if any.
+// handleInboxClaim answers a subscriber's drain request: clear what the
+// claim's have-digest says the subscriber already has, report how many
+// deposits this replica still holds and start replaying if any. The
+// digest clears records held for the frame's sender and nobody else, and
+// only while that sender is a member — a subscriber claims after it
+// joined, and the inbox of a peer that is away is exactly the one a
+// forged claim must not empty. A claim naming more than claimDigestMax is
+// dropped; the subscriber's lease on this replica lapses.
 func (n *Node) handleInboxClaim(m *wire.Message) {
-	if !n.inboxOn() {
+	target := overlay.PeerID(m.From)
+	switch {
+	case !n.inboxOn() || !n.dir.isMember(target):
+		return
+	case len(m.Acks) > claimDigestMax:
+		n.cfg.Obs.Inc(obs.CInboxClaimOversize)
 		return
 	}
 	n.cfg.Obs.Inc(obs.CInboxClaim)
-	target := overlay.PeerID(m.From)
+	now := time.Now()
+	var (
+		ids     [ackBatchMax]inbox.ID
+		cleared int
+	)
+	for have := m.Acks; len(have) > 0; {
+		k := min(len(have), len(ids))
+		for i, e := range have[:k] {
+			ids[i] = inbox.ID{Publisher: e.Pub, Seq: e.Seq}
+		}
+		cleared += n.clearReplayed(target, ids[:k])
+		have = have[k:]
+	}
+	n.cfg.Obs.Addn(obs.CInboxHaveCleared, int64(cleared))
 	pending := n.sh.ibx.PendingFor(int32(n.id), int32(target))
 	_ = n.tr.Send(m.From, &wire.Message{
 		Kind: wire.KindInboxLease, From: int32(n.id), To: m.From,
@@ -273,7 +371,9 @@ func (n *Node) handleInboxClaim(m *wire.Message) {
 	if pending > 0 {
 		n.cfg.Obs.Inc(obs.CInboxLeaseGrant)
 		n.activateReplay(target, m.Seq)
-		n.pumpReplay(target, time.Now())
+		n.pumpReplay(target, now)
+	} else {
+		delete(n.replay, target) // the digest cleared all a drain had left
 	}
 	n.kickInbox()
 }
@@ -295,17 +395,17 @@ func (n *Node) activateReplay(target overlay.PeerID, leaseSeq uint32) {
 	rs.attempt = 0
 }
 
-// pumpReplay sends the next pending record for target if nothing is
-// outstanding, and reports whether it sent anything. A drained queue under
-// an active lease emits the final "0 pending" lease notice that releases
-// the subscriber to the next replica.
+// pumpReplay sends the next batch of pending records for target if
+// nothing is outstanding, and reports whether it sent anything. A drained
+// queue under an active lease emits the final "0 pending" lease notice
+// that releases the subscriber to the next replica.
 func (n *Node) pumpReplay(target overlay.PeerID, now time.Time) bool {
 	rs := n.replay[target]
-	if rs == nil || rs.hasOut {
+	if rs == nil || len(rs.out) > 0 {
 		return false
 	}
-	rec, ok := n.sh.ibx.Next(int32(n.id), int32(target))
-	if !ok {
+	rs.out = n.sh.ibx.NextN(rs.out, int32(n.id), int32(target), replayBatchMax, replayBatchBytes)
+	if len(rs.out) == 0 {
 		delete(n.replay, target)
 		if rs.leaseSeq == 0 {
 			return false
@@ -316,44 +416,81 @@ func (n *Node) pumpReplay(target overlay.PeerID, now time.Time) bool {
 		})
 		return true
 	}
-	rs.outstanding = rec
-	rs.hasOut = true
 	rs.attempt = 0
 	rs.nextAt = now.Add(n.cfg.InboxRetry)
-	n.cfg.Obs.Inc(obs.CInboxReplay)
-	_ = n.tr.Send(int32(target), n.replayMsg(target, &rec))
+	if rs.leaseSeq == 0 {
+		n.cfg.Obs.Addn(obs.CInboxReplaySelf, int64(len(rs.out)))
+	}
+	n.sendReplay(target, rs.out)
 	return true
 }
 
-func (n *Node) replayMsg(target overlay.PeerID, rec *inbox.Record) *wire.Message {
-	return &wire.Message{
+// replayMsg renders recs as one KindInboxReplay frame for target: the
+// records in a container in the Payload slot (encoded into box), their
+// number in NMutual, and the first record's identity in the fixed header,
+// where a frame used to carry its only record.
+func (n *Node) replayMsg(target overlay.PeerID, recs []inbox.Record, box []byte) wire.Message {
+	record := func(r *inbox.Record) wire.ReplayRecord {
+		return wire.ReplayRecord{
+			Publisher: r.Publisher, Seq: r.Seq, Priority: r.Priority,
+			PayloadSize: r.PayloadSize, Payload: r.Payload, Topic: r.Topic,
+		}
+	}
+	// Sized first: a box that grows, grows once and to what it needs.
+	size := 0
+	for i := range recs {
+		r := record(&recs[i])
+		size += r.Size()
+	}
+	box = slices.Grow(box, size)
+	for i := range recs {
+		r := record(&recs[i])
+		box = wire.AppendReplayRecord(box, &r)
+	}
+	return wire.Message{
 		Kind: wire.KindInboxReplay, From: int32(n.id), To: int32(target),
-		Seq: rec.Seq, Publisher: rec.Publisher, Target: int32(target),
-		Priority: rec.Priority, PayloadSize: rec.PayloadSize, Payload: rec.Payload,
-		Topic: rec.Topic, HopCount: 1,
+		Seq: recs[0].Seq, Publisher: recs[0].Publisher, Priority: recs[0].Priority,
+		Target: int32(target), NMutual: int32(len(recs)), Payload: box, HopCount: 1,
 	}
 }
 
-// handleInboxReplayAck clears the acked record from the journal and
-// pumps the next one.
-func (n *Node) handleInboxReplayAck(m *wire.Message) {
-	if !n.inboxOn() {
+// sendReplay sends recs — a drain's outstanding batch, or what is left of
+// it — to target as one frame. Over a frame-sending transport container
+// and frame are both built in pooled buffers.
+func (n *Node) sendReplay(target overlay.PeerID, recs []inbox.Record) {
+	n.cfg.Obs.Addn(obs.CInboxReplay, int64(len(recs)))
+	n.cfg.Obs.Inc(obs.CInboxReplayFrame)
+	if n.fs == nil {
+		m := n.replayMsg(target, recs, nil)
+		_ = n.tr.Send(int32(target), &m)
 		return
 	}
-	existed, err := n.sh.ibx.Ack(int32(n.id), m.Target, m.Publisher, m.Seq)
+	box := wire.GetFrame()
+	m := n.replayMsg(target, recs, (*box)[:0])
+	n.sendFrame(int32(target), &m)
+	*box = m.Payload[:0]
+	wire.PutFrame(box)
+}
+
+// clearReplayed journal-acks ids — publications target says it has, at
+// most ackBatchMax of them so that callers can keep them on the stack —
+// with one write, and takes them off the outstanding batch of target's
+// drain.
+// It returns how many records the journal dropped. The caller pumps: the
+// next batch leaves when this one has nothing left. On a journal error
+// nothing changes, and the resend timer tries the batch again.
+func (n *Node) clearReplayed(target overlay.PeerID, ids []inbox.ID) int {
+	cleared, err := n.sh.ibx.AckMany(int32(n.id), int32(target), ids)
 	if err != nil {
-		n.cfg.Obs.TraceEvent("inbox_journal_err", int32(n.id), m.Seq)
+		n.cfg.Obs.TraceEvent("inbox_journal_err", int32(n.id), uint32(target))
+		return cleared
 	}
-	if existed {
-		n.cfg.Obs.Inc(obs.CInboxReplayed)
+	if rs := n.replay[target]; rs != nil {
+		rs.out = slices.DeleteFunc(rs.out, func(r inbox.Record) bool {
+			return slices.Contains(ids, inbox.ID{Publisher: r.Publisher, Seq: r.Seq})
+		})
 	}
-	target := overlay.PeerID(m.Target)
-	if rs := n.replay[target]; rs != nil && rs.hasOut &&
-		rs.outstanding.Publisher == m.Publisher && rs.outstanding.Seq == m.Seq {
-		rs.hasOut = false
-		n.pumpReplay(target, time.Now())
-	}
-	n.kickInbox()
+	return cleared
 }
 
 // inboxSweep is the replica-side safety net, run on the maintain tick:
@@ -414,7 +551,7 @@ func (n *Node) startInboxClaim(now time.Time, prevPos ring.ID) bool {
 		}
 	}
 	if len(cands) == 0 {
-		n.claim = nil
+		n.claim, n.claimHave = nil, nil
 		return false
 	}
 	n.claimEpoch++
@@ -424,18 +561,28 @@ func (n *Node) startInboxClaim(now time.Time, prevPos ring.ID) bool {
 		deadline: now.Add(n.cfg.InboxLease),
 		prevPos:  prevPos,
 	}
-	n.claim = cl
+	n.claim, n.claimHave = cl, n.claimHave[:0]
 	n.sendClaim(cl)
 	return true
 }
 
-// sendClaim asks the replica whose turn it is to drain.
+// sendClaim asks the replica whose turn it is to drain, and tells it what
+// this node was replayed since the cycle opened (claimHave) so that it
+// clears its copies of those instead of sending them. A replica is asked
+// once per cycle, so no digest goes to a peer that has seen it.
 func (n *Node) sendClaim(cl *claimState) {
 	to := int32(cl.order[cl.idx])
-	_ = n.tr.Send(to, &wire.Message{
+	m := wire.Message{
 		Kind: wire.KindInboxClaim, From: int32(n.id), To: to,
-		Seq: cl.seq, Target: int32(n.id),
-	})
+		Seq: cl.seq, Target: int32(n.id), Acks: n.claimHave,
+	}
+	if !n.sendFrame(to, &m) {
+		// The transport hands the receiver the Message itself, and the
+		// digest goes on growing.
+		own := m
+		own.Acks = slices.Clone(n.claimHave)
+		_ = n.tr.Send(to, &own)
+	}
 }
 
 // advanceClaim moves the lease to the next replica; after a full pass it
@@ -450,7 +597,7 @@ func (n *Node) advanceClaim(now time.Time) {
 	cl.idx++
 	if cl.idx >= len(cl.order) {
 		if cl.got == 0 {
-			n.claim = nil
+			n.claim, n.claimHave = nil, nil
 			n.cfg.Obs.TraceEvent("inbox_claim_done", int32(n.id), cl.seq)
 			return
 		}
@@ -482,49 +629,74 @@ func (n *Node) handleInboxLease(m *wire.Message) {
 	n.kickInbox()
 }
 
-// handleInboxReplay delivers a replayed publication on the subscriber:
-// first-time copies go through the normal delivery path (dedup window,
-// OnDeliver, hop histogram), duplicates are absorbed — and every copy is
-// acked so whichever replica sent it can clear its journal record.
+// handleInboxReplay delivers a frame of replayed publications on the
+// subscriber: first-time copies go through the normal delivery path
+// (dedup window, OnDeliver, hop histogram), duplicates are absorbed — and
+// every record is acked, one AckEntry each in one ack frame, so whichever
+// replica sent it can clear its journal. The record container is outside
+// input: a frame whose count or lengths do not add up is dropped whole —
+// nothing delivered, nothing acked — and the replica sends it again.
 func (n *Node) handleInboxReplay(m *wire.Message) {
 	if overlay.PeerID(m.To) != n.id || overlay.PeerID(m.Target) != n.id {
 		return
 	}
-	id := msgID{m.Publisher, m.Seq}
-	topic := string(m.Topic)
-	if topic == "" {
-		topic = UserTopic(overlay.PeerID(m.Publisher))
+	count := int(m.NMutual)
+	if count > replayBatchMax || wire.CheckReplayContainer(m.Payload, count) != nil {
+		n.cfg.Obs.Inc(obs.CInboxReplayMalformed)
+		return
 	}
-	if cl := n.claim; cl != nil && cl.idx < len(cl.order) && overlay.PeerID(m.From) == cl.order[cl.idx] {
+	from := overlay.PeerID(m.From)
+	cl := n.claim
+	if cl != nil && cl.idx < len(cl.order) && from == cl.order[cl.idx] {
 		// Progress from the lease holder keeps its lease alive.
 		cl.deadline = time.Now().Add(n.cfg.InboxLease)
-		cl.got++
+		cl.got += count
+	}
+	var ackBuf [replayBatchMax]wire.AckEntry
+	acks := ackBuf[:0]
+	for rest := m.Payload; len(rest) > 0; {
+		var r wire.ReplayRecord
+		r, rest, _ = wire.NextReplayRecord(rest) // checked above
+		n.deliverReplayed(&r, m.HopCount)
+		acks = append(acks, wire.AckEntry{
+			Kind: wire.KindInboxReplayAck, From: int32(n.id), Dest: m.From,
+			Pub: r.Publisher, Seq: r.Seq, Target: int32(n.id),
+		})
+	}
+	if n.claim != nil {
+		n.claimHave = append(n.claimHave, acks[:min(len(acks), claimDigestMax-len(n.claimHave))]...)
+	}
+	n.directAcks(from, acks)
+	n.kickInbox()
+}
+
+// deliverReplayed hands one replayed publication to the application
+// unless this node has seen it, or has left its topic since.
+func (n *Node) deliverReplayed(r *wire.ReplayRecord, hops uint8) {
+	topic := string(r.Topic)
+	if topic == "" {
+		topic = UserTopic(overlay.PeerID(r.Publisher))
 	}
 	switch {
-	case len(m.Topic) > 0 && n.subTopics[topic] == nil:
+	case len(r.Topic) > 0 && n.subTopics[topic] == nil:
 		// This node left the topic after the copy was journaled — a replay
 		// under way when the unsubscribe purged the replica. Nothing is
-		// delivered; the ack below still clears the record.
+		// delivered; the ack still clears the record.
 		n.cfg.Obs.Inc(obs.CTopicUnsubLate)
-	case !n.rememberDelivery(id, m.HopCount):
+	case !n.rememberDelivery(msgID{r.Publisher, r.Seq}, hops):
 		n.cfg.Obs.Inc(obs.CPublishDuplicate)
 	default:
-		if len(m.Topic) > 0 {
+		if len(r.Topic) > 0 {
 			n.cfg.Obs.Inc(obs.CTopicDelivered)
 		} else {
 			n.cfg.Obs.Inc(obs.CPublishDelivered)
 		}
-		n.cfg.Obs.ObserveHops(float64(m.HopCount))
-		n.cfg.Obs.TraceEvent("deliver", int32(n.id), m.Seq)
+		n.cfg.Obs.ObserveHops(float64(hops))
+		n.cfg.Obs.TraceEvent("deliver", int32(n.id), r.Seq)
 		n.notify(n.subTopics[topic], Delivery{
-			Publisher: overlay.PeerID(m.Publisher), Topic: topic,
-			Seq: m.Seq, Hops: m.HopCount, Priority: m.Priority,
-			Payload: m.Payload,
+			Publisher: overlay.PeerID(r.Publisher), Topic: topic,
+			Seq: r.Seq, Hops: hops, Priority: r.Priority,
+			Payload: r.Payload,
 		})
 	}
-	_ = n.tr.Send(m.From, &wire.Message{
-		Kind: wire.KindInboxReplayAck, From: int32(n.id), To: m.From,
-		Seq: m.Seq, Publisher: m.Publisher, Target: int32(n.id),
-	})
-	n.kickInbox()
 }

@@ -728,7 +728,7 @@ func (n *Node) resetVolatile() {
 	// drains restart from the journal-backed store, which is the
 	// persistent half. claimEpoch survives so each incarnation's lease
 	// order differs.
-	n.claim = nil
+	n.claim, n.claimHave = nil, nil
 	n.replay = nil
 	// The rendezvous-side topic registry is soft state rebuilt from lease
 	// refreshes; subscriptions themselves are app intent and survive, but

@@ -56,7 +56,10 @@ type msgID struct {
 // Delivery is one first-time publication delivery as the application
 // sees it: who published, on which topic (the publisher's implicit
 // UserTopic for friend-feed publications), and the payload with its
-// routing and durability metadata.
+// routing and durability metadata. Payload is a view of the frame that
+// brought it — for a replayed publication a frame of up to
+// replayBatchBytes shared with the rest of its batch — so a handler that
+// keeps the bytes copies them.
 type Delivery struct {
 	Publisher overlay.PeerID
 	Topic     string
@@ -152,9 +155,16 @@ type Node struct {
 	// Durable delivery tier state (inbox.go): claim is the subscriber's
 	// in-flight lease cycle, replay the replica-side drains keyed by
 	// target, claimEpoch the seed that varies the lease order per cycle.
+	// claimHave is the digest the cycle's next claim carries: one entry
+	// per record replayed to this node since the cycle opened, by
+	// whichever replica, up to claimDigestMax; it goes when the cycle
+	// closes. depGroups is the per-replica groups of one deposit round,
+	// storage kept between rounds.
 	claim      *claimState
 	replay     map[overlay.PeerID]*replayState
 	claimEpoch uint32
+	claimHave  []wire.AckEntry
+	depGroups  []depGroup
 	// Topic tier state (topic.go): subTopics is this node's own
 	// subscriptions, topicReg the rendezvous-side subscriber registry,
 	// tpubs the publisher-side rendezvous hand-off rounds, and tpOrigin
@@ -375,8 +385,6 @@ func (n *Node) handle(m *wire.Message) {
 		n.handleInboxLease(m)
 	case wire.KindInboxReplay:
 		n.handleInboxReplay(m)
-	case wire.KindInboxReplayAck:
-		n.handleInboxReplayAck(m)
 	case wire.KindTopicSub:
 		n.handleTopicSub(m)
 	case wire.KindTopicSubAck:

@@ -191,21 +191,23 @@ func (n *Node) scheduleJoinResend(now time.Time) {
 // instead of dead-lettered; only a failed deposit (no replica acked
 // within the budget) still dead-letters. A friend-feed retry names only
 // the subscribers still missing and leaves through fanOut, grouped by
-// next hop like the first send.
+// next hop like the first send; the deposits a publication owes in this
+// pass — first rounds and retries alike — leave through one depositRound,
+// grouped by replica.
 func (n *Node) repairTick() {
 	if n.paused.Load() {
 		return
 	}
 	now := time.Now()
-	bo := n.backoff()
-	budget := bo.Budget
+	budget := n.backoff().Budget
 	if budget <= 0 {
 		budget = 12
 	}
-	inboxOn := n.inboxOn()
+	var due []overlay.PeerID
 	for seq, st := range n.pubs {
 		// Deposit rounds run on their own per-subscriber deadlines, even
 		// when the publication's direct-retry deadline is not due.
+		due = due[:0]
 		var failed []overlay.PeerID
 		for s, ds := range st.dep {
 			if ds.acked || ds.nextAt.After(now) {
@@ -218,76 +220,17 @@ func (n *Node) repairTick() {
 				continue
 			}
 			ds.attempt++
-			n.sendDeposit(seq, st, s, ds, now)
+			due = append(due, s)
 		}
 		if len(failed) > 0 {
 			n.deadLetter(seq, st, failed)
 			continue
 		}
-		if st.nextAt.After(now) {
-			continue
+		if !st.nextAt.After(now) {
+			due = n.retryDirect(seq, st, due, now, budget)
 		}
-		acked := n.acked[n.pubKey(seq, st)]
-		var missing []overlay.PeerID
-		depositing := false
-		for _, s := range st.subs {
-			if settled(acked, st, s) {
-				continue
-			}
-			if st.dep[s] != nil {
-				depositing = true // hand-off done, deposit round pending
-				continue
-			}
-			if inboxOn && (st.attempt >= budget || !n.dir.isMember(s)) {
-				// Offline (membership dropped) or out of direct budget:
-				// hand this subscriber's copy to the durable tier.
-				n.startDeposit(seq, st, s, now)
-				depositing = true
-				continue
-			}
-			missing = append(missing, s)
-		}
-		if len(missing) == 0 {
-			if !depositing {
-				delete(n.pubs, seq)
-			} else {
-				// Direct repair is done; keep the record alive for the
-				// deposit rounds without spinning the retry schedule.
-				st.nextAt = now.Add(bo.Delay(st.bseed, budget))
-			}
-			continue
-		}
-		if st.attempt >= budget {
-			// Inbox off (or it would have claimed them above): budget
-			// exhausted with subscribers missing.
-			n.deadLetter(seq, st, missing)
-			continue
-		}
-		st.attempt++
-		if st.attempt == 2 {
-			// Two retries in a row unacked (≈3 RetryBase): the data path
-			// has evidence the control plane may lack — probe now rather
-			// than at the end of a backed-off interval.
-			n.cadenceEvent(selectcore.CadenceRetry)
-		}
-		st.nextAt = now.Add(bo.Delay(st.bseed, st.attempt))
-		n.cfg.Obs.Addn(obs.CRetrySent, int64(len(missing)))
-		n.cfg.Obs.TraceEvent("retry", int32(n.id), seq)
-		if st.topic == "" {
-			n.fanOut(n.feedFrame(seq, st.payload, st.size, st.pri), missing, -1, nil)
-			continue
-		}
-		for _, s := range missing {
-			// Topic repair copies are point-to-point leaf deliveries (no
-			// subtree) carrying the origin identity, with acks addressed
-			// back to this rendezvous replica.
-			_ = n.tr.Send(int32(s), &wire.Message{
-				Kind: wire.KindTopicPub, From: int32(n.id), To: int32(s),
-				Seq: st.origin.Seq, Publisher: st.origin.Publisher,
-				Target: int32(n.id), Priority: st.pri, TTL: n.cfg.TTL,
-				PayloadSize: st.size, Payload: st.payload,
-				Topic: []byte(st.topic),
-			})
+		if len(due) > 0 {
+			n.depositRound(seq, st, due, now)
 		}
 	}
 	n.topicRepair(now, budget)
@@ -297,6 +240,80 @@ func (n *Node) repairTick() {
 		n.cfg.Obs.Inc(obs.CJoinResend)
 		n.sendJoinRequest()
 	}
+}
+
+// retryDirect is publication seq's direct-retry round, due now: the
+// subscribers still missing get another copy, the ones out of budget or
+// out of the ring are handed to the durable tier — appended to due, whose
+// deposit round the caller sends — and a publication with neither is
+// retired.
+func (n *Node) retryDirect(seq uint32, st *pubState, due []overlay.PeerID, now time.Time, budget int) []overlay.PeerID {
+	bo := n.backoff()
+	inboxOn := n.inboxOn()
+	acked := n.acked[n.pubKey(seq, st)]
+	var missing []overlay.PeerID
+	depositing := false
+	for _, s := range st.subs {
+		if settled(acked, st, s) {
+			continue
+		}
+		if st.dep[s] != nil {
+			depositing = true // hand-off done, deposit round pending
+			continue
+		}
+		if inboxOn && (st.attempt >= budget || !n.dir.isMember(s)) {
+			// Offline (membership dropped) or out of direct budget:
+			// hand this subscriber's copy to the durable tier.
+			n.startDeposit(st, s)
+			due = append(due, s)
+			depositing = true
+			continue
+		}
+		missing = append(missing, s)
+	}
+	if len(missing) == 0 {
+		if !depositing {
+			delete(n.pubs, seq)
+		} else {
+			// Direct repair is done; keep the record alive for the
+			// deposit rounds without spinning the retry schedule.
+			st.nextAt = now.Add(bo.Delay(st.bseed, budget))
+		}
+		return due
+	}
+	if st.attempt >= budget {
+		// Inbox off (or it would have claimed them above): budget
+		// exhausted with subscribers missing.
+		n.deadLetter(seq, st, missing)
+		return due
+	}
+	st.attempt++
+	if st.attempt == 2 {
+		// Two retries in a row unacked (≈3 RetryBase): the data path
+		// has evidence the control plane may lack — probe now rather
+		// than at the end of a backed-off interval.
+		n.cadenceEvent(selectcore.CadenceRetry)
+	}
+	st.nextAt = now.Add(bo.Delay(st.bseed, st.attempt))
+	n.cfg.Obs.Addn(obs.CRetrySent, int64(len(missing)))
+	n.cfg.Obs.TraceEvent("retry", int32(n.id), seq)
+	if st.topic == "" {
+		n.fanOut(n.feedFrame(seq, st.payload, st.size, st.pri), missing, -1, nil)
+		return due
+	}
+	for _, s := range missing {
+		// Topic repair copies are point-to-point leaf deliveries (no
+		// subtree) carrying the origin identity, with acks addressed
+		// back to this rendezvous replica.
+		_ = n.tr.Send(int32(s), &wire.Message{
+			Kind: wire.KindTopicPub, From: int32(n.id), To: int32(s),
+			Seq: st.origin.Seq, Publisher: st.origin.Publisher,
+			Target: int32(n.id), Priority: st.pri, TTL: n.cfg.TTL,
+			PayloadSize: st.size, Payload: st.payload,
+			Topic: []byte(st.topic),
+		})
+	}
+	return due
 }
 
 // deadLetter retires publication seq unresolved: budget exhausted

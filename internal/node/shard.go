@@ -576,7 +576,7 @@ func (s *shard) fire(f sched.Fired, now time.Time) {
 	case tkInbox:
 		// Shed-exempt like repair: the durable tier IS the reliability
 		// path for offline subscribers, and its traffic is bounded by the
-		// one-outstanding-replay-per-target and lease contracts.
+		// one-outstanding-replay-batch-per-target and lease contracts.
 		n.inboxTick()
 		if at, ok := n.nextInboxAt(); ok {
 			s.wheel.Schedule(f.ID, at)

@@ -8,6 +8,7 @@ import (
 	"strings"
 	"time"
 
+	"selectps/internal/inbox"
 	"selectps/internal/obs"
 	"selectps/internal/overlay"
 	"selectps/internal/selectcore"
@@ -517,11 +518,11 @@ func (n *Node) dropTopicSub(topic string, sub overlay.PeerID, seq uint32, now ti
 	if !n.inboxOn() {
 		return
 	}
-	// An outstanding replay of the departed topic is cancelled; the pump
-	// moves on to whatever the purge leaves behind.
-	rs := n.replay[sub]
-	if rs != nil && rs.hasOut && string(rs.outstanding.Topic) == topic {
-		rs.hasOut = false
+	// Records of the departed topic leave the outstanding replay batch and
+	// are not sent again; what is left of the batch still waits for its
+	// acks, and the pump moves on once there is nothing left.
+	if rs := n.replay[sub]; rs != nil {
+		rs.out = slices.DeleteFunc(rs.out, func(r inbox.Record) bool { return string(r.Topic) == topic })
 	}
 	dropped, err := n.sh.ibx.PurgeTopic(int32(n.id), int32(sub), []byte(topic))
 	if err != nil {

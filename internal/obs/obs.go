@@ -100,9 +100,15 @@ const (
 	CInboxClaim       // replay claims received by replicas
 	CInboxLeaseGrant  // leases granted (non-empty inbox claimed)
 	CInboxLeaseExpire // lease expiries (claim handed to the next replica)
-	CInboxReplay      // replay copies sent by replicas
+	CInboxReplay      // replay copies (records, not frames) sent by replicas
 	CInboxReplayed    // replayed publications acked and cleared from the journal
 	CInboxLogCorrupt  // corrupt journal frames skipped at recovery
+	// The replay batch and the claim digest (DESIGN.md §12.4).
+	CInboxReplayFrame     // replay frames sent, each a batch of records
+	CInboxReplaySelf      // records first sent by a drain no claim started (the deposit-time relay, the sweep)
+	CInboxHaveCleared     // records a claim's have-digest cleared from a journal unsent
+	CInboxReplayMalformed // replay frames dropped whole: the record container failed its bounds
+	CInboxClaimOversize   // claims dropped: the have-digest named more than the bound
 
 	// node: topic pub/sub (DESIGN.md §13).
 	CTopicSub         // subscription registrations/lease refreshes received by rendezvous peers
@@ -149,7 +155,7 @@ const (
 
 	// node: tree dissemination and the one ack path (DESIGN.md §10.3, §15.1).
 	CPublishFrame         // KindPublish frames emitted by the fan-out, publisher and relays (publish_sent, publish_forwarded and retry_sent count copies)
-	CPublishDestMalformed // KindPublish frames whose destination list was over the cap or out of range (dropped) or named a peer twice (served once)
+	CPublishDestMalformed // KindPublish or KindInboxDeposit frames whose destination list was over the cap or out of range (dropped), KindPublish frames that named a peer twice (served once)
 	CAckLeafFlush         // acks flushed at once: their handler forwarded nothing onward
 	CAckBounceDrop        // relayed acks dropped: the only way on was the peer they came from
 
@@ -234,6 +240,13 @@ var counterNames = [numCounters]string{
 	CInboxReplay:      "inbox_replay",
 	CInboxReplayed:    "inbox_replayed",
 	CInboxLogCorrupt:  "inbox_log_corrupt",
+
+	CInboxReplayFrame:     "inbox_replay_frame",
+	CInboxReplaySelf:      "inbox_replay_self",
+	CInboxHaveCleared:     "inbox_have_cleared",
+	CInboxReplayMalformed: "inbox_replay_malformed",
+	CInboxClaimOversize:   "inbox_claim_oversize",
+
 	CTopicSub:         "topic_sub",
 	CTopicUnsub:       "topic_unsub",
 	CTopicPubRecv:     "topic_pub_recv",

@@ -382,8 +382,14 @@ func (r *Report) String() string {
 		fmt.Fprintf(&b, "offline subscribers: %d crashed through workload; after rejoin replay %d/%d owed = %.2f%% (all subscribers %d/%d = %.2f%%, %d app-level duplicates)\n",
 			r.OfflineCount, r.OfflineDelivered, r.OfflineWanted, 100*r.OfflineRate,
 			r.AllDelivered, r.AllWanted, 100*r.AllRate, r.DuplicateDeliveries)
-		fmt.Fprintf(&b, "durable tier: %d deposits persisted, %d replayed+cleared, %d left pending\n",
-			r.InboxDeposits, r.InboxReplayed, r.InboxDepth)
+		// Records against frames (DESIGN.md §12.4): a replay frame carries a
+		// batch, a claim's have-digest clears copies unsent, and "self" is
+		// what left on a drain no claim started.
+		c := r.Obs.Counters
+		fmt.Fprintf(&b, "durable tier: %d deposits persisted, %d replayed+cleared, %d left pending; replay: %d records in %d frames (%d self-initiated), %d cleared by digest, %d malformed frames, %d oversize claims\n",
+			r.InboxDeposits, r.InboxReplayed, r.InboxDepth,
+			c["inbox_replay"], c["inbox_replay_frame"], c["inbox_replay_self"],
+			c["inbox_have_cleared"], c["inbox_replay_malformed"], c["inbox_claim_oversize"])
 	}
 	if r.LiveJoins > 0 || r.Rejoins > 0 {
 		fmt.Fprintf(&b, "live joins: %d   rejoins: %d   rejoined availability: %d/%d = %.2f%%\n",

@@ -60,13 +60,28 @@ func fuzzSeeds() []*Message {
 			Payload: []byte("body"),
 		},
 		{Kind: KindInboxDepositAck, From: 2, To: 9, Seq: 11, Publisher: 9, Target: 10},
+		{
+			Kind: KindInboxDeposit, From: 9, To: 2, Seq: 13,
+			Publisher: 9, Target: 10, RoutingTable: []int32{11, 12}, PayloadSize: 64,
+		},
 		{Kind: KindInboxClaim, From: 10, To: 2, Seq: 7, Target: 10},
+		{
+			Kind: KindInboxClaim, From: 10, To: 3, Seq: 7, Target: 10,
+			Acks: []AckEntry{{Kind: KindInboxReplayAck, From: 10, Dest: 2, Pub: 9, Seq: 11, Target: 10}},
+		},
 		{Kind: KindInboxLease, From: 2, To: 10, Seq: 7, Target: 10, NMutual: 3},
 		{
 			Kind: KindInboxReplay, From: 2, To: 10, Seq: 11,
-			Publisher: 9, Target: 10, Priority: 2, PayloadSize: 1_200_000, HopCount: 1,
+			Publisher: 9, Target: 10, Priority: 2, HopCount: 1,
+			NMutual: 2, Payload: replayContainer(replaySeeds()[:2]),
 		},
-		{Kind: KindInboxReplayAck, From: 10, To: 2, Seq: 11, Publisher: 9, Target: 10},
+		{
+			Kind: KindAckBatch, From: 10, To: 2,
+			Acks: []AckEntry{
+				{Kind: KindInboxReplayAck, From: 10, Dest: 2, Pub: 9, Seq: 11, Target: 10},
+				{Kind: KindInboxReplayAck, From: 10, Dest: 2, Pub: 9, Seq: 12, Target: 10},
+			},
+		},
 		{Kind: KindTopicSub, From: 10, To: 2, Seq: 21, Topic: []byte("#go")},
 		{Kind: KindTopicSubAck, From: 2, To: 10, Seq: 21, Topic: []byte("#go")},
 		{Kind: KindTopicUnsub, From: 10, To: 2, Seq: 22, Topic: []byte("#go")},

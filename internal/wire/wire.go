@@ -65,28 +65,37 @@ const (
 	// KindLeave announces a graceful departure; receivers unlink the
 	// sender immediately instead of waiting for the CMA to decay.
 	KindLeave
-	// KindInboxDeposit stores a publication on an inbox replica for an
-	// offline subscriber (Target): the publisher's repair engine hands
-	// the copy to the durable tier instead of dead-lettering it
-	// (DESIGN.md §12). Publisher/Seq identify the publication, Priority
-	// its replay class.
+	// KindInboxDeposit stores a publication on an inbox replica for the
+	// offline subscribers it names — the first in Target, the rest in
+	// RoutingTable, at most MaxPublishDests in all: the publisher's
+	// repair engine hands their copies to the durable tier instead of
+	// dead-lettering them, one frame per replica (DESIGN.md §12.2).
+	// Publisher/Seq identify the publication, Priority its replay class.
 	KindInboxDeposit
 	// KindInboxDepositAck confirms a deposit is persisted in the
-	// replica's append log.
+	// replica's append log. It names an AckEntry; no frame has this kind.
 	KindInboxDepositAck
 	// KindInboxClaim is sent by a (re)joined subscriber to one replica
 	// at a time, in seeded-deterministic lease order, asking it to
 	// replay the subscriber's inbox. Seq correlates the claim cycle.
+	// Acks carries the have-digest: one entry (Pub, Seq) per publication
+	// the subscriber was already replayed this cycle, which the replica
+	// clears instead of sending (DESIGN.md §12.4).
 	KindInboxClaim
 	// KindInboxLease answers a claim: NMutual carries the number of
 	// pending deposits the replica holds (0 both for an empty inbox and
 	// as the final "drained" notice that releases the lease).
 	KindInboxLease
-	// KindInboxReplay delivers a stored publication from a replica to
-	// its subscriber (Target), highest priority class first.
+	// KindInboxReplay delivers a batch of stored publications from a
+	// replica to their subscriber (Target), highest priority class
+	// first: NMutual records in a container in the Payload slot
+	// (AppendReplayRecord, NextReplayRecord), with Publisher, Seq and
+	// Priority repeating the first record's (DESIGN.md §12.4).
 	KindInboxReplay
 	// KindInboxReplayAck acknowledges a replayed publication so the
-	// replica can ack the log record and compact it away.
+	// replica can ack the log record and compact it away. It names an
+	// AckEntry — one per record of a replay frame, all in one
+	// KindAckBatch frame; no frame has this kind.
 	KindInboxReplayAck
 	// KindTopicSub registers the sender as a subscriber of Topic at a
 	// rendezvous replica, refreshing its lease (DESIGN.md §13). Sent
@@ -194,11 +203,18 @@ type Message struct {
 	Seq uint32
 
 	// ExchangeRT: the sender's social neighborhood and routing table.
-	// On Pong and JoinReply, which have no neighborhood to send, the
-	// Neighborhood slot carries the ages of the piggybacked ring claims
-	// instead (see Succs). On Publish and TopicPub, which have no routing
-	// table to send, the RoutingTable slot carries the destinations the
-	// frame names beyond To.
+	// The frame layout is fixed, so a kind that needs to say something new
+	// says it in a slot it used to leave empty:
+	//
+	//	slot          kind               carries
+	//	Neighborhood  Pong, JoinReply    ages of the piggybacked ring claims (see Succs)
+	//	RoutingTable  Publish, TopicPub  the destinations the frame names beyond To
+	//	RoutingTable  InboxDeposit       the subscribers the frame names beyond Target
+	//	Target        Publish            the inbound hop, plus one (HopFrom)
+	//	NMutual       InboxLease         the replica's pending count
+	//	NMutual       InboxReplay        the number of records in Payload
+	//	Payload       InboxReplay        the record container (replay.go)
+	//	Acks          InboxClaim         the have-digest
 	Neighborhood []int32
 	RoutingTable []int32
 
@@ -267,11 +283,12 @@ type Message struct {
 
 // AckEntry is one acknowledgement inside a KindAckBatch frame. It is a
 // self-contained rendering of the single-ack frame it replaces: Kind is
-// the original ack kind (KindAck, KindInboxDepositAck or
-// KindTopicPubAck), From the acking peer, Dest the peer the ack must
-// reach, Pub/Seq the publication id, Target the offline subscriber a
-// deposit ack concerns, and TTL the remaining relay budget for routed
-// (KindAck) entries.
+// the original ack kind (KindAck, KindInboxDepositAck,
+// KindInboxReplayAck or KindTopicPubAck), From the acking peer, Dest the
+// peer the ack must reach, Pub/Seq the publication id, Target the
+// subscriber a deposit or replay ack concerns, and TTL the remaining
+// relay budget for routed (KindAck) entries. A KindInboxClaim frame
+// reuses the record for its have-digest, where only Pub/Seq are read.
 type AckEntry struct {
 	Kind   Kind
 	From   int32
