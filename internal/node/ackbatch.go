@@ -19,7 +19,9 @@ import (
 // once, with whatever was waiting there. A node that did forward arms the
 // shard wheel's tkAckFlush entry (~ackFlushEvery), so the acks of the
 // peers beyond it — tree leaves answer at once — ride the same frame as
-// its own. A bucket that reaches ackBatchMax leaves early.
+// its own. A bucket that reaches ackBatchMax leaves early. A topic
+// replica passes the subscriber acks it consumes on to its fellow
+// replicas (consumeAck) on the timed flush too.
 
 const (
 	// ackFlushEvery is the longest an ack may sit buffered before its
@@ -199,7 +201,7 @@ func (n *Node) sendFrame(to int32, m *wire.Message) bool {
 func (n *Node) handleAckBatch(m *wire.Message) {
 	ibxOn := n.inboxOn()
 	now := time.Now()
-	var ackN, depN, replayedN int64
+	var ackN, depN, replayedN, sharedN int64
 	kickR, relay := false, false
 	var (
 		haveBuf [ackBatchMax]inbox.ID
@@ -218,7 +220,9 @@ func (n *Node) handleAckBatch(m *wire.Message) {
 		}
 		switch e.Kind {
 		case wire.KindAck:
-			n.consumeAck(e.From, e.Pub, e.Seq)
+			// An entry a fellow replica passed on names the subscriber in
+			// From, not the frame's sender: it is never passed on again.
+			sharedN += int64(n.consumeAck(e, e.From == m.From))
 			ackN++
 		case wire.KindInboxDepositAck:
 			if ibxOn {
@@ -248,6 +252,9 @@ func (n *Node) handleAckBatch(m *wire.Message) {
 	}
 	if ackN > 0 {
 		n.cfg.Obs.Addn(obs.CAckReceived, ackN)
+	}
+	if sharedN > 0 {
+		n.cfg.Obs.Addn(obs.CTopicAckShared, sharedN)
 	}
 	if depN > 0 {
 		n.cfg.Obs.Addn(obs.CInboxDepositAck, depN)
@@ -306,19 +313,34 @@ func (n *Node) relayAcks(acks []wire.AckEntry, from overlay.PeerID) {
 
 // ---- consume cores of the batch pass ----
 
-// consumeAck folds one delivery ack (acker from, publication pub/seq)
-// into the publisher-side repair state. Callers count CAckReceived.
-func (n *Node) consumeAck(from, pub int32, seq uint32) {
-	id := msgID{pub, seq}
-	set := n.ackedSet(id)
-	set[from] = true
-	if pub == int32(n.id) {
-		n.resolveAck(seq)
-	} else if rseq, ok := n.tpOrigin[id]; ok {
-		// Topic-rendezvous repair state: the ack is keyed by the origin
-		// publisher, the pubState by this node's local repair seq.
+// consumeAck folds one delivery ack e into the repair state it settles:
+// a topic publication this node holds as a rendezvous replica — looked up
+// first, since a publisher may be its own topic's primary, and keyed by
+// the origin id while its pubState is keyed by this node's repair seq —
+// or one of this node's own publications. A first-hand topic ack (share:
+// the subscriber sent it itself) is passed on to the replica's fellow
+// members before it can resolve the state that names them (DESIGN.md
+// §13.4); consumeAck returns how many entries it passed on. Callers count
+// CAckReceived.
+func (n *Node) consumeAck(e wire.AckEntry, share bool) (shared int) {
+	id := msgID{e.Pub, e.Seq}
+	n.ackedSet(id)[e.From] = true
+	if rseq, ok := n.tpOrigin[id]; ok {
+		if st := n.pubs[rseq]; share && st != nil {
+			for _, p := range st.peers {
+				if p == overlay.PeerID(e.From) {
+					continue // the acker is this fellow replica itself
+				}
+				e.Dest = int32(p)
+				n.bufferAck(p, e, false)
+				shared++
+			}
+		}
 		n.resolveAck(rseq)
+	} else if e.Pub == int32(n.id) {
+		n.resolveAck(e.Seq)
 	}
+	return shared
 }
 
 // consumeDepositAck folds one replica persistence confirmation into the
@@ -326,10 +348,11 @@ func (n *Node) consumeAck(from, pub int32, seq uint32) {
 // CInboxDepositAck and kickRetry.
 func (n *Node) consumeDepositAck(pub int32, seq uint32, target int32) {
 	// The ack echoes the deposit's origin identity; for a topic hand-off
-	// the local repair state is keyed by this node's repair seq instead.
-	aseq, known := seq, pub == int32(n.id)
+	// the local repair state is keyed by this node's repair seq instead —
+	// also when this node published it (consumeAck).
+	aseq, known := n.tpOrigin[msgID{pub, seq}]
 	if !known {
-		aseq, known = n.tpOrigin[msgID{pub, seq}]
+		aseq, known = seq, pub == int32(n.id)
 	}
 	if !known {
 		return

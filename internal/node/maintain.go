@@ -95,15 +95,15 @@ func (n *Node) handleJoinRequest(m *wire.Message) {
 		}
 		n.recordJoin(now, q, pos)
 	}
-	reply := &wire.Message{
+	reply := new(ringFrame)
+	reply.m = n.rview.piggyback(wire.Message{
 		Kind: wire.KindJoinReply, From: int32(n.id), To: m.From, Seq: m.Seq,
 		Pos:          math.Float64bits(float64(pos)),
 		RoutingTable: peersToInt32s(n.links()),
-	}
-	n.rview.piggyback(reply, n.id, myPos, now)
+	}, &reply.c, n.id, myPos, now)
 	n.cadenceEvent(selectcore.CadenceMembership)
 	n.cfg.Obs.Inc(obs.CJoinReply)
-	_ = n.tr.Send(m.From, reply)
+	_ = n.tr.Send(m.From, &reply.m)
 }
 
 // handleJoinReply completes the join: adopt the assigned position, enter

@@ -314,21 +314,10 @@ func (n *Node) handle(m *wire.Message) {
 	}
 	switch m.Kind {
 	case wire.KindPing:
-		// Pongs piggyback the responder's successor/predecessor lists —
-		// the anti-entropy channel that keeps every heartbeating pair's
-		// ring views converging without extra messages.
-		reply := &wire.Message{Kind: wire.KindPong, From: int32(n.id), To: m.From, Seq: m.Seq}
 		if n.joined && len(m.Succs) > 0 {
 			n.learnPiggyback(n.dir.position(n.id), m)
 		}
-		if ss, sp, ps, pp, forged := n.forgedRingClaim(); forged && overlay.PeerID(m.From) == n.advTarget {
-			// An armed eclipse attacker answers its victim's heartbeats
-			// with the same forged flank claims its gossip tick pushes.
-			reply.Succs, reply.SuccPos, reply.Preds, reply.PredPos = ss, sp, ps, pp
-		} else if n.joined {
-			n.rview.piggyback(reply, n.id, n.dir.position(n.id), time.Now())
-		}
-		_ = n.tr.Send(m.From, reply)
+		n.sendPong(m)
 	case wire.KindPong:
 		n.cfg.Obs.Inc(obs.CPongReceived)
 		if target, ok := n.pendingPings[m.Seq]; ok && target == overlay.PeerID(m.From) {
@@ -613,6 +602,37 @@ func (n *Node) sendHeartbeats() {
 		m.To, m.Seq = int32(q), s
 		_ = n.tr.Send(int32(q), &m)
 	}
+}
+
+// sendPong answers ping. Pongs piggyback the responder's successor/
+// predecessor lists — the anti-entropy channel that keeps every
+// heartbeating pair's ring views converging without extra messages. Over
+// a frame-sending transport the pong and its lists are marshaled from the
+// stack and nothing is allocated; where the transport passes the pointer
+// on they are one ringFrame.
+func (n *Node) sendPong(ping *wire.Message) {
+	if n.fs != nil {
+		var c ringClaims
+		m := n.pong(ping, &c)
+		n.sendFrame(ping.From, &m)
+		return
+	}
+	f := new(ringFrame)
+	f.m = n.pong(ping, &f.c)
+	_ = n.tr.Send(ping.From, &f.m)
+}
+
+// pong is the answer to ping, its ring lists rendered into c.
+func (n *Node) pong(ping *wire.Message, c *ringClaims) wire.Message {
+	m := wire.Message{Kind: wire.KindPong, From: int32(n.id), To: ping.From, Seq: ping.Seq}
+	if ss, sp, ps, pp, forged := n.forgedRingClaim(); forged && overlay.PeerID(ping.From) == n.advTarget {
+		// An armed eclipse attacker answers its victim's heartbeats with
+		// the same forged flank claims its gossip tick pushes.
+		m.Succs, m.SuccPos, m.Preds, m.PredPos = ss, sp, ps, pp
+	} else if n.joined {
+		m = n.rview.piggyback(m, c, n.id, n.dir.position(n.id), time.Now())
+	}
+	return m
 }
 
 // observe folds one availability sample for link q into the CMA and the

@@ -46,9 +46,12 @@ type pubState struct {
 	// origin/topic are set on topic-rendezvous repair state (topic.go):
 	// the publication's original (publisher, seq) identity — acks and
 	// deposits are keyed by it, not by this node's local repair seq —
-	// and the topic it disseminates on.
+	// and the topic it disseminates on. peers are the other members of
+	// the rendezvous set as this replica computed it on accepting: it
+	// passes each first-hand subscriber ack on to them (consumeAck).
 	origin msgID
 	topic  string
+	peers  []overlay.PeerID
 }
 
 // DeadLetter records a publication that exhausted its retry budget with
@@ -170,11 +173,19 @@ func (n *Node) resolveAck(seq uint32) {
 			return
 		}
 	}
+	n.retire(seq, st)
+	n.cfg.Obs.TraceEvent("pub_resolved", int32(n.id), seq)
+}
+
+// retire drops publication seq's state machine — resolved, dead-lettered,
+// or out of direct repair with nothing left to deposit. A topic replica's
+// state also leaves tpOrigin, the index its acks and deposit acks find it
+// by.
+func (n *Node) retire(seq uint32, st *pubState) {
 	delete(n.pubs, seq)
 	if st.topic != "" {
 		delete(n.tpOrigin, st.origin)
 	}
-	n.cfg.Obs.TraceEvent("pub_resolved", int32(n.id), seq)
 }
 
 // scheduleJoinResend arms the next join-resend deadline from the
@@ -273,7 +284,7 @@ func (n *Node) retryDirect(seq uint32, st *pubState, due []overlay.PeerID, now t
 	}
 	if len(missing) == 0 {
 		if !depositing {
-			delete(n.pubs, seq)
+			n.retire(seq, st)
 		} else {
 			// Direct repair is done; keep the record alive for the
 			// deposit rounds without spinning the retry schedule.
@@ -319,10 +330,7 @@ func (n *Node) retryDirect(seq uint32, st *pubState, due []overlay.PeerID, now t
 // deadLetter retires publication seq unresolved: budget exhausted
 // with subscribers missing. The record is bounded FIFO.
 func (n *Node) deadLetter(seq uint32, st *pubState, missing []overlay.PeerID) {
-	delete(n.pubs, seq)
-	if st.topic != "" {
-		delete(n.tpOrigin, st.origin)
-	}
+	n.retire(seq, st)
 	n.cfg.Obs.Inc(obs.CDeadLetter)
 	n.cfg.Obs.TraceEvent("dead_letter", int32(n.id), seq)
 	n.deadLetters = append(n.deadLetters, DeadLetter{Seq: seq, Missing: missing, Retries: st.attempt})

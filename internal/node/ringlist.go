@@ -297,30 +297,50 @@ func (v *ringView) posOf(peer overlay.PeerID) (ring.ID, bool) {
 	return 0, false
 }
 
-// piggyback renders both lists onto a Pong or JoinReply (self prepended
-// to the successor side, so receivers learn the sender's own position
+// ringClaims is the backing store of the ring lists one Pong or JoinReply
+// piggybacks: at most succListLen entries a side, the sender's own entry
+// heading the successor side, and an age per entry.
+type ringClaims struct {
+	succs   [1 + succListLen]int32
+	succPos [1 + succListLen]uint64
+	preds   [succListLen]int32
+	predPos [succListLen]uint64
+	ages    [1 + 2*succListLen]int32
+}
+
+// ringFrame is a Pong or JoinReply whose piggybacked lists live in the
+// same allocation.
+type ringFrame struct {
+	m wire.Message
+	c ringClaims
+}
+
+// piggyback returns m with both lists rendered onto it (self prepended to
+// the successor side, so receivers learn the sender's own position
 // first-hand), with each claim's age in milliseconds in the frame's
 // Neighborhood slot — successors, then predecessors (wire.Message).
-// Lapsed claims are not passed on.
-func (v *ringView) piggyback(m *wire.Message, self overlay.PeerID, own ring.ID, now time.Time) {
-	ns, np := 1+len(v.succ), len(v.pred)
-	m.Succs = append(make([]int32, 0, ns), int32(self))
-	m.SuccPos = append(make([]uint64, 0, ns), math.Float64bits(float64(own)))
-	m.Neighborhood = append(make([]int32, 0, ns+np), 0)
-	m.Preds, m.PredPos = make([]int32, 0, np), make([]uint64, 0, np)
-	render := func(list []ringEntry, peers *[]int32, poss *[]uint64) {
-		for _, e := range list {
-			if v.lapsed(e.conf, now) {
-				continue
-			}
-			age := max(now.Sub(e.conf)/time.Millisecond, 0)
-			*peers = append(*peers, int32(e.peer))
-			*poss = append(*poss, math.Float64bits(float64(e.pos)))
-			m.Neighborhood = append(m.Neighborhood, int32(min(age, math.MaxInt32)))
+// Lapsed claims are not passed on. The lists are views of c, so a frame
+// whose c is on the stack stays there (sendPong).
+func (v *ringView) piggyback(m wire.Message, c *ringClaims, self overlay.PeerID, own ring.ID, now time.Time) wire.Message {
+	m.Succs, m.SuccPos, m.Neighborhood = v.render(v.succ, now,
+		append(c.succs[:0], int32(self)), append(c.succPos[:0], math.Float64bits(float64(own))), append(c.ages[:0], 0))
+	m.Preds, m.PredPos, m.Neighborhood = v.render(v.pred, now, c.preds[:0], c.predPos[:0], m.Neighborhood)
+	return m
+}
+
+// render appends the claims of list that have not lapsed to peers, poss
+// and ages.
+func (v *ringView) render(list []ringEntry, now time.Time, peers []int32, poss []uint64, ages []int32) ([]int32, []uint64, []int32) {
+	for _, e := range list {
+		if v.lapsed(e.conf, now) {
+			continue
 		}
+		age := max(now.Sub(e.conf)/time.Millisecond, 0)
+		peers = append(peers, int32(e.peer))
+		poss = append(poss, math.Float64bits(float64(e.pos)))
+		ages = append(ages, int32(min(age, math.MaxInt32)))
 	}
-	render(v.succ, &m.Succs, &m.SuccPos)
-	render(v.pred, &m.Preds, &m.PredPos)
+	return peers, poss, ages
 }
 
 // claimAges splits a piggybacked frame's age slot into its successor and

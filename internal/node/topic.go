@@ -34,6 +34,12 @@ import (
 //     publication in the repair engine, so unacked subscribers get
 //     direct retries and — via the PR-7 inbox — durable deposits when
 //     they are offline.
+//   - acknowledgement (DESIGN.md §13.4): a subscriber acks one replica
+//     per copy, the one that stamped it (Target); that replica passes
+//     each first-hand ack on to the other members of its rendezvous set
+//     on the timed ack flush, so one ack settles every replica's repair
+//     state. A standby the acks never reach retries after its backoff
+//     step, with copies naming itself, and is acked directly.
 //   - re-homing: membership changes and accrual-detector verdicts
 //     (deadUntil) shift the rendezvous set; subscribers re-register the
 //     moment their computed set changes, a peer that lost ownership
@@ -276,7 +282,7 @@ func (n *Node) publishTopic(seq uint32, topic string, payload []byte, o pubOpts)
 			selfAccept = true
 			continue
 		}
-		_ = n.tr.Send(int32(rep), n.topicPubMsg(seq, tp, rep, -1, nil))
+		_ = n.tr.Send(int32(rep), n.topicHandoff(seq, tp, rep))
 	}
 	if selfAccept {
 		n.acceptTopicPub(id, topic, payload, o.size, o.pri)
@@ -284,17 +290,31 @@ func (n *Node) publishTopic(seq uint32, topic string, payload []byte, o pubOpts)
 	n.kickRetry()
 }
 
-// topicPubMsg builds one TopicPub copy. target -1 is the
-// publisher→rendezvous hand-off; target >= 0 is a dissemination copy
-// whose acks flow back to rendezvous peer `target`, with subtree
-// carrying the receiver's share of the tree.
-func (n *Node) topicPubMsg(seq uint32, tp *topicPubState, to overlay.PeerID, target int32, subtree []int32) *wire.Message {
+// topicHandoff builds the publisher→rendezvous hand-off of this node's
+// topic publication seq to replica `to` (Target -1).
+func (n *Node) topicHandoff(seq uint32, tp *topicPubState, to overlay.PeerID) *wire.Message {
 	return &wire.Message{
 		Kind: wire.KindTopicPub, From: int32(n.id), To: int32(to),
-		Seq: seq, Publisher: int32(n.id), Target: target,
+		Seq: seq, Publisher: int32(n.id), Target: -1,
 		Priority: tp.pri, PayloadSize: tp.size, Payload: tp.payload,
-		Topic: []byte(tp.topic), RoutingTable: subtree, TTL: n.cfg.TTL,
+		Topic: []byte(tp.topic), TTL: n.cfg.TTL,
 	}
+}
+
+// sendTopicTree sends one copy of tmpl — a dissemination copy less its
+// destination — per branch of the tree over subs: to the branch's child,
+// carrying the child's subtree in RoutingTable. The copies share tmpl's
+// payload and topic, and the subtrees one backing array: no receiver
+// writes to them (the switchboard hands the pointer on, TCP decodes a
+// Message of its own).
+func (n *Node) sendTopicTree(tmpl wire.Message, subs []overlay.PeerID) {
+	branches := selectcore.TreeBranches(subs, topicFanout)
+	for _, branch := range branches {
+		msg := tmpl
+		msg.To, msg.RoutingTable = int32(branch[0]), branch[1:]
+		_ = n.tr.Send(msg.To, &msg)
+	}
+	n.cfg.Obs.Addn(obs.CTopicFanout, int64(len(branches)))
 }
 
 // ---- placement -------------------------------------------------------
@@ -598,7 +618,7 @@ func (n *Node) handleTopicPub(m *wire.Message) {
 	}
 	if m.Target < 0 {
 		origin := msgID{m.Publisher, m.Seq}
-		n.acceptTopicPub(origin, string(m.Topic), clonePayload(m.Payload), m.PayloadSize, m.Priority)
+		n.acceptTopicPub(origin, string(m.Topic), m.Payload, m.PayloadSize, m.Priority)
 		// Ack the hand-off whether fresh or duplicate — the publisher
 		// retries until every live rendezvous member confirmed.
 		n.directAck(wire.AckEntry{
@@ -610,21 +630,17 @@ func (n *Node) handleTopicPub(m *wire.Message) {
 	n.deliverTopicCopy(m)
 }
 
-// clonePayload detaches a payload from the transport's decode buffer
-// (acceptTopicPub retains it in repair state past the handler's return).
-func clonePayload(p []byte) []byte {
-	if p == nil {
-		return nil
-	}
-	return append([]byte(nil), p...)
-}
-
 // acceptTopicPub is the rendezvous accept path: register the
 // publication in the repair engine against the current registry and —
 // when this node is the set's primary — fan it down the dissemination
 // tree. Standbys skip the immediate tree wave and let their repair
-// schedule re-send directly to whoever the primary's wave missed;
-// subscriber acks (sent to every rendezvous member) settle both.
+// schedule re-send directly to whoever the primary's wave missed. The
+// state records the set's other members: subscribers ack the replica
+// that stamped their copy, and that replica passes the acks on to them
+// (consumeAck), so one ack settles both. Acks that arrived before the
+// hand-off already count: a state they settle whole resolves here.
+// payload is retained: a hand-off's payload is its frame's, which no one
+// writes to.
 func (n *Node) acceptTopicPub(origin msgID, topic string, payload []byte, size uint32, pri uint8) {
 	if !n.repairEnabled() {
 		return
@@ -643,6 +659,7 @@ func (n *Node) acceptTopicPub(origin msgID, topic string, payload []byte, size u
 	}
 	set := n.topicRendezvous(topic, now)
 	primary := len(set) > 0 && set[0] == n.id
+	st.peers = slices.DeleteFunc(set, func(p overlay.PeerID) bool { return p == n.id })
 	delayStep := 0
 	if !primary {
 		delayStep = 1 // let the primary's wave land first
@@ -651,74 +668,72 @@ func (n *Node) acceptTopicPub(origin msgID, topic string, payload []byte, size u
 	n.pubs[rseq] = st
 	n.tpOrigin[origin] = rseq
 	// Local delivery when the rendezvous itself subscribes (it is not in
-	// the tree).
+	// the tree). The other replicas count it among their subscribers. A
+	// standby gets the primary's tree copy and acks that; the primary gets
+	// no copy from anyone, so it acks the standbys itself.
 	if ts := n.subTopics[topic]; ts != nil && origin.Publisher != int32(n.id) && n.rememberDelivery(origin, 0) {
 		n.cfg.Obs.Inc(obs.CTopicDelivered)
 		n.notify(ts, Delivery{
 			Publisher: overlay.PeerID(origin.Publisher), Topic: topic,
 			Seq: origin.Seq, Priority: pri, Payload: payload,
 		})
+		for _, p := range st.peers {
+			if primary {
+				n.bufferAck(p, wire.AckEntry{
+					Kind: wire.KindAck, From: int32(n.id), Dest: int32(p),
+					Pub: origin.Publisher, Seq: origin.Seq, TTL: n.cfg.TTL,
+				}, false)
+			}
+		}
 	}
 	if primary {
-		tp := &topicPubState{topic: topic, payload: payload, size: size, pri: pri}
-		branches := selectcore.TreeBranches(subs, topicFanout)
-		for _, branch := range branches {
-			msg := n.topicPubMsg(origin.Seq, tp, branch[0], int32(n.id), peersToInt32s(branch[1:]))
-			msg.Publisher = origin.Publisher
-			_ = n.tr.Send(int32(branch[0]), msg)
-		}
-		n.cfg.Obs.Addn(obs.CTopicFanout, int64(len(branches)))
+		n.sendTopicTree(wire.Message{
+			Kind: wire.KindTopicPub, From: int32(n.id),
+			Seq: origin.Seq, Publisher: origin.Publisher, Target: int32(n.id),
+			Priority: pri, PayloadSize: size, Payload: payload,
+			Topic: []byte(topic), TTL: n.cfg.TTL,
+		}, subs)
 	}
 	n.cfg.Obs.TraceEvent("topic_accept", int32(n.id), origin.Seq)
+	n.resolveAck(rseq)
 	n.kickRetry()
 }
 
 // deliverTopicCopy is the subscriber path of a dissemination-tree (or
-// repair) copy: deliver locally, ack every rendezvous replica, and
-// forward the carried subtree with bounded fanout. Forwarding happens
-// only on first receipt — later waves stop here and let the rendezvous
-// repair engines cover any gap below.
+// repair) copy: deliver locally, forward the carried subtree with bounded
+// fanout, and ack the replica that stamped the copy (Target) — the one
+// ack this copy costs; that replica passes it on to the rest of its
+// rendezvous set. The subtree is forwarded also when this node's own copy
+// is a duplicate, as a friend-feed relay does (handlePublish): the peers
+// below it are still owed theirs. A subscribing standby is the usual case
+// — the publisher's hand-off reaches it before the primary's tree copy
+// does, and it delivers on the hand-off. Nothing on this path allocates
+// but the forwarded copies: the delivery and the copies are views of m.
 func (n *Node) deliverTopicCopy(m *wire.Message) {
 	id := msgID{m.Publisher, m.Seq}
-	topic := string(m.Topic)
 	if !n.rememberDelivery(id, m.HopCount) {
 		n.cfg.Obs.Inc(obs.CPublishDuplicate)
-	} else {
-		if ts := n.subTopics[topic]; ts != nil {
-			n.cfg.Obs.Inc(obs.CTopicDelivered)
-			n.cfg.Obs.ObserveHops(float64(m.HopCount))
-			n.cfg.Obs.TraceEvent("topic_deliver", int32(n.id), m.Seq)
-			n.notify(ts, Delivery{
-				Publisher: overlay.PeerID(m.Publisher), Topic: topic,
-				Seq: m.Seq, Hops: m.HopCount, Priority: m.Priority,
-				Payload: append([]byte(nil), m.Payload...),
-			})
-		}
-		if len(m.RoutingTable) > 0 {
-			tp := &topicPubState{topic: topic, payload: clonePayload(m.Payload), size: m.PayloadSize, pri: m.Priority}
-			branches := selectcore.TreeBranches(int32sToPeers(m.RoutingTable), topicFanout)
-			for _, branch := range branches {
-				msg := n.topicPubMsg(m.Seq, tp, branch[0], m.Target, peersToInt32s(branch[1:]))
-				msg.Publisher = m.Publisher
-				msg.HopCount = m.HopCount + 1
-				_ = n.tr.Send(int32(branch[0]), msg)
-			}
-			n.cfg.Obs.Addn(obs.CTopicFanout, int64(len(branches)))
-		}
+	} else if ts := n.subTopics[string(m.Topic)]; ts != nil {
+		n.cfg.Obs.Inc(obs.CTopicDelivered)
+		n.cfg.Obs.ObserveHops(float64(m.HopCount))
+		n.cfg.Obs.TraceEvent("topic_deliver", int32(n.id), m.Seq)
+		n.notify(ts, Delivery{
+			Publisher: overlay.PeerID(m.Publisher), Topic: ts.sub.topic,
+			Seq: m.Seq, Hops: m.HopCount, Priority: m.Priority,
+			Payload: m.Payload,
+		})
 	}
-	// Ack every rendezvous member (the repair owners) plus whichever
-	// replica stamped this copy — views may diverge during re-homing.
-	ackTo := make(map[overlay.PeerID]bool)
-	for _, rep := range n.topicRendezvous(topic, time.Now()) {
-		ackTo[rep] = true
+	if len(m.RoutingTable) > 0 {
+		n.sendTopicTree(wire.Message{
+			Kind: wire.KindTopicPub, From: int32(n.id),
+			Seq: m.Seq, Publisher: m.Publisher, Target: m.Target,
+			Priority: m.Priority, PayloadSize: m.PayloadSize, Payload: m.Payload,
+			Topic: m.Topic, TTL: n.cfg.TTL, HopCount: m.HopCount + 1,
+		}, m.RoutingTable)
 	}
-	if m.Target >= 0 {
-		ackTo[overlay.PeerID(m.Target)] = true
-	}
-	delete(ackTo, n.id)
-	for rep := range ackTo {
+	if rep := overlay.PeerID(m.Target); rep != n.id && n.dir.valid(rep) {
 		n.directAck(wire.AckEntry{
-			Kind: wire.KindAck, From: int32(n.id), Dest: int32(rep),
+			Kind: wire.KindAck, From: int32(n.id), Dest: m.Target,
 			Pub: m.Publisher, Seq: m.Seq, TTL: n.cfg.TTL,
 		})
 	}
@@ -786,7 +801,7 @@ func (n *Node) topicRepair(now time.Time, budget int) {
 				continue
 			}
 			n.cfg.Obs.Inc(obs.CRetrySent)
-			_ = n.tr.Send(int32(rep), n.topicPubMsg(seq, tp, rep, -1, nil))
+			_ = n.tr.Send(int32(rep), n.topicHandoff(seq, tp, rep))
 		}
 	}
 }

@@ -994,5 +994,10 @@ func TestFanOutAllocPins(t *testing.T) {
 		if got := tc.sink.Load() - before; got != 2*201 {
 			t.Errorf("%s: %d ack frames for 201 leaf acks and 201 timed flushes", tc.name, got)
 		}
+		// A pong and the ring lists it piggybacks are one frame.
+		ping := &wire.Message{Kind: wire.KindPing, From: int32(subs[0]), To: int32(pub), Seq: 9}
+		if a := testing.AllocsPerRun(200, func() { tc.n.sendPong(ping) }); a > tc.max {
+			t.Errorf("%s: a pong costs %.1f allocs, want at most %.0f", tc.name, a, tc.max)
+		}
 	}
 }

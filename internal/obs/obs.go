@@ -121,6 +121,7 @@ const (
 	CTopicLeaseExpire // registry entries expired (subscriber stopped refreshing)
 	CTopicPurged      // journal records purged by an unsubscribe drain
 	CTopicUnsubLate   // registrations, hand-off entries and deposits dropped because they arrived after the unsubscribe they predate
+	CTopicAckShared   // first-hand subscriber acks a rendezvous replica passed on to its fellow replicas (entries, not frames)
 
 	// node: adversarial defenses (DESIGN.md §14).
 	CSybilRejected    // join admissions dropped by the inviter's rate limit
@@ -257,6 +258,7 @@ var counterNames = [numCounters]string{
 	CTopicLeaseExpire: "topic_lease_expire",
 	CTopicPurged:      "topic_purged",
 	CTopicUnsubLate:   "topic_unsub_late",
+	CTopicAckShared:   "topic_ack_shared",
 
 	CSybilRejected:    "sybil_rejected",
 	CSybilDiverted:    "sybil_diverted",

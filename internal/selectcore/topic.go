@@ -1,7 +1,7 @@
 package selectcore
 
 import (
-	"sort"
+	"slices"
 
 	"selectps/internal/overlay"
 	"selectps/internal/ring"
@@ -35,42 +35,65 @@ func Rendezvous(pos ring.ID, members []RingMember, live func(overlay.PeerID) boo
 	return clockwiseSuccessors(pos, -1, members, live, r)
 }
 
+// succStack is how many successors clockwiseSuccessors keeps in a stack
+// buffer; a larger r takes one heap buffer besides the result.
+const succStack = 8
+
+// succCand is one member kept by clockwiseSuccessors: its clockwise
+// distance from pos and its id, the two keys of the order.
+type succCand struct {
+	d  float64
+	id overlay.PeerID
+}
+
+// before is the successor order: nearer first, the lower id on a tie.
+func (a succCand) before(b succCand) bool {
+	return a.d < b.d || (a.d == b.d && a.id < b.id)
+}
+
 // clockwiseSuccessors is the shared successor-selection kernel behind
 // Rendezvous and InboxReplicas: the first r live members strictly
 // clockwise from pos (a member exactly at pos wraps the whole ring —
 // measure-zero for hashed positions, and deterministic), excluding
-// `exclude` when it is a valid peer id, id-tiebroken.
+// `exclude` when it is a valid peer id, id-tiebroken. One pass over
+// members keeps the r nearest so far in order by insertion; live is
+// asked only about a member near enough to be kept. The result is the
+// only allocation while r ≤ succStack.
 func clockwiseSuccessors(pos ring.ID, exclude overlay.PeerID, members []RingMember, live func(overlay.PeerID) bool, r int) []overlay.PeerID {
 	if r <= 0 {
 		return nil
 	}
-	cands := make([]RingMember, 0, len(members))
+	var stack [succStack]succCand
+	best := stack[:0]
+	if r > succStack {
+		best = make([]succCand, 0, r)
+	}
 	for _, m := range members {
-		if m.ID == exclude || (live != nil && !live(m.ID)) {
+		if m.ID == exclude {
 			continue
 		}
-		cands = append(cands, m)
+		d := ring.Clockwise(pos, m.Pos)
+		if d <= 0 {
+			d += 1
+		}
+		c := succCand{d, m.ID}
+		full := len(best) == r
+		if (full && !c.before(best[r-1])) || (live != nil && !live(m.ID)) {
+			continue
+		}
+		if full {
+			best = best[:r-1]
+		}
+		i := len(best)
+		best = append(best, c)
+		for ; i > 0 && c.before(best[i-1]); i-- {
+			best[i] = best[i-1]
+		}
+		best[i] = c
 	}
-	sort.Slice(cands, func(i, j int) bool {
-		di := ring.Clockwise(pos, cands[i].Pos)
-		dj := ring.Clockwise(pos, cands[j].Pos)
-		if di <= 0 {
-			di += 1
-		}
-		if dj <= 0 {
-			dj += 1
-		}
-		if di != dj {
-			return di < dj
-		}
-		return cands[i].ID < cands[j].ID
-	})
-	if len(cands) > r {
-		cands = cands[:r]
-	}
-	out := make([]overlay.PeerID, len(cands))
-	for i, m := range cands {
-		out[i] = m.ID
+	out := make([]overlay.PeerID, len(best))
+	for i, c := range best {
+		out[i] = c.id
 	}
 	return out
 }
@@ -91,21 +114,12 @@ func TreeBranches(subs []overlay.PeerID, fanout int) [][]overlay.PeerID {
 	if fanout < 1 {
 		fanout = 1
 	}
-	order := append([]overlay.PeerID(nil), subs...)
-	sort.Slice(order, func(i, j int) bool { return order[i] < order[j] })
+	order := slices.Clone(subs)
+	slices.Sort(order)
 	// Drop duplicates so a double-registered subscriber cannot become
 	// its own descendant.
-	dedup := order[:1]
-	for _, p := range order[1:] {
-		if p != dedup[len(dedup)-1] {
-			dedup = append(dedup, p)
-		}
-	}
-	order = dedup
-	k := fanout
-	if len(order) < k {
-		k = len(order)
-	}
+	order = slices.Compact(order)
+	k := min(fanout, len(order))
 	out := make([][]overlay.PeerID, 0, k)
 	base := len(order) / k
 	rem := len(order) % k
@@ -115,7 +129,9 @@ func TreeBranches(subs []overlay.PeerID, fanout int) [][]overlay.PeerID {
 		if i < rem {
 			sz++
 		}
-		out = append(out, order[at:at+sz])
+		// Capped at its own length: a caller that appends to a branch
+		// cannot write into the next one.
+		out = append(out, order[at:at+sz:at+sz])
 		at += sz
 	}
 	return out

@@ -1,10 +1,14 @@
 package selectcore
 
 import (
+	"math/rand"
 	"reflect"
+	"slices"
+	"sort"
 	"testing"
 
 	"selectps/internal/overlay"
+	"selectps/internal/ring"
 )
 
 func TestTopicPosStableAndSpread(t *testing.T) {
@@ -62,6 +66,97 @@ func TestRendezvousDeterministicAcrossCallers(t *testing.T) {
 	}
 	if a[0] != 2 || a[1] != 3 {
 		t.Fatalf("position tie must break by id: %v", a)
+	}
+}
+
+// sortedSuccessors is the successor rule evaluated the way it was before
+// the one-pass kernel: filter, sort everything by (clockwise distance, a
+// member on pos a full loop away; id), cut at r. The property test holds
+// clockwiseSuccessors to it.
+func sortedSuccessors(pos ring.ID, exclude overlay.PeerID, members []RingMember, live func(overlay.PeerID) bool, r int) []overlay.PeerID {
+	if r <= 0 {
+		return nil
+	}
+	var cands []RingMember
+	for _, m := range members {
+		if m.ID != exclude && (live == nil || live(m.ID)) {
+			cands = append(cands, m)
+		}
+	}
+	dist := func(m RingMember) float64 {
+		if d := ring.Clockwise(pos, m.Pos); d > 0 {
+			return d
+		}
+		return 1
+	}
+	sort.Slice(cands, func(i, j int) bool {
+		if di, dj := dist(cands[i]), dist(cands[j]); di != dj {
+			return di < dj
+		}
+		return cands[i].ID < cands[j].ID
+	})
+	out := make([]overlay.PeerID, 0, r)
+	for _, m := range cands[:min(r, len(cands))] {
+		out = append(out, m.ID)
+	}
+	return out
+}
+
+// TestClockwiseSuccessorsMatchesSort: on random rings — positions drawn
+// from a small grid so that members share them, pos often on a member,
+// a member excluded or not, a liveness filter or none, r from 0 to past
+// the stack buffer — the one-pass kernel returns exactly what sorting
+// the whole ring returns.
+func TestClockwiseSuccessorsMatchesSort(t *testing.T) {
+	rng := rand.New(rand.NewSource(25))
+	for c := 0; c < 20000; c++ {
+		n := rng.Intn(24)
+		grid := 1 + rng.Intn(32)
+		members := make([]RingMember, n)
+		for i := range members {
+			members[i] = RingMember{ID: overlay.PeerID(rng.Intn(64)), Pos: ring.ID(float64(rng.Intn(grid)) / float64(grid))}
+		}
+		// Ids are distinct in a membership snapshot.
+		slices.SortFunc(members, func(a, b RingMember) int { return int(a.ID - b.ID) })
+		members = slices.CompactFunc(members, func(a, b RingMember) bool { return a.ID == b.ID })
+		rng.Shuffle(len(members), func(i, j int) { members[i], members[j] = members[j], members[i] })
+		pos := ring.ID(rng.Float64())
+		if n > 0 && rng.Intn(2) == 0 {
+			pos = members[rng.Intn(len(members))].Pos
+		}
+		exclude := overlay.PeerID(-1)
+		if rng.Intn(2) == 0 {
+			exclude = overlay.PeerID(rng.Intn(64))
+		}
+		var live func(overlay.PeerID) bool
+		if rng.Intn(2) == 0 {
+			dead := rng.Uint64()
+			live = func(p overlay.PeerID) bool { return dead&(1<<uint(p)) == 0 }
+		}
+		r := rng.Intn(succStack + 4)
+		got := clockwiseSuccessors(pos, exclude, members, live, r)
+		want := sortedSuccessors(pos, exclude, members, live, r)
+		if !slices.Equal(got, want) || (got == nil) != (want == nil) {
+			t.Fatalf("case %d: pos %v exclude %d r %d members %v: kernel %v, sort %v", c, pos, exclude, r, members, got, want)
+		}
+	}
+}
+
+// TestClockwiseSuccessorsAllocatesOnlyItsResult pins the kernel's cost:
+// one allocation, the result, while r fits the stack buffer.
+func TestClockwiseSuccessorsAllocatesOnlyItsResult(t *testing.T) {
+	members := make([]RingMember, 200)
+	for i := range members {
+		members[i] = RingMember{ID: overlay.PeerID(i), Pos: ring.ID(float64((i*7919)%200) / 200)}
+	}
+	pos := TopicPos("#topic-0")
+	for _, r := range []int{1, 2, succStack} {
+		if a := testing.AllocsPerRun(100, func() { _ = Rendezvous(pos, members, nil, r) }); a != 1 {
+			t.Errorf("Rendezvous r=%d: %.1f allocs, want 1", r, a)
+		}
+		if a := testing.AllocsPerRun(100, func() { _ = InboxReplicas(7, members[7].Pos, members, nil, r) }); a != 1 {
+			t.Errorf("InboxReplicas r=%d: %.1f allocs, want 1", r, a)
+		}
 	}
 }
 

@@ -260,12 +260,14 @@ type Report struct {
 	// subscriber count; TopicRehomes/TopicHandoffs count rendezvous
 	// re-homing activity (nonzero under churn means re-homing was
 	// exercised mid-flood); TopicFanoutCopies counts dissemination-tree
-	// sends.
+	// sends; TopicAckShared counts the subscriber acks a replica passed on
+	// to its fellow replicas.
 	Topics            int   `json:"topics,omitempty"`
 	HotTopicSubs      int   `json:"hot_topic_subs,omitempty"`
 	TopicRehomes      int64 `json:"topic_rehomes,omitempty"`
 	TopicHandoffs     int64 `json:"topic_handoffs,omitempty"`
 	TopicFanoutCopies int64 `json:"topic_fanout_copies,omitempty"`
+	TopicAckShared    int64 `json:"topic_ack_shared,omitempty"`
 
 	// Adversarial arm (Fault.Attack != none): AttackerCount byzantine
 	// peers ran the named attack against AttackTarget between schedule
@@ -396,8 +398,8 @@ func (r *Report) String() string {
 			r.LiveJoins, r.Rejoins, r.RejoinedDelivered, r.RejoinedWanted, 100*r.RejoinAvailability)
 	}
 	if r.Topics > 0 {
-		fmt.Fprintf(&b, "topics: %d (hot hashtag %d subscribers)   rehomes: %d   handoffs: %d   tree copies: %d\n",
-			r.Topics, r.HotTopicSubs, r.TopicRehomes, r.TopicHandoffs, r.TopicFanoutCopies)
+		fmt.Fprintf(&b, "topics: %d (hot hashtag %d subscribers)   rehomes: %d   handoffs: %d   tree copies: %d   acks shared: %d\n",
+			r.Topics, r.HotTopicSubs, r.TopicRehomes, r.TopicHandoffs, r.TopicFanoutCopies, r.TopicAckShared)
 	}
 	if r.Attack != "" && r.Attack != "none" {
 		fmt.Fprintf(&b, "attack: %s ×%d vs peer %d (steps %d-%d, defenses=%v)\n",
@@ -1143,6 +1145,7 @@ func Run(cfg Config) (*Report, error) {
 		r.TopicRehomes = met.Get(obs.CTopicRehome)
 		r.TopicHandoffs = met.Get(obs.CTopicHandoff)
 		r.TopicFanoutCopies = met.Get(obs.CTopicFanout)
+		r.TopicAckShared = met.Get(obs.CTopicAckShared)
 	}
 	if attackKind != faultnet.AttackNone {
 		r.Attack = attackKind.String()
