@@ -240,7 +240,13 @@ func (n *Node) handleAckBatch(m *wire.Message) {
 			}
 		case wire.KindTopicPubAck:
 			if e.Pub == int32(n.id) {
-				n.consumeTopicPubAck(overlay.PeerID(e.From), e.Seq, now)
+				// Member e.From accepted hand-off e.Seq. The acceptance goes
+				// in the row, never in n.acked (pubState.accepted).
+				from := overlay.PeerID(e.From)
+				if st := n.pubs[e.Seq]; st != nil && st.class == rowHandoff && !slices.Contains(st.accepted, from) {
+					st.accepted = append(st.accepted, from)
+					n.resolveAck(e.Seq)
+				}
 				ackN++
 				kickR = true
 			}
@@ -248,7 +254,7 @@ func (n *Node) handleAckBatch(m *wire.Message) {
 	}
 	if len(have) > 0 {
 		settleReplay()
-		n.kickInbox()
+		kickR = true
 	}
 	if ackN > 0 {
 		n.cfg.Obs.Addn(obs.CAckReceived, ackN)
@@ -347,9 +353,9 @@ func (n *Node) consumeAck(e wire.AckEntry, share bool) (shared int) {
 // durable-tier repair state. Callers gate on inboxOn, count
 // CInboxDepositAck and kickRetry.
 func (n *Node) consumeDepositAck(pub int32, seq uint32, target int32) {
-	// The ack echoes the deposit's origin identity; for a topic hand-off
-	// the local repair state is keyed by this node's repair seq instead —
-	// also when this node published it (consumeAck).
+	// The ack echoes the deposit's origin identity; a replica row is keyed
+	// by this node's repair seq instead — also when this node published
+	// it (consumeAck).
 	aseq, known := n.tpOrigin[msgID{pub, seq}]
 	if !known {
 		aseq, known = seq, pub == int32(n.id)
@@ -362,30 +368,5 @@ func (n *Node) consumeDepositAck(pub int32, seq uint32, target int32) {
 			ds.acked = true
 			n.resolveAck(aseq)
 		}
-	}
-}
-
-// consumeTopicPubAck marks rendezvous member from's acceptance of
-// hand-off seq and resolves eagerly when the whole current set acked.
-// Callers have verified the publisher role, count CAckReceived and
-// kickRetry.
-func (n *Node) consumeTopicPubAck(from overlay.PeerID, seq uint32, now time.Time) {
-	tp := n.tpubs[seq]
-	if tp == nil {
-		return
-	}
-	tp.acked[from] = true
-	// Resolve eagerly so nextRepairAt can drop the entry.
-	set := n.topicRendezvous(tp.topic, now)
-	all := len(set) > 0
-	for _, rep := range set {
-		if !tp.acked[rep] {
-			all = false
-			break
-		}
-	}
-	if all {
-		delete(n.tpubs, seq)
-		n.cfg.Obs.TraceEvent("topic_pub_resolved", int32(n.id), seq)
 	}
 }

@@ -113,9 +113,6 @@ type Options struct {
 	// progress before the subscriber hands the claim to the next replica
 	// (default 150ms).
 	InboxLease time.Duration
-	// InboxRetry is the base re-send delay for unacked replays and the
-	// initial deposit round spacing (default RetryBase).
-	InboxRetry time.Duration
 
 	// Hardened enables the adversarial defenses of DESIGN.md §14: the
 	// per-identity join admission cache and arc-occupancy caps against
@@ -184,13 +181,6 @@ func (o *Options) fill() {
 	}
 	if o.InboxLease <= 0 {
 		o.InboxLease = 150 * time.Millisecond
-	}
-	if o.InboxRetry <= 0 {
-		if o.RetryBase > 0 {
-			o.InboxRetry = o.RetryBase
-		} else {
-			o.InboxRetry = 20 * time.Millisecond
-		}
 	}
 	if o.JoinRateWindow <= 0 {
 		o.JoinRateWindow = time.Second

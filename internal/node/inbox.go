@@ -32,10 +32,6 @@ import (
 //     duplicates are absorbed by the dedup window, so the sequential
 //     lease plus dedup yields at-least-once with no double app delivery.
 
-// maxReplayAttempts bounds how often a replica re-sends an unacked replay
-// batch before parking the queue; a later claim re-activates it.
-const maxReplayAttempts = 8
-
 const (
 	// replayBatchMax is the most records one replay frame carries. It
 	// stays under ackBatchMax, so the acks of one replay frame fit one ack
@@ -70,8 +66,9 @@ type depGroup struct {
 // replayState is the replica-side drain machinery for one subscriber: at
 // most one replay batch is outstanding at a time (the lease contract is
 // sequential). out holds the records of it that are neither acked nor
-// cleared yet; they are re-sent on the inbox wheel entry, and the next
-// batch leaves when none is left.
+// cleared yet; repairTick re-sends them on the engine's backoff and
+// parks the drain after the engine's budget, and the next batch leaves
+// when none is left.
 type replayState struct {
 	leaseSeq uint32 // claim-cycle correlation; 0 = self-initiated replay
 	out      []inbox.Record
@@ -97,83 +94,11 @@ func (n *Node) inboxOn() bool {
 	return n.cfg.Inbox && n.sh != nil && n.sh.ibx != nil && n.repairEnabled()
 }
 
-// kickInbox re-arms the shard wheel's inbox entry after a deadline
-// changed.
-func (n *Node) kickInbox() {
-	if n.sh != nil {
-		n.sh.scheduleInbox(n)
-	}
-}
-
-// nextInboxAt returns the earliest pending lease/replay deadline, or
-// false when the tier is idle for this node. A paused node dozes at
-// ≥50ms like the repair entry.
-func (n *Node) nextInboxAt() (time.Time, bool) {
-	var earliest time.Time
-	upd := func(t time.Time) {
-		if !t.IsZero() && (earliest.IsZero() || t.Before(earliest)) {
-			earliest = t
-		}
-	}
-	if n.claim != nil {
-		upd(n.claim.deadline)
-	}
-	for _, rs := range n.replay {
-		if len(rs.out) > 0 {
-			upd(rs.nextAt)
-		}
-	}
-	if earliest.IsZero() {
-		return time.Time{}, false
-	}
-	if n.paused.Load() {
-		if floor := time.Now().Add(50 * time.Millisecond); earliest.Before(floor) {
-			earliest = floor
-		}
-	}
-	return earliest, true
-}
-
-// inboxTick is the inbox wheel body: subscriber-side lease expiry
-// hand-off and replica-side replay re-sends.
-func (n *Node) inboxTick() {
-	if n.paused.Load() || !n.inboxOn() {
-		return
-	}
-	now := time.Now()
-	if cl := n.claim; cl != nil && !cl.deadline.After(now) {
-		// The lease holder made no progress within the lease: hand the
-		// claim to the next replica in the deterministic order.
-		n.cfg.Obs.Inc(obs.CInboxLeaseExpire)
-		n.cfg.Obs.TraceEvent("inbox_lease_expire", int32(n.id), uint32(cl.order[cl.idx]))
-		n.advanceClaim(now)
-	}
-	for target, rs := range n.replay {
-		if len(rs.out) == 0 || rs.nextAt.After(now) {
-			continue
-		}
-		if rs.attempt >= maxReplayAttempts {
-			// No ack after the full resend schedule: the subscriber went
-			// away again. Park the queue; the journal keeps the records
-			// and the next claim re-activates the drain.
-			delete(n.replay, target)
-			continue
-		}
-		rs.attempt++
-		rs.nextAt = now.Add(n.inboxRetryDelay(rs.attempt))
-		n.sendReplay(target, rs.out)
-	}
-}
-
-// inboxRetryDelay is the replay re-send backoff: plain capped doubling —
-// replay is point-to-point, so the jittered spread the repair engine
-// needs against herds buys nothing here.
-func (n *Node) inboxRetryDelay(attempt int) time.Duration {
-	d := n.cfg.InboxRetry
-	for i := 0; i < attempt && i < 3; i++ {
-		d *= 2
-	}
-	return d
+// drainSeed is the backoff stream of this replica's drain toward target:
+// the node's seq-0 stream (no publication draws seq 0) split per target,
+// the way a deposit round splits its publication's stream per subscriber.
+func (n *Node) drainSeed(target overlay.PeerID) uint64 {
+	return n.joinSeed() ^ uint64(uint32(target)+1)
 }
 
 // inboxReplicaSet computes peer p's replica set from the converged ring
@@ -219,7 +144,7 @@ func (n *Node) depositRound(seq uint32, st *pubState, subs []overlay.PeerID, now
 		Kind: wire.KindInboxDeposit, From: int32(n.id), Seq: seq, Publisher: int32(n.id),
 		Priority: st.pri, PayloadSize: st.size, Payload: st.payload,
 	}
-	if st.topic != "" {
+	if st.class == rowReplica {
 		m.Publisher, m.Seq, m.Topic = st.origin.Publisher, st.origin.Seq, []byte(st.topic)
 	}
 	members := n.dir.ringMembers()
@@ -295,7 +220,7 @@ func (n *Node) handleInboxDeposit(m *wire.Message) {
 		acks = n.depositFor(m, overlay.PeerID(t), now, acks)
 	}
 	n.directAcks(overlay.PeerID(m.From), acks)
-	n.kickInbox()
+	n.kickRetry()
 }
 
 // depositFor journals the copy of deposit frame m that is target's and
@@ -375,7 +300,7 @@ func (n *Node) handleInboxClaim(m *wire.Message) {
 	} else {
 		delete(n.replay, target) // the digest cleared all a drain had left
 	}
-	n.kickInbox()
+	n.kickRetry()
 }
 
 // activateReplay opens (or re-tags) the drain state for target.
@@ -417,7 +342,7 @@ func (n *Node) pumpReplay(target overlay.PeerID, now time.Time) bool {
 		return true
 	}
 	rs.attempt = 0
-	rs.nextAt = now.Add(n.cfg.InboxRetry)
+	rs.nextAt = now.Add(n.backoff().Delay(n.drainSeed(target), 0))
 	if rs.leaseSeq == 0 {
 		n.cfg.Obs.Addn(obs.CInboxReplaySelf, int64(len(rs.out)))
 	}
@@ -498,7 +423,7 @@ func (n *Node) clearReplayed(target overlay.PeerID, ids []inbox.ID) int {
 // but has no active drain gets its replay (re)started. It catches the
 // cases the claim protocol cannot — a claim that never reached this
 // replica (membership drifted further than the 2R candidate window), a
-// drain parked by maxReplayAttempts while the target flapped, or a
+// drain parked at the retry budget or while the target flapped, or a
 // replica that was itself offline when the subscriber claimed.
 func (n *Node) inboxSweep() {
 	if !n.inboxOn() {
@@ -517,7 +442,7 @@ func (n *Node) inboxSweep() {
 		}
 	}
 	if sent {
-		n.kickInbox()
+		n.kickRetry()
 	}
 }
 
@@ -540,12 +465,8 @@ func (n *Node) startInboxClaim(now time.Time, prevPos ring.ID) bool {
 	members := n.dir.ringMembers()
 	cands := selectcore.InboxReplicas(n.id, n.dir.position(n.id), members, nil, 2*n.cfg.InboxReplicas)
 	if prevPos != n.dir.position(n.id) {
-		seen := make(map[overlay.PeerID]bool, len(cands))
-		for _, p := range cands {
-			seen[p] = true
-		}
 		for _, p := range selectcore.InboxReplicas(n.id, prevPos, members, nil, 2*n.cfg.InboxReplicas) {
-			if !seen[p] {
+			if !slices.Contains(cands, p) {
 				cands = append(cands, p)
 			}
 		}
@@ -626,7 +547,7 @@ func (n *Node) handleInboxLease(m *wire.Message) {
 	} else {
 		n.advanceClaim(now)
 	}
-	n.kickInbox()
+	n.kickRetry()
 }
 
 // handleInboxReplay delivers a frame of replayed publications on the
@@ -667,7 +588,7 @@ func (n *Node) handleInboxReplay(m *wire.Message) {
 		n.claimHave = append(n.claimHave, acks[:min(len(acks), claimDigestMax-len(n.claimHave))]...)
 	}
 	n.directAcks(from, acks)
-	n.kickInbox()
+	n.kickRetry()
 }
 
 // deliverReplayed hands one replayed publication to the application

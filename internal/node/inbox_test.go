@@ -131,7 +131,6 @@ func TestInboxLeaseExpiryHandoffUnresponsiveReplica(t *testing.T) {
 		RetryBudget:    4,
 		Inbox:          true,
 		InboxLease:     80 * time.Millisecond,
-		InboxRetry:     15 * time.Millisecond,
 		Obs:            met,
 	})
 	defer shutdown(t, c)

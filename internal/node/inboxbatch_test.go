@@ -237,7 +237,7 @@ func TestReplayBatchPartialAck(t *testing.T) {
 		t.Fatalf("after an ack frame short of one entry: drain %+v, %d records held; want seq %d outstanding alone", rs, heldFor(rep, sub.id), lost)
 	}
 	rs.nextAt = time.Now().Add(-time.Millisecond)
-	rep.inboxTick()
+	rep.repairTick()
 	frames = playInbox(c, tp, nil)
 	if replays := ofKind(frames, wire.KindInboxReplay); len(replays) != 1 || replays[0].m.NMutual != 1 || replays[0].m.Seq != lost {
 		t.Errorf("the resend: %d frames, first %+v; want one frame carrying seq %d alone", len(replays), replays, lost)
@@ -249,6 +249,77 @@ func TestReplayBatchPartialAck(t *testing.T) {
 	if got := met.Get(obs.CInboxReplay); got != total+1 {
 		t.Errorf("inbox_replay = %d, want %d records and one re-sent", got, total)
 	}
+}
+
+// TestReplayDrainParksAtBudget: a replay batch the subscriber never acks
+// is re-sent on the repair engine's backoff, exactly RetryBudget times;
+// then the drain parks with the records still in the journal, and the
+// maintain tick's sweep replays them, once, when the subscriber answers. A
+// drain whose subscriber leaves the ring parks at its next deadline
+// without a re-send.
+func TestReplayDrainParksAtBudget(t *testing.T) {
+	const budget, total, pub = 3, 5, 3
+	met := obs.New()
+	opts := inboxFrozen
+	opts.Obs, opts.RetryBudget = met, budget
+	_, c, tp := frozenCluster(t, 40, 5, opts)
+	rep, sub := c.Nodes[1], c.Nodes[7]
+	for seq := uint32(1); seq <= total; seq++ {
+		hold(t, rep, sub.id, inbox.Record{Publisher: pub, Seq: seq, Priority: inbox.Medium})
+	}
+	rep.handle(claimFrame(sub.id, rep.id, 5))
+	if replays := tp.take(wire.KindInboxReplay); len(replays) != 1 || replays[0].m.NMutual != total {
+		t.Fatalf("replay frames %+v, want one batch of %d", replays, total)
+	}
+	bo := rep.backoff()
+	resends := 0
+	for rs := rep.replay[sub.id]; rs != nil; rs = rep.replay[sub.id] {
+		if resends > budget {
+			t.Fatalf("the drain is still open after %d re-sends", resends)
+		}
+		rs.nextAt = time.Now().Add(-time.Millisecond)
+		at := time.Now()
+		rep.repairTick()
+		replays := tp.take(wire.KindInboxReplay)
+		if len(replays) == 0 {
+			continue
+		}
+		resends += len(replays)
+		if replays[0].m.NMutual != total {
+			t.Errorf("re-send %d carries %d records, want %d", resends, replays[0].m.NMutual, total)
+		}
+		// The next deadline is the engine's delay for this attempt.
+		if d, want := rs.nextAt.Sub(at), bo.Delay(rep.drainSeed(sub.id), rs.attempt); d < want || d > want+100*time.Millisecond {
+			t.Errorf("re-send %d: next one in %v, want %v", resends, d, want)
+		}
+	}
+	if resends != budget || heldFor(rep, sub.id) != total {
+		t.Fatalf("the drain parked after %d re-sends with %d records held; want %d re-sends, %d held", resends, heldFor(rep, sub.id), budget, total)
+	}
+
+	h := hearOn(sub)
+	rep.inboxSweep()
+	frames := playInbox(c, tp, nil)
+	if replays := ofKind(frames, wire.KindInboxReplay); len(replays) != 1 || replays[0].m.NMutual != total {
+		t.Errorf("the sweep sent %d replay frames, want one batch of %d", len(replays), total)
+	}
+	h.exactlyOnce(t, total)
+	if heldFor(rep, sub.id) != 0 || rep.replay[sub.id] != nil {
+		t.Errorf("%d records held, drain open %v after the sweep's batch was acked", heldFor(rep, sub.id), rep.replay[sub.id] != nil)
+	}
+
+	for seq := uint32(total + 1); seq <= total+2; seq++ {
+		hold(t, rep, sub.id, inbox.Record{Publisher: pub, Seq: seq, Priority: inbox.Medium})
+	}
+	rep.handle(claimFrame(sub.id, rep.id, 6))
+	tp.all() // the batch is lost, and the subscriber leaves the ring
+	c.dir.setMember(sub.id, false)
+	rep.replay[sub.id].nextAt = time.Now().Add(-time.Millisecond)
+	rep.repairTick()
+	if replays := tp.take(wire.KindInboxReplay); len(replays) != 0 || rep.replay[sub.id] != nil || heldFor(rep, sub.id) != 2 {
+		t.Errorf("a drain toward a peer that left: %d re-sends, drain open %v, %d records held; want it parked with 2", len(replays), rep.replay[sub.id] != nil, heldFor(rep, sub.id))
+	}
+	c.dir.setMember(sub.id, true)
 }
 
 // TestClaimDigestSilencesSecondReplica: two replicas hold the same 50
@@ -393,7 +464,7 @@ func TestUnsubscribeMidBatch(t *testing.T) {
 		t.Fatalf("after the unsubscribe: %d frames sent, drain %+v, %d held, %d purged; want the two feed records outstanding", len(frames), rs, heldFor(rep, sub.id), met.Get(obs.CTopicPurged))
 	}
 	rs.nextAt = time.Now().Add(-time.Millisecond)
-	rep.inboxTick()
+	rep.repairTick()
 	replays := tp.take(wire.KindInboxReplay)
 	if len(replays) != 1 || replays[0].m.NMutual != 2 {
 		t.Fatalf("the resend: %+v, want one frame of two records", replays)

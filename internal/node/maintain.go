@@ -147,7 +147,7 @@ func (n *Node) handleJoinReply(m *wire.Message) {
 	// replicas — any deposits that accumulated while it was offline replay
 	// now (inbox.go).
 	if n.startInboxClaim(time.Now(), prevPos) {
-		n.kickInbox()
+		n.kickRetry()
 	}
 	posBits := math.Float64bits(float64(pos))
 	for q := range announce {
@@ -734,8 +734,8 @@ func (n *Node) resetVolatile() {
 	// refreshes; subscriptions themselves are app intent and survive, but
 	// their refresh bookkeeping resets so the first maintain tick after a
 	// rejoin re-registers them at the (possibly re-homed) rendezvous.
-	// tpubs and tpOrigin survive alongside pubs — the publisher's and the
-	// rendezvous's repair outboxes resume after the rejoin.
+	// tpOrigin survives alongside pubs — the hand-off and replica rows
+	// resume after the rejoin.
 	n.topicReg = make(map[string]map[overlay.PeerID]time.Time)
 	n.unsubbed = nil
 	for _, ts := range n.subTopics {

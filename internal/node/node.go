@@ -148,8 +148,10 @@ type Node struct {
 	// bounded FIFO by ackOrder (pubHistory).
 	acked    map[msgID]map[int32]bool
 	ackOrder []msgID
-	// pubs is the delivery-repair engine's per-publication state
-	// (repair.go); deadline changes re-arm the shard wheel via kickRetry.
+	// pubs is the delivery-repair engine's table, one row per publication
+	// this node owes someone — its own feed post, a topic publication it
+	// accepted as rendezvous replica, its own topic hand-off (repair.go);
+	// deadline changes re-arm the shard wheel via kickRetry.
 	pubs        map[uint32]*pubState
 	deadLetters []DeadLetter
 	// Durable delivery tier state (inbox.go): claim is the subscriber's
@@ -166,16 +168,15 @@ type Node struct {
 	claimHave  []wire.AckEntry
 	depGroups  []depGroup
 	// Topic tier state (topic.go): subTopics is this node's own
-	// subscriptions, topicReg the rendezvous-side subscriber registry,
-	// tpubs the publisher-side rendezvous hand-off rounds, and tpOrigin
-	// maps an accepted publication's origin id to the local repair seq
-	// its pubState is keyed by (the ack/deposit correlation for repair
-	// state whose owner is not the origin publisher).
+	// subscriptions, topicReg the rendezvous-side subscriber registry, and
+	// tpOrigin maps an accepted publication's origin id to the local
+	// repair seq its replica row is keyed by (the ack/deposit correlation
+	// for rows whose owner is not the origin publisher). The publisher's
+	// hand-offs are rows of pubs.
 	// unsubbed remembers recent unsubscribes on the peers that were told of
 	// them, bounded by unsubbedMax.
 	subTopics map[string]*topicSub
 	topicReg  map[string]map[overlay.PeerID]time.Time
-	tpubs     map[uint32]*topicPubState
 	tpOrigin  map[msgID]uint32
 	unsubbed  map[unsubKey]unsubscribed
 	// Hardened admission state (adversary.go): the last granted join per
@@ -277,7 +278,6 @@ func newNode(id overlay.PeerID, dir *directory, bw []float64, cfg Options, seed 
 		pubs:         make(map[uint32]*pubState),
 		subTopics:    make(map[string]*topicSub),
 		topicReg:     make(map[string]map[overlay.PeerID]time.Time),
-		tpubs:        make(map[uint32]*topicPubState),
 		tpOrigin:     make(map[msgID]uint32),
 		joinedCh:     make(chan struct{}),
 	}

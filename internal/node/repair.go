@@ -14,14 +14,16 @@ import (
 
 // This file is the self-healing layer of the live runtime (DESIGN.md §9):
 //
-//   - the autonomous delivery-repair engine: every publication this node
-//     publishes gets a per-(node, seq) state machine that re-sends to
-//     unacked subscribers on a seeded exponential-backoff-with-jitter
-//     schedule (selectcore.Backoff) until every subscriber acked or the
-//     retry budget dead-letters the publication — no caller ever drives
-//     repair by hand;
-//   - join-request resends, riding the same scheduler instead of the
-//     maintenance ticker;
+//   - the autonomous delivery-repair engine: one table (n.pubs) of rows,
+//     one per publication this node owes someone — its own friend-feed
+//     post, a topic publication it accepted as rendezvous replica, or its
+//     own topic publication on its way to the rendezvous set. Each row
+//     re-sends to its unacked destinations on a seeded
+//     exponential-backoff-with-jitter schedule (selectcore.Backoff) until
+//     they all acked or the retry budget escalates it — no caller ever
+//     drives repair by hand;
+//   - join-request resends, the durable tier's claim-lease expiry and its
+//     replay re-sends, all on the same timer, backoff and budget;
 //   - the accrual failure detector sweep: heartbeat evidence (miss
 //     streaks + CMA history) is classified by selectcore.FailureDetector
 //     into alive → suspect → dead, and a dead link is evicted and
@@ -30,8 +32,25 @@ import (
 //   - the state bounds: dedup windows and publication history are FIFO
 //     garbage-collected so long-running nodes hold bounded maps.
 
-// pubState is the publisher-side record of one in-flight publication.
+// Row classes of the repair engine (DESIGN.md §9.1): what a row's
+// destinations are, which ack clears them, and how it escalates.
+const (
+	// rowFeed is this node's friend-feed publication: its subscribers,
+	// KindAck, direct → deposit → dead letter.
+	rowFeed uint8 = iota
+	// rowReplica is a topic publication this node accepted as rendezvous
+	// replica: the registry's subscribers, KindAck, direct → deposit →
+	// dead letter.
+	rowReplica
+	// rowHandoff is this node's topic publication on its way to the
+	// rendezvous set: the set's members, KindTopicPubAck, direct →
+	// resolved if any member accepted → dead letter.
+	rowHandoff
+)
+
+// pubState is one row of the repair engine: an in-flight publication.
 type pubState struct {
+	class   uint8
 	subs    []overlay.PeerID
 	payload []byte
 	size    uint32
@@ -43,24 +62,33 @@ type pubState struct {
 	// direct repair stopped for them, deposit rounds retry until one
 	// replica acks persistence.
 	dep map[overlay.PeerID]*depSub
-	// origin/topic are set on topic-rendezvous repair state (topic.go):
+	// topic is set on topic rows (topic.go). On a replica row origin is
 	// the publication's original (publisher, seq) identity — acks and
-	// deposits are keyed by it, not by this node's local repair seq —
-	// and the topic it disseminates on. peers are the other members of
-	// the rendezvous set as this replica computed it on accepting: it
-	// passes each first-hand subscriber ack on to them (consumeAck).
-	origin msgID
-	topic  string
-	peers  []overlay.PeerID
+	// deposits are keyed by it, not by this node's local repair seq — and
+	// peers are the other members of the rendezvous set as this replica
+	// computed it on accepting: it passes each first-hand subscriber ack
+	// on to them (consumeAck). On a hand-off row accepted lists the
+	// members that acked acceptance. It is kept here and not in n.acked:
+	// when this node is its topic's primary, n.acked[(self, seq)] holds
+	// the subscriber acks of its replica row, a subscribing standby's
+	// among them, and that ack says nothing about the standby's repair
+	// state.
+	origin   msgID
+	topic    string
+	peers    []overlay.PeerID
+	accepted []overlay.PeerID
 }
 
 // DeadLetter records a publication that exhausted its retry budget with
-// subscribers still unacked — the bounded failure record the harness can
-// inspect instead of silently losing deliveries.
+// destinations still unacked — the bounded failure record the harness can
+// inspect instead of silently losing deliveries. (Publisher, Seq) names
+// the publication, also on a rendezvous replica that repaired someone
+// else's.
 type DeadLetter struct {
-	Seq     uint32
-	Missing []overlay.PeerID
-	Retries int
+	Publisher overlay.PeerID
+	Seq       uint32
+	Missing   []overlay.PeerID
+	Retries   int
 }
 
 // maxDeadLetters bounds the per-node dead-letter record.
@@ -92,35 +120,45 @@ func (n *Node) joinSeed() uint64 {
 }
 
 // kickRetry re-arms the shard wheel's repair entry after a deadline
-// changed (new publication, new join attempt).
+// changed (new publication, new join attempt, claim or drain moved).
 func (n *Node) kickRetry() {
 	if n.sh != nil {
 		n.sh.scheduleRepair(n)
 	}
 }
 
-// nextRepairAt returns the earliest pending retry/join deadline, or
+// earlier returns the earlier of t and u, a zero time counting as none.
+func earlier(t, u time.Time) time.Time {
+	if t.IsZero() || (!u.IsZero() && u.Before(t)) {
+		return u
+	}
+	return t
+}
+
+// nextRepairAt returns the earliest pending deadline — a row's retry or
+// deposit round, a join resend, the claim lease, a drain's re-send — or
 // false when nothing is in flight (the wheel entry is dropped). A paused
 // (churned-out) node dozes at ≥50 ms instead of spinning.
 func (n *Node) nextRepairAt() (time.Time, bool) {
 	var earliest time.Time
 	for _, st := range n.pubs {
-		if earliest.IsZero() || st.nextAt.Before(earliest) {
-			earliest = st.nextAt
-		}
+		earliest = earlier(earliest, st.nextAt)
 		for _, ds := range st.dep {
-			if !ds.acked && (earliest.IsZero() || ds.nextAt.Before(earliest)) {
-				earliest = ds.nextAt
+			if !ds.acked {
+				earliest = earlier(earliest, ds.nextAt)
 			}
 		}
 	}
-	for _, tp := range n.tpubs {
-		if earliest.IsZero() || tp.nextAt.Before(earliest) {
-			earliest = tp.nextAt
-		}
+	if n.wantJoin {
+		earliest = earlier(earliest, n.joinNext)
 	}
-	if n.wantJoin && !n.joinNext.IsZero() && (earliest.IsZero() || n.joinNext.Before(earliest)) {
-		earliest = n.joinNext
+	if n.claim != nil {
+		earliest = earlier(earliest, n.claim.deadline)
+	}
+	for _, rs := range n.replay {
+		if len(rs.out) > 0 {
+			earliest = earlier(earliest, rs.nextAt)
+		}
 	}
 	if earliest.IsZero() {
 		return time.Time{}, false
@@ -133,14 +171,15 @@ func (n *Node) nextRepairAt() (time.Time, bool) {
 	return earliest, true
 }
 
-// registerPublish opens the repair state machine for publication
-// seq: the first retry fires one backoff-delay after the initial send.
-func (n *Node) registerPublish(seq uint32, subs []overlay.PeerID, payload []byte, size uint32, pri uint8, now time.Time) {
+// registerPublish opens the row of this node's publication seq, a
+// friend-feed row: the first retry fires one backoff-delay after the
+// initial send. It returns the row, nil when repair is off.
+func (n *Node) registerPublish(seq uint32, subs []overlay.PeerID, payload []byte, size uint32, pri uint8, now time.Time) *pubState {
 	if !n.repairEnabled() {
-		return
+		return nil
 	}
 	bseed := selectcore.RepairSeed(n.cfg.Seed, int32(n.id), seq)
-	n.pubs[seq] = &pubState{
+	st := &pubState{
 		subs:    append([]overlay.PeerID(nil), subs...),
 		payload: payload,
 		size:    size,
@@ -148,24 +187,38 @@ func (n *Node) registerPublish(seq uint32, subs []overlay.PeerID, payload []byte
 		bseed:   bseed,
 		nextAt:  now.Add(n.backoff().Delay(bseed, 0)),
 	}
+	n.pubs[seq] = st
+	return st
 }
 
-// pubKey is the ack-set key of publication seq's state: the origin
-// identity for topic-rendezvous repair state, (self, seq) otherwise.
+// pubKey is the identity of the publication row seq repairs, and the
+// key of its ack set: the origin identity on a replica row, (self, seq)
+// otherwise.
 func (n *Node) pubKey(seq uint32, st *pubState) msgID {
-	if st.topic != "" {
+	if st.class == rowReplica {
 		return st.origin
 	}
 	return msgID{int32(n.id), seq}
 }
 
-// resolveAck closes publication seq's state machine once every
-// subscriber is settled — directly acked or durably deposited — the
-// moment its record becomes garbage-collectable.
+// resolveAck retires row seq once every destination is settled — a
+// subscriber directly acked or durably deposited, a rendezvous member
+// accepted — the moment its record becomes garbage-collectable.
 func (n *Node) resolveAck(seq uint32) {
 	st := n.pubs[seq]
 	if st == nil {
 		return
+	}
+	if st.class == rowHandoff {
+		set := n.topicRendezvous(st.topic, time.Now())
+		for _, rep := range set {
+			if !slices.Contains(st.accepted, rep) {
+				return
+			}
+		}
+		if len(set) == 0 {
+			return
+		}
 	}
 	acked := n.acked[n.pubKey(seq, st)]
 	for _, s := range st.subs {
@@ -177,13 +230,12 @@ func (n *Node) resolveAck(seq uint32) {
 	n.cfg.Obs.TraceEvent("pub_resolved", int32(n.id), seq)
 }
 
-// retire drops publication seq's state machine — resolved, dead-lettered,
-// or out of direct repair with nothing left to deposit. A topic replica's
-// state also leaves tpOrigin, the index its acks and deposit acks find it
-// by.
+// retire is the one exit of row seq — resolved, dead-lettered, or out of
+// direct repair with nothing left to deposit. A replica row also leaves
+// tpOrigin, the index its acks and deposit acks find it by.
 func (n *Node) retire(seq uint32, st *pubState) {
 	delete(n.pubs, seq)
-	if st.topic != "" {
+	if st.class == rowReplica {
 		delete(n.tpOrigin, st.origin)
 	}
 }
@@ -194,23 +246,25 @@ func (n *Node) scheduleJoinResend(now time.Time) {
 	n.joinNext = now.Add(n.joinBackoff().Delay(n.joinSeed(), n.joinAttempt))
 }
 
-// repairTick is the engine's timer body: re-send every due publication to
-// its still-unacked subscribers, re-send a pending join request, and run
-// the durable-tier deposit rounds. With the inbox tier on, a subscriber
-// that is no longer a ring member — or that stayed unacked through the
-// whole direct-retry budget — is handed off to its inbox replica set
-// instead of dead-lettered; only a failed deposit (no replica acked
-// within the budget) still dead-letters. A friend-feed retry names only
-// the subscribers still missing and leaves through fanOut, grouped by
-// next hop like the first send; the deposits a publication owes in this
-// pass — first rounds and retries alike — leave through one depositRound,
-// grouped by replica.
+// repairTick is the engine's timer body: re-send every due row to its
+// still-unacked destinations, run the durable-tier deposit rounds,
+// re-send a pending join request, hand an expired claim lease on, and
+// re-send every drain's outstanding replay batch that is due. With the
+// inbox tier on, a subscriber that is no longer a ring member — or that
+// stayed unacked through the whole direct-retry budget — is handed off to
+// its inbox replica set instead of dead-lettered; only a failed deposit
+// (no replica acked within the budget) still dead-letters. A friend-feed
+// retry names only the subscribers still missing and leaves through
+// fanOut, grouped by next hop like the first send; the deposits a
+// publication owes in this pass — first rounds and retries alike — leave
+// through one depositRound, grouped by replica.
 func (n *Node) repairTick() {
 	if n.paused.Load() {
 		return
 	}
 	now := time.Now()
-	budget := n.backoff().Budget
+	bo := n.backoff()
+	budget := bo.Budget
 	if budget <= 0 {
 		budget = 12
 	}
@@ -244,26 +298,63 @@ func (n *Node) repairTick() {
 			n.depositRound(seq, st, due, now)
 		}
 	}
-	n.topicRepair(now, budget)
 	if n.wantJoin && !n.joinNext.IsZero() && !n.joinNext.After(now) {
 		n.joinAttempt++
 		n.scheduleJoinResend(now)
 		n.cfg.Obs.Inc(obs.CJoinResend)
 		n.sendJoinRequest()
 	}
+	if cl := n.claim; cl != nil && !cl.deadline.After(now) {
+		// The lease holder made no progress within the lease: hand the
+		// claim to the next replica in the deterministic order.
+		n.cfg.Obs.Inc(obs.CInboxLeaseExpire)
+		n.cfg.Obs.TraceEvent("inbox_lease_expire", int32(n.id), uint32(cl.order[cl.idx]))
+		n.advanceClaim(now)
+	}
+	for target, rs := range n.replay {
+		if len(rs.out) == 0 || rs.nextAt.After(now) {
+			continue
+		}
+		if rs.attempt >= budget || !n.dir.isMember(target) {
+			// No ack after the whole budget, or the subscriber left the
+			// ring again: park the drain. The journal keeps the records;
+			// the next claim or inboxSweep restarts it.
+			delete(n.replay, target)
+			continue
+		}
+		rs.attempt++
+		rs.nextAt = now.Add(bo.Delay(n.drainSeed(target), rs.attempt))
+		n.sendReplay(target, rs.out)
+	}
 }
 
-// retryDirect is publication seq's direct-retry round, due now: the
-// subscribers still missing get another copy, the ones out of budget or
-// out of the ring are handed to the durable tier — appended to due, whose
-// deposit round the caller sends — and a publication with neither is
-// retired.
+// retryDirect is row seq's direct-retry round, due now: the destinations
+// still missing get another copy, the subscribers out of budget or out of
+// the ring are handed to the durable tier — appended to due, whose
+// deposit round the caller sends — and a row with neither is retired. A
+// hand-off row's destinations are the members of the topic's rendezvous
+// set as it stands now; this node, once it is one of them, accepts on the
+// spot.
 func (n *Node) retryDirect(seq uint32, st *pubState, due []overlay.PeerID, now time.Time, budget int) []overlay.PeerID {
 	bo := n.backoff()
 	inboxOn := n.inboxOn()
 	acked := n.acked[n.pubKey(seq, st)]
 	var missing []overlay.PeerID
 	depositing := false
+	anyAccepted := st.class != rowHandoff
+	if st.class == rowHandoff {
+		for _, rep := range n.topicRendezvous(st.topic, now) {
+			if rep == n.id && !slices.Contains(st.accepted, rep) {
+				st.accepted = append(st.accepted, rep)
+				n.acceptTopicPub(msgID{int32(n.id), seq}, st.topic, st.payload, st.size, st.pri)
+			}
+			if slices.Contains(st.accepted, rep) {
+				anyAccepted = true
+			} else {
+				missing = append(missing, rep)
+			}
+		}
+	}
 	for _, s := range st.subs {
 		if settled(acked, st, s) {
 			continue
@@ -282,7 +373,7 @@ func (n *Node) retryDirect(seq uint32, st *pubState, due []overlay.PeerID, now t
 		}
 		missing = append(missing, s)
 	}
-	if len(missing) == 0 {
+	if len(missing) == 0 && anyAccepted {
 		if !depositing {
 			n.retire(seq, st)
 		} else {
@@ -293,8 +384,16 @@ func (n *Node) retryDirect(seq uint32, st *pubState, due []overlay.PeerID, now t
 		return due
 	}
 	if st.attempt >= budget {
-		// Inbox off (or it would have claimed them above): budget
-		// exhausted with subscribers missing.
+		if st.class == rowHandoff && anyAccepted {
+			// A member that answered none of the budget's hand-offs is de
+			// facto dead even while the accrual detector still lists it
+			// live: a replica that accepted owns delivery (tree, repair,
+			// deposits), and the hand-off is complete.
+			n.retire(seq, st)
+			return due
+		}
+		// Inbox off (or it would have claimed them above), or no member
+		// ever accepted: budget exhausted with destinations missing.
 		n.deadLetter(seq, st, missing)
 		return due
 	}
@@ -308,32 +407,39 @@ func (n *Node) retryDirect(seq uint32, st *pubState, due []overlay.PeerID, now t
 	st.nextAt = now.Add(bo.Delay(st.bseed, st.attempt))
 	n.cfg.Obs.Addn(obs.CRetrySent, int64(len(missing)))
 	n.cfg.Obs.TraceEvent("retry", int32(n.id), seq)
-	if st.topic == "" {
+	switch st.class {
+	case rowFeed:
 		n.fanOut(n.feedFrame(seq, st.payload, st.size, st.pri), missing, -1, nil)
-		return due
-	}
-	for _, s := range missing {
-		// Topic repair copies are point-to-point leaf deliveries (no
-		// subtree) carrying the origin identity, with acks addressed
-		// back to this rendezvous replica.
-		_ = n.tr.Send(int32(s), &wire.Message{
-			Kind: wire.KindTopicPub, From: int32(n.id), To: int32(s),
-			Seq: st.origin.Seq, Publisher: st.origin.Publisher,
-			Target: int32(n.id), Priority: st.pri, TTL: n.cfg.TTL,
-			PayloadSize: st.size, Payload: st.payload,
-			Topic: []byte(st.topic),
-		})
+	case rowReplica:
+		for _, s := range missing {
+			// Topic repair copies are point-to-point leaf deliveries (no
+			// subtree) carrying the origin identity, with acks addressed
+			// back to this rendezvous replica.
+			_ = n.tr.Send(int32(s), &wire.Message{
+				Kind: wire.KindTopicPub, From: int32(n.id), To: int32(s),
+				Seq: st.origin.Seq, Publisher: st.origin.Publisher,
+				Target: int32(n.id), Priority: st.pri, TTL: n.cfg.TTL,
+				PayloadSize: st.size, Payload: st.payload,
+				Topic: []byte(st.topic),
+			})
+		}
+	case rowHandoff:
+		for _, rep := range missing {
+			_ = n.tr.Send(int32(rep), n.topicHandoff(seq, st, rep))
+		}
 	}
 	return due
 }
 
-// deadLetter retires publication seq unresolved: budget exhausted
-// with subscribers missing. The record is bounded FIFO.
+// deadLetter retires row seq unresolved: budget exhausted with
+// destinations missing. The record names the publication and is bounded
+// FIFO.
 func (n *Node) deadLetter(seq uint32, st *pubState, missing []overlay.PeerID) {
+	id := n.pubKey(seq, st)
 	n.retire(seq, st)
 	n.cfg.Obs.Inc(obs.CDeadLetter)
 	n.cfg.Obs.TraceEvent("dead_letter", int32(n.id), seq)
-	n.deadLetters = append(n.deadLetters, DeadLetter{Seq: seq, Missing: missing, Retries: st.attempt})
+	n.deadLetters = append(n.deadLetters, DeadLetter{Publisher: overlay.PeerID(id.Publisher), Seq: id.Seq, Missing: missing, Retries: st.attempt})
 	if len(n.deadLetters) > maxDeadLetters {
 		n.deadLetters = n.deadLetters[len(n.deadLetters)-maxDeadLetters:]
 	}
@@ -346,8 +452,9 @@ func (n *Node) DeadLetters() (dl []DeadLetter) {
 	return dl
 }
 
-// PendingRepairs returns how many publications are still in the repair
-// engine (unresolved, not dead-lettered).
+// PendingRepairs returns how many rows the repair engine holds —
+// friend-feed publications, topic publications accepted as rendezvous
+// replica and topic hand-offs alike — unresolved and not dead-lettered.
 func (n *Node) PendingRepairs() (k int) {
 	n.do(func() { k = len(n.pubs) })
 	return k

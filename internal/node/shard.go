@@ -37,7 +37,6 @@ const (
 	tkMaintain
 	tkRepair
 	tkMonitor
-	tkInbox
 	tkAckFlush
 )
 
@@ -359,20 +358,14 @@ func (s *shard) scheduleAt(id uint64, at time.Time) {
 	s.moved = true
 }
 
-// scheduleOrCancel upserts wheel entry id when ok, and drops it otherwise.
-func (s *shard) scheduleOrCancel(id uint64, at time.Time, ok bool) {
-	if ok {
-		s.wheel.Schedule(id, at)
-	} else {
-		s.wheel.Cancel(id)
-	}
-	s.moved = true
-}
-
 // scheduleRepair upserts (or cancels) the node's repair deadline.
 func (s *shard) scheduleRepair(n *Node) {
-	at, ok := n.nextRepairAt()
-	s.scheduleOrCancel(timerID(int32(n.id), tkRepair), at, ok)
+	if at, ok := n.nextRepairAt(); ok {
+		s.scheduleAt(timerID(int32(n.id), tkRepair), at)
+	} else {
+		s.wheel.Cancel(timerID(int32(n.id), tkRepair))
+		s.moved = true
+	}
 }
 
 // scheduleAckFlush arms the node's one-shot ack-flush deadline. The
@@ -381,13 +374,6 @@ func (s *shard) scheduleRepair(n *Node) {
 // deadline back and starve the buffer under sustained traffic.
 func (s *shard) scheduleAckFlush(n *Node, at time.Time) {
 	s.scheduleAt(timerID(int32(n.id), tkAckFlush), at)
-}
-
-// scheduleInbox upserts (or cancels) the node's durable-tier deadline —
-// lease expiries and replay re-sends (inbox.go).
-func (s *shard) scheduleInbox(n *Node) {
-	at, ok := n.nextInboxAt()
-	s.scheduleOrCancel(timerID(int32(n.id), tkInbox), at, ok)
 }
 
 // run is the shard loop. One reused timer sleeps until the wheel's
@@ -548,8 +534,10 @@ func (s *shard) fire(f sched.Fired, now time.Time) {
 	// and this reproduces that pressure valve explicitly. Skips are
 	// counted (timer_shed): redundant periodic traffic degrades first,
 	// never silently.
-	// Repair fires are exempt: they are the reliability path, already
-	// bounded by the per-publication retry budget and backoff.
+	// Repair fires are exempt: they are the reliability path — feed and
+	// topic repair, deposits, claim leases and replay re-sends — already
+	// bounded by the retry budget and backoff, and by the
+	// one-outstanding-replay-batch-per-target and lease contracts.
 	run := func() bool {
 		if s.queued >= shedBacklog {
 			s.obs.Inc(obs.CTimerShed)
@@ -571,14 +559,6 @@ func (s *shard) fire(f sched.Fired, now time.Time) {
 	case tkRepair:
 		n.repairTick()
 		if at, ok := n.nextRepairAt(); ok {
-			s.wheel.Schedule(f.ID, at)
-		}
-	case tkInbox:
-		// Shed-exempt like repair: the durable tier IS the reliability
-		// path for offline subscribers, and its traffic is bounded by the
-		// one-outstanding-replay-batch-per-target and lease contracts.
-		n.inboxTick()
-		if at, ok := n.nextInboxAt(); ok {
 			s.wheel.Schedule(f.ID, at)
 		}
 	case tkAckFlush:

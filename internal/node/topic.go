@@ -26,14 +26,15 @@ import (
 //     rendezvous set with a lease (TopicSub, refreshed at lease/2 on
 //     the maintain tick; registry entries expire when refreshes stop).
 //   - publication: the publisher hands the message to the rendezvous
-//     set (TopicPub with Target = -1, retried on the repair wheel until
-//     every live member acked acceptance). The primary fans it down a
-//     bounded-fanout dissemination tree built from the registry
-//     (selectcore.TreeBranches; each tree copy carries its subtree in
-//     RoutingTable); every accepting replica also registers the
-//     publication in the repair engine, so unacked subscribers get
-//     direct retries and — via the PR-7 inbox — durable deposits when
-//     they are offline.
+//     set (TopicPub with Target = -1). The hand-off is a row of the
+//     repair engine (rowHandoff), retried until every live member acked
+//     acceptance, resolved at budget if any had, dead-lettered if none
+//     had. The primary fans it down a bounded-fanout dissemination tree
+//     built from the registry (selectcore.TreeBranches; each tree copy
+//     carries its subtree in RoutingTable); every accepting replica also
+//     opens a row of its own for the publication (rowReplica), so
+//     unacked subscribers get direct retries and — via the PR-7 inbox —
+//     durable deposits when they are offline.
 //   - acknowledgement (DESIGN.md §13.4): a subscriber acks one replica
 //     per copy, the one that stamped it (Target); that replica passes
 //     each first-hand ack on to the other members of its rendezvous set
@@ -140,22 +141,6 @@ type topicSub struct {
 	set      []overlay.PeerID // rendezvous set at the last round (re-home detection)
 }
 
-// topicPubState is the publisher-side hand-off record of one topic
-// publication: retried on the repair wheel until every live member of
-// the (re-computed per round) rendezvous set confirmed acceptance —
-// all-member acking is what makes a mid-fan-out rendezvous death
-// lossless, because a surviving acked standby keeps repairing.
-type topicPubState struct {
-	topic   string
-	payload []byte
-	size    uint32
-	pri     uint8
-	attempt int
-	nextAt  time.Time
-	bseed   uint64
-	acked   map[overlay.PeerID]bool
-}
-
 // Subscribe registers this node on the topic and blocks until a
 // rendezvous replica confirms the registration (or ctx expires; the
 // registration keeps retrying on the maintain tick either way).
@@ -260,29 +245,27 @@ func (t *TopicHandle) Publish(payload []byte, opts ...PublishOption) (uint32, er
 	return seq, nil
 }
 
-// publishTopic opens the hand-off record of topic publication seq and
-// sends the first round.
+// publishTopic opens the hand-off row of topic publication seq and sends
+// the first round. All-member acceptance is what makes a mid-fan-out
+// rendezvous death lossless: a surviving standby that accepted keeps
+// repairing.
 func (n *Node) publishTopic(seq uint32, topic string, payload []byte, o pubOpts) {
 	now := time.Now()
 	id := msgID{int32(n.id), seq}
 	n.rememberDelivery(id, 0) // the publisher trivially has its own message
-	tp := &topicPubState{
-		topic: topic, payload: payload, size: o.size, pri: o.pri,
-		bseed: selectcore.RepairSeed(n.cfg.Seed, int32(n.id), seq),
-		acked: make(map[overlay.PeerID]bool),
-	}
-	tp.nextAt = now.Add(n.backoff().Delay(tp.bseed, 0))
-	n.tpubs[seq] = tp
+	st := n.registerPublish(seq, nil, payload, o.size, o.pri, now)
+	st.class, st.topic = rowHandoff, topic
+	st.accepted = make([]overlay.PeerID, 0, n.cfg.InboxReplicas)
 	n.cfg.Obs.Inc(obs.CPublishSent)
 	n.cfg.Obs.TraceEvent("topic_publish", int32(n.id), seq)
 	selfAccept := false
 	for _, rep := range n.topicRendezvous(topic, now) {
 		if rep == n.id {
-			tp.acked[n.id] = true
+			st.accepted = append(st.accepted, rep)
 			selfAccept = true
 			continue
 		}
-		_ = n.tr.Send(int32(rep), n.topicHandoff(seq, tp, rep))
+		_ = n.tr.Send(int32(rep), n.topicHandoff(seq, st, rep))
 	}
 	if selfAccept {
 		n.acceptTopicPub(id, topic, payload, o.size, o.pri)
@@ -291,13 +274,13 @@ func (n *Node) publishTopic(seq uint32, topic string, payload []byte, o pubOpts)
 }
 
 // topicHandoff builds the publisher→rendezvous hand-off of this node's
-// topic publication seq to replica `to` (Target -1).
-func (n *Node) topicHandoff(seq uint32, tp *topicPubState, to overlay.PeerID) *wire.Message {
+// topic publication seq, row st, to replica `to` (Target -1).
+func (n *Node) topicHandoff(seq uint32, st *pubState, to overlay.PeerID) *wire.Message {
 	return &wire.Message{
 		Kind: wire.KindTopicPub, From: int32(n.id), To: int32(to),
 		Seq: seq, Publisher: int32(n.id), Target: -1,
-		Priority: tp.pri, PayloadSize: tp.size, Payload: tp.payload,
-		Topic: []byte(tp.topic), TTL: n.cfg.TTL,
+		Priority: st.pri, PayloadSize: st.size, Payload: st.payload,
+		Topic: []byte(st.topic), TTL: n.cfg.TTL,
 	}
 }
 
@@ -353,7 +336,7 @@ func (n *Node) TopicRendezvous(topic string) (set []overlay.PeerID) {
 // lastSub and caches the set for re-home detection.
 func (n *Node) topicRegister(topic string, ts *topicSub, now time.Time) {
 	set := n.topicRendezvous(topic, now)
-	if ts.set != nil && !peersEqual(ts.set, set) {
+	if ts.set != nil && !slices.Equal(ts.set, set) {
 		n.cfg.Obs.Inc(obs.CTopicRehome)
 		n.cfg.Obs.TraceEvent("topic_rehome", int32(n.id), 0)
 	}
@@ -389,7 +372,7 @@ func (n *Node) topicMaintain() {
 			continue
 		}
 		refreshDue := !ts.acked || now.Sub(ts.lastSub) >= n.cfg.TopicLease/2
-		if !refreshDue && peersEqual(ts.set, n.topicRendezvous(topic, now)) {
+		if !refreshDue && slices.Equal(ts.set, n.topicRendezvous(topic, now)) {
 			continue
 		}
 		n.topicRegister(topic, ts, now)
@@ -408,17 +391,7 @@ func (n *Node) topicMaintain() {
 			continue
 		}
 		set := n.topicRendezvous(topic, now)
-		if len(set) == 0 {
-			continue
-		}
-		own := false
-		for _, rep := range set {
-			if rep == n.id {
-				own = true
-				break
-			}
-		}
-		if own {
+		if len(set) == 0 || slices.Contains(set, n.id) {
 			continue
 		}
 		// Ownership moved (an Algorithm-2 ID move or membership change):
@@ -526,7 +499,7 @@ func (n *Node) dropTopicSub(topic string, sub overlay.PeerID, seq uint32, now ti
 	// retrying toward it must neither keep re-sending nor deposit fresh
 	// journal entries after the purge below.
 	for rseq, st := range n.pubs {
-		if st.topic != topic {
+		if st.class != rowReplica || st.topic != topic {
 			continue
 		}
 		if i := slices.Index(st.subs, sub); i >= 0 {
@@ -654,7 +627,7 @@ func (n *Node) acceptTopicPub(origin msgID, topic string, payload []byte, size u
 	rseq := n.nextSeq()
 	bseed := selectcore.RepairSeed(n.cfg.Seed, origin.Publisher, origin.Seq)
 	st := &pubState{
-		subs: subs, payload: payload, size: size, pri: pri,
+		class: rowReplica, subs: subs, payload: payload, size: size, pri: pri,
 		bseed: bseed, origin: origin, topic: topic,
 	}
 	set := n.topicRendezvous(topic, now)
@@ -739,73 +712,6 @@ func (n *Node) deliverTopicCopy(m *wire.Message) {
 	}
 }
 
-// topicRepair runs the publisher-side hand-off rounds inside repairTick:
-// re-send the TopicPub to every not-yet-acked member of the topic's
-// current rendezvous set, resolving when all live members acked and
-// dead-lettering past the budget.
-func (n *Node) topicRepair(now time.Time, budget int) {
-	for seq, tp := range n.tpubs {
-		set := n.topicRendezvous(tp.topic, now)
-		allAcked := len(set) > 0
-		for _, rep := range set {
-			if !tp.acked[rep] {
-				allAcked = false
-				break
-			}
-		}
-		if allAcked {
-			delete(n.tpubs, seq)
-			n.cfg.Obs.TraceEvent("topic_pub_resolved", int32(n.id), seq)
-			continue
-		}
-		if tp.nextAt.After(now) {
-			continue
-		}
-		if tp.attempt >= budget {
-			// A member that answered none of the budget's hand-offs is de
-			// facto dead even while the accrual detector still lists it
-			// live: if any replica accepted, that replica owns delivery
-			// (tree, repair, deposits) and the hand-off is complete. Only a
-			// publication NO replica ever accepted dead-letters.
-			anyAcked := false
-			var missing []overlay.PeerID
-			for _, rep := range set {
-				if tp.acked[rep] {
-					anyAcked = true
-				} else {
-					missing = append(missing, rep)
-				}
-			}
-			delete(n.tpubs, seq)
-			if anyAcked {
-				n.cfg.Obs.TraceEvent("topic_pub_resolved", int32(n.id), seq)
-				continue
-			}
-			n.cfg.Obs.Inc(obs.CDeadLetter)
-			n.cfg.Obs.TraceEvent("topic_dead_letter", int32(n.id), seq)
-			n.deadLetters = append(n.deadLetters, DeadLetter{Seq: seq, Missing: missing, Retries: tp.attempt})
-			if len(n.deadLetters) > maxDeadLetters {
-				n.deadLetters = n.deadLetters[len(n.deadLetters)-maxDeadLetters:]
-			}
-			continue
-		}
-		tp.attempt++
-		tp.nextAt = now.Add(n.backoff().Delay(tp.bseed, tp.attempt))
-		for _, rep := range set {
-			if tp.acked[rep] {
-				continue
-			}
-			if rep == n.id {
-				tp.acked[n.id] = true
-				n.acceptTopicPub(msgID{int32(n.id), seq}, tp.topic, tp.payload, tp.size, tp.pri)
-				continue
-			}
-			n.cfg.Obs.Inc(obs.CRetrySent)
-			_ = n.tr.Send(int32(rep), n.topicHandoff(seq, tp, rep))
-		}
-	}
-}
-
 // TopicSubscribers reports the topic's registry size at this node
 // (rendezvous role; ops/tests surface).
 func (n *Node) TopicSubscribers(topic string) (k int) {
@@ -814,20 +720,14 @@ func (n *Node) TopicSubscribers(topic string) (k int) {
 }
 
 // PendingTopicPublishes reports how many topic hand-offs are still
-// unresolved on this node (publisher role).
+// unresolved on this node (publisher role): its rows of class rowHandoff.
 func (n *Node) PendingTopicPublishes() (k int) {
-	n.do(func() { k = len(n.tpubs) })
-	return k
-}
-
-func peersEqual(a, b []overlay.PeerID) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
+	n.do(func() {
+		for _, st := range n.pubs {
+			if st.class == rowHandoff {
+				k++
+			}
 		}
-	}
-	return true
+	})
+	return k
 }

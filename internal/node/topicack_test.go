@@ -1,6 +1,7 @@
 package node
 
 import (
+	"reflect"
 	"slices"
 	"testing"
 	"time"
@@ -16,10 +17,19 @@ import (
 // replica that stamped its copy, and that replica passes the ack on to
 // the rest of its rendezvous set.
 
-// repairState reports how many publications n's repair engine holds and
-// how many topic origins index them.
+// repairState reports how many replica rows n's repair engine holds and
+// how many topic origins index them. A publisher that is its topic's
+// primary also holds the hand-off row of its publication, which waits for
+// the other members' acceptance, not for subscriber acks.
 func repairState(n *Node) (pubs, origins int) {
-	n.do(func() { pubs, origins = len(n.pubs), len(n.tpOrigin) })
+	n.do(func() {
+		for _, st := range n.pubs {
+			if st.class == rowReplica {
+				pubs++
+			}
+		}
+		origins = len(n.tpOrigin)
+	})
 	return pubs, origins
 }
 
@@ -156,6 +166,242 @@ func TestTopicRendezvousStateRetires(t *testing.T) {
 			t.Fatalf("the standby sent %d copies", len(copies))
 		}
 	})
+}
+
+// handoffsTo counts the hand-off frames (KindTopicPub, Target -1) among
+// frames, per peer they were sent to.
+func handoffsTo(frames []sent) map[overlay.PeerID]int {
+	out := make(map[overlay.PeerID]int)
+	for _, f := range frames {
+		if f.m.Kind == wire.KindTopicPub && f.m.Target < 0 {
+			out[overlay.PeerID(f.hop)]++
+		}
+	}
+	return out
+}
+
+// dropPubAcks takes the hand-off acks the given members send out of ack
+// frame f, and reports false: the rest of the frame goes on.
+func dropPubAcks(f *sent, from ...overlay.PeerID) bool {
+	if f.m.Kind == wire.KindAckBatch {
+		f.m.Acks = slices.DeleteFunc(f.m.Acks, func(e wire.AckEntry) bool {
+			return e.Kind == wire.KindTopicPubAck && slices.Contains(from, overlay.PeerID(e.From))
+		})
+	}
+	return false
+}
+
+// TestTopicHandoffRow: a topic hand-off is a row of the publisher's repair
+// engine. Its destinations are the rendezvous set's members, and a
+// member's KindTopicPubAck, its acceptance, is kept in the row. The row
+// resolves on the last acceptance, resolves at budget if any member
+// accepted, and dead-letters once, naming the publication, if none did.
+// When the publisher is its topic's primary, a subscribing standby's ack
+// of the primary's tree copy lands in the ack set of the primary's replica
+// row, and it is no acceptance: the publisher keeps handing off until the
+// standby accepts and holds repair state of its own.
+func TestTopicHandoffRow(t *testing.T) {
+	const topic, budget = "#row", 3
+	type env struct {
+		pub, primary, standby *Node
+		silent                overlay.PeerID // a subscriber, the one the last case keeps from answering
+		seq                   uint32
+		early                 bool // the row left before an acceptance reached it
+	}
+	isHandoff := func(f *sent) bool { return f.m.Kind == wire.KindTopicPub && f.m.Target < 0 }
+	watchEarly := func(e *env, _ int, f *sent) bool {
+		isPubAck := func(a wire.AckEntry) bool { return a.Kind == wire.KindTopicPubAck }
+		if f.hop == int32(e.pub.id) && slices.ContainsFunc(f.m.Acks, isPubAck) && e.pub.pubs[e.seq] == nil {
+			e.early = true
+		}
+		return false
+	}
+	for _, tc := range []struct {
+		name             string
+		primaryPublishes bool
+		// lose drops (true) or edits a frame sent after `ticks` repair ticks.
+		lose  func(e *env, ticks int, f *sent) bool
+		check func(t *testing.T, e *env, ticks int)
+		// ticks is how many repair ticks of the publisher the row lives
+		// through; toPrimary and toStandby count the hand-off frames each
+		// member is sent, retries the retry copies.
+		ticks, toPrimary, toStandby, retries int
+		deadLetter                           bool
+	}{
+		{name: "all members accept", lose: watchEarly, ticks: 0, toPrimary: 1, toStandby: 1},
+		{
+			name:  "one member silent, one accepted",
+			lose:  func(e *env, _ int, f *sent) bool { return dropPubAcks(f, e.standby.id) },
+			ticks: budget + 1, toPrimary: 1, toStandby: budget + 1, retries: budget,
+		},
+		{
+			name:  "no member answers",
+			lose:  func(e *env, _ int, f *sent) bool { return dropPubAcks(f, e.primary.id, e.standby.id) },
+			ticks: budget + 1, toPrimary: budget + 1, toStandby: budget + 1, retries: 2 * budget,
+			deadLetter: true,
+		},
+		{
+			name:             "publisher is the primary, standby subscribes",
+			primaryPublishes: true,
+			lose: func(e *env, ticks int, f *sent) bool {
+				switch {
+				case f.hop == int32(e.silent):
+					return true
+				case ticks == 0:
+					return isHandoff(f) // the first hand-off is lost on its way
+				case ticks == 1:
+					return dropPubAcks(f, e.standby.id)
+				}
+				return false
+			},
+			check: func(t *testing.T, e *env, ticks int) {
+				switch ticks {
+				case 0:
+					if !e.pub.acked[msgID{int32(e.pub.id), e.seq}][int32(e.standby.id)] {
+						t.Fatal("the standby's ack of the tree copy did not reach the primary: the case proves nothing")
+					}
+				case 1:
+					if _, ok := e.standby.tpOrigin[msgID{int32(e.pub.id), e.seq}]; !ok {
+						t.Error("the standby accepted the re-sent hand-off and holds no repair state")
+					}
+				}
+			},
+			ticks: 2, toStandby: 3, retries: 2,
+		},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			met := obs.New()
+			_, c, tp := frozenCluster(t, 60, 53, Options{Obs: met, RetryBase: time.Second, RetryBudget: budget, TopicLease: 30 * time.Second})
+			now := time.Now()
+			set := c.Nodes[0].topicRendezvous(topic, now)
+			if len(set) != 2 {
+				t.Fatalf("rendezvous %v, want a primary and a standby", set)
+			}
+			e := &env{primary: c.Nodes[set[0]], standby: c.Nodes[set[1]]}
+			var others []overlay.PeerID
+			for p := overlay.PeerID(0); len(others) < 4; p++ {
+				if !slices.Contains(set, p) {
+					others = append(others, p)
+				}
+			}
+			e.pub, e.silent = c.Nodes[others[0]], others[1]
+			for _, r := range set {
+				for _, s := range others[1:] {
+					c.Nodes[r].registerTopicSub(topic, s, now)
+				}
+			}
+			if tc.primaryPublishes {
+				e.pub = e.primary
+				e.primary.registerTopicSub(topic, e.standby.id, now)
+				e.standby.subTopics[topic] = &topicSub{sub: &Subscription{n: e.standby, topic: topic}, ackCh: make(chan struct{})}
+			}
+			var err error
+			if e.seq, err = e.pub.Topic(topic).Publish([]byte("row")); err != nil {
+				t.Fatal(err)
+			}
+			var frames []sent
+			ticks := 0
+			for {
+				frames = append(frames, playInbox(c, tp, func(f *sent) bool { return tc.lose != nil && tc.lose(e, ticks, f) })...)
+				if tc.check != nil {
+					tc.check(t, e, ticks)
+				}
+				st := e.pub.pubs[e.seq]
+				if st == nil {
+					break
+				}
+				if st.class != rowHandoff || e.pub.PendingTopicPublishes() != 1 {
+					t.Fatalf("row %d: class %d, %d hand-offs pending", e.seq, st.class, e.pub.PendingTopicPublishes())
+				}
+				if ticks > budget+1 {
+					t.Fatalf("the row outlived %d repair ticks", ticks)
+				}
+				st.nextAt = time.Now().Add(-time.Millisecond)
+				e.pub.repairTick()
+				ticks++
+			}
+			if e.early {
+				t.Error("the row left before the last acceptance reached it")
+			}
+			sent := handoffsTo(frames)
+			if ticks != tc.ticks || sent[e.primary.id] != tc.toPrimary || sent[e.standby.id] != tc.toStandby {
+				t.Errorf("the row left after %d ticks, hand-offs to the primary %d, to the standby %d; want %d, %d, %d",
+					ticks, sent[e.primary.id], sent[e.standby.id], tc.ticks, tc.toPrimary, tc.toStandby)
+			}
+			if got := met.Get(obs.CRetrySent); got != int64(tc.retries) {
+				t.Errorf("retry_sent = %d, want %d", got, tc.retries)
+			}
+			dl := e.pub.DeadLetters()
+			switch {
+			case !tc.deadLetter && len(dl) != 0:
+				t.Errorf("dead letters %+v, want none", dl)
+			case tc.deadLetter && (len(dl) != 1 || dl[0].Publisher != e.pub.id || dl[0].Seq != e.seq || !slices.Equal(dl[0].Missing, set) || dl[0].Retries != budget):
+				t.Errorf("dead letters %+v, want one naming %d/%d, missing %v, after %d retries", dl, e.pub.id, e.seq, set, budget)
+			}
+			if got, want := met.Get(obs.CDeadLetter), int64(len(dl)); got != want {
+				t.Errorf("dead_letter = %d, %d recorded", got, want)
+			}
+		})
+	}
+}
+
+// TestDeadLetterNamesPublication: a dead letter names the publication it
+// gave up on. On a rendezvous replica that is the origin (publisher, seq),
+// not the replica's private repair seq; a hand-off no member accepted is
+// the publisher's own (self, seq).
+func TestDeadLetterNamesPublication(t *testing.T) {
+	const topic, budget = "#letters", 2
+	_, c, tp := frozenCluster(t, 60, 59, Options{RetryBase: time.Second, RetryBudget: budget, TopicLease: 30 * time.Second})
+	set := c.Nodes[0].topicRendezvous(topic, time.Now())
+	primary := c.Nodes[set[0]]
+	var others []overlay.PeerID
+	for p := overlay.PeerID(0); len(others) < 2; p++ {
+		if !slices.Contains(set, p) {
+			others = append(others, p)
+		}
+	}
+	pub, sub := c.Nodes[others[0]], c.Nodes[others[1]]
+	for _, r := range set {
+		c.Nodes[r].registerTopicSub(topic, sub.id, time.Now())
+	}
+	sub.paused.Store(true)
+	asleep := func(f *sent) bool { return c.Nodes[f.hop].paused.Load() }
+	// The publisher's seqs run ahead of the primary's, so that the
+	// primary's repair seq of the publication is not the publication's.
+	for pub.seq.Load() <= primary.seq.Load()+1 {
+		pub.nextSeq()
+	}
+	seq, _ := pub.Topic(topic).Publish([]byte("x"))
+	playInbox(c, tp, asleep)
+	rseq, ok := primary.tpOrigin[msgID{int32(pub.id), seq}]
+	if !ok || rseq == seq {
+		t.Fatalf("the primary holds the publication under repair seq %d (accepted %v), the publication is %d", rseq, ok, seq)
+	}
+	for i := 0; i <= budget; i++ {
+		primary.pubs[rseq].nextAt = time.Now().Add(-time.Millisecond)
+		primary.repairTick()
+		playInbox(c, tp, asleep)
+	}
+	want := DeadLetter{Publisher: pub.id, Seq: seq, Missing: []overlay.PeerID{sub.id}, Retries: budget}
+	if dl := primary.DeadLetters(); len(dl) != 1 || !reflect.DeepEqual(dl[0], want) {
+		t.Errorf("the primary's dead letters %+v, want [%+v]", dl, want)
+	}
+	if dl := pub.DeadLetters(); len(dl) != 0 {
+		t.Fatalf("the publisher dead-lettered an accepted hand-off: %+v", dl)
+	}
+
+	lost := func(f *sent) bool { return f.m.Kind == wire.KindTopicPub && f.m.Target < 0 }
+	seq, _ = pub.Topic(topic).Publish([]byte("y"))
+	playInbox(c, tp, lost)
+	for i := 0; i <= budget; i++ {
+		pub.pubs[seq].nextAt = time.Now().Add(-time.Millisecond)
+		pub.repairTick()
+		playInbox(c, tp, lost)
+	}
+	want = DeadLetter{Publisher: pub.id, Seq: seq, Missing: set, Retries: budget}
+	if dl := pub.DeadLetters(); len(dl) != 1 || !reflect.DeepEqual(dl[0], want) {
+		t.Errorf("the publisher's dead letters %+v, want [%+v]", dl, want)
+	}
 }
 
 // TestTopicCopyAckedOnce: on a fault-free cluster every copy a subscriber
