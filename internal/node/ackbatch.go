@@ -11,9 +11,10 @@ import (
 )
 
 // Ack batching (DESIGN.md §15.1). A delivery ack, a deposit ack, a replay
-// ack and a topic hand-off ack are each one wire.AckEntry, and the only
-// frame that carries entries is KindAckBatch: a node buffers them per next hop and
-// flushes a bucket as one frame. The flush rule follows the dissemination
+// ack, a topic hand-off ack and a registration or registry ack are each
+// one wire.AckEntry, and the only frame that carries entries is
+// KindAckBatch: a node buffers them per next hop and flushes a bucket as
+// one frame. The flush rule follows the dissemination
 // tree. A handler that forwarded none of its frame's destinations onward
 // has nothing to wait for, and the bucket its ack lands in leaves at
 // once, with whatever was waiting there. A node that did forward arms the
@@ -80,9 +81,9 @@ func (n *Node) queueAck(e wire.AckEntry, leaf bool) {
 	n.bufferAck(hops[0], e, leaf)
 }
 
-// directAck sends one point-to-point ack — the deposit and topic-ack
-// contracts — straight to e.Dest. Nothing answers through this node on
-// such a path, so the entry never waits.
+// directAck sends one point-to-point ack — the deposit, topic-ack and
+// set-row acceptance contracts — straight to e.Dest. Nothing answers
+// through this node on such a path, so the entry never waits.
 func (n *Node) directAck(e wire.AckEntry) {
 	n.cfg.Obs.Inc(obs.CAckLeafFlush)
 	n.bufferAck(overlay.PeerID(e.Dest), e, true)
@@ -238,12 +239,13 @@ func (n *Node) handleAckBatch(m *wire.Message) {
 				haveOf = overlay.PeerID(e.Target)
 				have = append(have, inbox.ID{Publisher: e.Pub, Seq: e.Seq})
 			}
-		case wire.KindTopicPubAck:
+		case wire.KindTopicPubAck, wire.KindTopicSubAck:
 			if e.Pub == int32(n.id) {
-				// Member e.From accepted hand-off e.Seq. The acceptance goes
-				// in the row, never in n.acked (pubState.accepted).
+				// Member e.From accepted set row e.Seq: a hand-off, a
+				// registration or a registry. The acceptance goes in the
+				// row, never in n.acked (pubState.accepted).
 				from := overlay.PeerID(e.From)
-				if st := n.pubs[e.Seq]; st != nil && st.class == rowHandoff && !slices.Contains(st.accepted, from) {
+				if st := n.pubs[e.Seq]; st != nil && st.setRow() && !slices.Contains(st.accepted, from) {
 					st.accepted = append(st.accepted, from)
 					n.resolveAck(e.Seq)
 				}

@@ -395,11 +395,27 @@ func TestShutdownRace(t *testing.T) {
 	}
 }
 
+// subAcks returns the KindTopicSubAck entries of the ack frames among
+// frames: the acceptances of registrations and registry transfers.
+func subAcks(frames []sent) []wire.AckEntry {
+	var out []wire.AckEntry
+	for _, f := range frames {
+		for _, e := range f.m.Acks {
+			if f.m.Kind == wire.KindAckBatch && e.Kind == wire.KindTopicSubAck {
+				out = append(out, e)
+			}
+		}
+	}
+	return out
+}
+
 // TestUnsubscribeOutlivesFramesInFlight drives the receiver of a TopicUnsub
 // by hand: what was sent for the pair before the subscriber left and lands
 // after — an older registration, a hand-off entry, a deposit — is dropped
 // and counted, the deposit is still acked so its sender settles, and only a
-// registration the subscriber made later lifts the memory.
+// registration the subscriber made later lifts the memory. A registration
+// and a registry transfer are acked with KindTopicSubAck entries on the
+// ack-batch path; a registration the memory drops is not acked.
 func TestUnsubscribeOutlivesFramesInFlight(t *testing.T) {
 	met := obs.New()
 	_, c, tp := frozenCluster(t, 40, 5, Options{Obs: met, RetryBase: 10 * time.Millisecond, Inbox: true})
@@ -416,11 +432,13 @@ func TestUnsubscribeOutlivesFramesInFlight(t *testing.T) {
 	if k := rv.TopicSubscribers(topic); k != 1 {
 		t.Fatalf("%d registrations after the unsubscribe, want the other subscriber's", k)
 	}
-	tp.take(wire.KindTopicSubAck)
+	if acks := subAcks(tp.take(wire.KindAckBatch)); len(acks) != 2 || acks[0].Dest != int32(sub) || acks[0].Seq != 10 || acks[1].Dest != int32(other) || acks[1].Seq != 3 {
+		t.Fatalf("registration acks %+v, want one to each subscriber echoing its seq", acks)
+	}
 
 	// A refresh that left before the unsubscribe.
 	rv.handle(frame(wire.KindTopicSub, sub, 11))
-	if acks := tp.take(wire.KindTopicSubAck); len(acks) != 0 || rv.TopicSubscribers(topic) != 1 || late() != 1 {
+	if acks := subAcks(tp.take(wire.KindAckBatch)); len(acks) != 0 || rv.TopicSubscribers(topic) != 1 || late() != 1 {
 		t.Fatalf("an older registration: %d acks, %d registrations, topic_unsub_late = %d", len(acks), rv.TopicSubscribers(topic), late())
 	}
 	// A hand-off from a peer that had not heard.
@@ -429,6 +447,9 @@ func TestUnsubscribeOutlivesFramesInFlight(t *testing.T) {
 	rv.handle(ho)
 	if rv.TopicSubscribers(topic) != 2 || late() != 2 {
 		t.Fatalf("a hand-off naming the departed subscriber: %d registrations, topic_unsub_late = %d", rv.TopicSubscribers(topic), late())
+	}
+	if acks := subAcks(tp.take(wire.KindAckBatch)); len(acks) != 1 || acks[0].From != int32(rv.id) || acks[0].Dest != 20 || acks[0].Seq != 1 {
+		t.Fatalf("the transfer's acks %+v, want one to its sender 20 echoing seq 1", acks)
 	}
 	// A deposit under way when the purge passed.
 	dep := frame(wire.KindInboxDeposit, pub, 5)
@@ -463,7 +484,7 @@ func TestUnsubscribeOutlivesFramesInFlight(t *testing.T) {
 
 	// Subscribed again, later: the memory is lifted, not waited out.
 	rv.handle(frame(wire.KindTopicSub, sub, 13))
-	if acks := tp.take(wire.KindTopicSubAck); len(acks) != 1 || rv.TopicSubscribers(topic) != 3 || late() != 4 {
+	if acks := subAcks(tp.take(wire.KindAckBatch)); len(acks) != 1 || rv.TopicSubscribers(topic) != 3 || late() != 4 {
 		t.Fatalf("a newer registration: %d acks, %d registrations, topic_unsub_late = %d", len(acks), rv.TopicSubscribers(topic), late())
 	}
 	if len(rv.unsubbed) != 0 {

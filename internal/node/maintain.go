@@ -731,11 +731,17 @@ func (n *Node) resetVolatile() {
 	n.claim, n.claimHave = nil, nil
 	n.replay = nil
 	// The rendezvous-side topic registry is soft state rebuilt from lease
-	// refreshes; subscriptions themselves are app intent and survive, but
-	// their refresh bookkeeping resets so the first maintain tick after a
-	// rejoin re-registers them at the (possibly re-homed) rendezvous.
-	// tpOrigin survives alongside pubs — the hand-off and replica rows
-	// resume after the rejoin.
+	// refreshes, and so are the rows that transfer it; subscriptions
+	// themselves are app intent and survive, but their refresh bookkeeping
+	// resets so the first maintain tick after a rejoin re-registers them at
+	// the (possibly re-homed) rendezvous, retiring the open row. tpOrigin
+	// survives alongside pubs — the hand-off and replica rows resume after
+	// the rejoin.
+	for seq, st := range n.pubs {
+		if st.class == rowTransfer {
+			n.retire(seq, st)
+		}
+	}
 	n.topicReg = make(map[string]map[overlay.PeerID]time.Time)
 	n.unsubbed = nil
 	for _, ts := range n.subTopics {

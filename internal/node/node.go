@@ -148,10 +148,11 @@ type Node struct {
 	// bounded FIFO by ackOrder (pubHistory).
 	acked    map[msgID]map[int32]bool
 	ackOrder []msgID
-	// pubs is the delivery-repair engine's table, one row per publication
-	// this node owes someone — its own feed post, a topic publication it
-	// accepted as rendezvous replica, its own topic hand-off (repair.go);
-	// deadline changes re-arm the shard wheel via kickRetry.
+	// pubs is the delivery-repair engine's table, one row per thing this
+	// node owes someone — its own feed post, a topic publication it
+	// accepted as rendezvous replica, its own topic hand-off, its own
+	// registration, a registry it no longer owns (repair.go); deadline
+	// changes re-arm the shard wheel via kickRetry.
 	pubs        map[uint32]*pubState
 	deadLetters []DeadLetter
 	// Durable delivery tier state (inbox.go): claim is the subscriber's
@@ -172,7 +173,8 @@ type Node struct {
 	// tpOrigin maps an accepted publication's origin id to the local
 	// repair seq its replica row is keyed by (the ack/deposit correlation
 	// for rows whose owner is not the origin publisher). The publisher's
-	// hand-offs are rows of pubs.
+	// hand-offs, the subscriber's registrations and a lost registry's
+	// transfer are rows of pubs.
 	// unsubbed remembers recent unsubscribes on the peers that were told of
 	// them, bounded by unsubbedMax.
 	subTopics map[string]*topicSub
@@ -376,8 +378,6 @@ func (n *Node) handle(m *wire.Message) {
 		n.handleInboxReplay(m)
 	case wire.KindTopicSub:
 		n.handleTopicSub(m)
-	case wire.KindTopicSubAck:
-		n.handleTopicSubAck(m)
 	case wire.KindTopicUnsub:
 		n.handleTopicUnsub(m)
 	case wire.KindTopicPub:

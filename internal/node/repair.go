@@ -1,6 +1,7 @@
 package node
 
 import (
+	"cmp"
 	"math"
 	"slices"
 	"time"
@@ -15,9 +16,10 @@ import (
 // This file is the self-healing layer of the live runtime (DESIGN.md §9):
 //
 //   - the autonomous delivery-repair engine: one table (n.pubs) of rows,
-//     one per publication this node owes someone — its own friend-feed
-//     post, a topic publication it accepted as rendezvous replica, or its
-//     own topic publication on its way to the rendezvous set. Each row
+//     one per thing this node owes someone — its own friend-feed post, a
+//     topic publication it accepted as rendezvous replica, its own topic
+//     publication on its way to the rendezvous set, its own registration
+//     on a topic, or a registry it no longer owns. Each row
 //     re-sends to its unacked destinations on a seeded
 //     exponential-backoff-with-jitter schedule (selectcore.Backoff) until
 //     they all acked or the retry budget escalates it — no caller ever
@@ -33,7 +35,10 @@ import (
 //     garbage-collected so long-running nodes hold bounded maps.
 
 // Row classes of the repair engine (DESIGN.md §9.1): what a row's
-// destinations are, which ack clears them, and how it escalates.
+// destinations are, which ack clears them, and how it escalates. The
+// classes from rowHandoff on are set rows: their destinations are a
+// topic's live rendezvous set, recomputed every round (setRound), and a
+// member's acceptance is kept in the row.
 const (
 	// rowFeed is this node's friend-feed publication: its subscribers,
 	// KindAck, direct → deposit → dead letter.
@@ -43,9 +48,15 @@ const (
 	// dead letter.
 	rowReplica
 	// rowHandoff is this node's topic publication on its way to the
-	// rendezvous set: the set's members, KindTopicPubAck, direct →
-	// resolved if any member accepted → dead letter.
+	// rendezvous set: KindTopicPubAck, direct → resolved if any member
+	// accepted → dead letter.
 	rowHandoff
+	// rowRegister is this node's registration on a topic (one per lease
+	// refresh): KindTopicSubAck, direct → retired at budget.
+	rowRegister
+	// rowTransfer is a registry this node holds for a topic whose set it
+	// left: KindTopicSubAck, direct → retired at budget.
+	rowTransfer
 )
 
 // pubState is one row of the repair engine: an in-flight publication.
@@ -67,8 +78,8 @@ type pubState struct {
 	// deposits are keyed by it, not by this node's local repair seq — and
 	// peers are the other members of the rendezvous set as this replica
 	// computed it on accepting: it passes each first-hand subscriber ack
-	// on to them (consumeAck). On a hand-off row accepted lists the
-	// members that acked acceptance. It is kept here and not in n.acked:
+	// on to them (consumeAck). On a set row accepted lists the members
+	// that acked acceptance. It is kept here and not in n.acked:
 	// when this node is its topic's primary, n.acked[(self, seq)] holds
 	// the subscriber acks of its replica row, a subscribing standby's
 	// among them, and that ack says nothing about the standby's repair
@@ -78,6 +89,10 @@ type pubState struct {
 	peers    []overlay.PeerID
 	accepted []overlay.PeerID
 }
+
+// setRow reports whether st is a set row: a hand-off, a registration or a
+// registry transfer.
+func (st *pubState) setRow() bool { return st.class >= rowHandoff }
 
 // DeadLetter records a publication that exhausted its retry budget with
 // destinations still unacked — the bounded failure record the harness can
@@ -101,6 +116,10 @@ func (n *Node) repairEnabled() bool { return n.cfg.RetryBase > 0 }
 func (n *Node) backoff() selectcore.Backoff {
 	return selectcore.Backoff{Base: n.cfg.RetryBase, Max: n.cfg.RetryMax, Budget: n.cfg.RetryBudget}
 }
+
+// retryBudget is how many rounds a row, a deposit or a drain is re-sent
+// before it escalates: RetryBudget, 12 when that is not positive.
+func (n *Node) retryBudget() int { return cmp.Or(max(n.cfg.RetryBudget, 0), 12) }
 
 // joinBackoff is the join-resend schedule: same engine, but with a
 // fallback base (joins must retry even when publication repair is off)
@@ -202,21 +221,18 @@ func (n *Node) pubKey(seq uint32, st *pubState) msgID {
 }
 
 // resolveAck retires row seq once every destination is settled — a
-// subscriber directly acked or durably deposited, a rendezvous member
-// accepted — the moment its record becomes garbage-collectable.
+// subscriber directly acked or durably deposited, every live member of a
+// set row's rendezvous set accepted (setRound, which accepts on the spot
+// for this node if it is one) — the moment its record becomes
+// garbage-collectable.
 func (n *Node) resolveAck(seq uint32) {
 	st := n.pubs[seq]
 	if st == nil {
 		return
 	}
-	if st.class == rowHandoff {
-		set := n.topicRendezvous(st.topic, time.Now())
-		for _, rep := range set {
-			if !slices.Contains(st.accepted, rep) {
-				return
-			}
-		}
-		if len(set) == 0 {
+	if st.setRow() {
+		now := time.Now()
+		if missing, anyAccepted := n.setRound(seq, st, n.topicRendezvous(st.topic, now), now); len(missing) > 0 || !anyAccepted {
 			return
 		}
 	}
@@ -232,11 +248,23 @@ func (n *Node) resolveAck(seq uint32) {
 
 // retire is the one exit of row seq — resolved, dead-lettered, or out of
 // direct repair with nothing left to deposit. A replica row also leaves
-// tpOrigin, the index its acks and deposit acks find it by.
+// tpOrigin, the index its acks and deposit acks find it by. A
+// registration any member accepted releases Subscribe. A transfer row
+// takes the registry it carried with it, unless this node is back in the
+// topic's set.
 func (n *Node) retire(seq uint32, st *pubState) {
 	delete(n.pubs, seq)
-	if st.class == rowReplica {
+	switch st.class {
+	case rowReplica:
 		delete(n.tpOrigin, st.origin)
+	case rowRegister:
+		if ts := n.subTopics[st.topic]; ts != nil && len(st.accepted) > 0 {
+			ts.ack()
+		}
+	case rowTransfer:
+		if !slices.Contains(n.topicRendezvous(st.topic, time.Now()), n.id) {
+			delete(n.topicReg, st.topic)
+		}
 	}
 }
 
@@ -263,11 +291,7 @@ func (n *Node) repairTick() {
 		return
 	}
 	now := time.Now()
-	bo := n.backoff()
-	budget := bo.Budget
-	if budget <= 0 {
-		budget = 12
-	}
+	budget := n.retryBudget()
 	var due []overlay.PeerID
 	for seq, st := range n.pubs {
 		// Deposit rounds run on their own per-subscriber deadlines, even
@@ -292,7 +316,7 @@ func (n *Node) repairTick() {
 			continue
 		}
 		if !st.nextAt.After(now) {
-			due = n.retryDirect(seq, st, due, now, budget)
+			due = n.retryDirect(seq, st, due, now)
 		}
 		if len(due) > 0 {
 			n.depositRound(seq, st, due, now)
@@ -323,7 +347,7 @@ func (n *Node) repairTick() {
 			continue
 		}
 		rs.attempt++
-		rs.nextAt = now.Add(bo.Delay(n.drainSeed(target), rs.attempt))
+		rs.nextAt = now.Add(n.backoff().Delay(n.drainSeed(target), rs.attempt))
 		n.sendReplay(target, rs.out)
 	}
 }
@@ -332,28 +356,17 @@ func (n *Node) repairTick() {
 // still missing get another copy, the subscribers out of budget or out of
 // the ring are handed to the durable tier — appended to due, whose
 // deposit round the caller sends — and a row with neither is retired. A
-// hand-off row's destinations are the members of the topic's rendezvous
-// set as it stands now; this node, once it is one of them, accepts on the
-// spot.
-func (n *Node) retryDirect(seq uint32, st *pubState, due []overlay.PeerID, now time.Time, budget int) []overlay.PeerID {
-	bo := n.backoff()
+// set row's round is setRound's: the members of the topic's rendezvous set
+// as it stands now, this node accepting on the spot once it is one.
+func (n *Node) retryDirect(seq uint32, st *pubState, due []overlay.PeerID, now time.Time) []overlay.PeerID {
+	bo, budget := n.backoff(), n.retryBudget()
 	inboxOn := n.inboxOn()
 	acked := n.acked[n.pubKey(seq, st)]
 	var missing []overlay.PeerID
 	depositing := false
-	anyAccepted := st.class != rowHandoff
-	if st.class == rowHandoff {
-		for _, rep := range n.topicRendezvous(st.topic, now) {
-			if rep == n.id && !slices.Contains(st.accepted, rep) {
-				st.accepted = append(st.accepted, rep)
-				n.acceptTopicPub(msgID{int32(n.id), seq}, st.topic, st.payload, st.size, st.pri)
-			}
-			if slices.Contains(st.accepted, rep) {
-				anyAccepted = true
-			} else {
-				missing = append(missing, rep)
-			}
-		}
+	anyAccepted := true
+	if st.setRow() {
+		missing, anyAccepted = n.setRound(seq, st, n.topicRendezvous(st.topic, now), now)
 	}
 	for _, s := range st.subs {
 		if settled(acked, st, s) {
@@ -384,16 +397,19 @@ func (n *Node) retryDirect(seq uint32, st *pubState, due []overlay.PeerID, now t
 		return due
 	}
 	if st.attempt >= budget {
-		if st.class == rowHandoff && anyAccepted {
-			// A member that answered none of the budget's hand-offs is de
+		if st.setRow() && (anyAccepted || st.class != rowHandoff) {
+			// A member that answered none of the budget's rounds is de
 			// facto dead even while the accrual detector still lists it
-			// live: a replica that accepted owns delivery (tree, repair,
-			// deposits), and the hand-off is complete.
+			// live. A replica that accepted a hand-off owns delivery (tree,
+			// repair, deposits); a registration or a registry is soft
+			// state, held where it was accepted and repaired by the next
+			// refresh where it was not.
 			n.retire(seq, st)
 			return due
 		}
 		// Inbox off (or it would have claimed them above), or no member
-		// ever accepted: budget exhausted with destinations missing.
+		// ever accepted the publication: budget exhausted with
+		// destinations missing.
 		n.deadLetter(seq, st, missing)
 		return due
 	}
@@ -423,10 +439,8 @@ func (n *Node) retryDirect(seq uint32, st *pubState, due []overlay.PeerID, now t
 				Topic: []byte(st.topic),
 			})
 		}
-	case rowHandoff:
-		for _, rep := range missing {
-			_ = n.tr.Send(int32(rep), n.topicHandoff(seq, st, rep))
-		}
+	default:
+		n.sendSet(seq, st, missing, now)
 	}
 	return due
 }
@@ -452,11 +466,21 @@ func (n *Node) DeadLetters() (dl []DeadLetter) {
 	return dl
 }
 
-// PendingRepairs returns how many rows the repair engine holds —
-// friend-feed publications, topic publications accepted as rendezvous
-// replica and topic hand-offs alike — unresolved and not dead-lettered.
-func (n *Node) PendingRepairs() (k int) {
-	n.do(func() { k = len(n.pubs) })
+// PendingRepairs returns how many publication rows the repair engine
+// holds — friend-feed publications, topic publications accepted as
+// rendezvous replica and topic hand-offs alike — unresolved and not
+// dead-lettered. Registrations and registry transfers are not counted.
+func (n *Node) PendingRepairs() int { return n.pendingRows(rowFeed, rowHandoff) }
+
+// pendingRows counts the repair engine's rows of the classes lo to hi.
+func (n *Node) pendingRows(lo, hi uint8) (k int) {
+	n.do(func() {
+		for _, st := range n.pubs {
+			if lo <= st.class && st.class <= hi {
+				k++
+			}
+		}
+	})
 	return k
 }
 

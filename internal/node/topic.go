@@ -23,8 +23,13 @@ import (
 //     geometry) host its subscriber registry. Index 0 is the primary,
 //     the rest are standbys.
 //   - subscription: subscribers register at every member of the
-//     rendezvous set with a lease (TopicSub, refreshed at lease/2 on
-//     the maintain tick; registry entries expire when refreshes stop).
+//     rendezvous set with a lease. A registration is a row of the repair
+//     engine (rowRegister): its rounds send TopicSub to the members that
+//     have not accepted, a member accepts with a KindTopicSubAck entry on
+//     the ack-batch path, and Subscribe returns once every live member
+//     holds the entry, or once the row retires at budget with any holding
+//     it. A fresh row opens at lease/2 on the maintain tick; registry
+//     entries expire when refreshes stop.
 //   - publication: the publisher hands the message to the rendezvous
 //     set (TopicPub with Target = -1). The hand-off is a row of the
 //     repair engine (rowHandoff), retried until every live member acked
@@ -42,10 +47,13 @@ import (
 //     state. A standby the acks never reach retries after its backoff
 //     step, with copies naming itself, and is acked directly.
 //   - re-homing: membership changes and accrual-detector verdicts
-//     (deadUntil) shift the rendezvous set; subscribers re-register the
-//     moment their computed set changes, a peer that lost ownership
-//     hands its registry off (TopicHandoff), and publishers recompute
-//     the set on every retry. Duplicate fan-out waves from standby
+//     (deadUntil) shift the rendezvous set; a subscriber's registration
+//     row runs its next round the moment the computed set changes, a peer
+//     that lost ownership carries its registry to the current set in a
+//     row of its own (rowTransfer, TopicHandoff, acked like a
+//     registration) and drops it when the row retires, and publishers
+//     recompute the set on every retry. The three set rows share one
+//     round (setRound, sendSet). Duplicate fan-out waves from standby
 //     acceptance are absorbed by the (publisher, seq) dedup window.
 
 // Errors returned by the topic-first API.
@@ -135,17 +143,20 @@ type topicSub struct {
 	sub      *Subscription
 	handler  DeliverFunc
 	implicit bool // user topic: delivered by the friend graph, no rendezvous
-	acked    bool // at least one TopicSubAck arrived (Subscribe unblocks)
+	acked    bool // a registration row resolved, or retired accepted (Subscribe unblocks)
 	ackCh    chan struct{}
-	lastSub  time.Time        // last lease-refresh round
-	set      []overlay.PeerID // rendezvous set at the last round (re-home detection)
+	row      uint32           // the registration row: n.pubs[row], nil once retired
+	lastSub  time.Time        // when the row opened, the last lease refresh
+	set      []overlay.PeerID // rendezvous set at the last refresh or re-home
 }
 
-// Subscribe registers this node on the topic and blocks until a
-// rendezvous replica confirms the registration (or ctx expires; the
-// registration keeps retrying on the maintain tick either way).
-// User-topic subscriptions are implicit — friends already receive the
-// feed — and return immediately; non-friends get ErrNotFriend.
+// Subscribe registers this node on the topic and blocks until every live
+// member of the topic's rendezvous set holds the registration — or until
+// the registration's repair row retires at its budget with at least one
+// member holding it, or ctx expires; the registration is refreshed on
+// the maintain tick either way. User-topic subscriptions are implicit —
+// friends already receive the feed — and return immediately; non-friends
+// get ErrNotFriend.
 func (t *TopicHandle) Subscribe(ctx context.Context) (*Subscription, error) {
 	n := t.n
 	owner, implicit := parseUserTopic(t.name)
@@ -162,10 +173,12 @@ func (t *TopicHandle) Subscribe(ctx context.Context) (*Subscription, error) {
 			ts = &topicSub{sub: &Subscription{n: n, topic: t.name}, implicit: implicit, ackCh: make(chan struct{})}
 			n.subTopics[t.name] = ts
 		}
-		if implicit {
+		switch {
+		case implicit:
 			ts.ack()
-		} else {
-			n.topicRegister(t.name, ts, time.Now())
+		case n.pubs[ts.row] == nil: // else the open row releases this call too
+			now := time.Now()
+			n.topicRegister(t.name, ts, n.topicRendezvous(t.name, now), now)
 		}
 	})
 	// ackCh and sub never change once the subscription exists.
@@ -202,20 +215,17 @@ func (n *Node) unsubscribe(topic string) {
 	if ts == nil || ts.implicit {
 		return
 	}
-	seq := n.nextSeq()
-	now := time.Now()
-	targets := make(map[overlay.PeerID]bool)
-	for _, rep := range n.topicRendezvous(topic, now) {
-		targets[rep] = true
+	if st := n.pubs[ts.row]; st != nil {
+		n.retire(ts.row, st) // no TopicSub of it follows the TopicUnsub
 	}
-	for _, rep := range selectcore.InboxReplicas(n.id, n.dir.position(n.id), n.dir.ringMembers(), nil, n.cfg.InboxReplicas) {
-		targets[rep] = true
-	}
-	if targets[n.id] {
-		delete(targets, n.id)
-		n.dropTopicSub(topic, n.id, seq, now)
-	}
-	for rep := range targets {
+	seq, now := n.nextSeq(), time.Now()
+	told := append(n.topicRendezvous(topic, now), selectcore.InboxReplicas(n.id, n.dir.position(n.id), n.dir.ringMembers(), nil, n.cfg.InboxReplicas)...)
+	slices.Sort(told)
+	for _, rep := range slices.Compact(told) {
+		if rep == n.id {
+			n.dropTopicSub(topic, n.id, seq, now)
+			continue
+		}
 		_ = n.tr.Send(int32(rep), &wire.Message{
 			Kind: wire.KindTopicUnsub, From: int32(n.id), To: int32(rep),
 			Seq: seq, Topic: []byte(topic),
@@ -251,37 +261,10 @@ func (t *TopicHandle) Publish(payload []byte, opts ...PublishOption) (uint32, er
 // repairing.
 func (n *Node) publishTopic(seq uint32, topic string, payload []byte, o pubOpts) {
 	now := time.Now()
-	id := msgID{int32(n.id), seq}
-	n.rememberDelivery(id, 0) // the publisher trivially has its own message
-	st := n.registerPublish(seq, nil, payload, o.size, o.pri, now)
-	st.class, st.topic = rowHandoff, topic
-	st.accepted = make([]overlay.PeerID, 0, n.cfg.InboxReplicas)
+	n.rememberDelivery(msgID{int32(n.id), seq}, 0) // the publisher trivially has its own message
 	n.cfg.Obs.Inc(obs.CPublishSent)
 	n.cfg.Obs.TraceEvent("topic_publish", int32(n.id), seq)
-	selfAccept := false
-	for _, rep := range n.topicRendezvous(topic, now) {
-		if rep == n.id {
-			st.accepted = append(st.accepted, rep)
-			selfAccept = true
-			continue
-		}
-		_ = n.tr.Send(int32(rep), n.topicHandoff(seq, st, rep))
-	}
-	if selfAccept {
-		n.acceptTopicPub(id, topic, payload, o.size, o.pri)
-	}
-	n.kickRetry()
-}
-
-// topicHandoff builds the publisher→rendezvous hand-off of this node's
-// topic publication seq, row st, to replica `to` (Target -1).
-func (n *Node) topicHandoff(seq uint32, st *pubState, to overlay.PeerID) *wire.Message {
-	return &wire.Message{
-		Kind: wire.KindTopicPub, From: int32(n.id), To: int32(to),
-		Seq: seq, Publisher: int32(n.id), Target: -1,
-		Priority: st.pri, PayloadSize: st.size, Payload: st.payload,
-		Topic: []byte(st.topic), TTL: n.cfg.TTL,
-	}
+	n.openSetRow(n.registerPublish(seq, nil, payload, o.size, o.pri, now), seq, rowHandoff, topic, n.topicRendezvous(topic, now), now)
 }
 
 // sendTopicTree sends one copy of tmpl — a dissemination copy less its
@@ -331,54 +314,52 @@ func (n *Node) TopicRendezvous(topic string) (set []overlay.PeerID) {
 
 // ---- subscriber side -------------------------------------------------
 
-// topicRegister runs one registration round for a topic: a TopicSub to
-// every rendezvous member (self-registration is applied locally). Stamps
-// lastSub and caches the set for re-home detection.
-func (n *Node) topicRegister(topic string, ts *topicSub, now time.Time) {
-	set := n.topicRendezvous(topic, now)
-	if ts.set != nil && !slices.Equal(ts.set, set) {
-		n.cfg.Obs.Inc(obs.CTopicRehome)
-		n.cfg.Obs.TraceEvent("topic_rehome", int32(n.id), 0)
+// topicRegister opens a fresh registration row for a subscribed topic and
+// runs its first round against set, the topic's rendezvous set now; the
+// open row, if any, retires first, so a member that stays silent holds
+// back no one's lease. Stamps lastSub and caches the set for re-home
+// detection.
+func (n *Node) topicRegister(topic string, ts *topicSub, set []overlay.PeerID, now time.Time) {
+	if st := n.pubs[ts.row]; st != nil {
+		n.retire(ts.row, st)
 	}
-	ts.set = set
-	ts.lastSub = now
-	seq := n.nextSeq()
-	for _, rep := range set {
-		if rep == n.id {
-			delete(n.unsubbed, unsubKey{topic, n.id})
-			n.registerTopicSub(topic, n.id, now)
-			ts.ack()
-			continue
-		}
-		_ = n.tr.Send(int32(rep), &wire.Message{
-			Kind: wire.KindTopicSub, From: int32(n.id), To: int32(rep),
-			Seq: seq, Topic: []byte(topic),
-		})
-	}
+	ts.row, ts.lastSub, ts.set = n.nextSeq(), now, set
+	n.openSetRow(n.registerPublish(ts.row, nil, nil, 0, 0, now), ts.row, rowRegister, topic, slices.Clone(set), now)
 }
 
-// topicMaintain runs on the maintain tick: lease refreshes (immediate
-// after a rendezvous-set change), registry expiry, and registry
-// hand-off by peers that lost ownership.
+// topicMaintain runs on the maintain tick: lease refreshes (a round at
+// once after a rendezvous-set change), registry expiry, and registry
+// transfer by peers that lost ownership.
 func (n *Node) topicMaintain() {
 	if !n.repairEnabled() {
 		return
 	}
 	now := time.Now()
-	// Subscriber role: refresh leases at lease/2, immediately when the
-	// set changed or the registration is still unconfirmed.
+	// Subscriber role: a fresh registration row at lease/2; when the set
+	// changed, the open row's next round now, or a fresh row if none is
+	// open.
 	for topic, ts := range n.subTopics {
 		if ts.implicit {
 			continue
 		}
-		refreshDue := !ts.acked || now.Sub(ts.lastSub) >= n.cfg.TopicLease/2
-		if !refreshDue && slices.Equal(ts.set, n.topicRendezvous(topic, now)) {
-			continue
+		set := n.topicRendezvous(topic, now)
+		moved := !slices.Equal(ts.set, set)
+		if moved && ts.set != nil {
+			n.cfg.Obs.Inc(obs.CTopicRehome)
+			n.cfg.Obs.TraceEvent("topic_rehome", int32(n.id), 0)
 		}
-		n.topicRegister(topic, ts, now)
+		st := n.pubs[ts.row]
+		switch {
+		case now.Sub(ts.lastSub) >= n.cfg.TopicLease/2 || (moved && st == nil):
+			n.topicRegister(topic, ts, set, now)
+		case moved:
+			ts.set = set
+			n.retryDirect(ts.row, st, nil, now)
+		}
 	}
-	// Rendezvous role: expire silent registrations, hand off registries
-	// this node no longer owns.
+	// Rendezvous role: expire silent registrations, and carry a registry
+	// this node no longer owns to the current set in a transfer row; the
+	// registry goes when the row retires.
 	for topic, reg := range n.topicReg {
 		for sub, exp := range reg {
 			if now.After(exp) {
@@ -391,28 +372,96 @@ func (n *Node) topicMaintain() {
 			continue
 		}
 		set := n.topicRendezvous(topic, now)
-		if len(set) == 0 || slices.Contains(set, n.id) {
+		if len(set) == 0 || slices.Contains(set, n.id) || n.transferring(topic) {
 			continue
 		}
-		// Ownership moved (an Algorithm-2 ID move or membership change):
-		// hand the registry to the current set and drop it. Hand-off is
-		// best-effort — lease refreshes repopulate within a lease anyway.
-		subs := make([]int32, 0, len(reg))
-		for sub := range reg {
-			subs = append(subs, int32(sub))
-		}
+		// Ownership moved (an Algorithm-2 ID move or membership change).
 		seq := n.nextSeq()
-		for _, rep := range set {
-			_ = n.tr.Send(int32(rep), &wire.Message{
-				Kind: wire.KindTopicHandoff, From: int32(n.id), To: int32(rep),
-				Seq: seq, Topic: []byte(topic), RoutingTable: subs,
-			})
-		}
-		delete(n.topicReg, topic)
+		n.openSetRow(n.registerPublish(seq, nil, nil, 0, 0, now), seq, rowTransfer, topic, set, now)
 		n.cfg.Obs.Inc(obs.CTopicHandoff)
 		n.cfg.Obs.TraceEvent("topic_handoff", int32(n.id), seq)
 	}
 	n.sweepUnsubbed(now)
+}
+
+// transferring reports whether a transfer row carries topic's registry.
+func (n *Node) transferring(topic string) bool {
+	for _, st := range n.pubs {
+		if st.class == rowTransfer && st.topic == topic {
+			return true
+		}
+	}
+	return false
+}
+
+// ---- set rows --------------------------------------------------------
+
+// openSetRow makes st, the fresh row seq, a set row of class on topic
+// (DESIGN.md §9.1) and runs its first round against set, which it takes.
+func (n *Node) openSetRow(st *pubState, seq uint32, class uint8, topic string, set []overlay.PeerID, now time.Time) {
+	st.class, st.topic = class, topic
+	st.accepted = make([]overlay.PeerID, 0, n.cfg.InboxReplicas)
+	if missing, _ := n.setRound(seq, st, set, now); len(missing) > 0 {
+		n.sendSet(seq, st, missing, now)
+	} else {
+		n.resolveAck(seq)
+	}
+	n.kickRetry()
+}
+
+// setRound is the membership half of every round of set row seq, the
+// first and each retry: its destinations are set, the topic's live
+// rendezvous set as it stands now, and this node, once it is one of them,
+// accepts on the spot — it accepts a hand-off for fan-out, registers
+// itself, or keeps the registry it holds. It returns the members that
+// have not accepted, in set's storage, and whether any member has.
+func (n *Node) setRound(seq uint32, st *pubState, set []overlay.PeerID, now time.Time) (missing []overlay.PeerID, anyAccepted bool) {
+	missing = set[:0]
+	for _, rep := range set {
+		if rep == n.id && !slices.Contains(st.accepted, rep) {
+			st.accepted = append(st.accepted, rep)
+			switch st.class {
+			case rowHandoff:
+				n.acceptTopicPub(msgID{int32(n.id), seq}, st.topic, st.payload, st.size, st.pri)
+			case rowRegister:
+				delete(n.unsubbed, unsubKey{st.topic, n.id})
+				n.registerTopicSub(st.topic, n.id, now)
+			}
+		}
+		if slices.Contains(st.accepted, rep) {
+			anyAccepted = true
+		} else {
+			missing = append(missing, rep)
+		}
+	}
+	return missing, anyAccepted
+}
+
+// sendSet is the other half of a round of set row seq: one frame to each
+// member in to — the publication (KindTopicPub, Target -1), the
+// registration (KindTopicSub) or the registry's live entries
+// (KindTopicHandoff, in RoutingTable). The frames share the topic and the
+// list; no receiver writes to them.
+func (n *Node) sendSet(seq uint32, st *pubState, to []overlay.PeerID, now time.Time) {
+	m := wire.Message{Kind: wire.KindTopicSub, From: int32(n.id), Seq: seq, Topic: []byte(st.topic)}
+	switch st.class {
+	case rowHandoff:
+		m.Kind, m.Publisher, m.Target, m.TTL = wire.KindTopicPub, int32(n.id), -1, n.cfg.TTL
+		m.Priority, m.PayloadSize, m.Payload = st.pri, st.size, st.payload
+	case rowTransfer:
+		m.Kind, m.RoutingTable = wire.KindTopicHandoff, peersToInt32s(n.registrySubs(st.topic, now, -1))
+	}
+	for _, rep := range to {
+		msg := m
+		msg.To = int32(rep)
+		_ = n.tr.Send(msg.To, &msg)
+	}
+}
+
+// ackAccept answers set-row frame m with this member's acceptance: an
+// entry of kind, straight back to the row's owner on the ack-batch path.
+func (n *Node) ackAccept(kind wire.Kind, m *wire.Message) {
+	n.directAck(wire.AckEntry{Kind: kind, From: int32(n.id), Dest: m.From, Pub: m.From, Seq: m.Seq})
 }
 
 // ---- rendezvous side -------------------------------------------------
@@ -530,9 +579,6 @@ func (n *Node) dropTopicSub(topic string, sub overlay.PeerID, seq uint32, now ti
 // delivers to itself locally, not through the tree).
 func (n *Node) registrySubs(topic string, now time.Time, excl int32) []overlay.PeerID {
 	reg := n.topicReg[topic]
-	if len(reg) == 0 {
-		return nil
-	}
 	subs := make([]overlay.PeerID, 0, len(reg))
 	for sub, exp := range reg {
 		if sub == n.id || int32(sub) == excl || now.After(exp) {
@@ -552,16 +598,7 @@ func (n *Node) handleTopicSub(m *wire.Message) {
 		return
 	}
 	n.registerTopicSub(topic, sub, now)
-	_ = n.tr.Send(m.From, &wire.Message{
-		Kind: wire.KindTopicSubAck, From: int32(n.id), To: m.From,
-		Seq: m.Seq, Topic: m.Topic,
-	})
-}
-
-func (n *Node) handleTopicSubAck(m *wire.Message) {
-	if ts := n.subTopics[string(m.Topic)]; ts != nil && !ts.implicit {
-		ts.ack()
-	}
+	n.ackAccept(wire.KindTopicSubAck, m)
 }
 
 func (n *Node) handleTopicUnsub(m *wire.Message) {
@@ -580,6 +617,7 @@ func (n *Node) handleTopicHandoff(m *wire.Message) {
 		// the expiry within a lease period.
 		n.registerTopicSub(topic, overlay.PeerID(sub), now)
 	}
+	n.ackAccept(wire.KindTopicSubAck, m)
 }
 
 // handleTopicPub dispatches one TopicPub copy: Target < 0 is the
@@ -590,14 +628,10 @@ func (n *Node) handleTopicPub(m *wire.Message) {
 		return
 	}
 	if m.Target < 0 {
-		origin := msgID{m.Publisher, m.Seq}
-		n.acceptTopicPub(origin, string(m.Topic), m.Payload, m.PayloadSize, m.Priority)
+		n.acceptTopicPub(msgID{m.Publisher, m.Seq}, string(m.Topic), m.Payload, m.PayloadSize, m.Priority)
 		// Ack the hand-off whether fresh or duplicate — the publisher
 		// retries until every live rendezvous member confirmed.
-		n.directAck(wire.AckEntry{
-			Kind: wire.KindTopicPubAck, From: int32(n.id), Dest: m.From,
-			Pub: m.Publisher, Seq: m.Seq,
-		})
+		n.ackAccept(wire.KindTopicPubAck, m)
 		return
 	}
 	n.deliverTopicCopy(m)
@@ -721,13 +755,4 @@ func (n *Node) TopicSubscribers(topic string) (k int) {
 
 // PendingTopicPublishes reports how many topic hand-offs are still
 // unresolved on this node (publisher role): its rows of class rowHandoff.
-func (n *Node) PendingTopicPublishes() (k int) {
-	n.do(func() {
-		for _, st := range n.pubs {
-			if st.class == rowHandoff {
-				k++
-			}
-		}
-	})
-	return k
-}
+func (n *Node) PendingTopicPublishes() int { return n.pendingRows(rowHandoff, rowHandoff) }

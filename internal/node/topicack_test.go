@@ -1,6 +1,7 @@
 package node
 
 import (
+	"context"
 	"reflect"
 	"slices"
 	"testing"
@@ -168,81 +169,164 @@ func TestTopicRendezvousStateRetires(t *testing.T) {
 	})
 }
 
-// handoffsTo counts the hand-off frames (KindTopicPub, Target -1) among
-// frames, per peer they were sent to.
-func handoffsTo(frames []sent) map[overlay.PeerID]int {
+// rowFramesTo counts the frames of set rows among frames — hand-offs
+// (KindTopicPub, Target -1), registrations (KindTopicSub) and registry
+// transfers (KindTopicHandoff) — per peer they were sent to.
+func rowFramesTo(frames []sent) map[overlay.PeerID]int {
 	out := make(map[overlay.PeerID]int)
 	for _, f := range frames {
-		if f.m.Kind == wire.KindTopicPub && f.m.Target < 0 {
+		if f.m.Kind == wire.KindTopicPub && f.m.Target < 0 || f.m.Kind == wire.KindTopicSub || f.m.Kind == wire.KindTopicHandoff {
 			out[overlay.PeerID(f.hop)]++
 		}
 	}
 	return out
 }
 
-// dropPubAcks takes the hand-off acks the given members send out of ack
+// isAccept reports whether a is a member's acceptance of a set row:
+// KindTopicPubAck for a hand-off, KindTopicSubAck for a registration or a
+// registry.
+func isAccept(a wire.AckEntry) bool {
+	return a.Kind == wire.KindTopicPubAck || a.Kind == wire.KindTopicSubAck
+}
+
+// dropAccepts takes the acceptances the given members send out of ack
 // frame f, and reports false: the rest of the frame goes on.
-func dropPubAcks(f *sent, from ...overlay.PeerID) bool {
+func dropAccepts(f *sent, from ...overlay.PeerID) bool {
 	if f.m.Kind == wire.KindAckBatch {
 		f.m.Acks = slices.DeleteFunc(f.m.Acks, func(e wire.AckEntry) bool {
-			return e.Kind == wire.KindTopicPubAck && slices.Contains(from, overlay.PeerID(e.From))
+			return isAccept(e) && slices.Contains(from, overlay.PeerID(e.From))
 		})
 	}
 	return false
 }
 
-// TestTopicHandoffRow: a topic hand-off is a row of the publisher's repair
-// engine. Its destinations are the rendezvous set's members, and a
-// member's KindTopicPubAck, its acceptance, is kept in the row. The row
-// resolves on the last acceptance, resolves at budget if any member
-// accepted, and dead-letters once, naming the publication, if none did.
-// When the publisher is its topic's primary, a subscribing standby's ack
-// of the primary's tree copy lands in the ack set of the primary's replica
-// row, and it is no acceptance: the publisher keeps handing off until the
-// standby accepts and holds repair state of its own.
+// subscribeFrozen calls Subscribe on n, a node of a frozen cluster, on a
+// goroutine of its own, and returns once the call's command has run: its
+// first round is in the tap. The channel closes when Subscribe returns.
+func subscribeFrozen(t *testing.T, n *Node, topic string) <-chan struct{} {
+	t.Helper()
+	ctx, cancel := context.WithCancel(context.Background())
+	t.Cleanup(cancel)
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		_, _ = n.Topic(topic).Subscribe(ctx)
+	}()
+	for opened := false; !opened; {
+		n.do(func() { opened = n.subTopics[topic] != nil })
+	}
+	return done
+}
+
+// awaitClosed fails the test unless done closes within a few seconds.
+func awaitClosed(t *testing.T, done <-chan struct{}, what string) {
+	t.Helper()
+	select {
+	case <-done:
+	case <-time.After(5 * time.Second):
+		t.Fatalf("timed out waiting for %s", what)
+	}
+}
+
+// TestTopicHandoffRow: the three set rows of the repair engine — a topic
+// hand-off, a registration and a registry transfer. A row's destinations
+// are the rendezvous set's members, and a member's acceptance, a
+// KindTopicPubAck or KindTopicSubAck entry, is kept in the row.
+//
+// A hand-off resolves on the last acceptance, resolves at budget if any
+// member accepted, and dead-letters once, naming the publication, if none
+// did. When the publisher is its topic's primary, a subscribing standby's
+// ack of the primary's tree copy lands in the ack set of the primary's
+// replica row, and it is no acceptance: the publisher keeps handing off
+// until the standby accepts and holds repair state of its own.
+//
+// A registration releases Subscribe when it resolves, or when it retires
+// at budget with one member's acceptance; one nobody answers retires with
+// no dead letter, and the next refresh opens a new row. An unsubscribe
+// retires the open row before the TopicUnsub leaves, and a set change
+// reaches the new member in the same maintain pass. A transfer re-sends
+// to a member until it acks, and the member honours its unsubscribe
+// tombstone. Neither counts as a pending publication.
 func TestTopicHandoffRow(t *testing.T) {
 	const topic, budget = "#row", 3
 	type env struct {
-		pub, primary, standby *Node
-		silent                overlay.PeerID // a subscriber, the one the last case keeps from answering
-		seq                   uint32
-		early                 bool // the row left before an acceptance reached it
+		c                       *Cluster
+		tp                      *tap
+		met                     *obs.Metrics
+		owner, primary, standby *Node // owner holds the row
+		others                  []overlay.PeerID
+		silent                  overlay.PeerID // a subscriber, the one the publisher-primary case keeps from answering
+		newcomer                overlay.PeerID // a member that joins the set mid-row, or -1
+		class                   uint8
+		seq                     uint32
+		ts                      *topicSub       // a registration's subscription
+		done                    <-chan struct{} // closes when its Subscribe returns
+		early                   bool            // the row left before an acceptance reached it
+		frames                  []sent
+		play                    func() []sent // carries what was sent, under the case's losses
 	}
 	isHandoff := func(f *sent) bool { return f.m.Kind == wire.KindTopicPub && f.m.Target < 0 }
 	watchEarly := func(e *env, _ int, f *sent) bool {
-		isPubAck := func(a wire.AckEntry) bool { return a.Kind == wire.KindTopicPubAck }
-		if f.hop == int32(e.pub.id) && slices.ContainsFunc(f.m.Acks, isPubAck) && e.pub.pubs[e.seq] == nil {
+		if f.hop == int32(e.owner.id) && slices.ContainsFunc(f.m.Acks, isAccept) && e.owner.pubs[e.seq] == nil {
 			e.early = true
 		}
 		return false
 	}
+	publish := func(t *testing.T, e *env) {
+		e.class = rowHandoff
+		var err error
+		if e.seq, err = e.owner.Topic(topic).Publish([]byte("row")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	register := func(t *testing.T, e *env) {
+		e.owner, e.class = e.c.Nodes[e.others[0]], rowRegister
+		e.done = subscribeFrozen(t, e.owner, topic)
+		e.ts = e.owner.subTopics[topic]
+		e.seq = e.ts.row
+	}
+	// left is the end of a registration case: row gone, Subscribe released or not.
+	left := func(t *testing.T, e *env, released bool) {
+		if released {
+			awaitClosed(t, e.done, "Subscribe to return")
+		} else if e.ts.acked {
+			t.Error("Subscribe returned on a row no member accepted")
+		}
+	}
 	for _, tc := range []struct {
-		name             string
-		primaryPublishes bool
+		name string
+		open func(t *testing.T, e *env) // opens the row; nil publishes from others[0]
 		// lose drops (true) or edits a frame sent after `ticks` repair ticks.
-		lose  func(e *env, ticks int, f *sent) bool
-		check func(t *testing.T, e *env, ticks int)
-		// ticks is how many repair ticks of the publisher the row lives
-		// through; toPrimary and toStandby count the hand-off frames each
-		// member is sent, retries the retry copies.
-		ticks, toPrimary, toStandby, retries int
-		deadLetter                           bool
+		lose func(e *env, ticks int, f *sent) bool
+		// check runs after each pass of the network; gone says the row had
+		// left by then.
+		check func(t *testing.T, e *env, ticks int, gone bool)
+		// ticks is how many repair ticks of the owner the row lives through;
+		// toPrimary, toStandby and toNew count the row's frames each member
+		// is sent, retries the retry copies.
+		ticks, toPrimary, toStandby, toNew, retries int
+		deadLetter                                  bool
 	}{
 		{name: "all members accept", lose: watchEarly, ticks: 0, toPrimary: 1, toStandby: 1},
 		{
 			name:  "one member silent, one accepted",
-			lose:  func(e *env, _ int, f *sent) bool { return dropPubAcks(f, e.standby.id) },
+			lose:  func(e *env, _ int, f *sent) bool { return dropAccepts(f, e.standby.id) },
 			ticks: budget + 1, toPrimary: 1, toStandby: budget + 1, retries: budget,
 		},
 		{
 			name:  "no member answers",
-			lose:  func(e *env, _ int, f *sent) bool { return dropPubAcks(f, e.primary.id, e.standby.id) },
+			lose:  func(e *env, _ int, f *sent) bool { return dropAccepts(f, e.primary.id, e.standby.id) },
 			ticks: budget + 1, toPrimary: budget + 1, toStandby: budget + 1, retries: 2 * budget,
 			deadLetter: true,
 		},
 		{
-			name:             "publisher is the primary, standby subscribes",
-			primaryPublishes: true,
+			name: "publisher is the primary, standby subscribes",
+			open: func(t *testing.T, e *env) {
+				e.owner = e.primary
+				e.primary.registerTopicSub(topic, e.standby.id, time.Now())
+				e.standby.subTopics[topic] = &topicSub{sub: &Subscription{n: e.standby, topic: topic}, ackCh: make(chan struct{})}
+				publish(t, e)
+			},
 			lose: func(e *env, ticks int, f *sent) bool {
 				switch {
 				case f.hop == int32(e.silent):
@@ -250,23 +334,153 @@ func TestTopicHandoffRow(t *testing.T) {
 				case ticks == 0:
 					return isHandoff(f) // the first hand-off is lost on its way
 				case ticks == 1:
-					return dropPubAcks(f, e.standby.id)
+					return dropAccepts(f, e.standby.id)
 				}
 				return false
 			},
-			check: func(t *testing.T, e *env, ticks int) {
+			check: func(t *testing.T, e *env, ticks int, _ bool) {
 				switch ticks {
 				case 0:
-					if !e.pub.acked[msgID{int32(e.pub.id), e.seq}][int32(e.standby.id)] {
+					if !e.owner.acked[msgID{int32(e.owner.id), e.seq}][int32(e.standby.id)] {
 						t.Fatal("the standby's ack of the tree copy did not reach the primary: the case proves nothing")
 					}
 				case 1:
-					if _, ok := e.standby.tpOrigin[msgID{int32(e.pub.id), e.seq}]; !ok {
+					if _, ok := e.standby.tpOrigin[msgID{int32(e.owner.id), e.seq}]; !ok {
 						t.Error("the standby accepted the re-sent hand-off and holds no repair state")
 					}
 				}
 			},
 			ticks: 2, toStandby: 3, retries: 2,
+		},
+		{
+			name: "registration, all members accept",
+			open: register, lose: watchEarly,
+			check: func(t *testing.T, e *env, _ int, gone bool) {
+				if gone {
+					left(t, e, true)
+				}
+			},
+			ticks: 0, toPrimary: 1, toStandby: 1,
+		},
+		{
+			name: "registration, one member silent, one accepted",
+			open: register,
+			lose: func(e *env, _ int, f *sent) bool { return dropAccepts(f, e.standby.id) },
+			check: func(t *testing.T, e *env, _ int, gone bool) {
+				if gone {
+					left(t, e, true)
+				}
+			},
+			ticks: budget + 1, toPrimary: 1, toStandby: budget + 1, retries: budget,
+		},
+		{
+			name: "registration, no member answers, then a refresh",
+			open: register,
+			lose: func(e *env, _ int, f *sent) bool { return dropAccepts(f, e.primary.id, e.standby.id) },
+			check: func(t *testing.T, e *env, _ int, gone bool) {
+				if !gone {
+					return
+				}
+				left(t, e, false)
+				e.ts.lastSub = time.Time{} // the lease is half gone
+				e.owner.topicMaintain()
+				st := e.owner.pubs[e.ts.row]
+				if st == nil || st.class != rowRegister || e.ts.row == e.seq {
+					t.Fatalf("the refresh after row %d opened row %d: %+v", e.seq, e.ts.row, st)
+				}
+				if sent := rowFramesTo(e.tp.all()); sent[e.primary.id] != 1 || sent[e.standby.id] != 1 {
+					t.Errorf("the refresh sent %v, want a TopicSub to each member", sent)
+				}
+			},
+			ticks: budget + 1, toPrimary: budget + 1, toStandby: budget + 1, retries: 2 * budget,
+		},
+		{
+			name: "registration, unsubscribed while open",
+			open: register,
+			lose: func(e *env, _ int, f *sent) bool { return dropAccepts(f, e.standby.id) },
+			check: func(t *testing.T, e *env, _ int, gone bool) {
+				if gone {
+					t.Fatal("the row left before the unsubscribe")
+				}
+				e.owner.unsubscribe(topic)
+				for _, st := range e.owner.pubs {
+					st.nextAt = time.Now().Add(-time.Millisecond)
+				}
+				e.owner.repairTick()
+				frames := e.play()
+				i := slices.IndexFunc(frames, func(f sent) bool { return f.m.Kind == wire.KindTopicUnsub })
+				if i < 0 {
+					t.Fatal("no TopicUnsub left")
+				}
+				if sent := rowFramesTo(frames[i:]); len(sent) != 0 {
+					t.Errorf("after the TopicUnsub the row still sent %v", sent)
+				}
+				left(t, e, false)
+			},
+			ticks: 0, toPrimary: 1, toStandby: 1,
+		},
+		{
+			name: "registration, the set changes while open",
+			open: register,
+			lose: func(e *env, _ int, f *sent) bool { return dropAccepts(f, e.standby.id) },
+			check: func(t *testing.T, e *env, _ int, gone bool) {
+				if gone {
+					t.Fatal("the row left before the set changed")
+				}
+				// The subscriber's detector declares the standby dead: the
+				// set moves on to the next successor.
+				e.owner.deadUntil[e.standby.id] = time.Now().Add(time.Minute)
+				set := e.owner.topicRendezvous(topic, time.Now())
+				if len(set) != 2 || set[0] != e.primary.id || slices.Contains(e.others, set[1]) {
+					t.Fatalf("set %v after the standby's death: want the primary and a peer outside the case", set)
+				}
+				e.newcomer = set[1]
+				e.owner.topicMaintain()
+				if sent := rowFramesTo(e.play()); len(sent) != 1 || sent[e.newcomer] != 1 {
+					t.Fatalf("the maintain pass sent %v, want one TopicSub to the newcomer %d", sent, e.newcomer)
+				}
+				left(t, e, true)
+			},
+			ticks: 0, toPrimary: 1, toStandby: 1, toNew: 1, retries: 1,
+		},
+		{
+			name: "transfer, re-sent until acked, an unsubscribe remembered",
+			open: func(t *testing.T, e *env) {
+				// others[0] held the registry of others[1:] when the topic
+				// moved off it. The members hold none of it yet, and the
+				// standby has seen others[2] unsubscribe.
+				e.owner, e.class = e.c.Nodes[e.others[0]], rowTransfer
+				now := time.Now()
+				delete(e.primary.topicReg, topic)
+				delete(e.standby.topicReg, topic)
+				for _, s := range e.others[1:] {
+					e.owner.registerTopicSub(topic, s, now)
+				}
+				e.standby.dropTopicSub(topic, e.others[2], 1, now)
+				e.owner.topicMaintain()
+				for seq, st := range e.owner.pubs {
+					if st.class == rowTransfer {
+						e.seq = seq
+					}
+				}
+			},
+			lose: func(e *env, ticks int, f *sent) bool { return ticks == 0 && dropAccepts(f, e.standby.id) },
+			check: func(t *testing.T, e *env, _ int, gone bool) {
+				if !gone {
+					if e.owner.TopicSubscribers(topic) != 3 {
+						t.Error("the owner dropped the registry while its row was open")
+					}
+					return
+				}
+				p, s, o := e.primary.TopicSubscribers(topic), e.standby.TopicSubscribers(topic), e.owner.TopicSubscribers(topic)
+				if p != 3 || s != 2 || o != 0 {
+					t.Errorf("registrations: primary %d, standby %d, the old owner %d; want 3, 2, 0", p, s, o)
+				}
+				if late, ho := e.met.Get(obs.CTopicUnsubLate), e.met.Get(obs.CTopicHandoff); late != 2 || ho != 1 {
+					t.Errorf("topic_unsub_late = %d, topic_handoff = %d; want 2 (one per frame to the standby), 1", late, ho)
+				}
+			},
+			ticks: 1, toPrimary: 1, toStandby: 2, retries: 1,
 		},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -277,71 +491,149 @@ func TestTopicHandoffRow(t *testing.T) {
 			if len(set) != 2 {
 				t.Fatalf("rendezvous %v, want a primary and a standby", set)
 			}
-			e := &env{primary: c.Nodes[set[0]], standby: c.Nodes[set[1]]}
-			var others []overlay.PeerID
-			for p := overlay.PeerID(0); len(others) < 4; p++ {
+			e := &env{c: c, tp: tp, met: met, primary: c.Nodes[set[0]], standby: c.Nodes[set[1]], newcomer: -1}
+			for p := overlay.PeerID(0); len(e.others) < 4; p++ {
 				if !slices.Contains(set, p) {
-					others = append(others, p)
+					e.others = append(e.others, p)
 				}
 			}
-			e.pub, e.silent = c.Nodes[others[0]], others[1]
+			e.owner, e.silent = c.Nodes[e.others[0]], e.others[1]
 			for _, r := range set {
-				for _, s := range others[1:] {
+				for _, s := range e.others[1:] {
 					c.Nodes[r].registerTopicSub(topic, s, now)
 				}
 			}
-			if tc.primaryPublishes {
-				e.pub = e.primary
-				e.primary.registerTopicSub(topic, e.standby.id, now)
-				e.standby.subTopics[topic] = &topicSub{sub: &Subscription{n: e.standby, topic: topic}, ackCh: make(chan struct{})}
-			}
-			var err error
-			if e.seq, err = e.pub.Topic(topic).Publish([]byte("row")); err != nil {
-				t.Fatal(err)
-			}
-			var frames []sent
 			ticks := 0
+			e.play = func() []sent {
+				frames := playInbox(c, tp, func(f *sent) bool { return tc.lose != nil && tc.lose(e, ticks, f) })
+				e.frames = append(e.frames, frames...)
+				return frames
+			}
+			if tc.open == nil {
+				publish(t, e)
+			} else {
+				tc.open(t, e)
+			}
 			for {
-				frames = append(frames, playInbox(c, tp, func(f *sent) bool { return tc.lose != nil && tc.lose(e, ticks, f) })...)
+				e.play()
 				if tc.check != nil {
-					tc.check(t, e, ticks)
+					tc.check(t, e, ticks, e.owner.pubs[e.seq] == nil)
 				}
-				st := e.pub.pubs[e.seq]
+				st := e.owner.pubs[e.seq]
 				if st == nil {
 					break
 				}
-				if st.class != rowHandoff || e.pub.PendingTopicPublishes() != 1 {
-					t.Fatalf("row %d: class %d, %d hand-offs pending", e.seq, st.class, e.pub.PendingTopicPublishes())
+				pending := 0
+				if e.class == rowHandoff {
+					pending = 1
+				}
+				if st.class != e.class || e.owner.PendingTopicPublishes() != pending || (pending == 0 && e.owner.PendingRepairs() != 0) {
+					t.Fatalf("row %d: class %d, %d hand-offs and %d publication rows pending", e.seq, st.class, e.owner.PendingTopicPublishes(), e.owner.PendingRepairs())
+				}
+				if e.ts != nil && e.ts.acked {
+					t.Fatal("Subscribe returned while its row was open")
 				}
 				if ticks > budget+1 {
 					t.Fatalf("the row outlived %d repair ticks", ticks)
 				}
 				st.nextAt = time.Now().Add(-time.Millisecond)
-				e.pub.repairTick()
+				e.owner.repairTick()
 				ticks++
 			}
 			if e.early {
 				t.Error("the row left before the last acceptance reached it")
 			}
-			sent := handoffsTo(frames)
-			if ticks != tc.ticks || sent[e.primary.id] != tc.toPrimary || sent[e.standby.id] != tc.toStandby {
-				t.Errorf("the row left after %d ticks, hand-offs to the primary %d, to the standby %d; want %d, %d, %d",
-					ticks, sent[e.primary.id], sent[e.standby.id], tc.ticks, tc.toPrimary, tc.toStandby)
+			sent := rowFramesTo(e.frames)
+			if ticks != tc.ticks || sent[e.primary.id] != tc.toPrimary || sent[e.standby.id] != tc.toStandby || sent[e.newcomer] != tc.toNew {
+				t.Errorf("the row left after %d ticks, frames to the primary %d, to the standby %d, to a newcomer %d; want %d, %d, %d, %d",
+					ticks, sent[e.primary.id], sent[e.standby.id], sent[e.newcomer], tc.ticks, tc.toPrimary, tc.toStandby, tc.toNew)
 			}
 			if got := met.Get(obs.CRetrySent); got != int64(tc.retries) {
 				t.Errorf("retry_sent = %d, want %d", got, tc.retries)
 			}
-			dl := e.pub.DeadLetters()
+			dl := e.owner.DeadLetters()
 			switch {
 			case !tc.deadLetter && len(dl) != 0:
 				t.Errorf("dead letters %+v, want none", dl)
-			case tc.deadLetter && (len(dl) != 1 || dl[0].Publisher != e.pub.id || dl[0].Seq != e.seq || !slices.Equal(dl[0].Missing, set) || dl[0].Retries != budget):
-				t.Errorf("dead letters %+v, want one naming %d/%d, missing %v, after %d retries", dl, e.pub.id, e.seq, set, budget)
+			case tc.deadLetter && (len(dl) != 1 || dl[0].Publisher != e.owner.id || dl[0].Seq != e.seq || !slices.Equal(dl[0].Missing, set) || dl[0].Retries != budget):
+				t.Errorf("dead letters %+v, want one naming %d/%d, missing %v, after %d retries", dl, e.owner.id, e.seq, set, budget)
 			}
 			if got, want := met.Get(obs.CDeadLetter), int64(len(dl)); got != want {
 				t.Errorf("dead_letter = %d, %d recorded", got, want)
 			}
 		})
+	}
+}
+
+// TestSubscribeWaitsForWholeSet: Subscribe returns once every member of
+// the rendezvous set holds the registration, not on the first acceptance.
+// The standby's first TopicSub is lost; the primary's acceptance does not
+// release the call, the row's retry reaches the standby, and its
+// acceptance does. The registration is then where a primary death needs
+// it: the primary dies before its tree copy of the next publication
+// leaves, and the subscriber gets the publication from the standby's
+// replica row.
+func TestSubscribeWaitsForWholeSet(t *testing.T) {
+	const topic = "#whole"
+	_, c, tp := frozenCluster(t, 60, 61, Options{RetryBase: time.Second, TopicLease: 30 * time.Second})
+	set := c.Nodes[0].topicRendezvous(topic, time.Now())
+	if len(set) != 2 {
+		t.Fatalf("rendezvous %v, want a primary and a standby", set)
+	}
+	primary, standby := c.Nodes[set[0]], c.Nodes[set[1]]
+	var others []overlay.PeerID
+	for p := overlay.PeerID(0); len(others) < 2; p++ {
+		if !slices.Contains(set, p) {
+			others = append(others, p)
+		}
+	}
+	sub, pub := c.Nodes[others[0]], c.Nodes[others[1]]
+
+	done := subscribeFrozen(t, sub, topic)
+	lost := false
+	playInbox(c, tp, func(f *sent) bool {
+		if f.m.Kind == wire.KindTopicSub && f.hop == int32(standby.id) && !lost {
+			lost = true
+			return true
+		}
+		return false
+	})
+	if !lost || primary.TopicSubscribers(topic) != 1 || standby.TopicSubscribers(topic) != 0 {
+		t.Fatalf("first round: standby's TopicSub lost %v, registrations at the primary %d, at the standby %d",
+			lost, primary.TopicSubscribers(topic), standby.TopicSubscribers(topic))
+	}
+	select {
+	case <-done:
+		t.Fatal("Subscribe returned on the primary's acceptance alone")
+	case <-time.After(50 * time.Millisecond):
+	}
+	for _, st := range sub.pubs {
+		st.nextAt = time.Now().Add(-time.Millisecond)
+	}
+	sub.repairTick()
+	retry := ofKind(playInbox(c, tp, nil), wire.KindTopicSub)
+	if len(retry) != 1 || retry[0].hop != int32(standby.id) {
+		t.Fatalf("the retry sent %+v, want one TopicSub, to the standby %d", retry, standby.id)
+	}
+	awaitClosed(t, done, "Subscribe to return on the standby's acceptance")
+	if k := standby.TopicSubscribers(topic); k != 1 {
+		t.Fatalf("the standby holds %d registrations", k)
+	}
+
+	seq, err := pub.Topic(topic).Publish([]byte("whole"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.Crash(primary.id)
+	asleep := func(f *sent) bool { return c.Nodes[f.hop].paused.Load() }
+	frames := playInbox(c, tp, asleep)
+	if _, ok := sub.received[msgID{int32(pub.id), seq}]; !ok {
+		t.Fatal("the subscriber missed the publication its primary died with")
+	}
+	for _, f := range ofKind(frames, wire.KindTopicPub) {
+		if f.hop == int32(sub.id) && f.m.Target != int32(standby.id) {
+			t.Errorf("the subscriber's copy was stamped by %d, want the standby %d", f.m.Target, standby.id)
+		}
 	}
 }
 

@@ -99,9 +99,13 @@ const (
 	KindInboxReplayAck
 	// KindTopicSub registers the sender as a subscriber of Topic at a
 	// rendezvous replica, refreshing its lease (DESIGN.md §13). Sent
-	// point-to-point to every member of the topic's rendezvous set.
+	// point-to-point to every member of the topic's rendezvous set, and
+	// re-sent to a member until it acks (Seq names the registration).
 	KindTopicSub
-	// KindTopicSubAck confirms a registration; Seq echoes the TopicSub.
+	// KindTopicSubAck confirms a registration (KindTopicSub) or a registry
+	// transfer (KindTopicHandoff): Pub names the sender of what it
+	// confirms, Seq echoes its Seq. It names an AckEntry in a KindAckBatch
+	// frame; no frame has this kind.
 	KindTopicSubAck
 	// KindTopicUnsub removes the sender's registration and asks the
 	// receiver to purge any inbox deposits it still journals for
@@ -122,7 +126,8 @@ const (
 	// KindTopicHandoff transfers a topic's subscriber registry
 	// (RoutingTable) from a peer that lost rendezvous ownership — an
 	// Algorithm-2 ID move or membership change shifted the set — to a
-	// current member of the set.
+	// current member of the set, which acks it with a KindTopicSubAck
+	// entry; the sender re-sends until every live member has.
 	KindTopicHandoff
 	// KindAckBatch coalesces several acknowledgements bound for the same
 	// next hop into one frame (DESIGN.md §15). Each Acks entry carries a
@@ -284,10 +289,11 @@ type Message struct {
 // AckEntry is one acknowledgement inside a KindAckBatch frame. It is a
 // self-contained rendering of the single-ack frame it replaces: Kind is
 // the original ack kind (KindAck, KindInboxDepositAck,
-// KindInboxReplayAck or KindTopicPubAck), From the acking peer, Dest the
-// peer the ack must reach, Pub/Seq the publication id, Target the
-// subscriber a deposit or replay ack concerns, and TTL the remaining
-// relay budget for routed (KindAck) entries. A KindInboxClaim frame
+// KindInboxReplayAck, KindTopicPubAck or KindTopicSubAck), From the
+// acking peer, Dest the peer the ack must reach, Pub/Seq the publication
+// id (for KindTopicSubAck, the sender and Seq of what it confirms),
+// Target the subscriber a deposit or replay ack concerns, and TTL the
+// remaining relay budget for routed (KindAck) entries. A KindInboxClaim frame
 // reuses the record for its have-digest, where only Pub/Seq are read.
 type AckEntry struct {
 	Kind   Kind
