@@ -294,9 +294,7 @@ func (f *Net) Send(to int32, m *wire.Message) error {
 	}
 	if d.dup {
 		f.Obs.Inc(obs.CFaultDuplicate)
-		// The copy must be deep: receivers mutate TTL/HopCount in place,
-		// and the original pointer is about to live in another inbox.
-		f.sendAfter(to, m.Clone(), d.dupDelay)
+		f.sendAfter(to, m, d.dupDelay)
 	}
 	if d.delay > 0 {
 		f.Obs.Inc(obs.CFaultDelayed)
@@ -307,7 +305,8 @@ func (f *Net) Send(to int32, m *wire.Message) error {
 }
 
 // sendAfter delivers m to the inner transport after delay (immediately
-// when delay is 0), dropping it if the middleware closed in between.
+// when delay is 0), dropping it if the middleware closed in between. A
+// held copy is a clone: m is the caller's again once Send returns.
 func (f *Net) sendAfter(to int32, m *wire.Message, delay time.Duration) {
 	if f.closed.Load() {
 		return
@@ -318,6 +317,7 @@ func (f *Net) sendAfter(to int32, m *wire.Message, delay time.Duration) {
 		_ = f.inner.Send(to, m)
 		return
 	}
+	m = m.Clone()
 	time.AfterFunc(delay, func() {
 		defer f.wg.Done()
 		if f.closed.Load() {

@@ -312,6 +312,32 @@ func TestDelayedDeliveryArrives(t *testing.T) {
 	f.Close()
 }
 
+// TestHeldCopiesAreTheSendersMessage: Send copies semantics hold through
+// the middleware. The sender overwrites its Message and its payload the
+// moment Send returns; the delayed copy and the duplicate, which leave
+// later, still deliver what was sent.
+func TestHeldCopiesAreTheSendersMessage(t *testing.T) {
+	inner := transport.NewSwitchboard(2, 64)
+	f := Wrap(inner, 2, Config{DupProb: 1, DelayMin: 5 * time.Millisecond, DelayMax: 10 * time.Millisecond}, 14)
+	defer f.Close()
+	m := &wire.Message{Kind: wire.KindPublish, From: 0, To: 1, Seq: 1, Payload: []byte("sent")}
+	if err := f.Send(1, m); err != nil {
+		t.Fatal(err)
+	}
+	*m = wire.Message{Kind: wire.KindPing, From: 0, To: 1, Seq: 2, Payload: m.Payload}
+	copy(m.Payload, "over")
+	for i := 0; i < 2; i++ {
+		select {
+		case e := <-f.Inbox(1):
+			if got := e.Msg; got.Kind != wire.KindPublish || got.Seq != 1 || string(got.Payload) != "sent" {
+				t.Fatalf("copy %d delivered %v seq %d %q, want the publish as sent", i, got.Kind, got.Seq, got.Payload)
+			}
+		case <-time.After(2 * time.Second):
+			t.Fatalf("copy %d never arrived", i)
+		}
+	}
+}
+
 func TestCloseWaitsForInFlight(t *testing.T) {
 	inner := transport.NewSwitchboard(2, 64)
 	f := Wrap(inner, 2, Config{DelayMin: 10 * time.Millisecond, DelayMax: 20 * time.Millisecond}, 11)

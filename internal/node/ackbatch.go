@@ -30,10 +30,6 @@ const (
 	ackFlushEvery = time.Millisecond
 	// ackBatchMax flushes a next-hop bucket early at this many entries.
 	ackBatchMax = 64
-	// ackInline is how many entries a switchboard-bound batch frame holds
-	// without a second allocation; a fault-free feed-tcp run carries 1.3
-	// per frame.
-	ackInline = 4
 )
 
 // hbSuppressMax bounds consecutive piggyback-suppressed heartbeats per
@@ -55,13 +51,6 @@ const AckBatchAuto AckBatchMode = iota
 type ackBucket struct {
 	hop  overlay.PeerID
 	acks []wire.AckEntry
-}
-
-// ackFrame is a KindAckBatch message for a transport that passes the
-// pointer on, with room for a typical batch in the same allocation.
-type ackFrame struct {
-	m      wire.Message
-	inline [ackInline]wire.AckEntry
 }
 
 // queueAck buffers one routed ack (KindAck) toward e.Dest by the greedy
@@ -157,41 +146,15 @@ func (n *Node) sendBucket(b *ackBucket) {
 	b.acks = b.acks[:0]
 }
 
-// sendAcks sends acks to hop as one KindAckBatch frame. Over a
-// frame-sending transport the frame is marshaled into a pooled buffer and
-// nothing is allocated; otherwise the receiver gets a Message of its own.
-// The acks of a node that churned out between buffering and flush die
-// with the pause, like any frame an unresponsive process never sent.
+// sendAcks sends acks to hop as one KindAckBatch frame. The acks of a
+// node that churned out between buffering and flush die with the pause,
+// like any frame an unresponsive process never sent.
 func (n *Node) sendAcks(hop overlay.PeerID, acks []wire.AckEntry) {
 	if n.paused.Load() {
 		return
 	}
-	to := int32(hop)
-	if !n.sendFrame(to, &wire.Message{Kind: wire.KindAckBatch, From: int32(n.id), To: to, Acks: acks}) {
-		f := new(ackFrame)
-		f.m = wire.Message{
-			Kind: wire.KindAckBatch, From: int32(n.id), To: to,
-			Acks: append(f.inline[:0], acks...),
-		}
-		_ = n.tr.Send(to, &f.m)
-	}
+	n.send(int32(hop), &wire.Message{Kind: wire.KindAckBatch, From: int32(n.id), To: int32(hop), Acks: acks})
 	n.cfg.Obs.Inc(obs.CAckBatchSent)
-}
-
-// sendFrame sends m over a frame-sending transport (TCP), marshaled into
-// a pooled buffer: m and the slices it names stay the caller's and
-// nothing is allocated. Over any other transport it reports false and
-// sends nothing — that transport passes a pointer on, so the receiver
-// needs a Message of its own.
-func (n *Node) sendFrame(to int32, m *wire.Message) bool {
-	if n.fs == nil {
-		return false
-	}
-	buf := wire.GetFrame()
-	*buf = wire.MarshalAppend((*buf)[:0], m)
-	_ = n.fs.SendFrame(int32(n.id), to, *buf)
-	wire.PutFrame(buf)
-	return true
 }
 
 // handleAckBatch consumes every entry destined for this node and relays

@@ -147,12 +147,12 @@ func (n *Node) adversaryGossip() bool {
 	pongSeq, propSeq := n.nextSeq(), n.nextSeq()
 	// A forged unsolicited pong lands on the victim's late-pong path and
 	// folds the cohort's flank claims into its ring view.
-	_ = n.tr.Send(int32(target), &wire.Message{
+	n.send(int32(target), &wire.Message{
 		Kind: wire.KindPong, From: int32(n.id), To: int32(target), Seq: pongSeq,
 		Succs: succs, SuccPos: succPos, Preds: preds, PredPos: predPos,
 	})
 	// And a long-link proposal, grinding at the victim's K incoming slots.
-	_ = n.tr.Send(int32(target), &wire.Message{
+	n.send(int32(target), &wire.Message{
 		Kind: wire.KindLinkProposal, From: int32(n.id), To: int32(target), Seq: propSeq,
 	})
 	return true

@@ -170,12 +170,7 @@ func (n *Node) depositRound(seq uint32, st *pubState, subs []overlay.PeerID, now
 			named := rest[:min(len(rest), wire.MaxPublishDests)]
 			rest = rest[len(named):]
 			m.To, m.Target, m.RoutingTable = int32(groups[i].rep), named[0], named[1:]
-			if !n.sendFrame(m.To, &m) {
-				// The transport hands the receiver the Message itself.
-				own := m
-				own.RoutingTable = slices.Clone(m.RoutingTable)
-				_ = n.tr.Send(m.To, &own)
-			}
+			n.send(m.To, &m)
 		}
 	}
 	n.depGroups = groups
@@ -214,8 +209,7 @@ func (n *Node) handleInboxDeposit(m *wire.Message) {
 		return
 	}
 	now := time.Now()
-	var ackBuf [wire.MaxPublishDests]wire.AckEntry
-	acks := n.depositFor(m, overlay.PeerID(m.Target), now, ackBuf[:0])
+	acks := n.depositFor(m, overlay.PeerID(m.Target), now, n.acks[:0])
 	for _, t := range m.RoutingTable {
 		acks = n.depositFor(m, overlay.PeerID(t), now, acks)
 	}
@@ -289,7 +283,7 @@ func (n *Node) handleInboxClaim(m *wire.Message) {
 	}
 	n.cfg.Obs.Addn(obs.CInboxHaveCleared, int64(cleared))
 	pending := n.sh.ibx.PendingFor(int32(n.id), int32(target))
-	_ = n.tr.Send(m.From, &wire.Message{
+	n.send(m.From, &wire.Message{
 		Kind: wire.KindInboxLease, From: int32(n.id), To: m.From,
 		Seq: m.Seq, Target: m.From, NMutual: int32(pending),
 	})
@@ -335,7 +329,7 @@ func (n *Node) pumpReplay(target overlay.PeerID, now time.Time) bool {
 		if rs.leaseSeq == 0 {
 			return false
 		}
-		_ = n.tr.Send(int32(target), &wire.Message{
+		n.send(int32(target), &wire.Message{
 			Kind: wire.KindInboxLease, From: int32(n.id), To: int32(target),
 			Seq: rs.leaseSeq, Target: int32(target), NMutual: 0,
 		})
@@ -380,19 +374,13 @@ func (n *Node) replayMsg(target overlay.PeerID, recs []inbox.Record, box []byte)
 }
 
 // sendReplay sends recs — a drain's outstanding batch, or what is left of
-// it — to target as one frame. Over a frame-sending transport container
-// and frame are both built in pooled buffers.
+// it — to target as one frame, its container built in a pooled buffer.
 func (n *Node) sendReplay(target overlay.PeerID, recs []inbox.Record) {
 	n.cfg.Obs.Addn(obs.CInboxReplay, int64(len(recs)))
 	n.cfg.Obs.Inc(obs.CInboxReplayFrame)
-	if n.fs == nil {
-		m := n.replayMsg(target, recs, nil)
-		_ = n.tr.Send(int32(target), &m)
-		return
-	}
 	box := wire.GetFrame()
 	m := n.replayMsg(target, recs, (*box)[:0])
-	n.sendFrame(int32(target), &m)
+	n.send(int32(target), &m)
 	*box = m.Payload[:0]
 	wire.PutFrame(box)
 }
@@ -493,17 +481,10 @@ func (n *Node) startInboxClaim(now time.Time, prevPos ring.ID) bool {
 // once per cycle, so no digest goes to a peer that has seen it.
 func (n *Node) sendClaim(cl *claimState) {
 	to := int32(cl.order[cl.idx])
-	m := wire.Message{
+	n.send(to, &wire.Message{
 		Kind: wire.KindInboxClaim, From: int32(n.id), To: to,
 		Seq: cl.seq, Target: int32(n.id), Acks: n.claimHave,
-	}
-	if !n.sendFrame(to, &m) {
-		// The transport hands the receiver the Message itself, and the
-		// digest goes on growing.
-		own := m
-		own.Acks = slices.Clone(n.claimHave)
-		_ = n.tr.Send(to, &own)
-	}
+	})
 }
 
 // advanceClaim moves the lease to the next replica; after a full pass it
@@ -573,8 +554,7 @@ func (n *Node) handleInboxReplay(m *wire.Message) {
 		cl.deadline = time.Now().Add(n.cfg.InboxLease)
 		cl.got += count
 	}
-	var ackBuf [replayBatchMax]wire.AckEntry
-	acks := ackBuf[:0]
+	acks := n.acks[:0]
 	for rest := m.Payload; len(rest) > 0; {
 		var r wire.ReplayRecord
 		r, rest, _ = wire.NextReplayRecord(rest) // checked above

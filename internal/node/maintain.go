@@ -2,6 +2,7 @@ package node
 
 import (
 	"math"
+	"slices"
 	"sort"
 	"time"
 
@@ -55,7 +56,7 @@ func (n *Node) sendJoinRequest() {
 	if target < 0 {
 		return // nobody to join through yet; the ticker retries
 	}
-	_ = n.tr.Send(int32(target), &wire.Message{
+	n.send(int32(target), &wire.Message{
 		Kind: wire.KindJoinRequest, From: int32(n.id), To: int32(target), Seq: n.nextSeq(),
 	})
 }
@@ -95,15 +96,14 @@ func (n *Node) handleJoinRequest(m *wire.Message) {
 		}
 		n.recordJoin(now, q, pos)
 	}
-	reply := new(ringFrame)
-	reply.m = n.rview.piggyback(wire.Message{
+	reply := n.rview.piggyback(wire.Message{
 		Kind: wire.KindJoinReply, From: int32(n.id), To: m.From, Seq: m.Seq,
 		Pos:          math.Float64bits(float64(pos)),
-		RoutingTable: peersToInt32s(n.links()),
-	}, &reply.c, n.id, myPos, now)
+		RoutingTable: n.links(),
+	}, &n.claims, n.id, myPos, now)
 	n.cadenceEvent(selectcore.CadenceMembership)
 	n.cfg.Obs.Inc(obs.CJoinReply)
-	_ = n.tr.Send(m.From, &reply.m)
+	n.send(m.From, &reply)
 }
 
 // handleJoinReply completes the join: adopt the assigned position, enter
@@ -120,7 +120,7 @@ func (n *Node) handleJoinReply(m *wire.Message) {
 	prevPos := n.dir.position(n.id) // pre-crash identifier; inbox deposits live clockwise of it
 	n.dir.setPosition(n.id, pos)
 	n.dir.setMember(n.id, true)
-	contacts := int32sToPeers(m.RoutingTable)
+	contacts := slices.Clone(m.RoutingTable)
 	n.joined = true
 	n.wantJoin = false
 	n.joinNext = time.Time{}
@@ -151,7 +151,7 @@ func (n *Node) handleJoinReply(m *wire.Message) {
 	}
 	posBits := math.Float64bits(float64(pos))
 	for q := range announce {
-		_ = n.tr.Send(int32(q), &wire.Message{
+		n.send(int32(q), &wire.Message{
 			Kind: wire.KindIDAnnounce, From: int32(n.id), To: int32(q), Seq: seqA, Pos: posBits,
 		})
 	}
@@ -159,10 +159,10 @@ func (n *Node) handleJoinReply(m *wire.Message) {
 	// waiting out a gossip period, so strengths and bitmaps (and with
 	// them Algorithm 2 and 5) arrive one round-trip after admission.
 	if n.g.HasEdge(n.id, from) {
-		_ = n.tr.Send(m.From, &wire.Message{
+		n.send(m.From, &wire.Message{
 			Kind: wire.KindExchangeRT, From: int32(n.id), To: m.From, Seq: seqX,
-			Neighborhood: peersToInt32s(n.g.Neighbors(n.id)),
-			RoutingTable: peersToInt32s(n.links()),
+			Neighborhood: n.g.Neighbors(n.id),
+			RoutingTable: n.links(),
 		})
 	}
 }
@@ -289,7 +289,7 @@ func (n *Node) reassign() {
 	seq := n.nextSeq()
 	posBits := math.Float64bits(float64(target))
 	for q := range announce {
-		_ = n.tr.Send(int32(q), &wire.Message{
+		n.send(int32(q), &wire.Message{
 			Kind: wire.KindIDAnnounce, From: int32(n.id), To: int32(q), Seq: seq, Pos: posBits,
 		})
 	}
@@ -436,7 +436,7 @@ func (n *Node) relink() {
 	}
 	// send is one link-control frame to u.
 	send := func(kind wire.Kind, u overlay.PeerID) {
-		_ = n.tr.Send(int32(u), &wire.Message{Kind: kind, From: int32(n.id), To: int32(u), Seq: n.nextSeq()})
+		n.send(int32(u), &wire.Message{Kind: kind, From: int32(n.id), To: int32(u), Seq: n.nextSeq()})
 	}
 	budget := n.cfg.K - len(n.longOut) - len(n.pendingOut)
 	bwOf := func(i int32) float64 { return n.bw[friends[i]] }
@@ -555,7 +555,7 @@ func (n *Node) handleLinkProposal(m *wire.Message) {
 	n.cfg.Obs.Inc(obs.CLinkProposal)
 	from := overlay.PeerID(m.From)
 	answer := func(kind wire.Kind) {
-		_ = n.tr.Send(m.From, &wire.Message{Kind: kind, From: int32(n.id), To: m.From, Seq: m.Seq})
+		n.send(m.From, &wire.Message{Kind: kind, From: int32(n.id), To: m.From, Seq: m.Seq})
 	}
 	switch {
 	case n.inLongIn(from):
@@ -579,7 +579,7 @@ func (n *Node) handleLinkProposal(m *wire.Message) {
 			n.cadenceEvent(selectcore.CadenceLink)
 			n.cfg.Obs.Inc(obs.CLinkEvict)
 			n.cfg.Obs.Inc(obs.CLinkDrop)
-			_ = n.tr.Send(int32(worst), &wire.Message{
+			n.send(int32(worst), &wire.Message{
 				Kind: wire.KindLinkDrop, From: int32(n.id), To: int32(worst), Seq: n.nextSeq(),
 			})
 			n.longIn = append(n.longIn, from)
@@ -605,7 +605,7 @@ func (n *Node) handleLinkAccept(m *wire.Message) {
 	if len(n.longOut) >= n.cfg.K {
 		// The budget filled while the proposal was in flight.
 		n.cfg.Obs.Inc(obs.CLinkDrop)
-		_ = n.tr.Send(m.From, &wire.Message{
+		n.send(m.From, &wire.Message{
 			Kind: wire.KindLinkDrop, From: int32(n.id), To: m.From, Seq: n.nextSeq(),
 		})
 		return
@@ -670,7 +670,7 @@ func (n *Node) leave() {
 	seq := n.nextSeq()
 	n.resetVolatile()
 	for _, q := range links {
-		_ = n.tr.Send(int32(q), &wire.Message{
+		n.send(int32(q), &wire.Message{
 			Kind: wire.KindLeave, From: int32(n.id), To: int32(q), Seq: seq,
 		})
 	}

@@ -56,10 +56,11 @@ type msgID struct {
 // Delivery is one first-time publication delivery as the application
 // sees it: who published, on which topic (the publisher's implicit
 // UserTopic for friend-feed publications), and the payload with its
-// routing and durability metadata. Payload is a view of the frame that
-// brought it — for a replayed publication a frame of up to
-// replayBatchBytes shared with the rest of its batch — so a handler that
-// keeps the bytes copies them.
+// routing and durability metadata. Payload is a view of the Message that
+// brought it — for a replayed publication a container of up to
+// replayBatchBytes shared with the rest of its batch — and is valid only
+// during the callback: the Message is recycled when the handler returns,
+// so a handler that keeps the bytes copies them.
 type Delivery struct {
 	Publisher overlay.PeerID
 	Topic     string
@@ -83,12 +84,14 @@ type Node struct {
 	g   *socialgraph.Graph
 	dir *directory
 	tr  transport.Transport
-	// fs is the transport's optional raw-frame path (TCP): the publish
-	// fan-out, the ack flush and the heartbeat sweep marshal into a pooled
-	// buffer and hand over bytes instead of a Message. Nil on the
-	// switchboard and under faultnet, which pass the pointer on and stay
-	// byte-deterministic and fault-injectable.
-	fs     transport.FrameSender
+	// out is the Message every send hands the transport (send), and
+	// claims, group and acks back the lists of the frames built in them:
+	// node-owned, so that a frame built on a handler's stack costs no
+	// allocation when it goes through the interface call.
+	out    wire.Message
+	claims ringClaims
+	group  [wire.MaxPublishDests]int32
+	acks   [ackBatchMax]wire.AckEntry
 	cfg    Options
 	rng    *rand.Rand
 	hasher *lsh.Hasher
@@ -256,7 +259,7 @@ func newNode(id overlay.PeerID, dir *directory, bw []float64, cfg Options, seed 
 		id: id, g: cfg.Graph, dir: dir, tr: cfg.Transport, cfg: cfg,
 		rng:          rand.New(rand.NewSource(seed)),
 		hasher:       lsh.NewHasher(len(friends), buckets, 0, rand.New(rand.NewSource(seed^0x15b))),
-		sampler:      selectcore.NewSampler(peersToInt32s(friends), selectcore.SamplerSeed(seed, int32(id))),
+		sampler:      selectcore.NewSampler(friends, selectcore.SamplerSeed(seed, int32(id))),
 		bw:           bw,
 		inviterPref:  -1,
 		shortSucc:    -1,
@@ -289,9 +292,6 @@ func newNode(id overlay.PeerID, dir *directory, bw []float64, cfg Options, seed 
 	for i, f := range friends {
 		n.fidx[f] = i
 	}
-	if fs, ok := cfg.Transport.(transport.FrameSender); ok {
-		n.fs = fs
-	}
 	n.hbPiggyback = cfg.HeartbeatEvery > 0
 	if n.hbPiggyback {
 		n.lastHeard = make(map[overlay.PeerID]time.Time)
@@ -301,6 +301,17 @@ func newNode(id overlay.PeerID, dir *directory, bw []float64, cfg Options, seed 
 }
 
 func (n *Node) nextSeq() uint32 { return n.seq.Add(1) }
+
+// send is the node's one way onto the network: m goes to peer `to` as a
+// copy in n.out, so a Message built on the caller's stack stays there, and
+// the transport copies n.out before it returns (transport.Transport) — m
+// and the lists it names are the caller's again at once. A refused send is
+// a lost frame like any other: the protocol repairs it (retries, acks,
+// heartbeats), so the error is not looked at.
+func (n *Node) send(to int32, m *wire.Message) {
+	n.out = *m
+	_ = n.tr.Send(to, &n.out)
+}
 
 func (n *Node) handle(m *wire.Message) {
 	if n.hbPiggyback && m.From >= 0 && overlay.PeerID(m.From) != n.id &&
@@ -399,7 +410,7 @@ func (n *Node) links() []overlay.PeerID {
 // sender's routing table as lookahead.
 func (n *Node) handleExchange(m *wire.Message) {
 	mine := n.g.Neighbors(n.id)
-	theirs := int32sToPeers(m.Neighborhood)
+	theirs := m.Neighborhood
 	mutual := n.liarMutual(countMutualSorted(mine, theirs), len(theirs))
 	links := n.links()
 	if n.setLookahead(overlay.PeerID(m.From), m.RoutingTable) {
@@ -418,13 +429,12 @@ func (n *Node) handleExchange(m *wire.Message) {
 			bitmap[i/64] |= 1 << (i % 64)
 		}
 	}
-	reply := &wire.Message{
+	n.send(m.From, &wire.Message{
 		Kind: wire.KindExchangeReply, From: int32(n.id), To: m.From, Seq: m.Seq,
 		NMutual:      int32(mutual),
 		Bitmap:       bitmap,
-		RoutingTable: peersToInt32s(links),
-	}
-	_ = n.tr.Send(m.From, reply)
+		RoutingTable: links,
+	})
 }
 
 // handleExchangeReply is the active thread's learning step: the mutual
@@ -447,7 +457,7 @@ func (n *Node) handleExchangeReply(m *wire.Message) {
 			// proposal may have changed with them, so it may be asked again
 			// now (maintain.go).
 			n.liftRefusal(from)
-			n.bitmaps[from] = m.Bitmap
+			n.bitmaps[from] = slices.Clone(m.Bitmap) // m is recycled on return
 			news = true
 		}
 	}
@@ -464,7 +474,7 @@ func (n *Node) setLookahead(q overlay.PeerID, rt []int32) bool {
 	if old, had := n.lookahead[q]; had && slices.Equal(old, rt) {
 		return false
 	}
-	n.lookahead[q] = int32sToPeers(rt)
+	n.lookahead[q] = slices.Clone(rt)
 	return true
 }
 
@@ -488,10 +498,10 @@ func (n *Node) sendExchange() {
 	}
 	f := overlay.PeerID(fi)
 	n.cfg.Obs.Inc(obs.CGossipSent)
-	_ = n.tr.Send(int32(f), &wire.Message{
+	n.send(int32(f), &wire.Message{
 		Kind: wire.KindExchangeRT, From: int32(n.id), To: int32(f), Seq: n.nextSeq(),
-		Neighborhood: peersToInt32s(n.g.Neighbors(n.id)),
-		RoutingTable: peersToInt32s(n.links()),
+		Neighborhood: n.g.Neighbors(n.id),
+		RoutingTable: n.links(),
 	})
 }
 
@@ -540,7 +550,8 @@ func (n *Node) sendHeartbeats() {
 		n.cfg.Obs.Inc(obs.CHeartbeatSweepBase)
 	}
 	n.hb.Cadence = n.hb.Round(selectcore.HeartbeatCalmRounds)
-	links := n.links()
+	var linkBuf [routeLinksMax]overlay.PeerID
+	links := n.appendLinks(linkBuf[:0])
 	// Also probe the ring candidates: hearsay entries sitting ahead of the
 	// firsthand heads. Their pong self-entry places them, so a nearer
 	// neighbor becomes the head one round trip after it was first heard
@@ -553,7 +564,16 @@ func (n *Node) sendHeartbeats() {
 			links = append(links, q)
 		}
 	}
-	seqs := make(map[uint32]overlay.PeerID, len(links))
+	// A ping names its sender's position the way a pong does — as the self
+	// entry of the successor side — so the probed peer learns the prober
+	// first-hand: a node that moved in between two neighbours is seen by
+	// them the moment it probes them, not only if a third party happens to
+	// vouch for it.
+	ping := wire.Message{Kind: wire.KindPing, From: int32(n.id)}
+	if n.joined {
+		ping.Succs = append(n.claims.succs[:0], int32(n.id))
+		ping.SuccPos = append(n.claims.succPos[:0], math.Float64bits(float64(n.dir.position(n.id))))
+	}
 	for i, q := range links {
 		if i < probe && fresh(q) && n.hbSkip[q] < hbSuppressMax {
 			// Heartbeat piggybacking: the link moved data this interval, so
@@ -569,70 +589,26 @@ func (n *Node) sendHeartbeats() {
 			continue
 		}
 		delete(n.hbSkip, q)
-		s := n.nextSeq()
-		seqs[s] = q
-		n.pendingPings[s] = q
-	}
-	// A ping names its sender's position the way a pong does — as the self
-	// entry of the successor side — so the probed peer learns the prober
-	// first-hand: a node that moved in between two neighbours is seen by
-	// them the moment it probes them, not only if a third party happens to
-	// vouch for it.
-	ping := wire.Message{Kind: wire.KindPing, From: int32(n.id)}
-	if n.joined {
-		ping.Succs = []int32{int32(n.id)}
-		ping.SuccPos = []uint64{math.Float64bits(float64(n.dir.position(n.id)))}
-	}
-	n.cfg.Obs.Addn(obs.CHeartbeatSent, int64(len(seqs)))
-	if n.fs != nil {
-		// Marshal-once fast path: every ping this sweep differs only in To
-		// and Seq — encode the frame once and patch both per target.
-		buf := wire.GetFrame()
-		*buf = wire.MarshalAppend((*buf)[:0], &ping)
-		for s, q := range seqs {
-			wire.PatchTo(*buf, int32(q))
-			wire.PatchSeq(*buf, s)
-			_ = n.fs.SendFrame(int32(n.id), int32(q), *buf)
-		}
-		wire.PutFrame(buf)
-		return
-	}
-	for s, q := range seqs {
-		m := ping // the position slices are shared, read-only
-		m.To, m.Seq = int32(q), s
-		_ = n.tr.Send(int32(q), &m)
+		ping.To, ping.Seq = int32(q), n.nextSeq()
+		n.pendingPings[ping.Seq] = q
+		n.cfg.Obs.Inc(obs.CHeartbeatSent)
+		n.send(ping.To, &ping)
 	}
 }
 
 // sendPong answers ping. Pongs piggyback the responder's successor/
 // predecessor lists — the anti-entropy channel that keeps every
-// heartbeating pair's ring views converging without extra messages. Over
-// a frame-sending transport the pong and its lists are marshaled from the
-// stack and nothing is allocated; where the transport passes the pointer
-// on they are one ringFrame.
+// heartbeating pair's ring views converging without extra messages.
 func (n *Node) sendPong(ping *wire.Message) {
-	if n.fs != nil {
-		var c ringClaims
-		m := n.pong(ping, &c)
-		n.sendFrame(ping.From, &m)
-		return
-	}
-	f := new(ringFrame)
-	f.m = n.pong(ping, &f.c)
-	_ = n.tr.Send(ping.From, &f.m)
-}
-
-// pong is the answer to ping, its ring lists rendered into c.
-func (n *Node) pong(ping *wire.Message, c *ringClaims) wire.Message {
 	m := wire.Message{Kind: wire.KindPong, From: int32(n.id), To: ping.From, Seq: ping.Seq}
 	if ss, sp, ps, pp, forged := n.forgedRingClaim(); forged && overlay.PeerID(ping.From) == n.advTarget {
 		// An armed eclipse attacker answers its victim's heartbeats with
 		// the same forged flank claims its gossip tick pushes.
 		m.Succs, m.SuccPos, m.Preds, m.PredPos = ss, sp, ps, pp
 	} else if n.joined {
-		m = n.rview.piggyback(m, c, n.id, n.dir.position(n.id), time.Now())
+		m = n.rview.piggyback(m, &n.claims, n.id, n.dir.position(n.id), time.Now())
 	}
-	return m
+	n.send(ping.From, &m)
 }
 
 // observe folds one availability sample for link q into the CMA and the
@@ -740,7 +716,7 @@ func (n *Node) handlePublish(m *wire.Message) {
 			Kind: wire.KindPublish, From: m.From, Seq: seq, Publisher: pub,
 			TTL: m.TTL - 1, HopCount: m.HopCount + 1,
 			Priority: m.Priority, PayloadSize: m.PayloadSize, Payload: m.Payload,
-		}, dests, from, m)
+		}, dests, from)
 	case len(dests) > 0:
 		n.cfg.Obs.Addn(obs.CPublishTTLDrop, int64(len(dests)))
 		n.cfg.Obs.TraceEvent("ttl_drop", int32(n.id), seq)
@@ -857,7 +833,7 @@ func (n *Node) publish(seq uint32, payload []byte, size uint32, pri uint8) {
 	n.registerPublish(seq, subs, payload, size, pri, time.Now())
 	n.cfg.Obs.Addn(obs.CPublishSent, int64(len(subs)))
 	n.cfg.Obs.TraceEvent("publish", int32(n.id), seq)
-	n.fanOut(n.feedFrame(seq, payload, size, pri), subs, -1, nil)
+	n.fanOut(n.feedFrame(seq, payload, size, pri), subs, -1)
 	n.kickRetry()
 }
 
@@ -968,18 +944,6 @@ func (n *Node) LinkCoverage() float64 {
 		return 1
 	}
 	return float64(covered) / float64(members)
-}
-
-func peersToInt32s(ps []overlay.PeerID) []int32 {
-	out := make([]int32, len(ps))
-	copy(out, ps)
-	return out
-}
-
-func int32sToPeers(xs []int32) []overlay.PeerID {
-	out := make([]overlay.PeerID, len(xs))
-	copy(out, xs)
-	return out
 }
 
 // countMutualSorted counts common elements of two sorted id lists; the

@@ -113,7 +113,7 @@ func TestPublishPayloadAndHandler(t *testing.T) {
 		s := s
 		c.Nodes[s].OnDeliver(func(d Delivery) {
 			mu.Lock()
-			got[s] = d.Payload
+			got[s] = bytes.Clone(d.Payload) // a view, valid during the callback only
 			calls++
 			mu.Unlock()
 		})

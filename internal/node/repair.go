@@ -425,13 +425,13 @@ func (n *Node) retryDirect(seq uint32, st *pubState, due []overlay.PeerID, now t
 	n.cfg.Obs.TraceEvent("retry", int32(n.id), seq)
 	switch st.class {
 	case rowFeed:
-		n.fanOut(n.feedFrame(seq, st.payload, st.size, st.pri), missing, -1, nil)
+		n.fanOut(n.feedFrame(seq, st.payload, st.size, st.pri), missing, -1)
 	case rowReplica:
 		for _, s := range missing {
 			// Topic repair copies are point-to-point leaf deliveries (no
 			// subtree) carrying the origin identity, with acks addressed
 			// back to this rendezvous replica.
-			_ = n.tr.Send(int32(s), &wire.Message{
+			n.send(int32(s), &wire.Message{
 				Kind: wire.KindTopicPub, From: int32(n.id), To: int32(s),
 				Seq: st.origin.Seq, Publisher: st.origin.Publisher,
 				Target: int32(n.id), Priority: st.pri, TTL: n.cfg.TTL,
@@ -620,8 +620,11 @@ func (n *Node) learnPiggyback(own ring.ID, m *wire.Message) {
 // the heartbeat sweep after folding the round's misses.
 func (n *Node) detectorSweep(now time.Time) {
 	det := n.cfg.Detector
-	var dead []overlay.PeerID
-	for _, q := range append(n.links(), n.rview.probation(n.dir.isMember)...) {
+	var (
+		dead    []overlay.PeerID
+		linkBuf [routeLinksMax]overlay.PeerID
+	)
+	for _, q := range append(n.appendLinks(linkBuf[:0]), n.rview.probation(n.dir.isMember)...) {
 		c := n.cma[q]
 		if c == nil {
 			continue

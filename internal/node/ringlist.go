@@ -297,9 +297,10 @@ func (v *ringView) posOf(peer overlay.PeerID) (ring.ID, bool) {
 	return 0, false
 }
 
-// ringClaims is the backing store of the ring lists one Pong or JoinReply
-// piggybacks: at most succListLen entries a side, the sender's own entry
-// heading the successor side, and an age per entry.
+// ringClaims is the backing store of the ring lists one Ping, Pong or
+// JoinReply carries: at most succListLen entries a side, the sender's own
+// entry heading the successor side, and an age per entry. Each node owns
+// one (Node.claims), reused from frame to frame.
 type ringClaims struct {
 	succs   [1 + succListLen]int32
 	succPos [1 + succListLen]uint64
@@ -308,19 +309,11 @@ type ringClaims struct {
 	ages    [1 + 2*succListLen]int32
 }
 
-// ringFrame is a Pong or JoinReply whose piggybacked lists live in the
-// same allocation.
-type ringFrame struct {
-	m wire.Message
-	c ringClaims
-}
-
 // piggyback returns m with both lists rendered onto it (self prepended to
 // the successor side, so receivers learn the sender's own position
 // first-hand), with each claim's age in milliseconds in the frame's
 // Neighborhood slot — successors, then predecessors (wire.Message).
-// Lapsed claims are not passed on. The lists are views of c, so a frame
-// whose c is on the stack stays there (sendPong).
+// Lapsed claims are not passed on. The lists are views of c.
 func (v *ringView) piggyback(m wire.Message, c *ringClaims, self overlay.PeerID, own ring.ID, now time.Time) wire.Message {
 	m.Succs, m.SuccPos, m.Neighborhood = v.render(v.succ, now,
 		append(c.succs[:0], int32(self)), append(c.succPos[:0], math.Float64bits(float64(own))), append(c.ages[:0], 0))

@@ -264,25 +264,12 @@ const grouped = overlay.PeerID(math.MinInt32)
 // the publication, or the retry, is this node's own), and no group goes
 // back to it (routeBatch). Every frame that leaves is stamped with this
 // node as the hop it comes from, which is how the next relay knows: From
-// stays the publisher (DESIGN.md §10.3).
-//
-// Over a frame-sending transport (TCP) every group is marshaled into one
-// pooled buffer and handed over as bytes; nothing else is allocated.
-// Otherwise the transport passes the pointer on and the receiver edits
-// TTL and HopCount in place, so every group gets a Message of its own:
-// reuse, when not nil — the inbound frame a relay has finished with —
-// serves as the first.
-func (n *Node) fanOut(tmpl wire.Message, dests []overlay.PeerID, from overlay.PeerID, reuse *wire.Message) {
+// stays the publisher (DESIGN.md §10.3). The groups are built in the
+// node's own list storage (n.group) and leave through send, so nothing is
+// allocated.
+func (n *Node) fanOut(tmpl wire.Message, dests []overlay.PeerID, from overlay.PeerID) {
 	tmpl.SetHopFrom(int32(n.id))
-	var (
-		hopBuf   [wire.MaxPublishDests]overlay.PeerID
-		groupBuf [wire.MaxPublishDests]int32
-		buf      *[]byte
-	)
-	if n.fs != nil {
-		buf = wire.GetFrame()
-		defer wire.PutFrame(buf)
-	}
+	var hopBuf [wire.MaxPublishDests]overlay.PeerID
 	for len(dests) > 0 {
 		chunk := dests[:min(len(dests), wire.MaxPublishDests)]
 		dests = dests[len(chunk):]
@@ -295,7 +282,7 @@ func (n *Node) fanOut(tmpl wire.Message, dests []overlay.PeerID, from overlay.Pe
 				}
 				continue
 			}
-			group := groupBuf[:0]
+			group := n.group[:0]
 			for j := i; j < len(hops); j++ {
 				if hops[j] == hop {
 					group = append(group, int32(chunk[j]))
@@ -303,22 +290,8 @@ func (n *Node) fanOut(tmpl wire.Message, dests []overlay.PeerID, from overlay.Pe
 				}
 			}
 			n.cfg.Obs.Inc(obs.CPublishFrame)
-			if buf != nil {
-				frame := tmpl
-				frame.To, frame.RoutingTable = group[0], group[1:]
-				*buf = wire.MarshalAppend((*buf)[:0], &frame)
-				_ = n.fs.SendFrame(int32(n.id), int32(hop), *buf)
-				continue
-			}
-			m, rest := reuse, []int32(nil)
-			if m != nil {
-				reuse, rest = nil, m.RoutingTable[:0]
-			} else {
-				m = new(wire.Message)
-			}
-			*m = tmpl
-			m.To, m.RoutingTable = group[0], append(rest, group[1:]...)
-			_ = n.tr.Send(int32(hop), m)
+			tmpl.To, tmpl.RoutingTable = group[0], group[1:]
+			n.send(int32(hop), &tmpl)
 		}
 	}
 }

@@ -11,6 +11,7 @@ import (
 	"selectps/internal/sched"
 	"selectps/internal/selectcore"
 	"selectps/internal/transport"
+	"selectps/internal/wire"
 )
 
 // This file is the sharded event-loop runtime (DESIGN.md §11). The old
@@ -223,6 +224,7 @@ func (s *shard) enqueueBatch(nb *[]transport.Envelope) {
 
 func (s *shard) enqueue(env transport.Envelope) {
 	if env.Msg == nil || env.To < 0 || int(env.To) >= len(s.queues) {
+		wire.PutMessage(env.Msg)
 		return
 	}
 	q := &s.queues[env.To]
@@ -493,19 +495,18 @@ func (s *shard) exit() {
 	s.idle <- struct{}{}
 }
 
-// deliver dispatches one envelope to its owning node's handler.
+// deliver dispatches one envelope (enqueue checked it) to its owning
+// node's handler, and then recycles its Message: the transport handed the
+// shard a Message of its own, and nothing of it outlives the handler.
 func (s *shard) deliver(env transport.Envelope) {
-	if env.Msg == nil || env.To < 0 || int(env.To) >= len(s.c.Nodes) {
-		return
+	// A paused peer is unresponsive: it drops everything.
+	if n := s.c.Nodes[env.To]; !n.paused.Load() {
+		if s.obs != nil && !env.At.IsZero() {
+			s.obs.ObserveSojournMS(float64(time.Since(env.At)) / float64(time.Millisecond))
+		}
+		n.handle(env.Msg)
 	}
-	n := s.c.Nodes[env.To]
-	if n.paused.Load() {
-		return // unresponsive peer: drop everything
-	}
-	if s.obs != nil && !env.At.IsZero() {
-		s.obs.ObserveSojournMS(float64(time.Since(env.At)) / float64(time.Millisecond))
-	}
-	n.handle(env.Msg)
+	wire.PutMessage(env.Msg)
 }
 
 // fire runs one due wheel entry. Periodic kinds skip their body while the

@@ -226,7 +226,7 @@ func (n *Node) unsubscribe(topic string) {
 			n.dropTopicSub(topic, n.id, seq, now)
 			continue
 		}
-		_ = n.tr.Send(int32(rep), &wire.Message{
+		n.send(int32(rep), &wire.Message{
 			Kind: wire.KindTopicUnsub, From: int32(n.id), To: int32(rep),
 			Seq: seq, Topic: []byte(topic),
 		})
@@ -269,16 +269,12 @@ func (n *Node) publishTopic(seq uint32, topic string, payload []byte, o pubOpts)
 
 // sendTopicTree sends one copy of tmpl — a dissemination copy less its
 // destination — per branch of the tree over subs: to the branch's child,
-// carrying the child's subtree in RoutingTable. The copies share tmpl's
-// payload and topic, and the subtrees one backing array: no receiver
-// writes to them (the switchboard hands the pointer on, TCP decodes a
-// Message of its own).
+// carrying the child's subtree in RoutingTable.
 func (n *Node) sendTopicTree(tmpl wire.Message, subs []overlay.PeerID) {
 	branches := selectcore.TreeBranches(subs, topicFanout)
 	for _, branch := range branches {
-		msg := tmpl
-		msg.To, msg.RoutingTable = int32(branch[0]), branch[1:]
-		_ = n.tr.Send(msg.To, &msg)
+		tmpl.To, tmpl.RoutingTable = int32(branch[0]), branch[1:]
+		n.send(tmpl.To, &tmpl)
 	}
 	n.cfg.Obs.Addn(obs.CTopicFanout, int64(len(branches)))
 }
@@ -440,8 +436,7 @@ func (n *Node) setRound(seq uint32, st *pubState, set []overlay.PeerID, now time
 // sendSet is the other half of a round of set row seq: one frame to each
 // member in to — the publication (KindTopicPub, Target -1), the
 // registration (KindTopicSub) or the registry's live entries
-// (KindTopicHandoff, in RoutingTable). The frames share the topic and the
-// list; no receiver writes to them.
+// (KindTopicHandoff, in RoutingTable).
 func (n *Node) sendSet(seq uint32, st *pubState, to []overlay.PeerID, now time.Time) {
 	m := wire.Message{Kind: wire.KindTopicSub, From: int32(n.id), Seq: seq, Topic: []byte(st.topic)}
 	switch st.class {
@@ -449,12 +444,11 @@ func (n *Node) sendSet(seq uint32, st *pubState, to []overlay.PeerID, now time.T
 		m.Kind, m.Publisher, m.Target, m.TTL = wire.KindTopicPub, int32(n.id), -1, n.cfg.TTL
 		m.Priority, m.PayloadSize, m.Payload = st.pri, st.size, st.payload
 	case rowTransfer:
-		m.Kind, m.RoutingTable = wire.KindTopicHandoff, peersToInt32s(n.registrySubs(st.topic, now, -1))
+		m.Kind, m.RoutingTable = wire.KindTopicHandoff, n.registrySubs(st.topic, now, -1)
 	}
 	for _, rep := range to {
-		msg := m
-		msg.To = int32(rep)
-		_ = n.tr.Send(msg.To, &msg)
+		m.To = int32(rep)
+		n.send(m.To, &m)
 	}
 }
 
@@ -645,9 +639,9 @@ func (n *Node) handleTopicPub(m *wire.Message) {
 // state records the set's other members: subscribers ack the replica
 // that stamped their copy, and that replica passes the acks on to them
 // (consumeAck), so one ack settles both. Acks that arrived before the
-// hand-off already count: a state they settle whole resolves here.
-// payload is retained: a hand-off's payload is its frame's, which no one
-// writes to.
+// hand-off already count: a state they settle whole resolves here. The
+// row keeps a copy of payload: a hand-off's payload is a view of its
+// inbound Message, which is recycled when the handler returns.
 func (n *Node) acceptTopicPub(origin msgID, topic string, payload []byte, size uint32, pri uint8) {
 	if !n.repairEnabled() {
 		return
@@ -655,6 +649,7 @@ func (n *Node) acceptTopicPub(origin msgID, topic string, payload []byte, size u
 	if _, dup := n.tpOrigin[origin]; dup {
 		return
 	}
+	payload = slices.Clone(payload)
 	now := time.Now()
 	n.cfg.Obs.Inc(obs.CTopicPubRecv)
 	subs := n.registrySubs(topic, now, origin.Publisher)
@@ -715,7 +710,8 @@ func (n *Node) acceptTopicPub(origin msgID, topic string, payload []byte, size u
 // below it are still owed theirs. A subscribing standby is the usual case
 // — the publisher's hand-off reaches it before the primary's tree copy
 // does, and it delivers on the hand-off. Nothing on this path allocates
-// but the forwarded copies: the delivery and the copies are views of m.
+// but the split of the subtree (selectcore.TreeBranches): the delivery and
+// the copies are views of m.
 func (n *Node) deliverTopicCopy(m *wire.Message) {
 	id := msgID{m.Publisher, m.Seq}
 	if !n.rememberDelivery(id, m.HopCount) {

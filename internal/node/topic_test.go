@@ -52,6 +52,7 @@ func TestTopicPubSubEndToEnd(t *testing.T) {
 		}
 		record := func(d Delivery) {
 			mu.Lock()
+			d.Payload = bytes.Clone(d.Payload) // a view, valid during the callback only
 			got[s] = d
 			mu.Unlock()
 		}
@@ -373,6 +374,7 @@ func TestUserTopicAPIEquivalence(t *testing.T) {
 	var got *Delivery
 	sub.OnDeliver(func(d Delivery) {
 		mu.Lock()
+		d.Payload = bytes.Clone(d.Payload) // a view, valid during the callback only
 		got = &d
 		mu.Unlock()
 	})

@@ -11,6 +11,7 @@ import (
 	"selectps/internal/faultnet"
 	"selectps/internal/obs"
 	"selectps/internal/overlay"
+	"selectps/internal/selectcore"
 	"selectps/internal/socialgraph"
 	"selectps/internal/transport"
 	"selectps/internal/wire"
@@ -779,7 +780,7 @@ func TestPublishSplitHorizon(t *testing.T) {
 		t.Errorf("a copy with no way on but back: %d frames sent, publish_bounce_drop rose by %d", len(fs), met.Get(obs.CPublishBounceDrop)-bounces)
 	}
 	// A retry is the publisher's own: no inbound hop, every link a candidate.
-	lone.fanOut(lone.feedFrame(4, nil, 0, 1), []overlay.PeerID{dest}, -1, nil)
+	lone.fanOut(lone.feedFrame(4, nil, 0, 1), []overlay.PeerID{dest}, -1)
 	if fs := tp.take(wire.KindPublish); len(fs) != 1 || fs[0].hop != int32(x.id) || fs[0].m.HopFrom() != int32(lone.id) {
 		t.Errorf("the publisher's own send: %+v, want one frame to %d stamped %d", fs, x.id, lone.id)
 	}
@@ -903,41 +904,43 @@ func (d *discard) BindInboxBatch(int32, chan *[]transport.Envelope) bool {
 	return true
 }
 
-// discardFrames is discard with the raw-frame path of the TCP transport.
-type discardFrames struct{ discard }
-
-func (d *discardFrames) SendFrame(int32, int32, []byte) error { d.frames.Add(1); return nil }
-
-// TestFanOutAllocPins holds the data path to its allocation budget:
-// routing a frame's destinations allocates nothing; the publisher's
-// fan-out allocates nothing beyond the pooled buffer over a frame-sending
-// transport; an ack costs at most one allocation per frame where the
-// transport takes the pointer and none where it takes bytes.
+// TestFanOutAllocPins holds the send side to its allocation budget: every
+// frame leaves through one send path, whatever the transport, and none of
+// the hot senders allocates for it — routing a frame's destinations, the
+// publisher's fan-out, a leaf ack, a timed ack flush, a pong, a heartbeat
+// sweep and a topic tree copy.
 func TestFanOutAllocPins(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts mean nothing under -race: sync.Pool drops a quarter of what it is handed back")
 	}
 	const n, seed = 120, 2
 	g, ov := buildOverlay(t, n, seed)
-	start := func(tr transport.Transport) *Node {
-		c, err := Start(Options{Graph: g, Overlay: ov, Transport: tr, Seed: seed})
-		if err != nil {
-			t.Fatal(err)
-		}
-		c.stopOnce.Do(func() { close(c.stop) })
-		c.wg.Wait()
-		t.Cleanup(func() { shutdown(t, c) })
-		return c.Nodes[topDegree(g)]
+	tr := &discard{}
+	c, err := Start(Options{Graph: g, Overlay: ov, Transport: tr, Seed: seed})
+	if err != nil {
+		t.Fatal(err)
 	}
+	c.stopOnce.Do(func() { close(c.stop) })
+	c.wg.Wait()
+	t.Cleanup(func() { shutdown(t, c) })
 	pub := topDegree(g)
+	nd := c.Nodes[pub]
 	subs := g.Neighbors(pub)
 	if len(subs) < 24 {
 		t.Fatalf("top degree %d", len(subs))
 	}
 	payload := make([]byte, 256)
-
-	msgs, frames := &discard{}, &discardFrames{}
-	byPointer, byBytes := start(msgs), start(frames)
+	pin := func(what string, f func()) {
+		t.Helper()
+		f() // warms whatever f grows once
+		before := tr.frames.Load()
+		if a := testing.AllocsPerRun(200, f); a != 0 {
+			t.Errorf("%s: %.1f allocs, want 0", what, a)
+		}
+		if tr.frames.Load() == before {
+			t.Errorf("%s sent nothing", what)
+		}
+	}
 
 	// Give routing something to search: every link lists a few peers, none
 	// of them a subscriber, so that every destination that is no direct
@@ -948,56 +951,45 @@ func TestFanOutAllocPins(t *testing.T) {
 			others = append(others, p)
 		}
 	}
-	for _, q := range byBytes.links() {
-		byBytes.lookahead[q] = others
+	for _, q := range nd.links() {
+		nd.lookahead[q] = others
 	}
 	hops := make([]overlay.PeerID, 24)
-	if a := testing.AllocsPerRun(200, func() { byBytes.routeBatch(subs[:24], hops, -1) }); a != 0 {
+	if a := testing.AllocsPerRun(200, func() { nd.routeBatch(subs[:24], hops, -1) }); a != 0 {
 		t.Errorf("routeBatch of 24 destinations: %.1f allocs, want 0", a)
 	}
 
-	tmpl := byBytes.feedFrame(1, payload, 256, 1)
-	byBytes.fanOut(tmpl, subs, -1, nil) // warms the frame pool
-	sent := frames.frames.Load()
-	if a := testing.AllocsPerRun(200, func() { byBytes.fanOut(tmpl, subs, -1, nil) }); a != 0 {
-		t.Errorf("fanOut over a frame-sending transport: %.1f allocs, want 0", a)
-	}
-	if per := (frames.frames.Load() - sent) / 201; per < 1 || per >= int64(len(subs)) {
+	tmpl := nd.feedFrame(1, payload, 256, 1)
+	sent := tr.frames.Load()
+	pin("fanOut", func() { nd.fanOut(tmpl, subs, -1) })
+	if per := (tr.frames.Load() - sent) / 202; per < 1 || per >= int64(len(subs)) {
 		t.Errorf("fanOut sent %d frames for %d subscribers", per, len(subs))
 	}
 
 	ack := wire.AckEntry{Kind: wire.KindAck, From: int32(pub), Dest: int32(subs[0]), Pub: int32(subs[0]), Seq: 1, TTL: 32}
-	for _, tc := range []struct {
-		name string
-		n    *Node
-		sink *atomic.Int64
-		max  float64
-	}{
-		{"by pointer", byPointer, &msgs.frames, 1},
-		{"by bytes", byBytes, &frames.frames, 0},
-	} {
-		leaf := func() { tc.n.queueAck(ack, true) }
-		timed := func() {
-			tc.n.queueAck(ack, false)
-			tc.n.queueAck(ack, false)
-			tc.n.flushAcks()
-		}
-		leaf()
-		timed()
-		before := tc.sink.Load()
-		if a := testing.AllocsPerRun(200, leaf); a > tc.max {
-			t.Errorf("%s: an ack flushed at once costs %.1f allocs, want at most %.0f", tc.name, a, tc.max)
-		}
-		if a := testing.AllocsPerRun(200, timed); a > tc.max {
-			t.Errorf("%s: two acks and a timed flush cost %.1f allocs, want at most %.0f", tc.name, a, tc.max)
-		}
-		if got := tc.sink.Load() - before; got != 2*201 {
-			t.Errorf("%s: %d ack frames for 201 leaf acks and 201 timed flushes", tc.name, got)
-		}
-		// A pong and the ring lists it piggybacks are one frame.
-		ping := &wire.Message{Kind: wire.KindPing, From: int32(subs[0]), To: int32(pub), Seq: 9}
-		if a := testing.AllocsPerRun(200, func() { tc.n.sendPong(ping) }); a > tc.max {
-			t.Errorf("%s: a pong costs %.1f allocs, want at most %.0f", tc.name, a, tc.max)
-		}
+	pin("an ack flushed at once", func() { nd.queueAck(ack, true) })
+	pin("two acks and a timed flush", func() {
+		nd.queueAck(ack, false)
+		nd.queueAck(ack, false)
+		nd.flushAcks()
+	})
+	// A pong and the ring lists it piggybacks are one frame.
+	ping := &wire.Message{Kind: wire.KindPing, From: int32(subs[0]), To: int32(pub), Seq: 9}
+	pin("a pong", func() { nd.sendPong(ping) })
+	// A sweep whose previous pings all came home: it pings every link.
+	pin("a heartbeat sweep", func() {
+		clear(nd.pendingPings)
+		nd.sendHeartbeats()
+	})
+	// The copies of a tree cost nothing beyond the split of the subtree.
+	copyOf := wire.Message{Kind: wire.KindTopicPub, From: int32(pub), Seq: 1, Publisher: int32(pub),
+		Target: int32(pub), Payload: payload, Topic: []byte("#alloc"), TTL: 32}
+	split := testing.AllocsPerRun(200, func() { selectcore.TreeBranches(subs, topicFanout) })
+	before := tr.frames.Load()
+	if a := testing.AllocsPerRun(200, func() { nd.sendTopicTree(copyOf, subs) }); a > split {
+		t.Errorf("a topic tree of %d copies: %.1f allocs, want the %.0f of its split", topicFanout, a, split)
+	}
+	if got := tr.frames.Load() - before; got != 201*topicFanout {
+		t.Errorf("%d tree copies for 201 trees of %d branches", got, topicFanout)
 	}
 }

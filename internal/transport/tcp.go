@@ -204,8 +204,9 @@ func (t *TCP) readLoop(conn net.Conn) {
 		if _, err := io.ReadFull(br, body); err != nil {
 			return nil, err
 		}
-		m := &wire.Message{} // the receiver owns the Message; never reused
+		m := wire.GetMessage() // the receiver's until it calls wire.PutMessage
 		if err := wire.UnmarshalInto(m, body); err != nil {
+			wire.PutMessage(m)
 			corrupt(obs.CTCPMalformedFrame)
 			return nil, err
 		}
@@ -234,6 +235,7 @@ func (t *TCP) readLoop(conn net.Conn) {
 		// loop is wg-registered, so the channel sends below can never hit
 		// a closed channel; the closed flag is checked for accounting only.
 		if t.closed.Load() {
+			wire.PutMessage(m)
 			t.Obs.Inc(obs.CDropClosed)
 			return
 		}
@@ -243,6 +245,7 @@ func (t *TCP) readLoop(conn net.Conn) {
 			select {
 			case l.box <- Envelope{Msg: m, To: hop, At: now}:
 			default: // congested: drop, counted
+				wire.PutMessage(m)
 				t.Obs.Inc(obs.CDropFullMailbox)
 			}
 			continue
@@ -277,7 +280,7 @@ func (t *TCP) readLoop(conn net.Conn) {
 			t.Obs.Inc(obs.CIngressBatch)
 		default: // congested: every envelope in the batch counted
 			t.Obs.Addn(obs.CDropFullMailbox, int64(len(*nb)))
-			PutEnvelopeBatch(nb)
+			dropBatch(nb)
 		}
 		if dead {
 			return

@@ -10,6 +10,15 @@
 // Both implementations publish their drop/redial accounting through an
 // optional obs.Metrics sink, and both compose under faultnet.Wrap for
 // chaos testing (DESIGN.md §7).
+//
+// Ownership: a transport copies what it is sent. Send reads the Message
+// and the slices it names only until it returns, so the sender may reuse
+// them at once; both implementations make the copy with the wire codec,
+// so every frame a test or soak arm sends crosses the encoder and decoder
+// TCP production runs. A receiver gets a Message of its own from
+// wire.GetMessage and owns it until it hands it back with
+// wire.PutMessage; the node runtime does that when the handler returns,
+// so a handler that keeps anything its Message names copies it first.
 package transport
 
 import (
@@ -25,7 +34,10 @@ import (
 // Envelope is a received message. To is the peer the envelope was
 // delivered to — on a shared (multiplexed) inbox it is what routes the
 // message to the owning node, since Msg.To may name a final destination
-// further along the forwarding path.
+// further along the forwarding path. Msg came from wire.GetMessage and
+// belongs to whoever drains the envelope, which may recycle it with
+// wire.PutMessage once done (the node runtime does; a reader of a private
+// Inbox channel may simply drop it).
 type Envelope struct {
 	Msg *wire.Message
 	To  int32
@@ -47,8 +59,10 @@ type Envelope struct {
 // implementation's obs.Metrics sink (CDropFullMailbox, CDropClosed) when
 // one is attached — there are no unobservable losses.
 type Transport interface {
-	// Send delivers m to peer `to` asynchronously. See the interface
-	// comment for the error and drop contract.
+	// Send delivers a copy of m to peer `to` asynchronously. It reads m
+	// and the slices m names only until it returns: the caller may reuse
+	// them at once. See the interface comment for the error and drop
+	// contract.
 	Send(to int32, m *wire.Message) error
 	// Inbox returns the receive channel for peer `owner`. The channel is
 	// closed when the transport shuts down.
@@ -58,22 +72,12 @@ type Transport interface {
 	Close()
 }
 
-// FrameSender is the optional raw-frame path (DESIGN.md §10.3):
-// transports whose wire format IS the marshaled frame (TCP) accept a
-// pre-encoded frame directly, so a sender marshals into a buffer it
-// reuses — the publish fan-out and the ack flush, one frame per next hop
-// — or marshals once and patches To and Seq per recipient (the heartbeat
-// sweep, wire.PatchTo) instead of building a Message per frame. The frame
-// must be a full self-delimited wire frame (length prefix included);
-// `from` is the peer sending it, which the frame's From field does not
-// name when a relay passes a publication on. The transport copies the
-// frame before returning, so the caller may reuse the buffer at once.
-//
-// The switchboard deliberately does not implement FrameSender — it hands
-// receivers the *wire.Message pointer itself, each recipient needs its
-// own instance, and Switchboard-based tests stay byte-deterministic.
-// Fault middleware (faultnet) doesn't either, so wrapped transports fall
-// back to the per-message path and every copy stays subject to injection.
+// FrameSender is the raw-frame send of TCP: a full self-delimited wire
+// frame (length prefix included), copied before SendFrame returns, from
+// peer `from`. The node runtime does not use it — every send goes
+// through Transport.Send (DESIGN.md §10.3) — and neither the switchboard
+// nor faultnet implements it; it stays declared because the frozen
+// bench/trace.go and bench/bench_test.go name it.
 type FrameSender interface {
 	SendFrame(from, to int32, frame []byte) error
 }
@@ -135,6 +139,31 @@ func PutEnvelopeBatch(b *[]Envelope) {
 	envBatchPool.Put(b)
 }
 
+// dropBatch recycles a batch no receiver will drain, Messages and all.
+func dropBatch(b *[]Envelope) {
+	for _, e := range *b {
+		wire.PutMessage(e.Msg)
+	}
+	PutEnvelopeBatch(b)
+}
+
+// copyOf is the receiver's copy of m: m marshaled into a pooled frame and
+// decoded into a pooled Message, so the switchboard hands on exactly what
+// TCP would. The error is the decoder's, for a Message the codec refuses
+// (a list past its length bound).
+func copyOf(m *wire.Message) (*wire.Message, error) {
+	buf := wire.GetFrame()
+	*buf = wire.MarshalAppend((*buf)[:0], m)
+	c := wire.GetMessage()
+	err := wire.UnmarshalInto(c, (*buf)[4:])
+	wire.PutFrame(buf)
+	if err != nil {
+		wire.PutMessage(c)
+		return nil, err
+	}
+	return c, nil
+}
+
 // swBox is one peer's mailbox with its own close state: senders to
 // different peers share nothing, so fan-out to distinct receivers no
 // longer serializes on a transport-global mutex. The per-peer channel is
@@ -153,6 +182,9 @@ type swBox struct {
 // optional per-message latency, deterministic when Latency is nil. The
 // mailbox set is immutable after construction (peers 0..n-1), so Send
 // reaches a mailbox by slice index and takes only that mailbox's lock.
+// Send runs the Message through the codec (copyOf), so a Message the
+// codec refuses is a counted drop here as it is on TCP
+// (tcp_malformed_frame), and the receiver's copy is its own.
 type Switchboard struct {
 	boxes  []*swBox
 	buffer int
@@ -198,6 +230,7 @@ func (s *Switchboard) deliver(box *swBox, owner int32, m *wire.Message) {
 		// timers firing during the drain, before boxes close): a dropped
 		// packet, not a crash — real networks drop packets too. Counted,
 		// never silent.
+		wire.PutMessage(m)
 		s.Obs.Inc(obs.CDropClosed)
 		return
 	}
@@ -212,7 +245,7 @@ func (s *Switchboard) deliver(box *swBox, owner int32, m *wire.Message) {
 		case bch <- nb:
 			s.Obs.Inc(obs.CIngressBatch)
 		default:
-			PutEnvelopeBatch(nb)
+			dropBatch(nb)
 			s.Obs.Inc(obs.CDropFullMailbox)
 		}
 		return
@@ -224,11 +257,13 @@ func (s *Switchboard) deliver(box *swBox, owner int32, m *wire.Message) {
 	case box.ch <- Envelope{Msg: m, To: owner, At: time.Now()}:
 	default:
 		// Mailbox full: drop, like a congested link.
+		wire.PutMessage(m)
 		s.Obs.Inc(obs.CDropFullMailbox)
 	}
 }
 
-// Send implements Transport.
+// Send implements Transport: the receiver gets copyOf(m), m is the
+// caller's again when Send returns.
 func (s *Switchboard) Send(to int32, m *wire.Message) error {
 	if s.closed.Load() {
 		return fmt.Errorf("transport: switchboard closed")
@@ -238,12 +273,18 @@ func (s *Switchboard) Send(to int32, m *wire.Message) error {
 	}
 	box := s.boxes[to]
 	s.Obs.Inc(obs.CTransportSend)
+	m, err := copyOf(m)
+	if err != nil {
+		s.Obs.Inc(obs.CTCPMalformedFrame)
+		return fmt.Errorf("transport: switchboard copy: %w", err)
+	}
 	if s.Latency != nil {
 		// Register the timer while holding timerMu so Close's wg.Wait
 		// cannot start between the closed check and the Add.
 		s.timerMu.Lock()
 		if s.closed.Load() {
 			s.timerMu.Unlock()
+			wire.PutMessage(m)
 			return fmt.Errorf("transport: switchboard closed")
 		}
 		s.wg.Add(1)

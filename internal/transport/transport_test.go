@@ -32,6 +32,44 @@ func TestSwitchboardDelivery(t *testing.T) {
 	}
 }
 
+// TestSwitchboardSendCopies: the receiver gets a Message of its own — the
+// sender overwrites its Message and every list the moment Send returns,
+// and the receiver still reads what was sent.
+func TestSwitchboardSendCopies(t *testing.T) {
+	s := NewSwitchboard(2, 8)
+	defer s.Close()
+	m := &wire.Message{Kind: wire.KindPublish, From: 0, To: 1, Seq: 3, RoutingTable: []int32{4, 5}, Payload: []byte("body")}
+	if err := s.Send(1, m); err != nil {
+		t.Fatal(err)
+	}
+	m.Seq, m.RoutingTable[0], m.Payload[0] = 99, 99, 'X'
+	got := recvOne(t, s.Inbox(1))
+	if got == m || got.Seq != 3 || got.RoutingTable[0] != 4 || string(got.Payload) != "body" {
+		t.Fatalf("the receiver read %+v after the sender overwrote its Message", got)
+	}
+}
+
+// TestSwitchboardCodecLimits: the switchboard refuses what the codec
+// refuses, as TCP does — a list past the decoder's length bound is a
+// counted drop and an error, not a delivery.
+func TestSwitchboardCodecLimits(t *testing.T) {
+	s := NewSwitchboard(2, 8)
+	met := obs.New()
+	s.Obs = met
+	defer s.Close()
+	if err := s.Send(1, &wire.Message{Kind: wire.KindPublish, RoutingTable: make([]int32, 1<<20+1)}); err == nil {
+		t.Fatal("a frame the decoder refuses was accepted")
+	}
+	if got := met.Get(obs.CTCPMalformedFrame); got != 1 {
+		t.Fatalf("tcp_malformed_frame = %d, want 1", got)
+	}
+	select {
+	case e := <-s.Inbox(1):
+		t.Fatalf("delivered %+v", e.Msg)
+	default:
+	}
+}
+
 func TestSwitchboardUnknownPeer(t *testing.T) {
 	s := NewSwitchboard(1, 1)
 	defer s.Close()

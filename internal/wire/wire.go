@@ -327,9 +327,9 @@ func (m *Message) HopFrom() int32 { return m.Target - 1 }
 // SetHopFrom stamps a KindPublish frame with the peer sending this hop.
 func (m *Message) SetHopFrom(p int32) { m.Target = p + 1 }
 
-// Clone returns a deep copy of m. Receivers mutate TTL and HopCount in
-// place, so any component that fans one message out to several inboxes
-// (e.g. faultnet duplication) must hand each receiver its own copy.
+// Clone returns a deep copy of m. A transport's Send may read m only
+// until it returns, so a component that holds a Message past that —
+// faultnet's delayed and duplicated copies, a test tap — keeps a clone.
 func (m *Message) Clone() *Message {
 	c := *m
 	if m.Neighborhood != nil {
@@ -368,8 +368,8 @@ func (m *Message) Clone() *Message {
 // Frame layout (after the 4-byte little-endian length prefix): kind (1),
 // from (4), to (4), seq (4), then the variable-length fields. The fixed
 // header offsets below are what PatchTo/PatchSeq rely on; they are part of
-// the codec, not an implementation detail — node's heartbeat sweep
-// patches each target into one marshaled ping through them.
+// the codec, not an implementation detail — the benchmark's fan-out
+// micro-measurement (bench/micro.go) patches frames through them.
 const (
 	frameToOffset  = 4 + 1 + 4 // prefix + kind + from
 	frameSeqOffset = frameToOffset + 4
@@ -528,6 +528,39 @@ func PutFrame(b *[]byte) {
 	}
 	*b = (*b)[:0]
 	framePool.Put(b)
+}
+
+var messagePool = sync.Pool{New: func() any { return new(Message) }}
+
+// poison, when set (race builds, poison_race.go), scribbles over the
+// slices of a Message handed to PutMessage, so that a view of it kept
+// past its handler reads garbage instead of passing by luck.
+var poison func(*Message)
+
+// GetMessage returns a pooled Message for UnmarshalInto, which overwrites
+// every field; until then its fields hold whatever its last user left.
+// This is the Message a transport hands its receiver, and the receiver
+// returns it with PutMessage once its handler is done with it.
+func GetMessage() *Message {
+	return messagePool.Get().(*Message)
+}
+
+// PutMessage recycles m. Nothing may read m or a slice it names after
+// the call. Messages whose slices grew past maxPooledFrame bytes are
+// released to the GC instead, like PutFrame's buffers.
+func PutMessage(m *Message) {
+	if m == nil {
+		return
+	}
+	if poison != nil {
+		poison(m)
+	}
+	if max(cap(m.Payload), cap(m.Topic), 4*cap(m.Neighborhood), 4*cap(m.RoutingTable),
+		8*cap(m.Bitmap), 4*cap(m.Succs), 8*cap(m.SuccPos), 4*cap(m.Preds), 8*cap(m.PredPos),
+		ackEntrySize*cap(m.Acks)) > maxPooledFrame {
+		return
+	}
+	messagePool.Put(m)
 }
 
 // Unmarshal decodes one frame produced by Marshal (without the length
