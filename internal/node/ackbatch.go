@@ -295,9 +295,21 @@ func (n *Node) relayAcks(acks []wire.AckEntry, from overlay.PeerID) {
 // CAckReceived.
 func (n *Node) consumeAck(e wire.AckEntry, share bool) (shared int) {
 	id := msgID{e.Pub, e.Seq}
-	n.ackedSet(id)[e.From] = true
-	if rseq, ok := n.tpOrigin[id]; ok {
-		if st := n.pubs[rseq]; share && st != nil {
+	rseq, replica := n.tpOrigin[id]
+	var st *pubState
+	switch {
+	case replica:
+		st = n.pubs[rseq]
+	case e.Pub == int32(n.id):
+		st = n.pubs[e.Seq]
+	}
+	size := 0
+	if st != nil {
+		size = len(st.subs) // the row's destinations: every ack it waits for
+	}
+	n.ackedSet(id, size)[e.From] = true
+	if replica {
+		if share && st != nil {
 			for _, p := range st.peers {
 				if p == overlay.PeerID(e.From) {
 					continue // the acker is this fellow replica itself

@@ -508,7 +508,7 @@ type RingAudit struct {
 // cluster that is still moving the snapshot may be torn — a finding there
 // means "not settled yet".
 func (c *Cluster) AuditRing() RingAudit {
-	members := c.dir.ringMembers()
+	members := c.dir.appendRingMembers(nil)
 	a := RingAudit{Members: len(members)}
 	found := func(format string, args ...any) {
 		if a.First == "" {

@@ -84,19 +84,18 @@ func (d *directory) memberCount() int {
 	return n
 }
 
-// ringMembers snapshots the current members with their positions — the
-// input the durable tier's replica-placement rule consumes
-// (selectcore.InboxReplicas).
-func (d *directory) ringMembers() []selectcore.RingMember {
+// appendRingMembers appends the current members with their positions to
+// dst, under one read lock — the input the placement rules consume
+// (selectcore.Rendezvous, selectcore.InboxReplicas).
+func (d *directory) appendRingMembers(dst []selectcore.RingMember) []selectcore.RingMember {
 	d.mu.RLock()
 	defer d.mu.RUnlock()
-	out := make([]selectcore.RingMember, 0, len(d.pos))
 	for q, m := range d.member {
 		if m {
-			out = append(out, selectcore.RingMember{ID: overlay.PeerID(q), Pos: d.pos[q]})
+			dst = append(dst, selectcore.RingMember{ID: overlay.PeerID(q), Pos: d.pos[q]})
 		}
 	}
-	return out
+	return dst
 }
 
 // memberPos returns p's directory position and whether p is currently a

@@ -104,7 +104,7 @@ func (n *Node) drainSeed(target overlay.PeerID) uint64 {
 // inboxReplicaSet computes peer p's replica set from the converged ring
 // positions: the first r live clockwise successors (selectcore rule).
 func (n *Node) inboxReplicaSet(p overlay.PeerID, r int) []overlay.PeerID {
-	return selectcore.InboxReplicas(p, n.dir.position(p), n.dir.ringMembers(), nil, r)
+	return selectcore.InboxReplicas(p, n.dir.position(p), n.dir.appendRingMembers(nil), nil, r)
 }
 
 // InboxReplicas returns this node's current inbox replica set — where
@@ -147,12 +147,13 @@ func (n *Node) depositRound(seq uint32, st *pubState, subs []overlay.PeerID, now
 	if st.class == rowReplica {
 		m.Publisher, m.Seq, m.Topic = st.origin.Publisher, st.origin.Seq, []byte(st.topic)
 	}
-	members := n.dir.ringMembers()
+	n.members = n.dir.appendRingMembers(n.members[:0])
 	groups := n.depGroups[:0]
 	for _, s := range subs {
 		ds := st.dep[s]
 		ds.nextAt = now.Add(n.backoff().Delay(st.bseed^uint64(uint32(s)), ds.attempt))
-		for _, rep := range selectcore.InboxReplicas(s, n.dir.position(s), members, nil, n.cfg.InboxReplicas) {
+		n.replicas = selectcore.AppendInboxReplicas(n.replicas[:0], s, n.dir.position(s), n.members, nil, n.cfg.InboxReplicas)
+		for _, rep := range n.replicas {
 			i := slices.IndexFunc(groups, func(g depGroup) bool { return g.rep == rep })
 			if i < 0 {
 				// The next slot, with the storage an earlier round left in it.
@@ -450,10 +451,10 @@ func (n *Node) startInboxClaim(now time.Time, prevPos ring.ID) bool {
 	if !n.inboxOn() {
 		return false
 	}
-	members := n.dir.ringMembers()
-	cands := selectcore.InboxReplicas(n.id, n.dir.position(n.id), members, nil, 2*n.cfg.InboxReplicas)
+	n.members = n.dir.appendRingMembers(n.members[:0])
+	cands := selectcore.InboxReplicas(n.id, n.dir.position(n.id), n.members, nil, 2*n.cfg.InboxReplicas)
 	if prevPos != n.dir.position(n.id) {
-		for _, p := range selectcore.InboxReplicas(n.id, prevPos, members, nil, 2*n.cfg.InboxReplicas) {
+		for _, p := range selectcore.InboxReplicas(n.id, prevPos, n.members, nil, 2*n.cfg.InboxReplicas) {
 			if !slices.Contains(cands, p) {
 				cands = append(cands, p)
 			}
@@ -576,7 +577,7 @@ func (n *Node) handleInboxReplay(m *wire.Message) {
 func (n *Node) deliverReplayed(r *wire.ReplayRecord, hops uint8) {
 	topic := string(r.Topic)
 	if topic == "" {
-		topic = UserTopic(overlay.PeerID(r.Publisher))
+		topic = n.userTopic(overlay.PeerID(r.Publisher))
 	}
 	switch {
 	case len(r.Topic) > 0 && n.subTopics[topic] == nil:

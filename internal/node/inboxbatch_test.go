@@ -498,7 +498,7 @@ func TestDepositGroupsTargetsPerReplica(t *testing.T) {
 	pub := c.Nodes[0]
 	// Five neighbours on the ring, all away: their replica sets are the
 	// two members after the last of them.
-	ring := c.dir.ringMembers()
+	ring := c.dir.appendRingMembers(nil)
 	sort.Slice(ring, func(i, j int) bool { return ring[i].Pos < ring[j].Pos })
 	at := slices.IndexFunc(ring, func(m selectcore.RingMember) bool { return m.ID == pub.id })
 	var away []overlay.PeerID

@@ -1,9 +1,9 @@
 package node
 
 import (
+	"cmp"
 	"math"
 	"slices"
-	"sort"
 	"time"
 
 	"selectps/internal/churn"
@@ -96,10 +96,11 @@ func (n *Node) handleJoinRequest(m *wire.Message) {
 		}
 		n.recordJoin(now, q, pos)
 	}
+	n.linkList = n.appendLinks(n.linkList[:0])
 	reply := n.rview.piggyback(wire.Message{
 		Kind: wire.KindJoinReply, From: int32(n.id), To: m.From, Seq: m.Seq,
 		Pos:          math.Float64bits(float64(pos)),
-		RoutingTable: n.links(),
+		RoutingTable: n.linkList,
 	}, &n.claims, n.id, myPos, now)
 	n.cadenceEvent(selectcore.CadenceMembership)
 	n.cfg.Obs.Inc(obs.CJoinReply)
@@ -129,17 +130,18 @@ func (n *Node) handleJoinReply(m *wire.Message) {
 	n.learnPiggyback(pos, m)
 	n.cadenceEvent(selectcore.CadenceMembership)
 	close(n.joinedCh)
-	announce := make(map[overlay.PeerID]bool)
+	dests := n.announce[:0]
 	for _, f := range n.g.Neighbors(n.id) {
 		if n.dir.isMember(f) {
-			announce[f] = true
+			dests = append(dests, f)
 		}
 	}
 	for _, q := range contacts {
 		if q != n.id && n.dir.isMember(q) {
-			announce[q] = true
+			dests = append(dests, q)
 		}
 	}
+	n.announce = dests
 	seqA := n.nextSeq()
 	seqX := n.nextSeq()
 	n.cfg.Obs.TraceEvent("join", int32(n.id), m.Seq)
@@ -149,21 +151,30 @@ func (n *Node) handleJoinReply(m *wire.Message) {
 	if n.startInboxClaim(time.Now(), prevPos) {
 		n.kickRetry()
 	}
-	posBits := math.Float64bits(float64(pos))
-	for q := range announce {
-		n.send(int32(q), &wire.Message{
-			Kind: wire.KindIDAnnounce, From: int32(n.id), To: int32(q), Seq: seqA, Pos: posBits,
-		})
-	}
+	n.announceID(dests, seqA, pos)
 	// Start learning immediately: exchange with the inviter rather than
 	// waiting out a gossip period, so strengths and bitmaps (and with
 	// them Algorithm 2 and 5) arrive one round-trip after admission.
 	if n.g.HasEdge(n.id, from) {
+		n.linkList = n.appendLinks(n.linkList[:0])
 		n.send(m.From, &wire.Message{
 			Kind: wire.KindExchangeRT, From: int32(n.id), To: m.From, Seq: seqX,
 			Neighborhood: n.g.Neighbors(n.id),
-			RoutingTable: n.links(),
+			RoutingTable: n.linkList,
 		})
+	}
+}
+
+// announceID tells dests that this node's identifier is now pos, in one
+// IDAnnounce each. dests is sorted and compacted in place first, so that a
+// peer named twice hears it once and every run of a seed sends the same
+// frames in the same order.
+func (n *Node) announceID(dests []overlay.PeerID, seq uint32, pos ring.ID) {
+	slices.Sort(dests)
+	m := wire.Message{Kind: wire.KindIDAnnounce, From: int32(n.id), Seq: seq, Pos: math.Float64bits(float64(pos))}
+	for _, q := range slices.Compact(dests) {
+		m.To = int32(q)
+		n.send(m.To, &m)
 	}
 }
 
@@ -256,9 +267,9 @@ func (n *Node) reassign() {
 	}
 	// Mask out friends whose strength is unknown or who are not in the
 	// ring: anchoring on them would place us next to nobody.
-	row := make([]float64, len(friends))
+	row := append(n.row[:0], n.strength...)
+	n.row = row
 	for i, f := range friends {
-		row[i] = n.strength[i]
 		if !n.dir.isMember(f) {
 			row[i] = -1
 		}
@@ -277,22 +288,14 @@ func (n *Node) reassign() {
 	n.rview.rebase(target)
 	n.refreshHeads()
 	n.cadenceEvent(selectcore.CadenceRing)
-	announce := make(map[overlay.PeerID]bool)
-	for _, q := range n.links() {
-		announce[q] = true
-	}
+	dests := n.appendLinks(n.announce[:0])
 	for _, f := range friends {
 		if n.dir.isMember(f) {
-			announce[f] = true
+			dests = append(dests, f)
 		}
 	}
-	seq := n.nextSeq()
-	posBits := math.Float64bits(float64(target))
-	for q := range announce {
-		n.send(int32(q), &wire.Message{
-			Kind: wire.KindIDAnnounce, From: int32(n.id), To: int32(q), Seq: seq, Pos: posBits,
-		})
-	}
+	n.announce = dests
+	n.announceID(dests, n.nextSeq(), target)
 }
 
 func (n *Node) inLongOut(q overlay.PeerID) bool {
@@ -447,12 +450,13 @@ func (n *Node) relink() {
 		// Hysteresis: when the bucket already holds linked peers, keep the
 		// picker-best among them instead of re-picking from scratch (the
 		// §III-F "no chain of reassignments" rationale).
-		var linked []int32
+		linked := n.linked[:0]
 		for _, i := range bucket {
 			if n.inLongOut(friends[i]) {
 				linked = append(linked, i)
 			}
 		}
+		n.linked = linked
 		var keep overlay.PeerID = -1
 		switch len(linked) {
 		case 0:
@@ -469,9 +473,7 @@ func (n *Node) relink() {
 			if len(askable) == 0 {
 				continue
 			}
-			best, sc := selectcore.Pick(askable, n.idx.Conn, bwOf, false, n.pickScratch)
-			n.pickScratch = sc
-			u := friends[best]
+			u := friends[selectcore.Pick(askable, n.idx.Conn, bwOf, false)]
 			if u == n.id || n.pendingOut[u] {
 				continue
 			}
@@ -481,9 +483,7 @@ func (n *Node) relink() {
 		case 1:
 			keep = friends[linked[0]]
 		default:
-			best, sc := selectcore.Pick(linked, n.idx.Conn, bwOf, false, n.pickScratch)
-			n.pickScratch = sc
-			keep = friends[best]
+			keep = friends[selectcore.Pick(linked, n.idx.Conn, bwOf, false)]
 		}
 		if keep < 0 {
 			continue
@@ -520,7 +520,7 @@ func (n *Node) relink() {
 	// forward, weakest ties first (strong ties stay reachable through the
 	// ring; weak cross-community ties have no alternative path).
 	if budget > 0 {
-		var uncovered []int32
+		uncovered := n.uncovered[:0]
 		for i, f := range friends {
 			if _, ok := n.bitmaps[f]; !ok || !n.dir.isMember(f) {
 				continue
@@ -529,12 +529,9 @@ func (n *Node) relink() {
 				uncovered = append(uncovered, int32(i))
 			}
 		}
-		sort.Slice(uncovered, func(a, b int) bool {
-			si, sj := n.strength[uncovered[a]], n.strength[uncovered[b]]
-			if si != sj {
-				return si < sj
-			}
-			return uncovered[a] < uncovered[b]
+		n.uncovered = uncovered
+		slices.SortFunc(uncovered, func(a, b int32) int {
+			return cmp.Or(cmp.Compare(n.strength[a], n.strength[b]), cmp.Compare(a, b))
 		})
 		for _, i := range uncovered {
 			if budget <= 0 {

@@ -85,16 +85,22 @@ type Node struct {
 	dir *directory
 	tr  transport.Transport
 	// out is the Message every send hands the transport (send), and
-	// claims, group and acks back the lists of the frames built in them:
-	// node-owned, so that a frame built on a handler's stack costs no
-	// allocation when it goes through the interface call.
-	out    wire.Message
-	claims ringClaims
-	group  [wire.MaxPublishDests]int32
-	acks   [ackBatchMax]wire.AckEntry
-	cfg    Options
-	rng    *rand.Rand
-	hasher *lsh.Hasher
+	// claims, group, acks, linkList, bitmap and announce back the lists of
+	// the frames built in them: node-owned, so that a frame built on a
+	// handler's stack costs no allocation when it goes through the
+	// interface call (DESIGN.md §15.1). linkList is R_p as an exchange, its
+	// reply or a join reply carries it, bitmap a reply's friendship bitmap,
+	// announce the destinations of an IDAnnounce.
+	out      wire.Message
+	claims   ringClaims
+	group    [wire.MaxPublishDests]int32
+	acks     [ackBatchMax]wire.AckEntry
+	linkList []overlay.PeerID
+	bitmap   []uint64
+	announce []overlay.PeerID
+	cfg      Options
+	rng      *rand.Rand
+	hasher   *lsh.Hasher
 	// sampler picks gossip-exchange partners: a PeerSwap-style swap
 	// sampler (selectcore) with private seeded state, so exchange-partner
 	// choice is uniform with bounded gaps and cannot be steered by
@@ -117,10 +123,13 @@ type Node struct {
 	mtick   uint32
 	// Learned social state (Algorithm 3–4): strength[i] is the tie to
 	// C_p[i], -1 until an exchange reply carried its mutual count;
-	// bitmaps[f] is f's link bitmap over C_p from the latest reply.
-	strength []float64
-	bitmaps  map[overlay.PeerID][]uint64
-	fidx     map[overlay.PeerID]int
+	// bitmaps[f] is f's link bitmap over C_p from the latest reply, kept
+	// in the storage of the one before. feedTopics[i] is UserTopic(C_p[i]),
+	// named once for every delivery of that friend's feed.
+	strength   []float64
+	bitmaps    map[overlay.PeerID][]uint64
+	fidx       map[overlay.PeerID]int
+	feedTopics []string
 	// rview is the decentralized r-deep successor/predecessor view the
 	// ring links come from (ringlist.go); the directory's ringNeighbors
 	// scan is bootstrap-only.
@@ -129,7 +138,8 @@ type Node struct {
 	// by recvOrder (dedupWindow).
 	received  map[msgID]uint8
 	recvOrder []msgID
-	// lookahead caches neighbors' routing tables learned via ExchangeRT.
+	// lookahead caches neighbors' routing tables learned via ExchangeRT,
+	// each table in the storage of the one before.
 	lookahead map[overlay.PeerID][]overlay.PeerID
 	// cma tracks per-link availability from heartbeats; miss is the
 	// consecutive-miss streak and suspectAt when suspicion started — the
@@ -184,6 +194,16 @@ type Node struct {
 	topicReg  map[string]map[overlay.PeerID]time.Time
 	tpOrigin  map[msgID]uint32
 	unsubbed  map[unsubKey]unsubscribed
+	// Placement and tree storage (topic.go, inbox.go): members is the
+	// directory's membership as a placement pass reads it, rvSet the
+	// rendezvous set topicRendezvous returns — valid until its next call —
+	// replicas an inbox replica set, and treeOrder and treeBranches the
+	// split of a subtree into branches.
+	members      []selectcore.RingMember
+	rvSet        []overlay.PeerID
+	replicas     []overlay.PeerID
+	treeOrder    []overlay.PeerID
+	treeBranches [][]overlay.PeerID
 	// Hardened admission state (adversary.go): the last granted join per
 	// identity (the re-join cooldown cache, time + assigned position) and
 	// the sliding window of friend-arc placements this inviter made.
@@ -206,11 +226,15 @@ type Node struct {
 	// the caller's goroutine. onDeliver is the node-level push handler.
 	seq       atomic.Uint32
 	onDeliver atomic.Pointer[DeliverFunc]
-	// Algorithm-5 scratch (maintain.go).
-	idx         selectcore.Indexer
-	coords      []int
-	pickScratch []int32
-	askScratch  []int32
+	// Maintain-round scratch (maintain.go): the Algorithm-5 index and one
+	// friend's coordinates, a bucket's askable and linked members, the
+	// uncovered friends, and Algorithm 2's strength row.
+	idx        selectcore.Indexer
+	coords     []int
+	askScratch []int32
+	linked     []int32
+	uncovered  []int32
+	row        []float64
 
 	// Ack batching (DESIGN.md §15.1, ackbatch.go): ackBuckets holds the
 	// buffered ack entries, one bucket per next hop in order of first use;
@@ -272,6 +296,7 @@ func newNode(id overlay.PeerID, dir *directory, bw []float64, cfg Options, seed 
 		strength:     make([]float64, len(friends)),
 		bitmaps:      make(map[overlay.PeerID][]uint64),
 		fidx:         make(map[overlay.PeerID]int, len(friends)),
+		feedTopics:   make([]string, len(friends)),
 		received:     make(map[msgID]uint8),
 		lookahead:    make(map[overlay.PeerID][]overlay.PeerID),
 		cma:          make(map[overlay.PeerID]*churn.CMA),
@@ -291,6 +316,7 @@ func newNode(id overlay.PeerID, dir *directory, bw []float64, cfg Options, seed 
 	}
 	for i, f := range friends {
 		n.fidx[f] = i
+		n.feedTopics[i] = UserTopic(f)
 	}
 	n.hbPiggyback = cfg.HeartbeatEvery > 0
 	if n.hbPiggyback {
@@ -412,23 +438,23 @@ func (n *Node) handleExchange(m *wire.Message) {
 	mine := n.g.Neighbors(n.id)
 	theirs := m.Neighborhood
 	mutual := n.liarMutual(countMutualSorted(mine, theirs), len(theirs))
-	links := n.links()
 	if n.setLookahead(overlay.PeerID(m.From), m.RoutingTable) {
 		n.cadenceEvent(selectcore.CadenceGossipNews)
 	}
 	// Friendship bitmap over the SENDER's neighborhood: bit i set when
-	// their i-th friend is in our routing table.
-	inRT := make(map[overlay.PeerID]bool, len(links))
-	for _, q := range links {
-		inRT[q] = true
-	}
-	words := (len(theirs) + 63) / 64
-	bitmap := make([]uint64, words)
+	// their i-th friend is in our routing table, which holds at most a few
+	// links — a scan of it is cheaper than any set.
+	links := n.appendLinks(n.linkList[:0])
+	bitmap := n.bitmap[:0]
 	for i, f := range theirs {
-		if inRT[f] {
+		if i%64 == 0 {
+			bitmap = append(bitmap, 0)
+		}
+		if slices.Contains(links, f) {
 			bitmap[i/64] |= 1 << (i % 64)
 		}
 	}
+	n.linkList, n.bitmap = links, bitmap
 	n.send(m.From, &wire.Message{
 		Kind: wire.KindExchangeReply, From: int32(n.id), To: m.From, Seq: m.Seq,
 		NMutual:      int32(mutual),
@@ -457,7 +483,7 @@ func (n *Node) handleExchangeReply(m *wire.Message) {
 			// proposal may have changed with them, so it may be asked again
 			// now (maintain.go).
 			n.liftRefusal(from)
-			n.bitmaps[from] = slices.Clone(m.Bitmap) // m is recycled on return
+			n.bitmaps[from] = append(old[:0], m.Bitmap...) // m is recycled on return
 			news = true
 		}
 	}
@@ -469,12 +495,14 @@ func (n *Node) handleExchangeReply(m *wire.Message) {
 
 // setLookahead caches q's routing table and reports whether that
 // changed anything — a quiet neighbourhood re-sends the table it sent
-// last time, which costs neither a copy nor a cadence reset.
+// last time, which costs neither a copy nor a cadence reset. A changed
+// table is copied into the storage of the one it replaces.
 func (n *Node) setLookahead(q overlay.PeerID, rt []int32) bool {
-	if old, had := n.lookahead[q]; had && slices.Equal(old, rt) {
+	old, had := n.lookahead[q]
+	if had && slices.Equal(old, rt) {
 		return false
 	}
-	n.lookahead[q] = slices.Clone(rt)
+	n.lookahead[q] = append(old[:0], rt...)
 	return true
 }
 
@@ -498,10 +526,11 @@ func (n *Node) sendExchange() {
 	}
 	f := overlay.PeerID(fi)
 	n.cfg.Obs.Inc(obs.CGossipSent)
+	n.linkList = n.appendLinks(n.linkList[:0])
 	n.send(int32(f), &wire.Message{
 		Kind: wire.KindExchangeRT, From: int32(n.id), To: int32(f), Seq: n.nextSeq(),
 		Neighborhood: n.g.Neighbors(n.id),
-		RoutingTable: n.links(),
+		RoutingTable: n.linkList,
 	})
 }
 
@@ -693,7 +722,7 @@ func (n *Node) handlePublish(m *wire.Message) {
 	pub, seq := m.Publisher, m.Seq
 	if named {
 		id := msgID{pub, seq}
-		topic := UserTopic(overlay.PeerID(pub))
+		topic := n.userTopic(overlay.PeerID(pub))
 		if !n.rememberDelivery(id, m.HopCount) {
 			n.cfg.Obs.Inc(obs.CPublishDuplicate)
 		} else {

@@ -453,7 +453,8 @@ func (n *Node) deadLetter(seq uint32, st *pubState, missing []overlay.PeerID) {
 	n.retire(seq, st)
 	n.cfg.Obs.Inc(obs.CDeadLetter)
 	n.cfg.Obs.TraceEvent("dead_letter", int32(n.id), seq)
-	n.deadLetters = append(n.deadLetters, DeadLetter{Publisher: overlay.PeerID(id.Publisher), Seq: id.Seq, Missing: missing, Retries: st.attempt})
+	// A set row's missing members are in topicRendezvous's storage.
+	n.deadLetters = append(n.deadLetters, DeadLetter{Publisher: overlay.PeerID(id.Publisher), Seq: id.Seq, Missing: slices.Clone(missing), Retries: st.attempt})
 	if len(n.deadLetters) > maxDeadLetters {
 		n.deadLetters = n.deadLetters[len(n.deadLetters)-maxDeadLetters:]
 	}
@@ -509,12 +510,13 @@ func (n *Node) rememberDelivery(id msgID, hops uint8) bool {
 	return true
 }
 
-// ackedSet returns (creating if needed) the ack set of publication
-// id, evicting the oldest completed record past pubHistory.
-func (n *Node) ackedSet(id msgID) map[int32]bool {
+// ackedSet returns the ack set of publication id, creating it sized for
+// size acks if needed and evicting the oldest completed record past
+// pubHistory.
+func (n *Node) ackedSet(id msgID, size int) map[int32]bool {
 	set := n.acked[id]
 	if set == nil {
-		set = make(map[int32]bool)
+		set = make(map[int32]bool, size)
 		n.acked[id] = set
 		n.ackOrder = append(n.ackOrder, id)
 		for len(n.ackOrder) > pubHistory {

@@ -50,7 +50,7 @@ func TestExchangeReplyBitmapIsCopied(t *testing.T) {
 func TestTopicHandoffPayloadIsCopied(t *testing.T) {
 	_, c, _ := frozenCluster(t, 30, 5, Options{RetryBase: 10 * time.Millisecond, TopicLease: 30 * time.Second})
 	const topic = "#kept"
-	set := c.Nodes[0].topicRendezvous(topic, time.Now())
+	set := c.Nodes[0].TopicRendezvous(topic)
 	if len(set) < 2 {
 		t.Fatalf("rendezvous %v, want a primary and a standby", set)
 	}

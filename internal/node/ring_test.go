@@ -1,6 +1,8 @@
 package node
 
 import (
+	"math"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -8,6 +10,7 @@ import (
 	"selectps/internal/obs"
 	"selectps/internal/overlay"
 	"selectps/internal/ring"
+	"selectps/internal/wire"
 )
 
 // awaitLegitRing waits for the ring invariant alone — distinct positions,
@@ -25,6 +28,33 @@ func awaitLegitRing(t *testing.T, c *Cluster, timeout time.Duration) {
 			t.Fatalf("after %v: %v", timeout, err)
 		}
 		time.Sleep(20 * time.Millisecond)
+	}
+}
+
+// TestIDAnnounceAscending: a move announces the new identifier to every
+// link and member friend once, in ascending peer order, so that two runs
+// of one seed send the same frames in the same order. (The destinations
+// were a map, sent in its iteration order, different on every run.)
+func TestIDAnnounceAscending(t *testing.T) {
+	g, c, tp := frozenCluster(t, 60, 3, Options{})
+	nd := c.Nodes[topDegree(g)]
+	for i := range nd.strength {
+		nd.strength[i] = float64(i+1) / float64(len(nd.strength)+1)
+	}
+	for move := 0; move < 20; move++ {
+		// Across the ring from where the last move put it, so that the
+		// round moves it back.
+		away := math.Mod(float64(nd.dir.position(nd.id))+0.5, 1)
+		nd.dir.setPosition(nd.id, ring.ID(away))
+		tp.take(wire.KindIDAnnounce)
+		nd.reassign()
+		var to []int32
+		for _, f := range tp.take(wire.KindIDAnnounce) {
+			to = append(to, f.hop)
+		}
+		if len(to) < 3 || !slices.IsSorted(to) || len(slices.Compact(slices.Clone(to))) != len(to) {
+			t.Fatalf("move %d announced to %v, want three or more peers, ascending, each once", move, to)
+		}
 	}
 }
 

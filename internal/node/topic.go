@@ -85,6 +85,14 @@ func UserTopic(p overlay.PeerID) string {
 	return userTopicPrefix + strconv.Itoa(int(p))
 }
 
+// userTopic is UserTopic(p), named without formatting when p is a friend.
+func (n *Node) userTopic(p overlay.PeerID) string {
+	if i, ok := n.fidx[p]; ok {
+		return n.feedTopics[i]
+	}
+	return UserTopic(p)
+}
+
 // parseUserTopic reports whether name is an implicit user topic and
 // whose.
 func parseUserTopic(name string) (overlay.PeerID, bool) {
@@ -219,7 +227,7 @@ func (n *Node) unsubscribe(topic string) {
 		n.retire(ts.row, st) // no TopicSub of it follows the TopicUnsub
 	}
 	seq, now := n.nextSeq(), time.Now()
-	told := append(n.topicRendezvous(topic, now), selectcore.InboxReplicas(n.id, n.dir.position(n.id), n.dir.ringMembers(), nil, n.cfg.InboxReplicas)...)
+	told := append(slices.Clone(n.topicRendezvous(topic, now)), n.inboxReplicaSet(n.id, n.cfg.InboxReplicas)...)
 	slices.Sort(told)
 	for _, rep := range slices.Compact(told) {
 		if rep == n.id {
@@ -271,12 +279,12 @@ func (n *Node) publishTopic(seq uint32, topic string, payload []byte, o pubOpts)
 // destination — per branch of the tree over subs: to the branch's child,
 // carrying the child's subtree in RoutingTable.
 func (n *Node) sendTopicTree(tmpl wire.Message, subs []overlay.PeerID) {
-	branches := selectcore.TreeBranches(subs, topicFanout)
-	for _, branch := range branches {
+	n.treeBranches, n.treeOrder = selectcore.AppendTreeBranches(n.treeBranches[:0], n.treeOrder, subs, topicFanout)
+	for _, branch := range n.treeBranches {
 		tmpl.To, tmpl.RoutingTable = int32(branch[0]), branch[1:]
 		n.send(tmpl.To, &tmpl)
 	}
-	n.cfg.Obs.Addn(obs.CTopicFanout, int64(len(branches)))
+	n.cfg.Obs.Addn(obs.CTopicFanout, int64(len(n.treeBranches)))
 }
 
 // ---- placement -------------------------------------------------------
@@ -294,33 +302,41 @@ func (n *Node) topicLive(now time.Time) func(overlay.PeerID) bool {
 
 // topicRendezvous computes the topic's current rendezvous set
 // from the converged ring positions (R = InboxReplicas deep — the PR-7
-// placement rule applied to the topic's hash position).
+// placement rule applied to the topic's hash position). The set is
+// node storage, valid until the next call: a caller that keeps it copies
+// it.
 func (n *Node) topicRendezvous(topic string, now time.Time) []overlay.PeerID {
-	return selectcore.Rendezvous(
-		selectcore.TopicPos(topic), n.dir.ringMembers(), n.topicLive(now), n.cfg.InboxReplicas)
+	n.rvSet = n.appendRendezvous(n.rvSet[:0], topic, now)
+	return n.rvSet
+}
+
+// appendRendezvous appends the topic's current rendezvous set to dst.
+func (n *Node) appendRendezvous(dst []overlay.PeerID, topic string, now time.Time) []overlay.PeerID {
+	n.members = n.dir.appendRingMembers(n.members[:0])
+	return selectcore.AppendRendezvous(dst, selectcore.TopicPos(topic), n.members, n.topicLive(now), n.cfg.InboxReplicas)
 }
 
 // TopicRendezvous returns the topic's rendezvous set as this node
 // currently computes it (ops/tests surface; the selectcore equivalence
 // test pins it against the simulator-side rule).
 func (n *Node) TopicRendezvous(topic string) (set []overlay.PeerID) {
-	n.do(func() { set = n.topicRendezvous(topic, time.Now()) })
+	n.do(func() { set = slices.Clone(n.topicRendezvous(topic, time.Now())) })
 	return set
 }
 
 // ---- subscriber side -------------------------------------------------
 
 // topicRegister opens a fresh registration row for a subscribed topic and
-// runs its first round against set, the topic's rendezvous set now; the
-// open row, if any, retires first, so a member that stays silent holds
-// back no one's lease. Stamps lastSub and caches the set for re-home
-// detection.
+// runs its first round against set, the topic's rendezvous set now, which
+// it takes; the open row, if any, retires first, so a member that stays
+// silent holds back no one's lease. Stamps lastSub and keeps a copy of
+// the set for re-home detection.
 func (n *Node) topicRegister(topic string, ts *topicSub, set []overlay.PeerID, now time.Time) {
 	if st := n.pubs[ts.row]; st != nil {
 		n.retire(ts.row, st)
 	}
-	ts.row, ts.lastSub, ts.set = n.nextSeq(), now, set
-	n.openSetRow(n.registerPublish(ts.row, nil, nil, 0, 0, now), ts.row, rowRegister, topic, slices.Clone(set), now)
+	ts.row, ts.lastSub, ts.set = n.nextSeq(), now, append(ts.set[:0], set...)
+	n.openSetRow(n.registerPublish(ts.row, nil, nil, 0, 0, now), ts.row, rowRegister, topic, set, now)
 }
 
 // topicMaintain runs on the maintain tick: lease refreshes (a round at
@@ -349,7 +365,7 @@ func (n *Node) topicMaintain() {
 		case now.Sub(ts.lastSub) >= n.cfg.TopicLease/2 || (moved && st == nil):
 			n.topicRegister(topic, ts, set, now)
 		case moved:
-			ts.set = set
+			ts.set = append(ts.set[:0], set...)
 			n.retryDirect(ts.row, st, nil, now)
 		}
 	}
@@ -659,7 +675,10 @@ func (n *Node) acceptTopicPub(origin msgID, topic string, payload []byte, size u
 		class: rowReplica, subs: subs, payload: payload, size: size, pri: pri,
 		bseed: bseed, origin: origin, topic: topic,
 	}
-	set := n.topicRendezvous(topic, now)
+	// The row keeps the set, and this may run inside a round of a set row
+	// (setRound), which is reading topicRendezvous's storage: the set gets
+	// storage of its own.
+	set := n.appendRendezvous(make([]overlay.PeerID, 0, n.cfg.InboxReplicas), topic, now)
 	primary := len(set) > 0 && set[0] == n.id
 	st.peers = slices.DeleteFunc(set, func(p overlay.PeerID) bool { return p == n.id })
 	delayStep := 0
@@ -709,9 +728,9 @@ func (n *Node) acceptTopicPub(origin msgID, topic string, payload []byte, size u
 // is a duplicate, as a friend-feed relay does (handlePublish): the peers
 // below it are still owed theirs. A subscribing standby is the usual case
 // — the publisher's hand-off reaches it before the primary's tree copy
-// does, and it delivers on the hand-off. Nothing on this path allocates
-// but the split of the subtree (selectcore.TreeBranches): the delivery and
-// the copies are views of m.
+// does, and it delivers on the hand-off. Nothing on this path allocates:
+// the delivery and the copies are views of m, and the split of the
+// subtree is node storage (sendTopicTree).
 func (n *Node) deliverTopicCopy(m *wire.Message) {
 	id := msgID{m.Publisher, m.Seq}
 	if !n.rememberDelivery(id, m.HopCount) {

@@ -123,7 +123,7 @@ func TestTopicRendezvousMatchesSimulatorRule(t *testing.T) {
 			n := c.Nodes[p]
 			got := n.TopicRendezvous(topic)
 			want := selectcore.Rendezvous(
-				selectcore.TopicPos(topic), n.dir.ringMembers(), nil, n.cfg.InboxReplicas)
+				selectcore.TopicPos(topic), n.dir.appendRingMembers(nil), nil, n.cfg.InboxReplicas)
 			if !reflect.DeepEqual(got, want) {
 				t.Fatalf("topic %q node %d: runtime %v != simulator rule %v", topic, p, got, want)
 			}

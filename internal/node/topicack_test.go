@@ -105,7 +105,7 @@ func TestTopicRendezvousStateRetires(t *testing.T) {
 	t.Run("acks before the hand-off", func(t *testing.T) {
 		_, c, tp := frozenCluster(t, 60, 41, Options{RetryBase: 10 * time.Millisecond, TopicLease: 30 * time.Second})
 		const topic = "#x"
-		set := c.Nodes[0].topicRendezvous(topic, time.Now())
+		set := c.Nodes[0].TopicRendezvous(topic)
 		if len(set) != 2 {
 			t.Fatalf("rendezvous %v, want a primary and a standby", set)
 		}
@@ -487,7 +487,7 @@ func TestTopicHandoffRow(t *testing.T) {
 			met := obs.New()
 			_, c, tp := frozenCluster(t, 60, 53, Options{Obs: met, RetryBase: time.Second, RetryBudget: budget, TopicLease: 30 * time.Second})
 			now := time.Now()
-			set := c.Nodes[0].topicRendezvous(topic, now)
+			set := c.Nodes[0].TopicRendezvous(topic)
 			if len(set) != 2 {
 				t.Fatalf("rendezvous %v, want a primary and a standby", set)
 			}
@@ -576,7 +576,7 @@ func TestTopicHandoffRow(t *testing.T) {
 func TestSubscribeWaitsForWholeSet(t *testing.T) {
 	const topic = "#whole"
 	_, c, tp := frozenCluster(t, 60, 61, Options{RetryBase: time.Second, TopicLease: 30 * time.Second})
-	set := c.Nodes[0].topicRendezvous(topic, time.Now())
+	set := c.Nodes[0].TopicRendezvous(topic)
 	if len(set) != 2 {
 		t.Fatalf("rendezvous %v, want a primary and a standby", set)
 	}
@@ -644,7 +644,7 @@ func TestSubscribeWaitsForWholeSet(t *testing.T) {
 func TestDeadLetterNamesPublication(t *testing.T) {
 	const topic, budget = "#letters", 2
 	_, c, tp := frozenCluster(t, 60, 59, Options{RetryBase: time.Second, RetryBudget: budget, TopicLease: 30 * time.Second})
-	set := c.Nodes[0].topicRendezvous(topic, time.Now())
+	set := c.Nodes[0].TopicRendezvous(topic)
 	primary := c.Nodes[set[0]]
 	var others []overlay.PeerID
 	for p := overlay.PeerID(0); len(others) < 2; p++ {
@@ -817,7 +817,7 @@ func TestTopicTreeForwardsPastDuplicate(t *testing.T) {
 	met := obs.New()
 	_, c, tp := frozenCluster(t, 60, 9, Options{Obs: met, RetryBase: 10 * time.Millisecond, TopicLease: 30 * time.Second})
 	const topic = "#dup"
-	set := c.Nodes[0].topicRendezvous(topic, time.Now())
+	set := c.Nodes[0].TopicRendezvous(topic)
 	primary, standby := set[0], c.Nodes[set[1]]
 	var others []overlay.PeerID
 	for p := overlay.PeerID(0); len(others) < 3; p++ {

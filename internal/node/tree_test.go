@@ -2,6 +2,7 @@ package node
 
 import (
 	"fmt"
+	"math/rand"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -11,7 +12,6 @@ import (
 	"selectps/internal/faultnet"
 	"selectps/internal/obs"
 	"selectps/internal/overlay"
-	"selectps/internal/selectcore"
 	"selectps/internal/socialgraph"
 	"selectps/internal/transport"
 	"selectps/internal/wire"
@@ -904,16 +904,14 @@ func (d *discard) BindInboxBatch(int32, chan *[]transport.Envelope) bool {
 	return true
 }
 
-// TestFanOutAllocPins holds the send side to its allocation budget: every
-// frame leaves through one send path, whatever the transport, and none of
-// the hot senders allocates for it — routing a frame's destinations, the
-// publisher's fan-out, a leaf ack, a timed ack flush, a pong, a heartbeat
-// sweep and a topic tree copy.
-func TestFanOutAllocPins(t *testing.T) {
+// discardCluster starts a bootstrapped cluster over a discard transport
+// and stops its shard loops, as frozenCluster does: what an allocation pin
+// measures on it is the node alone.
+func discardCluster(t *testing.T, n int, seed int64) (*socialgraph.Graph, *Cluster, *discard) {
+	t.Helper()
 	if raceEnabled {
 		t.Skip("allocation counts mean nothing under -race: sync.Pool drops a quarter of what it is handed back")
 	}
-	const n, seed = 120, 2
 	g, ov := buildOverlay(t, n, seed)
 	tr := &discard{}
 	c, err := Start(Options{Graph: g, Overlay: ov, Transport: tr, Seed: seed})
@@ -923,6 +921,31 @@ func TestFanOutAllocPins(t *testing.T) {
 	c.stopOnce.Do(func() { close(c.stop) })
 	c.wg.Wait()
 	t.Cleanup(func() { shutdown(t, c) })
+	return g, c, tr
+}
+
+// pinAllocs fails the test unless f, once warmed, allocates nothing, and
+// unless it hands tr a frame exactly when sends says it does.
+func pinAllocs(t *testing.T, tr *discard, what string, sends bool, f func()) {
+	t.Helper()
+	f() // warms whatever f grows once
+	before := tr.frames.Load()
+	if a := testing.AllocsPerRun(200, f); a != 0 {
+		t.Errorf("%s: %.1f allocs, want 0", what, a)
+	}
+	if sent := tr.frames.Load() != before; sent != sends {
+		t.Errorf("%s: sent frames %v, want %v", what, sent, sends)
+	}
+}
+
+// TestFanOutAllocPins holds the send side to its allocation budget: every
+// frame leaves through one send path, whatever the transport, and none of
+// the hot senders allocates for it — routing a frame's destinations, the
+// publisher's fan-out, a leaf ack, a timed ack flush, a pong, a heartbeat
+// sweep and a topic tree copy.
+func TestFanOutAllocPins(t *testing.T) {
+	const n, seed = 120, 2
+	g, c, tr := discardCluster(t, n, seed)
 	pub := topDegree(g)
 	nd := c.Nodes[pub]
 	subs := g.Neighbors(pub)
@@ -932,14 +955,7 @@ func TestFanOutAllocPins(t *testing.T) {
 	payload := make([]byte, 256)
 	pin := func(what string, f func()) {
 		t.Helper()
-		f() // warms whatever f grows once
-		before := tr.frames.Load()
-		if a := testing.AllocsPerRun(200, f); a != 0 {
-			t.Errorf("%s: %.1f allocs, want 0", what, a)
-		}
-		if tr.frames.Load() == before {
-			t.Errorf("%s sent nothing", what)
-		}
+		pinAllocs(t, tr, what, true, f)
 	}
 
 	// Give routing something to search: every link lists a few peers, none
@@ -981,15 +997,68 @@ func TestFanOutAllocPins(t *testing.T) {
 		clear(nd.pendingPings)
 		nd.sendHeartbeats()
 	})
-	// The copies of a tree cost nothing beyond the split of the subtree.
+	// The copies of a tree and the split of the subtree into them.
 	copyOf := wire.Message{Kind: wire.KindTopicPub, From: int32(pub), Seq: 1, Publisher: int32(pub),
 		Target: int32(pub), Payload: payload, Topic: []byte("#alloc"), TTL: 32}
-	split := testing.AllocsPerRun(200, func() { selectcore.TreeBranches(subs, topicFanout) })
 	before := tr.frames.Load()
-	if a := testing.AllocsPerRun(200, func() { nd.sendTopicTree(copyOf, subs) }); a > split {
-		t.Errorf("a topic tree of %d copies: %.1f allocs, want the %.0f of its split", topicFanout, a, split)
+	pin(fmt.Sprintf("a topic tree of %d copies", topicFanout), func() { nd.sendTopicTree(copyOf, subs) })
+	if got := tr.frames.Load() - before; got != 202*topicFanout {
+		t.Errorf("%d tree copies for 202 trees of %d branches", got, topicFanout)
 	}
-	if got := tr.frames.Load() - before; got != 201*topicFanout {
-		t.Errorf("%d tree copies for 201 trees of %d branches", got, topicFanout)
+}
+
+// TestMaintainAllocPins holds the control plane to the same budget: on a
+// node that has learned every friend's strength and bitmap, a maintain
+// round that moves nothing and changes no link, an exchange sent, one
+// answered, a reply that brings nothing new and replies that change the
+// bitmap and the lookahead they store allocate nothing (DESIGN.md §15.1).
+func TestMaintainAllocPins(t *testing.T) {
+	const n, seed = 120, 2
+	g, c, tr := discardCluster(t, n, seed)
+	nd := c.Nodes[topDegree(g)]
+	friends := g.Neighbors(nd.id)
+	rng := rand.New(rand.NewSource(seed))
+	for i, f := range friends {
+		nd.strength[i] = rng.Float64()
+		bm := make([]uint64, (len(friends)+63)/64)
+		for j := range friends {
+			if rng.Intn(4) == 0 {
+				bm[j/64] |= 1 << (j % 64)
+			}
+		}
+		nd.bitmaps[f] = bm
 	}
+	// The first rounds move the node beside its two strongest friends and
+	// settle its links: redundant ones are dropped and proposals nobody
+	// answers use up the budget. After that a round has nothing to send.
+	for round := 0; ; round++ {
+		before := tr.frames.Load()
+		nd.maintainTick()
+		if tr.frames.Load() == before {
+			break
+		}
+		if round == 20 {
+			t.Fatal("maintain rounds still send after 20 rounds")
+		}
+	}
+	pinAllocs(t, tr, "a maintain round", false, nd.maintainTick)
+	pinAllocs(t, tr, "an exchange sent", true, nd.sendExchange)
+
+	f := friends[0]
+	rt := c.Nodes[f].links()
+	ex := &wire.Message{Kind: wire.KindExchangeRT, From: int32(f), To: int32(nd.id), Seq: 1,
+		Neighborhood: g.Neighbors(f), RoutingTable: rt}
+	pinAllocs(t, tr, "an exchange answered", true, func() { nd.handleExchange(ex) })
+	bm := slices.Clone(nd.bitmaps[f])
+	same := &wire.Message{Kind: wire.KindExchangeReply, From: int32(f), To: int32(nd.id), Seq: 2,
+		NMutual: 1, Bitmap: bm, RoutingTable: rt}
+	pinAllocs(t, tr, "a reply with nothing new", false, func() { nd.handleExchangeReply(same) })
+	changed := *same
+	changed.Bitmap = slices.Clone(bm)
+	changed.Bitmap[0] ^= 1
+	changed.RoutingTable = rt[1:]
+	pinAllocs(t, tr, "replies that change the bitmap and the lookahead", false, func() {
+		nd.handleExchangeReply(&changed)
+		nd.handleExchangeReply(same)
+	})
 }

@@ -24,7 +24,13 @@ type RingMember struct {
 // hold its own offline inbox); ties on a shared position break by peer
 // id so every caller derives the identical set.
 func InboxReplicas(sub overlay.PeerID, subPos ring.ID, members []RingMember, live func(overlay.PeerID) bool, r int) []overlay.PeerID {
-	return clockwiseSuccessors(subPos, sub, members, live, r)
+	return AppendInboxReplicas(nil, sub, subPos, members, live, r)
+}
+
+// AppendInboxReplicas is InboxReplicas into caller storage: the set is
+// appended to dst, and with room in dst for r more nothing is allocated.
+func AppendInboxReplicas(dst []overlay.PeerID, sub overlay.PeerID, subPos ring.ID, members []RingMember, live func(overlay.PeerID) bool, r int) []overlay.PeerID {
+	return clockwiseSuccessors(dst, subPos, sub, members, live, r)
 }
 
 // LeaseOrder is the claim-scheduling rule: the order in which a rejoined

@@ -1,8 +1,6 @@
 package selectcore
 
 import (
-	"sort"
-
 	"selectps/internal/bitset"
 	"selectps/internal/lsh"
 )
@@ -79,31 +77,37 @@ func (x *Indexer) Add(i int32, coords []int) int {
 	return b
 }
 
-// Pick is Algorithm 6 over friend indices: sort the candidate bucket by
+// Pick is Algorithm 6 over friend indices: rank the candidate bucket by
 // connection count (descending — "the maximum number of social
 // connections"), break ties by bandwidth (descending) then index
 // (ascending), and when the runner-up has strictly better bandwidth than
 // the leader, prefer the runner-up ("enough bandwidth to serve the
 // connections"). ignoreBandwidth disables the runner-up upgrade (the
 // Algorithm-6 ablation). conn is the Indexer's Conn slice; bw maps a
-// friend index to its peer's modeled upload bandwidth. scratch is reused
-// for the sort and returned for the caller to keep.
-func Pick(cand []int32, conn []int, bw func(i int32) float64, ignoreBandwidth bool, scratch []int32) (best int32, keep []int32) {
-	sorted := append(scratch[:0], cand...)
-	sort.Slice(sorted, func(a, b int) bool {
-		i, j := sorted[a], sorted[b]
+// friend index to its peer's modeled upload bandwidth. The order is total,
+// so one pass that keeps the leader and the runner-up finds the two a sort
+// would put first, and allocates nothing. cand must not be empty.
+func Pick(cand []int32, conn []int, bw func(i int32) float64, ignoreBandwidth bool) int32 {
+	before := func(i, j int32) bool {
 		if conn[i] != conn[j] {
 			return conn[i] > conn[j]
 		}
-		bi, bj := bw(i), bw(j)
-		if bi != bj {
+		if bi, bj := bw(i), bw(j); bi != bj {
 			return bi > bj
 		}
 		return i < j
-	})
-	best = sorted[0]
-	if !ignoreBandwidth && len(sorted) > 1 && bw(sorted[0]) < bw(sorted[1]) {
-		best = sorted[1]
 	}
-	return best, sorted[:0]
+	lead, runner := cand[0], int32(-1)
+	for _, i := range cand[1:] {
+		switch {
+		case before(i, lead):
+			lead, runner = i, lead
+		case runner < 0 || before(i, runner):
+			runner = i
+		}
+	}
+	if !ignoreBandwidth && runner >= 0 && bw(lead) < bw(runner) {
+		return runner
+	}
+	return lead
 }

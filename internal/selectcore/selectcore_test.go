@@ -3,6 +3,8 @@ package selectcore
 import (
 	"math"
 	"math/rand"
+	"slices"
+	"sort"
 	"testing"
 
 	"selectps/internal/lsh"
@@ -203,19 +205,63 @@ func TestPick(t *testing.T) {
 	bwv := []float64{9, 1, 3, 9}
 	bw := func(i int32) float64 { return bwv[i] }
 	// Highest conn wins; among equals, higher bandwidth.
-	best, scratch := Pick([]int32{0, 1, 2, 3}, conn, bw, false, nil)
-	if best != 2 {
+	if best := Pick([]int32{0, 1, 2, 3}, conn, bw, false); best != 2 {
 		t.Fatalf("Pick = %d, want 2 (max conn, better bw)", best)
 	}
 	// Runner-up upgrade: leader on conn but starved on bandwidth loses to
 	// the second-ranked candidate with strictly better bandwidth.
-	best, scratch = Pick([]int32{1, 3}, conn, bw, false, scratch)
-	if best != 3 {
+	if best := Pick([]int32{1, 3}, conn, bw, false); best != 3 {
 		t.Fatalf("Pick = %d, want runner-up 3", best)
 	}
 	// Ablation: ignoreBandwidth keeps the conn leader.
-	best, _ = Pick([]int32{1, 3}, conn, bw, true, scratch)
-	if best != 1 {
+	if best := Pick([]int32{1, 3}, conn, bw, true); best != 1 {
 		t.Fatalf("Pick(ignoreBandwidth) = %d, want 1", best)
+	}
+	if a := testing.AllocsPerRun(100, func() { Pick([]int32{0, 1, 2, 3}, conn, bw, false) }); a != 0 {
+		t.Errorf("Pick: %.1f allocs, want 0", a)
+	}
+}
+
+// sortedPick is Algorithm 6 the way Pick ran before it became one pass:
+// sort the bucket, read its first two entries. TestPickMatchesSort holds
+// Pick to it.
+func sortedPick(cand []int32, conn []int, bw func(i int32) float64, ignoreBandwidth bool) int32 {
+	sorted := slices.Clone(cand)
+	sort.Slice(sorted, func(a, b int) bool {
+		i, j := sorted[a], sorted[b]
+		if conn[i] != conn[j] {
+			return conn[i] > conn[j]
+		}
+		if bi, bj := bw(i), bw(j); bi != bj {
+			return bi > bj
+		}
+		return i < j
+	})
+	if !ignoreBandwidth && len(sorted) > 1 && bw(sorted[0]) < bw(sorted[1]) {
+		return sorted[1]
+	}
+	return sorted[0]
+}
+
+// TestPickMatchesSort: on random buckets — connection counts and
+// bandwidths from small ranges, so that ties on both are common — the
+// one-pass picker chooses what sorting the bucket chooses, with the
+// bandwidth upgrade and without.
+func TestPickMatchesSort(t *testing.T) {
+	rng := rand.New(rand.NewSource(30))
+	conn, bwv := make([]int, 16), make([]float64, 16)
+	bw := func(i int32) float64 { return bwv[i] }
+	for c := 0; c < 20000; c++ {
+		for i := range conn {
+			conn[i], bwv[i] = rng.Intn(4), float64(rng.Intn(3))
+		}
+		var cand []int32
+		for _, i := range rng.Perm(len(conn))[:1+rng.Intn(len(conn))] {
+			cand = append(cand, int32(i))
+		}
+		ignore := rng.Intn(2) == 0
+		if got, want := Pick(cand, conn, bw, ignore), sortedPick(cand, conn, bw, ignore); got != want {
+			t.Fatalf("case %d: bucket %v conn %v bw %v ignoreBandwidth %v: Pick %d, sort %d", c, cand, conn, bwv, ignore, got, want)
+		}
 	}
 }

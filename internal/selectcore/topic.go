@@ -32,7 +32,13 @@ func TopicPos(name string) ring.ID {
 // may serve it. Ties on a shared position break by peer id so every
 // caller derives the identical set.
 func Rendezvous(pos ring.ID, members []RingMember, live func(overlay.PeerID) bool, r int) []overlay.PeerID {
-	return clockwiseSuccessors(pos, -1, members, live, r)
+	return AppendRendezvous(nil, pos, members, live, r)
+}
+
+// AppendRendezvous is Rendezvous into caller storage: the set is appended
+// to dst, and with room in dst for r more nothing is allocated.
+func AppendRendezvous(dst []overlay.PeerID, pos ring.ID, members []RingMember, live func(overlay.PeerID) bool, r int) []overlay.PeerID {
+	return clockwiseSuccessors(dst, pos, -1, members, live, r)
 }
 
 // succStack is how many successors clockwiseSuccessors keeps in a stack
@@ -52,16 +58,17 @@ func (a succCand) before(b succCand) bool {
 }
 
 // clockwiseSuccessors is the shared successor-selection kernel behind
-// Rendezvous and InboxReplicas: the first r live members strictly
-// clockwise from pos (a member exactly at pos wraps the whole ring —
-// measure-zero for hashed positions, and deterministic), excluding
-// `exclude` when it is a valid peer id, id-tiebroken. One pass over
-// members keeps the r nearest so far in order by insertion; live is
-// asked only about a member near enough to be kept. The result is the
-// only allocation while r ≤ succStack.
-func clockwiseSuccessors(pos ring.ID, exclude overlay.PeerID, members []RingMember, live func(overlay.PeerID) bool, r int) []overlay.PeerID {
+// Rendezvous and InboxReplicas: it appends to dst the first r live
+// members strictly clockwise from pos (a member exactly at pos wraps the
+// whole ring — measure-zero for hashed positions, and deterministic),
+// excluding `exclude` when it is a valid peer id, id-tiebroken. One pass
+// over members keeps the r nearest so far in order by insertion; live is
+// asked only about a member near enough to be kept. While r ≤ succStack
+// nothing is allocated that dst has room for; a nil dst gets a set of its
+// own, empty or not, for r > 0.
+func clockwiseSuccessors(dst []overlay.PeerID, pos ring.ID, exclude overlay.PeerID, members []RingMember, live func(overlay.PeerID) bool, r int) []overlay.PeerID {
 	if r <= 0 {
-		return nil
+		return dst
 	}
 	var stack [succStack]succCand
 	best := stack[:0]
@@ -91,11 +98,13 @@ func clockwiseSuccessors(pos ring.ID, exclude overlay.PeerID, members []RingMemb
 		}
 		best[i] = c
 	}
-	out := make([]overlay.PeerID, len(best))
-	for i, c := range best {
-		out[i] = c.id
+	if dst == nil {
+		dst = make([]overlay.PeerID, 0, len(best))
 	}
-	return out
+	for _, c := range best {
+		dst = append(dst, c.id)
+	}
+	return dst
 }
 
 // TreeBranches is the dissemination-tree rule: given a topic's
@@ -108,19 +117,27 @@ func clockwiseSuccessors(pos ring.ID, exclude overlay.PeerID, members []RingMemb
 // branch sizes differ by at most one, giving a complete fanout-ary tree
 // of depth ceil(log_fanout(n)). The input slice is not mutated.
 func TreeBranches(subs []overlay.PeerID, fanout int) [][]overlay.PeerID {
+	branches, _ := AppendTreeBranches(nil, nil, subs, fanout)
+	return branches
+}
+
+// AppendTreeBranches is TreeBranches into caller storage: the ranked
+// subscribers are written over order's storage and the branches, views of
+// it, are appended to dst. Both come back, grown where they had to be, for
+// the caller to keep; with room in both nothing is allocated.
+func AppendTreeBranches(dst [][]overlay.PeerID, order, subs []overlay.PeerID, fanout int) ([][]overlay.PeerID, []overlay.PeerID) {
 	if len(subs) == 0 {
-		return nil
+		return dst, order
 	}
 	if fanout < 1 {
 		fanout = 1
 	}
-	order := slices.Clone(subs)
+	order = append(order[:0], subs...)
 	slices.Sort(order)
 	// Drop duplicates so a double-registered subscriber cannot become
 	// its own descendant.
 	order = slices.Compact(order)
 	k := min(fanout, len(order))
-	out := make([][]overlay.PeerID, 0, k)
 	base := len(order) / k
 	rem := len(order) % k
 	at := 0
@@ -131,8 +148,8 @@ func TreeBranches(subs []overlay.PeerID, fanout int) [][]overlay.PeerID {
 		}
 		// Capped at its own length: a caller that appends to a branch
 		// cannot write into the next one.
-		out = append(out, order[at:at+sz:at+sz])
+		dst = append(dst, order[at:at+sz:at+sz])
 		at += sz
 	}
-	return out
+	return dst, order
 }

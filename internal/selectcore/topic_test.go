@@ -134,28 +134,33 @@ func TestClockwiseSuccessorsMatchesSort(t *testing.T) {
 			live = func(p overlay.PeerID) bool { return dead&(1<<uint(p)) == 0 }
 		}
 		r := rng.Intn(succStack + 4)
-		got := clockwiseSuccessors(pos, exclude, members, live, r)
+		got := clockwiseSuccessors(nil, pos, exclude, members, live, r)
 		want := sortedSuccessors(pos, exclude, members, live, r)
 		if !slices.Equal(got, want) || (got == nil) != (want == nil) {
 			t.Fatalf("case %d: pos %v exclude %d r %d members %v: kernel %v, sort %v", c, pos, exclude, r, members, got, want)
 		}
+		// Into storage that holds something already: after it.
+		if into := clockwiseSuccessors([]overlay.PeerID{-7}, pos, exclude, members, live, r); into[0] != -7 || !slices.Equal(into[1:], want) {
+			t.Fatalf("case %d: appended %v after -7, want %v", c, into, want)
+		}
 	}
 }
 
-// TestClockwiseSuccessorsAllocatesOnlyItsResult pins the kernel's cost:
-// one allocation, the result, while r fits the stack buffer.
-func TestClockwiseSuccessorsAllocatesOnlyItsResult(t *testing.T) {
+// TestClockwiseSuccessorsAllocatesNothing pins the kernel's cost: into
+// storage with room for the set, nothing, while r fits the stack buffer.
+func TestClockwiseSuccessorsAllocatesNothing(t *testing.T) {
 	members := make([]RingMember, 200)
 	for i := range members {
 		members[i] = RingMember{ID: overlay.PeerID(i), Pos: ring.ID(float64((i*7919)%200) / 200)}
 	}
 	pos := TopicPos("#topic-0")
 	for _, r := range []int{1, 2, succStack} {
-		if a := testing.AllocsPerRun(100, func() { _ = Rendezvous(pos, members, nil, r) }); a != 1 {
-			t.Errorf("Rendezvous r=%d: %.1f allocs, want 1", r, a)
+		dst := make([]overlay.PeerID, 0, r)
+		if a := testing.AllocsPerRun(100, func() { dst = AppendRendezvous(dst[:0], pos, members, nil, r) }); a != 0 {
+			t.Errorf("AppendRendezvous r=%d: %.1f allocs, want 0", r, a)
 		}
-		if a := testing.AllocsPerRun(100, func() { _ = InboxReplicas(7, members[7].Pos, members, nil, r) }); a != 1 {
-			t.Errorf("InboxReplicas r=%d: %.1f allocs, want 1", r, a)
+		if a := testing.AllocsPerRun(100, func() { dst = AppendInboxReplicas(dst[:0], 7, members[7].Pos, members, nil, r) }); a != 0 {
+			t.Errorf("AppendInboxReplicas r=%d: %.1f allocs, want 0", r, a)
 		}
 	}
 }

@@ -336,7 +336,6 @@ type linkScratch struct {
 	idx    selectcore.Indexer
 	coords []int   // bitmap coordinate scratch per friend
 	linked []int32 // bucket members already long-linked
-	pick   []int32 // picker sort scratch
 	uncov  []int32 // friends not covered by any current link
 	pos    []int32 // pos[q]: 1+index of q in C_p, 0 when q ∉ C_p
 }
@@ -588,12 +587,9 @@ func (o *Overlay) createRandomLinks(p overlay.PeerID, friends []overlay.PeerID) 
 // sorted, so ascending index order is ascending PeerID order and
 // tie-breaks match the PeerID-based picker exactly.
 func (o *Overlay) pickIdx(cand []int32, friends []overlay.PeerID) int32 {
-	sc := &o.scratch
-	best, scratch := selectcore.Pick(cand, sc.idx.Conn,
+	return selectcore.Pick(cand, o.scratch.idx.Conn,
 		func(i int32) float64 { return o.bw[friends[i]] },
-		o.cfg.PickerIgnoresBandwidth, sc.pick)
-	sc.pick = scratch
-	return best
+		o.cfg.PickerIgnoresBandwidth)
 }
 
 func (o *Overlay) hasLong(p, u overlay.PeerID) bool {
