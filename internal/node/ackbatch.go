@@ -12,21 +12,24 @@ import (
 
 // Ack batching (DESIGN.md §15.1). A delivery ack, a deposit ack, a replay
 // ack, a topic hand-off ack and a registration or registry ack are each
-// one wire.AckEntry, and the only frame that carries entries is
-// KindAckBatch: a node buffers them per next hop and flushes a bucket as
-// one frame. The flush rule follows the dissemination
-// tree. A handler that forwarded none of its frame's destinations onward
-// has nothing to wait for, and the bucket its ack lands in leaves at
-// once, with whatever was waiting there. A node that did forward arms the
-// shard wheel's tkAckFlush entry (~ackFlushEvery), so the acks of the
-// peers beyond it — tree leaves answer at once — ride the same frame as
-// its own. A bucket that reaches ackBatchMax leaves early. A topic
-// replica passes the subscriber acks it consumes on to its fellow
-// replicas (consumeAck) on the timed flush too.
+// one wire.AckEntry. A node buffers entries per next hop, and a bucket
+// leaves as one KindAckBatch frame when its deadline comes — or sooner,
+// on any frame this node sends to that hop anyway (send): an ack gates
+// no delivery, it only settles the sender's repair row, so it waits for
+// company. A delivery ack this node creates (a feed ack, a topic copy's
+// ack to the replica that stamped it, a primary's own acks to its
+// standbys) may wait ackHold, half the window before the row's earliest
+// jittered retry — a feed ack one relay window less per hop its copy
+// came, so that it reaches the relays above before their own acks leave;
+// an entry this node relays or passes on waits ackFlushEvery, so the
+// acks of peers beyond it still ride one frame. What something waits on
+// leaves at once: set-row acceptances (Subscribe returns on them),
+// deposit acks and replay acks (they pace the drain). A bucket that
+// reaches ackBatchMax leaves early.
 
 const (
-	// ackFlushEvery is the longest an ack may sit buffered before its
-	// batch is flushed — about one timer-wheel tick.
+	// ackFlushEvery is the longest a relayed ack may sit buffered before
+	// its batch is flushed — about one timer-wheel tick.
 	ackFlushEvery = time.Millisecond
 	// ackBatchMax flushes a next-hop bucket early at this many entries.
 	ackBatchMax = 64
@@ -44,19 +47,31 @@ type AckBatchMode int
 // AckBatchAuto is AckBatchMode's only value.
 const AckBatchAuto AckBatchMode = iota
 
-// ackBucket is the buffered entries bound for one next hop. Buckets live
-// in Node.ackBuckets in order of first use since the last timed flush,
-// which is the order they are flushed in — deterministic without a sort
-// — and a flushed bucket keeps its storage for the next entry.
+// ackBucket is the buffered entries bound for one next hop, due to leave
+// at due. Buckets live in Node.ackBuckets in order of first use, which is
+// the order a timed flush sends them in — deterministic without a sort —
+// and a flushed bucket keeps its storage for the next entry.
 type ackBucket struct {
 	hop  overlay.PeerID
+	due  time.Time
 	acks []wire.AckEntry
 }
 
-// queueAck buffers one routed ack (KindAck) toward e.Dest by the greedy
-// next hop. leaf says the caller forwarded nothing onward: the entry's
-// bucket is flushed at once.
-func (n *Node) queueAck(e wire.AckEntry, leaf bool) {
+// ackHold is how long a delivery ack this node creates may wait for
+// company: 3/8 of RetryBase, half the window before the earliest jittered
+// first retry (Backoff's −25 %), which leaves the other half for relays
+// and transit. Never less than a relayed entry's ackFlushEvery, which is
+// also what it is without repair (RetryBase 0).
+func (n *Node) ackHold() time.Duration {
+	return max(3*n.cfg.RetryBase/8, ackFlushEvery)
+}
+
+// queueAck buffers one delivery ack (KindAck) this node created toward
+// e.Dest, in the bucket of its greedy next hop. relays is how many relays
+// the acked copy passed: the ack waits ackHold less one relay window per
+// relay, so a relay's children, which got their copies after it, release
+// their acks in time to share its frame.
+func (n *Node) queueAck(e wire.AckEntry, relays uint8) {
 	dest, hops := [1]overlay.PeerID{e.Dest}, [1]overlay.PeerID{}
 	n.routeBatch(dest[:], hops[:], -1)
 	if hops[0] < 0 {
@@ -64,22 +79,11 @@ func (n *Node) queueAck(e wire.AckEntry, leaf bool) {
 		n.countUnroutable(verdictOf(hops[0]), wire.KindAck, e.Seq)
 		return
 	}
-	if leaf {
-		n.cfg.Obs.Inc(obs.CAckLeafFlush)
-	}
-	n.bufferAck(hops[0], e, leaf)
-}
-
-// directAck sends one point-to-point ack — the deposit, topic-ack and
-// set-row acceptance contracts — straight to e.Dest. Nothing answers
-// through this node on such a path, so the entry never waits.
-func (n *Node) directAck(e wire.AckEntry) {
-	n.cfg.Obs.Inc(obs.CAckLeafFlush)
-	n.bufferAck(overlay.PeerID(e.Dest), e, true)
+	n.bufferAck(hops[0], e, max(n.ackHold()-time.Duration(relays)*ackFlushEvery, ackFlushEvery))
 }
 
 // ackBucket returns hop's bucket, opening one at the end of the
-// list — in a slot the last timed flush vacated, if there is one, whose
+// list — in a slot a timed flush vacated, if there is one, whose
 // storage it takes over — when hop has none.
 func (n *Node) ackBucket(hop overlay.PeerID) *ackBucket {
 	for i := range n.ackBuckets {
@@ -99,44 +103,84 @@ func (n *Node) ackBucket(hop overlay.PeerID) *ackBucket {
 
 // directAcks sends acks — the point-to-point answers to one frame from
 // hop that called for several, a deposit naming several subscribers or a
-// replay batch — as one frame, at once: nothing answers through this node
-// on such a path, so they wait for nothing, and they pass by the buckets.
+// replay batch — as one frame, at once: the replica's repair row and the
+// drain wait on them, and they pass by the buckets.
 func (n *Node) directAcks(hop overlay.PeerID, acks []wire.AckEntry) {
 	if len(acks) == 0 {
 		return
 	}
 	n.cfg.Obs.Addn(obs.CAckCoalesced, int64(len(acks)))
-	n.cfg.Obs.Inc(obs.CAckLeafFlush)
+	n.cfg.Obs.Addn(obs.CAckLeafFlush, int64(len(acks)))
 	n.sendAcks(hop, acks)
 }
 
-// bufferAck appends e to hop's bucket and flushes the bucket if it is
-// full or atOnce is set; otherwise the entry waits for the timed flush,
-// which the first waiting entry arms.
-func (n *Node) bufferAck(hop overlay.PeerID, e wire.AckEntry, atOnce bool) {
+// bufferAck appends e to hop's bucket, which leaves within wait: at once
+// when wait is 0 or the bucket is full, else at the bucket's deadline —
+// pulled in by e, never pushed out — unless a frame to hop takes it first.
+func (n *Node) bufferAck(hop overlay.PeerID, e wire.AckEntry, wait time.Duration) {
 	n.cfg.Obs.Inc(obs.CAckCoalesced)
 	b := n.ackBucket(hop)
 	b.acks = append(b.acks, e)
-	switch {
 	// A node without a shard runtime (unit tests) has no wheel to wait on.
-	case atOnce || len(b.acks) >= ackBatchMax || n.sh == nil:
+	if wait == 0 || len(b.acks) >= ackBatchMax || n.sh == nil {
+		if wait == 0 {
+			n.cfg.Obs.Inc(obs.CAckLeafFlush)
+		}
 		n.sendBucket(b)
-	case !n.ackFlushArmed:
-		n.ackFlushArmed = true
-		n.sh.scheduleAckFlush(n, time.Now().Add(ackFlushEvery))
+		return
+	}
+	due := time.Now().Add(wait)
+	if len(b.acks) == 1 || due.Before(b.due) {
+		b.due = due
+	}
+	n.armAckFlush(b.due)
+}
+
+// armAckFlush pulls the node's one tkAckFlush wheel entry in to at. It
+// is never pushed later: the wheel's Schedule is an upsert, and moving
+// the deadline out would starve the buffer under sustained traffic.
+func (n *Node) armAckFlush(at time.Time) {
+	if n.ackFlushAt.IsZero() || at.Before(n.ackFlushAt) {
+		n.ackFlushAt = at
+		n.sh.scheduleAckFlush(n, at)
 	}
 }
 
-// flushAcks drains every buffered bucket — the tkAckFlush wheel entry's
-// body. One-shot: the entry re-arms on the next entry that waits.
-func (n *Node) flushAcks() {
-	n.ackFlushArmed = false
+// flushAcks sends every bucket due by now and re-arms the wheel entry
+// for the earliest deadline left — the tkAckFlush entry's body. Emptied
+// buckets leave the list; their slots keep their storage.
+func (n *Node) flushAcks(now time.Time) {
+	n.ackFlushAt = time.Time{}
+	var next time.Time
+	k := 0
 	for i := range n.ackBuckets {
-		if b := &n.ackBuckets[i]; len(b.acks) > 0 {
+		b := &n.ackBuckets[i]
+		if len(b.acks) > 0 && !b.due.After(now) {
 			n.sendBucket(b)
 		}
+		if len(b.acks) == 0 {
+			continue
+		}
+		if next.IsZero() || b.due.Before(next) {
+			next = b.due
+		}
+		n.ackBuckets[k], n.ackBuckets[i] = n.ackBuckets[i], n.ackBuckets[k]
+		k++
 	}
-	n.ackBuckets = n.ackBuckets[:0]
+	n.ackBuckets = n.ackBuckets[:k]
+	if !next.IsZero() {
+		n.armAckFlush(next)
+	}
+}
+
+// heldBucket returns hop's bucket if entries wait in it, else nil.
+func (n *Node) heldBucket(hop overlay.PeerID) *ackBucket {
+	for i := range n.ackBuckets {
+		if b := &n.ackBuckets[i]; b.hop == hop && len(b.acks) > 0 {
+			return b
+		}
+	}
+	return nil
 }
 
 // sendBucket empties b into one KindAckBatch frame and sends it.
@@ -157,12 +201,29 @@ func (n *Node) sendAcks(hop overlay.PeerID, acks []wire.AckEntry) {
 	n.cfg.Obs.Inc(obs.CAckBatchSent)
 }
 
-// handleAckBatch consumes every entry destined for this node and relays
-// the rest toward their destinations. The replay acks among them — a
+// carriesAcks says whether m, about to leave for a hop, may take that
+// hop's buffered entries along: a frame of another kind whose Acks slot
+// is free and whose receiver can tell which peer handed it the frame —
+// one this node originates, or a publish frame, which names its hop
+// (wire.HopFrom).
+func (n *Node) carriesAcks(m *wire.Message) bool {
+	switch m.Kind {
+	case wire.KindAckBatch, wire.KindInboxClaim:
+		return false
+	case wire.KindPublish:
+		return true
+	}
+	return m.From == int32(n.id)
+}
+
+// handleAcks consumes every entry of acks destined for this node and
+// relays the rest toward their destinations; hop is the peer that handed
+// them over — a KindAckBatch frame's sender, or the sending hop of the
+// frame they rode on (handle). The replay acks among them — a
 // subscriber answers one replay frame with one ack frame — are cleared
 // from the journal with one write per subscriber, and the drain's next
 // batch leaves when they were the last it was waiting for.
-func (n *Node) handleAckBatch(m *wire.Message) {
+func (n *Node) handleAcks(acks []wire.AckEntry, hop overlay.PeerID) {
 	ibxOn := n.inboxOn()
 	now := time.Now()
 	var ackN, depN, replayedN, sharedN int64
@@ -177,7 +238,7 @@ func (n *Node) handleAckBatch(m *wire.Message) {
 		n.pumpReplay(haveOf, now)
 		have = have[:0]
 	}
-	for _, e := range m.Acks {
+	for _, e := range acks {
 		if overlay.PeerID(e.Dest) != n.id {
 			relay = true // below
 			continue
@@ -186,7 +247,7 @@ func (n *Node) handleAckBatch(m *wire.Message) {
 		case wire.KindAck:
 			// An entry a fellow replica passed on names the subscriber in
 			// From, not the frame's sender: it is never passed on again.
-			sharedN += int64(n.consumeAck(e, e.From == m.From))
+			sharedN += int64(n.consumeAck(e, overlay.PeerID(e.From) == hop))
 			ackN++
 		case wire.KindInboxDepositAck:
 			if ibxOn {
@@ -236,9 +297,9 @@ func (n *Node) handleAckBatch(m *wire.Message) {
 	if kickR {
 		n.kickRetry()
 	}
-	for acks := m.Acks; relay && len(acks) > 0; {
+	for relay && len(acks) > 0 {
 		k := min(len(acks), ackBatchMax)
-		n.relayAcks(acks[:k], overlay.PeerID(m.From))
+		n.relayAcks(acks[:k], hop)
 		acks = acks[k:]
 	}
 }
@@ -266,7 +327,7 @@ func (n *Node) relayAcks(acks []wire.AckEntry, from overlay.PeerID) {
 		case d == n.id:
 		case e.Kind != wire.KindAck:
 			if n.dir.valid(d) {
-				n.bufferAck(d, e, false)
+				n.bufferAck(d, e, ackFlushEvery)
 			}
 		case e.TTL == 0:
 			n.cfg.Obs.Inc(obs.CAckTTLDrop)
@@ -277,7 +338,7 @@ func (n *Node) relayAcks(acks []wire.AckEntry, from overlay.PeerID) {
 				continue
 			}
 			e.TTL--
-			n.bufferAck(hop, e, false)
+			n.bufferAck(hop, e, ackFlushEvery)
 		}
 	}
 }
@@ -315,7 +376,7 @@ func (n *Node) consumeAck(e wire.AckEntry, share bool) (shared int) {
 					continue // the acker is this fellow replica itself
 				}
 				e.Dest = int32(p)
-				n.bufferAck(p, e, false)
+				n.bufferAck(p, e, ackFlushEvery)
 				shared++
 			}
 		}

@@ -691,7 +691,7 @@ func (n *Node) resetVolatile() {
 	}
 	n.bitmaps = make(map[overlay.PeerID][]uint64)
 	n.lookahead = make(map[overlay.PeerID][]overlay.PeerID)
-	n.cma = make(map[overlay.PeerID]*churn.CMA)
+	n.cma = make(map[overlay.PeerID]churn.CMA)
 	n.miss = make(map[overlay.PeerID]int)
 	n.suspectAt = make(map[overlay.PeerID]time.Time)
 	n.deadUntil = make(map[overlay.PeerID]time.Time)
@@ -700,7 +700,7 @@ func (n *Node) resetVolatile() {
 	// Buffered-but-unflushed ack batches and piggybacked-liveness stamps
 	// die with the process, like any unsent frame.
 	n.ackBuckets = n.ackBuckets[:0]
-	n.ackFlushArmed = false
+	n.ackFlushAt = time.Time{}
 	if n.hbPiggyback {
 		n.lastHeard = make(map[overlay.PeerID]time.Time)
 		n.hbSkip = make(map[overlay.PeerID]int)

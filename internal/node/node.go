@@ -141,10 +141,11 @@ type Node struct {
 	// lookahead caches neighbors' routing tables learned via ExchangeRT,
 	// each table in the storage of the one before.
 	lookahead map[overlay.PeerID][]overlay.PeerID
-	// cma tracks per-link availability from heartbeats; miss is the
-	// consecutive-miss streak and suspectAt when suspicion started — the
-	// accrual failure detector's evidence (repair.go).
-	cma       map[overlay.PeerID]*churn.CMA
+	// cma tracks per-link availability from heartbeats, by value so that
+	// a new link costs no allocation; miss is the consecutive-miss streak
+	// and suspectAt when suspicion started — the accrual failure
+	// detector's evidence (repair.go).
+	cma       map[overlay.PeerID]churn.CMA
 	miss      map[overlay.PeerID]int
 	suspectAt map[overlay.PeerID]time.Time
 	// deadUntil quarantines evicted-dead peers: piggybacked successor
@@ -237,12 +238,13 @@ type Node struct {
 	row        []float64
 
 	// Ack batching (DESIGN.md §15.1, ackbatch.go): ackBuckets holds the
-	// buffered ack entries, one bucket per next hop in order of first use;
-	// ackFlushArmed guards the one-shot tkAckFlush wheel entry against
-	// re-arm (the wheel's Schedule is an upsert — re-arming would push the
-	// deadline back under sustained traffic).
-	ackBuckets    []ackBucket
-	ackFlushArmed bool
+	// buffered ack entries, one bucket per next hop in order of first use,
+	// each with its own deadline; any frame sent to a bucket's hop takes
+	// its entries along. ackFlushAt is when the node's one tkAckFlush
+	// wheel entry fires (zero: not armed): the earliest deadline, pulled
+	// in by an earlier one and never pushed out (armAckFlush).
+	ackBuckets []ackBucket
+	ackFlushAt time.Time
 	// Heartbeat piggybacking: lastHeard stamps the most recent inbound
 	// frame per peer (liveness evidence), hbSkip counts consecutive
 	// suppressed pings so the ring's pong anti-entropy keeps a floor.
@@ -299,7 +301,7 @@ func newNode(id overlay.PeerID, dir *directory, bw []float64, cfg Options, seed 
 		feedTopics:   make([]string, len(friends)),
 		received:     make(map[msgID]uint8),
 		lookahead:    make(map[overlay.PeerID][]overlay.PeerID),
-		cma:          make(map[overlay.PeerID]*churn.CMA),
+		cma:          make(map[overlay.PeerID]churn.CMA),
 		miss:         make(map[overlay.PeerID]int),
 		suspectAt:    make(map[overlay.PeerID]time.Time),
 		deadUntil:    make(map[overlay.PeerID]time.Time),
@@ -331,12 +333,25 @@ func (n *Node) nextSeq() uint32 { return n.seq.Add(1) }
 // send is the node's one way onto the network: m goes to peer `to` as a
 // copy in n.out, so a Message built on the caller's stack stays there, and
 // the transport copies n.out before it returns (transport.Transport) — m
-// and the lists it names are the caller's again at once. A refused send is
-// a lost frame like any other: the protocol repairs it (retries, acks,
-// heartbeats), so the error is not looked at.
+// and the lists it names are the caller's again at once. A frame that may
+// carry acks (carriesAcks) takes the entries buffered for `to` along in
+// its Acks slot, and their bucket empties (DESIGN.md §15.1). A refused
+// send is a lost frame like any other: the protocol repairs it (retries,
+// acks, heartbeats), so the error is not looked at.
 func (n *Node) send(to int32, m *wire.Message) {
 	n.out = *m
+	var b *ackBucket
+	if len(n.ackBuckets) > 0 && n.carriesAcks(m) {
+		if b = n.heldBucket(overlay.PeerID(to)); b != nil {
+			n.out.Acks = b.acks
+		}
+	}
 	_ = n.tr.Send(to, &n.out)
+	if b != nil {
+		n.cfg.Obs.Addn(obs.CAckPiggyback, int64(len(b.acks)))
+		n.cfg.Obs.Inc(obs.CAckBatchSent)
+		b.acks = b.acks[:0]
+	}
 }
 
 func (n *Node) handle(m *wire.Message) {
@@ -350,6 +365,19 @@ func (n *Node) handle(m *wire.Message) {
 		// or an idle mesh would throttle the pong-borne ring anti-entropy
 		// it has no other way to run.
 		n.lastHeard[overlay.PeerID(m.From)] = time.Now()
+	}
+	if len(m.Acks) > 0 && m.Kind != wire.KindAckBatch && m.Kind != wire.KindInboxClaim {
+		// Entries that rode a frame of another kind (send): consumed and
+		// relayed before the frame's own handler, as if in a batch from
+		// the hop that sent it — a publish frame's From is the publisher,
+		// its hop is HopFrom.
+		hop := overlay.PeerID(m.From)
+		if m.Kind == wire.KindPublish {
+			hop = overlay.PeerID(m.HopFrom())
+		}
+		if n.dir.valid(hop) && hop != n.id {
+			n.handleAcks(m.Acks, hop)
+		}
 	}
 	switch m.Kind {
 	case wire.KindPing:
@@ -379,7 +407,7 @@ func (n *Node) handle(m *wire.Message) {
 	case wire.KindPublish:
 		n.handlePublish(m)
 	case wire.KindAckBatch:
-		n.handleAckBatch(m)
+		n.handleAcks(m.Acks, overlay.PeerID(m.From))
 	case wire.KindJoinRequest:
 		n.handleJoinRequest(m)
 	case wire.KindJoinReply:
@@ -644,11 +672,8 @@ func (n *Node) sendPong(ping *wire.Message) {
 // consecutive-miss streak the failure detector classifies.
 func (n *Node) observe(q overlay.PeerID, online bool) {
 	c := n.cma[q]
-	if c == nil {
-		c = &churn.CMA{}
-		n.cma[q] = c
-	}
 	c.Observe(online)
+	n.cma[q] = c
 	if online {
 		n.miss[q] = 0
 		delete(n.suspectAt, q)
@@ -750,14 +775,13 @@ func (n *Node) handlePublish(m *wire.Message) {
 		n.cfg.Obs.Addn(obs.CPublishTTLDrop, int64(len(dests)))
 		n.cfg.Obs.TraceEvent("ttl_drop", int32(n.id), seq)
 	}
-	// Ack back to the publisher (directed). A node that forwarded keeps the
-	// flush window open for the acks of the peers beyond it; one that did
-	// not has nothing to wait for.
+	// Ack back to the publisher (directed). The ack waits for company: the
+	// acks of the peers beyond this one, or any frame leaving for its hop.
 	if named && overlay.PeerID(pub) != n.id {
 		n.queueAck(wire.AckEntry{
 			Kind: wire.KindAck, From: int32(n.id), Dest: pub,
 			Pub: pub, Seq: seq, TTL: n.cfg.TTL,
-		}, !forwarded)
+		}, m.HopCount)
 	}
 }
 
@@ -900,7 +924,7 @@ func (n *Node) Exchanges() (k int) {
 func (n *Node) LinkAvailability(q overlay.PeerID) float64 {
 	v := 1.0
 	n.do(func() {
-		if c := n.cma[q]; c != nil {
+		if c, ok := n.cma[q]; ok {
 			v = c.Value()
 		}
 	})

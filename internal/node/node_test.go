@@ -256,7 +256,7 @@ func TestHeartbeatsBuildCMA(t *testing.T) {
 			// links via the cma map, reading on the node's loop.
 			samples, value := 0, 0.0
 			n.do(func() {
-				if cma := n.cma[q]; cma != nil {
+				if cma, ok := n.cma[q]; ok {
 					samples, value = cma.Samples(), cma.Value()
 				}
 			})

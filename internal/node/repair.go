@@ -627,8 +627,8 @@ func (n *Node) detectorSweep(now time.Time) {
 		linkBuf [routeLinksMax]overlay.PeerID
 	)
 	for _, q := range append(n.appendLinks(linkBuf[:0]), n.rview.probation(n.dir.isMember)...) {
-		c := n.cma[q]
-		if c == nil {
+		c, ok := n.cma[q]
+		if !ok {
 			continue
 		}
 		switch det.Classify(n.miss[q], c.Samples(), c.Value()) {

@@ -99,8 +99,8 @@ func (n *Node) appendLinks(out []overlay.PeerID) []overlay.PeerID {
 // suspect or dead are avoided — a responsive peer (no current miss
 // streak) is always usable, whatever its history.
 func (n *Node) linkAlive(q overlay.PeerID) bool {
-	c := n.cma[q]
-	if c == nil {
+	c, ok := n.cma[q]
+	if !ok {
 		return true
 	}
 	return n.cfg.Detector.Classify(n.miss[q], c.Samples(), c.Value()) == selectcore.LinkAlive

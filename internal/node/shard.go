@@ -370,10 +370,10 @@ func (s *shard) scheduleRepair(n *Node) {
 	}
 }
 
-// scheduleAckFlush arms the node's one-shot ack-flush deadline. The
-// wheel's Schedule is an upsert, so callers guard against re-arming while
-// a flush is pending (ackFlushArmed) — re-scheduling would push the
-// deadline back and starve the buffer under sustained traffic.
+// scheduleAckFlush arms the node's ack-flush deadline. The wheel's
+// Schedule is an upsert, so the caller only ever pulls it in
+// (armAckFlush) — pushing it out would starve the buffer under sustained
+// traffic.
 func (s *shard) scheduleAckFlush(n *Node, at time.Time) {
 	s.scheduleAt(timerID(int32(n.id), tkAckFlush), at)
 }
@@ -565,9 +565,13 @@ func (s *shard) fire(f sched.Fired, now time.Time) {
 	case tkAckFlush:
 		// Shed-exempt: acks ARE the reliability feedback — delaying a
 		// flush under backlog turns into spurious retries, the exact load
-		// spiral shedding exists to break. One-shot: the next ack that
-		// waits re-arms it.
-		n.flushAcks()
+		// spiral shedding exists to break. The wheel pops an entry in its
+		// deadline's tick, so the body reads the clock as at least the
+		// deadline; it re-arms for the buckets not yet due.
+		if now.Before(f.At) {
+			now = f.At
+		}
+		n.flushAcks(now)
 	}
 }
 

@@ -469,9 +469,10 @@ func (n *Node) sendSet(seq uint32, st *pubState, to []overlay.PeerID, now time.T
 }
 
 // ackAccept answers set-row frame m with this member's acceptance: an
-// entry of kind, straight back to the row's owner on the ack-batch path.
+// entry of kind, straight back to the row's owner on the ack-batch path,
+// at once — the row's owner waits on it (Subscribe returns on it).
 func (n *Node) ackAccept(kind wire.Kind, m *wire.Message) {
-	n.directAck(wire.AckEntry{Kind: kind, From: int32(n.id), Dest: m.From, Pub: m.From, Seq: m.Seq})
+	n.bufferAck(overlay.PeerID(m.From), wire.AckEntry{Kind: kind, From: int32(n.id), Dest: m.From, Pub: m.From, Seq: m.Seq}, 0)
 }
 
 // ---- rendezvous side -------------------------------------------------
@@ -703,7 +704,7 @@ func (n *Node) acceptTopicPub(origin msgID, topic string, payload []byte, size u
 				n.bufferAck(p, wire.AckEntry{
 					Kind: wire.KindAck, From: int32(n.id), Dest: int32(p),
 					Pub: origin.Publisher, Seq: origin.Seq, TTL: n.cfg.TTL,
-				}, false)
+				}, n.ackHold())
 			}
 		}
 	}
@@ -754,10 +755,10 @@ func (n *Node) deliverTopicCopy(m *wire.Message) {
 		}, m.RoutingTable)
 	}
 	if rep := overlay.PeerID(m.Target); rep != n.id && n.dir.valid(rep) {
-		n.directAck(wire.AckEntry{
+		n.bufferAck(rep, wire.AckEntry{
 			Kind: wire.KindAck, From: int32(n.id), Dest: m.Target,
 			Pub: m.Publisher, Seq: m.Seq, TTL: n.cfg.TTL,
-		})
+		}, n.ackHold())
 	}
 }
 

@@ -144,7 +144,7 @@ func TestTopicRendezvousStateRetires(t *testing.T) {
 		if acks := tp.take(wire.KindAckBatch); len(acks) != 0 {
 			t.Fatalf("%d ack frames left before the flush", len(acks))
 		}
-		primary.flushAcks()
+		primary.flushAcks(time.Now().Add(ackFlushEvery))
 		shared := tp.take(wire.KindAckBatch)
 		if len(shared) != 1 || shared[0].hop != int32(standby.id) || len(shared[0].m.Acks) != len(subs) {
 			t.Fatalf("shared acks %+v, want one frame of %d entries to %d", shared, len(subs), standby.id)
@@ -504,10 +504,16 @@ func TestTopicHandoffRow(t *testing.T) {
 				}
 			}
 			ticks := 0
-			e.play = func() []sent {
-				frames := playInbox(c, tp, func(f *sent) bool { return tc.lose != nil && tc.lose(e, ticks, f) })
-				e.frames = append(e.frames, frames...)
-				return frames
+			// A pass of the network carries frames until none is left,
+			// the held acks included.
+			e.play = func() (frames []sent) {
+				for {
+					frames = append(frames, playInbox(c, tp, func(f *sent) bool { return tc.lose != nil && tc.lose(e, ticks, f) })...)
+					if !flushHeld(c) {
+						e.frames = append(e.frames, frames...)
+						return frames
+					}
+				}
 			}
 			if tc.open == nil {
 				publish(t, e)
@@ -839,6 +845,7 @@ func TestTopicTreeForwardsPastDuplicate(t *testing.T) {
 		Publisher: int32(pub), Target: int32(primary), Topic: []byte(topic), TTL: 8,
 		RoutingTable: []int32{int32(below[0]), int32(below[1])},
 	})
+	standby.flushAcks(time.Now().Add(standby.ackHold()))
 	tp.mu.Lock()
 	frames := tp.frames
 	tp.mu.Unlock()

@@ -150,9 +150,9 @@ func (t *tap) take(kind wire.Kind) []sent {
 // frozenCluster starts a bootstrapped cluster over a tap and stops its
 // shard loops: no timer fires and no mailbox is drained, so a test that
 // calls the handlers itself sees exactly the frames they send, in order,
-// and plays the wheel by calling flushAcks. With the loops gone the test
-// goroutine is the nodes' only writer: it may touch their state directly,
-// and the exported API runs inline on it.
+// and plays the wheel by calling flushAcks with the time it fires at. With
+// the loops gone the test goroutine is the nodes' only writer: it may
+// touch their state directly, and the exported API runs inline on it.
 func frozenCluster(t *testing.T, n int, seed int64, opts Options) (*socialgraph.Graph, *Cluster, *tap) {
 	t.Helper()
 	g, ov := buildOverlay(t, n, seed)
@@ -166,6 +166,20 @@ func frozenCluster(t *testing.T, n int, seed int64, opts Options) (*socialgraph.
 	c.wg.Wait()
 	t.Cleanup(func() { shutdown(t, c) })
 	return g, c, tp
+}
+
+// flushHeld plays every node's ack-flush wheel entry at the end of the
+// longest hold, so that every buffered entry leaves, and says whether any
+// node had one waiting.
+func flushHeld(c *Cluster) bool {
+	held := false
+	for _, nd := range c.Nodes {
+		if len(nd.ackBuckets) > 0 {
+			held = true
+			nd.flushAcks(time.Now().Add(nd.ackHold()))
+		}
+	}
+	return held
 }
 
 // strangers returns k peers that are neither n nor among its links, in
@@ -480,13 +494,18 @@ func TestTreeEclipseRelayEatsTheRest(t *testing.T) {
 	if fs := tp.take(wire.KindPublish); len(fs) != 0 {
 		t.Errorf("an armed eclipse relay forwarded %d frames", len(fs))
 	}
-	relay.flushAcks()
+	// Its ack waits like any honest peer's, and leaves at the hold.
+	now := time.Now()
+	relay.flushAcks(now)
 	if acks := tp.take(wire.KindAckBatch); len(acks) != 0 {
-		// The ack left at once: the attacker forwarded nothing.
-		t.Errorf("%d ack frames waited for the wheel", len(acks))
+		t.Errorf("%d ack frames left before the hold", len(acks))
 	}
-	if got := met.Get(obs.CAckLeafFlush); got != 1 {
-		t.Errorf("ack_leaf_flush = %d, want 1", got)
+	relay.flushAcks(now.Add(relay.ackHold()))
+	if acks := tp.take(wire.KindAckBatch); len(acks) != 1 || len(acks[0].m.Acks) != 1 || acks[0].hop != int32(pub) {
+		t.Errorf("after the hold: %+v, want the attacker's ack to %d", acks, pub)
+	}
+	if got := met.Get(obs.CAckLeafFlush); got != 0 {
+		t.Errorf("ack_leaf_flush = %d, want 0", got)
 	}
 }
 
@@ -555,12 +574,13 @@ func TestTreeUnderLoss(t *testing.T) {
 }
 
 // TestAckLeafFirst pins the flush rule of the ack path on a two-level
-// tree: the relay's own ack waits for the wheel, the acks of the peers
-// beyond it join it, and all leave in one frame; a leaf's ack leaves at
-// once; a node that was paused meanwhile drops what it had buffered.
+// tree. The relay's own ack waits for company; the acks of the peers
+// beyond it, which it relays, pull the bucket's deadline in to
+// ackFlushEvery, and all three leave in one frame. A leaf's ack waits the
+// hold like any ack this node creates.
 func TestAckLeafFirst(t *testing.T) {
 	met := obs.New()
-	_, c, tp := frozenCluster(t, 60, 9, Options{Obs: met})
+	_, c, tp := frozenCluster(t, 60, 9, Options{Obs: met, RetryBase: 40 * time.Millisecond})
 	relay := c.Nodes[5]
 	pub := relay.links()[0]
 	far := strangers(c, relay, 2, pub)
@@ -576,17 +596,19 @@ func TestAckLeafFirst(t *testing.T) {
 		}}
 	}
 
-	// Two levels: the relay forwards, so its ack waits.
+	// Two levels: the relay forwards, and its children's acks come back.
+	now := time.Now()
 	publish(1, int32(far[0]), int32(far[1]))
 	relay.handle(ackOf(far[0], 1))
 	relay.handle(ackOf(far[1], 1))
+	relay.flushAcks(now)
 	if acks := tp.take(wire.KindAckBatch); len(acks) != 0 {
 		t.Fatalf("%d ack frames left before the wheel fired", len(acks))
 	}
-	relay.flushAcks()
+	relay.flushAcks(time.Now().Add(ackFlushEvery))
 	acks := tp.take(wire.KindAckBatch)
 	if len(acks) != 1 || acks[0].hop != int32(pub) || len(acks[0].m.Acks) != 3 {
-		t.Fatalf("after the wheel fired: %d ack frames, want one to %d with three entries: %+v", len(acks), pub, acks)
+		t.Fatalf("after the relay window: %d ack frames, want one to %d with three entries: %+v", len(acks), pub, acks)
 	}
 	for i, from := range []overlay.PeerID{relay.id, far[0], far[1]} {
 		if e := acks[0].m.Acks[i]; e.From != int32(from) || e.Dest != int32(pub) || e.Seq != 1 {
@@ -597,27 +619,23 @@ func TestAckLeafFirst(t *testing.T) {
 		t.Errorf("a relayed entry kept TTL %d, want 29", e.TTL)
 	}
 
-	// A leaf: nothing forwarded, nothing to wait for.
+	// A leaf: nothing forwarded, and its ack still waits the hold.
+	now = time.Now()
 	publish(2)
+	relay.flushAcks(now.Add(ackFlushEvery))
+	if acks := tp.take(wire.KindAckBatch); len(acks) != 0 {
+		t.Fatalf("a leaf's ack left before the hold: %+v", acks)
+	}
+	relay.flushAcks(time.Now().Add(relay.ackHold()))
 	acks = tp.take(wire.KindAckBatch)
 	if len(acks) != 1 || len(acks[0].m.Acks) != 1 || acks[0].m.Acks[0].Seq != 2 {
-		t.Fatalf("a leaf's ack did not leave at once: %+v", acks)
+		t.Fatalf("a leaf's ack did not leave at the hold: %+v", acks)
 	}
-	if got := met.Get(obs.CAckLeafFlush); got != 1 {
-		t.Errorf("ack_leaf_flush = %d, want 1", got)
+	if got := met.Get(obs.CAckLeafFlush); got != 0 {
+		t.Errorf("ack_leaf_flush = %d, want 0", got)
 	}
-
-	// Paused between buffering and flush: the acks die with the pause.
-	publish(3, int32(far[0]))
-	relay.Pause()
-	relay.flushAcks()
-	relay.Resume()
-	relay.flushAcks()
-	if acks := tp.take(wire.KindAckBatch); len(acks) != 0 {
-		t.Fatalf("a paused node sent %d ack frames", len(acks))
-	}
-	if sent, batches := met.Get(obs.CAckCoalesced), met.Get(obs.CAckBatchSent); sent != 5 || batches != 2 {
-		t.Errorf("ack_coalesced = %d, ack_batch_sent = %d, want 5 and 2", sent, batches)
+	if sent, batches := met.Get(obs.CAckCoalesced), met.Get(obs.CAckBatchSent); sent != 4 || batches != 2 {
+		t.Errorf("ack_coalesced = %d, ack_batch_sent = %d, want 4 and 2", sent, batches)
 	}
 }
 
@@ -658,7 +676,7 @@ func TestAckBounceSplitHorizon(t *testing.T) {
 		for _, f := range pending {
 			visits[f.hop]++
 			c.Nodes[f.hop].handle(f.m)
-			c.Nodes[f.hop].flushAcks()
+			c.Nodes[f.hop].flushAcks(time.Now().Add(ackFlushEvery))
 		}
 		pending = tp.take(wire.KindAckBatch)
 	}
@@ -682,7 +700,7 @@ func TestAckBounceSplitHorizon(t *testing.T) {
 	lone.shortSucc, lone.shortPred, lone.longOut, lone.longIn = x.id, -1, nil, nil
 	inject.From, inject.To = int32(x.id), int32(origin)
 	lone.handle(inject)
-	lone.flushAcks()
+	lone.flushAcks(time.Now().Add(ackFlushEvery))
 	if acks := tp.take(wire.KindAckBatch); len(acks) != 0 || met.Get(obs.CAckBounceDrop) < 1 {
 		t.Errorf("an ack with no way on but back: %d frames sent, ack_bounce_drop = %d", len(acks), met.Get(obs.CAckBounceDrop))
 	}
@@ -941,8 +959,8 @@ func pinAllocs(t *testing.T, tr *discard, what string, sends bool, f func()) {
 // TestFanOutAllocPins holds the send side to its allocation budget: every
 // frame leaves through one send path, whatever the transport, and none of
 // the hot senders allocates for it — routing a frame's destinations, the
-// publisher's fan-out, a leaf ack, a timed ack flush, a pong, a heartbeat
-// sweep and a topic tree copy.
+// publisher's fan-out, an ack sent at once, a timed ack flush, an ack
+// riding another frame, a pong, a heartbeat sweep and a topic tree copy.
 func TestFanOutAllocPins(t *testing.T) {
 	const n, seed = 120, 2
 	g, c, tr := discardCluster(t, n, seed)
@@ -983,11 +1001,17 @@ func TestFanOutAllocPins(t *testing.T) {
 	}
 
 	ack := wire.AckEntry{Kind: wire.KindAck, From: int32(pub), Dest: int32(subs[0]), Pub: int32(subs[0]), Seq: 1, TTL: 32}
-	pin("an ack flushed at once", func() { nd.queueAck(ack, true) })
+	pin("an ack sent at once", func() { nd.bufferAck(subs[0], ack, 0) })
 	pin("two acks and a timed flush", func() {
-		nd.queueAck(ack, false)
-		nd.queueAck(ack, false)
-		nd.flushAcks()
+		nd.queueAck(ack, 0)
+		nd.queueAck(ack, 0)
+		nd.flushAcks(time.Now().Add(nd.ackHold()))
+	})
+	// A held ack riding the next frame to its hop.
+	ridePing := &wire.Message{Kind: wire.KindPing, From: int32(pub), To: int32(subs[0]), Seq: 9}
+	pin("an ack riding a ping", func() {
+		nd.queueAck(ack, 0)
+		nd.send(int32(subs[0]), ridePing)
 	})
 	// A pong and the ring lists it piggybacks are one frame.
 	ping := &wire.Message{Kind: wire.KindPing, From: int32(subs[0]), To: int32(pub), Seq: 9}
@@ -1061,4 +1085,21 @@ func TestMaintainAllocPins(t *testing.T) {
 		nd.handleExchangeReply(&changed)
 		nd.handleExchangeReply(same)
 	})
+}
+
+// TestLinkCMAAllocPin: a link's availability average lives in the node's
+// map by value, so forgetting a link — as a Leave or a dead eviction does
+// — and observing it again, which a new link's first heartbeat does,
+// allocates nothing.
+func TestLinkCMAAllocPin(t *testing.T) {
+	g, c, tr := discardCluster(t, 60, 2)
+	nd := c.Nodes[topDegree(g)]
+	q := nd.links()[0]
+	pinAllocs(t, tr, "a link dropped and observed again", false, func() {
+		delete(nd.cma, q)
+		nd.observe(q, true)
+	})
+	if cma := nd.cma[q]; cma.Samples() != 1 {
+		t.Errorf("the re-observed link holds %d samples, want 1", cma.Samples())
+	}
 }

@@ -131,7 +131,7 @@ const (
 	CStrengthClamped  // out-of-range exchange mutual counts detected (hardened: rejected)
 
 	// node/transport: frame-economy fast path (DESIGN.md §15).
-	CAckBatchSent      // KindAckBatch frames flushed to a next hop
+	CAckBatchSent      // frames that carried ack entries to a next hop: KindAckBatch frames and piggyback carriers
 	CAckCoalesced      // individual ack entries carried inside batches
 	CAckTTLDrop        // batched routed-ack entries expired in relay
 	CHeartbeatSuppress // heartbeat pings skipped: data traffic already proved liveness
@@ -157,8 +157,9 @@ const (
 	// node: tree dissemination and the one ack path (DESIGN.md §10.3, §15.1).
 	CPublishFrame         // KindPublish frames emitted by the fan-out, publisher and relays (publish_sent, publish_forwarded and retry_sent count copies)
 	CPublishDestMalformed // KindPublish or KindInboxDeposit frames whose destination list was over the cap or out of range (dropped), KindPublish frames that named a peer twice (served once)
-	CAckLeafFlush         // acks flushed at once: their handler forwarded nothing onward
+	CAckLeafFlush         // ack entries sent at once: something waits on them (acceptances, deposit and replay acks)
 	CAckBounceDrop        // relayed acks dropped: the only way on was the peer they came from
+	CAckPiggyback         // ack entries that left on a frame of another kind going to their hop
 
 	// node: which rule of the routing pass chose the next hop, one count
 	// per destination of a publish frame or ack batch (DESIGN.md §10.3);
@@ -290,6 +291,7 @@ var counterNames = [numCounters]string{
 	CPublishDestMalformed: "publish_dest_malformed",
 	CAckLeafFlush:         "ack_leaf_flush",
 	CAckBounceDrop:        "ack_bounce_drop",
+	CAckPiggyback:         "ack_piggyback",
 
 	CRouteDirect:         "route_direct",
 	CRouteLookahead:      "route_lookahead",

@@ -359,9 +359,9 @@ func (r *Report) String() string {
 		// first sends, relayed and retried — a publish frame carried, and
 		// what the ack path did with the answers (§15.1).
 		copies := c["publish_sent"] + c["publish_forwarded"] + c["retry_sent"]
-		fmt.Fprintf(&b, "tree dissemination: %d copies in %d publish frames (%.2f per frame), %d malformed lists; acks: %d in %d frames, %d flushed at once, %d bounce drops, %d ttl drops\n",
+		fmt.Fprintf(&b, "tree dissemination: %d copies in %d publish frames (%.2f per frame), %d malformed lists; acks: %d in %d frames, %d sent at once, %d rode other frames, %d bounce drops, %d ttl drops\n",
 			copies, c["publish_frame"], float64(copies)/float64(c["publish_frame"]), c["publish_dest_malformed"],
-			c["ack_coalesced"], c["ack_batch_sent"], c["ack_leaf_flush"], c["ack_bounce_drop"], c["ack_ttl_drop"])
+			c["ack_coalesced"], c["ack_batch_sent"], c["ack_leaf_flush"], c["ack_piggyback"], c["ack_bounce_drop"], c["ack_ttl_drop"])
 	}
 	if c := r.Obs.Counters; c["route_direct"]+c["route_lookahead"]+c["route_greedy"]+c["route_walk"] > 0 {
 		// Which rule of the routing pass chose the next hops of publication
