@@ -30,21 +30,18 @@ var cadenceResetCounter = [selectcore.NumCadenceEvents]obs.Counter{
 	selectcore.CadenceLink:       obs.CCadenceResetLink,
 	selectcore.CadenceRing:       obs.CCadenceResetRing,
 	selectcore.CadenceMembership: obs.CCadenceResetMembership,
-	selectcore.CadenceGossipNews: obs.CCadenceResetGossipNews,
 	selectcore.CadenceRetry:      obs.CCadenceResetRetry,
 }
 
 // cadenceEvent records that something in the node's neighbourhood
-// changed: the timers the event concerns drop to their base interval,
-// and one that was backed off is pulled in to its next base-grid point.
+// changed: both timers drop to their base interval, and one that was
+// backed off is pulled in to its next base-grid point.
 func (n *Node) cadenceEvent(ev selectcore.CadenceEvent) {
 	n.cfg.Obs.Inc(cadenceResetCounter[ev])
-	if ev.ResetsHeartbeat() {
-		// Whatever the pulled-in fire finds, it is a sweep of its own, not
-		// the fold point of the backed-off one before it.
-		n.hbFold = false
-		n.resetTimer(&n.hb)
-	}
+	// Whatever the pulled-in heartbeat fire finds, it is a sweep of its
+	// own, not the fold point of the backed-off one before it.
+	n.hbFold = false
+	n.resetTimer(&n.hb)
 	n.resetTimer(&n.gs)
 }
 

@@ -60,7 +60,8 @@ type Options struct {
 	// (DESIGN.md §15.2). 0 disables heartbeats.
 	HeartbeatEvery time.Duration
 	// GossipEvery is the base interval of the Algorithm-3 exchange,
-	// backed off the same way while exchanges bring no news (0 disables).
+	// backed off the same way while the node's own links, ring and
+	// membership stay put (0 disables).
 	GossipEvery time.Duration
 	// MaintainEvery is the live maintenance interval — join retries,
 	// short-link refresh, Algorithm-2 identifier moves and Algorithm-5/6

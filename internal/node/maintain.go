@@ -110,7 +110,7 @@ func (n *Node) handleJoinRequest(m *wire.Message) {
 // handleJoinReply completes the join: adopt the assigned position, enter
 // the ring, seed the ring view from the inviter's successor/predecessor
 // lists (the inviter prepends itself, so at minimum the view holds it),
-// take the inviter's links as lookahead seed, and announce the new
+// learn the inviter's links from its table, and announce the new
 // identifier to member friends and seed contacts.
 func (n *Node) handleJoinReply(m *wire.Message) {
 	if n.dir.isMember(n.id) {
@@ -121,12 +121,11 @@ func (n *Node) handleJoinReply(m *wire.Message) {
 	prevPos := n.dir.position(n.id) // pre-crash identifier; inbox deposits live clockwise of it
 	n.dir.setPosition(n.id, pos)
 	n.dir.setMember(n.id, true)
-	contacts := slices.Clone(m.RoutingTable)
 	n.joined = true
 	n.wantJoin = false
 	n.joinNext = time.Time{}
 	n.joinAttempt = 0
-	n.lookahead[from] = contacts
+	n.learnLinks(from, m.RoutingTable)
 	n.learnPiggyback(pos, m)
 	n.cadenceEvent(selectcore.CadenceMembership)
 	close(n.joinedCh)
@@ -136,7 +135,7 @@ func (n *Node) handleJoinReply(m *wire.Message) {
 			dests = append(dests, f)
 		}
 	}
-	for _, q := range contacts {
+	for _, q := range m.RoutingTable {
 		if q != n.id && n.dir.isMember(q) {
 			dests = append(dests, q)
 		}
@@ -494,6 +493,7 @@ func (n *Node) relink() {
 			v := friends[i]
 			if v != keep && n.inLongOut(v) && bitmapHas(keepBM, int(i)) {
 				n.removeLongOut(v)
+				n.cadenceEvent(selectcore.CadenceLink)
 				n.cfg.Obs.Inc(obs.CLinkDrop)
 				send(wire.KindLinkDrop, v)
 			}

@@ -18,8 +18,9 @@
 //   - the peer-sampling exchange (Algorithms 3–4): nodes periodically send
 //     their neighborhood and routing table to a random friend and receive
 //     the mutual-friend count — from which they learn social strength —
-//     and the friend's link bitmap over their neighborhood, which feeds
-//     the LSH link reassignment;
+//     and the friend's routing table; each end reads the other's link
+//     bitmap over its own neighborhood from the table it receives, which
+//     feeds the LSH link reassignment;
 //   - live maintenance (Algorithms 1–2, 5–6): joins are placed next to
 //     their inviter, identifiers periodically move to the midpoint of the
 //     two strongest friends, and long-range links are rebuilt from LSH
@@ -89,8 +90,8 @@ type Node struct {
 	// the frames built in them: node-owned, so that a frame built on a
 	// handler's stack costs no allocation when it goes through the
 	// interface call (DESIGN.md §15.1). linkList is R_p as an exchange, its
-	// reply or a join reply carries it, bitmap a reply's friendship bitmap,
-	// announce the destinations of an IDAnnounce.
+	// reply or a join reply carries it, bitmap the friendship bitmap
+	// learnLinks derives, announce the destinations of an IDAnnounce.
 	out      wire.Message
 	claims   ringClaims
 	group    [wire.MaxPublishDests]int32
@@ -123,9 +124,10 @@ type Node struct {
 	mtick   uint32
 	// Learned social state (Algorithm 3–4): strength[i] is the tie to
 	// C_p[i], -1 until an exchange reply carried its mutual count;
-	// bitmaps[f] is f's link bitmap over C_p from the latest reply, kept
-	// in the storage of the one before. feedTopics[i] is UserTopic(C_p[i]),
-	// named once for every delivery of that friend's feed.
+	// bitmaps[f] is f's link bitmap over C_p, derived from the latest
+	// routing table f sent (learnLinks) and kept in the storage of the one
+	// before. feedTopics[i] is UserTopic(C_p[i]), named once for every
+	// delivery of that friend's feed.
 	strength   []float64
 	bitmaps    map[overlay.PeerID][]uint64
 	fidx       map[overlay.PeerID]int
@@ -138,8 +140,9 @@ type Node struct {
 	// by recvOrder (dedupWindow).
 	received  map[msgID]uint8
 	recvOrder []msgID
-	// lookahead caches neighbors' routing tables learned via ExchangeRT,
-	// each table in the storage of the one before.
+	// lookahead caches neighbors' routing tables learned from exchanges,
+	// their replies and join replies, each table in the storage of the one
+	// before.
 	lookahead map[overlay.PeerID][]overlay.PeerID
 	// cma tracks per-link availability from heartbeats, by value so that
 	// a new link costs no allocation; miss is the consecutive-miss streak
@@ -460,78 +463,65 @@ func (n *Node) links() []overlay.PeerID {
 
 // handleExchange is the passive thread of Algorithm 4: compare the
 // received neighborhood with the local one, return the mutual count and
-// the friendship bitmap over the sender's neighborhood, and cache the
-// sender's routing table as lookahead.
+// this node's routing table, and learn the sender's links from the
+// table it sent (learnLinks).
 func (n *Node) handleExchange(m *wire.Message) {
 	mine := n.g.Neighbors(n.id)
 	theirs := m.Neighborhood
 	mutual := n.liarMutual(countMutualSorted(mine, theirs), len(theirs))
-	if n.setLookahead(overlay.PeerID(m.From), m.RoutingTable) {
-		n.cadenceEvent(selectcore.CadenceGossipNews)
-	}
-	// Friendship bitmap over the SENDER's neighborhood: bit i set when
-	// their i-th friend is in our routing table, which holds at most a few
-	// links — a scan of it is cheaper than any set.
-	links := n.appendLinks(n.linkList[:0])
-	bitmap := n.bitmap[:0]
-	for i, f := range theirs {
-		if i%64 == 0 {
-			bitmap = append(bitmap, 0)
-		}
-		if slices.Contains(links, f) {
-			bitmap[i/64] |= 1 << (i % 64)
-		}
-	}
-	n.linkList, n.bitmap = links, bitmap
+	n.learnLinks(overlay.PeerID(m.From), m.RoutingTable)
+	n.linkList = n.appendLinks(n.linkList[:0])
 	n.send(m.From, &wire.Message{
 		Kind: wire.KindExchangeReply, From: int32(n.id), To: m.From, Seq: m.Seq,
 		NMutual:      int32(mutual),
-		Bitmap:       bitmap,
-		RoutingTable: links,
+		RoutingTable: n.linkList,
 	})
 }
 
 // handleExchangeReply is the active thread's learning step: the mutual
 // count yields the tie strength (selectcore.StrengthFromCounts — the
-// same formula the simulator evaluates from graph reads), the bitmap
-// feeds the Algorithm-5 link pass, and the routing table becomes
-// lookahead.
+// same formula the simulator evaluates from graph reads), and the
+// routing table the friend's lookahead and bitmap (learnLinks).
 func (n *Node) handleExchangeReply(m *wire.Message) {
 	n.cfg.Obs.Inc(obs.CGossipReply)
 	from := overlay.PeerID(m.From)
-	news := n.setLookahead(from, m.RoutingTable)
+	n.learnLinks(from, m.RoutingTable)
 	if i, ok := n.fidx[from]; ok {
 		if nm, sane := n.clampMutual(int(m.NMutual), from); sane {
-			s := selectcore.StrengthFromCounts(n.g.Degree(n.id), n.g.Degree(from), nm)
-			news = news || s != n.strength[i]
-			n.strength[i] = s
+			n.strength[i] = selectcore.StrengthFromCounts(n.g.Degree(n.id), n.g.Degree(from), nm)
 		}
-		if old, had := n.bitmaps[from]; !had || !slices.Equal(old, m.Bitmap) {
-			// The friend's links changed: whatever made it refuse a
-			// proposal may have changed with them, so it may be asked again
-			// now (maintain.go).
-			n.liftRefusal(from)
-			n.bitmaps[from] = append(old[:0], m.Bitmap...) // m is recycled on return
-			news = true
-		}
-	}
-	if news {
-		n.cadenceEvent(selectcore.CadenceGossipNews)
 	}
 	n.exchanges++
 }
 
-// setLookahead caches q's routing table and reports whether that
-// changed anything — a quiet neighbourhood re-sends the table it sent
-// last time, which costs neither a copy nor a cadence reset. A changed
-// table is copied into the storage of the one it replaces.
-func (n *Node) setLookahead(q overlay.PeerID, rt []int32) bool {
-	old, had := n.lookahead[q]
-	if had && slices.Equal(old, rt) {
-		return false
+// learnLinks takes in q's routing table, whichever frame carried it (an
+// exchange, its reply, a join reply): it becomes q's lookahead and, for a
+// friend, yields Algorithm 4's friendship bitmap — bit i set when this
+// node's i-th friend is in the table — which no frame carries (DESIGN.md
+// §15.2). A changed bitmap means q's links changed, and whatever made q
+// refuse a proposal may have changed with them (maintain.go). None of it
+// is a cadence event: it changes what this node knows, not what its own
+// exchanges carry. Both are copied into the storage of what they replace,
+// since rt is recycled with its frame.
+func (n *Node) learnLinks(q overlay.PeerID, rt []int32) {
+	n.lookahead[q] = append(n.lookahead[q][:0], rt...)
+	if _, ok := n.fidx[q]; !ok {
+		return
 	}
-	n.lookahead[q] = append(old[:0], rt...)
-	return true
+	bm := n.bitmap[:0]
+	for i, f := range n.g.Neighbors(n.id) {
+		if i%64 == 0 {
+			bm = append(bm, 0)
+		}
+		if slices.Contains(rt, f) {
+			bm[i/64] |= 1 << (i % 64)
+		}
+	}
+	n.bitmap = bm
+	if old, had := n.bitmaps[q]; !had || !slices.Equal(old, bm) {
+		n.liftRefusal(q)
+		n.bitmaps[q] = append(old[:0], bm...)
+	}
 }
 
 // sendExchange is the active thread of Algorithm 3: draw the next social

@@ -16,8 +16,9 @@ import (
 // TestLinkProposalRefusalBackoff pins the refusal memory (DESIGN.md
 // §8.2): a target whose incoming cap is full is proposed to on the
 // doubling schedule — maintain ticks 1, 3, 7, ... with gaps 2, 4, ...,
-// 128, 128 — instead of every tick; a change of the target's bitmap
-// lifts the wait at once, and its accept clears the memory.
+// 128, 128 — instead of every tick; a change of the target's links — a
+// routing table that changes the bitmap derived from it — lifts the wait
+// at once, and its accept clears the memory.
 func TestLinkProposalRefusalBackoff(t *testing.T) {
 	met := obs.New()
 	opts := quietOpts()
@@ -40,7 +41,16 @@ func TestLinkProposalRefusalBackoff(t *testing.T) {
 			}
 		}
 	})
-	// The proposer knows one candidate: u.
+	// The proposer knows one candidate: u. linksTo is a routing table of u
+	// that names the proposer's friends at indexes is.
+	friends := g.Neighbors(a.id)
+	linksTo := func(is ...int) []int32 {
+		var rt []int32
+		for _, i := range is {
+			rt = append(rt, int32(friends[i]))
+		}
+		return rt
+	}
 	a.do(func() {
 		a.longOut = nil
 		a.pendingOut = make(map[overlay.PeerID]bool)
@@ -77,12 +87,13 @@ func TestLinkProposalRefusalBackoff(t *testing.T) {
 		t.Fatalf("link_proposal_refused = %d, want %d", got, len(want))
 	}
 
-	// The target's links changed (its bitmap did): ask again right away.
-	// Still full, it refuses, and the back-off resumes at the ceiling
-	// instead of climbing from two periods again.
+	// The target's links changed (the table it replied with names a friend
+	// it did not): ask again right away. Still full, it refuses, and the
+	// back-off resumes at the ceiling instead of climbing from two periods
+	// again.
 	a.do(func() {
 		a.handle(&wire.Message{
-			Kind: wire.KindExchangeReply, From: int32(u), To: int32(a.id), Bitmap: []uint64{1},
+			Kind: wire.KindExchangeReply, From: int32(u), To: int32(a.id), RoutingTable: linksTo(1),
 		})
 	})
 	if !tick() {
@@ -99,7 +110,7 @@ func TestLinkProposalRefusalBackoff(t *testing.T) {
 	target.do(func() { target.longIn = target.longIn[:0] })
 	a.do(func() {
 		a.handle(&wire.Message{
-			Kind: wire.KindExchangeReply, From: int32(u), To: int32(a.id), Bitmap: []uint64{3},
+			Kind: wire.KindExchangeReply, From: int32(u), To: int32(a.id), RoutingTable: linksTo(1, 2),
 		})
 	})
 	if !tick() {

@@ -23,24 +23,39 @@ func scribble(b []byte) {
 	}
 }
 
-// TestExchangeReplyBitmapIsCopied: the friendship bitmap an exchange
-// reply carries stays in n.bitmaps, the input of the Algorithm-5 pass.
-func TestExchangeReplyBitmapIsCopied(t *testing.T) {
+// TestExchangeLearningIsCopied: the routing table an exchange or its
+// reply carries stays in n.lookahead, and the bitmap derived from it in
+// n.bitmaps — the input of the routing pass and of the Algorithm-5 pass —
+// on either end of the exchange; and the bitmap is not the node storage
+// it was derived in, which the next friend's table overwrites.
+func TestExchangeLearningIsCopied(t *testing.T) {
 	g, c, _ := frozenCluster(t, 30, 5, Options{})
 	a := c.Nodes[topDegree(g)]
-	f := g.Neighbors(a.id)[0]
-	delete(a.bitmaps, f)
-	m := &wire.Message{
-		Kind: wire.KindExchangeReply, From: int32(f), To: int32(a.id), NMutual: 1,
-		Bitmap: []uint64{0x5A5A, 0x0F0F},
-	}
-	want := slices.Clone(m.Bitmap)
-	a.handle(m)
-	for i := range m.Bitmap {
-		m.Bitmap[i] = ^uint64(0)
-	}
-	if got := a.bitmaps[f]; !slices.Equal(got, want) {
-		t.Fatalf("the bitmap kept for %d reads %x after its frame was overwritten, want %x", f, got, want)
+	friends := g.Neighbors(a.id)
+	for _, kind := range []wire.Kind{wire.KindExchangeRT, wire.KindExchangeReply} {
+		f := friends[0]
+		delete(a.bitmaps, f)
+		delete(a.lookahead, f)
+		m := &wire.Message{
+			Kind: kind, From: int32(f), To: int32(a.id), NMutual: 1,
+			Neighborhood: g.Neighbors(f), RoutingTable: []int32{int32(friends[1]), int32(friends[2])},
+		}
+		wantRT := slices.Clone(m.RoutingTable)
+		wantBM := replyBitmap(friends, wantRT)
+		a.handle(m)
+		for i := range m.RoutingTable {
+			m.RoutingTable[i] = int32(friends[3])
+		}
+		a.handle(&wire.Message{
+			Kind: kind, From: int32(friends[1]), To: int32(a.id), NMutual: 1,
+			Neighborhood: g.Neighbors(friends[1]), RoutingTable: []int32{int32(friends[3])},
+		})
+		if got := a.lookahead[f]; !slices.Equal(got, wantRT) {
+			t.Fatalf("%v: the table kept for %d reads %v after its frame was overwritten, want %v", kind, f, got, wantRT)
+		}
+		if got := a.bitmaps[f]; !slices.Equal(got, wantBM) {
+			t.Fatalf("%v: the bitmap kept for %d reads %x after its frame was overwritten, want %x", kind, f, got, wantBM)
+		}
 	}
 }
 

@@ -1034,8 +1034,10 @@ func TestFanOutAllocPins(t *testing.T) {
 // TestMaintainAllocPins holds the control plane to the same budget: on a
 // node that has learned every friend's strength and bitmap, a maintain
 // round that moves nothing and changes no link, an exchange sent, one
-// answered, a reply that brings nothing new and replies that change the
-// bitmap and the lookahead they store allocate nothing (DESIGN.md §15.1).
+// answered, exchanges answered that change the sender's table, a reply
+// that brings nothing new and replies that change the table — and with
+// it the lookahead and the bitmap they store — allocate nothing
+// (DESIGN.md §15.1).
 func TestMaintainAllocPins(t *testing.T) {
 	const n, seed = 120, 2
 	g, c, tr := discardCluster(t, n, seed)
@@ -1070,18 +1072,27 @@ func TestMaintainAllocPins(t *testing.T) {
 
 	f := friends[0]
 	rt := c.Nodes[f].links()
+	// other is a table of f's that names different friends of nd's, so
+	// that the bitmap derived from it differs too.
+	other := []int32{int32(friends[1]), int32(friends[2])}
+	if slices.Equal(replyBitmap(friends, rt), replyBitmap(friends, other)) {
+		t.Fatalf("tables %v and %v name the same friends of %d", rt, other, nd.id)
+	}
 	ex := &wire.Message{Kind: wire.KindExchangeRT, From: int32(f), To: int32(nd.id), Seq: 1,
 		Neighborhood: g.Neighbors(f), RoutingTable: rt}
 	pinAllocs(t, tr, "an exchange answered", true, func() { nd.handleExchange(ex) })
-	bm := slices.Clone(nd.bitmaps[f])
+	exChanged := *ex
+	exChanged.RoutingTable = other
+	pinAllocs(t, tr, "exchanges answered that change the table", true, func() {
+		nd.handleExchange(&exChanged)
+		nd.handleExchange(ex)
+	})
 	same := &wire.Message{Kind: wire.KindExchangeReply, From: int32(f), To: int32(nd.id), Seq: 2,
-		NMutual: 1, Bitmap: bm, RoutingTable: rt}
+		NMutual: 1, RoutingTable: rt}
 	pinAllocs(t, tr, "a reply with nothing new", false, func() { nd.handleExchangeReply(same) })
 	changed := *same
-	changed.Bitmap = slices.Clone(bm)
-	changed.Bitmap[0] ^= 1
-	changed.RoutingTable = rt[1:]
-	pinAllocs(t, tr, "replies that change the bitmap and the lookahead", false, func() {
+	changed.RoutingTable = other
+	pinAllocs(t, tr, "replies that change the table, its bitmap and the lookahead", false, func() {
 		nd.handleExchangeReply(&changed)
 		nd.handleExchangeReply(same)
 	})

@@ -145,7 +145,6 @@ const (
 	CCadenceResetLink       // a long link was accepted, dropped or evicted
 	CCadenceResetRing       // a ring head changed or the node moved its own identifier
 	CCadenceResetMembership // IDAnnounce/JoinRequest/JoinReply/Leave handled, or a departed peer pruned
-	CCadenceResetGossipNews // an exchange changed a strength, bitmap or lookahead entry
 	CCadenceResetRetry      // a publication reached its second consecutive retry
 	CHeartbeatSweep         // heartbeat sweeps run
 	CHeartbeatSweepBase     // ...of which at the base interval (level 0)
@@ -278,7 +277,6 @@ var counterNames = [numCounters]string{
 	CCadenceResetLink:       "cadence_reset_link",
 	CCadenceResetRing:       "cadence_reset_ring",
 	CCadenceResetMembership: "cadence_reset_membership",
-	CCadenceResetGossipNews: "cadence_reset_gossip_news",
 	CCadenceResetRetry:      "cadence_reset_retry",
 	CHeartbeatSweep:         "heartbeat_sweep",
 	CHeartbeatSweepBase:     "heartbeat_sweep_base",

@@ -9,9 +9,12 @@ import "time"
 // machine — no clock, no randomness — so the table test pins exactly
 // when a node may go quiet and what wakes it.
 
-// CadenceEvent names what woke a node's control plane up. Every event
-// drops the affected timers to the base interval; the runtime counts
-// them by cause (obs cadence_reset_*).
+// CadenceEvent names what woke a node's control plane up: a change in its
+// own links, ring or liveness evidence. Every event drops both timers to
+// the base interval; the runtime counts them by cause (obs
+// cadence_reset_*). What an exchange teaches a node — a friend's tie
+// strength, bitmap or routing table — is no event: it changes what the
+// node knows, never what its own exchanges carry.
 type CadenceEvent uint8
 
 // Cadence events.
@@ -29,20 +32,12 @@ const (
 	// CadenceMembership: an IDAnnounce, JoinRequest, JoinReply or Leave was
 	// handled, or a departed peer was pruned from the routing state.
 	CadenceMembership
-	// CadenceGossipNews: an exchange changed a learned strength, bitmap or
-	// lookahead entry.
-	CadenceGossipNews
 	// CadenceRetry: a publication reached its second consecutive retry —
 	// the data path asks for a probe now.
 	CadenceRetry
 
 	NumCadenceEvents
 )
-
-// ResetsHeartbeat reports whether e concerns liveness: every event but
-// gossip news does. News about a friend's links or tie strength makes
-// the next exchanges worth having, not the next pings.
-func (e CadenceEvent) ResetsHeartbeat() bool { return e != CadenceGossipNews }
 
 const (
 	// CadenceMaxLevel caps the back-off: a fully calm node probes and

@@ -50,9 +50,6 @@ func TestCadenceRuleTable(t *testing.T) {
 		{"two events in one round cost one round", hb, seq(event(CadenceMiss), event(CadenceDetector), rounds(3)), 1},
 		{"gossip: one full quiet sampler pass raises a level", gs, rounds(1), 1},
 		{"gossip: cap after three passes", gs, rounds(3), CadenceMaxLevel},
-		{"gossip: a pass with news in it does not count", gs, seq(event(CadenceGossipNews), rounds(1)), 0},
-		{"gossip: the pass after it does", gs, seq(event(CadenceGossipNews), rounds(2)), 1},
-		{"gossip: news at the cap drops to base", gs, seq(rounds(3), event(CadenceGossipNews)), 0},
 	}
 	for _, tc := range cases {
 		var c Cadence
@@ -70,8 +67,8 @@ func TestCadenceRuleTable(t *testing.T) {
 }
 
 // TestCadenceEveryEventResets drives each listed cause against a node at
-// the cap: all of them reset gossip, all but gossip news reset the
-// heartbeat, and the interval is base<<level throughout.
+// the cap: every one of them drops the timer to base, and the interval is
+// base<<level throughout.
 func TestCadenceEveryEventResets(t *testing.T) {
 	const base = 200 * time.Millisecond
 	var capped Cadence
@@ -84,9 +81,6 @@ func TestCadenceEveryEventResets(t *testing.T) {
 	for ev := CadenceEvent(0); ev < NumCadenceEvents; ev++ {
 		if got := capped.Event(); got.Level() != 0 || got.Interval(base) != base {
 			t.Errorf("event %d left level %d, interval %v", ev, got.Level(), got.Interval(base))
-		}
-		if want := ev != CadenceGossipNews; ev.ResetsHeartbeat() != want {
-			t.Errorf("event %d: ResetsHeartbeat = %v, want %v", ev, !want, want)
 		}
 	}
 }

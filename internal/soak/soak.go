@@ -194,6 +194,9 @@ type Report struct {
 	// FramesPerDelivered is total transport sends per delivered
 	// notification — the frame-economy figure of merit (DESIGN.md §15).
 	FramesPerDelivered float64 `json:"frames_per_delivered_msg"`
+	// RunSeconds is the wall time from the cluster's start to the counter
+	// snapshot.
+	RunSeconds float64 `json:"run_s"`
 
 	// Offline-subscriber arm (OfflineFrac > 0): OfflineCount peers were
 	// crashed through the whole workload and rejoined after it.
@@ -335,6 +338,7 @@ type ConfigSummary struct {
 	TopicZipf     float64 `json:"topic_zipf,omitempty"`
 	Attack        string  `json:"attack,omitempty"`
 	Defenses      bool    `json:"defenses,omitempty"`
+	GossipEveryMS float64 `json:"gossip_every_ms,omitempty"`
 }
 
 // String renders the report like the repo's other experiment harnesses.
@@ -375,10 +379,17 @@ func (r *Report) String() string {
 		// How quiet the control plane got, and what kept it awake
 		// (DESIGN.md §15.2): under loss or churn nearly every sweep should
 		// run at the base interval, in a calm cluster nearly none.
-		fmt.Fprintf(&b, "liveness cadence: %d/%d heartbeat sweeps at the base interval (%.1f%%); resets: miss=%d detector=%d link=%d ring=%d membership=%d gossip_news=%d retry=%d\n",
+		fmt.Fprintf(&b, "liveness cadence: %d/%d heartbeat sweeps at the base interval (%.1f%%); resets: miss=%d detector=%d link=%d ring=%d membership=%d retry=%d\n",
 			c["heartbeat_sweep_base"], c["heartbeat_sweep"], 100*float64(c["heartbeat_sweep_base"])/float64(c["heartbeat_sweep"]),
 			c["cadence_reset_miss"], c["cadence_reset_detector"], c["cadence_reset_link"], c["cadence_reset_ring"],
-			c["cadence_reset_membership"], c["cadence_reset_gossip_news"], c["cadence_reset_retry"])
+			c["cadence_reset_membership"], c["cadence_reset_retry"])
+	}
+	if c := r.Obs.Counters; c["gossip_sent"] > 0 && r.Config.GossipEveryMS > 0 {
+		// The gossip back-off in every arm: exchanges per peer per second
+		// against what a cluster that never backs off sends (§15.2).
+		rate, base := float64(c["gossip_sent"])/(float64(r.Config.N)*r.RunSeconds), 1000/r.Config.GossipEveryMS
+		fmt.Fprintf(&b, "gossip: %d exchanges in %.1fs, %.2f per node-second (%.2f at the base interval, %.1f%%); %d link proposals\n",
+			c["gossip_sent"], r.RunSeconds, rate, base, 100*rate/base, c["link_proposal"])
 	}
 	if r.OfflineCount > 0 {
 		fmt.Fprintf(&b, "offline subscribers: %d crashed through workload; after rejoin replay %d/%d owed = %.2f%% (all subscribers %d/%d = %.2f%%, %d app-level duplicates)\n",
@@ -547,6 +558,7 @@ func Run(cfg Config) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
+	started := time.Now()
 	defer func() {
 		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 		defer cancel()
@@ -1082,6 +1094,7 @@ func Run(cfg Config) (*Report, error) {
 			OfflineFrac: cfg.OfflineFrac, Inbox: cfg.Inbox,
 			Topics: cfg.Topics, TopicZipf: cfg.TopicZipf,
 			Attack: attackKind.String(), Defenses: cfg.Defenses,
+			GossipEveryMS: float64(nopts.GossipEvery) / float64(time.Millisecond),
 		},
 		Posts: cfg.Posts, Wanted: wanted, Delivered: delivered,
 		EligibleWanted: eligibleWanted, EligibleDelivered: eligibleDelivered,
@@ -1102,6 +1115,7 @@ func Run(cfg Config) (*Report, error) {
 		Retries:          met.Get(obs.CRetrySent),
 		DeadLetters:      met.Get(obs.CDeadLetter),
 		Obs:              snap,
+		RunSeconds:       time.Since(started).Seconds(),
 	}
 	if delivered > 0 {
 		r.FramesPerDelivered = float64(met.Get(obs.CTransportSend)) / float64(delivered)

@@ -223,7 +223,10 @@ type Message struct {
 	Neighborhood []int32
 	RoutingTable []int32
 
-	// ExchangeReply: the mutual count and the friendship bitmap words.
+	// ExchangeReply: the mutual count. Bitmap held Algorithm 4's
+	// friendship bitmap words; no node fills it now — both ends of an
+	// exchange derive the bitmap from the routing table they receive — and
+	// it stays because the frame layout is frozen.
 	NMutual int32
 	Bitmap  []uint64
 
