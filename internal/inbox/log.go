@@ -79,8 +79,10 @@ const (
 // goroutine is the only writer, so the Log itself stays lock-free; the
 // Store above it holds the lock.
 type Log struct {
-	f       *os.File
-	path    string
+	f    *os.File
+	path string
+	// tmp is where a compaction writes the journal it renames over path.
+	tmp     string
 	scratch []byte
 	// syncEvery is the fsync policy: 0 leaves flushing to the OS page
 	// cache (fastest, loses the tail on power failure), 1 fsyncs every
@@ -95,7 +97,7 @@ func OpenLog(path string, syncEvery int) (*Log, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Log{f: f, path: path, syncEvery: syncEvery}, nil
+	return &Log{f: f, path: path, tmp: path + ".compact", syncEvery: syncEvery}, nil
 }
 
 // frameRecord appends one framed record to b.
@@ -236,34 +238,44 @@ func readJournal(r io.Reader) (entries []entry, corrupt int, err error) {
 	}
 }
 
+// rewriteChunk is how many framed bytes a compaction buffers before it
+// writes them out.
+const rewriteChunk = 64 << 10
+
 // rewrite atomically replaces the journal with exactly recs (the
 // compaction step): write to a temp file, fsync, rename over the old
-// journal, reopen for appending.
+// journal, reopen for appending. The records are framed in the log's
+// scratch and written a chunk at a time.
 func (l *Log) rewrite(recs []*Record) error {
-	tmp := l.path + ".compact"
-	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
+	f, err := os.OpenFile(l.tmp, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
 	if err != nil {
 		return err
 	}
-	nl := &Log{f: f, path: tmp}
-	for _, r := range recs {
-		if err := nl.appendRecord(recDeposit, r); err != nil {
-			f.Close()
-			os.Remove(tmp)
-			return err
+	fail := func(err error) error {
+		f.Close()
+		os.Remove(l.tmp)
+		return err
+	}
+	l.scratch = l.scratch[:0]
+	for i, r := range recs {
+		l.scratch = frameRecord(l.scratch, recDeposit, r)
+		if len(l.scratch) < rewriteChunk && i < len(recs)-1 {
+			continue
 		}
+		if _, err := f.Write(l.scratch); err != nil {
+			return fail(err)
+		}
+		l.scratch = l.scratch[:0]
 	}
 	if err := f.Sync(); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return err
+		return fail(err)
 	}
 	if err := f.Close(); err != nil {
-		os.Remove(tmp)
+		os.Remove(l.tmp)
 		return err
 	}
-	if err := os.Rename(tmp, l.path); err != nil {
-		os.Remove(tmp)
+	if err := os.Rename(l.tmp, l.path); err != nil {
+		os.Remove(l.tmp)
 		return err
 	}
 	old := l.f

@@ -15,6 +15,15 @@ import (
 // disk, never memory.
 const compactEvery = 256
 
+// slotKeepBytes is the largest payload buffer a freed slot keeps for the
+// next deposit: a slot that once held a large body (Fig. 7's 1.2 MB
+// fragments) hands it back to the GC instead of pinning it. Buffers up to
+// this size are carved from chunks that double up to arenaMax.
+const (
+	slotKeepBytes = 64 << 10
+	arenaMax      = 1 << 20
+)
+
 // recKey identifies one deposit: which replica holds which publication
 // for which subscriber.
 type recKey struct {
@@ -22,33 +31,85 @@ type recKey struct {
 	seq                        uint32
 }
 
+// slot is one entry of the store's slab: a pending record whose Payload
+// and Topic are views of the slot's own buffers. A freed slot keeps its
+// buffers for the next deposit it takes; one too small for it gets a
+// larger one (Store.room).
+type slot struct {
+	rec          Record
+	payload, top []byte
+}
+
+// fifo is one priority class of a replay queue: slot indices, oldest
+// first from head. An in-order ack moves head; the storage is reused
+// once the class empties.
+type fifo struct {
+	idx  []int32
+	head int
+}
+
+func (f *fifo) live() []int32 { return f.idx[f.head:] }
+
+// remove drops slot i from the class: the head in drain order, a scan
+// otherwise (an ack out of order, or a purge).
+func (f *fifo) remove(i int32) {
+	live := f.live()
+	k := slices.Index(live, i)
+	switch {
+	case k < 0:
+		return
+	case k == 0:
+		f.head++
+	default:
+		f.idx = slices.Delete(f.idx, f.head+k, f.head+k+1)
+	}
+	if f.head == len(f.idx) {
+		f.idx, f.head = f.idx[:0], 0
+	} else if f.head > len(f.idx)/2 {
+		// Mostly consumed: slide the live tail down so the class does not
+		// creep along its storage while deposits keep arriving.
+		f.idx, f.head = f.idx[:copy(f.idx, f.idx[f.head:])], 0
+	}
+}
+
 // queue is the per-(replica,target) replay schedule: one FIFO per
 // priority class, drained High → Medium → Low.
 type queue struct {
-	classes [numPriorities][]*Record
+	classes [numPriorities]fifo
 }
 
-func (q *queue) empty() bool {
-	for _, c := range q.classes {
-		if len(c) > 0 {
-			return false
-		}
+func (q *queue) len() int {
+	n := 0
+	for i := range q.classes {
+		n += len(q.classes[i].live())
 	}
-	return true
+	return n
 }
 
 // Store is the in-memory pending index over one shard's journal. All
 // methods are safe for concurrent use (the shard goroutine is the
 // common caller, but tests and the monitor gauge read from outside).
+//
+// Pending records live in a slab indexed by slot; freed slots, and the
+// queues of targets whose inbox drained, are recycled, so the steady
+// state of deposits, replays and acks allocates nothing (DESIGN.md §15.6).
 type Store struct {
 	mu      sync.Mutex
 	log     *Log
 	met     *obs.Metrics
-	pending map[recKey]*Record
-	queues  map[[2]int32]*queue // (replica, target) → replay schedule
-	acked   int                 // acks journaled since the last compaction
-	keys    []recKey            // scratch of one ack batch
-	corrupt int64               // corrupt frames skipped at recovery
+	slots   []slot
+	free    []int32 // freed slots, reused last-freed first
+	pending map[recKey]int32
+	// queues maps (replica, target) to its replay schedule in qs; qfree
+	// lists the schedules no pair holds.
+	queues  map[[2]int32]int32
+	qs      []queue
+	qfree   []int32
+	acked   int       // acks journaled since the last compaction
+	keys    []recKey  // scratch of one ack batch
+	recs    []*Record // a compaction's list of the pending records
+	arena   []byte    // the chunk slot buffers are carved from
+	corrupt int64     // corrupt frames skipped at recovery
 }
 
 // Open opens (or creates) the journal at path and rebuilds the pending
@@ -59,25 +120,21 @@ type Store struct {
 func Open(path string, syncEvery int, met *obs.Metrics) (*Store, error) {
 	s := &Store{
 		met:     met,
-		pending: make(map[recKey]*Record),
-		queues:  make(map[[2]int32]*queue),
+		pending: make(map[recKey]int32),
+		queues:  make(map[[2]int32]int32),
 	}
 	if f, err := os.Open(path); err == nil {
 		entries, corrupt, _ := readJournal(bufio.NewReaderSize(f, 1<<16))
 		f.Close()
 		for i := range entries {
 			e := &entries[i]
-			k := keyOf(&e.rec)
 			switch e.typ {
 			case recDeposit:
-				if _, dup := s.pending[k]; dup {
-					continue
+				if _, dup := s.pending[keyOf(&e.rec)]; !dup {
+					s.insertLocked(&e.rec)
 				}
-				rec := e.rec
-				s.pending[k] = &rec
-				s.enqueueLocked(&rec)
 			case recAck:
-				s.dropLocked(k)
+				s.dropLocked(keyOf(&e.rec))
 			}
 		}
 		s.corrupt = int64(corrupt)
@@ -108,69 +165,115 @@ func keyOf(r *Record) recKey {
 	return recKey{replica: r.Replica, target: r.Target, publisher: r.Publisher, seq: r.Seq}
 }
 
-func (s *Store) enqueueLocked(r *Record) {
-	qk := [2]int32{r.Replica, r.Target}
-	q := s.queues[qk]
-	if q == nil {
-		q = &queue{}
-		s.queues[qk] = q
+func class(r *Record) uint8 {
+	if r.Priority >= numPriorities {
+		return Low
 	}
-	pri := r.Priority
-	if pri >= numPriorities {
-		pri = Low
-	}
-	q.classes[pri] = append(q.classes[pri], r)
+	return r.Priority
 }
 
-func (s *Store) dropLocked(k recKey) bool {
-	r, ok := s.pending[k]
+// insertLocked copies r, whose key the store does not hold, into a free
+// slot and queues it.
+func (s *Store) insertLocked(r *Record) {
+	var i int32
+	if n := len(s.free); n > 0 {
+		i, s.free = s.free[n-1], s.free[:n-1]
+	} else {
+		i = int32(len(s.slots))
+		s.slots = append(s.slots, slot{})
+	}
+	sl := &s.slots[i]
+	sl.rec = *r
+	if r.Payload != nil {
+		sl.payload = append(s.room(sl.payload, len(r.Payload)), r.Payload...)
+		sl.rec.Payload = sl.payload
+	}
+	if r.Topic != nil {
+		sl.top = append(s.room(sl.top, len(r.Topic)), r.Topic...)
+		sl.rec.Topic = sl.top
+	}
+	s.pending[keyOf(r)] = i
+	qk := [2]int32{r.Replica, r.Target}
+	qi, ok := s.queues[qk]
 	if !ok {
-		return false
+		if n := len(s.qfree); n > 0 {
+			qi, s.qfree = s.qfree[n-1], s.qfree[:n-1]
+		} else {
+			qi = int32(len(s.qs))
+			s.qs = append(s.qs, queue{})
+		}
+		s.queues[qk] = qi
+	}
+	c := &s.qs[qi].classes[class(r)]
+	c.idx = append(c.idx, i)
+}
+
+// room returns buf emptied, with room for n bytes: buf itself when it
+// has the room, else a buffer carved from the arena's current chunk or a
+// new one — or, for a body over slotKeepBytes, a buffer of its own.
+func (s *Store) room(buf []byte, n int) []byte {
+	switch {
+	case cap(buf) >= n:
+		return buf[:0]
+	case n > slotKeepBytes:
+		return make([]byte, 0, n)
+	case cap(s.arena)-len(s.arena) < n:
+		s.arena = make([]byte, 0, max(n, 4<<10, min(2*cap(s.arena), arenaMax)))
+	}
+	l := len(s.arena)
+	s.arena = s.arena[:l+n]
+	return s.arena[l : l : l+n]
+}
+
+// poison, when set (race builds, poison_race.go), scribbles over the
+// buffers of a slot the store frees.
+var poison func(*slot)
+
+// dropLocked removes record k, if pending, from the index and its queue
+// and frees its slot. A queue left empty is recycled.
+func (s *Store) dropLocked(k recKey) {
+	i, ok := s.pending[k]
+	if !ok {
+		return
 	}
 	delete(s.pending, k)
+	sl := &s.slots[i]
 	qk := [2]int32{k.replica, k.target}
-	if q := s.queues[qk]; q != nil {
-		pri := r.Priority
-		if pri >= numPriorities {
-			pri = Low
-		}
-		c := q.classes[pri]
-		for i, cand := range c {
-			if cand == r {
-				q.classes[pri] = append(c[:i], c[i+1:]...)
-				break
-			}
-		}
-		if q.empty() {
+	if qi, ok := s.queues[qk]; ok {
+		q := &s.qs[qi]
+		q.classes[class(&sl.rec)].remove(i)
+		if q.len() == 0 {
 			delete(s.queues, qk)
+			s.qfree = append(s.qfree, qi)
 		}
 	}
-	return true
+	// Whatever still views the record's bytes is past its contract
+	// (NextN): race builds make it read garbage.
+	if poison != nil {
+		poison(sl)
+	}
+	if cap(sl.payload) > slotKeepBytes {
+		sl.payload = nil
+	}
+	sl.rec = Record{}
+	s.free = append(s.free, i)
 }
 
 // Deposit journals and indexes one record. fresh is false when the
 // store already holds this (replica, target, publisher, seq) — the
 // publisher retried a deposit that already landed, which callers ack
-// again without re-persisting. The payload is copied; callers may reuse
-// their buffer.
+// again without re-persisting. The payload and topic are copied into the
+// store's own storage; callers may reuse their buffers.
 func (s *Store) Deposit(r Record) (fresh bool, err error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	k := keyOf(&r)
-	if _, dup := s.pending[k]; dup {
+	if _, dup := s.pending[keyOf(&r)]; dup {
 		return false, nil
-	}
-	if r.Payload != nil {
-		r.Payload = append([]byte(nil), r.Payload...)
-	}
-	if r.Topic != nil {
-		r.Topic = append([]byte(nil), r.Topic...)
 	}
 	if err := s.log.appendRecord(recDeposit, &r); err != nil {
 		return false, err
 	}
-	s.pending[k] = &r
-	s.enqueueLocked(&r)
+	s.insertLocked(&r)
 	s.met.Inc(obs.CInboxDeposit)
 	return true, nil
 }
@@ -186,7 +289,8 @@ type ID struct {
 // the pending index. Unknown records return false without journaling
 // (the subscriber acked a copy some other replica held).
 func (s *Store) Ack(replica, target, publisher int32, seq uint32) (existed bool, err error) {
-	cleared, err := s.AckMany(replica, target, []ID{{publisher, seq}})
+	id := [1]ID{{publisher, seq}}
+	cleared, err := s.AckMany(replica, target, id[:])
 	return cleared > 0, err
 }
 
@@ -231,7 +335,8 @@ func (s *Store) ackLocked(keys []recKey) (int, error) {
 
 // Next returns the record the given replica should replay next for the
 // given target: the head of the highest-priority non-empty class. The
-// record stays pending until Ack.
+// record stays pending until Ack; its Payload and Topic are valid until
+// then, as NextN's are.
 func (s *Store) Next(replica, target int32) (Record, bool) {
 	var one [1]Record
 	if out := s.NextN(one[:0], replica, target, 1, 0); len(out) == 1 {
@@ -246,18 +351,24 @@ func (s *Store) Next(replica, target int32) (Record, bool) {
 // slice: at most max records, and at most maxBytes of payload and topic
 // between them, but always the first record however large it is. The
 // records stay pending until acked, so a second call before that returns
-// the same ones; their Payload and Topic are the store's own bytes and
-// must not be written to.
+// the same ones.
+//
+// Their Payload and Topic are the store's own bytes: they must not be
+// written to, and they stay intact until the record is acked (Ack,
+// AckMany, PurgeTopic) and no longer — the slot a record leaves takes the
+// next deposit's bytes. A caller that keeps a record past its ack copies
+// them.
 func (s *Store) NextN(dst []Record, replica, target int32, max, maxBytes int) []Record {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	q := s.queues[[2]int32{replica, target}]
-	if q == nil {
+	qi, ok := s.queues[[2]int32{replica, target}]
+	if !ok {
 		return dst
 	}
 	first, bytes := len(dst), 0
-	for _, c := range q.classes {
-		for _, r := range c {
+	for c := range s.qs[qi].classes {
+		for _, i := range s.qs[qi].classes[c].live() {
+			r := &s.slots[i].rec
 			bytes += len(r.Payload) + len(r.Topic)
 			if len(dst)-first >= max || (len(dst) > first && bytes > maxBytes) {
 				return dst
@@ -268,19 +379,19 @@ func (s *Store) NextN(dst []Record, replica, target int32, max, maxBytes int) []
 	return dst
 }
 
-// PendingTargets lists the targets the given replica holds pending
-// deposits for — the input of the replica-side replay sweep that
-// catches subscribers whose claim never reached this replica.
-func (s *Store) PendingTargets(replica int32) []int32 {
+// PendingTargets appends to dst the targets the given replica holds
+// pending deposits for — the input of the replica-side replay sweep that
+// catches subscribers whose claim never reached this replica — and
+// returns the extended slice.
+func (s *Store) PendingTargets(dst []int32, replica int32) []int32 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	var out []int32
-	for k, q := range s.queues {
-		if k[0] == replica && !q.empty() {
-			out = append(out, k[1])
+	for k := range s.queues {
+		if k[0] == replica {
+			dst = append(dst, k[1])
 		}
 	}
-	return out
+	return dst
 }
 
 // PendingFor reports how many deposits the given replica holds for the
@@ -288,15 +399,11 @@ func (s *Store) PendingTargets(replica int32) []int32 {
 func (s *Store) PendingFor(replica, target int32) int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	q := s.queues[[2]int32{replica, target}]
-	if q == nil {
+	qi, ok := s.queues[[2]int32{replica, target}]
+	if !ok {
 		return 0
 	}
-	n := 0
-	for _, c := range q.classes {
-		n += len(c)
-	}
-	return n
+	return s.qs[qi].len()
 }
 
 // PurgeTopic drops every pending deposit the given replica holds for
@@ -307,14 +414,14 @@ func (s *Store) PendingFor(replica, target int32) int {
 func (s *Store) PurgeTopic(replica, target int32, topic []byte) (int, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	q := s.queues[[2]int32{replica, target}]
-	if q == nil {
+	qi, ok := s.queues[[2]int32{replica, target}]
+	if !ok {
 		return 0, nil
 	}
 	keys := s.keys[:0]
-	for _, c := range q.classes {
-		for _, r := range c {
-			if string(r.Topic) == string(topic) {
+	for c := range s.qs[qi].classes {
+		for _, i := range s.qs[qi].classes[c].live() {
+			if r := &s.slots[i].rec; string(r.Topic) == string(topic) {
 				keys = append(keys, keyOf(r))
 			}
 		}
@@ -345,14 +452,21 @@ func (s *Store) Compact() error {
 	return s.compactLocked()
 }
 
+// compactLocked rewrites the journal with the pending records, queue by
+// queue in slab order, each in drain order.
 func (s *Store) compactLocked() error {
-	recs := make([]*Record, 0, len(s.pending))
-	for _, q := range s.queues {
-		for _, c := range q.classes {
-			recs = append(recs, c...)
+	recs := s.recs[:0]
+	for qi := range s.qs {
+		for c := range s.qs[qi].classes {
+			for _, i := range s.qs[qi].classes[c].live() {
+				recs = append(recs, &s.slots[i].rec)
+			}
 		}
 	}
-	if err := s.log.rewrite(recs); err != nil {
+	err := s.log.rewrite(recs)
+	clear(recs)
+	s.recs = recs[:0]
+	if err != nil {
 		return err
 	}
 	s.acked = 0

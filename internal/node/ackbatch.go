@@ -269,7 +269,7 @@ func (n *Node) handleAcks(acks []wire.AckEntry, hop overlay.PeerID) {
 				// registration or a registry. The acceptance goes in the
 				// row, never in n.acked (pubState.accepted).
 				from := overlay.PeerID(e.From)
-				if st := n.pubs[e.Seq]; st != nil && st.setRow() && !slices.Contains(st.accepted, from) {
+				if st := n.pubs.rows[e.Seq]; st != nil && st.setRow() && !slices.Contains(st.accepted, from) {
 					st.accepted = append(st.accepted, from)
 					n.resolveAck(e.Seq)
 				}
@@ -360,15 +360,15 @@ func (n *Node) consumeAck(e wire.AckEntry, share bool) (shared int) {
 	var st *pubState
 	switch {
 	case replica:
-		st = n.pubs[rseq]
+		st = n.pubs.rows[rseq]
 	case e.Pub == int32(n.id):
-		st = n.pubs[e.Seq]
+		st = n.pubs.rows[e.Seq]
 	}
 	size := 0
 	if st != nil {
 		size = len(st.subs) // the row's destinations: every ack it waits for
 	}
-	n.ackedSet(id, size)[e.From] = true
+	n.acked.add(id, e.From, size)
 	if replica {
 		if share && st != nil {
 			for _, p := range st.peers {
@@ -401,8 +401,8 @@ func (n *Node) consumeDepositAck(pub int32, seq uint32, target int32) {
 	if !known {
 		return
 	}
-	if st := n.pubs[aseq]; st != nil {
-		if ds := st.dep[overlay.PeerID(target)]; ds != nil && !ds.acked {
+	if st := n.pubs.rows[aseq]; st != nil {
+		if ds := st.depOf(overlay.PeerID(target)); ds != nil && !ds.acked {
 			ds.acked = true
 			n.resolveAck(aseq)
 		}

@@ -108,7 +108,7 @@ func TestAckBatchRelayAndTTLDrop(t *testing.T) {
 	deadline := time.Now().Add(5 * time.Second)
 	for {
 		var consumed bool
-		dst.do(func() { consumed = dst.acked[msgID{0, 9}][2] })
+		dst.do(func() { consumed = ackedBy(&dst.acked, msgID{0, 9}, 2) })
 		if consumed {
 			break
 		}
@@ -453,7 +453,7 @@ func TestAckPiggyback(t *testing.T) {
 	c.Nodes[pub].handle(claimFrame(relay.id, pub, 2, wire.AckEntry{
 		Kind: wire.KindAck, From: int32(relay.id), Dest: int32(pub), Pub: int32(pub), Seq: 6, TTL: 8,
 	}))
-	if got := met.Get(obs.CAckReceived) - received; got != 0 || c.Nodes[pub].acked[msgID{int32(pub), 6}][int32(relay.id)] {
+	if got := met.Get(obs.CAckReceived) - received; got != 0 || ackedBy(&c.Nodes[pub].acked, msgID{int32(pub), 6}, int32(relay.id)) {
 		t.Errorf("a claim's digest was consumed as %d acks", got)
 	}
 }

@@ -475,7 +475,7 @@ func TestUnsubscribeOutlivesFramesInFlight(t *testing.T) {
 	if heard != 0 || late() != 4 || len(acks) != 1 || acks[0].Dest != int32(other) || acks[0].Seq != 6 {
 		t.Fatalf("a replay of a topic the node left: %d deliveries, topic_unsub_late = %d, acks %+v", heard, late(), acks)
 	}
-	rv.subTopics[topic] = &topicSub{}
+	rv.subTopics[topic] = &topicSub{sub: &Subscription{n: rv, topic: topic}}
 	rv.handle(replay.Clone())
 	if heard != 1 || late() != 4 {
 		t.Fatalf("a replay of a subscribed topic: %d deliveries, topic_unsub_late = %d", heard, late())

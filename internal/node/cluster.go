@@ -448,7 +448,7 @@ func (c *Cluster) AwaitDelivery(ctx context.Context, publisher overlay.PeerID, s
 			sh.submit(func() {
 				for _, s := range subs {
 					if n := c.Nodes[s]; n.sh == sh {
-						if _, ok := n.received[id]; ok {
+						if _, ok := n.received.get(id); ok {
 							delivered++
 						}
 					}

@@ -49,9 +49,11 @@ const (
 )
 
 // depSub is the publisher-side deposit state for one offline subscriber
-// of one publication: retried alongside direct repair until any replica
-// acks persistence, then the subscriber counts as durably handled.
+// of one publication, held by value in its row (pubState.dep): retried
+// alongside direct repair until any replica acks persistence, then the
+// subscriber counts as durably handled.
 type depSub struct {
+	sub     overlay.PeerID
 	attempt int
 	nextAt  time.Time
 	acked   bool
@@ -66,14 +68,60 @@ type depGroup struct {
 // replayState is the replica-side drain machinery for one subscriber: at
 // most one replay batch is outstanding at a time (the lease contract is
 // sequential). out holds the records of it that are neither acked nor
-// cleared yet; repairTick re-sends them on the engine's backoff and
-// parks the drain after the engine's budget, and the next batch leaves
-// when none is left.
+// cleared yet — their bytes are the store's, valid until acked
+// (inbox.Store.NextN); repairTick re-sends them on the engine's backoff
+// and parks the drain after the engine's budget, and the next batch
+// leaves when none is left.
 type replayState struct {
 	leaseSeq uint32 // claim-cycle correlation; 0 = self-initiated replay
 	out      []inbox.Record
 	attempt  int
 	nextAt   time.Time
+}
+
+// drains holds the replica's open drains, one per target. A parked drain's
+// state waits on free, with the storage of its batch, to be the next one
+// opened.
+type drains struct {
+	by   map[overlay.PeerID]*replayState
+	free []*replayState
+}
+
+// open returns target's drain, opening it if it has none.
+func (d *drains) open(target overlay.PeerID) *replayState {
+	if rs := d.by[target]; rs != nil {
+		return rs
+	}
+	if d.by == nil {
+		d.by = make(map[overlay.PeerID]*replayState)
+	}
+	var rs *replayState
+	if k := len(d.free); k > 0 {
+		rs, d.free = d.free[k-1], d.free[:k-1]
+	} else {
+		rs = &replayState{}
+	}
+	d.by[target] = rs
+	return rs
+}
+
+// park closes target's drain, if open. The journal keeps its records.
+func (d *drains) park(target overlay.PeerID) {
+	rs := d.by[target]
+	if rs == nil {
+		return
+	}
+	delete(d.by, target)
+	clear(rs.out)
+	*rs = replayState{out: rs.out[:0]}
+	d.free = append(d.free, rs)
+}
+
+// parkAll closes every drain.
+func (d *drains) parkAll() {
+	for target := range d.by {
+		d.park(target)
+	}
 }
 
 // claimState is the subscriber-side lease cycle: the seeded-deterministic
@@ -119,10 +167,7 @@ func (n *Node) InboxReplicas() []overlay.PeerID {
 // Its first deposit round leaves with the round repairTick sends for the
 // publication at the end of this pass; retries ride the repair wheel.
 func (n *Node) startDeposit(st *pubState, s overlay.PeerID) {
-	if st.dep == nil {
-		st.dep = make(map[overlay.PeerID]*depSub)
-	}
-	st.dep[s] = &depSub{}
+	st.dep = append(st.dep, depSub{sub: s})
 	n.cfg.Obs.Inc(obs.CInboxDeposited)
 	n.cfg.Obs.TraceEvent("inbox_handoff", int32(n.id), uint32(s))
 }
@@ -145,12 +190,12 @@ func (n *Node) depositRound(seq uint32, st *pubState, subs []overlay.PeerID, now
 		Priority: st.pri, PayloadSize: st.size, Payload: st.payload,
 	}
 	if st.class == rowReplica {
-		m.Publisher, m.Seq, m.Topic = st.origin.Publisher, st.origin.Seq, []byte(st.topic)
+		m.Publisher, m.Seq, m.Topic = st.origin.Publisher, st.origin.Seq, st.topicB
 	}
 	n.members = n.dir.appendRingMembers(n.members[:0])
-	groups := n.depGroups[:0]
+	groups := n.pubs.groups[:0]
 	for _, s := range subs {
-		ds := st.dep[s]
+		ds := st.depOf(s)
 		ds.nextAt = now.Add(n.backoff().Delay(st.bseed^uint64(uint32(s)), ds.attempt))
 		n.replicas = selectcore.AppendInboxReplicas(n.replicas[:0], s, n.dir.position(s), n.members, nil, n.cfg.InboxReplicas)
 		for _, rep := range n.replicas {
@@ -174,16 +219,17 @@ func (n *Node) depositRound(seq uint32, st *pubState, subs []overlay.PeerID, now
 			n.send(m.To, &m)
 		}
 	}
-	n.depGroups = groups
+	n.pubs.groups = groups
 }
 
 // settled reports whether subscriber s of publication st needs no
-// further work: directly acked, or durably deposited.
-func settled(acked map[int32]bool, st *pubState, s overlay.PeerID) bool {
-	if acked[int32(s)] {
+// further work: directly acked — in acked, st's sorted ackers — or
+// durably deposited.
+func settled(acked []int32, st *pubState, s overlay.PeerID) bool {
+	if _, ok := slices.BinarySearch(acked, int32(s)); ok {
 		return true
 	}
-	ds := st.dep[s]
+	ds := st.depOf(s)
 	return ds != nil && ds.acked
 }
 
@@ -293,21 +339,14 @@ func (n *Node) handleInboxClaim(m *wire.Message) {
 		n.activateReplay(target, m.Seq)
 		n.pumpReplay(target, now)
 	} else {
-		delete(n.replay, target) // the digest cleared all a drain had left
+		n.replay.park(target) // the digest cleared all a drain had left
 	}
 	n.kickRetry()
 }
 
 // activateReplay opens (or re-tags) the drain state for target.
 func (n *Node) activateReplay(target overlay.PeerID, leaseSeq uint32) {
-	if n.replay == nil {
-		n.replay = make(map[overlay.PeerID]*replayState)
-	}
-	rs := n.replay[target]
-	if rs == nil {
-		rs = &replayState{}
-		n.replay[target] = rs
-	}
+	rs := n.replay.open(target)
 	if leaseSeq != 0 {
 		rs.leaseSeq = leaseSeq
 	}
@@ -320,19 +359,20 @@ func (n *Node) activateReplay(target overlay.PeerID, leaseSeq uint32) {
 // queue under an active lease emits the final "0 pending" lease notice
 // that releases the subscriber to the next replica.
 func (n *Node) pumpReplay(target overlay.PeerID, now time.Time) bool {
-	rs := n.replay[target]
+	rs := n.replay.by[target]
 	if rs == nil || len(rs.out) > 0 {
 		return false
 	}
 	rs.out = n.sh.ibx.NextN(rs.out, int32(n.id), int32(target), replayBatchMax, replayBatchBytes)
 	if len(rs.out) == 0 {
-		delete(n.replay, target)
-		if rs.leaseSeq == 0 {
+		leaseSeq := rs.leaseSeq
+		n.replay.park(target)
+		if leaseSeq == 0 {
 			return false
 		}
 		n.send(int32(target), &wire.Message{
 			Kind: wire.KindInboxLease, From: int32(n.id), To: int32(target),
-			Seq: rs.leaseSeq, Target: int32(target), NMutual: 0,
+			Seq: leaseSeq, Target: int32(target), NMutual: 0,
 		})
 		return true
 	}
@@ -399,7 +439,7 @@ func (n *Node) clearReplayed(target overlay.PeerID, ids []inbox.ID) int {
 		n.cfg.Obs.TraceEvent("inbox_journal_err", int32(n.id), uint32(target))
 		return cleared
 	}
-	if rs := n.replay[target]; rs != nil {
+	if rs := n.replay.by[target]; rs != nil {
 		rs.out = slices.DeleteFunc(rs.out, func(r inbox.Record) bool {
 			return slices.Contains(ids, inbox.ID{Publisher: r.Publisher, Seq: r.Seq})
 		})
@@ -420,9 +460,10 @@ func (n *Node) inboxSweep() {
 	}
 	now := time.Now()
 	sent := false
-	for _, t := range n.sh.ibx.PendingTargets(int32(n.id)) {
+	n.sh.sweep = n.sh.ibx.PendingTargets(n.sh.sweep[:0], int32(n.id))
+	for _, t := range n.sh.sweep {
 		target := overlay.PeerID(t)
-		if n.replay[target] != nil || !n.dir.isMember(target) {
+		if n.replay.by[target] != nil || !n.dir.isMember(target) {
 			continue
 		}
 		n.activateReplay(target, 0)
@@ -575,17 +616,23 @@ func (n *Node) handleInboxReplay(m *wire.Message) {
 // deliverReplayed hands one replayed publication to the application
 // unless this node has seen it, or has left its topic since.
 func (n *Node) deliverReplayed(r *wire.ReplayRecord, hops uint8) {
-	topic := string(r.Topic)
-	if topic == "" {
+	var ts *topicSub
+	topic := ""
+	if len(r.Topic) > 0 {
+		if ts = n.subTopics[string(r.Topic)]; ts != nil {
+			topic = ts.sub.topic
+		}
+	} else {
 		topic = n.userTopic(overlay.PeerID(r.Publisher))
+		ts = n.subTopics[topic]
 	}
 	switch {
-	case len(r.Topic) > 0 && n.subTopics[topic] == nil:
+	case len(r.Topic) > 0 && ts == nil:
 		// This node left the topic after the copy was journaled — a replay
 		// under way when the unsubscribe purged the replica. Nothing is
 		// delivered; the ack still clears the record.
 		n.cfg.Obs.Inc(obs.CTopicUnsubLate)
-	case !n.rememberDelivery(msgID{r.Publisher, r.Seq}, hops):
+	case !n.received.add(msgID{r.Publisher, r.Seq}, hops):
 		n.cfg.Obs.Inc(obs.CPublishDuplicate)
 	default:
 		if len(r.Topic) > 0 {
@@ -595,7 +642,7 @@ func (n *Node) deliverReplayed(r *wire.ReplayRecord, hops uint8) {
 		}
 		n.cfg.Obs.ObserveHops(float64(hops))
 		n.cfg.Obs.TraceEvent("deliver", int32(n.id), r.Seq)
-		n.notify(n.subTopics[topic], Delivery{
+		n.notify(ts, Delivery{
 			Publisher: overlay.PeerID(r.Publisher), Topic: topic,
 			Seq: r.Seq, Hops: hops, Priority: r.Priority,
 			Payload: r.Payload,

@@ -175,8 +175,8 @@ func TestReplayBatchDrainsInOrder(t *testing.T) {
 			t.Fatalf("delivery %d (class %d, seq %d) came before delivery %d (class %d, seq %d)", i-1, a.Priority, a.Seq, i, b.Priority, b.Seq)
 		}
 	}
-	if d := c.InboxDepth(); d != 0 || rep.replay[sub.id] != nil {
-		t.Errorf("journal depth %d, drain still open: %v", d, rep.replay[sub.id] != nil)
+	if d := c.InboxDepth(); d != 0 || rep.replay.by[sub.id] != nil {
+		t.Errorf("journal depth %d, drain still open: %v", d, rep.replay.by[sub.id] != nil)
 	}
 	for _, want := range []struct {
 		c obs.Counter
@@ -232,7 +232,7 @@ func TestReplayBatchPartialAck(t *testing.T) {
 	if n := len(ofKind(frames, wire.KindInboxReplay)); n != 1 {
 		t.Fatalf("%d replay frames before the resend timer, want the one batch", n)
 	}
-	rs := rep.replay[sub.id]
+	rs := rep.replay.by[sub.id]
 	if rs == nil || len(rs.out) != 1 || rs.out[0].Seq != lost || heldFor(rep, sub.id) != 1 {
 		t.Fatalf("after an ack frame short of one entry: drain %+v, %d records held; want seq %d outstanding alone", rs, heldFor(rep, sub.id), lost)
 	}
@@ -243,8 +243,8 @@ func TestReplayBatchPartialAck(t *testing.T) {
 		t.Errorf("the resend: %d frames, first %+v; want one frame carrying seq %d alone", len(replays), replays, lost)
 	}
 	h.exactlyOnce(t, total)
-	if heldFor(rep, sub.id) != 0 || rep.replay[sub.id] != nil {
-		t.Errorf("%d records held, drain open %v after the resend was acked", heldFor(rep, sub.id), rep.replay[sub.id] != nil)
+	if heldFor(rep, sub.id) != 0 || rep.replay.by[sub.id] != nil {
+		t.Errorf("%d records held, drain open %v after the resend was acked", heldFor(rep, sub.id), rep.replay.by[sub.id] != nil)
 	}
 	if got := met.Get(obs.CInboxReplay); got != total+1 {
 		t.Errorf("inbox_replay = %d, want %d records and one re-sent", got, total)
@@ -273,7 +273,7 @@ func TestReplayDrainParksAtBudget(t *testing.T) {
 	}
 	bo := rep.backoff()
 	resends := 0
-	for rs := rep.replay[sub.id]; rs != nil; rs = rep.replay[sub.id] {
+	for rs := rep.replay.by[sub.id]; rs != nil; rs = rep.replay.by[sub.id] {
 		if resends > budget {
 			t.Fatalf("the drain is still open after %d re-sends", resends)
 		}
@@ -304,8 +304,8 @@ func TestReplayDrainParksAtBudget(t *testing.T) {
 		t.Errorf("the sweep sent %d replay frames, want one batch of %d", len(replays), total)
 	}
 	h.exactlyOnce(t, total)
-	if heldFor(rep, sub.id) != 0 || rep.replay[sub.id] != nil {
-		t.Errorf("%d records held, drain open %v after the sweep's batch was acked", heldFor(rep, sub.id), rep.replay[sub.id] != nil)
+	if heldFor(rep, sub.id) != 0 || rep.replay.by[sub.id] != nil {
+		t.Errorf("%d records held, drain open %v after the sweep's batch was acked", heldFor(rep, sub.id), rep.replay.by[sub.id] != nil)
 	}
 
 	for seq := uint32(total + 1); seq <= total+2; seq++ {
@@ -314,10 +314,10 @@ func TestReplayDrainParksAtBudget(t *testing.T) {
 	rep.handle(claimFrame(sub.id, rep.id, 6))
 	tp.all() // the batch is lost, and the subscriber leaves the ring
 	c.dir.setMember(sub.id, false)
-	rep.replay[sub.id].nextAt = time.Now().Add(-time.Millisecond)
+	rep.replay.by[sub.id].nextAt = time.Now().Add(-time.Millisecond)
 	rep.repairTick()
-	if replays := tp.take(wire.KindInboxReplay); len(replays) != 0 || rep.replay[sub.id] != nil || heldFor(rep, sub.id) != 2 {
-		t.Errorf("a drain toward a peer that left: %d re-sends, drain open %v, %d records held; want it parked with 2", len(replays), rep.replay[sub.id] != nil, heldFor(rep, sub.id))
+	if replays := tp.take(wire.KindInboxReplay); len(replays) != 0 || rep.replay.by[sub.id] != nil || heldFor(rep, sub.id) != 2 {
+		t.Errorf("a drain toward a peer that left: %d re-sends, drain open %v, %d records held; want it parked with 2", len(replays), rep.replay.by[sub.id] != nil, heldFor(rep, sub.id))
 	}
 	c.dir.setMember(sub.id, true)
 }
@@ -402,8 +402,8 @@ func TestClaimDigestIsOutsideInput(t *testing.T) {
 	}
 	untouched := func(what string) {
 		t.Helper()
-		if frames := tp.all(); len(frames) != 0 || heldFor(rep, sub.id) != total || rep.replay[sub.id] != nil {
-			t.Fatalf("%s: %d frames sent, %d of %d records held, drain open %v", what, len(frames), heldFor(rep, sub.id), total, rep.replay[sub.id] != nil)
+		if frames := tp.all(); len(frames) != 0 || heldFor(rep, sub.id) != total || rep.replay.by[sub.id] != nil {
+			t.Fatalf("%s: %d frames sent, %d of %d records held, drain open %v", what, len(frames), heldFor(rep, sub.id), total, rep.replay.by[sub.id] != nil)
 		}
 	}
 
@@ -459,7 +459,7 @@ func TestUnsubscribeMidBatch(t *testing.T) {
 	}
 	// The batch is in flight (here: lost) when the unsubscribe arrives.
 	rep.handle(&wire.Message{Kind: wire.KindTopicUnsub, From: int32(sub.id), To: int32(rep.id), Seq: 12, Topic: []byte(topic)})
-	rs := rep.replay[sub.id]
+	rs := rep.replay.by[sub.id]
 	if frames := tp.all(); len(frames) != 0 || rs == nil || len(rs.out) != 2 || heldFor(rep, sub.id) != 2 || met.Get(obs.CTopicPurged) != 3 {
 		t.Fatalf("after the unsubscribe: %d frames sent, drain %+v, %d held, %d purged; want the two feed records outstanding", len(frames), rs, heldFor(rep, sub.id), met.Get(obs.CTopicPurged))
 	}
@@ -480,8 +480,8 @@ func TestUnsubscribeMidBatch(t *testing.T) {
 	sub.handle(replays[0].m)
 	frames := playInbox(c, tp, nil)
 	h.exactlyOnce(t, 2)
-	if heldFor(rep, sub.id) != 0 || rep.replay[sub.id] != nil || len(ofKind(frames, wire.KindInboxReplay)) != 0 {
-		t.Errorf("after the acks of the rest: %d held, drain open %v, %d more replay frames", heldFor(rep, sub.id), rep.replay[sub.id] != nil, len(ofKind(frames, wire.KindInboxReplay)))
+	if heldFor(rep, sub.id) != 0 || rep.replay.by[sub.id] != nil || len(ofKind(frames, wire.KindInboxReplay)) != 0 {
+		t.Errorf("after the acks of the rest: %d held, drain open %v, %d more replay frames", heldFor(rep, sub.id), rep.replay.by[sub.id] != nil, len(ofKind(frames, wire.KindInboxReplay)))
 	}
 }
 
@@ -518,7 +518,7 @@ func TestDepositGroupsTargetsPerReplica(t *testing.T) {
 	now := time.Now()
 	seq := pub.nextSeq()
 	pub.registerPublish(seq, away, []byte("x"), 1, inbox.Medium, now)
-	st := pub.pubs[seq]
+	st := pub.pubs.rows[seq]
 	st.nextAt = now.Add(-time.Millisecond)
 	pub.repairTick()
 
@@ -565,21 +565,21 @@ func TestDepositGroupsTargetsPerReplica(t *testing.T) {
 		pub.handle(f.m)
 	}
 	for _, s := range away {
-		if got, want := st.dep[s].acked, !slices.Contains(lost, s); got != want {
+		if got, want := st.depOf(s).acked, !slices.Contains(lost, s); got != want {
 			t.Errorf("subscriber %d: deposit acked = %v, want %v", s, got, want)
 		}
 	}
 
 	for _, s := range lost {
-		st.dep[s].nextAt = time.Now().Add(-time.Millisecond)
+		st.depOf(s).nextAt = time.Now().Add(-time.Millisecond)
 	}
 	pub.repairTick()
 	round("retry round", lost)
 	for _, f := range tp.take(wire.KindAckBatch) {
 		pub.handle(f.m)
 	}
-	if pub.pubs[seq] != nil {
-		t.Errorf("the publication is still in repair after every deposit was acked: %+v", pub.pubs[seq].dep)
+	if pub.pubs.rows[seq] != nil {
+		t.Errorf("the publication is still in repair after every deposit was acked: %+v", pub.pubs.rows[seq].dep)
 	}
 	if got, want := met.Get(obs.CInboxDepositDup), int64(len(lost)*len(reps)); got != want {
 		t.Errorf("inbox_deposit_dup = %d, want %d", got, want)

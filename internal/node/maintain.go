@@ -726,20 +726,20 @@ func (n *Node) resetVolatile() {
 	// persistent half. claimEpoch survives so each incarnation's lease
 	// order differs.
 	n.claim, n.claimHave = nil, nil
-	n.replay = nil
+	n.replay.parkAll()
 	// The rendezvous-side topic registry is soft state rebuilt from lease
 	// refreshes, and so are the rows that transfer it; subscriptions
 	// themselves are app intent and survive, but their refresh bookkeeping
 	// resets so the first maintain tick after a rejoin re-registers them at
-	// the (possibly re-homed) rendezvous, retiring the open row. tpOrigin
-	// survives alongside pubs — the hand-off and replica rows resume after
-	// the rejoin.
-	for seq, st := range n.pubs {
+	// the (possibly re-homed) rendezvous, retiring the open row. The
+	// hand-off and replica rows, and the origin index, survive: they resume
+	// after the rejoin.
+	for seq, st := range n.pubs.rows {
 		if st.class == rowTransfer {
 			n.retire(seq, st)
 		}
 	}
-	n.topicReg = make(map[string]map[overlay.PeerID]time.Time)
+	n.topicReg = make(map[string]*registry)
 	n.unsubbed = nil
 	for _, ts := range n.subTopics {
 		ts.set = nil

@@ -136,10 +136,9 @@ type Node struct {
 	// ring links come from (ringlist.go); the directory's ringNeighbors
 	// scan is bootstrap-only.
 	rview ringView
-	// received records local deliveries with their hop count, bounded FIFO
-	// by recvOrder (dedupWindow).
-	received  map[msgID]uint8
-	recvOrder []msgID
+	// received records local deliveries with their hop count, bounded
+	// FIFO (dedupWindow).
+	received recvWindow
 	// lookahead caches neighbors' routing tables learned from exchanges,
 	// their replies and join replies, each table in the storage of the one
 	// before.
@@ -162,15 +161,14 @@ type Node struct {
 	// pendingPings: seq -> target of pings not yet answered.
 	pendingPings map[uint32]overlay.PeerID
 	// acked records publication acks seen by this node (publisher role),
-	// bounded FIFO by ackOrder (pubHistory).
-	acked    map[msgID]map[int32]bool
-	ackOrder []msgID
+	// bounded FIFO (pubHistory).
+	acked ackHistory
 	// pubs is the delivery-repair engine's table, one row per thing this
 	// node owes someone — its own feed post, a topic publication it
 	// accepted as rendezvous replica, its own topic hand-off, its own
 	// registration, a registry it no longer owns (repair.go); deadline
 	// changes re-arm the shard wheel via kickRetry.
-	pubs        map[uint32]*pubState
+	pubs        repairTable
 	deadLetters []DeadLetter
 	// Durable delivery tier state (inbox.go): claim is the subscriber's
 	// in-flight lease cycle, replay the replica-side drains keyed by
@@ -178,13 +176,11 @@ type Node struct {
 	// claimHave is the digest the cycle's next claim carries: one entry
 	// per record replayed to this node since the cycle opened, by
 	// whichever replica, up to claimDigestMax; it goes when the cycle
-	// closes. depGroups is the per-replica groups of one deposit round,
-	// storage kept between rounds.
+	// closes.
 	claim      *claimState
-	replay     map[overlay.PeerID]*replayState
+	replay     drains
 	claimEpoch uint32
 	claimHave  []wire.AckEntry
-	depGroups  []depGroup
 	// Topic tier state (topic.go): subTopics is this node's own
 	// subscriptions, topicReg the rendezvous-side subscriber registry, and
 	// tpOrigin maps an accepted publication's origin id to the local
@@ -195,7 +191,7 @@ type Node struct {
 	// unsubbed remembers recent unsubscribes on the peers that were told of
 	// them, bounded by unsubbedMax.
 	subTopics map[string]*topicSub
-	topicReg  map[string]map[overlay.PeerID]time.Time
+	topicReg  map[string]*registry
 	tpOrigin  map[msgID]uint32
 	unsubbed  map[unsubKey]unsubscribed
 	// Placement and tree storage (topic.go, inbox.go): members is the
@@ -302,17 +298,15 @@ func newNode(id overlay.PeerID, dir *directory, bw []float64, cfg Options, seed 
 		bitmaps:      make(map[overlay.PeerID][]uint64),
 		fidx:         make(map[overlay.PeerID]int, len(friends)),
 		feedTopics:   make([]string, len(friends)),
-		received:     make(map[msgID]uint8),
 		lookahead:    make(map[overlay.PeerID][]overlay.PeerID),
 		cma:          make(map[overlay.PeerID]churn.CMA),
 		miss:         make(map[overlay.PeerID]int),
 		suspectAt:    make(map[overlay.PeerID]time.Time),
 		deadUntil:    make(map[overlay.PeerID]time.Time),
 		pendingPings: make(map[uint32]overlay.PeerID),
-		acked:        make(map[msgID]map[int32]bool),
-		pubs:         make(map[uint32]*pubState),
+		pubs:         repairTable{rows: make(map[uint32]*pubState)},
 		subTopics:    make(map[string]*topicSub),
-		topicReg:     make(map[string]map[overlay.PeerID]time.Time),
+		topicReg:     make(map[string]*registry),
 		tpOrigin:     make(map[msgID]uint32),
 		joinedCh:     make(chan struct{}),
 	}
@@ -738,7 +732,7 @@ func (n *Node) handlePublish(m *wire.Message) {
 	if named {
 		id := msgID{pub, seq}
 		topic := n.userTopic(overlay.PeerID(pub))
-		if !n.rememberDelivery(id, m.HopCount) {
+		if !n.received.add(id, m.HopCount) {
 			n.cfg.Obs.Inc(obs.CPublishDuplicate)
 		} else {
 			n.cfg.Obs.Inc(obs.CPublishDelivered)
@@ -847,6 +841,11 @@ func WithSize(size uint32) PublishOption {
 }
 
 func resolvePublishOpts(payload []byte, opts []PublishOption) pubOpts {
+	if len(opts) == 0 {
+		// The options write through a pointer, which puts o on the heap:
+		// a call without options does not declare it.
+		return pubOpts{size: uint32(len(payload)), pri: inbox.Medium}
+	}
 	o := pubOpts{pri: inbox.Medium}
 	for _, f := range opts {
 		f(&o)
@@ -857,6 +856,28 @@ func resolvePublishOpts(payload []byte, opts []PublishOption) pubOpts {
 	return o
 }
 
+// publishCmd is one Publish call on its way to the node's loop: the
+// typed form of the closure the rest of the API posts, carried in a
+// pooled command (shard.go), so that a publication costs the caller no
+// allocation. feed marks the node's own user topic; topic names any
+// other.
+type publishCmd struct {
+	n       *Node
+	seq     uint32
+	feed    bool
+	topic   string
+	payload []byte
+	o       pubOpts
+}
+
+func (p *publishCmd) run() {
+	if p.feed {
+		p.n.publish(p.seq, p.payload, p.o.size, p.o.pri)
+	} else {
+		p.n.publishTopic(p.seq, p.topic, p.payload, p.o)
+	}
+}
+
 // publishFeed resolves options and runs the friend-feed fan-out — the
 // node's implicit UserTopic. The public surface is
 // Topic(UserTopic(id)).Publish (topic.go); the PR-8 deprecated
@@ -864,15 +885,14 @@ func resolvePublishOpts(payload []byte, opts []PublishOption) pubOpts {
 // sequence number and returns; registration with the repair engine and
 // the first send run on the node's loop, in the order the calls were made.
 func (n *Node) publishFeed(payload []byte, opts ...PublishOption) uint32 {
-	o := resolvePublishOpts(payload, opts)
 	seq := n.nextSeq()
-	n.post(func() { n.publish(seq, payload, o.size, o.pri) })
+	n.postPublish(publishCmd{n: n, seq: seq, feed: true, payload: payload, o: resolvePublishOpts(payload, opts)})
 	return seq
 }
 
 func (n *Node) publish(seq uint32, payload []byte, size uint32, pri uint8) {
 	subs := n.g.Neighbors(n.id)
-	n.rememberDelivery(msgID{int32(n.id), seq}, 0) // the publisher trivially has its own message
+	n.received.add(msgID{int32(n.id), seq}, 0) // the publisher trivially has its own message
 	n.registerPublish(seq, subs, payload, size, pri, time.Now())
 	n.cfg.Obs.Addn(obs.CPublishSent, int64(len(subs)))
 	n.cfg.Obs.TraceEvent("publish", int32(n.id), seq)
@@ -893,13 +913,13 @@ func (n *Node) feedFrame(seq uint32, payload []byte, size uint32, pri uint8) wir
 // Received reports whether this node got publication (publisher, seq) and
 // at how many hops.
 func (n *Node) Received(publisher overlay.PeerID, seq uint32) (hops uint8, ok bool) {
-	n.do(func() { hops, ok = n.received[msgID{int32(publisher), seq}] })
+	n.do(func() { hops, ok = n.received.get(msgID{int32(publisher), seq}) })
 	return hops, ok
 }
 
 // Acked returns how many subscribers have acknowledged publication seq.
 func (n *Node) Acked(seq uint32) (k int) {
-	n.do(func() { k = len(n.acked[msgID{int32(n.id), seq}]) })
+	n.do(func() { k = len(n.acked.of(msgID{int32(n.id), seq})) })
 	return k
 }
 

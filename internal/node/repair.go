@@ -31,8 +31,8 @@ import (
 //     into alive → suspect → dead, and a dead link is evicted and
 //     repaired immediately — LSH-bucket refill for long links, local
 //     successor-list splice for ring neighbors;
-//   - the state bounds: dedup windows and publication history are FIFO
-//     garbage-collected so long-running nodes hold bounded maps.
+//   - the state bounds: the dedup window and the ack history are FIFO
+//     rings, so long-running nodes hold bounded records.
 
 // Row classes of the repair engine (DESIGN.md §9.1): what a row's
 // destinations are, which ack clears them, and how it escalates. The
@@ -60,6 +60,8 @@ const (
 )
 
 // pubState is one row of the repair engine: an in-flight publication.
+// Rows come from the table's free list (repairTable.open) with the
+// storage of their lists, and go back to it when they retire.
 type pubState struct {
 	class   uint8
 	subs    []overlay.PeerID
@@ -72,18 +74,24 @@ type pubState struct {
 	// dep holds the subscribers handed to the durable tier (inbox.go):
 	// direct repair stopped for them, deposit rounds retry until one
 	// replica acks persistence.
-	dep map[overlay.PeerID]*depSub
+	dep []depSub
+	// body is the row's own copy of payload where the row outlives the
+	// bytes it was handed (a replica row's payload is a view of its
+	// inbound hand-off); topicB is topic's bytes, which the row's frames
+	// carry.
+	body, topicB []byte
 	// topic is set on topic rows (topic.go). On a replica row origin is
 	// the publication's original (publisher, seq) identity — acks and
 	// deposits are keyed by it, not by this node's local repair seq — and
 	// peers are the other members of the rendezvous set as this replica
 	// computed it on accepting: it passes each first-hand subscriber ack
-	// on to them (consumeAck). On a set row accepted lists the members
-	// that acked acceptance. It is kept here and not in n.acked:
-	// when this node is its topic's primary, n.acked[(self, seq)] holds
-	// the subscriber acks of its replica row, a subscribing standby's
-	// among them, and that ack says nothing about the standby's repair
-	// state.
+	// on to them (consumeAck). On a transfer row peers are the registry
+	// entries its last round carried. On a set row accepted lists the
+	// members that acked acceptance. It is kept here and not in n.acked:
+	// when this node is its topic's primary, n.acked's record of (self,
+	// seq) holds the subscriber acks of its replica row, a subscribing
+	// standby's among them, and that ack says nothing about the standby's
+	// repair state.
 	origin   msgID
 	topic    string
 	peers    []overlay.PeerID
@@ -93,6 +101,71 @@ type pubState struct {
 // setRow reports whether st is a set row: a hand-off, a registration or a
 // registry transfer.
 func (st *pubState) setRow() bool { return st.class >= rowHandoff }
+
+// depOf returns subscriber s's deposit state, nil when s was not handed to
+// the durable tier.
+func (st *pubState) depOf(s overlay.PeerID) *depSub {
+	for i := range st.dep {
+		if st.dep[i].sub == s {
+			return &st.dep[i]
+		}
+	}
+	return nil
+}
+
+// setTopic names the topic of row st and keeps its bytes for the frames.
+func (st *pubState) setTopic(topic string) {
+	st.topic, st.topicB = topic, append(st.topicB[:0], topic...)
+}
+
+// repairTable is the repair engine's table (DESIGN.md §9.1): rows holds
+// one row per thing this node owes someone, keyed by the node's own seq.
+// A retired row waits on free to be the next one opened, with the
+// storage of its lists; due, failed, missing and groups are the lists of
+// one repair pass (repairTick, retryDirect, depositRound).
+type repairTable struct {
+	rows                 map[uint32]*pubState
+	free                 []*pubState
+	due, failed, missing []overlay.PeerID
+	groups               []depGroup
+}
+
+// poisonRow, when set (race builds, poison_race.go), scribbles over a row
+// that retired, so that code that kept it reads garbage until the row is
+// opened again.
+var poisonRow func(*pubState)
+
+// open returns a row to fill: a retired one with the storage of its lists,
+// or a new one.
+func (t *repairTable) open() *pubState {
+	k := len(t.free)
+	if k == 0 {
+		return &pubState{}
+	}
+	st := t.free[k-1]
+	t.free = t.free[:k-1]
+	*st = pubState{
+		subs: st.subs[:0], dep: st.dep[:0], body: st.body[:0], topicB: st.topicB[:0],
+		peers: st.peers[:0], accepted: st.accepted[:0],
+	}
+	return st
+}
+
+// rowKeepBytes is the largest payload copy a retired row keeps for the
+// next row: a replica row that held a large body hands it back to the GC
+// instead of pinning it on the free list.
+const rowKeepBytes = 64 << 10
+
+// recycle takes back row st, which left rows.
+func (t *repairTable) recycle(st *pubState) {
+	if poisonRow != nil {
+		poisonRow(st)
+	}
+	if cap(st.body) > rowKeepBytes {
+		st.body = nil
+	}
+	t.free = append(t.free, st)
+}
 
 // DeadLetter records a publication that exhausted its retry budget with
 // destinations still unacked — the bounded failure record the harness can
@@ -160,11 +233,11 @@ func earlier(t, u time.Time) time.Time {
 // (churned-out) node dozes at ≥50 ms instead of spinning.
 func (n *Node) nextRepairAt() (time.Time, bool) {
 	var earliest time.Time
-	for _, st := range n.pubs {
+	for _, st := range n.pubs.rows {
 		earliest = earlier(earliest, st.nextAt)
-		for _, ds := range st.dep {
-			if !ds.acked {
-				earliest = earlier(earliest, ds.nextAt)
+		for i := range st.dep {
+			if !st.dep[i].acked {
+				earliest = earlier(earliest, st.dep[i].nextAt)
 			}
 		}
 	}
@@ -174,7 +247,7 @@ func (n *Node) nextRepairAt() (time.Time, bool) {
 	if n.claim != nil {
 		earliest = earlier(earliest, n.claim.deadline)
 	}
-	for _, rs := range n.replay {
+	for _, rs := range n.replay.by {
 		if len(rs.out) > 0 {
 			earliest = earlier(earliest, rs.nextAt)
 		}
@@ -197,16 +270,12 @@ func (n *Node) registerPublish(seq uint32, subs []overlay.PeerID, payload []byte
 	if !n.repairEnabled() {
 		return nil
 	}
-	bseed := selectcore.RepairSeed(n.cfg.Seed, int32(n.id), seq)
-	st := &pubState{
-		subs:    append([]overlay.PeerID(nil), subs...),
-		payload: payload,
-		size:    size,
-		pri:     pri,
-		bseed:   bseed,
-		nextAt:  now.Add(n.backoff().Delay(bseed, 0)),
-	}
-	n.pubs[seq] = st
+	st := n.pubs.open()
+	st.subs = append(st.subs, subs...)
+	st.payload, st.size, st.pri = payload, size, pri
+	st.bseed = selectcore.RepairSeed(n.cfg.Seed, int32(n.id), seq)
+	st.nextAt = now.Add(n.backoff().Delay(st.bseed, 0))
+	n.pubs.rows[seq] = st
 	return st
 }
 
@@ -226,7 +295,7 @@ func (n *Node) pubKey(seq uint32, st *pubState) msgID {
 // for this node if it is one) — the moment its record becomes
 // garbage-collectable.
 func (n *Node) resolveAck(seq uint32) {
-	st := n.pubs[seq]
+	st := n.pubs.rows[seq]
 	if st == nil {
 		return
 	}
@@ -236,7 +305,7 @@ func (n *Node) resolveAck(seq uint32) {
 			return
 		}
 	}
-	acked := n.acked[n.pubKey(seq, st)]
+	acked := n.acked.of(n.pubKey(seq, st))
 	for _, s := range st.subs {
 		if !settled(acked, st, s) {
 			return
@@ -249,11 +318,12 @@ func (n *Node) resolveAck(seq uint32) {
 // retire is the one exit of row seq — resolved, dead-lettered, or out of
 // direct repair with nothing left to deposit. A replica row also leaves
 // tpOrigin, the index its acks and deposit acks find it by. A
-// registration any member accepted releases Subscribe. A transfer row
-// takes the registry it carried with it, unless this node is back in the
-// topic's set.
+// registration any member accepted releases Subscribe. A transfer row takes the registry it carried with it, unless
+// this node is back in the topic's set. The row goes back to the table's
+// free list: nothing may read st after the call.
 func (n *Node) retire(seq uint32, st *pubState) {
-	delete(n.pubs, seq)
+	delete(n.pubs.rows, seq)
+	defer n.pubs.recycle(st)
 	switch st.class {
 	case rowReplica:
 		delete(n.tpOrigin, st.origin)
@@ -292,25 +362,25 @@ func (n *Node) repairTick() {
 	}
 	now := time.Now()
 	budget := n.retryBudget()
-	var due []overlay.PeerID
-	for seq, st := range n.pubs {
+	for seq, st := range n.pubs.rows {
 		// Deposit rounds run on their own per-subscriber deadlines, even
 		// when the publication's direct-retry deadline is not due.
-		due = due[:0]
-		var failed []overlay.PeerID
-		for s, ds := range st.dep {
+		due, failed := n.pubs.due[:0], n.pubs.failed[:0]
+		for i := range st.dep {
+			ds := &st.dep[i]
 			if ds.acked || ds.nextAt.After(now) {
 				continue
 			}
 			if ds.attempt >= budget {
-				// The durable tier itself failed for s: no replica ever
-				// acked persistence. This is the real dead-letter case.
-				failed = append(failed, s)
+				// The durable tier itself failed for ds.sub: no replica
+				// ever acked persistence. This is the real dead-letter case.
+				failed = append(failed, ds.sub)
 				continue
 			}
 			ds.attempt++
-			due = append(due, s)
+			due = append(due, ds.sub)
 		}
+		n.pubs.failed = failed
 		if len(failed) > 0 {
 			n.deadLetter(seq, st, failed)
 			continue
@@ -318,9 +388,12 @@ func (n *Node) repairTick() {
 		if !st.nextAt.After(now) {
 			due = n.retryDirect(seq, st, due, now)
 		}
-		if len(due) > 0 {
+		// A round may have retired the row: a subscriber whose deposit
+		// was due had also acked directly.
+		if len(due) > 0 && n.pubs.rows[seq] == st {
 			n.depositRound(seq, st, due, now)
 		}
+		n.pubs.due = due
 	}
 	if n.wantJoin && !n.joinNext.IsZero() && !n.joinNext.After(now) {
 		n.joinAttempt++
@@ -335,7 +408,7 @@ func (n *Node) repairTick() {
 		n.cfg.Obs.TraceEvent("inbox_lease_expire", int32(n.id), uint32(cl.order[cl.idx]))
 		n.advanceClaim(now)
 	}
-	for target, rs := range n.replay {
+	for target, rs := range n.replay.by {
 		if len(rs.out) == 0 || rs.nextAt.After(now) {
 			continue
 		}
@@ -343,7 +416,7 @@ func (n *Node) repairTick() {
 			// No ack after the whole budget, or the subscriber left the
 			// ring again: park the drain. The journal keeps the records;
 			// the next claim or inboxSweep restarts it.
-			delete(n.replay, target)
+			n.replay.park(target)
 			continue
 		}
 		rs.attempt++
@@ -361,18 +434,20 @@ func (n *Node) repairTick() {
 func (n *Node) retryDirect(seq uint32, st *pubState, due []overlay.PeerID, now time.Time) []overlay.PeerID {
 	bo, budget := n.backoff(), n.retryBudget()
 	inboxOn := n.inboxOn()
-	acked := n.acked[n.pubKey(seq, st)]
-	var missing []overlay.PeerID
+	acked := n.acked.of(n.pubKey(seq, st))
+	missing := n.pubs.missing[:0]
 	depositing := false
 	anyAccepted := true
 	if st.setRow() {
+		// A set row has no subscribers: its missing members are
+		// topicRendezvous's storage.
 		missing, anyAccepted = n.setRound(seq, st, n.topicRendezvous(st.topic, now), now)
 	}
 	for _, s := range st.subs {
 		if settled(acked, st, s) {
 			continue
 		}
-		if st.dep[s] != nil {
+		if st.depOf(s) != nil {
 			depositing = true // hand-off done, deposit round pending
 			continue
 		}
@@ -385,6 +460,9 @@ func (n *Node) retryDirect(seq uint32, st *pubState, due []overlay.PeerID, now t
 			continue
 		}
 		missing = append(missing, s)
+	}
+	if !st.setRow() {
+		n.pubs.missing = missing
 	}
 	if len(missing) == 0 && anyAccepted {
 		if !depositing {
@@ -436,7 +514,7 @@ func (n *Node) retryDirect(seq uint32, st *pubState, due []overlay.PeerID, now t
 				Seq: st.origin.Seq, Publisher: st.origin.Publisher,
 				Target: int32(n.id), Priority: st.pri, TTL: n.cfg.TTL,
 				PayloadSize: st.size, Payload: st.payload,
-				Topic: []byte(st.topic),
+				Topic: st.topicB,
 			})
 		}
 	default:
@@ -449,12 +527,12 @@ func (n *Node) retryDirect(seq uint32, st *pubState, due []overlay.PeerID, now t
 // destinations missing. The record names the publication and is bounded
 // FIFO.
 func (n *Node) deadLetter(seq uint32, st *pubState, missing []overlay.PeerID) {
-	id := n.pubKey(seq, st)
+	id, retries := n.pubKey(seq, st), st.attempt
 	n.retire(seq, st)
 	n.cfg.Obs.Inc(obs.CDeadLetter)
 	n.cfg.Obs.TraceEvent("dead_letter", int32(n.id), seq)
-	// A set row's missing members are in topicRendezvous's storage.
-	n.deadLetters = append(n.deadLetters, DeadLetter{Publisher: overlay.PeerID(id.Publisher), Seq: id.Seq, Missing: slices.Clone(missing), Retries: st.attempt})
+	// missing is storage of the table's or of topicRendezvous's.
+	n.deadLetters = append(n.deadLetters, DeadLetter{Publisher: overlay.PeerID(id.Publisher), Seq: id.Seq, Missing: slices.Clone(missing), Retries: retries})
 	if len(n.deadLetters) > maxDeadLetters {
 		n.deadLetters = n.deadLetters[len(n.deadLetters)-maxDeadLetters:]
 	}
@@ -476,7 +554,7 @@ func (n *Node) PendingRepairs() int { return n.pendingRows(rowFeed, rowHandoff) 
 // pendingRows counts the repair engine's rows of the classes lo to hi.
 func (n *Node) pendingRows(lo, hi uint8) (k int) {
 	n.do(func() {
-		for _, st := range n.pubs {
+		for _, st := range n.pubs.rows {
 			if lo <= st.class && st.class <= hi {
 				k++
 			}
@@ -486,45 +564,135 @@ func (n *Node) pendingRows(lo, hi uint8) (k int) {
 }
 
 const (
-	// dedupWindow bounds each node's delivery-dedup record.
+	// dedupWindow bounds each node's delivery-dedup record (recvWindow).
 	dedupWindow = 8192
 	// pubHistory bounds the publisher-side ack records kept after a
-	// publication resolves or dead-letters.
+	// publication resolves or dead-letters (ackHistory).
 	pubHistory = 1024
 )
 
-// rememberDelivery records a first-time delivery in the dedup
-// window, evicting the oldest entry past dedupWindow. Returns false on a
-// duplicate. The window bound is the at-least-once contract: a copy
-// arriving after its record aged out would deliver again.
-func (n *Node) rememberDelivery(id msgID, hops uint8) bool {
-	if _, dup := n.received[id]; dup {
+// recvWindow is the delivery dedup record: the hop count of each of the
+// last dedupWindow publications this node delivered, the oldest evicted
+// first. The bound is the at-least-once contract: a copy arriving after
+// its record aged out would deliver again. The arrival order is a ring
+// that grows by append, on demand, up to dedupWindow.
+type recvWindow struct {
+	hops  map[msgID]uint8
+	order []msgID
+	next  int // once full: the oldest entry, which the next one replaces
+}
+
+// add records a first-time delivery of id at hops and reports true; it
+// reports false on a duplicate.
+func (w *recvWindow) add(id msgID, hops uint8) bool {
+	if _, dup := w.hops[id]; dup {
 		return false
 	}
-	n.received[id] = hops
-	n.recvOrder = append(n.recvOrder, id)
-	for len(n.recvOrder) > dedupWindow {
-		delete(n.received, n.recvOrder[0])
-		n.recvOrder = n.recvOrder[1:]
+	if w.hops == nil {
+		w.hops = make(map[msgID]uint8)
 	}
+	if len(w.order) < dedupWindow {
+		w.order = append(w.order, id)
+	} else {
+		delete(w.hops, w.order[w.next])
+		w.order[w.next] = id
+		w.next = (w.next + 1) % dedupWindow
+	}
+	w.hops[id] = hops
 	return true
 }
 
-// ackedSet returns the ack set of publication id, creating it sized for
-// size acks if needed and evicting the oldest completed record past
-// pubHistory.
-func (n *Node) ackedSet(id msgID, size int) map[int32]bool {
-	set := n.acked[id]
-	if set == nil {
-		set = make(map[int32]bool, size)
-		n.acked[id] = set
-		n.ackOrder = append(n.ackOrder, id)
-		for len(n.ackOrder) > pubHistory {
-			delete(n.acked, n.ackOrder[0])
-			n.ackOrder = n.ackOrder[1:]
-		}
+// get reports whether id is in the window and at how many hops it came.
+func (w *recvWindow) get(id msgID) (hops uint8, ok bool) {
+	hops, ok = w.hops[id]
+	return hops, ok
+}
+
+// ackArenaMax caps the chunks the ack history carves acker lists from.
+const ackArenaMax = 1 << 14
+
+// ackHistory is the publisher-side ack record: for each of the last
+// pubHistory publications an ack named, the distinct peers that acked it,
+// sorted. A record outlives its row — Acked reads it after the
+// publication resolved — and the oldest is evicted past pubHistory. The
+// records are a ring that grows by append, on demand, up to pubHistory,
+// and their acker lists are carved from chunks that double up to
+// ackArenaMax: a record costs no allocation of its own, before the ring
+// wraps or after.
+type ackHistory struct {
+	at    map[msgID]int32 // → index in recs
+	recs  []ackRecord
+	next  int // once full: the oldest record, which the next one replaces
+	arena []int32
+}
+
+// ackRecord is the ackers of one publication.
+type ackRecord struct {
+	id   msgID
+	from []int32
+}
+
+// of returns the peers that acked id, sorted; nil when none is on record.
+// The list is the history's storage, valid until the next add.
+func (h *ackHistory) of(id msgID) []int32 {
+	if i, ok := h.at[id]; ok {
+		return h.recs[i].from
 	}
-	return set
+	return nil
+}
+
+// add records that from acked id. size is how many acks id's row waits
+// for: the room a new record's list starts with.
+func (h *ackHistory) add(id msgID, from int32, size int) {
+	i, ok := h.at[id]
+	if !ok {
+		i = h.open(id, size)
+	}
+	r := &h.recs[i]
+	k, dup := slices.BinarySearch(r.from, from)
+	if dup {
+		return
+	}
+	if len(r.from) == cap(r.from) {
+		r.from = append(h.carve(2*cap(r.from)), r.from...)
+	}
+	r.from = slices.Insert(r.from, k, from)
+}
+
+// open makes an empty record for id, evicting the oldest once the
+// history holds pubHistory, and returns its index.
+func (h *ackHistory) open(id msgID, size int) int32 {
+	if h.at == nil {
+		h.at = make(map[msgID]int32)
+	}
+	var i int32
+	if len(h.recs) < pubHistory {
+		i = int32(len(h.recs))
+		h.recs = append(h.recs, ackRecord{})
+	} else {
+		i = int32(h.next)
+		h.next = (h.next + 1) % pubHistory
+		delete(h.at, h.recs[i].id)
+	}
+	r := &h.recs[i]
+	r.id, r.from = id, r.from[:0]
+	if cap(r.from) < size {
+		r.from = h.carve(size)
+	}
+	h.at[id] = i
+	return i
+}
+
+// carve returns an empty list with room for k ackers, at least 4, from
+// the arena's current chunk, or from a new one.
+func (h *ackHistory) carve(k int) []int32 {
+	k = max(k, 4)
+	if cap(h.arena)-len(h.arena) < k {
+		h.arena = make([]int32, 0, max(k, min(2*cap(h.arena), ackArenaMax), 64))
+	}
+	l := len(h.arena)
+	h.arena = h.arena[:l+k]
+	return h.arena[l : l : l+k]
 }
 
 // quarantineFor is how long an evicted-dead peer stays unlearnable from

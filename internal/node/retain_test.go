@@ -90,10 +90,10 @@ func TestTopicHandoffPayloadIsCopied(t *testing.T) {
 	standby.handle(m)
 	scribble(m.Payload)
 	rseq, ok := standby.tpOrigin[msgID{int32(pub), 7}]
-	if !ok || standby.pubs[rseq] == nil {
+	if !ok || standby.pubs.rows[rseq] == nil {
 		t.Fatal("the standby holds no replica row for the hand-off")
 	}
-	if got := standby.pubs[rseq].payload; !bytes.Equal(got, body) {
+	if got := standby.pubs.rows[rseq].payload; !bytes.Equal(got, body) {
 		t.Fatalf("the replica row's payload reads %q after its frame was overwritten, want %q", got, body)
 	}
 }

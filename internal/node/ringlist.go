@@ -54,6 +54,8 @@ type ringView struct {
 	// is neither held nor advertised. Zero ttl (heartbeats off: nothing
 	// would ever re-confirm) means claims do not lapse.
 	hop, ttl time.Duration
+	// moved is rebase's copy of the entries it re-sorts.
+	moved []ringEntry
 }
 
 // newRingView sizes the claim lifetime from the base heartbeat interval:
@@ -219,12 +221,13 @@ func (v *ringView) lapsed(conf, now time.Time) bool {
 // Algorithm-2 identifier move); entry positions, verification flags and
 // ages are unchanged.
 func (v *ringView) rebase(own ring.ID) {
-	entries := append([]ringEntry(nil), v.succ...)
+	entries := append(v.moved[:0], v.succ...)
 	for _, e := range v.pred {
 		if !containsEntry(entries, e.peer) {
 			entries = append(entries, e)
 		}
 	}
+	v.moved = entries
 	v.succ, v.pred = v.succ[:0], v.pred[:0]
 	for _, e := range entries {
 		v.succ = insertByDist(v.succ, e, cwDist(own, e.pos), own, true)

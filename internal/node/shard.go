@@ -3,6 +3,7 @@ package node
 import (
 	"runtime"
 	"strconv"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -115,8 +116,10 @@ type shard struct {
 	obs   *obs.Metrics
 	// ibx is this shard's durable-tier journal store (nil when the inbox
 	// tier is off): every replica pinned to this shard persists its
-	// deposits here, keyed by replica id (inbox.go, DESIGN.md §12).
-	ibx *inbox.Store
+	// deposits here, keyed by replica id (inbox.go, DESIGN.md §12). sweep
+	// is the list of targets one node's inbox sweep reads from it.
+	ibx   *inbox.Store
+	sweep []int32
 
 	// Fair queueing. The old runtime's per-node goroutines gave every
 	// node processor sharing: one node's message backlog never delayed a
@@ -272,31 +275,59 @@ func (s *shard) scheduleNode(n *Node, start time.Time) {
 	arm(tkMaintain, n.cfg.MaintainEvery)
 }
 
-// command is one API call waiting for the loop.
+// command is one API call waiting for the loop: a closure, or a
+// Publish call (pub) when fn is nil. Commands are pooled; the loop
+// recycles one once it has run.
 type command struct {
 	fn   func()
-	done chan struct{} // closed once fn has run, when the caller waits
+	pub  publishCmd
+	done chan struct{} // closed once the call has run, when the caller waits
 	next *command
+}
+
+func (c *command) run() {
+	if c.fn != nil {
+		c.fn()
+	} else {
+		c.pub.run()
+	}
+}
+
+var commandPool = sync.Pool{New: func() any { return new(command) }}
+
+func putCommand(c *command) {
+	*c = command{}
+	commandPool.Put(c)
 }
 
 // cmdsClosed is what the queue holds once the loop has exited.
 var cmdsClosed command
 
-// submit hands fn to the loop. With wait set it returns once fn has run,
-// otherwise at once — unless the queue is past cmdBacklog and the caller
-// cannot be a loop goroutine, which then waits too. After the loop has
-// exited fn runs on the caller's goroutine.
+// submit hands fn to the loop; see push.
 func (s *shard) submit(fn func(), wait bool) {
-	c := &command{fn: fn}
+	c := commandPool.Get().(*command)
+	c.fn = fn
+	s.push(c, wait)
+}
+
+// push hands c, a pooled command, to the loop. With wait set it returns
+// once c has run, otherwise at once — unless the queue is past cmdBacklog
+// and the caller cannot be a loop goroutine, which then waits too. After
+// the loop has exited c runs on the caller's goroutine. c is the loop's
+// from the call on: the caller waits on its own copy of done.
+func (s *shard) push(c *command, wait bool) {
+	var done chan struct{}
 	if wait || (s.cmdDepth.Load() >= cmdBacklog && !s.c.inCallback()) {
-		c.done = make(chan struct{})
+		done = make(chan struct{})
+		c.done = done
 	}
 	for {
 		old := s.cmds.Load()
 		if old == &cmdsClosed {
 			<-s.idle
-			fn()
+			c.run()
 			s.idle <- struct{}{}
+			putCommand(c)
 			return
 		}
 		c.next = old
@@ -309,8 +340,8 @@ func (s *shard) submit(fn func(), wait bool) {
 	case s.kick <- struct{}{}:
 	default:
 	}
-	if c.done != nil {
-		<-c.done
+	if done != nil {
+		<-done
 	}
 }
 
@@ -328,11 +359,14 @@ func (s *shard) runCommands() {
 		c = next
 	}
 	s.cmdDepth.Add(-n)
-	for c := oldest; c != nil; c = c.next {
-		c.fn()
+	for c := oldest; c != nil; {
+		next := c.next
+		c.run()
 		if c.done != nil {
 			close(c.done)
 		}
+		putCommand(c)
+		c = next
 	}
 }
 
@@ -352,6 +386,18 @@ func (n *Node) do(fn func()) {
 		return
 	}
 	n.sh.submit(fn, true)
+}
+
+// postPublish runs p on the node's loop, as post does, in a pooled
+// command instead of a closure.
+func (n *Node) postPublish(p publishCmd) {
+	if n.sh == nil {
+		p.run()
+		return
+	}
+	c := commandPool.Get().(*command)
+	c.pub = p
+	n.sh.push(c, false)
 }
 
 // scheduleAt upserts wheel entry id to fire at `at`.

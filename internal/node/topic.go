@@ -184,7 +184,7 @@ func (t *TopicHandle) Subscribe(ctx context.Context) (*Subscription, error) {
 		switch {
 		case implicit:
 			ts.ack()
-		case n.pubs[ts.row] == nil: // else the open row releases this call too
+		case n.pubs.rows[ts.row] == nil: // else the open row releases this call too
 			now := time.Now()
 			n.topicRegister(t.name, ts, n.topicRendezvous(t.name, now), now)
 		}
@@ -223,7 +223,7 @@ func (n *Node) unsubscribe(topic string) {
 	if ts == nil || ts.implicit {
 		return
 	}
-	if st := n.pubs[ts.row]; st != nil {
+	if st := n.pubs.rows[ts.row]; st != nil {
 		n.retire(ts.row, st) // no TopicSub of it follows the TopicUnsub
 	}
 	seq, now := n.nextSeq(), time.Now()
@@ -257,9 +257,8 @@ func (t *TopicHandle) Publish(payload []byte, opts ...PublishOption) (uint32, er
 	if !n.repairEnabled() {
 		return 0, ErrTopicRepairOff
 	}
-	o := resolvePublishOpts(payload, opts)
 	seq := n.nextSeq()
-	n.post(func() { n.publishTopic(seq, t.name, payload, o) })
+	n.postPublish(publishCmd{n: n, seq: seq, topic: t.name, payload: payload, o: resolvePublishOpts(payload, opts)})
 	return seq, nil
 }
 
@@ -269,7 +268,7 @@ func (t *TopicHandle) Publish(payload []byte, opts ...PublishOption) (uint32, er
 // repairing.
 func (n *Node) publishTopic(seq uint32, topic string, payload []byte, o pubOpts) {
 	now := time.Now()
-	n.rememberDelivery(msgID{int32(n.id), seq}, 0) // the publisher trivially has its own message
+	n.received.add(msgID{int32(n.id), seq}, 0) // the publisher trivially has its own message
 	n.cfg.Obs.Inc(obs.CPublishSent)
 	n.cfg.Obs.TraceEvent("topic_publish", int32(n.id), seq)
 	n.openSetRow(n.registerPublish(seq, nil, payload, o.size, o.pri, now), seq, rowHandoff, topic, n.topicRendezvous(topic, now), now)
@@ -332,7 +331,7 @@ func (n *Node) TopicRendezvous(topic string) (set []overlay.PeerID) {
 // silent holds back no one's lease. Stamps lastSub and keeps a copy of
 // the set for re-home detection.
 func (n *Node) topicRegister(topic string, ts *topicSub, set []overlay.PeerID, now time.Time) {
-	if st := n.pubs[ts.row]; st != nil {
+	if st := n.pubs.rows[ts.row]; st != nil {
 		n.retire(ts.row, st)
 	}
 	ts.row, ts.lastSub, ts.set = n.nextSeq(), now, append(ts.set[:0], set...)
@@ -360,7 +359,7 @@ func (n *Node) topicMaintain() {
 			n.cfg.Obs.Inc(obs.CTopicRehome)
 			n.cfg.Obs.TraceEvent("topic_rehome", int32(n.id), 0)
 		}
-		st := n.pubs[ts.row]
+		st := n.pubs.rows[ts.row]
 		switch {
 		case now.Sub(ts.lastSub) >= n.cfg.TopicLease/2 || (moved && st == nil):
 			n.topicRegister(topic, ts, set, now)
@@ -373,13 +372,13 @@ func (n *Node) topicMaintain() {
 	// this node no longer owns to the current set in a transfer row; the
 	// registry goes when the row retires.
 	for topic, reg := range n.topicReg {
-		for sub, exp := range reg {
+		for sub, exp := range reg.subs {
 			if now.After(exp) {
-				delete(reg, sub)
+				delete(reg.subs, sub)
 				n.cfg.Obs.Inc(obs.CTopicLeaseExpire)
 			}
 		}
-		if len(reg) == 0 {
+		if len(reg.subs) == 0 {
 			delete(n.topicReg, topic)
 			continue
 		}
@@ -398,7 +397,7 @@ func (n *Node) topicMaintain() {
 
 // transferring reports whether a transfer row carries topic's registry.
 func (n *Node) transferring(topic string) bool {
-	for _, st := range n.pubs {
+	for _, st := range n.pubs.rows {
 		if st.class == rowTransfer && st.topic == topic {
 			return true
 		}
@@ -411,8 +410,8 @@ func (n *Node) transferring(topic string) bool {
 // openSetRow makes st, the fresh row seq, a set row of class on topic
 // (DESIGN.md §9.1) and runs its first round against set, which it takes.
 func (n *Node) openSetRow(st *pubState, seq uint32, class uint8, topic string, set []overlay.PeerID, now time.Time) {
-	st.class, st.topic = class, topic
-	st.accepted = make([]overlay.PeerID, 0, n.cfg.InboxReplicas)
+	st.class = class
+	st.setTopic(topic)
 	if missing, _ := n.setRound(seq, st, set, now); len(missing) > 0 {
 		n.sendSet(seq, st, missing, now)
 	} else {
@@ -454,13 +453,14 @@ func (n *Node) setRound(seq uint32, st *pubState, set []overlay.PeerID, now time
 // registration (KindTopicSub) or the registry's live entries
 // (KindTopicHandoff, in RoutingTable).
 func (n *Node) sendSet(seq uint32, st *pubState, to []overlay.PeerID, now time.Time) {
-	m := wire.Message{Kind: wire.KindTopicSub, From: int32(n.id), Seq: seq, Topic: []byte(st.topic)}
+	m := wire.Message{Kind: wire.KindTopicSub, From: int32(n.id), Seq: seq, Topic: st.topicB}
 	switch st.class {
 	case rowHandoff:
 		m.Kind, m.Publisher, m.Target, m.TTL = wire.KindTopicPub, int32(n.id), -1, n.cfg.TTL
 		m.Priority, m.PayloadSize, m.Payload = st.pri, st.size, st.payload
 	case rowTransfer:
-		m.Kind, m.RoutingTable = wire.KindTopicHandoff, n.registrySubs(st.topic, now, -1)
+		st.peers = n.appendRegistrySubs(st.peers[:0], st.topic, now, -1)
+		m.Kind, m.RoutingTable = wire.KindTopicHandoff, st.peers
 	}
 	for _, rep := range to {
 		m.To = int32(rep)
@@ -477,14 +477,35 @@ func (n *Node) ackAccept(kind wire.Kind, m *wire.Message) {
 
 // ---- rendezvous side -------------------------------------------------
 
+// registry is a rendezvous's subscriber registry for one topic: each
+// subscriber's lease expiry. name is the topic's, the string a frame that
+// names the topic is read as (topicName).
+type registry struct {
+	name string
+	subs map[overlay.PeerID]time.Time
+}
+
 // registerTopicSub records (or refreshes) one subscriber lease.
 func (n *Node) registerTopicSub(topic string, sub overlay.PeerID, now time.Time) {
 	reg := n.topicReg[topic]
 	if reg == nil {
-		reg = make(map[overlay.PeerID]time.Time)
+		reg = &registry{name: topic, subs: make(map[overlay.PeerID]time.Time)}
 		n.topicReg[topic] = reg
 	}
-	reg[sub] = now.Add(n.cfg.TopicLease)
+	reg.subs[sub] = now.Add(n.cfg.TopicLease)
+}
+
+// topicName reads a frame's topic bytes as a name: the string of the
+// registry or the subscription this node holds for it, converted only
+// when it holds neither.
+func (n *Node) topicName(b []byte) string {
+	if reg := n.topicReg[string(b)]; reg != nil {
+		return reg.name
+	}
+	if ts := n.subTopics[string(b)]; ts != nil {
+		return ts.sub.topic
+	}
+	return string(b)
 }
 
 // unsubKey names one departed subscription, and unsubscribed is what its
@@ -550,21 +571,21 @@ func (n *Node) dropTopicSub(topic string, sub overlay.PeerID, seq uint32, now ti
 		n.unsubbed[unsubKey{topic, sub}] = unsubscribed{seq: seq, until: now.Add(n.unsubMemory())}
 	}
 	if reg := n.topicReg[topic]; reg != nil {
-		delete(reg, sub)
-		if len(reg) == 0 {
+		delete(reg.subs, sub)
+		if len(reg.subs) == 0 {
 			delete(n.topicReg, topic)
 		}
 	}
 	// Cancel repair still owed to the departed subscriber: publications
 	// retrying toward it must neither keep re-sending nor deposit fresh
 	// journal entries after the purge below.
-	for rseq, st := range n.pubs {
+	for rseq, st := range n.pubs.rows {
 		if st.class != rowReplica || st.topic != topic {
 			continue
 		}
 		if i := slices.Index(st.subs, sub); i >= 0 {
 			st.subs = slices.Delete(st.subs, i, i+1)
-			delete(st.dep, sub)
+			st.dep = slices.DeleteFunc(st.dep, func(ds depSub) bool { return ds.sub == sub })
 			n.resolveAck(rseq)
 		}
 	}
@@ -574,7 +595,7 @@ func (n *Node) dropTopicSub(topic string, sub overlay.PeerID, seq uint32, now ti
 	// Records of the departed topic leave the outstanding replay batch and
 	// are not sent again; what is left of the batch still waits for its
 	// acks, and the pump moves on once there is nothing left.
-	if rs := n.replay[sub]; rs != nil {
+	if rs := n.replay.by[sub]; rs != nil {
 		rs.out = slices.DeleteFunc(rs.out, func(r inbox.Record) bool { return string(r.Topic) == topic })
 	}
 	dropped, err := n.sh.ibx.PurgeTopic(int32(n.id), int32(sub), []byte(topic))
@@ -585,24 +606,24 @@ func (n *Node) dropTopicSub(topic string, sub overlay.PeerID, seq uint32, now ti
 	n.pumpReplay(sub, now)
 }
 
-// registrySubs snapshots the topic's live-lease subscribers,
+// appendRegistrySubs appends the topic's live-lease subscribers to dst,
 // excluding the origin publisher and this node itself (the rendezvous
 // delivers to itself locally, not through the tree).
-func (n *Node) registrySubs(topic string, now time.Time, excl int32) []overlay.PeerID {
-	reg := n.topicReg[topic]
-	subs := make([]overlay.PeerID, 0, len(reg))
-	for sub, exp := range reg {
-		if sub == n.id || int32(sub) == excl || now.After(exp) {
-			continue
+func (n *Node) appendRegistrySubs(dst []overlay.PeerID, topic string, now time.Time, excl int32) []overlay.PeerID {
+	if reg := n.topicReg[topic]; reg != nil {
+		for sub, exp := range reg.subs {
+			if sub == n.id || int32(sub) == excl || now.After(exp) {
+				continue
+			}
+			dst = append(dst, sub)
 		}
-		subs = append(subs, sub)
 	}
-	return subs
+	return dst
 }
 
 func (n *Node) handleTopicSub(m *wire.Message) {
 	n.cfg.Obs.Inc(obs.CTopicSub)
-	topic, sub, now := string(m.Topic), overlay.PeerID(m.From), time.Now()
+	topic, sub, now := n.topicName(m.Topic), overlay.PeerID(m.From), time.Now()
 	if u, ok := n.unsubbed[unsubKey{topic, sub}]; ok && int32(m.Seq-u.seq) > 0 {
 		delete(n.unsubbed, unsubKey{topic, sub}) // subscribed again, later
 	} else if n.unsubLate(topic, sub, now) {
@@ -614,12 +635,12 @@ func (n *Node) handleTopicSub(m *wire.Message) {
 
 func (n *Node) handleTopicUnsub(m *wire.Message) {
 	n.cfg.Obs.Inc(obs.CTopicUnsub)
-	n.dropTopicSub(string(m.Topic), overlay.PeerID(m.From), m.Seq, time.Now())
+	n.dropTopicSub(n.topicName(m.Topic), overlay.PeerID(m.From), m.Seq, time.Now())
 }
 
 func (n *Node) handleTopicHandoff(m *wire.Message) {
 	now := time.Now()
-	topic := string(m.Topic)
+	topic := n.topicName(m.Topic)
 	for _, sub := range m.RoutingTable {
 		if overlay.PeerID(sub) == n.id || n.unsubLate(topic, overlay.PeerID(sub), now) {
 			continue
@@ -639,7 +660,7 @@ func (n *Node) handleTopicPub(m *wire.Message) {
 		return
 	}
 	if m.Target < 0 {
-		n.acceptTopicPub(msgID{m.Publisher, m.Seq}, string(m.Topic), m.Payload, m.PayloadSize, m.Priority)
+		n.acceptTopicPub(msgID{m.Publisher, m.Seq}, n.topicName(m.Topic), m.Payload, m.PayloadSize, m.Priority)
 		// Ack the hand-off whether fresh or duplicate — the publisher
 		// retries until every live rendezvous member confirmed.
 		n.ackAccept(wire.KindTopicPubAck, m)
@@ -657,8 +678,9 @@ func (n *Node) handleTopicPub(m *wire.Message) {
 // that stamped their copy, and that replica passes the acks on to them
 // (consumeAck), so one ack settles both. Acks that arrived before the
 // hand-off already count: a state they settle whole resolves here. The
-// row keeps a copy of payload: a hand-off's payload is a view of its
-// inbound Message, which is recycled when the handler returns.
+// row keeps a copy of payload in its own storage: a hand-off's payload is
+// a view of its inbound Message, which is recycled when the handler
+// returns.
 func (n *Node) acceptTopicPub(origin msgID, topic string, payload []byte, size uint32, pri uint8) {
 	if !n.repairEnabled() {
 		return
@@ -666,34 +688,35 @@ func (n *Node) acceptTopicPub(origin msgID, topic string, payload []byte, size u
 	if _, dup := n.tpOrigin[origin]; dup {
 		return
 	}
-	payload = slices.Clone(payload)
 	now := time.Now()
 	n.cfg.Obs.Inc(obs.CTopicPubRecv)
-	subs := n.registrySubs(topic, now, origin.Publisher)
+	st := n.pubs.open()
+	st.class, st.origin, st.size, st.pri = rowReplica, origin, size, pri
+	st.body = append(st.body, payload...)
+	st.payload = st.body
+	payload = st.body
+	st.setTopic(topic)
+	st.subs = n.appendRegistrySubs(st.subs, topic, now, origin.Publisher)
 	rseq := n.nextSeq()
-	bseed := selectcore.RepairSeed(n.cfg.Seed, origin.Publisher, origin.Seq)
-	st := &pubState{
-		class: rowReplica, subs: subs, payload: payload, size: size, pri: pri,
-		bseed: bseed, origin: origin, topic: topic,
-	}
+	st.bseed = selectcore.RepairSeed(n.cfg.Seed, origin.Publisher, origin.Seq)
 	// The row keeps the set, and this may run inside a round of a set row
-	// (setRound), which is reading topicRendezvous's storage: the set gets
-	// storage of its own.
-	set := n.appendRendezvous(make([]overlay.PeerID, 0, n.cfg.InboxReplicas), topic, now)
+	// (setRound), which is reading topicRendezvous's storage: the set goes
+	// in the row's own.
+	set := n.appendRendezvous(st.peers, topic, now)
 	primary := len(set) > 0 && set[0] == n.id
 	st.peers = slices.DeleteFunc(set, func(p overlay.PeerID) bool { return p == n.id })
 	delayStep := 0
 	if !primary {
 		delayStep = 1 // let the primary's wave land first
 	}
-	st.nextAt = now.Add(n.backoff().Delay(bseed, delayStep))
-	n.pubs[rseq] = st
+	st.nextAt = now.Add(n.backoff().Delay(st.bseed, delayStep))
+	n.pubs.rows[rseq] = st
 	n.tpOrigin[origin] = rseq
 	// Local delivery when the rendezvous itself subscribes (it is not in
 	// the tree). The other replicas count it among their subscribers. A
 	// standby gets the primary's tree copy and acks that; the primary gets
 	// no copy from anyone, so it acks the standbys itself.
-	if ts := n.subTopics[topic]; ts != nil && origin.Publisher != int32(n.id) && n.rememberDelivery(origin, 0) {
+	if ts := n.subTopics[topic]; ts != nil && origin.Publisher != int32(n.id) && n.received.add(origin, 0) {
 		n.cfg.Obs.Inc(obs.CTopicDelivered)
 		n.notify(ts, Delivery{
 			Publisher: overlay.PeerID(origin.Publisher), Topic: topic,
@@ -713,8 +736,8 @@ func (n *Node) acceptTopicPub(origin msgID, topic string, payload []byte, size u
 			Kind: wire.KindTopicPub, From: int32(n.id),
 			Seq: origin.Seq, Publisher: origin.Publisher, Target: int32(n.id),
 			Priority: pri, PayloadSize: size, Payload: payload,
-			Topic: []byte(topic), TTL: n.cfg.TTL,
-		}, subs)
+			Topic: st.topicB, TTL: n.cfg.TTL,
+		}, st.subs)
 	}
 	n.cfg.Obs.TraceEvent("topic_accept", int32(n.id), origin.Seq)
 	n.resolveAck(rseq)
@@ -734,7 +757,7 @@ func (n *Node) acceptTopicPub(origin msgID, topic string, payload []byte, size u
 // subtree is node storage (sendTopicTree).
 func (n *Node) deliverTopicCopy(m *wire.Message) {
 	id := msgID{m.Publisher, m.Seq}
-	if !n.rememberDelivery(id, m.HopCount) {
+	if !n.received.add(id, m.HopCount) {
 		n.cfg.Obs.Inc(obs.CPublishDuplicate)
 	} else if ts := n.subTopics[string(m.Topic)]; ts != nil {
 		n.cfg.Obs.Inc(obs.CTopicDelivered)
@@ -765,7 +788,11 @@ func (n *Node) deliverTopicCopy(m *wire.Message) {
 // TopicSubscribers reports the topic's registry size at this node
 // (rendezvous role; ops/tests surface).
 func (n *Node) TopicSubscribers(topic string) (k int) {
-	n.do(func() { k = len(n.topicReg[topic]) })
+	n.do(func() {
+		if reg := n.topicReg[topic]; reg != nil {
+			k = len(reg.subs)
+		}
+	})
 	return k
 }
 

@@ -24,7 +24,7 @@ import (
 // the other members' acceptance, not for subscriber acks.
 func repairState(n *Node) (pubs, origins int) {
 	n.do(func() {
-		for _, st := range n.pubs {
+		for _, st := range n.pubs.rows {
 			if st.class == rowReplica {
 				pubs++
 			}
@@ -267,7 +267,7 @@ func TestTopicHandoffRow(t *testing.T) {
 	}
 	isHandoff := func(f *sent) bool { return f.m.Kind == wire.KindTopicPub && f.m.Target < 0 }
 	watchEarly := func(e *env, _ int, f *sent) bool {
-		if f.hop == int32(e.owner.id) && slices.ContainsFunc(f.m.Acks, isAccept) && e.owner.pubs[e.seq] == nil {
+		if f.hop == int32(e.owner.id) && slices.ContainsFunc(f.m.Acks, isAccept) && e.owner.pubs.rows[e.seq] == nil {
 			e.early = true
 		}
 		return false
@@ -341,7 +341,7 @@ func TestTopicHandoffRow(t *testing.T) {
 			check: func(t *testing.T, e *env, ticks int, _ bool) {
 				switch ticks {
 				case 0:
-					if !e.owner.acked[msgID{int32(e.owner.id), e.seq}][int32(e.standby.id)] {
+					if !ackedBy(&e.owner.acked, msgID{int32(e.owner.id), e.seq}, int32(e.standby.id)) {
 						t.Fatal("the standby's ack of the tree copy did not reach the primary: the case proves nothing")
 					}
 				case 1:
@@ -384,7 +384,7 @@ func TestTopicHandoffRow(t *testing.T) {
 				left(t, e, false)
 				e.ts.lastSub = time.Time{} // the lease is half gone
 				e.owner.topicMaintain()
-				st := e.owner.pubs[e.ts.row]
+				st := e.owner.pubs.rows[e.ts.row]
 				if st == nil || st.class != rowRegister || e.ts.row == e.seq {
 					t.Fatalf("the refresh after row %d opened row %d: %+v", e.seq, e.ts.row, st)
 				}
@@ -403,7 +403,7 @@ func TestTopicHandoffRow(t *testing.T) {
 					t.Fatal("the row left before the unsubscribe")
 				}
 				e.owner.unsubscribe(topic)
-				for _, st := range e.owner.pubs {
+				for _, st := range e.owner.pubs.rows {
 					st.nextAt = time.Now().Add(-time.Millisecond)
 				}
 				e.owner.repairTick()
@@ -458,7 +458,7 @@ func TestTopicHandoffRow(t *testing.T) {
 				}
 				e.standby.dropTopicSub(topic, e.others[2], 1, now)
 				e.owner.topicMaintain()
-				for seq, st := range e.owner.pubs {
+				for seq, st := range e.owner.pubs.rows {
 					if st.class == rowTransfer {
 						e.seq = seq
 					}
@@ -523,9 +523,9 @@ func TestTopicHandoffRow(t *testing.T) {
 			for {
 				e.play()
 				if tc.check != nil {
-					tc.check(t, e, ticks, e.owner.pubs[e.seq] == nil)
+					tc.check(t, e, ticks, e.owner.pubs.rows[e.seq] == nil)
 				}
-				st := e.owner.pubs[e.seq]
+				st := e.owner.pubs.rows[e.seq]
 				if st == nil {
 					break
 				}
@@ -613,7 +613,7 @@ func TestSubscribeWaitsForWholeSet(t *testing.T) {
 		t.Fatal("Subscribe returned on the primary's acceptance alone")
 	case <-time.After(50 * time.Millisecond):
 	}
-	for _, st := range sub.pubs {
+	for _, st := range sub.pubs.rows {
 		st.nextAt = time.Now().Add(-time.Millisecond)
 	}
 	sub.repairTick()
@@ -633,7 +633,7 @@ func TestSubscribeWaitsForWholeSet(t *testing.T) {
 	c.Crash(primary.id)
 	asleep := func(f *sent) bool { return c.Nodes[f.hop].paused.Load() }
 	frames := playInbox(c, tp, asleep)
-	if _, ok := sub.received[msgID{int32(pub.id), seq}]; !ok {
+	if _, ok := sub.received.get(msgID{int32(pub.id), seq}); !ok {
 		t.Fatal("the subscriber missed the publication its primary died with")
 	}
 	for _, f := range ofKind(frames, wire.KindTopicPub) {
@@ -676,7 +676,7 @@ func TestDeadLetterNamesPublication(t *testing.T) {
 		t.Fatalf("the primary holds the publication under repair seq %d (accepted %v), the publication is %d", rseq, ok, seq)
 	}
 	for i := 0; i <= budget; i++ {
-		primary.pubs[rseq].nextAt = time.Now().Add(-time.Millisecond)
+		primary.pubs.rows[rseq].nextAt = time.Now().Add(-time.Millisecond)
 		primary.repairTick()
 		playInbox(c, tp, asleep)
 	}
@@ -692,7 +692,7 @@ func TestDeadLetterNamesPublication(t *testing.T) {
 	seq, _ = pub.Topic(topic).Publish([]byte("y"))
 	playInbox(c, tp, lost)
 	for i := 0; i <= budget; i++ {
-		pub.pubs[seq].nextAt = time.Now().Add(-time.Millisecond)
+		pub.pubs.rows[seq].nextAt = time.Now().Add(-time.Millisecond)
 		pub.repairTick()
 		playInbox(c, tp, lost)
 	}

@@ -391,7 +391,7 @@ func TestTreeRetryNamesOnlyTheMissing(t *testing.T) {
 		}
 	}
 	nd.handle(batch)
-	nd.pubs[seq].nextAt = time.Now().Add(-time.Second)
+	nd.pubs.rows[seq].nextAt = time.Now().Add(-time.Second)
 	nd.repairTick()
 
 	var named, hops []int32
@@ -687,7 +687,7 @@ func TestAckBounceSplitHorizon(t *testing.T) {
 		t.Errorf("%d still believes %d has a link to %d: %v", y.id, x.id, pub, got)
 	}
 	consumed := int64(0)
-	if c.Nodes[pub].acked[msgID{int32(pub), 1}][int32(origin)] {
+	if ackedBy(&c.Nodes[pub].acked, msgID{int32(pub), 1}, int32(origin)) {
 		consumed = 1
 	}
 	if dropped := met.Get(obs.CAckBounceDrop) + met.Get(obs.CPublishDeadEnd); consumed+dropped != 1 || met.Get(obs.CAckTTLDrop) != 0 {
@@ -775,7 +775,7 @@ func TestPublishSplitHorizon(t *testing.T) {
 		t.Errorf("%d's copy of %d's routing table is %v: want the stale entry for %d gone and the one for %d kept", x.id, y.id, got, dest, pub)
 	}
 	delivered := int64(0)
-	if _, ok := c.Nodes[dest].received[msgID{int32(pub), 2}]; ok {
+	if _, ok := c.Nodes[dest].received.get(msgID{int32(pub), 2}); ok {
 		delivered = 1
 	}
 	dropped := met.Get(obs.CPublishBounceDrop) + met.Get(obs.CPublishDeadEnd) + met.Get(obs.CPublishTTLDrop)
@@ -924,15 +924,17 @@ func (d *discard) BindInboxBatch(int32, chan *[]transport.Envelope) bool {
 
 // discardCluster starts a bootstrapped cluster over a discard transport
 // and stops its shard loops, as frozenCluster does: what an allocation pin
-// measures on it is the node alone.
-func discardCluster(t *testing.T, n int, seed int64) (*socialgraph.Graph, *Cluster, *discard) {
+// measures on it is the node alone. The caller fills only the tuning
+// fields of opts.
+func discardCluster(t *testing.T, n int, seed int64, opts Options) (*socialgraph.Graph, *Cluster, *discard) {
 	t.Helper()
 	if raceEnabled {
 		t.Skip("allocation counts mean nothing under -race: sync.Pool drops a quarter of what it is handed back")
 	}
 	g, ov := buildOverlay(t, n, seed)
 	tr := &discard{}
-	c, err := Start(Options{Graph: g, Overlay: ov, Transport: tr, Seed: seed})
+	opts.Graph, opts.Overlay, opts.Transport, opts.Seed = g, ov, tr, seed
+	c, err := Start(opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -963,7 +965,7 @@ func pinAllocs(t *testing.T, tr *discard, what string, sends bool, f func()) {
 // riding another frame, a pong, a heartbeat sweep and a topic tree copy.
 func TestFanOutAllocPins(t *testing.T) {
 	const n, seed = 120, 2
-	g, c, tr := discardCluster(t, n, seed)
+	g, c, tr := discardCluster(t, n, seed, Options{})
 	pub := topDegree(g)
 	nd := c.Nodes[pub]
 	subs := g.Neighbors(pub)
@@ -1033,14 +1035,15 @@ func TestFanOutAllocPins(t *testing.T) {
 
 // TestMaintainAllocPins holds the control plane to the same budget: on a
 // node that has learned every friend's strength and bitmap, a maintain
-// round that moves nothing and changes no link, an exchange sent, one
-// answered, exchanges answered that change the sender's table, a reply
-// that brings nothing new and replies that change the table — and with
-// it the lookahead and the bitmap they store — allocate nothing
-// (DESIGN.md §15.1).
+// round that moves nothing and changes no link, an exchange sent, the
+// ring view re-sorted around a moved identifier, an exchange answered,
+// exchanges answered that change the sender's table, a reply that brings
+// nothing new and replies that change the table — and with it the
+// lookahead and the bitmap they store — allocate nothing (DESIGN.md
+// §15.1).
 func TestMaintainAllocPins(t *testing.T) {
 	const n, seed = 120, 2
-	g, c, tr := discardCluster(t, n, seed)
+	g, c, tr := discardCluster(t, n, seed, Options{})
 	nd := c.Nodes[topDegree(g)]
 	friends := g.Neighbors(nd.id)
 	rng := rand.New(rand.NewSource(seed))
@@ -1069,6 +1072,15 @@ func TestMaintainAllocPins(t *testing.T) {
 	}
 	pinAllocs(t, tr, "a maintain round", false, nd.maintainTick)
 	pinAllocs(t, tr, "an exchange sent", true, nd.sendExchange)
+	// The ring view re-sorted around a moved position and back.
+	own := c.dir.position(nd.id)
+	if len(nd.rview.succ) == 0 {
+		t.Fatal("the node's ring view is empty")
+	}
+	pinAllocs(t, tr, "a ring view rebased after a move", false, func() {
+		nd.rview.rebase(own + (nd.rview.succ[0].pos-own)/2)
+		nd.rview.rebase(own)
+	})
 
 	f := friends[0]
 	rt := c.Nodes[f].links()
@@ -1103,7 +1115,7 @@ func TestMaintainAllocPins(t *testing.T) {
 // — and observing it again, which a new link's first heartbeat does,
 // allocates nothing.
 func TestLinkCMAAllocPin(t *testing.T) {
-	g, c, tr := discardCluster(t, 60, 2)
+	g, c, tr := discardCluster(t, 60, 2, Options{})
 	nd := c.Nodes[topDegree(g)]
 	q := nd.links()[0]
 	pinAllocs(t, tr, "a link dropped and observed again", false, func() {

@@ -18,9 +18,10 @@
 // reads the clock; callers pass time in, so tests can drive it logically.
 //
 // Steady state allocates nothing: entries are recycled through a free
-// list (a fired, cancelled or rescheduled entry is the next one handed
-// out), the due list lives on the wheel, and AdvanceAppend fills a slice
-// its caller owns.
+// list (a fired or cancelled entry is the next one handed out), a slot is
+// a list threaded through its entries — moving an entry between slots
+// touches no slot storage, however the load shifts — the due list lives
+// on the wheel, and AdvanceAppend fills a slice its caller owns.
 package sched
 
 import (
@@ -37,20 +38,21 @@ type Fired struct {
 	At time.Time
 }
 
-// entry is one scheduled deadline.
+// entry is one scheduled deadline, linked into its slot's list.
 type entry struct {
-	id  uint64
-	at  int64  // requested deadline, ns
-	tk  int64  // fire tick index (at/tick, clamped to the future at insert)
-	seq uint64 // insertion order, the deterministic tiebreak
+	id         uint64
+	at         int64  // requested deadline, ns
+	tk         int64  // fire tick index (at/tick, clamped to the future at insert)
+	seq        uint64 // insertion order, the deterministic tiebreak
+	prev, next *entry
 }
 
 // Wheel is a hashed timer wheel. It is not safe for concurrent use: the
 // shard loop that advances it is also the only goroutine that schedules
 // and cancels its entries.
 type Wheel struct {
-	tick    int64 // slot granularity, ns
-	slots   [][]*entry
+	tick    int64    // slot granularity, ns
+	slots   []*entry // each slot's list, in no particular order
 	entries map[uint64]*entry
 	cur     int64 // last fully processed tick index
 	seq     uint64
@@ -70,7 +72,7 @@ func NewWheel(tick time.Duration, slots int, now time.Time) *Wheel {
 	}
 	return &Wheel{
 		tick:    int64(tick),
-		slots:   make([][]*entry, slots),
+		slots:   make([]*entry, slots),
 		entries: make(map[uint64]*entry),
 		cur:     now.UnixNano() / int64(tick),
 	}
@@ -102,7 +104,10 @@ func (w *Wheel) Schedule(id uint64, at time.Time) {
 	w.seq++
 	*e = entry{id: id, at: ns, tk: tk, seq: w.seq}
 	s := int(tk % int64(len(w.slots)))
-	w.slots[s] = append(w.slots[s], e)
+	if e.next = w.slots[s]; e.next != nil {
+		e.next.prev = e
+	}
+	w.slots[s] = e
 }
 
 // Cancel removes entry id (no-op when absent).
@@ -116,14 +121,15 @@ func (w *Wheel) Cancel(id uint64) {
 
 // unlink removes e from its slot list.
 func (w *Wheel) unlink(e *entry) {
-	s := int(e.tk % int64(len(w.slots)))
-	list := w.slots[s]
-	for i, x := range list {
-		if x == e {
-			w.slots[s] = append(list[:i], list[i+1:]...)
-			return
-		}
+	if e.prev != nil {
+		e.prev.next = e.next
+	} else {
+		w.slots[int(e.tk%int64(len(w.slots)))] = e.next
 	}
+	if e.next != nil {
+		e.next.prev = e.prev
+	}
+	e.prev, e.next = nil, nil
 }
 
 // Advance pops every entry due at `now` into a fresh slice; see
@@ -148,21 +154,15 @@ func (w *Wheel) AdvanceAppend(dst []Fired, now time.Time) []Fired {
 	}
 	due := w.due[:0]
 	for i := int64(1); i <= span; i++ {
-		s := int((w.cur + i) % W)
-		list := w.slots[s]
-		if len(list) == 0 {
-			continue
-		}
-		keep := list[:0]
-		for _, e := range list {
+		for e := w.slots[int((w.cur+i)%W)]; e != nil; {
+			next := e.next
 			if e.tk <= target {
+				w.unlink(e)
 				due = append(due, e)
 				delete(w.entries, e.id)
-			} else {
-				keep = append(keep, e)
 			}
+			e = next
 		}
-		w.slots[s] = keep
 	}
 	w.cur = target
 	if len(due) > 1 {
@@ -195,7 +195,7 @@ func (w *Wheel) Next() (time.Time, bool) {
 	best := int64(-1)
 	for i := int64(1); i <= W; i++ {
 		t := w.cur + i
-		for _, e := range w.slots[int(t%W)] {
+		for e := w.slots[int(t%W)]; e != nil; e = e.next {
 			if best < 0 || e.tk < best {
 				best = e.tk
 			}

@@ -3,6 +3,7 @@ package sched
 import (
 	"math/rand"
 	"reflect"
+	"runtime"
 	"testing"
 	"time"
 )
@@ -193,5 +194,37 @@ func TestWheelZeroAlloc(t *testing.T) {
 	}
 	if w.Len() != 0 {
 		t.Errorf("%d entries left scheduled", w.Len())
+	}
+
+	// Reschedule churn: 32 entries share one deadline, and every round
+	// moves all of them one tick on before the wheel advances — a slot the
+	// wheel has not used yet takes the whole load each round, as armed
+	// deadlines pile into the next tick on a busy shard. Counted exactly:
+	// one growth of a slot in the round is already too many.
+	const crowd = 32
+	for id := uint64(100); id < 100+crowd; id++ {
+		w.Schedule(id, now.Add(2*time.Millisecond))
+	}
+	churn := func() {
+		for id := uint64(100); id < 100+crowd; id++ {
+			w.Schedule(id, now.Add(3*time.Millisecond))
+		}
+		now = now.Add(time.Millisecond)
+		if fired = w.AdvanceAppend(fired[:0], now); len(fired) != 0 {
+			t.Fatalf("fired %d rescheduled entries early", len(fired))
+		}
+	}
+	churn()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < 400; i++ {
+		churn()
+	}
+	runtime.ReadMemStats(&after)
+	if n := after.Mallocs - before.Mallocs; n != 0 {
+		t.Errorf("400 rounds of rescheduling %d entries into fresh slots cost %d allocs, want 0", crowd, n)
+	}
+	if w.Len() != crowd {
+		t.Errorf("%d entries scheduled, want %d", w.Len(), crowd)
 	}
 }
