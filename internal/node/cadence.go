@@ -9,9 +9,11 @@ import (
 
 // This file drives the liveness cadence (DESIGN.md §15.2): the heartbeat
 // and gossip timers fire every base<<level, selectcore.Cadence deciding
-// the level — up while the neighbourhood is quiet, zero on any event —
-// and an event also pulls a backed-off timer in, so the node looks again
-// within one base interval of whatever woke it.
+// the level — the heartbeat's up while the neighbourhood is quiet, the
+// gossip's at the cap once a sampler pass has told every friend the
+// current table, either at zero after an event that concerns it — and an
+// event also pulls a backed-off timer in, so the node looks again within
+// one base interval of whatever woke it.
 
 // cadenceTimer is one stability-scaled periodic wheel entry of a node.
 type cadenceTimer struct {
@@ -34,7 +36,8 @@ var cadenceResetCounter = [selectcore.NumCadenceEvents]obs.Counter{
 }
 
 // cadenceEvent records that something in the node's neighbourhood
-// changed: both timers drop to their base interval, and one that was
+// changed: the heartbeat drops to its base interval, and so does gossip
+// when the event changed this node's own routing table; a timer that was
 // backed off is pulled in to its next base-grid point.
 func (n *Node) cadenceEvent(ev selectcore.CadenceEvent) {
 	n.cfg.Obs.Inc(cadenceResetCounter[ev])
@@ -42,7 +45,9 @@ func (n *Node) cadenceEvent(ev selectcore.CadenceEvent) {
 	// own, not the fold point of the backed-off one before it.
 	n.hbFold = false
 	n.resetTimer(&n.hb)
-	n.resetTimer(&n.gs)
+	if ev.TableChanged() {
+		n.resetTimer(&n.gs)
+	}
 }
 
 func (n *Node) resetTimer(t *cadenceTimer) {

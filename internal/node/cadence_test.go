@@ -1,6 +1,7 @@
 package node
 
 import (
+	"slices"
 	"testing"
 	"time"
 
@@ -293,5 +294,167 @@ func TestQuietClusterStaysQuietAndRight(t *testing.T) {
 		t.Errorf("link_proposal = %d over %d rounds, want at most one per node per %d (%d)", props, 2*rounds, rounds, 2*n)
 	} else {
 		t.Logf("%d rounds: %d proposals (fixed cadence: %d)", 2*rounds, props, 2*rounds*n)
+	}
+}
+
+// carryProbes delivers the pings and pongs the tap recorded, and the
+// pongs they draw, until none is left; every other frame is dropped.
+// keep, when not nil, says which (from, to) pairs to carry. It returns
+// how many pings and pongs went between a and b.
+func carryProbes(c *Cluster, tp *tap, a, b overlay.PeerID, keep func(from, to int32) bool) (pings, pongs int) {
+	for {
+		tp.mu.Lock()
+		frames := tp.frames
+		tp.frames = nil
+		tp.mu.Unlock()
+		if len(frames) == 0 {
+			return pings, pongs
+		}
+		for _, f := range frames {
+			m := f.m
+			if m.Kind != wire.KindPing && m.Kind != wire.KindPong {
+				continue
+			}
+			if keep != nil && !keep(m.From, f.hop) {
+				continue
+			}
+			if pair := [2]overlay.PeerID{overlay.PeerID(m.From), overlay.PeerID(f.hop)}; pair == [2]overlay.PeerID{a, b} || pair == [2]overlay.PeerID{b, a} {
+				if m.Kind == wire.KindPing {
+					pings++
+				} else {
+					pongs++
+				}
+			}
+			c.Nodes[f.hop].handle(m)
+		}
+	}
+}
+
+func entryPeers(list []ringEntry) []overlay.PeerID {
+	var out []overlay.PeerID
+	for _, e := range list {
+		out = append(out, e.peer)
+	}
+	return out
+}
+
+// TestOneProbePerLinkPerInterval: two idle linked nodes probe their link
+// with one ping/pong pair per heartbeat interval, not one from each end —
+// the peer's ping since the last sweep is the sweep's probe — and each
+// detector still takes exactly one sample per sweep. The ping carries the
+// prober's successor and predecessor lists and the pong the prober's
+// peer's, so one pair teaches both ends each other's lists.
+func TestOneProbePerLinkPerInterval(t *testing.T) {
+	const intervals = 6
+	met := obs.New()
+	_, c, tp := frozenCluster(t, 40, 5, Options{HeartbeatEvery: time.Hour, Obs: met})
+	a := c.Nodes[7]
+	b := c.Nodes[a.shortSucc]
+	if b.shortPred != a.id {
+		t.Fatalf("%d's successor %d has predecessor %d", a.id, b.id, b.shortPred)
+	}
+	// Each end forgets the far half of the other's lists: a the
+	// successors beyond b, b the predecessors beyond a.
+	bSuccs, aPreds := entryPeers(b.rview.succ), entryPeers(a.rview.pred)
+	for _, q := range bSuccs {
+		if q != a.id {
+			a.rview.remove(q)
+		}
+	}
+	for _, q := range aPreds {
+		if q != b.id {
+			b.rview.remove(q)
+		}
+	}
+	tp.take(0)
+
+	samples := func(nd *Node, q overlay.PeerID) int { c := nd.cma[q]; return c.Samples() }
+	aS, bS := samples(a, b.id), samples(b, a.id)
+	for k := 1; k <= intervals; k++ {
+		var pings, pongs int
+		for _, nd := range []*Node{a, b} {
+			nd.sendHeartbeats()
+			// The first interval carries the pair's frames alone, so that
+			// what each end learns of the other's lists came from them.
+			var keep func(from, to int32) bool
+			if k == 1 {
+				keep = func(from, to int32) bool {
+					return (from == int32(a.id) && to == int32(b.id)) || (from == int32(b.id) && to == int32(a.id))
+				}
+			}
+			pi, po := carryProbes(c, tp, a.id, b.id, keep)
+			pings, pongs = pings+pi, pongs+po
+		}
+		if pings != 1 || pongs != 1 {
+			t.Fatalf("interval %d: %d pings and %d pongs between %d and %d, want one pair", k, pings, pongs, a.id, b.id)
+		}
+		if got, want := samples(a, b.id)-aS, k; got != want {
+			t.Fatalf("interval %d: %d holds %d detector samples of %d, want %d", k, a.id, got, b.id, want)
+		}
+		if got, want := samples(b, a.id)-bS, k; got != want {
+			t.Fatalf("interval %d: %d holds %d detector samples of %d, want %d", k, b.id, got, a.id, want)
+		}
+		if a.miss[b.id] != 0 || b.miss[a.id] != 0 {
+			t.Fatalf("interval %d: miss streaks %d and %d on a link that answered", k, a.miss[b.id], b.miss[a.id])
+		}
+		if k == 1 {
+			if got, want := entryPeers(a.rview.succ), bSuccs[:len(a.rview.succ)-1]; !slices.Equal(got[1:], want) {
+				t.Errorf("after one pair %d's successors are %v, want %d then %v", a.id, got, b.id, want)
+			}
+			if got, want := entryPeers(b.rview.pred), aPreds[:len(b.rview.pred)-1]; !slices.Equal(got[1:], want) {
+				t.Errorf("after one pair %d's predecessors are %v, want %d then %v", b.id, got, a.id, want)
+			}
+		}
+	}
+	if got := met.Get(obs.CHeartbeatProbed); got != intervals {
+		t.Errorf("heartbeat_peer_probed = %d, want %d: one end stood in each interval", got, intervals)
+	}
+	if got := met.Get(obs.CHeartbeatSuppress); got != 0 {
+		t.Errorf("heartbeat_suppressed = %d on idle links, want 0", got)
+	}
+}
+
+// TestPeerProbeStandsInOnce: q pings p and falls silent. p's next sweep
+// takes the ping as its probe of q, with one online sample; the sweep
+// after that pings q, and the one after folds the miss.
+func TestPeerProbeStandsInOnce(t *testing.T) {
+	met := obs.New()
+	_, c, tp := frozenCluster(t, 40, 5, Options{HeartbeatEvery: time.Hour, Obs: met})
+	p := c.Nodes[11]
+	q := c.Nodes[p.shortPred]
+	tp.take(0)
+	q.sendHeartbeats()
+	carryProbes(c, tp, p.id, q.id, func(from, to int32) bool { return from == int32(q.id) && to == int32(p.id) })
+
+	pingsTo := func(to overlay.PeerID) int {
+		n := 0
+		for _, f := range tp.take(wire.KindPing) {
+			if f.hop == int32(to) {
+				n++
+			}
+		}
+		return n
+	}
+	s0 := p.cma[q.id]
+	p.sendHeartbeats()
+	if n := pingsTo(q.id); n != 0 {
+		t.Fatalf("the sweep after %d's ping sent it %d pings, want the ping to stand in", q.id, n)
+	}
+	if s1 := p.cma[q.id]; s1.Samples() != s0.Samples()+1 || p.miss[q.id] != 0 {
+		t.Fatalf("the stand-in left %d samples (was %d) and a miss streak of %d, want one more sample and none", s1.Samples(), s0.Samples(), p.miss[q.id])
+	}
+	if got := met.Get(obs.CHeartbeatProbed); got != 1 {
+		t.Fatalf("heartbeat_peer_probed = %d, want 1", got)
+	}
+	p.sendHeartbeats()
+	if n := pingsTo(q.id); n != 1 {
+		t.Fatalf("the sweep after the stand-in sent %d pings to the silent %d, want 1", n, q.id)
+	}
+	p.sendHeartbeats()
+	if p.miss[q.id] != 1 {
+		t.Fatalf("the third sweep left a miss streak of %d for the silent %d, want 1", p.miss[q.id], q.id)
+	}
+	if got := met.Get(obs.CHeartbeatProbed); got != 1 {
+		t.Fatalf("heartbeat_peer_probed = %d after the silence, want still 1", got)
 	}
 }

@@ -1,6 +1,7 @@
 package node
 
 import (
+	"math"
 	"math/rand"
 	"slices"
 	"testing"
@@ -8,6 +9,7 @@ import (
 
 	"selectps/internal/obs"
 	"selectps/internal/overlay"
+	"selectps/internal/ring"
 	"selectps/internal/selectcore"
 	"selectps/internal/wire"
 )
@@ -113,8 +115,9 @@ func TestExchangeLearnsBitmapBothWays(t *testing.T) {
 // TestGossipBacksOffThroughFriendChurn: what an exchange teaches is no
 // cadence event (DESIGN.md §15.2). A node whose friends answer every
 // exchange with a changed routing table, and send it changed tables of
-// their own, still climbs one gossip level per sampler pass to the cap:
-// their news changes what the node knows, never what it sends.
+// their own, still reaches the gossip cap after one sampler pass and
+// stays there: their news changes what the node knows, never what it
+// sends.
 func TestGossipBacksOffThroughFriendChurn(t *testing.T) {
 	g, c, tp := frozenCluster(t, 40, 5, Options{GossipEvery: time.Hour})
 	a := c.Nodes[topDegree(g)]
@@ -150,7 +153,7 @@ func TestGossipBacksOffThroughFriendChurn(t *testing.T) {
 				Neighborhood: g.Neighbors(h), RoutingTable: table(pass + 1),
 			})
 		}
-		if want := min(pass, selectcore.CadenceMaxLevel); a.gs.Level() != want {
+		if want := selectcore.CadenceMaxLevel; a.gs.Level() != want {
 			t.Fatalf("after %d sampler passes of changed tables: gossip level %d, want %d", pass, a.gs.Level(), want)
 		}
 		// The news was taken in all the same.
@@ -250,9 +253,7 @@ func TestRedundantLinkDropIsALinkEvent(t *testing.T) {
 	both := replyBitmap(friends, []overlay.PeerID{u, v})
 	a.longOut = []overlay.PeerID{u, v}
 	a.bitmaps = map[overlay.PeerID][]uint64{u: both, v: slices.Clone(both)}
-	for a.gs.Level() < selectcore.CadenceMaxLevel {
-		a.gs.Cadence = a.gs.Round(selectcore.GossipCalmRounds)
-	}
+	a.gs.Cadence = a.gs.Pass()
 	resets := met.Get(obs.CCadenceResetLink)
 	a.relink()
 	if len(a.longOut) != 1 {
@@ -260,5 +261,232 @@ func TestRedundantLinkDropIsALinkEvent(t *testing.T) {
 	}
 	if got := met.Get(obs.CCadenceResetLink) - resets; got != 1 || a.gs.Level() != 0 {
 		t.Fatalf("the covered link's drop counted %d link resets and left gossip at level %d, want 1 and 0", got, a.gs.Level())
+	}
+}
+
+// longOnly returns a peer a holds as a long link and not as a ring head,
+// so that removing it changes a's routing table.
+func longOnly(t *testing.T, a *Node) overlay.PeerID {
+	t.Helper()
+	for _, q := range append(slices.Clone(a.longOut), a.longIn...) {
+		if q != a.shortSucc && q != a.shortPred {
+			return q
+		}
+	}
+	t.Fatalf("node %d has no long link that is not a ring head", a.id)
+	return -1
+}
+
+// capCadence puts both of n's timers at the cap with no event pending.
+func capCadence(n *Node) {
+	for n.hb.Level() < selectcore.CadenceMaxLevel {
+		n.hb.Cadence = n.hb.Round()
+	}
+	n.gs.Cadence = n.gs.Pass()
+}
+
+// TestGossipRestsAfterOneCleanPass: gossip has two speeds (DESIGN.md
+// §15.2). A sampler pass no event landed in has told every friend the
+// current table, and the timer goes from the base interval straight to
+// the cap. A table change drops it back to base, the pass the change
+// landed in closes at base — the friends it visited before the change
+// heard the old table — and the next clean pass puts it at the cap again.
+func TestGossipRestsAfterOneCleanPass(t *testing.T) {
+	const base = 100 * time.Millisecond
+	g, c, tp := frozenCluster(t, 40, 5, Options{GossipEvery: base})
+	a := c.Nodes[topDegree(g)]
+	deg := g.Degree(a.id)
+	x := longOnly(t, a)
+	// Start at a pass boundary from the base cadence with no history.
+	for r := a.sampler.Rounds(); a.sampler.Rounds() == r; {
+		a.sendExchange()
+	}
+	a.gs.Cadence = selectcore.Cadence{}
+	tp.take(0)
+
+	// pass runs one sampler pass, calling mid (if any) before its middle
+	// exchange, and returns the gossip level after each exchange.
+	pass := func(mid func()) []int {
+		levels := make([]int, deg)
+		for i := range levels {
+			if i == deg/2 && mid != nil {
+				mid()
+			}
+			a.sendExchange()
+			levels[i] = a.gs.Level()
+		}
+		return levels
+	}
+	// restsAtLast says whether a pass ran at base and reached the cap with
+	// its last exchange.
+	restsAtLast := func(levels []int) bool {
+		return slices.Max(levels[:deg-1]) == 0 && levels[deg-1] == selectcore.CadenceMaxLevel
+	}
+	if levels := pass(nil); !restsAtLast(levels) {
+		t.Fatalf("first clean pass: gossip levels %v, want base until the last exchange and the cap after it", levels)
+	}
+	if sent := len(tp.take(wire.KindExchangeRT)); sent != deg {
+		t.Fatalf("the pass sent %d exchanges, want one per friend (%d)", sent, deg)
+	}
+	at := time.Now()
+	if next := a.gossipFire(at, at, false); !next.Equal(at.Add(base << selectcore.CadenceMaxLevel)) {
+		t.Fatalf("after a clean pass the next exchange is %v away, want %v", next.Sub(at), base<<selectcore.CadenceMaxLevel)
+	}
+
+	// A long link goes mid-pass: base at once, and the pass closes at base.
+	levels := pass(func() {
+		a.handle(&wire.Message{Kind: wire.KindLinkDrop, From: int32(x), To: int32(a.id)})
+	})
+	if slices.Min(levels[:deg/2]) != selectcore.CadenceMaxLevel || slices.Max(levels[deg/2:]) != 0 {
+		t.Fatalf("a pass with a link change before exchange %d: gossip levels %v, want the cap before it and base from it on", deg/2+1, levels)
+	}
+	if levels := pass(nil); !restsAtLast(levels) {
+		t.Fatalf("the clean pass after the change: gossip levels %v, want base until the last exchange and the cap after it", levels)
+	}
+}
+
+// TestGossipWakesOnlyOnTableChange: every path that changes a node's own
+// routing table — the one thing its exchanges carry — pulls gossip in
+// along with the heartbeat. An event that leaves the table as it was
+// drops the heartbeat to the base interval and leaves gossip at the cap.
+func TestGossipWakesOnlyOnTableChange(t *testing.T) {
+	setup := func(t *testing.T) (*Cluster, *Node, *obs.Metrics) {
+		met := obs.New()
+		g, c, _ := frozenCluster(t, 40, 5, Options{HeartbeatEvery: time.Hour, GossipEvery: time.Hour, Obs: met})
+		return c, c.Nodes[topDegree(g)], met
+	}
+	// Each case prepares its node and returns the mutation.
+	mutators := []struct {
+		name string
+		prep func(t *testing.T, c *Cluster, a *Node) func()
+	}{
+		{"incoming link accepted", func(t *testing.T, c *Cluster, a *Node) func() {
+			a.longIn = a.longIn[:0]
+			s := strangers(c, a, 1)[0]
+			return func() { a.handle(&wire.Message{Kind: wire.KindLinkProposal, From: int32(s), To: int32(a.id)}) }
+		}},
+		{"outgoing link accepted", func(t *testing.T, c *Cluster, a *Node) func() {
+			a.longOut = a.longOut[:0]
+			s := strangers(c, a, 1)[0]
+			a.pendingOut[s] = true
+			return func() { a.handle(&wire.Message{Kind: wire.KindLinkAccept, From: int32(s), To: int32(a.id)}) }
+		}},
+		{"link dropped by its peer", func(t *testing.T, c *Cluster, a *Node) func() {
+			x := longOnly(t, a)
+			return func() { a.handle(&wire.Message{Kind: wire.KindLinkDrop, From: int32(x), To: int32(a.id)}) }
+		}},
+		{"departed link pruned", func(t *testing.T, c *Cluster, a *Node) func() {
+			x := longOnly(t, a)
+			return func() { c.dir.setMember(x, false); a.pruneGone() }
+		}},
+		{"linked peer left", func(t *testing.T, c *Cluster, a *Node) func() {
+			x := longOnly(t, a)
+			return func() { a.handle(&wire.Message{Kind: wire.KindLeave, From: int32(x), To: int32(a.id)}) }
+		}},
+		{"dead link evicted", func(t *testing.T, c *Cluster, a *Node) func() {
+			x := longOnly(t, a)
+			return func() { a.evictDead(x, time.Now()) }
+		}},
+		{"ring head left", func(t *testing.T, c *Cluster, a *Node) func() {
+			s := a.shortSucc
+			return func() { a.handle(&wire.Message{Kind: wire.KindLeave, From: int32(s), To: int32(a.id)}) }
+		}},
+		{"nearer successor announced", func(t *testing.T, c *Cluster, a *Node) func() {
+			s := strangers(c, a, 1)[0]
+			own := c.dir.position(a.id)
+			mid := ring.ID(math.Mod(float64(own)+ring.Clockwise(own, c.dir.position(a.shortSucc))/2, 1))
+			return func() {
+				a.handle(&wire.Message{Kind: wire.KindIDAnnounce, From: int32(s), To: int32(a.id), Pos: math.Float64bits(float64(mid))})
+			}
+		}},
+	}
+	for _, tc := range mutators {
+		t.Run(tc.name, func(t *testing.T) {
+			c, a, met := setup(t)
+			mutate := tc.prep(t, c, a)
+			before := a.links()
+			capCadence(a)
+			resets := met.Get(obs.CCadenceResetLink) + met.Get(obs.CCadenceResetRing)
+			mutate()
+			if after := a.links(); slices.Equal(before, after) {
+				t.Fatalf("the table did not change: %v", after)
+			}
+			if got := met.Get(obs.CCadenceResetLink) + met.Get(obs.CCadenceResetRing) - resets; got == 0 {
+				t.Errorf("no link or ring reset counted")
+			}
+			if a.gs.Level() != 0 || a.hb.Level() != 0 {
+				t.Errorf("after the table changed: gossip level %d, heartbeat level %d, want both 0", a.gs.Level(), a.hb.Level())
+			}
+		})
+	}
+
+	events := []struct {
+		name string
+		prep func(t *testing.T, c *Cluster, a *Node) func()
+	}{
+		{"membership", func(t *testing.T, c *Cluster, a *Node) func() {
+			return func() { a.cadenceEvent(selectcore.CadenceMembership) }
+		}},
+		{"miss", func(t *testing.T, c *Cluster, a *Node) func() {
+			return func() { a.cadenceEvent(selectcore.CadenceMiss) }
+		}},
+		{"retry", func(t *testing.T, c *Cluster, a *Node) func() {
+			return func() { a.cadenceEvent(selectcore.CadenceRetry) }
+		}},
+		{"suspect", func(t *testing.T, c *Cluster, a *Node) func() {
+			return func() { a.cadenceEvent(selectcore.CadenceDetector) }
+		}},
+		{"far peer announced", func(t *testing.T, c *Cluster, a *Node) func() {
+			// The stranger farthest round the ring from a, at its own
+			// position: the IDAnnounce is handled and no head moves.
+			own, far, best := c.dir.position(a.id), overlay.PeerID(-1), -1.0
+			for _, s := range strangers(c, a, len(c.Nodes)) {
+				if d := ring.Distance(own, c.dir.position(s)); d > best {
+					far, best = s, d
+				}
+			}
+			return func() {
+				a.handle(&wire.Message{Kind: wire.KindIDAnnounce, From: int32(far), To: int32(a.id), Pos: posBits(c, far)})
+			}
+		}},
+		{"unlinked peer pruned from the ring view", func(t *testing.T, c *Cluster, a *Node) func() {
+			links := a.links()
+			var x overlay.PeerID = -1
+			for _, e := range append(slices.Clone(a.rview.succ), a.rview.pred...) {
+				if !slices.Contains(links, e.peer) {
+					x = e.peer
+					break
+				}
+			}
+			if x < 0 {
+				t.Fatalf("every ring view entry of %d is a link", a.id)
+			}
+			return func() { c.dir.setMember(x, false); a.pruneGone() }
+		}},
+		{"missed probe folded", func(t *testing.T, c *Cluster, a *Node) func() {
+			x := longOnly(t, a)
+			return func() {
+				a.pendingPings[1<<31] = x
+				a.sendHeartbeats()
+			}
+		}},
+	}
+	for _, tc := range events {
+		t.Run(tc.name, func(t *testing.T) {
+			c, a, met := setup(t)
+			mutate := tc.prep(t, c, a)
+			before := a.links()
+			capCadence(a)
+			mutate()
+			if after := a.links(); !slices.Equal(before, after) {
+				t.Fatalf("the table changed from %v to %v", before, after)
+			}
+			if got := met.Get(obs.CCadenceResetLink) + met.Get(obs.CCadenceResetRing); got != 0 {
+				t.Errorf("%d link or ring resets counted for an event that left the table alone", got)
+			}
+			if a.gs.Level() != selectcore.CadenceMaxLevel || a.hb.Level() != 0 {
+				t.Errorf("gossip level %d, heartbeat level %d, want %d and 0", a.gs.Level(), a.hb.Level(), selectcore.CadenceMaxLevel)
+			}
+		})
 	}
 }

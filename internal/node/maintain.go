@@ -6,7 +6,6 @@ import (
 	"slices"
 	"time"
 
-	"selectps/internal/churn"
 	"selectps/internal/obs"
 	"selectps/internal/overlay"
 	"selectps/internal/ring"
@@ -215,9 +214,10 @@ func (n *Node) refreshHeads() {
 
 // pruneGone forgets links to peers that left the ring (crashed or
 // departed); their state is rebuilt through the join protocol if they
-// come back.
+// come back. A pruned long link changes the routing table, so it is a
+// link event as well as a membership one.
 func (n *Node) pruneGone() {
-	gone := false
+	unlinked := false
 	keep := func(links []overlay.PeerID) []overlay.PeerID {
 		out := links[:0]
 		for _, q := range links {
@@ -225,7 +225,7 @@ func (n *Node) pruneGone() {
 				out = append(out, q)
 			}
 		}
-		gone = gone || len(out) != len(links)
+		unlinked = unlinked || len(out) != len(links)
 		return out
 	}
 	n.longOut = keep(n.longOut)
@@ -240,8 +240,9 @@ func (n *Node) pruneGone() {
 			delete(n.refused, q)
 		}
 	}
-	if n.rview.prune(func(e ringEntry) bool { return n.dir.isMember(e.peer) }) {
-		gone = true
+	gone := n.rview.prune(func(e ringEntry) bool { return n.dir.isMember(e.peer) }) || unlinked
+	if unlinked {
+		n.cadenceEvent(selectcore.CadenceLink)
 	}
 	if gone {
 		n.cadenceEvent(selectcore.CadenceMembership)
@@ -639,8 +640,9 @@ func (n *Node) handleLinkDrop(m *wire.Message) {
 func (n *Node) handleLeave(m *wire.Message) {
 	n.cfg.Obs.Inc(obs.CLeave)
 	from := overlay.PeerID(m.From)
-	n.removeLongOut(from)
-	n.removeLongIn(from)
+	if out, in := n.removeLongOut(from), n.removeLongIn(from); out || in {
+		n.cadenceEvent(selectcore.CadenceLink)
+	}
 	delete(n.pendingOut, from)
 	delete(n.lookahead, from)
 	delete(n.cma, from)
@@ -682,29 +684,30 @@ func (n *Node) resetVolatile() {
 	n.wantJoin = false
 	n.inviterPref = -1
 	n.shortSucc, n.shortPred = -1, -1
-	n.longOut = nil
-	n.longIn = nil
-	n.pendingOut = make(map[overlay.PeerID]bool)
-	n.refused = make(map[overlay.PeerID]refusal)
+	// The maps and lists are cleared in place, not made anew, so that a
+	// crash or a leave does not re-grow them: nothing outside the node
+	// holds one.
+	n.longOut = n.longOut[:0]
+	n.longIn = n.longIn[:0]
+	clear(n.pendingOut)
+	clear(n.refused)
 	for i := range n.strength {
 		n.strength[i] = -1
 	}
-	n.bitmaps = make(map[overlay.PeerID][]uint64)
-	n.lookahead = make(map[overlay.PeerID][]overlay.PeerID)
-	n.cma = make(map[overlay.PeerID]churn.CMA)
-	n.miss = make(map[overlay.PeerID]int)
-	n.suspectAt = make(map[overlay.PeerID]time.Time)
-	n.deadUntil = make(map[overlay.PeerID]time.Time)
-	n.linkRepairStart = nil
-	n.pendingPings = make(map[uint32]overlay.PeerID)
-	// Buffered-but-unflushed ack batches and piggybacked-liveness stamps
-	// die with the process, like any unsent frame.
+	clear(n.bitmaps)
+	clear(n.lookahead)
+	clear(n.cma)
+	clear(n.miss)
+	clear(n.suspectAt)
+	clear(n.deadUntil)
+	n.linkRepairStart = n.linkRepairStart[:0]
+	clear(n.pendingPings)
+	// Buffered-but-unflushed ack batches, piggybacked-liveness stamps and
+	// the peers' pings die with the process, like any unsent frame.
 	n.ackBuckets = n.ackBuckets[:0]
 	n.ackFlushAt = time.Time{}
-	if n.hbPiggyback {
-		n.lastHeard = make(map[overlay.PeerID]time.Time)
-		n.hbSkip = make(map[overlay.PeerID]int)
-	}
+	clear(n.lastHeard)
+	clear(n.probes)
 	// A rejoiner starts at the base cadence with no calm history.
 	n.hbFold = false
 	n.hbSwept = time.Time{}
@@ -716,7 +719,7 @@ func (n *Node) resetVolatile() {
 	// persistent feed, seen from the publisher's side — so a crashed
 	// publisher resumes re-sending its unacked publications after it
 	// re-joins (§III-F: the publisher repairs when it comes back).
-	n.rview.succ, n.rview.pred = nil, nil
+	n.rview.succ, n.rview.pred = n.rview.succ[:0], n.rview.pred[:0]
 	n.joinNext = time.Time{}
 	n.joinAttempt = 0
 	n.joinedCh = make(chan struct{})
@@ -739,8 +742,8 @@ func (n *Node) resetVolatile() {
 			n.retire(seq, st)
 		}
 	}
-	n.topicReg = make(map[string]*registry)
-	n.unsubbed = nil
+	clear(n.topicReg)
+	clear(n.unsubbed)
 	for _, ts := range n.subTopics {
 		ts.set = nil
 		ts.lastSub = time.Time{}

@@ -30,7 +30,6 @@
 package node
 
 import (
-	"math"
 	"math/rand"
 	"slices"
 	"sync/atomic"
@@ -244,12 +243,13 @@ type Node struct {
 	// in by an earlier one and never pushed out (armAckFlush).
 	ackBuckets []ackBucket
 	ackFlushAt time.Time
-	// Heartbeat piggybacking: lastHeard stamps the most recent inbound
-	// frame per peer (liveness evidence), hbSkip counts consecutive
-	// suppressed pings so the ring's pong anti-entropy keeps a floor.
+	// Heartbeat piggybacking and the one probe per link (DESIGN.md §15.2):
+	// lastHeard stamps the most recent inbound non-heartbeat frame per peer
+	// (liveness evidence), probes is what the sweep keeps per link
+	// (linkProbe).
 	hbPiggyback bool
 	lastHeard   map[overlay.PeerID]time.Time
-	hbSkip      map[overlay.PeerID]int
+	probes      map[overlay.PeerID]linkProbe
 	// Liveness cadence (cadence.go, DESIGN.md §15.2): the heartbeat and
 	// gossip timers each run at base<<level.
 	hb, gs cadenceTimer
@@ -320,7 +320,7 @@ func newNode(id overlay.PeerID, dir *directory, bw []float64, cfg Options, seed 
 	n.hbPiggyback = cfg.HeartbeatEvery > 0
 	if n.hbPiggyback {
 		n.lastHeard = make(map[overlay.PeerID]time.Time)
-		n.hbSkip = make(map[overlay.PeerID]int)
+		n.probes = make(map[overlay.PeerID]linkProbe)
 	}
 	return n
 }
@@ -358,9 +358,8 @@ func (n *Node) handle(m *wire.Message) {
 		// sender: the next heartbeat sweep skips pinging links that carried
 		// traffic inside the interval (sendHeartbeats) instead of
 		// generating a redundant ping/pong pair. Pings and pongs are
-		// excluded — the probe channel must not feed its own suppression,
-		// or an idle mesh would throttle the pong-borne ring anti-entropy
-		// it has no other way to run.
+		// excluded: a ping stands in only for the reverse ping (below), and
+		// a pong answers a probe this node sent.
 		n.lastHeard[overlay.PeerID(m.From)] = time.Now()
 	}
 	if len(m.Acks) > 0 && m.Kind != wire.KindAckBatch && m.Kind != wire.KindInboxClaim {
@@ -378,6 +377,13 @@ func (n *Node) handle(m *wire.Message) {
 	}
 	switch m.Kind {
 	case wire.KindPing:
+		if from := overlay.PeerID(m.From); n.hbPiggyback && from != n.id && n.dir.valid(from) {
+			// The ping is this node's next probe of its sender, if the
+			// sweep comes soon enough (sendHeartbeats).
+			pr := n.probes[from]
+			pr.pingAt = time.Now()
+			n.probes[from] = pr
+		}
 		if n.joined && len(m.Succs) > 0 {
 			n.learnPiggyback(n.dir.position(n.id), m)
 		}
@@ -529,9 +535,10 @@ func (n *Node) sendExchange() {
 	fi, ok := n.sampler.Next()
 	if r := n.sampler.Rounds(); r != n.gsRounds {
 		// One full sampler pass — every friend exchanged with once —
-		// closes a gossip round.
+		// closes a gossip round: with no table change in it, every friend
+		// holds the current table and gossip rests at the cap.
 		n.gsRounds = r
-		n.gs.Cadence = n.gs.Round(selectcore.GossipCalmRounds)
+		n.gs.Cadence = n.gs.Pass()
 	}
 	if !ok {
 		return
@@ -546,10 +553,19 @@ func (n *Node) sendExchange() {
 	})
 }
 
-// sendHeartbeats is one heartbeat sweep: ping every link; unanswered
-// pings from the previous sweep count as offline observations (§III-F
-// probes). After folding the misses the accrual detector sweep runs —
-// dead links are evicted and repaired before the next pings go out
+// linkProbe is what the heartbeat sweep keeps per link (DESIGN.md
+// §15.2): pingAt is when the link last pinged this node, and skip counts
+// the link's consecutive data-suppressed sweeps, so that the ring's
+// anti-entropy keeps a floor.
+type linkProbe struct {
+	pingAt time.Time
+	skip   int
+}
+
+// sendHeartbeats is one heartbeat sweep: probe every link once;
+// unanswered pings from the previous sweep count as offline observations
+// (§III-F probes). After folding the misses the accrual detector sweep
+// runs — dead links are evicted and repaired before the next pings go out
 // (repair.go) — and the sweep closes one round of the liveness cadence
 // (cadence.go).
 func (n *Node) sendHeartbeats() {
@@ -565,12 +581,26 @@ func (n *Node) sendHeartbeats() {
 	fresh := func(q overlay.PeerID) bool {
 		return n.hbPiggyback && n.lastHeard[q].After(cutoff)
 	}
+	// probed reports whether q pinged this node since the last sweep and
+	// inside the last base interval: that ping was this sweep's probe of q
+	// (one probe per link per interval). The horizon stops at one base
+	// interval so that a backed-off sweep cannot lean on a ping from most
+	// of an interval ago, which would put off probing a peer that fell
+	// silent after it by a whole backed-off interval.
+	since := now.Add(-n.hb.base)
+	if cutoff.After(since) {
+		since = cutoff
+	}
+	probed := func(q overlay.PeerID) bool {
+		return n.probes[q].pingAt.After(since)
+	}
 	missed := false
 	for _, target := range n.pendingPings {
-		if fresh(target) {
-			// The pong never came but data frames did: the link is alive,
-			// the miss would be pure noise. The links loop below records
-			// the round's (single) online observation.
+		if fresh(target) || probed(target) {
+			// The pong never came but data frames or the peer's own ping
+			// did: the link is alive, the miss would be pure noise. The
+			// links loop below records the round's (single) online
+			// observation.
 			continue
 		}
 		n.cfg.Obs.Inc(obs.CHeartbeatMiss)
@@ -590,46 +620,64 @@ func (n *Node) sendHeartbeats() {
 	if n.hb.Level() == 0 {
 		n.cfg.Obs.Inc(obs.CHeartbeatSweepBase)
 	}
-	n.hb.Cadence = n.hb.Round(selectcore.HeartbeatCalmRounds)
+	n.hb.Cadence = n.hb.Round()
 	var linkBuf [routeLinksMax]overlay.PeerID
 	links := n.appendLinks(linkBuf[:0])
 	// Also probe the ring candidates: hearsay entries sitting ahead of the
 	// firsthand heads. Their pong self-entry places them, so a nearer
 	// neighbor becomes the head one round trip after it was first heard
 	// of, and a stale claim is refuted by the peer it names. Candidates
-	// are exempt from suppression (links[probe:]): only a pong can verify
-	// them, so they always get a real ping.
+	// are exempt from stand-ins and suppression (links[probe:]): only a
+	// pong can verify them, so they always get a real ping.
 	probe := len(links)
 	for _, q := range n.rview.probation(n.dir.isMember) {
 		if !slices.Contains(links, q) {
 			links = append(links, q)
 		}
 	}
-	// A ping names its sender's position the way a pong does — as the self
-	// entry of the successor side — so the probed peer learns the prober
-	// first-hand: a node that moved in between two neighbours is seen by
-	// them the moment it probes them, not only if a third party happens to
-	// vouch for it.
+	// A ping carries its sender's ring lists the way a pong does, its own
+	// position heading the successor side, so the probed peer learns the
+	// prober first-hand — a node that moved in between two neighbours is
+	// seen by them the moment it probes them — and one ping/pong pair runs
+	// the ring's anti-entropy in both directions.
 	ping := wire.Message{Kind: wire.KindPing, From: int32(n.id)}
 	if n.joined {
-		ping.Succs = append(n.claims.succs[:0], int32(n.id))
-		ping.SuccPos = append(n.claims.succPos[:0], math.Float64bits(float64(n.dir.position(n.id))))
+		ping = n.rview.piggyback(ping, &n.claims, n.id, n.dir.position(n.id), now)
 	}
 	for i, q := range links {
-		if i < probe && fresh(q) && n.hbSkip[q] < hbSuppressMax {
-			// Heartbeat piggybacking: the link moved data this interval, so
-			// its ping would be redundant — fold the traffic as this round's
-			// online sample instead (exactly one detector sample per link
-			// per sweep, same as a pong). Every hbSuppressMax-th sweep still
-			// pings: pongs carry successor lists, the ring's anti-entropy
-			// channel, which data frames do not.
-			n.hbSkip[q]++
-			n.observe(q, true)
-			n.rview.confirm(q, now)
-			n.cfg.Obs.Inc(obs.CHeartbeatSuppress)
-			continue
+		if i < probe {
+			pr := n.probes[q]
+			switch {
+			case probed(q):
+				// q probed this link since the last sweep, and its ping and
+				// this node's pong carried both ring views: that exchange is
+				// this sweep's probe of q, one online detector sample and a
+				// re-stamped ring claim, for this sweep only. At worst the
+				// two ends take turns pinging; they never both fall silent.
+				pr.skip = 0
+				n.probes[q] = pr
+				n.observe(q, true)
+				n.rview.confirm(q, now)
+				n.cfg.Obs.Inc(obs.CHeartbeatProbed)
+				continue
+			case fresh(q) && pr.skip < hbSuppressMax:
+				// Heartbeat piggybacking: the link moved data this interval,
+				// so its ping would be redundant — fold the traffic as this
+				// round's online sample instead (exactly one detector sample
+				// per link per sweep, same as a pong). Every hbSuppressMax-th
+				// sweep still pings: pings and pongs carry successor lists,
+				// the ring's anti-entropy channel, which data frames do not.
+				pr.skip++
+				n.probes[q] = pr
+				n.observe(q, true)
+				n.rview.confirm(q, now)
+				n.cfg.Obs.Inc(obs.CHeartbeatSuppress)
+				continue
+			case pr.skip != 0:
+				pr.skip = 0
+				n.probes[q] = pr
+			}
 		}
-		delete(n.hbSkip, q)
 		ping.To, ping.Seq = int32(q), n.nextSeq()
 		n.pendingPings[ping.Seq] = q
 		n.cfg.Obs.Inc(obs.CHeartbeatSent)

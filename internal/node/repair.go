@@ -842,6 +842,11 @@ func (n *Node) evictDead(q overlay.PeerID, now time.Time) {
 	n.cfg.Obs.Inc(obs.CLinkDeadEvict)
 	n.cfg.Obs.TraceEvent("dead_evict", int32(n.id), uint32(q))
 	n.cadenceEvent(selectcore.CadenceDetector)
+	if wasLong {
+		// The eviction changed the routing table: friends learn the new one
+		// from the next sampler pass, at the base interval.
+		n.cadenceEvent(selectcore.CadenceLink)
+	}
 	if wasRing {
 		n.refreshHeads()
 		n.cfg.Obs.Inc(obs.CRingSplice)

@@ -136,6 +136,27 @@ type shard struct {
 	queued int
 	// fired is the loop's reused list of due wheel entries.
 	fired []sched.Fired
+	// gauges are the names monitorTick publishes under.
+	gauges shardGauges
+}
+
+// shardGauges names a shard's runtime-scale gauges, built once when the
+// shard starts rather than on every monitor tick.
+type shardGauges struct {
+	wheel, cmds, inbox string
+	// hb and gs name the per-level node counts of the heartbeat and
+	// gossip cadences.
+	hb, gs [selectcore.CadenceMaxLevel + 1]string
+}
+
+func newShardGauges(idx int) shardGauges {
+	shard := "_shard_" + strconv.Itoa(idx)
+	g := shardGauges{wheel: "wheel_entries" + shard, cmds: "cmds_queued" + shard, inbox: "inbox_depth" + shard}
+	for l := range g.hb {
+		g.hb[l] = "cadence_level_" + strconv.Itoa(l) + shard
+		g.gs[l] = "cadence_gossip_level_" + strconv.Itoa(l) + shard
+	}
+	return g
 }
 
 // nodeq is one node's pending-message stack: newest first (adaptive
@@ -197,6 +218,7 @@ func newShard(idx int, c *Cluster, opts *Options) *shard {
 		idle:    make(chan struct{}, 1),
 		obs:     opts.Obs,
 		queues:  make([]nodeq, len(c.Nodes)),
+		gauges:  newShardGauges(idx),
 	}
 }
 
@@ -641,11 +663,11 @@ func nextPeriodic(at, now time.Time, every time.Duration) time.Time {
 // heartbeat and gossip back-off level (cadence.go), and (from shard 0)
 // the live goroutine count the budget gate watches.
 func (s *shard) monitorTick() {
-	shard := "_shard_" + strconv.Itoa(s.idx)
-	s.obs.SetGauge("wheel_entries"+shard, int64(s.wheel.Len()))
-	s.obs.SetGauge("cmds_queued"+shard, s.cmdDepth.Load())
+	g := &s.gauges
+	s.obs.SetGauge(g.wheel, int64(s.wheel.Len()))
+	s.obs.SetGauge(g.cmds, s.cmdDepth.Load())
 	if s.ibx != nil {
-		s.obs.SetGauge("inbox_depth"+shard, int64(s.ibx.Depth()))
+		s.obs.SetGauge(g.inbox, int64(s.ibx.Depth()))
 	}
 	var hb, gs [selectcore.CadenceMaxLevel + 1]int64
 	for _, n := range s.c.Nodes {
@@ -655,8 +677,8 @@ func (s *shard) monitorTick() {
 		}
 	}
 	for l := range hb {
-		s.obs.SetGauge("cadence_level_"+strconv.Itoa(l)+shard, hb[l])
-		s.obs.SetGauge("cadence_gossip_level_"+strconv.Itoa(l)+shard, gs[l])
+		s.obs.SetGauge(g.hb[l], hb[l])
+		s.obs.SetGauge(g.gs[l], gs[l])
 	}
 	if s.idx == 0 {
 		s.obs.SetGauge("goroutines", int64(runtime.NumGoroutine()))

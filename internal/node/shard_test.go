@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"selectps/internal/obs"
 	"selectps/internal/overlay"
 )
 
@@ -109,5 +110,21 @@ func TestCrashRejoinReschedulesOnWheel(t *testing.T) {
 			t.Fatal("rejoined node stopped gossiping: wheel entry not firing")
 		}
 		time.Sleep(5 * time.Millisecond)
+	}
+}
+
+// TestMonitorTickAllocPin: a shard's gauge names are built when it
+// starts, so a monitor tick that finds every gauge already set allocates
+// nothing.
+func TestMonitorTickAllocPin(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates on its own")
+	}
+	_, c, _ := frozenCluster(t, 40, 5, Options{Shards: 2, Obs: obs.New()})
+	for _, s := range c.shards {
+		s.monitorTick()
+		if a := testing.AllocsPerRun(100, s.monitorTick); a != 0 {
+			t.Errorf("shard %d: monitorTick %.1f allocs, want 0", s.idx, a)
+		}
 	}
 }

@@ -135,17 +135,20 @@ const (
 	CAckCoalesced      // individual ack entries carried inside batches
 	CAckTTLDrop        // batched routed-ack entries expired in relay
 	CHeartbeatSuppress // heartbeat pings skipped: data traffic already proved liveness
+	CHeartbeatProbed   // heartbeat pings skipped: the peer's own ping since the last sweep was this sweep's probe
 	CIngressBatch      // envelope batches delivered to shard mailboxes in bulk
 
 	// node: liveness cadence and the quiet control plane (DESIGN.md §8.2,
 	// §9.3, §15.2). The cadence_reset_* counters say what keeps a node at
-	// the base heartbeat/gossip interval, one per selectcore.CadenceEvent.
-	CCadenceResetMiss       // a heartbeat probe went unanswered
-	CCadenceResetDetector   // a link turned suspect or was evicted dead
-	CCadenceResetLink       // a long link was accepted, dropped or evicted
-	CCadenceResetRing       // a ring head changed or the node moved its own identifier
-	CCadenceResetMembership // IDAnnounce/JoinRequest/JoinReply/Leave handled, or a departed peer pruned
-	CCadenceResetRetry      // a publication reached its second consecutive retry
+	// the base interval, one per selectcore.CadenceEvent. link and ring
+	// change the node's own routing table and reset both the heartbeat and
+	// the gossip timer; the other four reset the heartbeat only.
+	CCadenceResetMiss       // heartbeat: a heartbeat probe went unanswered
+	CCadenceResetDetector   // heartbeat: a link turned suspect or was evicted dead
+	CCadenceResetLink       // heartbeat and gossip: a long link was accepted, dropped, evicted or pruned
+	CCadenceResetRing       // heartbeat and gossip: a ring head changed or the node moved its own identifier
+	CCadenceResetMembership // heartbeat: IDAnnounce/JoinRequest/JoinReply/Leave handled, or a departed peer pruned from the ring view
+	CCadenceResetRetry      // heartbeat: a publication reached its second consecutive retry
 	CHeartbeatSweep         // heartbeat sweeps run
 	CHeartbeatSweepBase     // ...of which at the base interval (level 0)
 	CRingHeadChange         // short-range ring links re-derived to a different peer
@@ -270,6 +273,7 @@ var counterNames = [numCounters]string{
 	CAckCoalesced:      "ack_coalesced",
 	CAckTTLDrop:        "ack_ttl_drop",
 	CHeartbeatSuppress: "heartbeat_suppressed",
+	CHeartbeatProbed:   "heartbeat_peer_probed",
 	CIngressBatch:      "ingress_batch",
 
 	CCadenceResetMiss:       "cadence_reset_miss",

@@ -378,11 +378,14 @@ func (r *Report) String() string {
 	if c := r.Obs.Counters; c["heartbeat_sweep"] > 0 {
 		// How quiet the control plane got, and what kept it awake
 		// (DESIGN.md §15.2): under loss or churn nearly every sweep should
-		// run at the base interval, in a calm cluster nearly none.
-		fmt.Fprintf(&b, "liveness cadence: %d/%d heartbeat sweeps at the base interval (%.1f%%); resets: miss=%d detector=%d link=%d ring=%d membership=%d retry=%d\n",
+		// run at the base interval, in a calm cluster nearly none. Then
+		// what the probes and exchanges cost: pings sent, probes a peer's
+		// own ping stood in for, and exchanges per peer-second.
+		fmt.Fprintf(&b, "liveness cadence: %d/%d heartbeat sweeps at the base interval (%.1f%%); resets: miss=%d detector=%d link=%d ring=%d membership=%d retry=%d; %d pings sent, %d stand-ins, %.2f exchanges per peer-second\n",
 			c["heartbeat_sweep_base"], c["heartbeat_sweep"], 100*float64(c["heartbeat_sweep_base"])/float64(c["heartbeat_sweep"]),
 			c["cadence_reset_miss"], c["cadence_reset_detector"], c["cadence_reset_link"], c["cadence_reset_ring"],
-			c["cadence_reset_membership"], c["cadence_reset_retry"])
+			c["cadence_reset_membership"], c["cadence_reset_retry"],
+			c["heartbeat_sent"], c["heartbeat_peer_probed"], float64(c["gossip_sent"])/(float64(r.Config.N)*r.RunSeconds))
 	}
 	if c := r.Obs.Counters; c["gossip_sent"] > 0 && r.Config.GossipEveryMS > 0 {
 		// The gossip back-off in every arm: exchanges per peer per second

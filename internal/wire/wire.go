@@ -20,9 +20,11 @@ type Kind uint8
 
 // Message kinds.
 const (
-	// KindPing probes a peer's liveness (§III-F heartbeats). It names the
-	// prober's own ring position as Succs[0]/SuccPos[0], so the probed
-	// peer learns it first-hand.
+	// KindPing probes a peer's liveness (§III-F heartbeats). It carries
+	// the prober's successor and predecessor lists as a pong does, its own
+	// ring position heading them as Succs[0]/SuccPos[0], so the probed
+	// peer learns it first-hand and one ping/pong pair runs the ring's
+	// anti-entropy both ways.
 	KindPing Kind = iota + 1
 	// KindPong answers a ping, piggybacking the responder's successor and
 	// predecessor lists (Succs, Preds) with the age of each claim.
@@ -212,7 +214,8 @@ type Message struct {
 	// says it in a slot it used to leave empty:
 	//
 	//	slot          kind               carries
-	//	Neighborhood  Pong, JoinReply    ages of the piggybacked ring claims (see Succs)
+	//	Neighborhood  Ping, Pong,        ages of the piggybacked ring claims (see Succs)
+	//	              JoinReply
 	//	RoutingTable  Publish, TopicPub  the destinations the frame names beyond To
 	//	RoutingTable  InboxDeposit       the subscribers the frame names beyond Target
 	//	Target        Publish            the inbound hop, plus one (HopFrom)
@@ -250,7 +253,7 @@ type Message struct {
 
 	// Succs/Preds carry the sender's r-deep successor/predecessor lists
 	// with parallel ring positions (math.Float64bits), piggybacked on
-	// Pong and JoinReply (Ping carries the sender's self entry only) so
+	// Ping, Pong and JoinReply so
 	// every node learns enough ring redundancy to splice around a dead
 	// neighbor locally (DESIGN.md §9). SuccPos[i]
 	// is the position of Succs[i]; likewise for preds. Each claim has an
@@ -578,19 +581,33 @@ func Unmarshal(b []byte) (*Message, error) {
 
 // growI32 resizes s to n entries, reusing its backing array when the
 // capacity allows (the decode overwrites every entry). n == 0 keeps the
-// slice's identity: nil stays nil, a reused slice keeps its capacity.
+// slice's identity: nil stays nil, a reused slice keeps its capacity. A
+// new array gets listCap(n) entries, so that a pooled Message that
+// decodes frames of several kinds in turn — ring lists of four to nine
+// entries on every ping and pong, a routing table of any length —
+// stops growing its lists after the first few.
 func growI32(s []int32, n int) []int32 {
 	if n <= cap(s) {
 		return s[:n]
 	}
-	return make([]int32, n)
+	return make([]int32, n, listCap(n))
 }
 
 func growU64(s []uint64, n int) []uint64 {
 	if n <= cap(s) {
 		return s[:n]
 	}
-	return make([]uint64, n)
+	return make([]uint64, n, listCap(n))
+}
+
+// listCap is the capacity a decoded list is given: n rounded up to a
+// power of two, at least 8.
+func listCap(n int) int {
+	c := 8
+	for c < n {
+		c *= 2
+	}
+	return c
 }
 
 func growAcks(s []AckEntry, n int) []AckEntry {
